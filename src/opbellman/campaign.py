@@ -28,6 +28,7 @@ from .checks import (
 )
 from .errors import ParameterError, WitnessFormatError
 from .instances import (
+    EDGE_SHRINK,
     GenConfig,
     InstanceFamily,
     complement_sandwich_family,
@@ -52,9 +53,6 @@ from .positive_maps import (
 from .spectral import Tolerance, matrix_from_json, matrix_to_json
 
 DEFAULT_SEED = 1729
-
-#: Edge shrink applied when drawing spectra inside a hypothesis window.
-_WINDOW_SHRINK = 0.02
 
 _FALLBACK_INTERVAL = {
     "sandwich": (0.5, 2.0),
@@ -102,6 +100,11 @@ class CampaignConfig:
                 raise ParameterError(f"lambda_grid[{i}]={lam}: must be in (0, 1)")
         for i, fid in enumerate(self.means):
             function_from_id(fid)  # raises ParameterError with the culprit
+        for i, map_id in enumerate(self.maps):
+            try:
+                _parse_map_id(map_id)
+            except ParameterError as exc:
+                raise ParameterError(f"maps[{i}]: {exc}") from None
         for cid in self.checks:
             if cid not in REGISTRY:
                 raise ParameterError(f"checks: unknown inequality id {cid!r}")
@@ -162,49 +165,43 @@ def config_from_json(obj: dict) -> CampaignConfig:
 # -- maps ---------------------------------------------------------------------
 
 
-def build_map(map_id: str, dim: int, rng: np.random.Generator):
-    """Instantiate a positive map from its config id for operands of ``dim``."""
+def _parse_map_id(map_id: str) -> tuple[str, int]:
+    """Split a map id into (kind, argument); raises ParameterError if malformed."""
     if map_id == "id":
-        return IdentityMap(dim)
+        return "id", 1
     parts = map_id.split(":")
     kind = parts[0]
     try:
         arg = int(parts[1]) if len(parts) > 1 else 1
     except ValueError as exc:
         raise ParameterError(f"malformed map id {map_id!r}") from exc
+    if kind not in ("compress", "unitary-mix", "pinch"):
+        raise ParameterError(f"unknown map id {map_id!r}")
+    return kind, arg
+
+
+def build_map(map_id: str, dim: int, rng: np.random.Generator):
+    """Instantiate a positive map from its config id for operands of ``dim``."""
+    kind, arg = _parse_map_id(map_id)
+    if kind == "id":
+        return IdentityMap(dim)
     if kind == "compress":
         k = max(1, min(arg, dim))
         return Compression(haar_unitary(dim, rng)[:, :k])
     if kind == "unitary-mix":
         r = max(1, arg)
         return UnitaryMixture(random_weights(r, rng), tuple(haar_unitary(dim, rng) for _ in range(r)))
-    if kind == "pinch":
-        b = max(1, min(arg, dim))
-        bounds = np.linspace(0, dim, b + 1).astype(int)
-        blocks = tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(b) if bounds[i] < bounds[i + 1])
-        return Pinching(blocks)
-    if kind == "block-avg":
-        from .positive_maps import BlockAverage
-
-        return BlockAverage(max(1, arg), dim)
-    if kind == "weighted":
-        from .positive_maps import WeightedFamily
-
-        n = max(1, arg)
-        return WeightedFamily(random_weights(n, rng), tuple(IdentityMap(dim) for _ in range(n)))
-    raise ParameterError(f"unknown map id {map_id!r}")
-
-
-def _inner_maps(map_id: str, n: int, dim: int, rng: np.random.Generator) -> list:
-    """Per-member maps with a common output dimension for family checks."""
-    return [build_map(map_id, dim, rng) for _ in range(n)]
+    b = max(1, min(arg, dim))
+    bounds = np.linspace(0, dim, b + 1).astype(int)
+    blocks = tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(b) if bounds[i] < bounds[i + 1])
+    return Pinching(blocks)
 
 
 # -- instance builders --------------------------------------------------------
 
 
 def _shrunk(m: float, M: float) -> tuple[float, float]:
-    d = _WINDOW_SHRINK * (M - m)
+    d = EDGE_SHRINK * (M - m)
     return m + d, M - d
 
 
@@ -308,8 +305,6 @@ def _gen_cfg(cell) -> GenConfig:
         dim=cell["dim"],
         n=cell["n"],
         interval=(cell["m"], cell["M"]),
-        p=cell.get("p", 0.5),
-        lam=cell.get("lam", 0.5),
     )
 
 
@@ -374,7 +369,7 @@ def _build_pd_contraction_sandwich(cell, rng):
 def _build_window_weighted_family(cell, rng):
     fam = _window_family(cell, rng)
     fam.weights = random_weights(cell["n"], rng)
-    fam.maps = _inner_maps(cell["map"], cell["n"], cell["dim"], rng)
+    fam.maps = [build_map(cell["map"], cell["dim"], rng) for _ in range(cell["n"])]
     return fam, {"f": cell.get("f", "log"), "m": cell["m"], "M": cell["M"], "p": cell.get("p", 0.5)}
 
 
@@ -448,40 +443,6 @@ BUILDERS = {
     "scalar_bellman_reverse": _build_scalar("eq3"),
 }
 
-#: Parameter axes each check actually consumes.
-CHECK_AXES = {
-    "bellman_map": ("dim", "n", "interval", "p", "map"),
-    "bellman_mean": ("dim", "n", "p", "f"),
-    "jensen_map": ("dim", "interval", "f+log", "map"),
-    "mean_superadditive": ("dim", "n", "f"),
-    "mean_remainder": ("dim", "n", "f"),
-    "mean_power_compose": ("dim", "p", "f"),
-    "jensen_ratio_reverse": ("dim", "interval", "f", "map"),
-    "mean_map_ratio_reverse": ("dim", "interval", "f", "map"),
-    "mean_sum_ratio_reverse": ("dim", "n", "interval", "f"),
-    "bellman_ratio_reverse": ("dim", "n", "interval", "p", "f"),
-    "compression_ratio_reverse": ("dim", "interval", "f"),
-    "mean_power_ratio_reverse": ("dim", "interval", "p", "f"),
-    "bellman_arith_reverse": ("dim", "n", "interval", "p", "lam"),
-    "jensen_diff_reverse": ("dim", "interval", "f+log", "map"),
-    "mean_map_diff_reverse": ("dim", "interval", "f", "map"),
-    "mean_sum_diff_reverse": ("dim", "n", "interval", "f"),
-    "bellman_diff_reverse": ("dim", "n", "interval", "p", "f"),
-    "aczel_reverse": ("dim", "n", "interval", "p"),
-    "jensen_family_diff_reverse": ("dim", "n", "interval", "f+log", "map"),
-    "bellman_family_reverse": ("dim", "n", "interval", "p", "map"),
-    "log_family_reverse": ("dim", "n", "interval", "map"),
-    "bellman_chain_split": ("dim", "n2", "p", "f", "k"),
-    "bellman_chain_interp": ("dim", "n2", "p", "f"),
-    "scalar_bellman": ("n",),
-    "scalar_aczel": ("n",),
-    "scalar_popoviciu": ("n",),
-    "scalar_bellman_weighted": ("n", "p"),
-    "scalar_bellman_columns": ("n", "p"),
-    "scalar_bellman_reverse": ("n", "p"),
-}
-
-
 def _interval_matches(kind: str, m: float, M: float) -> bool:
     if kind == "sandwich":
         return m < 1.0 < M
@@ -502,7 +463,7 @@ def _intervals_for(entry, cfg: CampaignConfig) -> list[tuple[float, float]]:
 def expand_cells(check_id: str, cfg: CampaignConfig) -> list[dict]:
     """Cross the grids relevant to one check into concrete parameter cells."""
     entry = REGISTRY[check_id]
-    axes = CHECK_AXES[check_id]
+    axes = entry.axes
     cells: list[dict] = [{}]
 
     def cross(values, key):
@@ -526,10 +487,7 @@ def expand_cells(check_id: str, cfg: CampaignConfig) -> list[dict]:
     if "f" in axes:
         cross(cfg.means, "f")
     if "f+log" in axes:
-        fns = list(cfg.means)
-        if check_id != "jensen_ratio_reverse":
-            fns.append("log")
-        cross(fns, "f")
+        cross(list(cfg.means) + ["log"], "f")
     if "map" in axes:
         cross(cfg.maps, "map")
     if "k" in axes:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from . import constants
+from . import constants, scalar_refs
 from .errors import (
     ConditioningError,
     DegenerateIntervalError,
@@ -80,29 +80,13 @@ def _na(check_id: str, guard: str) -> CheckOutcome:
     return CheckOutcome(check_id, NOT_APPLICABLE, math.nan, math.nan, witness={"guard": guard})
 
 
-def _checker(check_id: str):
-    def deco(fn):
-        @functools.wraps(fn)
-        def wrapped(inst, params, tol: Tolerance = DEFAULT_TOL) -> CheckOutcome:
-            try:
-                return fn(inst, params, tol)
-            except _GuardFail as g:
-                return _na(check_id, g.guard)
-
-        wrapped.check_id = check_id
-        return wrapped
-
-    return deco
-
-
-def _compare(check_id, dominant, dominated, tol, chain=None) -> CheckOutcome:
+def _compare(check_id, dominant, dominated, tol) -> CheckOutcome:
     v = loewner_leq(dominated, dominant, tol)
     return CheckOutcome(
         check_id=check_id,
         status=HOLDS if v.holds else VIOLATED,
         slack=v.slack,
         scale=v.scale,
-        chain_slacks=chain,
     )
 
 
@@ -117,6 +101,60 @@ def _chain_outcome(check_id, t1, t2, t3, tol) -> CheckOutcome:
         scale=max(l1.scale, l2.scale),
         chain_slacks=(l1.slack, l2.slack),
     )
+
+
+def _scalar_outcome(check_id, dominant, dominated, tol) -> CheckOutcome:
+    slack = float(dominant - dominated)
+    scale = max(abs(float(dominant)), abs(float(dominated)))
+    status = HOLDS if slack >= -tol.margin(scale) else VIOLATED
+    return CheckOutcome(check_id, status, slack, scale)
+
+
+@dataclass(frozen=True)
+class RegistryEntry:
+    check_id: str
+    group: str  # forward | reverse | chain | scalar
+    direction: str
+    statement: str
+    hypothesis: str
+    interval_kind: str  # sandwich | unit | positive | none
+    axes: tuple[str, ...]  # campaign grids the check consumes
+    reference: object  # dim-1 scalar formula; None for scalar checks
+    runner: object
+
+
+REGISTRY: dict[str, RegistryEntry] = {}
+
+
+def inequality(check_id, *, group, direction, interval_kind, axes, statement, hypothesis, reference=None):
+    """Declare one inequality: register it in ``REGISTRY`` and wrap its checker.
+
+    The checker returns the sides to compare, (dominant, dominated), or
+    (t1, t2, t3) for a chain t1 <= t2 <= t3.  Scalar checkers run, and their
+    sides are subtracted, at ``SCALAR_DPS`` digits.  Registration order is
+    the campaign's check order.
+    """
+
+    def deco(fn):
+        @functools.wraps(fn)
+        def runner(inst, params, tol: Tolerance = DEFAULT_TOL) -> CheckOutcome:
+            try:
+                if group == "scalar":
+                    with mpmath.workdps(SCALAR_DPS):
+                        return _scalar_outcome(check_id, *fn(inst, params, tol), tol)
+                sides = fn(inst, params, tol)
+            except _GuardFail as g:
+                return _na(check_id, g.guard)
+            if group == "chain":
+                return _chain_outcome(check_id, *sides, tol)
+            return _compare(check_id, *sides, tol)
+
+        REGISTRY[check_id] = RegistryEntry(
+            check_id, group, direction, statement, hypothesis, interval_kind, axes, reference, runner
+        )
+        return runner
+
+    return deco
 
 
 # -- guarded numerics ------------------------------------------------------
@@ -180,15 +218,23 @@ def _guard_pd_floor(x, guard, rel_floor=1e-7):
     _require(float(lam[0]) >= rel_floor * max(float(lam[-1]), 1e-300), guard)
 
 
-def _complement_guards(inst, gamma_value, m, M, tol):
+def _complement_prologue(inst, m, M, tol, f=None):
+    """Hypotheses of the complement-sandwich reverses: m < 1 < M, the pairwise
+    sandwiches, and the sandwich of I - g sum A_j and I - g sum B_j, where
+    g = gamma_f when ``f`` is given and g = 1 otherwise.
+
+    Returns (g, I, I - sum A_j, I - sum B_j)."""
+    _require(m < 1.0 < M, "window_not_straddling_one")
+    g = 1.0 if f is None else _gamma_guarded(f, m, M)
     eye = identity(inst.A[0].shape[0])
     _guard_pair_sandwich(zip(inst.A, inst.B), m, M, tol)
-    comp_a = hermitize(eye - gamma_value * sum(inst.A))
-    comp_b = hermitize(eye - gamma_value * sum(inst.B))
+    comp_a = hermitize(eye - g * sum(inst.A))
+    comp_b = hermitize(eye - g * sum(inst.B))
     _guard_pd_floor(comp_a, "complement_a_not_pd")
     _guard_pd_floor(comp_b, "complement_b_not_pd")
     _require(loewner_leq(m * comp_a, comp_b, tol).holds, "complement_sandwich_lower")
     _require(loewner_leq(comp_b, M * comp_a, tol).holds, "complement_sandwich_upper")
+    return g, eye, hermitize(eye - sum(inst.A)), hermitize(eye - sum(inst.B))
 
 
 def _resolve_f(params) -> RepresentingFunction:
@@ -219,8 +265,14 @@ def _gamma_guarded(f, m, M) -> float:
 # -- forward checks ---------------------------------------------------------
 
 
-@_checker("bellman_map")
-def check_bellman_map(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "bellman_map", group="forward", direction="lhs>=rhs", interval_kind="unit",
+    axes=("dim", "n", "interval", "p", "map"),
+    statement="(Phi(I - sum w_j A_j))^p >= Phi(sum w_j (I - A_j)^p)",
+    hypothesis="0 <= A_j <= I, unital positive Phi, weights sum to 1, 0 < p < 1",
+    reference=scalar_refs.bellman_map,
+)
+def check_bellman_map(inst: InstanceFamily, params, tol) -> tuple:
     """(Phi(I - sum w_j A_j))^p >= Phi(sum w_j (I - A_j)^p) for contractions
     0 <= A_j <= I."""
     p = params["p"]
@@ -235,11 +287,17 @@ def check_bellman_map(inst: InstanceFamily, params, tol) -> CheckOutcome:
         for wj, a in zip(w, inst.A)
     )
     dominated = hermitize(phi.apply(inner))
-    return _compare("bellman_map", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("bellman_mean")
-def check_bellman_mean(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "bellman_mean", group="forward", direction="rhs>=lhs", interval_kind="none",
+    axes=("dim", "n", "p", "f"),
+    statement="(I - sum A_j) s_{f^p} (I - sum B_j) <= (I - sum A_j s_f B_j)^p",
+    hypothesis="A_j, B_j >= 0 with sum A_j <= I and sum B_j <= I, mean s_f, 0 < p < 1",
+    reference=scalar_refs.bellman_mean,
+)
+def check_bellman_mean(inst: InstanceFamily, params, tol) -> tuple:
     """(I - sum A_j) sigma_{f^p} (I - sum B_j) <= (I - sum A_j sigma_f B_j)^p
     for subidentity families."""
     f = _resolve_f(params)
@@ -255,11 +313,17 @@ def check_bellman_mean(inst: InstanceFamily, params, tol) -> CheckOutcome:
     dominated = _mean_g(comp_a, comp_b, powered(f, p), "mean_conditioning")
     base = hermitize(eye - sum(mean(a, b, f) for a, b in zip(inst.A, inst.B)))
     dominant = _power_guarded(base, p, tol, "rhs_base_not_psd")
-    return _compare("bellman_mean", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("jensen_map")
-def check_jensen_map(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "jensen_map", group="forward", direction="rhs>=lhs", interval_kind="positive",
+    axes=("dim", "interval", "f+log", "map"),
+    statement="Phi(f(A)) <= f(Phi(A))",
+    hypothesis="operator concave f, spectrum of A in [m, M], unital positive Phi",
+    reference=scalar_refs.jensen_map,
+)
+def check_jensen_map(inst: InstanceFamily, params, tol) -> tuple:
     """Choi-Davis-Jensen: Phi(f(A)) <= f(Phi(A)) for operator concave f."""
     f = _resolve_f(params)
     m, M = params["m"], params["M"]
@@ -269,22 +333,34 @@ def check_jensen_map(inst: InstanceFamily, params, tol) -> CheckOutcome:
     phi = inst.maps[0]
     dominated = hermitize(phi.apply(_fcalc_g(x, f, "function_domain")))
     dominant = _fcalc_g(hermitize(phi.apply(x)), f, "image_function_domain")
-    return _compare("jensen_map", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("mean_superadditive")
-def check_mean_superadditive(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "mean_superadditive", group="forward", direction="rhs>=lhs", interval_kind="none",
+    axes=("dim", "n", "f"),
+    statement="sum (X_j s_f Y_j) <= (sum X_j) s_f (sum Y_j)",
+    hypothesis="X_j, Y_j positive definite",
+    reference=scalar_refs.mean_superadditive,
+)
+def check_mean_superadditive(inst: InstanceFamily, params, tol) -> tuple:
     """sum_j (X_j sigma_f Y_j) <= (sum X_j) sigma_f (sum Y_j)."""
     f = _resolve_f(params)
     for x in list(inst.A) + list(inst.B):
         _guard_psd(x, tol, "member_not_psd")
     dominated = hermitize(sum(_mean_g(a, b, f, "mean_conditioning") for a, b in zip(inst.A, inst.B)))
     dominant = _mean_g(hermitize(sum(inst.A)), hermitize(sum(inst.B)), f, "mean_conditioning")
-    return _compare("mean_superadditive", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("mean_remainder")
-def check_mean_remainder(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "mean_remainder", group="forward", direction="rhs>=lhs", interval_kind="none",
+    axes=("dim", "n", "f"),
+    statement="(A - sum A_j) s_f (B - sum B_j) <= A s_f B - sum (A_j s_f B_j)",
+    hypothesis="sum A_j <= A, sum B_j <= B, all positive",
+    reference=scalar_refs.mean_remainder,
+)
+def check_mean_remainder(inst: InstanceFamily, params, tol) -> tuple:
     """(A - sum A_j) sigma_f (B - sum B_j) <= A sigma_f B - sum A_j sigma_f B_j."""
     f = _resolve_f(params)
     a_total = inst.aux["A_total"]
@@ -299,11 +375,17 @@ def check_mean_remainder(inst: InstanceFamily, params, tol) -> CheckOutcome:
         _mean_g(a_total, b_total, f, "mean_conditioning")
         - sum(_mean_g(a, b, f, "mean_conditioning") for a, b in zip(inst.A, inst.B))
     )
-    return _compare("mean_remainder", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("mean_power_compose")
-def check_mean_power_compose(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "mean_power_compose", group="forward", direction="rhs>=lhs", interval_kind="none",
+    axes=("dim", "p", "f"),
+    statement="A s_{f^p} B <= (A s_f B)^p",
+    hypothesis="A a positive definite contraction, B >= 0, 0 < p < 1",
+    reference=scalar_refs.mean_power_compose,
+)
+def check_mean_power_compose(inst: InstanceFamily, params, tol) -> tuple:
     """A sigma_{f^p} B <= (A sigma_f B)^p for a positive-definite contraction A."""
     f = _resolve_f(params)
     p = params["p"]
@@ -313,14 +395,20 @@ def check_mean_power_compose(inst: InstanceFamily, params, tol) -> CheckOutcome:
     _guard_psd(b, tol, "second_operand_not_psd")
     dominated = _mean_g(a, b, powered(f, p), "mean_conditioning")
     dominant = _power_guarded(_mean_g(a, b, f, "mean_conditioning"), p, tol, "mean_base_not_psd")
-    return _compare("mean_power_compose", dominant, dominated, tol)
+    return dominant, dominated
 
 
 # -- ratio (multiplicative) reverses ----------------------------------------
 
 
-@_checker("jensen_ratio_reverse")
-def check_jensen_ratio_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "jensen_ratio_reverse", group="reverse", direction="lhs>=rhs", interval_kind="positive",
+    axes=("dim", "interval", "f", "map"),
+    statement="gamma_f Phi(f(A)) >= f(Phi(A))",
+    hypothesis="concave f with positive chord on [m, M], spectrum of A in [m, M]",
+    reference=scalar_refs.jensen_ratio_reverse,
+)
+def check_jensen_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """gamma_f Phi(f(A)) >= f(Phi(A)) for concave f with positive chord."""
     f = _resolve_f(params)
     m, M = params["m"], params["M"]
@@ -330,11 +418,17 @@ def check_jensen_ratio_reverse(inst: InstanceFamily, params, tol) -> CheckOutcom
     phi = inst.maps[0]
     dominant = hermitize(g * phi.apply(_fcalc_g(x, f, "function_domain")))
     dominated = _fcalc_g(hermitize(phi.apply(x)), f, "image_function_domain")
-    return _compare("jensen_ratio_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("mean_map_ratio_reverse")
-def check_mean_map_ratio_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "mean_map_ratio_reverse", group="reverse", direction="lhs>=rhs", interval_kind="sandwich",
+    axes=("dim", "interval", "f", "map"),
+    statement="gamma_f Psi(A s_f B) >= Psi(A) s_f Psi(B)",
+    hypothesis="0 < m A <= B <= M A, unital positive Psi",
+    reference=scalar_refs.mean_map_ratio_reverse,
+)
+def check_mean_map_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """gamma_f Psi(A sigma_f B) >= Psi(A) sigma_f Psi(B) under m A <= B <= M A."""
     f = _resolve_f(params)
     m, M = params["m"], params["M"]
@@ -348,11 +442,17 @@ def check_mean_map_ratio_reverse(inst: InstanceFamily, params, tol) -> CheckOutc
     py = hermitize(psi.apply(y))
     _guard_pd_floor(px, "mapped_operand_not_pd")
     dominated = _mean_g(px, py, f, "mean_conditioning")
-    return _compare("mean_map_ratio_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("mean_sum_ratio_reverse")
-def check_mean_sum_ratio_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "mean_sum_ratio_reverse", group="reverse", direction="lhs>=rhs", interval_kind="sandwich",
+    axes=("dim", "n", "interval", "f"),
+    statement="gamma_f sum (A_j s_f B_j) >= (sum A_j) s_f (sum B_j)",
+    hypothesis="0 < m A_j <= B_j <= M A_j",
+    reference=scalar_refs.mean_sum_ratio_reverse,
+)
+def check_mean_sum_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """gamma_f sum_j (A_j sigma_f B_j) >= (sum A_j) sigma_f (sum B_j)."""
     f = _resolve_f(params)
     m, M = params["m"], params["M"]
@@ -360,31 +460,39 @@ def check_mean_sum_ratio_reverse(inst: InstanceFamily, params, tol) -> CheckOutc
     g = _gamma_guarded(f, m, M)
     dominant = hermitize(g * sum(_mean_g(a, b, f, "mean_conditioning") for a, b in zip(inst.A, inst.B)))
     dominated = _mean_g(hermitize(sum(inst.A)), hermitize(sum(inst.B)), f, "mean_conditioning")
-    return _compare("mean_sum_ratio_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("bellman_ratio_reverse")
-def check_bellman_ratio_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "bellman_ratio_reverse", group="reverse", direction="lhs>=rhs", interval_kind="sandwich",
+    axes=("dim", "n", "interval", "p", "f"),
+    statement="gamma^p ((I - sum A_j) s_f (I - sum B_j))^p >= (I - gamma sum A_j s_f B_j)^p",
+    hypothesis="pairwise and gamma-complement sandwiches with m < 1 < M, 0 <= p <= 1",
+    reference=scalar_refs.bellman_ratio_reverse,
+)
+def check_bellman_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """gamma^p ((I - sum A_j) sigma_f (I - sum B_j))^p
     >= (I - gamma sum A_j sigma_f B_j)^p on gamma-complement sandwiches."""
     f = _resolve_f(params)
     m, M, p = params["m"], params["M"], params["p"]
-    _require(m < 1.0 < M, "window_not_straddling_one")
-    g = _gamma_guarded(f, m, M)
-    _complement_guards(inst, g, m, M, tol)
-    eye = identity(inst.A[0].shape[0])
-    comp_a = hermitize(eye - sum(inst.A))
-    comp_b = hermitize(eye - sum(inst.B))
+    g, eye, comp_a, comp_b = _complement_prologue(inst, m, M, tol, f)
+    # the prologue tested I - g sum A_j; the plain complement is another matrix
     _guard_pd_floor(comp_a, "complement_a_not_pd")
     lhs_base = _mean_g(comp_a, comp_b, f, "mean_conditioning")
     dominant = g**p * _power_guarded(lhs_base, p, tol, "lhs_base_not_psd")
     rhs_base = hermitize(eye - g * sum(mean(a, b, f) for a, b in zip(inst.A, inst.B)))
     dominated = _power_guarded(rhs_base, p, tol, "rhs_base_not_psd")
-    return _compare("bellman_ratio_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("compression_ratio_reverse")
-def check_compression_ratio_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "compression_ratio_reverse", group="reverse", direction="lhs>=rhs", interval_kind="positive",
+    axes=("dim", "interval", "f"),
+    statement="gamma_f [C* f(X) C + f(m)(I - C*C)] >= f(C* X C)",
+    hypothesis="C*C <= I, m I <= X <= M I, f concave operator monotone",
+    reference=scalar_refs.compression_ratio_reverse,
+)
+def check_compression_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """gamma_f [C* f(X) C + f(m)(I - C*C)] >= f(C* X C) for a contraction C."""
     from .spectral import is_contraction
 
@@ -403,11 +511,17 @@ def check_compression_ratio_reverse(inst: InstanceFamily, params, tol) -> CheckO
     dominant = hermitize(
         g * (c.conj().T @ _fcalc_g(x, f, "function_domain") @ c + fm * (eye - c.conj().T @ c))
     )
-    return _compare("compression_ratio_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("mean_power_ratio_reverse")
-def check_mean_power_ratio_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "mean_power_ratio_reverse", group="reverse", direction="lhs>=rhs", interval_kind="sandwich",
+    axes=("dim", "interval", "p", "f"),
+    statement="gamma_h [f(m)^p (I - A) + A s_{f^p} B] >= (A s_f B)^p",
+    hypothesis="0 < m A <= B <= M A with A a contraction; gamma_h for t^p on [f(m), f(M)]",
+    reference=scalar_refs.mean_power_ratio_reverse,
+)
+def check_mean_power_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """gamma_h [f(m)^p (I - A) + A sigma_{f^p} B] >= (A sigma_f B)^p for a
     positive-definite contraction A with m A <= B <= M A and h = t^p."""
     f = _resolve_f(params)
@@ -424,26 +538,27 @@ def check_mean_power_ratio_reverse(inst: InstanceFamily, params, tol) -> CheckOu
     eye = identity(a.shape[0])
     dominated = _power_guarded(_mean_g(a, b, f, "mean_conditioning"), p, tol, "mean_base_not_psd")
     dominant = hermitize(gh * (fm**p * (eye - a) + _mean_g(a, b, powered(f, p), "mean_conditioning")))
-    return _compare("mean_power_ratio_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("bellman_arith_reverse")
-def check_bellman_arith_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "bellman_arith_reverse", group="reverse", direction="lhs>=rhs", interval_kind="sandwich",
+    axes=("dim", "n", "interval", "p", "lam"),
+    statement="delta [f(m)^p sum A_j + (I - sum A_j) s_{f^p} (I - sum B_j)] >= (I - sum A_j nabla_lam B_j)^p",
+    hypothesis="affine f = (1 - lam) + lam t; pairwise and complement sandwiches, m < 1 < M",
+    reference=scalar_refs.bellman_arith_reverse,
+)
+def check_bellman_arith_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """delta [f(m)^p sum A_j + (I - sum A_j) sigma_{f^p} (I - sum B_j)]
     >= (I - sum A_j nabla_lam B_j)^p with affine f = (1-lam) + lam t."""
     lam = params["lam"]
     m, M, p = params["m"], params["M"], params["p"]
-    _require(m < 1.0 < M, "window_not_straddling_one")
+    _, eye, comp_a, comp_b = _complement_prologue(inst, m, M, tol)
     f = arithmetic_w(lam)
-    _complement_guards(inst, 1.0, m, M, tol)
     try:
         delta = constants.delta_affine_power(lam, m, M, p).value
     except (ParameterError, DegenerateIntervalError):
         raise _GuardFail("degenerate_power_interval") from None
-    eye = identity(inst.A[0].shape[0])
-    comp_a = hermitize(eye - sum(inst.A))
-    comp_b = hermitize(eye - sum(inst.B))
-    _guard_pd_floor(comp_a, "complement_a_not_pd")
     fm = float(f(m))
     dominant = hermitize(
         delta
@@ -451,14 +566,20 @@ def check_bellman_arith_reverse(inst: InstanceFamily, params, tol) -> CheckOutco
     )
     rhs_base = hermitize(eye - sum(weighted_arithmetic(a, b, lam) for a, b in zip(inst.A, inst.B)))
     dominated = _power_guarded(rhs_base, p, tol, "rhs_base_not_psd")
-    return _compare("bellman_arith_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
 # -- difference (additive) reverses ------------------------------------------
 
 
-@_checker("jensen_diff_reverse")
-def check_jensen_diff_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "jensen_diff_reverse", group="reverse", direction="lhs>=rhs", interval_kind="positive",
+    axes=("dim", "interval", "f+log", "map"),
+    statement="beta_f I + Phi(f(A)) >= f(Phi(A))",
+    hypothesis="concave differentiable f, spectrum of A in [m, M]",
+    reference=scalar_refs.jensen_diff_reverse,
+)
+def check_jensen_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """beta_f I + Phi(f(A)) >= f(Phi(A))."""
     f = _resolve_f(params)
     m, M = params["m"], params["M"]
@@ -469,11 +590,17 @@ def check_jensen_diff_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome
     out_eye = identity(phi.output_dim)
     dominant = hermitize(beta * out_eye + phi.apply(_fcalc_g(x, f, "function_domain")))
     dominated = _fcalc_g(hermitize(phi.apply(x)), f, "image_function_domain")
-    return _compare("jensen_diff_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("mean_map_diff_reverse")
-def check_mean_map_diff_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "mean_map_diff_reverse", group="reverse", direction="lhs>=rhs", interval_kind="sandwich",
+    axes=("dim", "interval", "f", "map"),
+    statement="beta_f Psi(X) + Psi(X s_f Y) >= Psi(X) s_f Psi(Y)",
+    hypothesis="0 < m X <= Y <= M X, unital positive Psi",
+    reference=scalar_refs.mean_map_diff_reverse,
+)
+def check_mean_map_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """beta_f Psi(X) + Psi(X sigma_f Y) >= Psi(X) sigma_f Psi(Y)."""
     f = _resolve_f(params)
     m, M = params["m"], params["M"]
@@ -487,11 +614,17 @@ def check_mean_map_diff_reverse(inst: InstanceFamily, params, tol) -> CheckOutco
     _guard_pd_floor(px, "mapped_operand_not_pd")
     dominant = hermitize(beta * px + psi.apply(_mean_g(x, y, f, "mean_conditioning")))
     dominated = _mean_g(px, py, f, "mean_conditioning")
-    return _compare("mean_map_diff_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("mean_sum_diff_reverse")
-def check_mean_sum_diff_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "mean_sum_diff_reverse", group="reverse", direction="lhs>=rhs", interval_kind="sandwich",
+    axes=("dim", "n", "interval", "f"),
+    statement="beta_f sum X_j + sum (X_j s_f Y_j) >= (sum X_j) s_f (sum Y_j)",
+    hypothesis="0 < m X_j <= Y_j <= M X_j",
+    reference=scalar_refs.mean_sum_diff_reverse,
+)
+def check_mean_sum_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """beta_f sum X_j + sum (X_j sigma_f Y_j) >= (sum X_j) sigma_f (sum Y_j)."""
     f = _resolve_f(params)
     m, M = params["m"], params["M"]
@@ -502,51 +635,59 @@ def check_mean_sum_diff_reverse(inst: InstanceFamily, params, tol) -> CheckOutco
         + sum(_mean_g(a, b, f, "mean_conditioning") for a, b in zip(inst.A, inst.B))
     )
     dominated = _mean_g(hermitize(sum(inst.A)), hermitize(sum(inst.B)), f, "mean_conditioning")
-    return _compare("mean_sum_diff_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("bellman_diff_reverse")
-def check_bellman_diff_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "bellman_diff_reverse", group="reverse", direction="lhs>=rhs", interval_kind="sandwich",
+    axes=("dim", "n", "interval", "p", "f"),
+    statement="(beta_f + (I - sum A_j) s_f (I - sum B_j))^p >= (I - sum A_j s_f B_j)^p",
+    hypothesis="pairwise and complement sandwiches with m < 1 < M, 0 <= p <= 1",
+    reference=scalar_refs.bellman_diff_reverse,
+)
+def check_bellman_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """(beta_f + (I - sum A_j) sigma_f (I - sum B_j))^p
     >= (I - sum A_j sigma_f B_j)^p on plain complement sandwiches."""
     f = _resolve_f(params)
     m, M, p = params["m"], params["M"], params["p"]
-    _require(m < 1.0 < M, "window_not_straddling_one")
-    _complement_guards(inst, 1.0, m, M, tol)
+    _, eye, comp_a, comp_b = _complement_prologue(inst, m, M, tol)
     beta = _beta_cached(f.label, m, M)
-    eye = identity(inst.A[0].shape[0])
-    comp_a = hermitize(eye - sum(inst.A))
-    comp_b = hermitize(eye - sum(inst.B))
-    _guard_pd_floor(comp_a, "complement_a_not_pd")
     lhs_base = hermitize(beta * eye + _mean_g(comp_a, comp_b, f, "mean_conditioning"))
     dominant = _power_guarded(lhs_base, p, tol, "lhs_base_not_psd")
     rhs_base = hermitize(eye - sum(mean(a, b, f) for a, b in zip(inst.A, inst.B)))
     dominated = _power_guarded(rhs_base, p, tol, "rhs_base_not_psd")
-    return _compare("bellman_diff_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("aczel_reverse")
-def check_aczel_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "aczel_reverse", group="reverse", direction="lhs>=rhs", interval_kind="sandwich",
+    axes=("dim", "n", "interval", "p"),
+    statement="(zeta + (I - sum A_j) #_lam (I - sum B_j))^p >= (I - sum A_j #_lam B_j)^p",
+    hypothesis="pairwise and complement sandwiches with m < 1 < M; zeta for t^p on [m, M]",
+    reference=scalar_refs.aczel_reverse,
+)
+def check_aczel_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """(zeta + (I - sum A_j) #_lam (I - sum B_j))^p >= (I - sum A_j #_lam B_j)^p."""
     lam = params["lam"]
     m, M, p = params["m"], params["M"], params["p"]
-    _require(m < 1.0 < M, "window_not_straddling_one")
+    _, eye, comp_a, comp_b = _complement_prologue(inst, m, M, tol)
     f = geometric_w(lam)
-    _complement_guards(inst, 1.0, m, M, tol)
     zeta = constants.zeta_aczel(m, M, p).value
-    eye = identity(inst.A[0].shape[0])
-    comp_a = hermitize(eye - sum(inst.A))
-    comp_b = hermitize(eye - sum(inst.B))
-    _guard_pd_floor(comp_a, "complement_a_not_pd")
     lhs_base = hermitize(zeta * eye + _mean_g(comp_a, comp_b, f, "mean_conditioning"))
     dominant = _power_guarded(lhs_base, p, tol, "lhs_base_not_psd")
     rhs_base = hermitize(eye - sum(mean(a, b, f) for a, b in zip(inst.A, inst.B)))
     dominated = _power_guarded(rhs_base, p, tol, "rhs_base_not_psd")
-    return _compare("aczel_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("jensen_family_diff_reverse")
-def check_jensen_family_diff_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "jensen_family_diff_reverse", group="reverse", direction="lhs>=rhs", interval_kind="positive",
+    axes=("dim", "n", "interval", "f+log", "map"),
+    statement="beta_f I + sum w_j Phi_j(f(A_j)) >= f(sum w_j Phi_j(A_j))",
+    hypothesis="spectra of A_j in [m, M], unital positive Phi_j, weights sum to 1",
+    reference=scalar_refs.jensen_family_diff_reverse,
+)
+def check_jensen_family_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """beta_f I + sum w_j Phi_j(f(A_j)) >= f(sum w_j Phi_j(A_j))."""
     f = _resolve_f(params)
     m, M = params["m"], params["M"]
@@ -558,11 +699,17 @@ def check_jensen_family_diff_reverse(inst: InstanceFamily, params, tol) -> Check
     dominant = hermitize(beta * out_eye + fam.apply(f_blocks))
     mapped = hermitize(fam.apply(block_diag(inst.A)))
     dominated = _fcalc_g(mapped, f, "image_function_domain")
-    return _compare("jensen_family_diff_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("bellman_family_reverse")
-def check_bellman_family_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "bellman_family_reverse", group="reverse", direction="lhs>=rhs", interval_kind="unit",
+    axes=("dim", "n", "interval", "p", "map"),
+    statement="delta I + sum w_j Phi_j((I - A_j)^p) >= (sum w_j Phi_j(I - A_j))^p",
+    hypothesis="0 <= m I <= A_j <= M I < I, weights sum to 1, 0 < p < 1",
+    reference=scalar_refs.bellman_family_reverse,
+)
+def check_bellman_family_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """delta I + sum w_j Phi_j((I - A_j)^p) >= (sum w_j Phi_j(I - A_j))^p for
     contractions with 0 <= m I <= A_j <= M I < I."""
     m, M, p = params["m"], params["M"], params["p"]
@@ -578,11 +725,17 @@ def check_bellman_family_reverse(inst: InstanceFamily, params, tol) -> CheckOutc
     dominant = hermitize(delta * out_eye + fam.apply(powers))
     mapped = hermitize(fam.apply(block_diag([hermitize(eye - a) for a in inst.A])))
     dominated = _power_guarded(mapped, p, tol, "mapped_base_not_psd")
-    return _compare("bellman_family_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
-@_checker("log_family_reverse")
-def check_log_family_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "log_family_reverse", group="reverse", direction="lhs>=rhs", interval_kind="positive",
+    axes=("dim", "n", "interval", "map"),
+    statement="log-mean constant + Phi(sum w_j log A_j) >= log(sum w_j Phi(A_j))",
+    hypothesis="0 < m I <= A_j <= M I, unital positive Phi, weights sum to 1",
+    reference=scalar_refs.log_family_reverse,
+)
+def check_log_family_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """log-mean constant + Phi(sum w_j log A_j) >= log(sum w_j Phi(A_j))."""
     m, M = params["m"], params["M"]
     _require(m > 0.0, "window_not_positive")
@@ -595,7 +748,7 @@ def check_log_family_reverse(inst: InstanceFamily, params, tol) -> CheckOutcome:
     dominant = hermitize(c * out_eye + phi.apply(logs))
     mixed = hermitize(sum(wj * phi.apply(a) for wj, a in zip(w, inst.A)))
     dominated = _log_guarded(mixed, tol, "mapped_operand_not_pd")
-    return _compare("log_family_reverse", dominant, dominated, tol)
+    return dominant, dominated
 
 
 # -- refinement chains -------------------------------------------------------
@@ -609,8 +762,14 @@ def _subidentity_guards(inst, tol):
         _guard_psd(eye - sum(mats), tol, f"{tag}_sum_exceeds_identity")
 
 
-@_checker("bellman_chain_split")
-def check_bellman_chain_split(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "bellman_chain_split", group="chain", direction="chain", interval_kind="none",
+    axes=("dim", "n2", "p", "f", "k"),
+    statement="(I-sum A) s_{f^p} (I-sum B) <= (head-mean - tail-sum)^p <= (I - sum A_j s_f B_j)^p",
+    hypothesis="subidentity families, split index 1 <= k <= n-1",
+    reference=scalar_refs.bellman_chain_split,
+)
+def check_bellman_chain_split(inst: InstanceFamily, params, tol) -> tuple:
     """(I - sum A) sigma_{f^p} (I - sum B)
     <= ((I - sum_{j<=k} A) sigma_f (I - sum_{j<=k} B) - sum_{j>k} A_j sigma_f B_j)^p
     <= (I - sum_j A_j sigma_f B_j)^p."""
@@ -631,11 +790,17 @@ def check_bellman_chain_split(inst: InstanceFamily, params, tol) -> CheckOutcome
     mid_base = hermitize(_mean_g(head_a, head_b, f, "mean_conditioning") - sum(pair_means[k:]))
     t2 = _power_guarded(mid_base, p, tol, "mid_base_not_psd")
     t3 = _power_guarded(hermitize(eye - sum(pair_means)), p, tol, "rhs_base_not_psd")
-    return _chain_outcome("bellman_chain_split", t1, t2, t3, tol)
+    return t1, t2, t3
 
 
-@_checker("bellman_chain_interp")
-def check_bellman_chain_interp(inst: InstanceFamily, params, tol) -> CheckOutcome:
+@inequality(
+    "bellman_chain_interp", group="chain", direction="chain", interval_kind="none",
+    axes=("dim", "n2", "p", "f"),
+    statement="((I-sum A) s_f (I-sum B))^p <= (interp-mean - weighted-sum)^p <= (I - sum A_j s_f B_j)^p",
+    hypothesis="subidentity families, t_j in [0, 1]",
+    reference=scalar_refs.bellman_chain_interp,
+)
+def check_bellman_chain_interp(inst: InstanceFamily, params, tol) -> tuple:
     """((I - sum A) sigma_f (I - sum B))^p
     <= ((I - sum t_j A_j) sigma_f (I - sum t_j B_j) - sum (1 - t_j) A_j sigma_f B_j)^p
     <= (I - sum_j A_j sigma_f B_j)^p with t_j in [0, 1]."""
@@ -660,396 +825,152 @@ def check_bellman_chain_interp(inst: InstanceFamily, params, tol) -> CheckOutcom
     )
     t2 = _power_guarded(mid_base, p, tol, "mid_base_not_psd")
     t3 = _power_guarded(hermitize(eye - sum(pair_means)), p, tol, "rhs_base_not_psd")
-    return _chain_outcome("bellman_chain_interp", t1, t2, t3, tol)
+    return t1, t2, t3
 
 
 # -- scalar suite ------------------------------------------------------------
 
 
-def _scalar_outcome(check_id, dominant, dominated, tol) -> CheckOutcome:
-    slack = float(dominant - dominated)
-    scale = max(abs(float(dominant)), abs(float(dominated)))
-    status = HOLDS if slack >= -tol.margin(scale) else VIOLATED
-    return CheckOutcome(check_id, status, slack, scale)
-
-
-@_checker("scalar_bellman")
-def check_scalar_bellman(inst: dict, params, tol) -> CheckOutcome:
+@inequality(
+    "scalar_bellman", group="scalar", direction="rhs>=lhs", interval_kind="none",
+    axes=("n",),
+    statement="(a^p - sum a_j^p)^{1/p} + (b^p - sum b_j^p)^{1/p} <= ((a+b)^p - sum (a_j+b_j)^p)^{1/p}",
+    hypothesis="positive reals, integer p >= 1, column sums below caps",
+)
+def check_scalar_bellman(inst: dict, params, tol) -> tuple:
     """(a^p - sum a_j^p)^{1/p} + (b^p - sum b_j^p)^{1/p}
     <= ((a+b)^p - sum (a_j+b_j)^p)^{1/p}, integer p >= 1."""
     p = inst["p"]
     _require(p >= 1.0, "exponent_below_one")
-    with mpmath.workdps(SCALAR_DPS):
-        a, b = mpmath.mpf(inst["a"]), mpmath.mpf(inst["b"])
-        aj = [mpmath.mpf(v) for v in inst["a_j"]]
-        bj = [mpmath.mpf(v) for v in inst["b_j"]]
-        ra = a**p - mpmath.fsum(v**p for v in aj)
-        rb = b**p - mpmath.fsum(v**p for v in bj)
-        _require(ra >= 0 and rb >= 0, "column_hypothesis_failed")
-        rc = (a + b) ** p - mpmath.fsum((x + y) ** p for x, y in zip(aj, bj))
-        _require(rc >= 0, "joint_base_negative")
-        dominated = ra ** (1 / mpmath.mpf(p)) + rb ** (1 / mpmath.mpf(p))
-        dominant = rc ** (1 / mpmath.mpf(p))
-        return _scalar_outcome("scalar_bellman", dominant, dominated, tol)
+    a, b = mpmath.mpf(inst["a"]), mpmath.mpf(inst["b"])
+    aj = [mpmath.mpf(v) for v in inst["a_j"]]
+    bj = [mpmath.mpf(v) for v in inst["b_j"]]
+    ra = a**p - mpmath.fsum(v**p for v in aj)
+    rb = b**p - mpmath.fsum(v**p for v in bj)
+    _require(ra >= 0 and rb >= 0, "column_hypothesis_failed")
+    rc = (a + b) ** p - mpmath.fsum((x + y) ** p for x, y in zip(aj, bj))
+    _require(rc >= 0, "joint_base_negative")
+    dominated = ra ** (1 / mpmath.mpf(p)) + rb ** (1 / mpmath.mpf(p))
+    dominant = rc ** (1 / mpmath.mpf(p))
+    return dominant, dominated
 
 
-@_checker("scalar_aczel")
-def check_scalar_aczel(inst: dict, params, tol) -> CheckOutcome:
+@inequality(
+    "scalar_aczel", group="scalar", direction="rhs>=lhs", interval_kind="none",
+    axes=("n",),
+    statement="(a_1^2 - sum a_j^2)(b_1^2 - sum b_j^2) <= (a_1 b_1 - sum a_j b_j)^2",
+    hypothesis="a_1^2 > sum a_j^2 or b_1^2 > sum b_j^2",
+)
+def check_scalar_aczel(inst: dict, params, tol) -> tuple:
     """(a_1^2 - sum a_j^2)(b_1^2 - sum b_j^2) <= (a_1 b_1 - sum a_j b_j)^2."""
-    with mpmath.workdps(SCALAR_DPS):
-        a, b = mpmath.mpf(inst["a"]), mpmath.mpf(inst["b"])
-        aj = [mpmath.mpf(v) for v in inst["a_j"]]
-        bj = [mpmath.mpf(v) for v in inst["b_j"]]
-        ra = a**2 - mpmath.fsum(v**2 for v in aj)
-        rb = b**2 - mpmath.fsum(v**2 for v in bj)
-        _require(ra > 0 or rb > 0, "hypothesis_failed")
-        dominated = ra * rb
-        dominant = (a * b - mpmath.fsum(x * y for x, y in zip(aj, bj))) ** 2
-        return _scalar_outcome("scalar_aczel", dominant, dominated, tol)
+    a, b = mpmath.mpf(inst["a"]), mpmath.mpf(inst["b"])
+    aj = [mpmath.mpf(v) for v in inst["a_j"]]
+    bj = [mpmath.mpf(v) for v in inst["b_j"]]
+    ra = a**2 - mpmath.fsum(v**2 for v in aj)
+    rb = b**2 - mpmath.fsum(v**2 for v in bj)
+    _require(ra > 0 or rb > 0, "hypothesis_failed")
+    dominated = ra * rb
+    dominant = (a * b - mpmath.fsum(x * y for x, y in zip(aj, bj))) ** 2
+    return dominant, dominated
 
 
-@_checker("scalar_popoviciu")
-def check_scalar_popoviciu(inst: dict, params, tol) -> CheckOutcome:
+@inequality(
+    "scalar_popoviciu", group="scalar", direction="rhs>=lhs", interval_kind="none",
+    axes=("n",),
+    statement="(a_1^p - sum a_j^p)(b_1^p - sum b_j^p) <= (a_1 b_1 - sum a_j b_j)^p",
+    hypothesis="p >= 1 and a head power dominates its column",
+)
+def check_scalar_popoviciu(inst: dict, params, tol) -> tuple:
     """(a_1^p - sum a_j^p)(b_1^p - sum b_j^p) <= (a_1 b_1 - sum a_j b_j)^p, p >= 1."""
     p = inst["p"]
     _require(p >= 1.0, "exponent_below_one")
-    with mpmath.workdps(SCALAR_DPS):
-        a, b = mpmath.mpf(inst["a"]), mpmath.mpf(inst["b"])
-        aj = [mpmath.mpf(v) for v in inst["a_j"]]
-        bj = [mpmath.mpf(v) for v in inst["b_j"]]
-        ra = a**p - mpmath.fsum(v**p for v in aj)
-        rb = b**p - mpmath.fsum(v**p for v in bj)
-        _require(ra > 0 or rb > 0, "hypothesis_failed")
-        cross = a * b - mpmath.fsum(x * y for x, y in zip(aj, bj))
-        _require(cross >= 0, "cross_term_negative")
-        return _scalar_outcome("scalar_popoviciu", cross**p, ra * rb, tol)
+    a, b = mpmath.mpf(inst["a"]), mpmath.mpf(inst["b"])
+    aj = [mpmath.mpf(v) for v in inst["a_j"]]
+    bj = [mpmath.mpf(v) for v in inst["b_j"]]
+    ra = a**p - mpmath.fsum(v**p for v in aj)
+    rb = b**p - mpmath.fsum(v**p for v in bj)
+    _require(ra > 0 or rb > 0, "hypothesis_failed")
+    cross = a * b - mpmath.fsum(x * y for x, y in zip(aj, bj))
+    _require(cross >= 0, "cross_term_negative")
+    return cross**p, ra * rb
 
 
-@_checker("scalar_bellman_weighted")
-def check_scalar_bellman_weighted(inst: dict, params, tol) -> CheckOutcome:
+@inequality(
+    "scalar_bellman_weighted", group="scalar", direction="rhs>=lhs", interval_kind="none",
+    axes=("n", "p"),
+    statement="sum_j w_j (1 - sum_i a_ij^{1/p})^p <= (1 - sum_i (sum_j w_j a_ij)^{1/p})^p",
+    hypothesis="sum_i a_ij^{1/p} <= 1 per column, weights sum to 1, 0 < p < 1",
+)
+def check_scalar_bellman_weighted(inst: dict, params, tol) -> tuple:
     """sum_j w_j (1 - sum_i a_ij^{1/p})^p <= (1 - sum_i (sum_j w_j a_ij)^{1/p})^p."""
     p = inst["p"]
-    with mpmath.workdps(SCALAR_DPS):
-        q = 1 / mpmath.mpf(p)
-        a = [[mpmath.mpf(v) for v in row] for row in np.asarray(inst["a"])]
-        w = [mpmath.mpf(v) for v in inst["weights"]]
-        rows, cols = len(a), len(a[0])
-        col_caps = [mpmath.fsum(a[i][j] ** q for i in range(rows)) for j in range(cols)]
-        _require(all(c <= 1 for c in col_caps), "column_hypothesis_failed")
-        dominated = mpmath.fsum(w[j] * (1 - col_caps[j]) ** mpmath.mpf(p) for j in range(cols))
-        mixed = [mpmath.fsum(w[j] * a[i][j] for j in range(cols)) for i in range(rows)]
-        dominant = (1 - mpmath.fsum(u**q for u in mixed)) ** mpmath.mpf(p)
-        return _scalar_outcome("scalar_bellman_weighted", dominant, dominated, tol)
+    q = 1 / mpmath.mpf(p)
+    a = [[mpmath.mpf(v) for v in row] for row in np.asarray(inst["a"])]
+    w = [mpmath.mpf(v) for v in inst["weights"]]
+    rows, cols = len(a), len(a[0])
+    col_caps = [mpmath.fsum(a[i][j] ** q for i in range(rows)) for j in range(cols)]
+    _require(all(c <= 1 for c in col_caps), "column_hypothesis_failed")
+    dominated = mpmath.fsum(w[j] * (1 - col_caps[j]) ** mpmath.mpf(p) for j in range(cols))
+    mixed = [mpmath.fsum(w[j] * a[i][j] for j in range(cols)) for i in range(rows)]
+    dominant = (1 - mpmath.fsum(u**q for u in mixed)) ** mpmath.mpf(p)
+    return dominant, dominated
 
 
-@_checker("scalar_bellman_columns")
-def check_scalar_bellman_columns(inst: dict, params, tol) -> CheckOutcome:
+@inequality(
+    "scalar_bellman_columns", group="scalar", direction="rhs>=lhs", interval_kind="none",
+    axes=("n", "p"),
+    statement="sum_j (M_j^{1/p} - sum_i a_ij^{1/p})^p <= ((sum M_j)^{1/p} - sum_i (sum_j a_ij)^{1/p})^p",
+    hypothesis="sum_i a_ij^{1/p} <= M_j^{1/p} per column, 0 < p < 1",
+)
+def check_scalar_bellman_columns(inst: dict, params, tol) -> tuple:
     """sum_j (M_j^{1/p} - sum_i a_ij^{1/p})^p
     <= ((sum_j M_j)^{1/p} - sum_i (sum_j a_ij)^{1/p})^p."""
     p = inst["p"]
-    with mpmath.workdps(SCALAR_DPS):
-        q = 1 / mpmath.mpf(p)
-        a = [[mpmath.mpf(v) for v in row] for row in np.asarray(inst["a"])]
-        caps = [mpmath.mpf(v) for v in inst["caps"]]
-        rows, cols = len(a), len(a[0])
-        col_sums = [mpmath.fsum(a[i][j] ** q for i in range(rows)) for j in range(cols)]
-        _require(
-            all(col_sums[j] <= caps[j] ** q for j in range(cols)), "column_hypothesis_failed"
-        )
-        dominated = mpmath.fsum(
-            (caps[j] ** q - col_sums[j]) ** mpmath.mpf(p) for j in range(cols)
-        )
-        row_sums = [mpmath.fsum(a[i][j] for j in range(cols)) for i in range(rows)]
-        base = mpmath.fsum(caps) ** q - mpmath.fsum(u**q for u in row_sums)
-        _require(base >= 0, "joint_base_negative")
-        dominant = base ** mpmath.mpf(p)
-        return _scalar_outcome("scalar_bellman_columns", dominant, dominated, tol)
+    q = 1 / mpmath.mpf(p)
+    a = [[mpmath.mpf(v) for v in row] for row in np.asarray(inst["a"])]
+    caps = [mpmath.mpf(v) for v in inst["caps"]]
+    rows, cols = len(a), len(a[0])
+    col_sums = [mpmath.fsum(a[i][j] ** q for i in range(rows)) for j in range(cols)]
+    _require(
+        all(col_sums[j] <= caps[j] ** q for j in range(cols)), "column_hypothesis_failed"
+    )
+    dominated = mpmath.fsum(
+        (caps[j] ** q - col_sums[j]) ** mpmath.mpf(p) for j in range(cols)
+    )
+    row_sums = [mpmath.fsum(a[i][j] for j in range(cols)) for i in range(rows)]
+    base = mpmath.fsum(caps) ** q - mpmath.fsum(u**q for u in row_sums)
+    _require(base >= 0, "joint_base_negative")
+    dominant = base ** mpmath.mpf(p)
+    return dominant, dominated
 
 
-@_checker("scalar_bellman_reverse")
-def check_scalar_bellman_reverse(inst: dict, params, tol) -> CheckOutcome:
+@inequality(
+    "scalar_bellman_reverse", group="scalar", direction="lhs>=rhs", interval_kind="none",
+    axes=("n", "p"),
+    statement="(1-p) p^{p/(1-p)} + sum_j w_j (1 - sum_i a_ij^{1/p})^p >= (1 - sum_ij w_j a_ij^{1/p})^p",
+    hypothesis="sum_i a_ij^{1/p} <= 1 per column, weights sum to 1, 0 < p < 1",
+)
+def check_scalar_bellman_reverse(inst: dict, params, tol) -> tuple:
     """(1-p) p^{p/(1-p)} + sum_j w_j (1 - sum_i a_ij^{1/p})^p
     >= (1 - sum_i sum_j w_j a_ij^{1/p})^p."""
     p = inst["p"]
-    with mpmath.workdps(SCALAR_DPS):
-        q = 1 / mpmath.mpf(p)
-        pp = mpmath.mpf(p)
-        a = [[mpmath.mpf(v) for v in row] for row in np.asarray(inst["a"])]
-        w = [mpmath.mpf(v) for v in inst["weights"]]
-        rows, cols = len(a), len(a[0])
-        col_caps = [mpmath.fsum(a[i][j] ** q for i in range(rows)) for j in range(cols)]
-        _require(all(c <= 1 for c in col_caps), "column_hypothesis_failed")
-        const = (1 - pp) * pp ** (pp / (1 - pp))
-        dominant = const + mpmath.fsum(
-            w[j] * (1 - col_caps[j]) ** pp for j in range(cols)
-        )
-        dominated = (1 - mpmath.fsum(w[j] * col_caps[j] for j in range(cols))) ** pp
-        return _scalar_outcome("scalar_bellman_reverse", dominant, dominated, tol)
+    q = 1 / mpmath.mpf(p)
+    pp = mpmath.mpf(p)
+    a = [[mpmath.mpf(v) for v in row] for row in np.asarray(inst["a"])]
+    w = [mpmath.mpf(v) for v in inst["weights"]]
+    rows, cols = len(a), len(a[0])
+    col_caps = [mpmath.fsum(a[i][j] ** q for i in range(rows)) for j in range(cols)]
+    _require(all(c <= 1 for c in col_caps), "column_hypothesis_failed")
+    const = (1 - pp) * pp ** (pp / (1 - pp))
+    dominant = const + mpmath.fsum(
+        w[j] * (1 - col_caps[j]) ** pp for j in range(cols)
+    )
+    dominated = (1 - mpmath.fsum(w[j] * col_caps[j] for j in range(cols))) ** pp
+    return dominant, dominated
 
 
 # -- registry ----------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class RegistryEntry:
-    check_id: str
-    group: str  # forward | reverse | chain | scalar
-    direction: str
-    statement: str
-    hypothesis: str
-    interval_kind: str  # sandwich | unit | positive | none
-    runner: object
-
-
-def _entry(runner, group, direction, statement, hypothesis, interval_kind):
-    return RegistryEntry(
-        check_id=runner.check_id,
-        group=group,
-        direction=direction,
-        statement=statement,
-        hypothesis=hypothesis,
-        interval_kind=interval_kind,
-        runner=runner,
-    )
-
-
-REGISTRY: dict[str, RegistryEntry] = {
-    e.check_id: e
-    for e in [
-        _entry(
-            check_bellman_map,
-            "forward",
-            "lhs>=rhs",
-            "(Phi(I - sum w_j A_j))^p >= Phi(sum w_j (I - A_j)^p)",
-            "0 <= A_j <= I, unital positive Phi, weights sum to 1, 0 < p < 1",
-            "unit",
-        ),
-        _entry(
-            check_bellman_mean,
-            "forward",
-            "rhs>=lhs",
-            "(I - sum A_j) s_{f^p} (I - sum B_j) <= (I - sum A_j s_f B_j)^p",
-            "A_j, B_j >= 0 with sum A_j <= I and sum B_j <= I, mean s_f, 0 < p < 1",
-            "none",
-        ),
-        _entry(
-            check_jensen_map,
-            "forward",
-            "rhs>=lhs",
-            "Phi(f(A)) <= f(Phi(A))",
-            "operator concave f, spectrum of A in [m, M], unital positive Phi",
-            "positive",
-        ),
-        _entry(
-            check_mean_superadditive,
-            "forward",
-            "rhs>=lhs",
-            "sum (X_j s_f Y_j) <= (sum X_j) s_f (sum Y_j)",
-            "X_j, Y_j positive definite",
-            "none",
-        ),
-        _entry(
-            check_mean_remainder,
-            "forward",
-            "rhs>=lhs",
-            "(A - sum A_j) s_f (B - sum B_j) <= A s_f B - sum (A_j s_f B_j)",
-            "sum A_j <= A, sum B_j <= B, all positive",
-            "none",
-        ),
-        _entry(
-            check_mean_power_compose,
-            "forward",
-            "rhs>=lhs",
-            "A s_{f^p} B <= (A s_f B)^p",
-            "A a positive definite contraction, B >= 0, 0 < p < 1",
-            "none",
-        ),
-        _entry(
-            check_jensen_ratio_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "gamma_f Phi(f(A)) >= f(Phi(A))",
-            "concave f with positive chord on [m, M], spectrum of A in [m, M]",
-            "positive",
-        ),
-        _entry(
-            check_mean_map_ratio_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "gamma_f Psi(A s_f B) >= Psi(A) s_f Psi(B)",
-            "0 < m A <= B <= M A, unital positive Psi",
-            "sandwich",
-        ),
-        _entry(
-            check_mean_sum_ratio_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "gamma_f sum (A_j s_f B_j) >= (sum A_j) s_f (sum B_j)",
-            "0 < m A_j <= B_j <= M A_j",
-            "sandwich",
-        ),
-        _entry(
-            check_bellman_ratio_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "gamma^p ((I - sum A_j) s_f (I - sum B_j))^p >= (I - gamma sum A_j s_f B_j)^p",
-            "pairwise and gamma-complement sandwiches with m < 1 < M, 0 <= p <= 1",
-            "sandwich",
-        ),
-        _entry(
-            check_compression_ratio_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "gamma_f [C* f(X) C + f(m)(I - C*C)] >= f(C* X C)",
-            "C*C <= I, m I <= X <= M I, f concave operator monotone",
-            "positive",
-        ),
-        _entry(
-            check_mean_power_ratio_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "gamma_h [f(m)^p (I - A) + A s_{f^p} B] >= (A s_f B)^p",
-            "0 < m A <= B <= M A with A a contraction; gamma_h for t^p on [f(m), f(M)]",
-            "sandwich",
-        ),
-        _entry(
-            check_bellman_arith_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "delta [f(m)^p sum A_j + (I - sum A_j) s_{f^p} (I - sum B_j)] >= (I - sum A_j nabla_lam B_j)^p",
-            "affine f = (1 - lam) + lam t; pairwise and complement sandwiches, m < 1 < M",
-            "sandwich",
-        ),
-        _entry(
-            check_jensen_diff_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "beta_f I + Phi(f(A)) >= f(Phi(A))",
-            "concave differentiable f, spectrum of A in [m, M]",
-            "positive",
-        ),
-        _entry(
-            check_mean_map_diff_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "beta_f Psi(X) + Psi(X s_f Y) >= Psi(X) s_f Psi(Y)",
-            "0 < m X <= Y <= M X, unital positive Psi",
-            "sandwich",
-        ),
-        _entry(
-            check_mean_sum_diff_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "beta_f sum X_j + sum (X_j s_f Y_j) >= (sum X_j) s_f (sum Y_j)",
-            "0 < m X_j <= Y_j <= M X_j",
-            "sandwich",
-        ),
-        _entry(
-            check_bellman_diff_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "(beta_f + (I - sum A_j) s_f (I - sum B_j))^p >= (I - sum A_j s_f B_j)^p",
-            "pairwise and complement sandwiches with m < 1 < M, 0 <= p <= 1",
-            "sandwich",
-        ),
-        _entry(
-            check_aczel_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "(zeta + (I - sum A_j) #_lam (I - sum B_j))^p >= (I - sum A_j #_lam B_j)^p",
-            "pairwise and complement sandwiches with m < 1 < M; zeta for t^p on [m, M]",
-            "sandwich",
-        ),
-        _entry(
-            check_jensen_family_diff_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "beta_f I + sum w_j Phi_j(f(A_j)) >= f(sum w_j Phi_j(A_j))",
-            "spectra of A_j in [m, M], unital positive Phi_j, weights sum to 1",
-            "positive",
-        ),
-        _entry(
-            check_bellman_family_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "delta I + sum w_j Phi_j((I - A_j)^p) >= (sum w_j Phi_j(I - A_j))^p",
-            "0 <= m I <= A_j <= M I < I, weights sum to 1, 0 < p < 1",
-            "unit",
-        ),
-        _entry(
-            check_log_family_reverse,
-            "reverse",
-            "lhs>=rhs",
-            "log-mean constant + Phi(sum w_j log A_j) >= log(sum w_j Phi(A_j))",
-            "0 < m I <= A_j <= M I, unital positive Phi, weights sum to 1",
-            "positive",
-        ),
-        _entry(
-            check_bellman_chain_split,
-            "chain",
-            "chain",
-            "(I-sum A) s_{f^p} (I-sum B) <= (head-mean - tail-sum)^p <= (I - sum A_j s_f B_j)^p",
-            "subidentity families, split index 1 <= k <= n-1",
-            "none",
-        ),
-        _entry(
-            check_bellman_chain_interp,
-            "chain",
-            "chain",
-            "((I-sum A) s_f (I-sum B))^p <= (interp-mean - weighted-sum)^p <= (I - sum A_j s_f B_j)^p",
-            "subidentity families, t_j in [0, 1]",
-            "none",
-        ),
-        _entry(
-            check_scalar_bellman,
-            "scalar",
-            "rhs>=lhs",
-            "(a^p - sum a_j^p)^{1/p} + (b^p - sum b_j^p)^{1/p} <= ((a+b)^p - sum (a_j+b_j)^p)^{1/p}",
-            "positive reals, integer p >= 1, column sums below caps",
-            "none",
-        ),
-        _entry(
-            check_scalar_aczel,
-            "scalar",
-            "rhs>=lhs",
-            "(a_1^2 - sum a_j^2)(b_1^2 - sum b_j^2) <= (a_1 b_1 - sum a_j b_j)^2",
-            "a_1^2 > sum a_j^2 or b_1^2 > sum b_j^2",
-            "none",
-        ),
-        _entry(
-            check_scalar_popoviciu,
-            "scalar",
-            "rhs>=lhs",
-            "(a_1^p - sum a_j^p)(b_1^p - sum b_j^p) <= (a_1 b_1 - sum a_j b_j)^p",
-            "p >= 1 and a head power dominates its column",
-            "none",
-        ),
-        _entry(
-            check_scalar_bellman_weighted,
-            "scalar",
-            "rhs>=lhs",
-            "sum_j w_j (1 - sum_i a_ij^{1/p})^p <= (1 - sum_i (sum_j w_j a_ij)^{1/p})^p",
-            "sum_i a_ij^{1/p} <= 1 per column, weights sum to 1, 0 < p < 1",
-            "none",
-        ),
-        _entry(
-            check_scalar_bellman_columns,
-            "scalar",
-            "rhs>=lhs",
-            "sum_j (M_j^{1/p} - sum_i a_ij^{1/p})^p <= ((sum M_j)^{1/p} - sum_i (sum_j a_ij)^{1/p})^p",
-            "sum_i a_ij^{1/p} <= M_j^{1/p} per column, 0 < p < 1",
-            "none",
-        ),
-        _entry(
-            check_scalar_bellman_reverse,
-            "scalar",
-            "lhs>=rhs",
-            "(1-p) p^{p/(1-p)} + sum_j w_j (1 - sum_i a_ij^{1/p})^p >= (1 - sum_ij w_j a_ij^{1/p})^p",
-            "sum_i a_ij^{1/p} <= 1 per column, weights sum to 1, 0 < p < 1",
-            "none",
-        ),
-    ]
-}
 
 FORWARD_IDS = [e.check_id for e in REGISTRY.values() if e.group == "forward"]
 REVERSE_IDS = [e.check_id for e in REGISTRY.values() if e.group == "reverse"]

@@ -34,7 +34,8 @@ class ParameterError(OpBellmanError, ValueError):
 
 
 class HypothesisError(OpBellmanError, ValueError):
-    """Inputs violate the hypothesis required by a closed-form constant."""
+    """Inputs violate the hypothesis required by a closed-form constant or
+    a generated instance."""
 
 
 class UnimodalityError(OpBellmanError, RuntimeError):

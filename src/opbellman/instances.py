@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import HypothesisError, ParameterError, ShapeError
 from .means import RepresentingFunction, mean
-from .spectral import DEFAULT_TOL, hermitize, identity, loewner_leq, sqrt_psd
+from .spectral import hermitize, identity, loewner_leq, sqrt_psd
 
 #: Hypothesis margin every released instance must clear.
 DEFAULT_MARGIN = 1e-6
@@ -48,9 +48,6 @@ class GenConfig:
     dim: int = 2
     n: int = 1
     interval: tuple[float, float] = (0.5, 2.0)
-    p: float = 0.5
-    lam: float = 0.5
-    seed: int = 0
     margin: float = DEFAULT_MARGIN
     max_rejects: int = 1000
 
@@ -60,8 +57,6 @@ class GenConfig:
             raise ParameterError("dim and n must be at least 1")
         if not m < M:
             raise ParameterError(f"need m < M, got interval {self.interval}")
-        if not 0.0 < self.p < 1.0 or not 0.0 < self.lam < 1.0:
-            raise ParameterError("p and lam must lie in (0, 1)")
         if self.margin <= 0.0:
             raise ParameterError("margin must be positive")
 
@@ -318,7 +313,8 @@ def scalar_instance(
             theta = rng.uniform(0.2, 0.9)
             scale = (theta * head**p / np.sum(raw**p)) ** (1.0 / p)
             tail = raw * scale
-            assert np.sum(tail**p) <= head**p
+            if not np.sum(tail**p) <= head**p:
+                raise HypothesisError("bellman instance: tail powers exceed the head power")
             out[name] = head
             out[f"{name}_j"] = tail
         return out
@@ -330,7 +326,8 @@ def scalar_instance(
             tail = rng.uniform(0.1, 1.0, size=cols)
             theta = rng.uniform(0.2, 0.9)
             head = (np.sum(tail**q) / theta) ** (1.0 / q)
-            assert np.sum(tail**q) < head**q
+            if not np.sum(tail**q) < head**q:
+                raise HypothesisError(f"{kind} instance: tail powers reach the head power")
             out[name] = head
             out[f"{name}_j"] = tail
         return out
@@ -341,7 +338,8 @@ def scalar_instance(
         theta = rng.uniform(0.2, 0.9, size=cols)
         col_sums = np.sum(a**q, axis=0)
         a = a * (theta / col_sums) ** p
-        assert np.all(np.sum(a**q, axis=0) <= 1.0)
+        if not np.all(np.sum(a**q, axis=0) <= 1.0):
+            raise HypothesisError(f"{kind} instance: a column sum of a_ij^(1/p) exceeds 1")
         return {"a": a, "weights": random_weights(cols, rng), "p": p}
 
     if kind == "mp1":
@@ -351,24 +349,8 @@ def scalar_instance(
         theta = rng.uniform(0.2, 0.9, size=cols)
         col_sums = np.sum(a**q, axis=0)
         a = a * (theta * caps**q / col_sums) ** p
-        assert np.all(np.sum(a**q, axis=0) <= caps**q)
+        if not np.all(np.sum(a**q, axis=0) <= caps**q):
+            raise HypothesisError("mp1 instance: a column sum of a_ij^(1/p) exceeds its cap")
         return {"a": a, "caps": caps, "p": p}
 
     raise ParameterError(f"unknown scalar instance kind {kind!r}")
-
-
-def verify_window_family(
-    fam: InstanceFamily,
-    m: float,
-    M: float,
-    margin: float = 0.0,
-    tol=DEFAULT_TOL,
-) -> bool:
-    """Re-verify m I <= A_j <= M I for every member."""
-    eye = identity(fam.A[0].shape[0])
-    for a in fam.A:
-        if loewner_leq(m * eye, a, tol).slack < margin:
-            return False
-        if loewner_leq(a, M * eye, tol).slack < margin:
-            return False
-    return True

@@ -39,20 +39,24 @@ def _resolve_f(params):
 
 
 def reference_slack(check_id: str, inst, params) -> dict:
-    """Scalar evaluation of one check; returns {"slack": float, "chain": tuple|None}."""
-    try:
-        fn = _FORMULAS[check_id]
-    except KeyError:
-        raise ParameterError(f"no scalar reference for {check_id!r}") from None
+    """Scalar evaluation of one check; returns {"slack": float, "chain": tuple|None}.
+
+    The formula for each check is the ``reference`` of its registry entry.
+    """
+    from .checks import REGISTRY  # checks imports this module
+
+    entry = REGISTRY.get(check_id)
+    if entry is None or entry.reference is None:
+        raise ParameterError(f"no scalar reference for {check_id!r}")
     with mpmath.workdps(DPS):
-        return fn(inst, params)
+        return entry.reference(inst, params)
 
 
 def _plain(dom, sub) -> dict:
     return {"slack": float(dom - sub), "chain": None}
 
 
-def _bellman_map(inst, params):
+def bellman_map(inst, params):
     p = params["p"]
     a = _scalars(inst.A)
     w = [mpmath.mpf(v) for v in inst.weights]
@@ -61,7 +65,7 @@ def _bellman_map(inst, params):
     return _plain(dom, sub)
 
 
-def _bellman_mean(inst, params):
+def bellman_mean(inst, params):
     f, p = _resolve_f(params), params["p"]
     a, b = _scalars(inst.A), _scalars(inst.B)
     pair = mpmath.fsum(_mean_s(x, y, f) for x, y in zip(a, b))
@@ -70,13 +74,13 @@ def _bellman_mean(inst, params):
     return _plain(dom, sub)
 
 
-def _jensen_map(inst, params):
+def jensen_map(inst, params):
     f = _resolve_f(params)
     x = mpmath.mpf(_sc(inst.A[0]))
     return _plain(f.mp(x), f.mp(x))
 
 
-def _mean_superadditive(inst, params):
+def mean_superadditive(inst, params):
     f = _resolve_f(params)
     a, b = _scalars(inst.A), _scalars(inst.B)
     dom = _mean_s(mpmath.fsum(a), mpmath.fsum(b), f)
@@ -84,7 +88,7 @@ def _mean_superadditive(inst, params):
     return _plain(dom, sub)
 
 
-def _mean_remainder(inst, params):
+def mean_remainder(inst, params):
     f = _resolve_f(params)
     a, b = _scalars(inst.A), _scalars(inst.B)
     at = mpmath.mpf(_sc(inst.aux["A_total"]))
@@ -94,7 +98,7 @@ def _mean_remainder(inst, params):
     return _plain(dom, sub)
 
 
-def _mean_power_compose(inst, params):
+def mean_power_compose(inst, params):
     f, p = _resolve_f(params), params["p"]
     a = mpmath.mpf(_sc(inst.A[0]))
     b = mpmath.mpf(_sc(inst.B[0]))
@@ -103,14 +107,14 @@ def _mean_power_compose(inst, params):
     return _plain(dom, sub)
 
 
-def _jensen_ratio_reverse(inst, params):
+def jensen_ratio_reverse(inst, params):
     f = _resolve_f(params)
     g = constants.gamma(f, params["m"], params["M"]).value
     x = mpmath.mpf(_sc(inst.A[0]))
     return _plain(g * f.mp(x), f.mp(x))
 
 
-def _mean_map_ratio_reverse(inst, params):
+def mean_map_ratio_reverse(inst, params):
     f = _resolve_f(params)
     g = constants.gamma(f, params["m"], params["M"]).value
     x = mpmath.mpf(_sc(inst.A[0]))
@@ -119,7 +123,7 @@ def _mean_map_ratio_reverse(inst, params):
     return _plain(g * mm, mm)
 
 
-def _mean_sum_ratio_reverse(inst, params):
+def mean_sum_ratio_reverse(inst, params):
     f = _resolve_f(params)
     g = constants.gamma(f, params["m"], params["M"]).value
     a, b = _scalars(inst.A), _scalars(inst.B)
@@ -128,7 +132,7 @@ def _mean_sum_ratio_reverse(inst, params):
     return _plain(dom, sub)
 
 
-def _bellman_ratio_reverse(inst, params):
+def bellman_ratio_reverse(inst, params):
     f, p = _resolve_f(params), params["p"]
     g = mpmath.mpf(constants.gamma(f, params["m"], params["M"]).value)
     a, b = _scalars(inst.A), _scalars(inst.B)
@@ -138,7 +142,7 @@ def _bellman_ratio_reverse(inst, params):
     return _plain(dom, sub)
 
 
-def _compression_ratio_reverse(inst, params):
+def compression_ratio_reverse(inst, params):
     f = _resolve_f(params)
     m = params["m"]
     g = constants.gamma(f, m, params["M"]).value
@@ -150,7 +154,7 @@ def _compression_ratio_reverse(inst, params):
     return _plain(dom, sub)
 
 
-def _mean_power_ratio_reverse(inst, params):
+def mean_power_ratio_reverse(inst, params):
     f, p = _resolve_f(params), params["p"]
     m, M = params["m"], params["M"]
     gh = constants.gamma_power(float(f(m)), float(f(M)), p).value
@@ -162,7 +166,7 @@ def _mean_power_ratio_reverse(inst, params):
     return _plain(dom, sub)
 
 
-def _bellman_arith_reverse(inst, params):
+def bellman_arith_reverse(inst, params):
     lam, p = params["lam"], params["p"]
     m, M = params["m"], params["M"]
     f = arithmetic_w(lam)
@@ -178,14 +182,14 @@ def _bellman_arith_reverse(inst, params):
     return _plain(dom, sub)
 
 
-def _jensen_diff_reverse(inst, params):
+def jensen_diff_reverse(inst, params):
     f = _resolve_f(params)
     beta = constants.beta(f, params["m"], params["M"]).value
     x = mpmath.mpf(_sc(inst.A[0]))
     return _plain(beta + f.mp(x), f.mp(x))
 
 
-def _mean_map_diff_reverse(inst, params):
+def mean_map_diff_reverse(inst, params):
     f = _resolve_f(params)
     beta = constants.beta(f, params["m"], params["M"]).value
     x = mpmath.mpf(_sc(inst.A[0]))
@@ -194,7 +198,7 @@ def _mean_map_diff_reverse(inst, params):
     return _plain(beta * x + mm, mm)
 
 
-def _mean_sum_diff_reverse(inst, params):
+def mean_sum_diff_reverse(inst, params):
     f = _resolve_f(params)
     beta = constants.beta(f, params["m"], params["M"]).value
     a, b = _scalars(inst.A), _scalars(inst.B)
@@ -203,7 +207,7 @@ def _mean_sum_diff_reverse(inst, params):
     return _plain(dom, sub)
 
 
-def _bellman_diff_reverse(inst, params):
+def bellman_diff_reverse(inst, params):
     f, p = _resolve_f(params), params["p"]
     beta = constants.beta(f, params["m"], params["M"]).value
     a, b = _scalars(inst.A), _scalars(inst.B)
@@ -213,7 +217,7 @@ def _bellman_diff_reverse(inst, params):
     return _plain(dom, sub)
 
 
-def _aczel_reverse(inst, params):
+def aczel_reverse(inst, params):
     lam, p = params["lam"], params["p"]
     f = geometric_w(lam)
     zeta = constants.zeta_aczel(params["m"], params["M"], p).value
@@ -224,7 +228,7 @@ def _aczel_reverse(inst, params):
     return _plain(dom, sub)
 
 
-def _jensen_family_diff_reverse(inst, params):
+def jensen_family_diff_reverse(inst, params):
     f = _resolve_f(params)
     beta = constants.beta(f, params["m"], params["M"]).value
     a = _scalars(inst.A)
@@ -234,7 +238,7 @@ def _jensen_family_diff_reverse(inst, params):
     return _plain(dom, sub)
 
 
-def _bellman_family_reverse(inst, params):
+def bellman_family_reverse(inst, params):
     p = params["p"]
     delta = constants.delta_bellman(params["m"], params["M"], p).value
     a = _scalars(inst.A)
@@ -244,7 +248,7 @@ def _bellman_family_reverse(inst, params):
     return _plain(dom, sub)
 
 
-def _log_family_reverse(inst, params):
+def log_family_reverse(inst, params):
     c = constants.beta_log(params["m"], params["M"]).value
     a = _scalars(inst.A)
     w = [mpmath.mpf(v) for v in inst.weights]
@@ -259,7 +263,7 @@ def _chain_result(t1, t2, t3):
     return {"slack": min(l1, l2), "chain": (l1, l2)}
 
 
-def _bellman_chain_split(inst, params):
+def bellman_chain_split(inst, params):
     f, p, k = _resolve_f(params), params["p"], params["k"]
     a, b = _scalars(inst.A), _scalars(inst.B)
     pair = [_mean_s(x, y, f) for x, y in zip(a, b)]
@@ -270,7 +274,7 @@ def _bellman_chain_split(inst, params):
     return _chain_result(t1, t2, t3)
 
 
-def _bellman_chain_interp(inst, params):
+def bellman_chain_interp(inst, params):
     f, p = _resolve_f(params), params["p"]
     t = [mpmath.mpf(v) for v in params["t"]]
     a, b = _scalars(inst.A), _scalars(inst.B)
@@ -284,30 +288,3 @@ def _bellman_chain_interp(inst, params):
     t2 = mid ** mpmath.mpf(p)
     t3 = (1 - mpmath.fsum(pair)) ** mpmath.mpf(p)
     return _chain_result(t1, t2, t3)
-
-
-_FORMULAS = {
-    "bellman_map": _bellman_map,
-    "bellman_mean": _bellman_mean,
-    "jensen_map": _jensen_map,
-    "mean_superadditive": _mean_superadditive,
-    "mean_remainder": _mean_remainder,
-    "mean_power_compose": _mean_power_compose,
-    "jensen_ratio_reverse": _jensen_ratio_reverse,
-    "mean_map_ratio_reverse": _mean_map_ratio_reverse,
-    "mean_sum_ratio_reverse": _mean_sum_ratio_reverse,
-    "bellman_ratio_reverse": _bellman_ratio_reverse,
-    "compression_ratio_reverse": _compression_ratio_reverse,
-    "mean_power_ratio_reverse": _mean_power_ratio_reverse,
-    "bellman_arith_reverse": _bellman_arith_reverse,
-    "jensen_diff_reverse": _jensen_diff_reverse,
-    "mean_map_diff_reverse": _mean_map_diff_reverse,
-    "mean_sum_diff_reverse": _mean_sum_diff_reverse,
-    "bellman_diff_reverse": _bellman_diff_reverse,
-    "aczel_reverse": _aczel_reverse,
-    "jensen_family_diff_reverse": _jensen_family_diff_reverse,
-    "bellman_family_reverse": _bellman_family_reverse,
-    "log_family_reverse": _log_family_reverse,
-    "bellman_chain_split": _bellman_chain_split,
-    "bellman_chain_interp": _bellman_chain_interp,
-}

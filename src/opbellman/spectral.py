@@ -231,15 +231,7 @@ def sqrt_psd(h: np.ndarray) -> np.ndarray:
 
 def inv_sqrt_psd(h: np.ndarray) -> np.ndarray:
     """H^{-1/2} for positive definite H; refuses near-singular input."""
-    lam, u = eig(h)
-    lam_min = float(lam.min(initial=math.inf))
-    lam_max = float(np.abs(lam).max(initial=0.0))
-    if lam_min < POSITIVITY_FLOOR * max(lam_max, 1e-300):
-        raise ConditioningError(
-            f"inv_sqrt needs lambda_min above the positivity floor; "
-            f"lambda_min = {lam_min:.6e}, norm = {lam_max:.6e}"
-        )
-    return hermitize((u * lam**-0.5) @ u.conj().T)
+    return pd_root_pair(h)[1]
 
 
 def pd_root_pair(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -53,6 +53,55 @@ def test_config_validation_messages():
         config_from_json({"surprise": 1})
 
 
+def test_config_validation_rejects_unbuildable_map_ids(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before validation")
+
+    monkeypatch.setattr(campaign, "run_check_trial", no_trial)
+    for map_id in ("block-avg:2", "nonsense:3"):
+        with pytest.raises(ParameterError, match="maps\\[0\\]"):
+            config_from_json({"maps": [map_id], "checks": ["jensen_map"]})
+        with pytest.raises(ParameterError, match="maps\\[0\\]"):
+            run_campaign(_tiny_cfg(maps=(map_id,), checks=("jensen_map",)))
+
+
+def test_default_config_cell_counts():
+    cfg = CampaignConfig()
+    counts = {cid: len(campaign.expand_cells(cid, cfg)) for cid in cfg.checks}
+    assert counts == {
+        "bellman_map": 36,
+        "bellman_mean": 24,
+        "jensen_map": 108,
+        "mean_superadditive": 24,
+        "mean_remainder": 24,
+        "mean_power_compose": 12,
+        "jensen_ratio_reverse": 72,
+        "mean_map_ratio_reverse": 36,
+        "mean_sum_ratio_reverse": 24,
+        "bellman_ratio_reverse": 24,
+        "compression_ratio_reverse": 24,
+        "mean_power_ratio_reverse": 12,
+        "bellman_arith_reverse": 12,
+        "jensen_diff_reverse": 108,
+        "mean_map_diff_reverse": 36,
+        "mean_sum_diff_reverse": 24,
+        "bellman_diff_reverse": 24,
+        "aczel_reverse": 12,
+        "jensen_family_diff_reverse": 216,
+        "bellman_family_reverse": 36,
+        "log_family_reverse": 72,
+        "bellman_chain_split": 24,
+        "bellman_chain_interp": 12,
+        "scalar_bellman": 2,
+        "scalar_aczel": 2,
+        "scalar_popoviciu": 2,
+        "scalar_bellman_weighted": 2,
+        "scalar_bellman_columns": 2,
+        "scalar_bellman_reverse": 2,
+    }
+    assert sum(counts.values()) == 1008
+
+
 def test_empty_config_file_gives_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("")

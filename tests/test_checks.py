@@ -324,6 +324,18 @@ def test_registry_listing_complete():
         assert row["statement"] and row["hypothesis"]
 
 
+def test_registry_entries_are_complete():
+    assert set(campaign.BUILDERS) == set(checks.REGISTRY)
+    for cid, entry in checks.REGISTRY.items():
+        assert entry.check_id == cid
+        assert entry.axes, cid
+        assert entry.interval_kind in ("sandwich", "unit", "positive", "none"), cid
+        if entry.group == "scalar":
+            assert entry.reference is None, cid
+        else:
+            assert callable(entry.reference), cid
+
+
 def test_scalar_checks_hold_on_generated_instances():
     cfg = CampaignConfig(n_values=(1, 2, 4), trials=1)
     for cid in checks.SCALAR_IDS:
@@ -412,7 +424,7 @@ def test_affine_scaling_consistency_on_shared_instance():
     from opbellman.means import arithmetic_w
 
     rng = subrng(5150, "shared", 0)
-    cfg = GenConfig(dim=3, n=2, interval=(0.5, 2.0), seed=0)
+    cfg = GenConfig(dim=3, n=2, interval=(0.5, 2.0))
     fam = complement_sandwich_family(cfg, arithmetic_w(0.4), 1.0, rng)
     assert fam is not None
     reverse = check(

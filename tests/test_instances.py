@@ -96,7 +96,7 @@ def test_random_weights():
 
 
 def test_complement_family_scalar_affine_accepted():
-    cfg = GenConfig(dim=1, n=1, interval=(0.5, 2.0), seed=0)
+    cfg = GenConfig(dim=1, n=1, interval=(0.5, 2.0))
     rng = subrng(11, "gen", 0)
     fam = complement_sandwich_family(cfg, arithmetic_w(0.5), 1.0, rng)
     assert fam is not None
@@ -105,7 +105,7 @@ def test_complement_family_scalar_affine_accepted():
 
 def test_complement_family_hypotheses_reverified():
     rng = subrng(12, "gen", 1)
-    cfg = GenConfig(dim=3, n=2, interval=(0.5, 2.0), seed=0)
+    cfg = GenConfig(dim=3, n=2, interval=(0.5, 2.0))
     fam = complement_sandwich_family(cfg, geometric_w(0.5), 1.1, rng)
     assert fam is not None
     eye = identity(3)
@@ -119,7 +119,7 @@ def test_complement_family_hypotheses_reverified():
 
 
 def test_complement_family_requires_straddling_interval():
-    cfg = GenConfig(dim=2, n=1, interval=(0.2, 0.8), seed=0)
+    cfg = GenConfig(dim=2, n=1, interval=(0.2, 0.8))
     with pytest.raises(ParameterError):
         complement_sandwich_family(cfg, arithmetic_w(0.5), 1.0, np.random.default_rng(0))
 
