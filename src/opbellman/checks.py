@@ -39,6 +39,7 @@ from .positive_maps import WeightedFamily, block_diag
 from .spectral import (
     DEFAULT_TOL,
     Tolerance,
+    _eigvalsh,
     apply_function,
     eig,
     hermitize,
@@ -167,6 +168,11 @@ def _mean_g(a, b, f, guard: str):
         raise _GuardFail(guard) from None
 
 
+def _pair_means(inst, f):
+    """A_j sigma_f B_j for every pair of the family, guarded."""
+    return [_mean_g(a, b, f, "mean_conditioning") for a, b in zip(inst.A, inst.B)]
+
+
 def _fcalc_g(h, f: RepresentingFunction, guard: str):
     try:
         return apply_function(h, f.fn, f.domain)
@@ -214,7 +220,7 @@ def _guard_psd(x, tol, guard):
 
 
 def _guard_pd_floor(x, guard, rel_floor=1e-7):
-    lam = np.linalg.eigvalsh(hermitize(x))
+    lam = _eigvalsh(hermitize(x))
     _require(float(lam[0]) >= rel_floor * max(float(lam[-1]), 1e-300), guard)
 
 
@@ -311,7 +317,7 @@ def check_bellman_mean(inst: InstanceFamily, params, tol) -> tuple:
     comp_b = hermitize(eye - sum(inst.B))
     _guard_pd_floor(comp_a, "complement_a_not_pd")
     dominated = _mean_g(comp_a, comp_b, powered(f, p), "mean_conditioning")
-    base = hermitize(eye - sum(mean(a, b, f) for a, b in zip(inst.A, inst.B)))
+    base = hermitize(eye - sum(_pair_means(inst, f)))
     dominant = _power_guarded(base, p, tol, "rhs_base_not_psd")
     return dominant, dominated
 
@@ -348,7 +354,7 @@ def check_mean_superadditive(inst: InstanceFamily, params, tol) -> tuple:
     f = _resolve_f(params)
     for x in list(inst.A) + list(inst.B):
         _guard_psd(x, tol, "member_not_psd")
-    dominated = hermitize(sum(_mean_g(a, b, f, "mean_conditioning") for a, b in zip(inst.A, inst.B)))
+    dominated = hermitize(sum(_pair_means(inst, f)))
     dominant = _mean_g(hermitize(sum(inst.A)), hermitize(sum(inst.B)), f, "mean_conditioning")
     return dominant, dominated
 
@@ -373,7 +379,7 @@ def check_mean_remainder(inst: InstanceFamily, params, tol) -> tuple:
     dominated = _mean_g(rem_a, rem_b, f, "mean_conditioning")
     dominant = hermitize(
         _mean_g(a_total, b_total, f, "mean_conditioning")
-        - sum(_mean_g(a, b, f, "mean_conditioning") for a, b in zip(inst.A, inst.B))
+        - sum(_pair_means(inst, f))
     )
     return dominant, dominated
 
@@ -458,7 +464,7 @@ def check_mean_sum_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     m, M = params["m"], params["M"]
     _guard_pair_sandwich(zip(inst.A, inst.B), m, M, tol)
     g = _gamma_guarded(f, m, M)
-    dominant = hermitize(g * sum(_mean_g(a, b, f, "mean_conditioning") for a, b in zip(inst.A, inst.B)))
+    dominant = hermitize(g * sum(_pair_means(inst, f)))
     dominated = _mean_g(hermitize(sum(inst.A)), hermitize(sum(inst.B)), f, "mean_conditioning")
     return dominant, dominated
 
@@ -480,7 +486,7 @@ def check_bellman_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     _guard_pd_floor(comp_a, "complement_a_not_pd")
     lhs_base = _mean_g(comp_a, comp_b, f, "mean_conditioning")
     dominant = g**p * _power_guarded(lhs_base, p, tol, "lhs_base_not_psd")
-    rhs_base = hermitize(eye - g * sum(mean(a, b, f) for a, b in zip(inst.A, inst.B)))
+    rhs_base = hermitize(eye - g * sum(_pair_means(inst, f)))
     dominated = _power_guarded(rhs_base, p, tol, "rhs_base_not_psd")
     return dominant, dominated
 
@@ -632,7 +638,7 @@ def check_mean_sum_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     beta = _beta_cached(f.label, m, M)
     dominant = hermitize(
         beta * sum(inst.A)
-        + sum(_mean_g(a, b, f, "mean_conditioning") for a, b in zip(inst.A, inst.B))
+        + sum(_pair_means(inst, f))
     )
     dominated = _mean_g(hermitize(sum(inst.A)), hermitize(sum(inst.B)), f, "mean_conditioning")
     return dominant, dominated
@@ -654,7 +660,7 @@ def check_bellman_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     beta = _beta_cached(f.label, m, M)
     lhs_base = hermitize(beta * eye + _mean_g(comp_a, comp_b, f, "mean_conditioning"))
     dominant = _power_guarded(lhs_base, p, tol, "lhs_base_not_psd")
-    rhs_base = hermitize(eye - sum(mean(a, b, f) for a, b in zip(inst.A, inst.B)))
+    rhs_base = hermitize(eye - sum(_pair_means(inst, f)))
     dominated = _power_guarded(rhs_base, p, tol, "rhs_base_not_psd")
     return dominant, dominated
 
@@ -675,7 +681,7 @@ def check_aczel_reverse(inst: InstanceFamily, params, tol) -> tuple:
     zeta = constants.zeta_aczel(m, M, p).value
     lhs_base = hermitize(zeta * eye + _mean_g(comp_a, comp_b, f, "mean_conditioning"))
     dominant = _power_guarded(lhs_base, p, tol, "lhs_base_not_psd")
-    rhs_base = hermitize(eye - sum(mean(a, b, f) for a, b in zip(inst.A, inst.B)))
+    rhs_base = hermitize(eye - sum(_pair_means(inst, f)))
     dominated = _power_guarded(rhs_base, p, tol, "rhs_base_not_psd")
     return dominant, dominated
 
@@ -786,7 +792,7 @@ def check_bellman_chain_split(inst: InstanceFamily, params, tol) -> tuple:
     head_a = hermitize(eye - sum(inst.A[:k]))
     head_b = hermitize(eye - sum(inst.B[:k]))
     _guard_pd_floor(head_a, "head_complement_not_pd")
-    pair_means = [mean(a, b, f) for a, b in zip(inst.A, inst.B)]
+    pair_means = _pair_means(inst, f)
     mid_base = hermitize(_mean_g(head_a, head_b, f, "mean_conditioning") - sum(pair_means[k:]))
     t2 = _power_guarded(mid_base, p, tol, "mid_base_not_psd")
     t3 = _power_guarded(hermitize(eye - sum(pair_means)), p, tol, "rhs_base_not_psd")
@@ -818,7 +824,7 @@ def check_bellman_chain_interp(inst: InstanceFamily, params, tol) -> tuple:
     part_a = hermitize(eye - sum(tj * a for tj, a in zip(t, inst.A)))
     part_b = hermitize(eye - sum(tj * b for tj, b in zip(t, inst.B)))
     _guard_pd_floor(part_a, "partial_complement_not_pd")
-    pair_means = [mean(a, b, f) for a, b in zip(inst.A, inst.B)]
+    pair_means = _pair_means(inst, f)
     mid_base = hermitize(
         _mean_g(part_a, part_b, f, "mean_conditioning")
         - sum((1.0 - tj) * pm for tj, pm in zip(t, pair_means))

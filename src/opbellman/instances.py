@@ -1,7 +1,7 @@
 """Seed-deterministic random instances satisfying inequality hypotheses.
 
 Every generator is a pure function of (seed-derived rng); released
-families re-verify their declared hypotheses through ``loewner_leq`` with
+families re-verify their declared hypotheses in the Loewner order with
 a positive margin, so the construction itself is never trusted.  Trial k
 of a campaign draws from a counter-derived substream, which makes
 campaigns order-independent.
@@ -9,6 +9,7 @@ campaigns order-independent.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import HypothesisError, ParameterError, ShapeError
 from .means import RepresentingFunction, mean
-from .spectral import hermitize, identity, loewner_leq, sqrt_psd
+from .spectral import _eigvalsh, hermitize, identity, loewner_leq, spectral_norm, sqrt_psd
 
 #: Hypothesis margin every released instance must clear.
 DEFAULT_MARGIN = 1e-6
@@ -26,6 +27,9 @@ EDGE_SHRINK = 0.02
 
 #: Cap on gamma * ||sum of pairwise means|| keeping power bases away from 0.
 BASE_CAP = 0.9
+
+#: Smallest family scale a complement-sandwich draw may need before it is rejected.
+MIN_SCALE = 1e-8
 
 _MASK64 = (1 << 64) - 1
 
@@ -124,7 +128,7 @@ def random_contraction(dim: int, rng: np.random.Generator, kind: str = "ginibre"
     if kind == "unitary":
         return rng.uniform(0.3, 0.98) * haar_unitary(dim, rng)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return rng.uniform(0.2, 0.95) * g / np.linalg.norm(g, 2)
+    return rng.uniform(0.2, 0.95) * g / spectral_norm(g)
 
 
 def random_sandwich_pair(
@@ -164,7 +168,7 @@ def random_subidentity_family(
         raise ParameterError(f"cap must be in (0, 1), got {cap}")
     raw = [random_pd(dim, rng, 0.2, 1.0) for _ in range(n)]
     total = sum(raw)
-    lam_max = float(np.linalg.eigvalsh(total)[-1])
+    lam_max = float(_eigvalsh(total)[-1])
     scale = cap / lam_max
     return [hermitize(scale * p) for p in raw]
 
@@ -177,8 +181,7 @@ def random_weights(n: int, rng: np.random.Generator) -> np.ndarray:
     return w / w.sum()
 
 
-def _feasible_scale(
-    s: float,
+def _scale_limit(
     gamma_value: float,
     sum_a: np.ndarray,
     sum_b: np.ndarray,
@@ -186,21 +189,28 @@ def _feasible_scale(
     m: float,
     M: float,
     margin: float,
-) -> bool:
-    """Complement-sandwich feasibility of the family scaled by s."""
-    dim = sum_a.shape[0]
-    eye = identity(dim)
-    g = gamma_value
-    comp_a = eye - g * s * sum_a
-    comp_b = eye - g * s * sum_b
-    checks = [
-        float(np.linalg.eigvalsh(hermitize(comp_a))[0]) >= margin,
-        float(np.linalg.eigvalsh(hermitize(comp_b))[0]) >= margin,
-        float(np.linalg.eigvalsh(hermitize(comp_b - m * comp_a))[0]) >= margin,
-        float(np.linalg.eigvalsh(hermitize(M * comp_a - comp_b))[0]) >= margin,
-        g * s * float(np.linalg.eigvalsh(sum_means)[-1]) <= BASE_CAP,
+) -> float:
+    """Largest s for which the family scaled by s is complement-sandwiched.
+
+    Every constraint is affine in s: lambda_min(c I - g s X) = c - g s
+    lambda_max(X) >= margin for (c, X) in (1, sum A), (1, sum B),
+    (1 - m, sum B - m sum A), (M - 1, M sum A - sum B), plus the base cap
+    g s lambda_max(sum of means) <= BASE_CAP.  A constraint whose
+    lambda_max(X) is not positive never binds.
+    """
+    bounds = [
+        (1.0 - margin, sum_a),
+        (1.0 - margin, sum_b),
+        (1.0 - m - margin, sum_b - m * sum_a),
+        (M - 1.0 - margin, M * sum_a - sum_b),
+        (BASE_CAP, sum_means),
     ]
-    return all(checks)
+    limit = math.inf
+    for room, x in bounds:
+        top = gamma_value * float(_eigvalsh(x)[-1])
+        if top > 0.0:
+            limit = min(limit, room / top)
+    return limit
 
 
 def complement_sandwich_family(
@@ -214,9 +224,13 @@ def complement_sandwich_family(
     [m, M] sandwich with positive margin.
 
     Strategy: draw sandwich pairs, then rescale the whole family by a
-    scalar s in (0, 1] found by bisection (the feasible set is a lower
-    s-interval).  Returns None once max_rejects draws fail; rejection is
-    data for the campaign report, not an error.
+    scalar s in (0, 1].  Each hypothesis on the scaled family is affine in
+    s, so the largest feasible scale s_max has a closed form
+    (``_scale_limit``, five eigenvalue calls).  s = 1 when s_max >= 1,
+    otherwise s = s_max (1 - 1e-6); a draw with s_max below ``MIN_SCALE``
+    is rejected.  The released family is re-verified.  Returns None once
+    max_rejects draws fail; rejection is data for the campaign report, not
+    an error.
     """
     m, M = cfg.interval
     if not m < 1.0 < M:
@@ -231,23 +245,10 @@ def complement_sandwich_family(
         sum_a = sum(p[0] for p in pairs)
         sum_b = sum(p[1] for p in pairs)
         sum_means = sum(mean(p[0], p[1], f) for p in pairs)
-
-        def feasible(s: float) -> bool:
-            return _feasible_scale(s, gamma_value, sum_a, sum_b, sum_means, m, M, cfg.margin)
-
-        if feasible(1.0):
-            s = 1.0
-        else:
-            lo, hi = 1e-8, 1.0
-            if not feasible(lo):
-                continue
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if feasible(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            s = lo * (1.0 - 1e-6)
+        s_max = _scale_limit(gamma_value, sum_a, sum_b, sum_means, m, M, cfg.margin)
+        if s_max < MIN_SCALE:
+            continue
+        s = 1.0 if s_max >= 1.0 else s_max * (1.0 - 1e-6)
         family = InstanceFamily(
             hypothesis_tag="complement_sandwich_family",
             A=[hermitize(s * p[0]) for p in pairs],
@@ -266,21 +267,17 @@ def _verify_complement_family(
     M: float,
     margin: float,
 ) -> bool:
+    """Every pairwise and complement sandwich holds with slack >= margin.
+
+    The slack of X <= Y is lambda_min(hermitize(Y - X)), as in
+    ``loewner_leq``, without the spectral norms behind its tolerance.
+    """
     eye = identity(fam.A[0].shape[0])
-    for a, b in zip(fam.A, fam.B):
-        if loewner_leq(m * a, b).slack < margin or loewner_leq(b, M * a).slack < margin:
-            return False
     comp_a = eye - gamma_value * sum(fam.A)
     comp_b = eye - gamma_value * sum(fam.B)
-    for lhs, rhs in [
-        (np.zeros_like(eye), comp_a),
-        (np.zeros_like(eye), comp_b),
-        (m * comp_a, comp_b),
-        (comp_b, M * comp_a),
-    ]:
-        if loewner_leq(lhs, rhs).slack < margin:
-            return False
-    return True
+    gaps = [gap for a, b in zip(fam.A, fam.B) for gap in (b - m * a, M * a - b)]
+    gaps += [comp_a, comp_b, comp_b - m * comp_a, M * comp_a - comp_b]
+    return all(float(_eigvalsh(hermitize(gap))[0]) >= margin for gap in gaps)
 
 
 def scalar_instance(

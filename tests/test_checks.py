@@ -78,6 +78,18 @@ def test_bellman_family_window_guard():
     assert out.witness["guard"] == "window_not_in_unit_interval"
 
 
+def test_pair_mean_conditioning_is_not_applicable():
+    # A_1 = 0 passes the PSD guards but A_1 sigma_f B_1 needs A_1 positive definite
+    inst = InstanceFamily(
+        hypothesis_tag="subidentity_pair_family",
+        A=[np.zeros((2, 2), dtype=complex), 0.3 * identity(2)],
+        B=[0.2 * identity(2), 0.3 * identity(2)],
+    )
+    out = check("bellman_mean", inst, {"f": "geom:0.5", "p": 0.5}, TOL)
+    assert out.status == NOT_APPLICABLE
+    assert out.witness["guard"] == "mean_conditioning"
+
+
 def test_bellman_ratio_affine_collapses_to_equality():
     # with an affine representing function gamma = 1 and both sides coincide
     a, b, lam, p = 0.4, 0.5, 0.3, 0.6

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from opbellman import constants
 from opbellman.errors import ParameterError
 from opbellman.instances import (
+    BASE_CAP,
     GenConfig,
+    InstanceFamily,
+    _scale_limit,
+    _verify_complement_family,
     complement_sandwich_family,
     haar_unitary,
     random_contraction,
@@ -15,8 +20,8 @@ from opbellman.instances import (
     scalar_instance,
     subrng,
 )
-from opbellman.means import arithmetic_w, geometric_w
-from opbellman.spectral import identity, is_contraction, loewner_leq
+from opbellman.means import arithmetic_w, geometric_w, mean
+from opbellman.spectral import hermitize, identity, is_contraction, loewner_leq
 
 
 def test_haar_unitary_properties():
@@ -122,6 +127,140 @@ def test_complement_family_requires_straddling_interval():
     cfg = GenConfig(dim=2, n=1, interval=(0.2, 0.8))
     with pytest.raises(ParameterError):
         complement_sandwich_family(cfg, arithmetic_w(0.5), 1.0, np.random.default_rng(0))
+
+
+# -- complement-sandwich scale: closed form against the former bisection ----
+
+
+def _feasible(s, g, sum_a, sum_b, sum_means, m, M, margin):
+    """The five complement-sandwich constraints on the family scaled by s."""
+    eye = identity(sum_a.shape[0])
+    comp_a = eye - g * s * sum_a
+    comp_b = eye - g * s * sum_b
+    return [
+        float(np.linalg.eigvalsh(hermitize(comp_a))[0]) >= margin,
+        float(np.linalg.eigvalsh(hermitize(comp_b))[0]) >= margin,
+        float(np.linalg.eigvalsh(hermitize(comp_b - m * comp_a))[0]) >= margin,
+        float(np.linalg.eigvalsh(hermitize(M * comp_a - comp_b))[0]) >= margin,
+        g * s * float(np.linalg.eigvalsh(sum_means)[-1]) <= BASE_CAP,
+    ]
+
+
+def _draw_sums(cfg, f, rng):
+    """The draws of one complement_sandwich_family attempt, in its order."""
+    m, M = cfg.interval
+    pairs = [random_sandwich_pair(random_pd(cfg.dim, rng, 0.5, 1.5), m, M, rng) for _ in range(cfg.n)]
+    return pairs, sum(p[0] for p in pairs), sum(p[1] for p in pairs), sum(mean(a, b, f) for a, b in pairs)
+
+
+def _bisected_family_scale(cfg, f, g, rng):
+    """(attempts, scale) of the 60-step bisection the closed form replaced."""
+    m, M = cfg.interval
+    for attempts in range(1, cfg.max_rejects + 1):
+        pairs, sum_a, sum_b, sum_means = _draw_sums(cfg, f, rng)
+
+        def feasible(s):
+            return all(_feasible(s, g, sum_a, sum_b, sum_means, m, M, cfg.margin))
+
+        if feasible(1.0):
+            s = 1.0
+        else:
+            lo, hi = 1e-8, 1.0
+            if not feasible(lo):
+                continue
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if feasible(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            s = lo * (1.0 - 1e-6)
+        fam = InstanceFamily(
+            hypothesis_tag="complement_sandwich_family",
+            A=[hermitize(s * p[0]) for p in pairs],
+            B=[hermitize(s * p[1]) for p in pairs],
+        )
+        if _verify_complement_family(fam, g, m, M, cfg.margin):
+            return attempts, s
+    return None
+
+
+def _scale_draws():
+    f = geometric_w(0.5)
+    gamma_f = constants.gamma(f, 0.5, 2.0).value
+    assert gamma_f > 1.0
+    for dim in range(1, 7):
+        for n in (1, 2, 3):
+            for g in (1.0, gamma_f):
+                for k in range(6):
+                    yield GenConfig(dim=dim, n=n, interval=(0.5, 2.0)), f, g, (dim, n, k)
+
+
+def test_closed_form_scale_matches_bisection():
+    rescaled = 0
+    for cfg, f, g, key in _scale_draws():
+        fam = complement_sandwich_family(cfg, f, g, subrng(31, "scale", *key))
+        ref = _bisected_family_scale(cfg, f, g, subrng(31, "scale", *key))
+        assert fam is not None and ref is not None
+        assert fam.meta["attempts"] == ref[0]
+        assert fam.meta["scale"] == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+        rescaled += fam.meta["scale"] < 1.0
+    assert rescaled >= 100
+
+
+def test_closed_form_scale_is_pinned_from_above():
+    for cfg, f, g, key in _scale_draws():
+        m, M = cfg.interval
+        _, sum_a, sum_b, sum_means = _draw_sums(cfg, f, subrng(32, "pin", *key))
+        s_max = _scale_limit(g, sum_a, sum_b, sum_means, m, M, cfg.margin)
+        assert all(_feasible(s_max * (1.0 - 1e-9), g, sum_a, sum_b, sum_means, m, M, cfg.margin))
+        assert not all(_feasible(s_max * (1.0 + 1e-9), g, sum_a, sum_b, sum_means, m, M, cfg.margin))
+
+
+def test_complement_family_scale_branches():
+    cfg = GenConfig(dim=1, n=1, interval=(0.5, 2.0))
+    f = arithmetic_w(0.5)
+    seen = set()
+    for k in range(40):
+        _, sum_a, sum_b, sum_means = _draw_sums(cfg, f, subrng(33, "branch", k))
+        s_max = _scale_limit(1.0, sum_a, sum_b, sum_means, 0.5, 2.0, cfg.margin)
+        fam = complement_sandwich_family(cfg, f, 1.0, subrng(33, "branch", k))
+        assert fam.meta["attempts"] == 1
+        if s_max >= 1.0:
+            assert fam.meta["scale"] == 1.0
+        else:
+            assert fam.meta["scale"] == s_max * (1.0 - 1e-6)
+        seen.add(s_max >= 1.0)
+    assert seen == {True, False}
+
+
+def test_complement_family_oversized_gamma_is_rejected():
+    cfg = GenConfig(dim=2, n=2, interval=(0.5, 2.0), max_rejects=3)
+    assert complement_sandwich_family(cfg, geometric_w(0.5), 1e10, subrng(34, "gen", 0)) is None
+
+
+#: numpy.linalg calls of one single-attempt complement_sandwich_family at dim 6, n 3.
+FAMILY_CALL_BUDGET = {"eigvalsh": 21, "svd": 12, "eigh": 9, "norm": 9, "qr": 6}
+
+
+def test_complement_family_linalg_call_budget(monkeypatch):
+    counts = dict.fromkeys(FAMILY_CALL_BUDGET, 0)
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            counts[kind] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for kind in counts:
+        monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
+    cfg = GenConfig(dim=6, n=3, interval=(0.5, 2.0))
+    fam = complement_sandwich_family(cfg, geometric_w(0.5), 1.0, subrng(35, "budget", 0))
+    monkeypatch.undo()
+    assert fam is not None and fam.meta["attempts"] == 1
+    over = {k: (counts[k], FAMILY_CALL_BUDGET[k]) for k in counts if counts[k] > FAMILY_CALL_BUDGET[k]}
+    assert not over, f"numpy.linalg calls over budget (count, budget): {over}"
 
 
 def test_generator_determinism():

@@ -17,6 +17,7 @@ from opbellman.spectral import (
     matrix_from_json,
     matrix_to_json,
     power_psd,
+    spectral_norm,
     sqrt_psd,
 )
 
@@ -26,6 +27,17 @@ def test_as_hermitian_symmetrizes_exactly():
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = as_hermitian(x)
     assert np.array_equal(h, h.conj().T)
+
+
+def test_spectral_norm_is_bit_identical_to_numpy_norm():
+    rng = np.random.default_rng(20)
+    for dim in range(1, 7):
+        for _ in range(20):
+            x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            for m in (x, hermitize(x)):
+                assert spectral_norm(m) == float(np.linalg.norm(m, 2))
+        zero = np.zeros((dim, dim), dtype=complex)
+        assert spectral_norm(zero) == float(np.linalg.norm(zero, 2)) == 0.0
 
 
 def test_as_hermitian_rejects_nonsquare():
