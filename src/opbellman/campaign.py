@@ -29,7 +29,6 @@ from .checks import (
 from .errors import ParameterError, WitnessFormatError
 from .instances import (
     EDGE_SHRINK,
-    GenConfig,
     InstanceFamily,
     complement_sandwich_family,
     random_contraction,
@@ -135,28 +134,35 @@ def config_to_json(cfg: CampaignConfig, echo: bool = False) -> dict:
 
 
 def config_from_json(obj: dict) -> CampaignConfig:
+    """Config from its JSON object; a malformed value raises ParameterError
+    naming its key."""
+    if not isinstance(obj, dict):
+        raise ParameterError("config must be a JSON object")
     known = {f.name for f in fields(CampaignConfig)}
     unknown = set(obj) - known
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
     for key, value in obj.items():
-        if key == "tolerance":
-            kwargs[key] = Tolerance(float(value["atol"]), float(value["rtol"]))
-        elif key == "intervals":
-            kwargs[key] = tuple((float(a), float(b)) for a, b in value)
-        elif key in ("dims", "n_values"):
-            kwargs[key] = tuple(int(v) for v in value)
-        elif key in ("p_grid", "lambda_grid"):
-            kwargs[key] = tuple(float(v) for v in value)
-        elif key in ("means", "maps", "checks"):
-            kwargs[key] = tuple(str(v) for v in value)
-        elif key == "out_path":
-            kwargs[key] = None if value is None else str(value)
-        elif key == "format":
-            kwargs[key] = str(value)
-        else:
-            kwargs[key] = int(value)
+        try:
+            if key == "tolerance":
+                kwargs[key] = Tolerance(float(value["atol"]), float(value["rtol"]))
+            elif key == "intervals":
+                kwargs[key] = tuple((float(a), float(b)) for a, b in value)
+            elif key in ("dims", "n_values"):
+                kwargs[key] = tuple(int(v) for v in value)
+            elif key in ("p_grid", "lambda_grid"):
+                kwargs[key] = tuple(float(v) for v in value)
+            elif key in ("means", "maps", "checks"):
+                kwargs[key] = tuple(str(v) for v in value)
+            elif key == "out_path":
+                kwargs[key] = None if value is None else str(value)
+            elif key == "format":
+                kwargs[key] = str(value)
+            else:
+                kwargs[key] = int(value)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParameterError(f"{key}: malformed value {value!r} ({exc})") from None
     cfg = CampaignConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -198,6 +204,10 @@ def build_map(map_id: str, dim: int, rng: np.random.Generator):
 
 
 # -- instance builders --------------------------------------------------------
+#
+# A builder maps (cell, rng) to (instance, draws).  A trial's params are the
+# cell without its instance-shape keys plus the builder's own draws, which
+# never repeat a cell key (see run_check_trial).
 
 
 def _shrunk(m: float, M: float) -> tuple[float, float]:
@@ -205,17 +215,22 @@ def _shrunk(m: float, M: float) -> tuple[float, float]:
     return m + d, M - d
 
 
-def _window_family(cell, rng, n_key="n") -> InstanceFamily:
-    lo, hi = _shrunk(cell["m"], cell["M"])
-    mats = [random_spectrum_matrix(cell["dim"], (lo, hi), rng) for _ in range(cell[n_key])]
-    return InstanceFamily(hypothesis_tag="spectrum_window_family", A=mats)
+def _window_family(per_member_maps: bool):
+    """Weighted family of n spectrum-window matrices with one map, or one
+    map per member when ``per_member_maps``."""
 
+    def build(cell, rng):
+        lo, hi = _shrunk(cell["m"], cell["M"])
+        n, d = cell["n"], cell["dim"]
+        fam = InstanceFamily(
+            hypothesis_tag="spectrum_window_family",
+            A=[random_spectrum_matrix(d, (lo, hi), rng) for _ in range(n)],
+            weights=random_weights(n, rng),
+            maps=[build_map(cell["map"], d, rng) for _ in range(n if per_member_maps else 1)],
+        )
+        return fam, {}
 
-def _build_bellman_map(cell, rng):
-    fam = _window_family(cell, rng)
-    fam.weights = random_weights(cell["n"], rng)
-    fam.maps = [build_map(cell["map"], cell["dim"], rng)]
-    return fam, {"p": cell["p"]}
+    return build
 
 
 def _build_bellman_mean(cell, rng):
@@ -226,7 +241,7 @@ def _build_bellman_mean(cell, rng):
         A=random_subidentity_family(cell["n"], cell["dim"], rng, cap_a),
         B=random_subidentity_family(cell["n"], cell["dim"], rng, cap_b),
     )
-    return fam, {"f": cell["f"], "p": cell["p"]}
+    return fam, {}
 
 
 def _build_window_single(cell, rng):
@@ -237,7 +252,7 @@ def _build_window_single(cell, rng):
         A=[x],
         maps=[build_map(cell["map"], cell["dim"], rng)],
     )
-    return fam, {"f": cell["f"], "m": cell["m"], "M": cell["M"]}
+    return fam, {}
 
 
 def _build_pd_family(cell, rng):
@@ -247,7 +262,7 @@ def _build_pd_family(cell, rng):
         A=[random_pd(d, rng, 0.3, 1.5) for _ in range(n)],
         B=[random_pd(d, rng, 0.3, 1.5) for _ in range(n)],
     )
-    return fam, {"f": cell["f"]}
+    return fam, {}
 
 
 def _build_dominated_family(cell, rng):
@@ -263,7 +278,7 @@ def _build_dominated_family(cell, rng):
             "B_total": sum(b) + random_pd(d, rng, 0.2, 1.0),
         },
     )
-    return fam, {"f": cell["f"]}
+    return fam, {}
 
 
 def _build_pd_contraction_pair(cell, rng):
@@ -273,7 +288,7 @@ def _build_pd_contraction_pair(cell, rng):
         A=[random_spectrum_matrix(d, (0.1, 0.95), rng)],
         B=[random_pd(d, rng, 0.3, 2.0)],
     )
-    return fam, {"f": cell["f"], "p": cell["p"]}
+    return fam, {}
 
 
 def _build_sandwich_pair(cell, rng):
@@ -286,7 +301,7 @@ def _build_sandwich_pair(cell, rng):
         B=[y],
         maps=[build_map(cell["map"], d, rng)],
     )
-    return fam, {"f": cell["f"], "m": cell["m"], "M": cell["M"]}
+    return fam, {}
 
 
 def _build_sandwich_family(cell, rng):
@@ -297,53 +312,26 @@ def _build_sandwich_family(cell, rng):
         A=[p[0] for p in pairs],
         B=[p[1] for p in pairs],
     )
-    return fam, {"f": cell["f"], "m": cell["m"], "M": cell["M"]}
+    return fam, {}
 
 
-def _gen_cfg(cell) -> GenConfig:
-    return GenConfig(
-        dim=cell["dim"],
-        n=cell["n"],
-        interval=(cell["m"], cell["M"]),
-    )
+def _complement_family(mean_id: str, gamma_scaled: bool = False, lam_is_p: bool = False):
+    """Complement-sandwich family for the pairwise mean ``mean_id.format(**cell)``,
+    scaled by gamma_f when ``gamma_scaled``.
 
+    The Aczel-type reverse ties its geometric weight to the exponent: its
+    additive constant is the chord gap of t^p, so the matching mean is the
+    p-weighted geometric one, and ``lam_is_p`` records lam = p as a draw.
+    """
 
-def _build_gamma_complement(cell, rng):
-    f = function_from_id(cell["f"])
-    g = _gamma_cached(f.label, cell["m"], cell["M"])
-    fam = complement_sandwich_family(_gen_cfg(cell), f, g, rng)
-    if fam is None:
-        return None, None
-    return fam, {"f": cell["f"], "m": cell["m"], "M": cell["M"], "p": cell["p"]}
+    def build(cell, rng):
+        m, M = cell["m"], cell["M"]
+        f = function_from_id(mean_id.format(**cell))
+        g = _gamma_cached(f.label, m, M) if gamma_scaled else 1.0
+        fam = complement_sandwich_family(cell["dim"], cell["n"], (m, M), f, g, rng)
+        return fam, {"lam": cell["p"]} if lam_is_p else {}
 
-
-def _build_plain_complement(cell, rng):
-    f = function_from_id(cell["f"])
-    fam = complement_sandwich_family(_gen_cfg(cell), f, 1.0, rng)
-    if fam is None:
-        return None, None
-    return fam, {"f": cell["f"], "m": cell["m"], "M": cell["M"], "p": cell["p"]}
-
-
-def _build_arith_complement(cell, rng):
-    lam = cell["lam"]
-    f = function_from_id(f"arith:{lam:g}")
-    fam = complement_sandwich_family(_gen_cfg(cell), f, 1.0, rng)
-    if fam is None:
-        return None, None
-    return fam, {"lam": lam, "m": cell["m"], "M": cell["M"], "p": cell["p"]}
-
-
-def _build_aczel_complement(cell, rng):
-    # The geometric weight is tied to the exponent: the additive constant in
-    # the Aczel-type reverse is the chord gap of t^p, so the matching mean is
-    # the p-weighted geometric one.
-    p = cell["p"]
-    f = function_from_id(f"geom:{p:g}")
-    fam = complement_sandwich_family(_gen_cfg(cell), f, 1.0, rng)
-    if fam is None:
-        return None, None
-    return fam, {"lam": p, "m": cell["m"], "M": cell["M"], "p": p}
+    return build
 
 
 def _build_contraction_window(cell, rng):
@@ -355,7 +343,7 @@ def _build_contraction_window(cell, rng):
         A=[random_spectrum_matrix(d, (lo, hi), rng)],
         aux={"C": random_contraction(d, rng, kind)},
     )
-    return fam, {"f": cell["f"], "m": cell["m"], "M": cell["M"]}
+    return fam, {}
 
 
 def _build_pd_contraction_sandwich(cell, rng):
@@ -363,56 +351,36 @@ def _build_pd_contraction_sandwich(cell, rng):
     a = random_spectrum_matrix(d, (0.15, 0.9), rng)
     a, b = random_sandwich_pair(a, cell["m"], cell["M"], rng)
     fam = InstanceFamily(hypothesis_tag="pd_contraction_sandwich", A=[a], B=[b])
-    return fam, {"f": cell["f"], "m": cell["m"], "M": cell["M"], "p": cell["p"]}
-
-
-def _build_window_weighted_family(cell, rng):
-    fam = _window_family(cell, rng)
-    fam.weights = random_weights(cell["n"], rng)
-    fam.maps = [build_map(cell["map"], cell["dim"], rng) for _ in range(cell["n"])]
-    return fam, {"f": cell.get("f", "log"), "m": cell["m"], "M": cell["M"], "p": cell.get("p", 0.5)}
-
-
-def _build_log_family(cell, rng):
-    fam = _window_family(cell, rng)
-    fam.weights = random_weights(cell["n"], rng)
-    fam.maps = [build_map(cell["map"], cell["dim"], rng)]
-    return fam, {"m": cell["m"], "M": cell["M"]}
-
-
-def _build_chain_split(cell, rng):
-    fam, params = _build_bellman_mean(cell, rng)
-    params = {"f": cell["f"], "p": cell["p"], "k": cell["k"]}
-    return fam, params
+    return fam, {}
 
 
 def _build_chain_interp(cell, rng):
     fam, _ = _build_bellman_mean(cell, rng)
     t = rng.uniform(0.0, 1.0, size=cell["n"])
-    return fam, {"f": cell["f"], "p": cell["p"], "t": [float(v) for v in t]}
+    return fam, {"t": [float(v) for v in t]}
 
 
 def _build_scalar(kind):
     def build(cell, rng):
         rows = int(rng.integers(1, 4))
         if kind == "bellman":
-            p = float(rng.integers(1, 5))
+            draws = {"p": float(rng.integers(1, 5))}
         elif kind == "aczel":
-            p = 2.0
+            draws = {"p": 2.0}
         elif kind == "popoviciu":
             # The same-exponent product form follows from the Hoelder-type
             # original only for p <= 2; above 2 it admits counterexamples.
-            p = float(rng.uniform(1.0, 2.0))
+            draws = {"p": float(rng.uniform(1.0, 2.0))}
         else:
-            p = cell["p"]
-        inst = scalar_instance(kind, (rows, cell["n"]), p, rng)
-        return inst, {"p": p}
+            draws = {}
+        inst = scalar_instance(kind, (rows, cell["n"]), (cell | draws)["p"], rng)
+        return inst, draws
 
     return build
 
 
 BUILDERS = {
-    "bellman_map": _build_bellman_map,
+    "bellman_map": _window_family(per_member_maps=False),
     "bellman_mean": _build_bellman_mean,
     "jensen_map": _build_window_single,
     "mean_superadditive": _build_pd_family,
@@ -421,19 +389,19 @@ BUILDERS = {
     "jensen_ratio_reverse": _build_window_single,
     "mean_map_ratio_reverse": _build_sandwich_pair,
     "mean_sum_ratio_reverse": _build_sandwich_family,
-    "bellman_ratio_reverse": _build_gamma_complement,
+    "bellman_ratio_reverse": _complement_family("{f}", gamma_scaled=True),
     "compression_ratio_reverse": _build_contraction_window,
     "mean_power_ratio_reverse": _build_pd_contraction_sandwich,
-    "bellman_arith_reverse": _build_arith_complement,
+    "bellman_arith_reverse": _complement_family("arith:{lam:g}"),
     "jensen_diff_reverse": _build_window_single,
     "mean_map_diff_reverse": _build_sandwich_pair,
     "mean_sum_diff_reverse": _build_sandwich_family,
-    "bellman_diff_reverse": _build_plain_complement,
-    "aczel_reverse": _build_aczel_complement,
-    "jensen_family_diff_reverse": _build_window_weighted_family,
-    "bellman_family_reverse": _build_window_weighted_family,
-    "log_family_reverse": _build_log_family,
-    "bellman_chain_split": _build_chain_split,
+    "bellman_diff_reverse": _complement_family("{f}"),
+    "aczel_reverse": _complement_family("geom:{p:g}", lam_is_p=True),
+    "jensen_family_diff_reverse": _window_family(per_member_maps=True),
+    "bellman_family_reverse": _window_family(per_member_maps=True),
+    "log_family_reverse": _window_family(per_member_maps=False),
+    "bellman_chain_split": _build_bellman_mean,
     "bellman_chain_interp": _build_chain_interp,
     "scalar_bellman": _build_scalar("bellman"),
     "scalar_aczel": _build_scalar("aczel"),
@@ -599,11 +567,19 @@ def replay_witness(obj: dict, tol: Tolerance = Tolerance()) -> tuple[CheckOutcom
 # -- campaign execution -------------------------------------------------------
 
 
+#: Cell keys that only shape an instance; no checker reads them.
+_SHAPE_KEYS = ("dim", "n", "map")
+
+
 def run_check_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int):
-    """One seeded trial; returns (outcome, inst, params, provenance)."""
+    """One seeded trial; returns (outcome, inst, params, provenance).
+
+    The params are the cell without its instance-shape keys ``_SHAPE_KEYS``,
+    plus whatever the builder drew itself."""
     cell_key = json.dumps(cell, sort_keys=True)
     rng = subrng(cfg.seed, check_id, cell_key, trial)
-    inst, params = BUILDERS[check_id](cell, rng)
+    inst, draws = BUILDERS[check_id](cell, rng)
+    params = {k: v for k, v in cell.items() if k not in _SHAPE_KEYS} | draws
     provenance = {"seed": cfg.seed, "cell": cell, "trial": trial}
     if inst is None:
         outcome = CheckOutcome(

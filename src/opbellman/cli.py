@@ -22,7 +22,7 @@ from dataclasses import replace
 
 from . import campaign, checks, constants
 from .campaign import CampaignConfig, config_from_json, replay_witness
-from .errors import OpBellmanError, WitnessFormatError
+from .errors import OpBellmanError, ParameterError, WitnessFormatError
 from .means import RepresentingFunction, arithmetic_w, function_from_id, log_fn, power_fn
 from .spectral import Tolerance
 
@@ -235,7 +235,10 @@ def _load_config(args) -> CampaignConfig:
     elif args.config is None or "seed" not in _config_keys(args.config):
         env_seed = os.environ.get("BELLMAN_SEED")
         if env_seed is not None:
-            updates["seed"] = int(env_seed)
+            try:
+                updates["seed"] = int(env_seed)
+            except ValueError:
+                raise ParameterError(f"BELLMAN_SEED: not an integer: {env_seed!r}") from None
     if args.trials is not None:
         updates["trials"] = args.trials
     if args.checks is not None:
@@ -245,11 +248,13 @@ def _load_config(args) -> CampaignConfig:
     if args.format is not None:
         updates["format"] = args.format
     if args.tol_abs is not None or args.tol_rel is not None:
-        tol = Tolerance(
-            atol=args.tol_abs if args.tol_abs is not None else CampaignConfig().tolerance.atol,
-            rtol=args.tol_rel if args.tol_rel is not None else CampaignConfig().tolerance.rtol,
-        )
-        updates["tolerance"] = tol
+        try:
+            updates["tolerance"] = Tolerance(
+                atol=args.tol_abs if args.tol_abs is not None else CampaignConfig().tolerance.atol,
+                rtol=args.tol_rel if args.tol_rel is not None else CampaignConfig().tolerance.rtol,
+            )
+        except ValueError as exc:
+            raise ParameterError(f"tolerance: {exc}") from None
     cfg = replace(cfg, **updates)
     cfg.validate()
     return cfg

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisError, ParameterError, ShapeError
+from .errors import HypothesisError, ParameterError
 from .means import RepresentingFunction, mean
-from .spectral import _eigvalsh, hermitize, identity, loewner_leq, spectral_norm, sqrt_psd
+from .spectral import _eigvalsh, hermitize, identity, spectral_norm, sqrt_psd
 
 #: Hypothesis margin every released instance must clear.
 DEFAULT_MARGIN = 1e-6
@@ -31,6 +31,9 @@ BASE_CAP = 0.9
 #: Smallest family scale a complement-sandwich draw may need before it is rejected.
 MIN_SCALE = 1e-8
 
+#: Complement-sandwich draws that may fail before the generator gives up.
+MAX_REJECTS = 1000
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -43,26 +46,6 @@ def subrng(seed: int, *key) -> np.random.Generator:
         else:
             words.append(int(part) & _MASK64)
     return np.random.default_rng(np.random.SeedSequence(words))
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    """Hypothesis parameters for one generation cell."""
-
-    dim: int = 2
-    n: int = 1
-    interval: tuple[float, float] = (0.5, 2.0)
-    margin: float = DEFAULT_MARGIN
-    max_rejects: int = 1000
-
-    def __post_init__(self):
-        m, M = self.interval
-        if self.dim < 1 or self.n < 1:
-            raise ParameterError("dim and n must be at least 1")
-        if not m < M:
-            raise ParameterError(f"need m < M, got interval {self.interval}")
-        if self.margin <= 0.0:
-            raise ParameterError("margin must be positive")
 
 
 @dataclass
@@ -140,7 +123,8 @@ def random_sandwich_pair(
     """(A, B) with m A <= B <= M A via B = A^{1/2} T A^{1/2}, m I <= T <= M I.
 
     The inner spectrum is shrunk away from m and M so the sandwich holds
-    with a strictly positive margin; both sides are re-verified.
+    with margin at least EDGE_SHRINK (M - m) lambda_min(A); both sides are
+    re-verified from lambda_min(B - m A) and lambda_min(M A - B).
     """
     if not 0.0 < m < M:
         raise ParameterError(f"need 0 < m < M, got m={m}, M={M}")
@@ -148,8 +132,9 @@ def random_sandwich_pair(
     root = sqrt_psd(a)
     t = random_spectrum_matrix(a.shape[0], (m + delta, M - delta), rng)
     b = hermitize(root @ t @ root)
-    if not loewner_leq(m * a, b).holds or not loewner_leq(b, M * a).holds:
-        raise ShapeError("sandwich construction failed verification")  # pragma: no cover
+    for gap in (b - m * a, M * a - b):
+        if float(_eigvalsh(hermitize(gap))[0]) < 0.0:
+            raise HypothesisError("sandwich construction failed verification")
     return a, b
 
 
@@ -214,7 +199,9 @@ def _scale_limit(
 
 
 def complement_sandwich_family(
-    cfg: GenConfig,
+    dim: int,
+    n: int,
+    interval: tuple[float, float],
     f: RepresentingFunction,
     gamma_value: float,
     rng: np.random.Generator,
@@ -228,24 +215,26 @@ def complement_sandwich_family(
     s, so the largest feasible scale s_max has a closed form
     (``_scale_limit``, five eigenvalue calls).  s = 1 when s_max >= 1,
     otherwise s = s_max (1 - 1e-6); a draw with s_max below ``MIN_SCALE``
-    is rejected.  The released family is re-verified.  Returns None once
-    max_rejects draws fail; rejection is data for the campaign report, not
-    an error.
+    is rejected.  The released family is re-verified with ``DEFAULT_MARGIN``.
+    Returns None once ``MAX_REJECTS`` draws fail; rejection is data for the
+    campaign report, not an error.
     """
-    m, M = cfg.interval
+    m, M = interval
+    if dim < 1 or n < 1:
+        raise ParameterError("dim and n must be at least 1")
     if not m < 1.0 < M:
         raise ParameterError(f"complement sandwich needs m < 1 < M, got [{m}, {M}]")
     attempts = 0
-    while attempts < cfg.max_rejects:
+    while attempts < MAX_REJECTS:
         attempts += 1
         pairs = []
-        for _ in range(cfg.n):
-            a = random_pd(cfg.dim, rng, 0.5, 1.5)
+        for _ in range(n):
+            a = random_pd(dim, rng, 0.5, 1.5)
             pairs.append(random_sandwich_pair(a, m, M, rng))
         sum_a = sum(p[0] for p in pairs)
         sum_b = sum(p[1] for p in pairs)
         sum_means = sum(mean(p[0], p[1], f) for p in pairs)
-        s_max = _scale_limit(gamma_value, sum_a, sum_b, sum_means, m, M, cfg.margin)
+        s_max = _scale_limit(gamma_value, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN)
         if s_max < MIN_SCALE:
             continue
         s = 1.0 if s_max >= 1.0 else s_max * (1.0 - 1e-6)
@@ -255,7 +244,7 @@ def complement_sandwich_family(
             B=[hermitize(s * p[1]) for p in pairs],
             meta={"attempts": attempts, "scale": s, "gamma": gamma_value},
         )
-        if _verify_complement_family(family, gamma_value, m, M, cfg.margin):
+        if _verify_complement_family(family, gamma_value, m, M, DEFAULT_MARGIN):
             return family
     return None
 

@@ -102,6 +102,30 @@ def test_default_config_cell_counts():
     assert sum(counts.values()) == 1008
 
 
+#: Params a builder draws itself; every other param is a cell key.
+DRAWN_PARAMS = {
+    "bellman_chain_interp": {"t"},
+    "aczel_reverse": {"lam"},
+    "scalar_bellman": {"p"},
+    "scalar_aczel": {"p"},
+    "scalar_popoviciu": {"p"},
+}
+
+
+def test_trial_params_are_the_cell_plus_declared_draws():
+    cfg = CampaignConfig()
+    for check_id in cfg.checks:
+        drawn = DRAWN_PARAMS.get(check_id, set())
+        for cell in campaign.expand_cells(check_id, cfg):
+            _, inst, params, _ = run_check_trial(check_id, cell, cfg, 0)
+            assert inst is not None
+            from_cell = {k: v for k, v in cell.items() if k not in ("dim", "n", "map")}
+            assert set(params) == set(from_cell) | drawn, (check_id, cell)
+            assert {k: params[k] for k in from_cell} == from_cell, (check_id, cell)
+            if check_id == "aczel_reverse":
+                assert params["lam"] == cell["p"]
+
+
 def test_empty_config_file_gives_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("")
@@ -260,6 +284,28 @@ def test_cli_run_bad_config_exit_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "p_grid[0]" in captured.err
+
+
+@pytest.mark.parametrize(
+    "config,env_seed,flags,message",
+    [
+        ({"trials": "x"}, None, [], "trials: "),
+        ({"intervals": [[1]]}, None, [], "intervals: "),
+        ({"tolerance": {"atol": -1, "rtol": 0}}, None, [], "tolerance: "),
+        ({}, "abc", [], "BELLMAN_SEED: "),
+        (5, None, [], "config must be a JSON object"),
+        ({}, None, ["--tol-abs", "-1"], "tolerance: "),
+    ],
+)
+def test_cli_run_malformed_config_value_exit_one(tmp_path, capsys, monkeypatch, config, env_seed, flags, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.delenv("BELLMAN_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("BELLMAN_SEED", env_seed)
+    code = cli.main(["run", "--config", str(path), "--checks", "scalar_aczel", "--trials", "1", *flags])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_cli_run_violation_exit_two(tmp_path, monkeypatch):

@@ -6,8 +6,8 @@ from opbellman.campaign import CampaignConfig, run_check_trial
 from opbellman.checks import HOLDS, NOT_APPLICABLE, VIOLATED, check
 from opbellman.errors import ParameterError
 from opbellman.instances import InstanceFamily, random_pd, random_sandwich_pair, subrng
-from opbellman.means import geometric_w
-from opbellman.positive_maps import IdentityMap
+from opbellman.means import function_from_id, geometric_w
+from opbellman.positive_maps import Compression, IdentityMap
 from opbellman.scalar_refs import reference_slack
 from opbellman.spectral import Tolerance, identity
 
@@ -432,12 +432,11 @@ def test_outcome_replay_is_deterministic():
 def test_affine_scaling_consistency_on_shared_instance():
     # with an affine weight the ratio constant is 1, so the reverse and the
     # forward mean-Bellman checks must agree on one and the same family
-    from opbellman.instances import GenConfig, complement_sandwich_family
+    from opbellman.instances import complement_sandwich_family
     from opbellman.means import arithmetic_w
 
     rng = subrng(5150, "shared", 0)
-    cfg = GenConfig(dim=3, n=2, interval=(0.5, 2.0))
-    fam = complement_sandwich_family(cfg, arithmetic_w(0.4), 1.0, rng)
+    fam = complement_sandwich_family(3, 2, (0.5, 2.0), arithmetic_w(0.4), 1.0, rng)
     assert fam is not None
     reverse = check(
         "bellman_ratio_reverse", fam, {"f": "arith:0.4", "m": 0.5, "M": 2.0, "p": 0.5}, TOL
@@ -445,3 +444,48 @@ def test_affine_scaling_consistency_on_shared_instance():
     forward = check("bellman_mean", fam, {"f": "arith:0.4", "p": 0.5}, TOL)
     assert reverse.status == HOLDS and abs(reverse.slack) <= 1e-12
     assert forward.status == HOLDS and forward.slack >= -1e-13
+
+
+# -- equality cases: the reverse constants are pinned from above ---------------
+
+
+def _equality_instance(m, M, t_star):
+    """A = diag(m, M) with Phi(X) = v* X v, v = (sqrt(theta), sqrt(1 - theta)),
+    theta m + (1 - theta) M = t_star: Phi(g(A)) is the chord of g at t_star
+    and g(Phi(A)) = g(t_star), so a sharp constant leaves zero slack."""
+    theta = (M - t_star) / (M - m)
+    v = np.array([[np.sqrt(theta)], [np.sqrt(1.0 - theta)]], dtype=complex)
+    return InstanceFamily(
+        hypothesis_tag="equality_case",
+        A=[np.diag([m, M]).astype(complex)],
+        weights=np.array([1.0]),
+        maps=[Compression(v)],
+    )
+
+
+@pytest.mark.parametrize("m,M", [(0.0, 0.5), (0.1, 0.9), (0.2, 0.6), (0.5, 0.99)])
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_bellman_family_reverse_is_sharp(m, M, p):
+    inst = _equality_instance(m, M, constants.delta_bellman(m, M, p).argmax)
+    out = check("bellman_family_reverse", inst, {"m": m, "M": M, "p": p}, TOL)
+    assert out.status == HOLDS and -1e-12 <= out.slack <= 1e-12
+
+
+@pytest.mark.parametrize("check_id,constant", [
+    ("jensen_ratio_reverse", constants.gamma),
+    ("jensen_diff_reverse", constants.beta),
+    ("jensen_family_diff_reverse", constants.beta),
+])
+@pytest.mark.parametrize("fid", ["geom:0.3", "power:0.7", "log"])
+@pytest.mark.parametrize("m,M", [(1.5, 4.0), (2.0, 9.0), (1.1, 30.0)])
+def test_jensen_reverses_are_sharp(check_id, constant, fid, m, M):
+    inst = _equality_instance(m, M, constant(function_from_id(fid), m, M).argmax)
+    out = check(check_id, inst, {"f": fid, "m": m, "M": M}, TOL)
+    assert out.status == HOLDS and -1e-12 <= out.slack <= 1e-12
+
+
+@pytest.mark.parametrize("m,M", [(0.5, 2.0), (1.0, 4.0), (0.1, 30.0)])
+def test_log_family_reverse_is_sharp(m, M):
+    inst = _equality_instance(m, M, constants.beta_log(m, M).argmax)
+    out = check("log_family_reverse", inst, {"m": m, "M": M}, TOL)
+    assert out.status == HOLDS and -1e-12 <= out.slack <= 1e-12

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from opbellman import constants
-from opbellman.errors import ParameterError
+from opbellman import constants, instances
+from opbellman.errors import HypothesisError, ParameterError
 from opbellman.instances import (
     BASE_CAP,
-    GenConfig,
+    DEFAULT_MARGIN,
+    MAX_REJECTS,
     InstanceFamily,
     _scale_limit,
     _verify_complement_family,
@@ -73,6 +74,13 @@ def test_sandwich_pair_verified():
         assert loewner_leq(b, 2.0 * a).slack >= 0
 
 
+def test_sandwich_pair_rejects_a_failed_construction(monkeypatch):
+    # an inner spectrum outside [m, M] must not be released
+    monkeypatch.setattr(instances, "random_spectrum_matrix", lambda dim, interval, rng: 2.5 * identity(dim))
+    with pytest.raises(HypothesisError):
+        random_sandwich_pair(identity(2), 0.5, 2.0, np.random.default_rng(0))
+
+
 def test_sandwich_scalar_case():
     rng = np.random.default_rng(5)
     a = np.array([[1.7]], dtype=complex)
@@ -101,32 +109,35 @@ def test_random_weights():
 
 
 def test_complement_family_scalar_affine_accepted():
-    cfg = GenConfig(dim=1, n=1, interval=(0.5, 2.0))
     rng = subrng(11, "gen", 0)
-    fam = complement_sandwich_family(cfg, arithmetic_w(0.5), 1.0, rng)
+    fam = complement_sandwich_family(1, 1, (0.5, 2.0), arithmetic_w(0.5), 1.0, rng)
     assert fam is not None
     assert fam.meta["attempts"] >= 1
 
 
 def test_complement_family_hypotheses_reverified():
     rng = subrng(12, "gen", 1)
-    cfg = GenConfig(dim=3, n=2, interval=(0.5, 2.0))
-    fam = complement_sandwich_family(cfg, geometric_w(0.5), 1.1, rng)
+    fam = complement_sandwich_family(3, 2, (0.5, 2.0), geometric_w(0.5), 1.1, rng)
     assert fam is not None
     eye = identity(3)
     for a, b in zip(fam.A, fam.B):
-        assert loewner_leq(0.5 * a, b).slack >= cfg.margin
-        assert loewner_leq(b, 2.0 * a).slack >= cfg.margin
+        assert loewner_leq(0.5 * a, b).slack >= DEFAULT_MARGIN
+        assert loewner_leq(b, 2.0 * a).slack >= DEFAULT_MARGIN
     comp_a = eye - 1.1 * sum(fam.A)
     comp_b = eye - 1.1 * sum(fam.B)
-    assert loewner_leq(0.5 * comp_a, comp_b).slack >= cfg.margin
-    assert loewner_leq(comp_b, 2.0 * comp_a).slack >= cfg.margin
+    assert loewner_leq(0.5 * comp_a, comp_b).slack >= DEFAULT_MARGIN
+    assert loewner_leq(comp_b, 2.0 * comp_a).slack >= DEFAULT_MARGIN
 
 
 def test_complement_family_requires_straddling_interval():
-    cfg = GenConfig(dim=2, n=1, interval=(0.2, 0.8))
     with pytest.raises(ParameterError):
-        complement_sandwich_family(cfg, arithmetic_w(0.5), 1.0, np.random.default_rng(0))
+        complement_sandwich_family(2, 1, (0.2, 0.8), arithmetic_w(0.5), 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("dim,n,interval", [(0, 1, (0.5, 2.0)), (2, 0, (0.5, 2.0)), (2, 1, (2.0, 0.5))])
+def test_complement_family_input_checks(dim, n, interval):
+    with pytest.raises(ParameterError):
+        complement_sandwich_family(dim, n, interval, arithmetic_w(0.5), 1.0, np.random.default_rng(0))
 
 
 # -- complement-sandwich scale: closed form against the former bisection ----
@@ -146,21 +157,22 @@ def _feasible(s, g, sum_a, sum_b, sum_means, m, M, margin):
     ]
 
 
-def _draw_sums(cfg, f, rng):
-    """The draws of one complement_sandwich_family attempt, in its order."""
-    m, M = cfg.interval
-    pairs = [random_sandwich_pair(random_pd(cfg.dim, rng, 0.5, 1.5), m, M, rng) for _ in range(cfg.n)]
+def _draw_sums(shape, f, rng):
+    """The draws of one complement_sandwich_family attempt, in its order;
+    ``shape`` is its (dim, n, interval)."""
+    dim, n, (m, M) = shape
+    pairs = [random_sandwich_pair(random_pd(dim, rng, 0.5, 1.5), m, M, rng) for _ in range(n)]
     return pairs, sum(p[0] for p in pairs), sum(p[1] for p in pairs), sum(mean(a, b, f) for a, b in pairs)
 
 
-def _bisected_family_scale(cfg, f, g, rng):
+def _bisected_family_scale(shape, f, g, rng):
     """(attempts, scale) of the 60-step bisection the closed form replaced."""
-    m, M = cfg.interval
-    for attempts in range(1, cfg.max_rejects + 1):
-        pairs, sum_a, sum_b, sum_means = _draw_sums(cfg, f, rng)
+    m, M = shape[2]
+    for attempts in range(1, MAX_REJECTS + 1):
+        pairs, sum_a, sum_b, sum_means = _draw_sums(shape, f, rng)
 
         def feasible(s):
-            return all(_feasible(s, g, sum_a, sum_b, sum_means, m, M, cfg.margin))
+            return all(_feasible(s, g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN))
 
         if feasible(1.0):
             s = 1.0
@@ -180,7 +192,7 @@ def _bisected_family_scale(cfg, f, g, rng):
             A=[hermitize(s * p[0]) for p in pairs],
             B=[hermitize(s * p[1]) for p in pairs],
         )
-        if _verify_complement_family(fam, g, m, M, cfg.margin):
+        if _verify_complement_family(fam, g, m, M, DEFAULT_MARGIN):
             return attempts, s
     return None
 
@@ -193,14 +205,14 @@ def _scale_draws():
         for n in (1, 2, 3):
             for g in (1.0, gamma_f):
                 for k in range(6):
-                    yield GenConfig(dim=dim, n=n, interval=(0.5, 2.0)), f, g, (dim, n, k)
+                    yield (dim, n, (0.5, 2.0)), f, g, (dim, n, k)
 
 
 def test_closed_form_scale_matches_bisection():
     rescaled = 0
-    for cfg, f, g, key in _scale_draws():
-        fam = complement_sandwich_family(cfg, f, g, subrng(31, "scale", *key))
-        ref = _bisected_family_scale(cfg, f, g, subrng(31, "scale", *key))
+    for shape, f, g, key in _scale_draws():
+        fam = complement_sandwich_family(*shape, f, g, subrng(31, "scale", *key))
+        ref = _bisected_family_scale(shape, f, g, subrng(31, "scale", *key))
         assert fam is not None and ref is not None
         assert fam.meta["attempts"] == ref[0]
         assert fam.meta["scale"] == pytest.approx(ref[1], rel=1e-12, abs=0.0)
@@ -209,22 +221,22 @@ def test_closed_form_scale_matches_bisection():
 
 
 def test_closed_form_scale_is_pinned_from_above():
-    for cfg, f, g, key in _scale_draws():
-        m, M = cfg.interval
-        _, sum_a, sum_b, sum_means = _draw_sums(cfg, f, subrng(32, "pin", *key))
-        s_max = _scale_limit(g, sum_a, sum_b, sum_means, m, M, cfg.margin)
-        assert all(_feasible(s_max * (1.0 - 1e-9), g, sum_a, sum_b, sum_means, m, M, cfg.margin))
-        assert not all(_feasible(s_max * (1.0 + 1e-9), g, sum_a, sum_b, sum_means, m, M, cfg.margin))
+    for shape, f, g, key in _scale_draws():
+        m, M = shape[2]
+        _, sum_a, sum_b, sum_means = _draw_sums(shape, f, subrng(32, "pin", *key))
+        s_max = _scale_limit(g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN)
+        assert all(_feasible(s_max * (1.0 - 1e-9), g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN))
+        assert not all(_feasible(s_max * (1.0 + 1e-9), g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN))
 
 
 def test_complement_family_scale_branches():
-    cfg = GenConfig(dim=1, n=1, interval=(0.5, 2.0))
+    shape = (1, 1, (0.5, 2.0))
     f = arithmetic_w(0.5)
     seen = set()
     for k in range(40):
-        _, sum_a, sum_b, sum_means = _draw_sums(cfg, f, subrng(33, "branch", k))
-        s_max = _scale_limit(1.0, sum_a, sum_b, sum_means, 0.5, 2.0, cfg.margin)
-        fam = complement_sandwich_family(cfg, f, 1.0, subrng(33, "branch", k))
+        _, sum_a, sum_b, sum_means = _draw_sums(shape, f, subrng(33, "branch", k))
+        s_max = _scale_limit(1.0, sum_a, sum_b, sum_means, 0.5, 2.0, DEFAULT_MARGIN)
+        fam = complement_sandwich_family(*shape, f, 1.0, subrng(33, "branch", k))
         assert fam.meta["attempts"] == 1
         if s_max >= 1.0:
             assert fam.meta["scale"] == 1.0
@@ -234,13 +246,13 @@ def test_complement_family_scale_branches():
     assert seen == {True, False}
 
 
-def test_complement_family_oversized_gamma_is_rejected():
-    cfg = GenConfig(dim=2, n=2, interval=(0.5, 2.0), max_rejects=3)
-    assert complement_sandwich_family(cfg, geometric_w(0.5), 1e10, subrng(34, "gen", 0)) is None
+def test_complement_family_oversized_gamma_is_rejected(monkeypatch):
+    monkeypatch.setattr(instances, "MAX_REJECTS", 3)
+    assert complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), 1e10, subrng(34, "gen", 0)) is None
 
 
 #: numpy.linalg calls of one single-attempt complement_sandwich_family at dim 6, n 3.
-FAMILY_CALL_BUDGET = {"eigvalsh": 21, "svd": 12, "eigh": 9, "norm": 9, "qr": 6}
+FAMILY_CALL_BUDGET = {"eigvalsh": 21, "svd": 0, "eigh": 9, "norm": 9, "qr": 6}
 
 
 def test_complement_family_linalg_call_budget(monkeypatch):
@@ -255,8 +267,7 @@ def test_complement_family_linalg_call_budget(monkeypatch):
 
     for kind in counts:
         monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
-    cfg = GenConfig(dim=6, n=3, interval=(0.5, 2.0))
-    fam = complement_sandwich_family(cfg, geometric_w(0.5), 1.0, subrng(35, "budget", 0))
+    fam = complement_sandwich_family(6, 3, (0.5, 2.0), geometric_w(0.5), 1.0, subrng(35, "budget", 0))
     monkeypatch.undo()
     assert fam is not None and fam.meta["attempts"] == 1
     over = {k: (counts[k], FAMILY_CALL_BUDGET[k]) for k in counts if counts[k] > FAMILY_CALL_BUDGET[k]}
