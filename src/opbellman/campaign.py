@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from statistics import median
 
@@ -133,6 +134,13 @@ def config_to_json(cfg: CampaignConfig, echo: bool = False) -> dict:
     return out
 
 
+def _strict_int(value) -> int:
+    """An integer config value; refuses fractions and booleans instead of truncating."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_json(obj: dict) -> CampaignConfig:
     """Config from its JSON object; a malformed value raises ParameterError
     naming its key."""
@@ -150,7 +158,7 @@ def config_from_json(obj: dict) -> CampaignConfig:
             elif key == "intervals":
                 kwargs[key] = tuple((float(a), float(b)) for a, b in value)
             elif key in ("dims", "n_values"):
-                kwargs[key] = tuple(int(v) for v in value)
+                kwargs[key] = tuple(_strict_int(v) for v in value)
             elif key in ("p_grid", "lambda_grid"):
                 kwargs[key] = tuple(float(v) for v in value)
             elif key in ("means", "maps", "checks"):
@@ -160,7 +168,7 @@ def config_from_json(obj: dict) -> CampaignConfig:
             elif key == "format":
                 kwargs[key] = str(value)
             else:
-                kwargs[key] = int(value)
+                kwargs[key] = _strict_int(value)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"{key}: malformed value {value!r} ({exc})") from None
     cfg = CampaignConfig(**kwargs)

@@ -44,6 +44,7 @@ from .spectral import (
     eig,
     hermitize,
     identity,
+    loewner_holds,
     loewner_leq,
 )
 
@@ -204,19 +205,19 @@ def _log_guarded(base, tol: Tolerance, guard: str):
 def _guard_window(mats, m, M, tol, name="spectrum_window"):
     eye = identity(mats[0].shape[0])
     for a in mats:
-        _require(loewner_leq(m * eye, a, tol).holds, f"{name}_below_m")
-        _require(loewner_leq(a, M * eye, tol).holds, f"{name}_above_M")
+        _require(loewner_holds(m * eye, a, tol), f"{name}_below_m")
+        _require(loewner_holds(a, M * eye, tol), f"{name}_above_M")
 
 
 def _guard_pair_sandwich(pairs, m, M, tol, name="pair_sandwich"):
     for a, b in pairs:
-        _require(loewner_leq(m * a, b, tol).holds, f"{name}_lower")
-        _require(loewner_leq(b, M * a, tol).holds, f"{name}_upper")
+        _require(loewner_holds(m * a, b, tol), f"{name}_lower")
+        _require(loewner_holds(b, M * a, tol), f"{name}_upper")
 
 
 def _guard_psd(x, tol, guard):
     zero = np.zeros_like(x)
-    _require(loewner_leq(zero, x, tol).holds, guard)
+    _require(loewner_holds(zero, x, tol), guard)
 
 
 def _guard_pd_floor(x, guard, rel_floor=1e-7):
@@ -238,8 +239,8 @@ def _complement_prologue(inst, m, M, tol, f=None):
     comp_b = hermitize(eye - g * sum(inst.B))
     _guard_pd_floor(comp_a, "complement_a_not_pd")
     _guard_pd_floor(comp_b, "complement_b_not_pd")
-    _require(loewner_leq(m * comp_a, comp_b, tol).holds, "complement_sandwich_lower")
-    _require(loewner_leq(comp_b, M * comp_a, tol).holds, "complement_sandwich_upper")
+    _require(loewner_holds(m * comp_a, comp_b, tol), "complement_sandwich_lower")
+    _require(loewner_holds(comp_b, M * comp_a, tol), "complement_sandwich_upper")
     return g, eye, hermitize(eye - sum(inst.A)), hermitize(eye - sum(inst.B))
 
 
@@ -500,22 +501,21 @@ def check_bellman_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
 )
 def check_compression_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """gamma_f [C* f(X) C + f(m)(I - C*C)] >= f(C* X C) for a contraction C."""
-    from .spectral import is_contraction
-
     f = _resolve_f(params)
     m, M = params["m"], params["M"]
     x = inst.A[0]
     c = inst.aux["C"]
-    _require(is_contraction(c, tol).holds, "not_a_contraction")
+    eye = identity(x.shape[0])
+    gram = c.conj().T @ c
+    _require(loewner_holds(hermitize(gram), eye, tol), "not_a_contraction")
     _require(f.operator_monotone, "not_operator_monotone")
     _guard_window([x], m, M, tol)
     g = _gamma_guarded(f, m, M)
-    eye = identity(x.shape[0])
     compressed = hermitize(c.conj().T @ x @ c)
     dominated = _fcalc_g(compressed, f, "compressed_spectrum_outside_domain")
     fm = float(f(m))
     dominant = hermitize(
-        g * (c.conj().T @ _fcalc_g(x, f, "function_domain") @ c + fm * (eye - c.conj().T @ c))
+        g * (c.conj().T @ _fcalc_g(x, f, "function_domain") @ c + fm * (eye - gram))
     )
     return dominant, dominated
 

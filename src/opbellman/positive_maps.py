@@ -20,7 +20,7 @@ from .spectral import (
     Tolerance,
     hermitize,
     identity,
-    loewner_leq,
+    loewner_holds,
     spectral_norm,
 )
 
@@ -324,7 +324,6 @@ def check_positive(
     for _ in range(samples):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         psd = hermitize(g @ g.conj().T)
-        verdict = loewner_leq(zero, hermitize(spec.apply(psd)), tol)
-        if not verdict.holds:
+        if not loewner_holds(zero, hermitize(spec.apply(psd)), tol):
             return False
     return True

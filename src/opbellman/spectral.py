@@ -200,6 +200,25 @@ def loewner_leq(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> O
     return OrderVerdict(holds=slack >= -tol.margin(scale), slack=slack, scale=scale)
 
 
+def loewner_holds(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """``loewner_leq(x, y, tol).holds``, sizing the tolerance only when it matters.
+
+    The margin atol + rtol * scale is never negative, so a slack >= 0 holds
+    whatever the scale; the two spectral norms are taken only for a negative
+    slack.  A NaN slack does not hold.  A non-finite difference also takes
+    the full path: ``eigvalsh`` can return finite eigenvalues for it.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if x.shape != y.shape:
+        raise ShapeError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    diff = hermitize(y - x)
+    slack = float(_eigvalsh(diff)[0])
+    if slack >= 0.0 and np.isfinite(diff).all():
+        return True
+    return slack >= -tol.margin(max(spectral_norm(x), spectral_norm(y)))
+
+
 def is_contraction(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> OrderVerdict:
     """Verdict for A*A <= I."""
     a = np.asarray(a, dtype=complex)

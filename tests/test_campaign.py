@@ -295,6 +295,11 @@ def test_cli_run_bad_config_exit_one(tmp_path, capsys):
         ({}, "abc", [], "BELLMAN_SEED: "),
         (5, None, [], "config must be a JSON object"),
         ({}, None, ["--tol-abs", "-1"], "tolerance: "),
+        ({"trials": 2.7}, None, [], "trials: "),
+        ({"trials": True}, None, [], "trials: "),
+        ({"seed": 3.9}, None, [], "seed: "),
+        ({"dims": [1.9]}, None, [], "dims: "),
+        ({"n_values": [False]}, None, [], "n_values: "),
     ],
 )
 def test_cli_run_malformed_config_value_exit_one(tmp_path, capsys, monkeypatch, config, env_seed, flags, message):

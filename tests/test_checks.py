@@ -489,3 +489,74 @@ def test_log_family_reverse_is_sharp(m, M):
     inst = _equality_instance(m, M, constants.beta_log(m, M).argmax)
     out = check("log_family_reverse", inst, {"m": m, "M": M}, TOL)
     assert out.status == HOLDS and -1e-12 <= out.slack <= 1e-12
+
+
+def _mean_equality_instance(check_id, m, M, t_star):
+    """A sigma_f B = f(B) when A = I.  The map reverses take A = I_2,
+    B = diag(m, M) and the compression of ``_equality_instance``; the sum
+    reverses take the dim-1 pairs (theta, theta m) and (1 - theta, (1 - theta) M).
+    Either way the mean side is the chord of f at t_star and the other side
+    is f(t_star), so a sharp constant leaves zero slack."""
+    if check_id.startswith("mean_map"):
+        probe = _equality_instance(m, M, t_star)
+        return InstanceFamily(hypothesis_tag="equality_case", A=[identity(2)], B=probe.A, maps=probe.maps)
+    theta = (M - t_star) / (M - m)
+    return InstanceFamily(
+        hypothesis_tag="equality_case",
+        A=[_mat(theta), _mat(1.0 - theta)],
+        B=[_mat(theta * m), _mat((1.0 - theta) * M)],
+    )
+
+
+@pytest.mark.parametrize("check_id,constant", [
+    ("mean_map_ratio_reverse", constants.gamma),
+    ("mean_map_diff_reverse", constants.beta),
+    ("mean_sum_ratio_reverse", constants.gamma),
+    ("mean_sum_diff_reverse", constants.beta),
+])
+@pytest.mark.parametrize("fid", ["geom:0.3", "geom:0.5", "power:0.7"])
+@pytest.mark.parametrize("m,M", [(0.5, 2.0), (0.2, 5.0), (1.5, 4.0), (0.1, 30.0)])
+def test_mean_reverses_are_sharp(check_id, constant, fid, m, M):
+    inst = _mean_equality_instance(check_id, m, M, constant(function_from_id(fid), m, M).argmax)
+    out = check(check_id, inst, {"f": fid, "m": m, "M": M}, TOL)
+    assert out.status == HOLDS and -1e-12 <= out.slack <= 1e-12
+
+
+# -- linear-algebra budget of the checks -----------------------------------------
+
+
+@pytest.mark.parametrize("check_id", checks.OPERATOR_IDS)
+def test_check_svd_budget_per_trial(check_id, monkeypatch):
+    # the final comparison sizes its tolerance with two spectral norms (two
+    # per link of a chain); hypothesis guards that hold take none
+    budget = 4 if check_id in checks.CHAIN_IDS else 2
+    svd, norm, run = np.linalg.svd, np.linalg.norm, checks.check
+    state = {"in_check": False, "svds": 0}
+
+    def counted_svd(*args, **kwargs):
+        state["svds"] += state["in_check"]
+        return svd(*args, **kwargs)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        state["svds"] += state["in_check"] and ord == 2
+        return norm(x, ord, *args, **kwargs)
+
+    def counted_check(*args, **kwargs):
+        state["in_check"] = True
+        try:
+            return run(*args, **kwargs)
+        finally:
+            state["in_check"] = False
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    monkeypatch.setattr(checks, "check", counted_check)
+    cfg = CampaignConfig(seed=11)
+    counted = 0
+    for cell in campaign.expand_cells(check_id, cfg):
+        for trial in range(cfg.trials):
+            state["svds"] = 0
+            run_check_trial(check_id, cell, cfg, trial)
+            assert state["svds"] <= budget, (cell, trial, state["svds"])
+            counted += state["svds"]
+    assert counted > 0

@@ -13,6 +13,7 @@ from opbellman.spectral import (
     identity,
     inv_sqrt_psd,
     is_contraction,
+    loewner_holds,
     loewner_leq,
     matrix_from_json,
     matrix_to_json,
@@ -108,6 +109,44 @@ def test_loewner_examples():
 def test_loewner_dimension_mismatch():
     with pytest.raises(ShapeError):
         loewner_leq(np.eye(2), np.eye(3))
+    with pytest.raises(ShapeError):
+        loewner_holds(np.eye(2), np.eye(3))
+
+
+def test_loewner_holds_equals_loewner_leq_verdict():
+    # slacks on every side of the margin: positive, exactly zero, negative
+    # within the margin (holds only through the tolerance) and beyond it
+    rng = np.random.default_rng(21)
+    within_margin_holds = 0
+    for tol in (Tolerance(), Tolerance(atol=1e-6, rtol=1e-8), Tolerance(0.0, 0.0)):
+        for dim in range(1, 7):
+            for _ in range(12):
+                x = as_hermitian(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+                x = x * 10.0 ** rng.uniform(-3, 3)
+                margin = tol.margin(spectral_norm(x))
+                shifts = (
+                    rng.uniform(0.1, 2.0) * random_pd(dim, rng),
+                    np.zeros((dim, dim), dtype=complex),
+                    -0.5 * margin * identity(dim),
+                    -max(10.0 * margin, 1e-3) * identity(dim),
+                )
+                for shift in shifts:
+                    y = x + shift
+                    for a, b in ((x, y), (y, x)):
+                        want = loewner_leq(a, b, tol)
+                        assert loewner_holds(a, b, tol) is want.holds, (tol, dim, want)
+                        within_margin_holds += want.holds and want.slack < 0.0
+    assert within_margin_holds > 0
+
+
+def test_loewner_holds_non_finite_operands_take_the_full_path():
+    # eigvalsh(diag(0, nan)) returns finite eigenvalues; the verdict must not
+    # be a "holds" that the tolerance path would have refused
+    nan_entry = np.diag([1.0, np.nan])
+    with pytest.raises(np.linalg.LinAlgError):
+        loewner_leq(nan_entry, np.eye(2))
+    with pytest.raises(np.linalg.LinAlgError):
+        loewner_holds(nan_entry, np.eye(2))
 
 
 def test_contraction_examples():
