@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 
 from .checks import CheckOutcome, check, registry_listing  # noqa: E402
 from .constants import (  # noqa: E402
-    Chord,
     ConstantResult,
     beta,
     beta_log,
-    chord,
     delta_bellman,
     delta_affine_power,
     gamma,
@@ -34,18 +32,14 @@ from .means import (  # noqa: E402
     power_fn,
     powered,
     weighted_arithmetic,
-    weighted_geometric,
 )
 from .spectral import (  # noqa: E402
     OrderVerdict,
     SpectralDecomposition,
     Tolerance,
     apply_function,
-    as_hermitian,
     eig,
     hermitize,
-    inv_sqrt_psd,
-    is_contraction,
     loewner_leq,
     power_psd,
     sqrt_psd,
@@ -53,7 +47,6 @@ from .spectral import (  # noqa: E402
 
 __all__ = [
     "CheckOutcome",
-    "Chord",
     "ConstantResult",
     "OrderVerdict",
     "RepresentingFunction",
@@ -61,11 +54,9 @@ __all__ = [
     "Tolerance",
     "apply_function",
     "arithmetic_w",
-    "as_hermitian",
     "beta",
     "beta_log",
     "check",
-    "chord",
     "composed",
     "delta_bellman",
     "delta_affine_power",
@@ -75,8 +66,6 @@ __all__ = [
     "gamma_power",
     "geometric_w",
     "hermitize",
-    "inv_sqrt_psd",
-    "is_contraction",
     "loewner_leq",
     "log_fn",
     "log_mean",
@@ -88,6 +77,5 @@ __all__ = [
     "sqrt_psd",
     "t_star",
     "weighted_arithmetic",
-    "weighted_geometric",
     "zeta_aczel",
 ]

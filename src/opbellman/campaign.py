@@ -27,6 +27,7 @@ from .checks import (
     CheckOutcome,
     _gamma_cached,
 )
+from .constants import P_MIN
 from .errors import ParameterError, WitnessFormatError
 from .instances import (
     EDGE_SHRINK,
@@ -90,16 +91,25 @@ class CampaignConfig:
             if n < 1:
                 raise ParameterError(f"n_values[{i}]={n}: must be >= 1")
         for i, (m, M) in enumerate(self.intervals):
+            if not (math.isfinite(m) and math.isfinite(M)):
+                raise ParameterError(f"intervals[{i}]=({m}, {M}): endpoints must be finite")
             if not m < M:
                 raise ParameterError(f"intervals[{i}]=({m}, {M}): need m < M")
         for i, p in enumerate(self.p_grid):
-            if not 0.0 < p < 1.0:
-                raise ParameterError(f"p_grid[{i}]={p}: must be in (0, 1)")
+            if not P_MIN <= p <= 1.0 - P_MIN:
+                raise ParameterError(f"p_grid[{i}]={p}: must be in [{P_MIN}, {1.0 - P_MIN}]")
         for i, lam in enumerate(self.lambda_grid):
             if not 0.0 < lam < 1.0:
                 raise ParameterError(f"lambda_grid[{i}]={lam}: must be in (0, 1)")
         for i, fid in enumerate(self.means):
-            function_from_id(fid)  # raises ParameterError with the culprit
+            try:
+                f = function_from_id(fid)
+            except ParameterError as exc:
+                raise ParameterError(f"means[{i}]: {exc}") from None
+            if not (f.normalized and f.operator_monotone):
+                raise ParameterError(
+                    f"means[{i}]: {fid!r} is not a mean: needs f(1) = 1 and f operator monotone"
+                )
         for i, map_id in enumerate(self.maps):
             try:
                 _parse_map_id(map_id)
@@ -421,7 +431,7 @@ BUILDERS = {
 
 def _interval_matches(kind: str, m: float, M: float) -> bool:
     if kind == "sandwich":
-        return m < 1.0 < M
+        return 0.0 < m < 1.0 < M
     if kind == "unit":
         return 0.0 <= m < M < 1.0
     if kind == "positive":

@@ -35,7 +35,6 @@ from .means import (
     powered,
     weighted_arithmetic,
 )
-from .positive_maps import WeightedFamily, block_diag
 from .spectral import (
     DEFAULT_TOL,
     Tolerance,
@@ -193,6 +192,15 @@ def _power_guarded(base, p: float, tol: Tolerance, guard: str):
     return hermitize((u * lam**p) @ u.conj().T)
 
 
+def _family_sum(inst, mats):
+    """sum_j w_j Phi_j(X_j) over the family's weights and per-member maps."""
+    dim = inst.maps[0].output_dim
+    out = np.zeros((dim, dim), dtype=complex)
+    for w, phi, x in zip(inst.weights, inst.maps, mats):
+        out += w * phi.apply(x)
+    return out
+
+
 def _log_guarded(base, tol: Tolerance, guard: str):
     lam, u = eig(base)
     _require(float(lam[0]) > 0.0, guard)
@@ -242,11 +250,6 @@ def _complement_prologue(inst, m, M, tol, f=None):
     _require(loewner_holds(m * comp_a, comp_b, tol), "complement_sandwich_lower")
     _require(loewner_holds(comp_b, M * comp_a, tol), "complement_sandwich_upper")
     return g, eye, hermitize(eye - sum(inst.A)), hermitize(eye - sum(inst.B))
-
-
-def _resolve_f(params) -> RepresentingFunction:
-    f = params["f"]
-    return function_from_id(f) if isinstance(f, str) else f
 
 
 # -- memoized constants -----------------------------------------------------
@@ -307,7 +310,7 @@ def check_bellman_map(inst: InstanceFamily, params, tol) -> tuple:
 def check_bellman_mean(inst: InstanceFamily, params, tol) -> tuple:
     """(I - sum A_j) sigma_{f^p} (I - sum B_j) <= (I - sum A_j sigma_f B_j)^p
     for subidentity families."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     p = params["p"]
     eye = identity(inst.A[0].shape[0])
     for mats in (inst.A, inst.B):
@@ -332,7 +335,7 @@ def check_bellman_mean(inst: InstanceFamily, params, tol) -> tuple:
 )
 def check_jensen_map(inst: InstanceFamily, params, tol) -> tuple:
     """Choi-Davis-Jensen: Phi(f(A)) <= f(Phi(A)) for operator concave f."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     _require(f.operator_monotone, "not_operator_concave")
     x = inst.A[0]
@@ -352,7 +355,7 @@ def check_jensen_map(inst: InstanceFamily, params, tol) -> tuple:
 )
 def check_mean_superadditive(inst: InstanceFamily, params, tol) -> tuple:
     """sum_j (X_j sigma_f Y_j) <= (sum X_j) sigma_f (sum Y_j)."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     for x in list(inst.A) + list(inst.B):
         _guard_psd(x, tol, "member_not_psd")
     dominated = hermitize(sum(_pair_means(inst, f)))
@@ -369,7 +372,7 @@ def check_mean_superadditive(inst: InstanceFamily, params, tol) -> tuple:
 )
 def check_mean_remainder(inst: InstanceFamily, params, tol) -> tuple:
     """(A - sum A_j) sigma_f (B - sum B_j) <= A sigma_f B - sum A_j sigma_f B_j."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     a_total = inst.aux["A_total"]
     b_total = inst.aux["B_total"]
     _guard_psd(a_total - sum(inst.A), tol, "A_sum_exceeds_total")
@@ -394,7 +397,7 @@ def check_mean_remainder(inst: InstanceFamily, params, tol) -> tuple:
 )
 def check_mean_power_compose(inst: InstanceFamily, params, tol) -> tuple:
     """A sigma_{f^p} B <= (A sigma_f B)^p for a positive-definite contraction A."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     p = params["p"]
     a, b = inst.A[0], inst.B[0]
     _guard_window([a], 0.0, 1.0, tol, "contraction_window")
@@ -417,7 +420,7 @@ def check_mean_power_compose(inst: InstanceFamily, params, tol) -> tuple:
 )
 def check_jensen_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """gamma_f Phi(f(A)) >= f(Phi(A)) for concave f with positive chord."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     x = inst.A[0]
     _guard_window([x], m, M, tol)
@@ -437,7 +440,7 @@ def check_jensen_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
 )
 def check_mean_map_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """gamma_f Psi(A sigma_f B) >= Psi(A) sigma_f Psi(B) under m A <= B <= M A."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     x, y = inst.A[0], inst.B[0]
     _guard_pd_floor(x, "first_operand_not_pd")
@@ -461,7 +464,7 @@ def check_mean_map_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
 )
 def check_mean_sum_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """gamma_f sum_j (A_j sigma_f B_j) >= (sum A_j) sigma_f (sum B_j)."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     _guard_pair_sandwich(zip(inst.A, inst.B), m, M, tol)
     g = _gamma_guarded(f, m, M)
@@ -480,7 +483,7 @@ def check_mean_sum_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
 def check_bellman_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """gamma^p ((I - sum A_j) sigma_f (I - sum B_j))^p
     >= (I - gamma sum A_j sigma_f B_j)^p on gamma-complement sandwiches."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     m, M, p = params["m"], params["M"], params["p"]
     g, eye, comp_a, comp_b = _complement_prologue(inst, m, M, tol, f)
     # the prologue tested I - g sum A_j; the plain complement is another matrix
@@ -501,7 +504,7 @@ def check_bellman_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
 )
 def check_compression_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """gamma_f [C* f(X) C + f(m)(I - C*C)] >= f(C* X C) for a contraction C."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     x = inst.A[0]
     c = inst.aux["C"]
@@ -530,7 +533,7 @@ def check_compression_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
 def check_mean_power_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """gamma_h [f(m)^p (I - A) + A sigma_{f^p} B] >= (A sigma_f B)^p for a
     positive-definite contraction A with m A <= B <= M A and h = t^p."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     m, M, p = params["m"], params["M"], params["p"]
     a, b = inst.A[0], inst.B[0]
     _guard_window([a], 0.0, 1.0, tol, "contraction_window")
@@ -587,7 +590,7 @@ def check_bellman_arith_reverse(inst: InstanceFamily, params, tol) -> tuple:
 )
 def check_jensen_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """beta_f I + Phi(f(A)) >= f(Phi(A))."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     x = inst.A[0]
     _guard_window([x], m, M, tol)
@@ -608,7 +611,7 @@ def check_jensen_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
 )
 def check_mean_map_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """beta_f Psi(X) + Psi(X sigma_f Y) >= Psi(X) sigma_f Psi(Y)."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     x, y = inst.A[0], inst.B[0]
     _guard_pd_floor(x, "first_operand_not_pd")
@@ -632,7 +635,7 @@ def check_mean_map_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
 )
 def check_mean_sum_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """beta_f sum X_j + sum (X_j sigma_f Y_j) >= (sum X_j) sigma_f (sum Y_j)."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     _guard_pair_sandwich(zip(inst.A, inst.B), m, M, tol)
     beta = _beta_cached(f.label, m, M)
@@ -654,7 +657,7 @@ def check_mean_sum_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
 def check_bellman_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """(beta_f + (I - sum A_j) sigma_f (I - sum B_j))^p
     >= (I - sum A_j sigma_f B_j)^p on plain complement sandwiches."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     m, M, p = params["m"], params["M"], params["p"]
     _, eye, comp_a, comp_b = _complement_prologue(inst, m, M, tol)
     beta = _beta_cached(f.label, m, M)
@@ -695,15 +698,14 @@ def check_aczel_reverse(inst: InstanceFamily, params, tol) -> tuple:
 )
 def check_jensen_family_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """beta_f I + sum w_j Phi_j(f(A_j)) >= f(sum w_j Phi_j(A_j))."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     _guard_window(inst.A, m, M, tol)
     beta = _beta_cached(f.label, m, M)
-    fam = WeightedFamily(inst.weights, tuple(inst.maps))
-    out_eye = identity(fam.output_dim)
-    f_blocks = block_diag([_fcalc_g(a, f, "function_domain") for a in inst.A])
-    dominant = hermitize(beta * out_eye + fam.apply(f_blocks))
-    mapped = hermitize(fam.apply(block_diag(inst.A)))
+    out_eye = identity(inst.maps[0].output_dim)
+    f_members = [_fcalc_g(a, f, "function_domain") for a in inst.A]
+    dominant = hermitize(beta * out_eye + _family_sum(inst, f_members))
+    mapped = hermitize(_family_sum(inst, inst.A))
     dominated = _fcalc_g(mapped, f, "image_function_domain")
     return dominant, dominated
 
@@ -723,13 +725,10 @@ def check_bellman_family_reverse(inst: InstanceFamily, params, tol) -> tuple:
     _guard_window(inst.A, m, M, tol)
     delta = constants.delta_bellman(m, M, p).value
     eye = identity(inst.A[0].shape[0])
-    fam = WeightedFamily(inst.weights, tuple(inst.maps))
-    out_eye = identity(fam.output_dim)
-    powers = block_diag(
-        [_power_guarded(hermitize(eye - a), p, tol, "member_base_not_psd") for a in inst.A]
-    )
-    dominant = hermitize(delta * out_eye + fam.apply(powers))
-    mapped = hermitize(fam.apply(block_diag([hermitize(eye - a) for a in inst.A])))
+    out_eye = identity(inst.maps[0].output_dim)
+    powers = [_power_guarded(hermitize(eye - a), p, tol, "member_base_not_psd") for a in inst.A]
+    dominant = hermitize(delta * out_eye + _family_sum(inst, powers))
+    mapped = hermitize(_family_sum(inst, [hermitize(eye - a) for a in inst.A]))
     dominated = _power_guarded(mapped, p, tol, "mapped_base_not_psd")
     return dominant, dominated
 
@@ -779,7 +778,7 @@ def check_bellman_chain_split(inst: InstanceFamily, params, tol) -> tuple:
     """(I - sum A) sigma_{f^p} (I - sum B)
     <= ((I - sum_{j<=k} A) sigma_f (I - sum_{j<=k} B) - sum_{j>k} A_j sigma_f B_j)^p
     <= (I - sum_j A_j sigma_f B_j)^p."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     p, k = params["p"], params["k"]
     n = len(inst.A)
     _require(1 <= k <= n - 1, "split_index_out_of_range")
@@ -810,7 +809,7 @@ def check_bellman_chain_interp(inst: InstanceFamily, params, tol) -> tuple:
     """((I - sum A) sigma_f (I - sum B))^p
     <= ((I - sum t_j A_j) sigma_f (I - sum t_j B_j) - sum (1 - t_j) A_j sigma_f B_j)^p
     <= (I - sum_j A_j sigma_f B_j)^p with t_j in [0, 1]."""
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     p = params["p"]
     t = np.asarray(params["t"], dtype=float)
     n = len(inst.A)

@@ -33,7 +33,6 @@ def _complement_power_fn(p: float) -> RepresentingFunction:
     return RepresentingFunction(
         label=f"cmpl-pow:{p:g}",
         fn=lambda t: (1.0 - t) ** p,
-        deriv=lambda t: -p * (1.0 - t) ** (p - 1.0),
         domain=(-math.inf, 1.0),
         operator_monotone=False,
         normalized=False,
@@ -217,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> CampaignConfig:
+    obj = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -232,7 +232,7 @@ def _load_config(args) -> CampaignConfig:
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
-    elif args.config is None or "seed" not in _config_keys(args.config):
+    elif "seed" not in obj:
         env_seed = os.environ.get("BELLMAN_SEED")
         if env_seed is not None:
             try:
@@ -258,15 +258,6 @@ def _load_config(args) -> CampaignConfig:
     cfg = replace(cfg, **updates)
     cfg.validate()
     return cfg
-
-
-def _config_keys(path: str) -> set:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
-        return set(json.loads(text)) if text else set()
-    except (OSError, json.JSONDecodeError):
-        return set()
 
 
 def cmd_run(args) -> int:

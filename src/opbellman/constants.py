@@ -33,19 +33,6 @@ MIN_INTERVAL = 1e-12
 
 
 @dataclass(frozen=True)
-class Chord:
-    """The secant of f over [m, M]: t -> mu*t + nu interpolating both ends."""
-
-    mu: float
-    nu: float
-    m: float
-    M: float
-
-    def __call__(self, t):
-        return self.mu * t + self.nu
-
-
-@dataclass(frozen=True)
 class ConstantResult:
     value: float
     argmax: float
@@ -62,14 +49,6 @@ def _check_interval(m: float, M: float) -> None:
 def _check_p(p: float) -> None:
     if not P_MIN <= p <= 1.0 - P_MIN:
         raise ParameterError(f"exponent p must lie in [{P_MIN}, {1 - P_MIN}], got {p}")
-
-
-def chord(f, m: float, M: float) -> Chord:
-    """Secant coefficients mu = (f(M)-f(m))/(M-m), nu = (M f(m)-m f(M))/(M-m)."""
-    _check_interval(m, M)
-    fm = float(f(m))
-    fM = float(f(M))
-    return Chord(mu=(fM - fm) / (M - m), nu=(M * fm - m * fM) / (M - m), m=m, M=M)
 
 
 def _golden_max(g, lo, hi):

@@ -77,18 +77,12 @@ def random_spectrum_matrix(
     dim: int,
     interval: tuple[float, float],
     rng: np.random.Generator,
-    pin_endpoints: bool = False,
 ) -> np.ndarray:
     """Hermitian matrix with eigenvalues drawn uniformly from [a, b]."""
     a, b = interval
     if a > b:
         raise ParameterError(f"need a <= b, got [{a}, {b}]")
-    if pin_endpoints and dim < 2:
-        raise ParameterError("pinning both endpoints needs dim >= 2")
-    lam = rng.uniform(a, b, size=dim)
-    if pin_endpoints:
-        lam[0], lam[-1] = a, b
-    lam = np.sort(lam)
+    lam = np.sort(rng.uniform(a, b, size=dim))
     u = haar_unitary(dim, rng)
     return hermitize((u * lam) @ u.conj().T)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ParameterError, ShapeError
-from .spectral import hermitize, pd_root_pair, power_psd
+from .spectral import hermitize, pd_root_pair
 
 #: Domain shared by every built-in function: the positive half-line.
 POSITIVE_HALFLINE = (0.0, math.inf)
@@ -35,7 +35,6 @@ class RepresentingFunction:
 
     label: str
     fn: Callable
-    deriv: Callable
     domain: tuple[float, float] = POSITIVE_HALFLINE
     operator_monotone: bool = True
     normalized: bool = False
@@ -55,7 +54,6 @@ def arithmetic_w(lam: float) -> RepresentingFunction:
     return RepresentingFunction(
         label=f"arith:{lam:g}",
         fn=lambda t: (1.0 - lam) + lam * t,
-        deriv=lambda t: lam * np.ones_like(np.asarray(t, dtype=float)),
         operator_monotone=True,
         normalized=True,
     )
@@ -68,7 +66,6 @@ def geometric_w(lam: float) -> RepresentingFunction:
     return RepresentingFunction(
         label=f"geom:{lam:g}",
         fn=lambda t: t**lam,
-        deriv=lambda t: lam * t ** (lam - 1.0),
         operator_monotone=True,
         normalized=True,
     )
@@ -79,7 +76,6 @@ def power_fn(p: float) -> RepresentingFunction:
     return RepresentingFunction(
         label=f"power:{p:g}",
         fn=lambda t: t**p,
-        deriv=lambda t: p * t ** (p - 1.0),
         operator_monotone=0.0 <= p <= 1.0,
         normalized=True,
     )
@@ -88,7 +84,6 @@ def power_fn(p: float) -> RepresentingFunction:
 log_fn = RepresentingFunction(
     label="log",
     fn=np.log,
-    deriv=lambda t: 1.0 / t,
     operator_monotone=True,
     normalized=False,  # log(1) = 0: concave and operator monotone, not a mean
     mp_fn=mpmath.log,
@@ -100,7 +95,6 @@ def composed(h: RepresentingFunction, f: RepresentingFunction) -> RepresentingFu
     return RepresentingFunction(
         label=f"composed:{h.label}:{f.label}",
         fn=lambda t: h.fn(f.fn(t)),
-        deriv=lambda t: h.deriv(f.fn(t)) * f.deriv(t),
         domain=f.domain,
         operator_monotone=h.operator_monotone and f.operator_monotone,
         normalized=bool(f.normalized and h.normalized),
@@ -113,7 +107,6 @@ def powered(f: RepresentingFunction, p: float) -> RepresentingFunction:
     return RepresentingFunction(
         label=f"powered:{f.label}:{p:g}",
         fn=lambda t: f.fn(t) ** p,
-        deriv=lambda t: p * f.fn(t) ** (p - 1.0) * f.deriv(t),
         domain=f.domain,
         operator_monotone=f.operator_monotone and 0.0 <= p <= 1.0,
         normalized=f.normalized,
@@ -180,19 +173,3 @@ def weighted_arithmetic(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
         raise ShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return hermitize((1.0 - lam) * a + lam * b)
 
-
-def weighted_geometric(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """A^{1/2} (A^{-1/2} B A^{-1/2})^lam A^{1/2}.
-
-    Direct congruence/power route; agrees with mean(a, b, geometric_w(lam))
-    within tolerance, which the tests use as a two-route cross-check.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ParameterError(f"weight must be in [0, 1], got {lam}")
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    root, inv_root = pd_root_pair(a)
-    w = hermitize(inv_root @ b @ inv_root)
-    return hermitize(root @ power_psd(w, lam) @ root)

@@ -33,11 +33,6 @@ def _mean_s(x, y, f):
     return x * f.mp(y / x)
 
 
-def _resolve_f(params):
-    f = params["f"]
-    return function_from_id(f) if isinstance(f, str) else f
-
-
 def reference_slack(check_id: str, inst, params) -> dict:
     """Scalar evaluation of one check; returns {"slack": float, "chain": tuple|None}.
 
@@ -66,7 +61,7 @@ def bellman_map(inst, params):
 
 
 def bellman_mean(inst, params):
-    f, p = _resolve_f(params), params["p"]
+    f, p = function_from_id(params["f"]), params["p"]
     a, b = _scalars(inst.A), _scalars(inst.B)
     pair = mpmath.fsum(_mean_s(x, y, f) for x, y in zip(a, b))
     dom = (1 - pair) ** mpmath.mpf(p)
@@ -75,13 +70,13 @@ def bellman_mean(inst, params):
 
 
 def jensen_map(inst, params):
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     x = mpmath.mpf(_sc(inst.A[0]))
     return _plain(f.mp(x), f.mp(x))
 
 
 def mean_superadditive(inst, params):
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     a, b = _scalars(inst.A), _scalars(inst.B)
     dom = _mean_s(mpmath.fsum(a), mpmath.fsum(b), f)
     sub = mpmath.fsum(_mean_s(x, y, f) for x, y in zip(a, b))
@@ -89,7 +84,7 @@ def mean_superadditive(inst, params):
 
 
 def mean_remainder(inst, params):
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     a, b = _scalars(inst.A), _scalars(inst.B)
     at = mpmath.mpf(_sc(inst.aux["A_total"]))
     bt = mpmath.mpf(_sc(inst.aux["B_total"]))
@@ -99,7 +94,7 @@ def mean_remainder(inst, params):
 
 
 def mean_power_compose(inst, params):
-    f, p = _resolve_f(params), params["p"]
+    f, p = function_from_id(params["f"]), params["p"]
     a = mpmath.mpf(_sc(inst.A[0]))
     b = mpmath.mpf(_sc(inst.B[0]))
     dom = _mean_s(a, b, f) ** mpmath.mpf(p)
@@ -108,14 +103,14 @@ def mean_power_compose(inst, params):
 
 
 def jensen_ratio_reverse(inst, params):
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     g = constants.gamma(f, params["m"], params["M"]).value
     x = mpmath.mpf(_sc(inst.A[0]))
     return _plain(g * f.mp(x), f.mp(x))
 
 
 def mean_map_ratio_reverse(inst, params):
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     g = constants.gamma(f, params["m"], params["M"]).value
     x = mpmath.mpf(_sc(inst.A[0]))
     y = mpmath.mpf(_sc(inst.B[0]))
@@ -124,7 +119,7 @@ def mean_map_ratio_reverse(inst, params):
 
 
 def mean_sum_ratio_reverse(inst, params):
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     g = constants.gamma(f, params["m"], params["M"]).value
     a, b = _scalars(inst.A), _scalars(inst.B)
     dom = g * mpmath.fsum(_mean_s(x, y, f) for x, y in zip(a, b))
@@ -133,7 +128,7 @@ def mean_sum_ratio_reverse(inst, params):
 
 
 def bellman_ratio_reverse(inst, params):
-    f, p = _resolve_f(params), params["p"]
+    f, p = function_from_id(params["f"]), params["p"]
     g = mpmath.mpf(constants.gamma(f, params["m"], params["M"]).value)
     a, b = _scalars(inst.A), _scalars(inst.B)
     pair = mpmath.fsum(_mean_s(x, y, f) for x, y in zip(a, b))
@@ -143,7 +138,7 @@ def bellman_ratio_reverse(inst, params):
 
 
 def compression_ratio_reverse(inst, params):
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     m = params["m"]
     g = constants.gamma(f, m, params["M"]).value
     x = mpmath.mpf(_sc(inst.A[0]))
@@ -155,7 +150,7 @@ def compression_ratio_reverse(inst, params):
 
 
 def mean_power_ratio_reverse(inst, params):
-    f, p = _resolve_f(params), params["p"]
+    f, p = function_from_id(params["f"]), params["p"]
     m, M = params["m"], params["M"]
     gh = constants.gamma_power(float(f(m)), float(f(M)), p).value
     a = mpmath.mpf(_sc(inst.A[0]))
@@ -183,14 +178,14 @@ def bellman_arith_reverse(inst, params):
 
 
 def jensen_diff_reverse(inst, params):
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     beta = constants.beta(f, params["m"], params["M"]).value
     x = mpmath.mpf(_sc(inst.A[0]))
     return _plain(beta + f.mp(x), f.mp(x))
 
 
 def mean_map_diff_reverse(inst, params):
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     beta = constants.beta(f, params["m"], params["M"]).value
     x = mpmath.mpf(_sc(inst.A[0]))
     y = mpmath.mpf(_sc(inst.B[0]))
@@ -199,7 +194,7 @@ def mean_map_diff_reverse(inst, params):
 
 
 def mean_sum_diff_reverse(inst, params):
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     beta = constants.beta(f, params["m"], params["M"]).value
     a, b = _scalars(inst.A), _scalars(inst.B)
     dom = beta * mpmath.fsum(a) + mpmath.fsum(_mean_s(x, y, f) for x, y in zip(a, b))
@@ -208,7 +203,7 @@ def mean_sum_diff_reverse(inst, params):
 
 
 def bellman_diff_reverse(inst, params):
-    f, p = _resolve_f(params), params["p"]
+    f, p = function_from_id(params["f"]), params["p"]
     beta = constants.beta(f, params["m"], params["M"]).value
     a, b = _scalars(inst.A), _scalars(inst.B)
     dom = (beta + _mean_s(1 - mpmath.fsum(a), 1 - mpmath.fsum(b), f)) ** mpmath.mpf(p)
@@ -229,7 +224,7 @@ def aczel_reverse(inst, params):
 
 
 def jensen_family_diff_reverse(inst, params):
-    f = _resolve_f(params)
+    f = function_from_id(params["f"])
     beta = constants.beta(f, params["m"], params["M"]).value
     a = _scalars(inst.A)
     w = [mpmath.mpf(v) for v in inst.weights]
@@ -264,7 +259,7 @@ def _chain_result(t1, t2, t3):
 
 
 def bellman_chain_split(inst, params):
-    f, p, k = _resolve_f(params), params["p"], params["k"]
+    f, p, k = function_from_id(params["f"]), params["p"], params["k"]
     a, b = _scalars(inst.A), _scalars(inst.B)
     pair = [_mean_s(x, y, f) for x, y in zip(a, b)]
     t1 = _mean_s(1 - mpmath.fsum(a), 1 - mpmath.fsum(b), powered(f, p))
@@ -275,7 +270,7 @@ def bellman_chain_split(inst, params):
 
 
 def bellman_chain_interp(inst, params):
-    f, p = _resolve_f(params), params["p"]
+    f, p = function_from_id(params["f"]), params["p"]
     t = [mpmath.mpf(v) for v in params["t"]]
     a, b = _scalars(inst.A), _scalars(inst.B)
     pair = [_mean_s(x, y, f) for x, y in zip(a, b)]

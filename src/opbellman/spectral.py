@@ -77,20 +77,6 @@ def hermitize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
-def as_hermitian(entries) -> np.ndarray:
-    """Build a Hermitian matrix from arbitrary square complex entries.
-
-    Symmetrization is applied unconditionally, so the result satisfies the
-    Hermitian invariant exactly.
-    """
-    x = np.asarray(entries, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {x.shape}")
-    if x.shape[0] < 1:
-        raise ShapeError("dimension must be at least 1")
-    return hermitize(x)
-
-
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
@@ -114,7 +100,7 @@ def matrix_hash(x: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()[:12]
 
 
-def eig(h: np.ndarray, check: bool = True) -> SpectralDecomposition:
+def eig(h: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     The reconstruction U diag(lam) U* is verified against the input; a
@@ -128,16 +114,15 @@ def eig(h: np.ndarray, check: bool = True) -> SpectralDecomposition:
         raise EigendecompositionError(
             f"eigh failed to converge on matrix {matrix_hash(h)}: {exc}"
         ) from exc
-    if check:
-        recon = (u * lam) @ u.conj().T
-        norm = float(np.abs(lam).max(initial=0.0))
-        budget = h.shape[0] * (DEFAULT_ATOL + DEFAULT_RTOL * norm) + 1e-13 * (1.0 + norm)
-        err = float(np.linalg.norm(recon - h))
-        if err > budget:
-            raise EigendecompositionError(
-                f"reconstruction error {err:.3e} exceeds {budget:.3e} "
-                f"on matrix {matrix_hash(h)}"
-            )
+    recon = (u * lam) @ u.conj().T
+    norm = float(np.abs(lam).max(initial=0.0))
+    budget = h.shape[0] * (DEFAULT_ATOL + DEFAULT_RTOL * norm) + 1e-13 * (1.0 + norm)
+    err = float(np.linalg.norm(recon - h))
+    if err > budget:
+        raise EigendecompositionError(
+            f"reconstruction error {err:.3e} exceeds {budget:.3e} "
+            f"on matrix {matrix_hash(h)}"
+        )
     return SpectralDecomposition(lam, u)
 
 
@@ -219,15 +204,6 @@ def loewner_holds(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) ->
     return slack >= -tol.margin(max(spectral_norm(x), spectral_norm(y)))
 
 
-def is_contraction(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> OrderVerdict:
-    """Verdict for A*A <= I."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    gram = hermitize(a.conj().T @ a)
-    return loewner_leq(gram, identity(a.shape[0]), tol)
-
-
 def power_psd(h: np.ndarray, p: float) -> np.ndarray:
     """Spectral power of a positive semidefinite matrix.
 
@@ -256,11 +232,6 @@ def power_psd(h: np.ndarray, p: float) -> np.ndarray:
 
 def sqrt_psd(h: np.ndarray) -> np.ndarray:
     return power_psd(h, 0.5)
-
-
-def inv_sqrt_psd(h: np.ndarray) -> np.ndarray:
-    """H^{-1/2} for positive definite H; refuses near-singular input."""
-    return pd_root_pair(h)[1]
 
 
 def pd_root_pair(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -300,6 +300,16 @@ def test_cli_run_bad_config_exit_one(tmp_path, capsys):
         ({"seed": 3.9}, None, [], "seed: "),
         ({"dims": [1.9]}, None, [], "dims: "),
         ({"n_values": [False]}, None, [], "n_values: "),
+        # passed validate() once, then aborted the campaign
+        ({"p_grid": [1e-6]}, None, [], "p_grid[0]"),
+        ({"p_grid": [0.5, 0.9995]}, None, [], "p_grid[1]"),
+        ({"means": ["log"]}, None, [], "means[0]"),
+        ({"means": ["nonsense"]}, None, [], "means[0]"),
+        ({"intervals": [[0.5, math.inf]]}, None, [], "intervals[0]"),
+        ({"intervals": [[0.5, 2.0], [-math.inf, 0.8]]}, None, [], "intervals[1]"),
+        # t^2 is not operator monotone: ran, to false violations
+        ({"means": ["power:2"]}, None, [], "means[0]"),
+        ({"means": ["geom:0.5", "powered:geom:0.5:2"]}, None, [], "means[1]"),
     ],
 )
 def test_cli_run_malformed_config_value_exit_one(tmp_path, capsys, monkeypatch, config, env_seed, flags, message):
@@ -311,6 +321,36 @@ def test_cli_run_malformed_config_value_exit_one(tmp_path, capsys, monkeypatch, 
     code = cli.main(["run", "--config", str(path), "--checks", "scalar_aczel", "--trials", "1", *flags])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("interval", [(0.0, 2.0), (-0.5, 2.0)])
+def test_sandwich_checks_fall_back_from_nonpositive_windows(interval):
+    # 0 < m A <= B needs m > 0; such a grid used to abort in random_sandwich_pair
+    sandwich = tuple(cid for cid, e in checks.REGISTRY.items() if e.interval_kind == "sandwich")
+    cfg = _tiny_cfg(intervals=(interval,), checks=sandwich)
+    for cid in sandwich:
+        assert {(c["m"], c["M"]) for c in campaign.expand_cells(cid, cfg)} == {(0.5, 2.0)}
+    report = run_campaign(cfg)
+    assert report["summary"]["violations"] == 0
+    assert report["summary"]["trials"] == sum(len(campaign.expand_cells(c, cfg)) for c in sandwich)
+
+
+def test_config_file_is_read_once(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 3}))
+    monkeypatch.setenv("BELLMAN_SEED", "4242")
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    args = cli.build_parser().parse_args(["run", "--config", str(path)])
+    assert cli._load_config(args).seed == 3  # the file's seed beats BELLMAN_SEED
+    assert opened == [str(path)]
+    path.write_text(json.dumps({"trials": 1}))
+    assert cli._load_config(args).seed == 4242
 
 
 def test_cli_run_violation_exit_two(tmp_path, monkeypatch):

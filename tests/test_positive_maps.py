@@ -5,20 +5,42 @@ from opbellman.errors import ParameterError, ShapeError
 from opbellman.instances import haar_unitary, random_pd, random_weights
 from opbellman.means import geometric_w, log_fn
 from opbellman.positive_maps import (
-    BlockAverage,
+    _ISOMETRY_TOL,
     Compression,
     IdentityMap,
     Pinching,
     UnitaryMixture,
-    WeightedFamily,
-    block_diag,
-    check_positive,
-    check_unital,
     map_from_json,
 )
-from opbellman.spectral import apply_function, hermitize, loewner_leq
+from opbellman.spectral import (
+    DEFAULT_TOL,
+    apply_function,
+    hermitize,
+    identity,
+    loewner_holds,
+    loewner_leq,
+    spectral_norm,
+)
 
 RNG = np.random.default_rng(200)
+
+
+def check_unital(spec, tol=DEFAULT_TOL) -> bool:
+    """Phi(I) = I up to the comparison margin at scale 1."""
+    dev = spectral_norm(spec.apply(identity(spec.input_dim)) - identity(spec.output_dim))
+    return dev <= tol.margin(1.0)
+
+
+def check_positive(spec, samples, rng, tol=DEFAULT_TOL) -> bool:
+    """Statistically test positivity on random PSD inputs."""
+    d = spec.input_dim
+    zero = np.zeros((spec.output_dim, spec.output_dim), dtype=complex)
+    for _ in range(samples):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        psd = hermitize(g @ g.conj().T)
+        if not loewner_holds(zero, hermitize(spec.apply(psd)), tol):
+            return False
+    return True
 
 
 def _sample_maps(dim=4):
@@ -28,8 +50,8 @@ def _sample_maps(dim=4):
         Compression(v),
         UnitaryMixture(np.array([0.3, 0.7]), (haar_unitary(dim, RNG), haar_unitary(dim, RNG))),
         Pinching(((0, 1), (2, 3))),
-        BlockAverage(2, 2),
-        WeightedFamily(random_weights(2, RNG), (IdentityMap(2), IdentityMap(2))),
+        Compression(haar_unitary(dim, RNG)[:, :1]),
+        UnitaryMixture(random_weights(3, RNG), tuple(haar_unitary(dim, RNG) for _ in range(3))),
     ]
 
 
@@ -44,16 +66,10 @@ def test_compression_leading_principal_submatrix():
     assert np.allclose(Compression(v).apply(x), x[:2, :2])
 
 
-def test_block_average_hand_example():
-    x = block_diag([np.diag([1.0, 2.0]).astype(complex), np.diag([3.0, 4.0]).astype(complex)])
-    out = BlockAverage(2, 2).apply(x)
-    assert np.allclose(out, np.diag([2.0, 3.0]))
-
-
 @pytest.mark.parametrize("spec_idx", range(6))
 def test_every_variant_is_unital(spec_idx):
     spec = _sample_maps()[spec_idx]
-    assert check_unital(spec).holds
+    assert check_unital(spec)
 
 
 @pytest.mark.parametrize("spec_idx", range(6))
@@ -91,24 +107,32 @@ def test_pinching_partition_validation():
         Pinching(((0, 1), (1, 2)))  # overlapping partition
 
 
-def test_weighted_family_output_dims_must_agree():
-    v = haar_unitary(3, RNG)[:, :2]
-    with pytest.raises(ParameterError, match="output dimension"):
-        WeightedFamily(np.array([0.5, 0.5]), (IdentityMap(3), Compression(v)))
+@pytest.mark.parametrize("dim, cols", [(1, 1), (3, 2), (6, 6)])
+def test_isometry_tolerance_is_the_rejection_boundary(dim, cols):
+    # stretching one column by sqrt(1 + d) makes ||V*V - I|| = d exactly up to rounding
+    for factor, rejected in ((0.9, False), (1.1, True)):
+        stretch = np.ones(cols)
+        stretch[0] = np.sqrt(1.0 + factor * _ISOMETRY_TOL)
+        v = haar_unitary(dim, RNG)[:, :cols] * stretch
+        u = haar_unitary(dim, RNG) * np.r_[stretch, np.ones(dim - cols)]
+        for build in (lambda: Compression(v), lambda: UnitaryMixture(np.array([1.0]), (u,))):
+            if rejected:
+                with pytest.raises(ParameterError, match="deviates from identity"):
+                    build()
+            else:
+                build()
 
 
-def test_weighted_family_block_action():
-    w = np.array([0.25, 0.75])
-    fam = WeightedFamily(w, (IdentityMap(2), IdentityMap(2)))
-    a = random_pd(2, RNG)
-    b = random_pd(2, RNG)
-    out = fam.apply(block_diag([a, b]))
-    assert np.allclose(out, 0.25 * a + 0.75 * b)
+def test_non_finite_isometry_rejected():
+    v = np.eye(3, dtype=complex)[:, :2]
+    v[0, 0] = np.nan
+    with pytest.raises(ParameterError, match="nan"):
+        Compression(v)
 
 
 def test_shape_mismatch_raises():
     with pytest.raises(ShapeError):
-        BlockAverage(2, 2).apply(np.eye(3, dtype=complex))
+        Pinching(((0, 1), (2,))).apply(np.eye(2, dtype=complex))
 
 
 @pytest.mark.parametrize("f", [geometric_w(0.5), log_fn], ids=lambda f: f.label)

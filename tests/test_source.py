@@ -17,3 +17,35 @@ def test_package_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+#: Top-level names that are entry points rather than helpers: the dim-1
+#: oracle of the tier-1 suite and the console-script entry.
+ENTRY_POINTS = {"reference_slack", "entrypoint"}
+
+
+def _decorator_names(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        yield target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
+def test_every_top_level_definition_has_a_caller():
+    # a function or class that nothing in the package references, other than
+    # its own body and the re-exports of __init__.py, is dead public surface
+    defined, used = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            own = getattr(stmt, "name", None)
+            for name in names - {own}:
+                used[name] = used.get(name, 0) + 1
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if "inequality" not in set(_decorator_names(stmt)):
+                    defined.append((path.name, stmt.name))
+    dead = [f"{mod}:{name}" for mod, name in defined if name not in used and name not in ENTRY_POINTS]
+    assert not dead, f"top-level definitions with no caller in the package: {dead}"

@@ -7,26 +7,24 @@ from opbellman.spectral import (
     OrderVerdict,
     Tolerance,
     apply_function,
-    as_hermitian,
     eig,
     hermitize,
     identity,
-    inv_sqrt_psd,
-    is_contraction,
     loewner_holds,
     loewner_leq,
     matrix_from_json,
     matrix_to_json,
+    pd_root_pair,
     power_psd,
     spectral_norm,
     sqrt_psd,
 )
 
 
-def test_as_hermitian_symmetrizes_exactly():
+def test_hermitize_symmetrizes_exactly():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = as_hermitian(x)
+    h = hermitize(x)
     assert np.array_equal(h, h.conj().T)
 
 
@@ -39,11 +37,6 @@ def test_spectral_norm_is_bit_identical_to_numpy_norm():
                 assert spectral_norm(m) == float(np.linalg.norm(m, 2))
         zero = np.zeros((dim, dim), dtype=complex)
         assert spectral_norm(zero) == float(np.linalg.norm(zero, 2)) == 0.0
-
-
-def test_as_hermitian_rejects_nonsquare():
-    with pytest.raises(ShapeError):
-        as_hermitian(np.zeros((2, 3)))
 
 
 def test_eig_diagonal_sorted():
@@ -61,7 +54,7 @@ def test_eig_identity():
 def test_eig_reconstruction_random():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        h = as_hermitian(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        h = hermitize(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
         lam, u = eig(h)
         recon = (u * lam) @ u.conj().T
         assert np.linalg.norm(recon - h) <= 1e-10 * (1 + np.linalg.norm(h, 2))
@@ -75,14 +68,14 @@ def test_apply_function_diagonal_sqrt():
 
 def test_apply_function_identity_function():
     rng = np.random.default_rng(2)
-    h = as_hermitian(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    h = hermitize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     assert np.allclose(apply_function(h, lambda t: t), h)
 
 
 def test_apply_function_square_matches_multiplication():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        h = as_hermitian(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        h = hermitize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         assert np.allclose(apply_function(h, lambda t: t**2), h @ h, atol=1e-10)
 
 
@@ -121,7 +114,7 @@ def test_loewner_holds_equals_loewner_leq_verdict():
     for tol in (Tolerance(), Tolerance(atol=1e-6, rtol=1e-8), Tolerance(0.0, 0.0)):
         for dim in range(1, 7):
             for _ in range(12):
-                x = as_hermitian(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+                x = hermitize(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
                 x = x * 10.0 ** rng.uniform(-3, 3)
                 margin = tol.margin(spectral_norm(x))
                 shifts = (
@@ -149,14 +142,6 @@ def test_loewner_holds_non_finite_operands_take_the_full_path():
         loewner_holds(nan_entry, np.eye(2))
 
 
-def test_contraction_examples():
-    assert is_contraction(0.5 * identity(3)).holds
-    boundary = is_contraction(np.diag([1.0, 1.0]))
-    assert boundary.holds and abs(boundary.slack) <= 1e-14
-    v = is_contraction(np.diag([2.0, 0.0]))
-    assert not v.holds and v.slack == pytest.approx(-3.0)
-
-
 def test_power_diagonal():
     assert np.allclose(power_psd(np.diag([4.0, 9.0]).astype(complex), 0.5), np.diag([2.0, 3.0]))
 
@@ -174,14 +159,14 @@ def test_inv_sqrt_identity_oracle():
     rng = np.random.default_rng(6)
     for _ in range(10):
         h = random_pd(4, rng, 0.3, 3.0)
-        r = inv_sqrt_psd(h)
+        r = pd_root_pair(h)[1]
         assert np.allclose(r @ h @ r, identity(4), atol=1e-10)
 
 
 def test_inv_sqrt_near_singular_reports_conditioning():
     h = np.diag([1e-14, 1.0]).astype(complex)
     with pytest.raises(ConditioningError, match="lambda_min"):
-        inv_sqrt_psd(h)
+        pd_root_pair(h)
 
 
 def test_unitary_covariance():
