@@ -41,8 +41,6 @@ from .spectral import (  # noqa: E402
     eig,
     hermitize,
     loewner_leq,
-    power_psd,
-    sqrt_psd,
 )
 
 __all__ = [
@@ -71,10 +69,8 @@ __all__ = [
     "log_mean",
     "mean",
     "power_fn",
-    "power_psd",
     "powered",
     "registry_listing",
-    "sqrt_psd",
     "t_star",
     "weighted_arithmetic",
     "zeta_aczel",

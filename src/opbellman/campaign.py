@@ -55,6 +55,11 @@ from .spectral import Tolerance, matrix_from_json, matrix_to_json
 
 DEFAULT_SEED = 1729
 
+#: Largest interval endpoint magnitude.  The eigensolver's reconstruction
+#: check squares matrix entries, so entries past about 1e154 overflow it;
+#: [0.5, 1e200] aborted a campaign there.
+MAX_ENDPOINT = 1e150
+
 _FALLBACK_INTERVAL = {
     "sandwich": (0.5, 2.0),
     "unit": (0.2, 0.8),
@@ -75,15 +80,13 @@ class CampaignConfig:
     checks: tuple[str, ...] = tuple(REGISTRY)
     seed: int = DEFAULT_SEED
     tolerance: Tolerance = Tolerance()
-    out_path: str | None = None
-    format: str = "json"
 
     def validate(self) -> None:
         if self.trials < 1:
             raise ParameterError("trials: must be >= 1")
-        for name in ("dims", "n_values", "intervals", "p_grid", "lambda_grid", "means", "maps"):
+        for name in ("dims", "n_values", "intervals", "p_grid", "lambda_grid", "means", "maps", "checks"):
             if not getattr(self, name):
-                raise ParameterError(f"{name}: grid must be nonempty")
+                raise ParameterError(f"{name}: must be nonempty")
         for i, d in enumerate(self.dims):
             if d < 1:
                 raise ParameterError(f"dims[{i}]={d}: must be >= 1")
@@ -91,8 +94,11 @@ class CampaignConfig:
             if n < 1:
                 raise ParameterError(f"n_values[{i}]={n}: must be >= 1")
         for i, (m, M) in enumerate(self.intervals):
-            if not (math.isfinite(m) and math.isfinite(M)):
-                raise ParameterError(f"intervals[{i}]=({m}, {M}): endpoints must be finite")
+            if not (abs(m) <= MAX_ENDPOINT and abs(M) <= MAX_ENDPOINT):
+                raise ParameterError(
+                    f"intervals[{i}]=({m}, {M}): endpoints must be finite and at most "
+                    f"{MAX_ENDPOINT:g} in magnitude"
+                )
             if not m < M:
                 raise ParameterError(f"intervals[{i}]=({m}, {M}): need m < M")
         for i, p in enumerate(self.p_grid):
@@ -118,14 +124,11 @@ class CampaignConfig:
         for cid in self.checks:
             if cid not in REGISTRY:
                 raise ParameterError(f"checks: unknown inequality id {cid!r}")
-        if self.format not in ("json", "csv", "text"):
-            raise ParameterError(f"format: must be json, csv or text, got {self.format!r}")
 
 
-def config_to_json(cfg: CampaignConfig, echo: bool = False) -> dict:
-    """Serialize a config; ``echo=True`` omits I/O routing fields so that the
-    report stays a pure function of campaign semantics and seed."""
-    out = {
+def config_to_json(cfg: CampaignConfig) -> dict:
+    """Serialize a config; the report echoes exactly this object."""
+    return {
         "trials": cfg.trials,
         "dims": list(cfg.dims),
         "n_values": list(cfg.n_values),
@@ -138,10 +141,6 @@ def config_to_json(cfg: CampaignConfig, echo: bool = False) -> dict:
         "seed": cfg.seed,
         "tolerance": {"atol": cfg.tolerance.atol, "rtol": cfg.tolerance.rtol},
     }
-    if not echo:
-        out["out_path"] = cfg.out_path
-        out["format"] = cfg.format
-    return out
 
 
 def _strict_int(value) -> int:
@@ -173,10 +172,6 @@ def config_from_json(obj: dict) -> CampaignConfig:
                 kwargs[key] = tuple(float(v) for v in value)
             elif key in ("means", "maps", "checks"):
                 kwargs[key] = tuple(str(v) for v in value)
-            elif key == "out_path":
-                kwargs[key] = None if value is None else str(value)
-            elif key == "format":
-                kwargs[key] = str(value)
             else:
                 kwargs[key] = _strict_int(value)
         except (KeyError, TypeError, ValueError) as exc:
@@ -677,7 +672,7 @@ def run_campaign(cfg: CampaignConfig) -> dict:
 
     return {
         "schema": "opbellman-report/1",
-        "config": config_to_json(cfg, echo=True),
+        "config": config_to_json(cfg),
         "versions": {
             "opbellman": __version__,
             "numpy": np.__version__,

@@ -31,6 +31,7 @@ from .means import (
     arithmetic_w,
     function_from_id,
     geometric_w,
+    log_fn,
     mean,
     powered,
     weighted_arithmetic,
@@ -52,6 +53,9 @@ VIOLATED = "violated"
 NOT_APPLICABLE = "not_applicable"
 
 SCALAR_DPS = 30
+
+#: lambda_min / lambda_max below which a positive-definiteness guard refuses.
+PD_REL_FLOOR = 1e-7
 
 
 @dataclass(frozen=True)
@@ -201,12 +205,6 @@ def _family_sum(inst, mats):
     return out
 
 
-def _log_guarded(base, tol: Tolerance, guard: str):
-    lam, u = eig(base)
-    _require(float(lam[0]) > 0.0, guard)
-    return hermitize((u * np.log(lam)) @ u.conj().T)
-
-
 # -- hypothesis re-verification --------------------------------------------
 
 
@@ -228,9 +226,9 @@ def _guard_psd(x, tol, guard):
     _require(loewner_holds(zero, x, tol), guard)
 
 
-def _guard_pd_floor(x, guard, rel_floor=1e-7):
+def _guard_pd_floor(x, guard):
     lam = _eigvalsh(hermitize(x))
-    _require(float(lam[0]) >= rel_floor * max(float(lam[-1]), 1e-300), guard)
+    _require(float(lam[0]) >= PD_REL_FLOOR * max(float(lam[-1]), 1e-300), guard)
 
 
 def _complement_prologue(inst, m, M, tol, f=None):
@@ -749,10 +747,10 @@ def check_log_family_reverse(inst: InstanceFamily, params, tol) -> tuple:
     phi = inst.maps[0]
     out_eye = identity(phi.output_dim)
     w = inst.weights
-    logs = hermitize(sum(wj * _log_guarded(a, tol, "member_not_pd") for wj, a in zip(w, inst.A)))
+    logs = hermitize(sum(wj * _fcalc_g(a, log_fn, "member_not_pd") for wj, a in zip(w, inst.A)))
     dominant = hermitize(c * out_eye + phi.apply(logs))
     mixed = hermitize(sum(wj * phi.apply(a) for wj, a in zip(w, inst.A)))
-    dominated = _log_guarded(mixed, tol, "mapped_operand_not_pd")
+    dominated = _fcalc_g(mixed, log_fn, "mapped_operand_not_pd")
     return dominant, dominated
 
 

@@ -23,7 +23,7 @@ from .errors import (
     UnboundedRatioError,
     UnimodalityError,
 )
-from .means import RepresentingFunction, arithmetic_w
+from .means import RepresentingFunction, arithmetic_w, log_fn, power_fn
 
 ORACLE_DPS = 30  # significant digits inside the oracle
 GRID_POINTS = 10_000
@@ -51,14 +51,27 @@ def _check_p(p: float) -> None:
         raise ParameterError(f"exponent p must lie in [{P_MIN}, {1 - P_MIN}], got {p}")
 
 
+def _golden_steps(lo: float, hi: float) -> int:
+    """Steps that shrink [lo, hi] below GOLDEN_WIDTH in exact arithmetic, plus
+    two for rounding."""
+    shrink = math.log(max(hi - lo, GOLDEN_WIDTH) / GOLDEN_WIDTH)
+    return math.ceil(shrink / math.log((1.0 + math.sqrt(5.0)) / 2.0)) + 2
+
+
 def _golden_max(g, lo, hi):
-    """Golden-section maximization of a unimodal g on [lo, hi] (mp arithmetic)."""
+    """Golden-section maximization of a unimodal g on [lo, hi] (mp arithmetic).
+
+    ORACLE_DPS digits cannot resolve a bracket around a maximizer near 1e19
+    to GOLDEN_WIDTH, so the loop also stops after ``_golden_steps`` steps.
+    """
     invphi = (mpmath.sqrt(5) - 1) / 2
     a, b = mpmath.mpf(lo), mpmath.mpf(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     gc, gd = g(c), g(d)
-    while b - a > GOLDEN_WIDTH:
+    for _ in range(_golden_steps(lo, hi)):
+        if b - a <= GOLDEN_WIDTH:
+            break
         if gc > gd:
             b, d, gd = d, c, gc
             c = b - invphi * (b - a)
@@ -140,6 +153,18 @@ def gamma_power(a: float, b: float, p: float) -> ConstantResult:
     return ConstantResult(value=value, argmax=t_star, method="closed_form")
 
 
+def complement_power_fn(p: float) -> RepresentingFunction:
+    """t -> (1-t)^p on t <= 1, whose beta is delta_bellman."""
+    return RepresentingFunction(
+        label=f"cmpl-pow:{p:g}",
+        fn=lambda t: (1.0 - t) ** p,
+        domain=(-math.inf, 1.0),
+        operator_monotone=False,
+        normalized=False,
+        mp_fn=lambda t: (1 - t) ** p,
+    )
+
+
 def t_star(m: float, M: float, p: float) -> float:
     """Maximizer of (1-t)^p minus its chord over [m, M]."""
     if not 0.0 <= m < M <= 1.0:
@@ -215,3 +240,19 @@ def delta_affine_power(lam: float, m: float, M: float, p: float) -> ConstantResu
         )
     f = arithmetic_w(lam)
     return gamma_power(float(f(m)), float(f(M)), p)
+
+
+def _affine_power_oracle(lam: float, m: float, M: float, p: float) -> ConstantResult:
+    f = arithmetic_w(lam)
+    return gamma(power_fn(p), float(f(m)), float(f(M)))
+
+
+#: Each closed form with the oracle route it must reproduce to 1e-9 relative;
+#: both are called with the same keyword arguments.
+CLOSED_FORMS = {
+    "gamma_h": (gamma_power, lambda a, b, p: gamma(power_fn(p), a, b)),
+    "delta_affine_power": (delta_affine_power, _affine_power_oracle),
+    "delta_bellman": (delta_bellman, lambda m, M, p: beta(complement_power_fn(p), m, M)),
+    "zeta_aczel": (zeta_aczel, lambda m, M, p: beta(power_fn(p), m, M)),
+    "beta_log": (beta_log, lambda m, M: beta(log_fn, m, M)),
+}

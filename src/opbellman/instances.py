@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisError, ParameterError
-from .means import RepresentingFunction, mean
-from .spectral import _eigvalsh, hermitize, identity, spectral_norm, sqrt_psd
+from .means import POSITIVE_HALFLINE, RepresentingFunction, mean
+from .spectral import _eigvalsh, apply_function, hermitize, identity, spectral_norm
 
 #: Hypothesis margin every released instance must clear.
 DEFAULT_MARGIN = 1e-6
@@ -123,7 +123,7 @@ def random_sandwich_pair(
     if not 0.0 < m < M:
         raise ParameterError(f"need 0 < m < M, got m={m}, M={M}")
     delta = EDGE_SHRINK * (M - m)
-    root = sqrt_psd(a)
+    root = apply_function(a, np.sqrt, POSITIVE_HALFLINE)
     t = random_spectrum_matrix(a.shape[0], (m + delta, M - delta), rng)
     b = hermitize(root @ t @ root)
     for gap in (b - m * a, M * a - b):

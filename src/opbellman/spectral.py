@@ -204,36 +204,6 @@ def loewner_holds(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) ->
     return slack >= -tol.margin(max(spectral_norm(x), spectral_norm(y)))
 
 
-def power_psd(h: np.ndarray, p: float) -> np.ndarray:
-    """Spectral power of a positive semidefinite matrix.
-
-    p = 0 and p = 1 short-circuit so that the stated identities
-    power(H, 0) = I and power(H, 1) = H hold exactly.  Negative powers
-    additionally require the spectrum to clear the positivity floor.
-    """
-    h = np.asarray(h, dtype=complex)
-    if p == 0.0:
-        return identity(h.shape[0])
-    if p == 1.0:
-        return hermitize(h)
-    lam, u = eig(h)
-    norm = float(np.abs(lam).max(initial=0.0))
-    lam = _clip_to_interval(lam, 0.0, math.inf, norm)
-    if p < 0.0:
-        floor = POSITIVITY_FLOOR * max(norm, 1e-300)
-        lam_min = float(lam.min(initial=math.inf))
-        if lam_min < floor:
-            raise ConditioningError(
-                f"negative power needs lambda_min >= {floor:.3e}, got {lam_min:.3e}"
-            )
-    vals = lam**p
-    return hermitize((u * vals) @ u.conj().T)
-
-
-def sqrt_psd(h: np.ndarray) -> np.ndarray:
-    return power_psd(h, 0.5)
-
-
 def pd_root_pair(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(H^{1/2}, H^{-1/2}) from a single decomposition of a PD matrix."""
     lam, u = eig(h)

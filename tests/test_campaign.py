@@ -405,3 +405,83 @@ def test_cli_constants_json(capsys):
     rows = json.loads(capsys.readouterr().out)
     names = {r["constant"] for r in rows}
     assert {"gamma_f", "beta_f", "gamma_h", "zeta_aczel", "beta_log"} <= names
+
+
+@pytest.mark.parametrize("fmt,first_line", [("csv", "check,dim,n,"), ("text", "checks: 1  trials: ")])
+def test_cli_run_writes_format(tmp_path, fmt, first_line):
+    out = tmp_path / f"report.{fmt}"
+    code = cli.main(["run", "--checks", "scalar_aczel", "--trials", "1", "--format", fmt, "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith(first_line)
+    assert lines[1].startswith("scalar_aczel")
+
+
+@pytest.mark.parametrize("key", ["out_path", "format"])
+def test_config_file_io_keys_are_unknown(tmp_path, capsys, key):
+    # output routing is a flag, never part of the config the report echoes
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: "json"}))
+    assert cli.main(["run", "--config", str(path), "--checks", "scalar_aczel", "--trials", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown config keys")
+
+
+def test_tolerance_flag_overrides_one_field(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tolerance": {"atol": 1e-8, "rtol": 1e-6}}))
+    args = cli.build_parser().parse_args(["run", "--config", str(path), "--tol-abs", "1e-9"])
+    assert cli._load_config(args).tolerance == Tolerance(atol=1e-9, rtol=1e-6)
+    args = cli.build_parser().parse_args(["run", "--config", str(path), "--tol-rel", "1e-7"])
+    assert cli._load_config(args).tolerance == Tolerance(atol=1e-8, rtol=1e-7)
+
+
+@pytest.mark.parametrize("config,flags", [({"checks": []}, []), ({}, ["--checks", ","])])
+def test_cli_run_empty_check_list_exit_one(tmp_path, capsys, config, flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path), *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: checks: ")
+
+
+@pytest.mark.parametrize("M", [1e20, 1e150])
+def test_huge_interval_end_runs_to_a_report(tmp_path, M):
+    # the oracle's golden-section loop never ended for M >= 1e20; the four
+    # complement-family checks are left out only for time (about 2 s a cell)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"intervals": [[0.5, M]], "dims": [2]}))
+    slow = {"bellman_ratio_reverse", "bellman_arith_reverse", "bellman_diff_reverse", "aczel_reverse"}
+    ids = ",".join(cid for cid in checks.REGISTRY if cid not in slow)
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--config", str(path), "--trials", "1", "--checks", ids, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["trials"] > 100
+
+
+@pytest.mark.parametrize("interval", [[0.5, 1e200], [-1e300, 0.5]])
+def test_interval_end_beyond_max_endpoint_exit_one(tmp_path, capsys, interval):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"intervals": [[0.5, 2.0], interval], "dims": [2]}))
+    assert cli.main(["run", "--config", str(path), "--trials", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: intervals[1]")
+
+
+def test_cli_replay_missing_file(tmp_path, capsys):
+    assert cli.main(["replay", str(tmp_path / "absent.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read witness")
+
+
+def test_cli_constants_cell_outside_hypotheses_exit_zero(capsys):
+    # m = 0 is in delta_bellman's domain; delta_affine_power's own check
+    # refuses it, which used to abort the whole table
+    assert cli.main(["constants", "--m", "0", "--M", "0.5", "--format", "json"]) == 0
+    rows = {r["constant"]: r for r in json.loads(capsys.readouterr().out)}
+    for name in ("delta_bellman", "t_star"):
+        assert rows[name]["closed_form"] is not None and rows[name]["oracle"] is not None
+    assert rows["delta_affine_power"]["note"].startswith("need 0 < m < M")
+
+
+def test_cli_constants_exponent_outside_range_gives_notes(capsys):
+    assert cli.main(["constants", "--p", "0.0005", "--format", "json"]) == 0
+    rows = {r["constant"]: r for r in json.loads(capsys.readouterr().out)}
+    for name in ("gamma_h", "delta_affine_power", "zeta_aczel"):
+        assert rows[name]["closed_form"] is None and "exponent p" in rows[name]["note"]
+    assert rows["beta_log"]["closed_form"] is not None

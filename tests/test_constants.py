@@ -4,10 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from opbellman.cli import _complement_power_fn
+from opbellman import campaign, checks, cli, constants
 from opbellman.constants import (
     beta,
     beta_log,
+    complement_power_fn,
     delta_bellman,
     delta_affine_power,
     gamma,
@@ -67,7 +68,7 @@ def test_beta_log_unit_e():
 
 
 def test_beta_complement_power_half():
-    b = beta(_complement_power_fn(0.5), 0.0, 1.0)
+    b = beta(complement_power_fn(0.5), 0.0, 1.0)
     assert b.value == pytest.approx(0.25, abs=1e-9)
     assert b.argmax == pytest.approx(0.75, abs=1e-6)
     assert b.value == pytest.approx(delta_bellman(0.0, 1.0, 0.5).value, rel=1e-9)
@@ -127,7 +128,7 @@ def test_delta_bellman_oracle_agreement():
         M = m + rng.uniform(0.1, 0.99 - m)
         p = rng.uniform(0.1, 0.9)
         closed = delta_bellman(m, M, p)
-        oracle = beta(_complement_power_fn(p), m, M)
+        oracle = beta(complement_power_fn(p), m, M)
         assert closed.value == pytest.approx(oracle.value, rel=1e-9)
         assert closed.value >= -1e-15
 
@@ -144,7 +145,7 @@ def test_t_star_examples():
         m = rng.uniform(0.0, 0.3)
         M = m + rng.uniform(0.2, 0.6)
         p = rng.uniform(0.15, 0.85)
-        oracle = beta(_complement_power_fn(p), m, M)
+        oracle = beta(complement_power_fn(p), m, M)
         ts = t_star(m, M, p)
         assert ts == pytest.approx(oracle.argmax, abs=1e-6)
         assert m < ts < M
@@ -231,3 +232,51 @@ def test_registered_concave_functions_have_gamma_at_least_one_and_beta_nonneg():
             M = m + rng.uniform(0.3, 2.0)
             assert gamma(f, m, M).value >= 1.0 - 1e-12
             assert beta(f, m, M).value >= -1e-12
+
+
+def test_beta_returns_for_a_maximizer_near_1e19():
+    # 30 digits cannot shrink a bracket around 2.5e19 to GOLDEN_WIDTH; the
+    # golden-section loop used to run forever here
+    b = beta(geometric_w(0.5), 0.5, 1e20)
+    closed = zeta_aczel(0.5, 1e20, 0.5)
+    assert b.value == pytest.approx(closed.value, rel=1e-9)
+    assert b.argmax == pytest.approx(closed.argmax, rel=1e-6)
+
+
+def test_golden_step_cap_never_binds_on_the_sweep_or_acceptance_grid(monkeypatch):
+    """Every oracle call of the constants sweep and of a campaign over the
+    acceptance grid's intervals, exponents and means ends on the bracket
+    width, before the step cap."""
+    real = constants._golden_max
+    steps_left = []
+
+    def recording(g, lo, hi):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return g(t)
+
+        out = real(counted, lo, hi)
+        steps_left.append(constants._golden_steps(lo, hi) - (len(calls) - 3))
+        return out
+
+    monkeypatch.setattr(constants, "_golden_max", recording)
+    checks._gamma_cached.cache_clear()
+    checks._beta_cached.cache_clear()
+    cli.constants_sweep()
+    cfg = campaign.CampaignConfig(
+        trials=1,
+        dims=(1,),
+        n_values=(1,),
+        intervals=((0.5, 2.0), (0.8, 1.25), (0.2, 0.8), (0.1, 0.7)),
+        p_grid=(0.25, 0.5, 0.75),
+        lambda_grid=(0.3, 0.7),
+        means=("arith:0.5", "geom:0.5", "power:0.3"),
+        maps=("id",),
+    )
+    campaign.run_campaign(cfg)
+    checks._gamma_cached.cache_clear()
+    checks._beta_cached.cache_clear()
+    assert len(steps_left) > 100
+    assert min(steps_left) > 0, sorted(set(steps_left))

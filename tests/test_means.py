@@ -14,7 +14,7 @@ from opbellman.means import (
     powered,
     weighted_arithmetic,
 )
-from opbellman.spectral import hermitize, identity, loewner_leq, pd_root_pair, power_psd
+from opbellman.spectral import eig, hermitize, identity, loewner_leq, pd_root_pair
 
 RNG = np.random.default_rng(100)
 
@@ -23,8 +23,9 @@ def weighted_geometric(a, b, lam):
     """A^{1/2} (A^{-1/2} B A^{-1/2})^lam A^{1/2} by congruence and a spectral
     power: a second route to mean(a, b, geometric_w(lam))."""
     root, inv_root = pd_root_pair(a)
-    w = hermitize(inv_root @ b @ inv_root)
-    return hermitize(root @ power_psd(w, lam) @ root)
+    lam_w, u = eig(hermitize(inv_root @ b @ inv_root))
+    w_lam = hermitize((u * np.clip(lam_w, 0.0, None) ** lam) @ u.conj().T)
+    return hermitize(root @ w_lam @ root)
 
 MEANS = [arithmetic_w(0.3), geometric_w(0.5), power_fn(0.7)]
 

@@ -15,9 +15,7 @@ from opbellman.spectral import (
     matrix_from_json,
     matrix_to_json,
     pd_root_pair,
-    power_psd,
     spectral_norm,
-    sqrt_psd,
 )
 
 
@@ -142,16 +140,13 @@ def test_loewner_holds_non_finite_operands_take_the_full_path():
         loewner_holds(nan_entry, np.eye(2))
 
 
-def test_power_diagonal():
-    assert np.allclose(power_psd(np.diag([4.0, 9.0]).astype(complex), 0.5), np.diag([2.0, 3.0]))
-
-
 def test_power_identities():
     rng = np.random.default_rng(5)
     h = random_pd(4, rng)
-    assert np.array_equal(power_psd(h, 0.0), identity(4))
-    assert np.array_equal(power_psd(h, 1.0), hermitize(h))
-    s = sqrt_psd(h)
+    assert np.allclose(apply_function(h, lambda t: t**0.0, (0.0, np.inf)), identity(4))
+    assert np.allclose(apply_function(h, lambda t: t**1.0, (0.0, np.inf)), h)
+    s = apply_function(h, np.sqrt, (0.0, np.inf))
+    assert np.array_equal(s, pd_root_pair(h)[0])
     assert np.allclose(s @ s, h, atol=1e-11)
 
 
@@ -199,7 +194,8 @@ def test_loewner_heinz_statistical():
         a = random_pd(dim, rng, 0.1, 1.5)
         b = a + random_pd(dim, rng, 0.05, 1.0)
         p = rng.uniform(0.05, 0.95)
-        assert loewner_leq(power_psd(a, p), power_psd(b, p)).holds
+        power = lambda t: t**p
+        assert loewner_leq(apply_function(a, power, (0.0, np.inf)), apply_function(b, power, (0.0, np.inf))).holds
 
 
 def test_order_verdict_consistency():
