@@ -26,9 +26,10 @@ from .checks import (
     VIOLATED,
     CheckOutcome,
     _gamma_cached,
+    _na,
 )
 from .constants import P_MIN
-from .errors import ParameterError, WitnessFormatError
+from .errors import HypothesisError, ParameterError, WitnessFormatError
 from .instances import (
     EDGE_SHRINK,
     InstanceFamily,
@@ -584,27 +585,147 @@ def replay_witness(obj: dict, tol: Tolerance = Tolerance()) -> tuple[CheckOutcom
 _SHAPE_KEYS = ("dim", "n", "map")
 
 
+@dataclass
+class _Trial:
+    """One trial of a cell, as the cell summary sees it.
+
+    ``outcome`` is exact (from ``checks.check``, or a guard or generator
+    rejection).  Without one, the trial holds for certain and ``slack`` and
+    ``normalized`` enclose its slack and slack/scale; with one, they are
+    that outcome's values, ``normalized`` None where scale > 0 fails.
+    """
+
+    inst: object
+    params: dict | None
+    provenance: dict
+    outcome: CheckOutcome | None = None
+    slack: tuple[float, float] | None = None
+    normalized: tuple[float, float] | None = None
+
+    def settle(self, outcome: CheckOutcome) -> "_Trial":
+        self.outcome = outcome
+        self.slack = (outcome.slack, outcome.slack)
+        self.normalized = (outcome.slack / outcome.scale,) * 2 if outcome.scale > 0 else None
+        return self
+
+
+def _build_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int) -> _Trial:
+    """Draw one seeded trial's instance.  A builder that gives up (None) or
+    raises ``HypothesisError`` leaves a ``generator_rejected`` outcome."""
+    cell_key = json.dumps(cell, sort_keys=True)
+    rng = subrng(cfg.seed, check_id, cell_key, trial)
+    provenance = {"seed": cfg.seed, "cell": cell, "trial": trial}
+    try:
+        inst, draws = BUILDERS[check_id](cell, rng)
+    except HypothesisError:
+        inst = None
+    if inst is None:
+        return _Trial(None, None, provenance).settle(_na(check_id, "generator_rejected"))
+    params = {k: v for k, v in cell.items() if k not in _SHAPE_KEYS} | draws
+    return _Trial(inst, params, provenance)
+
+
 def run_check_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int):
     """One seeded trial; returns (outcome, inst, params, provenance).
 
     The params are the cell without its instance-shape keys ``_SHAPE_KEYS``,
     plus whatever the builder drew itself."""
-    cell_key = json.dumps(cell, sort_keys=True)
-    rng = subrng(cfg.seed, check_id, cell_key, trial)
-    inst, draws = BUILDERS[check_id](cell, rng)
-    params = {k: v for k, v in cell.items() if k not in _SHAPE_KEYS} | draws
-    provenance = {"seed": cfg.seed, "cell": cell, "trial": trial}
-    if inst is None:
-        outcome = CheckOutcome(
-            check_id, NOT_APPLICABLE, math.nan, math.nan, witness={"guard": "generator_rejected"}
-        )
-        return outcome, None, None, provenance
-    outcome = checks.check(check_id, inst, params, cfg.tolerance)
-    return outcome, inst, params, provenance
+    t = _build_trial(check_id, cell, cfg, trial)
+    if t.outcome is None:
+        t.settle(checks.check(check_id, t.inst, t.params, cfg.tolerance))
+    return t.outcome, t.inst, t.params, t.provenance
+
+
+def _bounded_trials(check_id: str, cell: dict, cfg: CampaignConfig) -> list[_Trial]:
+    """The trials of a scalar cell, settled where the check's float64 bound
+    decides a guard or certainly holds; the rest are left for ``checks.check``."""
+    trials = [_build_trial(check_id, cell, cfg, t) for t in range(cfg.trials)]
+    built = [t for t in trials if t.outcome is None]
+    verdicts = REGISTRY[check_id].bounds([t.inst for t in built]) if built else []
+    for t, b in zip(built, verdicts):
+        if isinstance(b, str):
+            t.settle(_na(check_id, b))
+        elif b is not None and b.scale_lo > 0 and b.slack_lo >= -cfg.tolerance.margin(b.scale_lo):
+            t.slack = (b.slack_lo, b.slack_hi)
+            ratios = [s / c for s in t.slack for c in (b.scale_lo, b.scale_hi)]
+            t.normalized = (min(ratios), max(ratios))
+    return trials
+
+
+def _cell_summary(check_id: str, cell: dict, cfg: CampaignConfig, trials: list[_Trial]) -> dict:
+    """The report record of one cell.
+
+    A trial without an exact outcome is evaluated through ``checks.check``
+    unless its enclosures show that the reported values do not depend on
+    it: its slack interval lies above the smallest slack upper end, and its
+    slack/scale interval misses [k-th smallest lower end, k-th smallest
+    upper end] for each middle rank k.  The summary then reads each other
+    trial at its lower ends, which keeps the minimum, the first trial that
+    reaches it and the median.
+    """
+
+    def evaluate(pending) -> None:
+        for t in pending:
+            if t.outcome is None:
+                t.settle(checks.check(check_id, t.inst, t.params, cfg.tolerance))
+
+    evaluate([t for t in trials if t.slack is None])
+    applicable = [t for t in trials if t.outcome is None or t.outcome.status != NOT_APPLICABLE]
+    if applicable:
+        top = min(t.slack[1] for t in applicable)
+        evaluate([t for t in applicable if t.slack[0] <= top])
+    normed = [t for t in applicable if t.normalized is not None]
+    for k in sorted({(len(normed) - 1) // 2, len(normed) // 2}) if normed else ():
+        lo_k = sorted(t.normalized[0] for t in normed)[k]
+        hi_k = sorted(t.normalized[1] for t in normed)[k]
+        evaluate([t for t in normed if t.normalized[0] <= hi_k and t.normalized[1] >= lo_k])
+
+    holds = violated = na = 0
+    slacks = []
+    normalized = []
+    na_guards: dict[str, int] = {}
+    argmin_ref = None
+    min_slack = math.inf
+    witnesses = []
+    for trial, t in enumerate(trials):
+        outcome = t.outcome
+        if outcome is not None and outcome.status == NOT_APPLICABLE:
+            na += 1
+            guard = (outcome.witness or {}).get("guard", "unspecified")
+            na_guards[guard] = na_guards.get(guard, 0) + 1
+            continue
+        slacks.append(t.slack[0])
+        if t.normalized is not None:
+            normalized.append(t.normalized[0])
+        if t.slack[0] < min_slack:
+            min_slack = t.slack[0]
+            argmin_ref = {"trial": trial}
+        if outcome is not None and outcome.status == VIOLATED:
+            violated += 1
+            witnesses.append(make_witness(check_id, t.params, t.inst, outcome, t.provenance))
+        else:
+            holds += 1
+    return {
+        "check": check_id,
+        "cell": cell,
+        "trials": cfg.trials,
+        "holds": holds,
+        "violations": violated,
+        "not_applicable": na,
+        "na_guards": dict(sorted(na_guards.items())),
+        "min_slack": None if not slacks else min(slacks),
+        "median_normalized_slack": None if not normalized else median(normalized),
+        "argmin": argmin_ref,
+        "violation_witnesses": witnesses,
+    }
 
 
 def run_campaign(cfg: CampaignConfig) -> dict:
-    """Execute the full campaign and return the report document."""
+    """Execute the full campaign and return the report document.
+
+    A check that declares float64 bounds runs its cells through
+    ``_bounded_trials``; every other trial goes through ``run_check_trial``.
+    """
     cfg.validate()
     cells_out = []
     total = {"trials": 0, "holds": 0, "violations": 0, "not_applicable": 0}
@@ -614,52 +735,23 @@ def run_campaign(cfg: CampaignConfig) -> dict:
 
     for check_id in cfg.checks:
         for cell in expand_cells(check_id, cfg):
-            holds = violated = na = 0
-            slacks = []
-            normalized = []
-            na_guards: dict[str, int] = {}
-            argmin_ref = None
-            min_slack = math.inf
-            witnesses = []
-            for trial in range(cfg.trials):
-                outcome, inst, params, provenance = run_check_trial(check_id, cell, cfg, trial)
-                if outcome.status == NOT_APPLICABLE:
-                    na += 1
-                    guard = (outcome.witness or {}).get("guard", "unspecified")
-                    na_guards[guard] = na_guards.get(guard, 0) + 1
-                    continue
-                slacks.append(outcome.slack)
-                if outcome.scale > 0:
-                    normalized.append(outcome.slack / outcome.scale)
-                if outcome.slack < min_slack:
-                    min_slack = outcome.slack
-                    argmin_ref = {"trial": trial}
-                if outcome.status == VIOLATED:
-                    violated += 1
-                    witnesses.append(make_witness(check_id, params, inst, outcome, provenance))
-                else:
-                    holds += 1
+            if REGISTRY[check_id].bounds is not None:
+                trials = _bounded_trials(check_id, cell, cfg)
+            else:
+                trials = [
+                    _Trial(inst, params, provenance).settle(outcome)
+                    for outcome, inst, params, provenance in (
+                        run_check_trial(check_id, cell, cfg, trial) for trial in range(cfg.trials)
+                    )
+                ]
+            row = _cell_summary(check_id, cell, cfg, trials)
+            cells_out.append(row)
             total["trials"] += cfg.trials
-            total["holds"] += holds
-            total["violations"] += violated
-            total["not_applicable"] += na
-            na_by_check[check_id] = na_by_check.get(check_id, 0) + na
+            total["holds"] += row["holds"]
+            total["violations"] += row["violations"]
+            total["not_applicable"] += row["not_applicable"]
+            na_by_check[check_id] = na_by_check.get(check_id, 0) + row["not_applicable"]
             trials_by_check[check_id] = trials_by_check.get(check_id, 0) + cfg.trials
-            cells_out.append(
-                {
-                    "check": check_id,
-                    "cell": cell,
-                    "trials": cfg.trials,
-                    "holds": holds,
-                    "violations": violated,
-                    "not_applicable": na,
-                    "na_guards": dict(sorted(na_guards.items())),
-                    "min_slack": None if not slacks else min(slacks),
-                    "median_normalized_slack": None if not normalized else median(normalized),
-                    "argmin": argmin_ref,
-                    "violation_witnesses": witnesses,
-                }
-            )
 
     for check_id, n_na in sorted(na_by_check.items()):
         n_tr = trials_by_check[check_id]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -126,18 +127,25 @@ class RegistryEntry:
     axes: tuple[str, ...]  # campaign grids the check consumes
     reference: object  # dim-1 scalar formula; None for scalar checks
     runner: object
+    bounds: object  # float64 enclosure of a cell's trials; None for operator checks
 
 
 REGISTRY: dict[str, RegistryEntry] = {}
 
 
-def inequality(check_id, *, group, direction, interval_kind, axes, statement, hypothesis, reference=None):
+def inequality(
+    check_id, *, group, direction, interval_kind, axes, statement, hypothesis, reference=None, bounds=None
+):
     """Declare one inequality: register it in ``REGISTRY`` and wrap its checker.
 
     The checker returns the sides to compare, (dominant, dominated), or
     (t1, t2, t3) for a chain t1 <= t2 <= t3.  Scalar checkers run, and their
-    sides are subtracted, at ``SCALAR_DPS`` digits.  Registration order is
-    the campaign's check order.
+    sides are subtracted, at ``SCALAR_DPS`` digits.  A scalar check may
+    declare ``bounds``, a function of the cell's instances stacked into
+    arrays that mirrors the checker in float64 intervals (see
+    ``_Interval``); the entry's ``bounds`` takes the list of instances and
+    returns one ``_settle`` verdict per instance.  Registration order is the
+    campaign's check order.
     """
 
     def deco(fn):
@@ -155,7 +163,8 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
             return _compare(check_id, *sides, tol)
 
         REGISTRY[check_id] = RegistryEntry(
-            check_id, group, direction, statement, hypothesis, interval_kind, axes, reference, runner
+            check_id, group, direction, statement, hypothesis, interval_kind, axes, reference, runner,
+            None if bounds is None else _cell_bounds(bounds),
         )
         return runner
 
@@ -831,6 +840,269 @@ def check_bellman_chain_interp(inst: InstanceFamily, params, tol) -> tuple:
     return t1, t2, t3
 
 
+# -- float64 bounds of the scalar suite ----------------------------------------
+#
+# A scalar check's ``bounds`` repeats its checker's arithmetic on intervals of
+# float64 arrays, one row per trial of a cell (Shewchuk's adaptive filter,
+# "Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
+# Predicates", 1997).  Each operation widens its result outward by more than
+# the float64 rounding and mpmath's 30-digit rounding of the same operation
+# together, so every value the mpmath checker computes lies inside the
+# matching interval.  A trial the intervals cannot settle is left undecided
+# and the campaign evaluates it through the checker.
+
+#: Unit roundoff of float64; all outward widening is a multiple of it.
+ROUNDING_UNIT = 2.0**-53
+
+#: Widening, in units of ``ROUNDING_UNIT``, of one add, sub, mul or div.
+_OP_ULPS = 4
+
+#: Widening of ``x ** y``: numpy's SIMD pow is not correctly rounded.
+_POW_ULPS = 64
+
+#: Absolute widening of every result, larger than any float64 underflow error.
+UNDERFLOW_PAD = 1e-290
+
+#: Extra distance from zero that a guard or a status needs to count as decided.
+DECIDE_MARGIN = 1e-20
+
+
+class _Interval:
+    """Closed intervals [lo, hi] of float64 arrays, rounded outward.
+
+    An operation on a NaN or on a non-finite endpoint gives NaN, which
+    decides nothing.  ``x ** y`` needs x >= 0 and y > 0.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi=None):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = self.lo if hi is None else np.asarray(hi, dtype=float)
+
+    def __getitem__(self, index):
+        return _Interval(self.lo[index], self.hi[index])
+
+    def __add__(self, other):
+        o = _as_interval(other)
+        return _rounded(self.lo + o.lo, self.hi + o.hi, _OP_ULPS, (self.lo >= 0) & (o.lo >= 0))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = _as_interval(other)
+        return _rounded(self.lo - o.hi, self.hi - o.lo, _OP_ULPS)
+
+    def __rsub__(self, other):
+        return _as_interval(other) - self
+
+    def __mul__(self, other):
+        o = _as_interval(other)
+        corners = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+        return _rounded(
+            np.minimum.reduce(corners), np.maximum.reduce(corners), _OP_ULPS, (self.lo >= 0) & (o.lo >= 0)
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _as_interval(other)
+        den_lo = np.where((o.lo > 0) | (o.hi < 0), o.lo, np.nan)
+        corners = (self.lo / den_lo, self.lo / o.hi, self.hi / den_lo, self.hi / o.hi)
+        return _rounded(
+            np.minimum.reduce(corners), np.maximum.reduce(corners), _OP_ULPS, (self.lo >= 0) & (o.lo > 0)
+        )
+
+    def __rtruediv__(self, other):
+        return _as_interval(other) / self
+
+    def __pow__(self, other):
+        o = _as_interval(other)
+        base_lo = np.where(self.lo >= 0, self.lo, np.nan)
+        corners = (base_lo**o.lo, base_lo**o.hi, self.hi**o.lo, self.hi**o.hi)
+        return _rounded(np.minimum.reduce(corners), np.maximum.reduce(corners), _POW_ULPS, True)
+
+    def sum(self, axis):
+        """The sum of k terms along ``axis``, widened by (k + 2) u sum |terms|."""
+        w = (self.lo.shape[axis] + 2) * ROUNDING_UNIT
+        lo = self.lo.sum(axis) - w * np.abs(self.lo).sum(axis)
+        hi = self.hi.sum(axis) + w * np.abs(self.hi).sum(axis)
+        return _rounded(lo, hi, 0, (self.lo >= 0).all(axis))
+
+
+def _as_interval(x) -> _Interval:
+    return x if isinstance(x, _Interval) else _Interval(x)
+
+
+def _rounded(lo, hi, ulps, nonneg=False) -> _Interval:
+    """[lo, hi] widened by ``ulps`` u relative and ``UNDERFLOW_PAD`` absolute;
+    ``lo`` stays at or above 0 where ``nonneg`` says the exact result is
+    nonnegative.  Non-finite endpoints become NaN."""
+    w = ulps * ROUNDING_UNIT
+    lo = lo - (w * np.abs(lo) + UNDERFLOW_PAD)
+    lo = np.where(nonneg, np.maximum(lo, 0.0), lo)
+    hi = hi + (w * np.abs(hi) + UNDERFLOW_PAD)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    return _Interval(np.where(finite, lo, np.nan), np.where(finite, hi, np.nan))
+
+
+def _sign(x: _Interval) -> np.ndarray:
+    """1 where x is certainly above 0, -1 where certainly below, else 0."""
+    return np.where(x.lo > DECIDE_MARGIN, 1, np.where(x.hi < -DECIDE_MARGIN, -1, 0))
+
+
+def _exact_guard(cond) -> np.ndarray:
+    return np.where(cond, 1, -1)
+
+
+def _abs_lo(x: _Interval) -> np.ndarray:
+    """Lower end of |x|."""
+    return np.where(x.lo >= 0, x.lo, np.where(x.hi <= 0, -x.hi, 0.0))
+
+
+class SlackBounds(NamedTuple):
+    """Enclosures of one trial's reported slack and scale."""
+
+    slack_lo: float
+    slack_hi: float
+    scale_lo: float
+    scale_hi: float
+
+
+def _settle(guards, dominant: _Interval, dominated: _Interval) -> list:
+    """Per trial, in the checker's order of ``guards`` (tri-state arrays from
+    ``_sign``, with the guard name): the name of the first failing guard when
+    every earlier one is decided, ``SlackBounds`` when all pass, else None."""
+    slack = dominant - dominated
+    slack_lo, slack_hi = slack.lo - DECIDE_MARGIN, slack.hi + DECIDE_MARGIN
+    scale_lo = np.maximum(_abs_lo(dominant), _abs_lo(dominated))
+    scale_hi = np.maximum(
+        np.maximum(np.abs(dominant.lo), np.abs(dominant.hi)),
+        np.maximum(np.abs(dominated.lo), np.abs(dominated.hi)),
+    )
+    out = [None] * len(slack_lo)
+    passed = np.ones(len(slack_lo), dtype=bool)
+    for state, name in guards:
+        for t in np.flatnonzero(passed & (state < 0)):
+            out[t] = name
+        passed &= state > 0
+    passed &= np.isfinite(slack_lo) & np.isfinite(slack_hi) & np.isfinite(scale_lo) & np.isfinite(scale_hi)
+    for t in np.flatnonzero(passed):
+        out[t] = SlackBounds(float(slack_lo[t]), float(slack_hi[t]), float(scale_lo[t]), float(scale_hi[t]))
+    return out
+
+
+def _cell_bounds(fn):
+    """``fn`` over a list of scalar instances: stacks them with a leading
+    trial axis, zero-padding matrices to the largest row count (a zero entry
+    adds exact zeros to every sum it enters)."""
+
+    @functools.wraps(fn)
+    def bounds(insts: list) -> list:
+        stacked = {}
+        for key in insts[0]:
+            values = [inst[key] for inst in insts]
+            if np.ndim(values[0]) == 2:
+                arr = np.zeros((len(values), max(v.shape[0] for v in values), values[0].shape[1]))
+                for t, v in enumerate(values):
+                    arr[t, : v.shape[0]] = v
+                stacked[key] = arr
+            else:
+                stacked[key] = np.asarray(values, dtype=float)
+        with np.errstate(all="ignore"):
+            return fn(stacked)
+
+    return bounds
+
+
+def _bellman_bounds(s) -> list:
+    p = s["p"]
+    a, b = _Interval(s["a"]), _Interval(s["b"])
+    aj, bj = _Interval(s["a_j"]), _Interval(s["b_j"])
+    ra = a**p - (aj ** p[:, None]).sum(1)
+    rb = b**p - (bj ** p[:, None]).sum(1)
+    rc = (a + b) ** p - ((aj + bj) ** p[:, None]).sum(1)
+    inv = 1 / _Interval(p)
+    return _settle(
+        [
+            (_exact_guard(p >= 1.0), "exponent_below_one"),
+            (np.minimum(_sign(ra), _sign(rb)), "column_hypothesis_failed"),
+            (_sign(rc), "joint_base_negative"),
+        ],
+        rc**inv,
+        ra**inv + rb**inv,
+    )
+
+
+def _head_tail_bounds(s, p) -> tuple:
+    """(a^p - sum a_j^p, b^p - sum b_j^p, a b - sum a_j b_j) of Aczel and Popoviciu."""
+    a, b = _Interval(s["a"]), _Interval(s["b"])
+    aj, bj = _Interval(s["a_j"]), _Interval(s["b_j"])
+    pj = p if np.ndim(p) == 0 else p[:, None]
+    ra = a**p - (aj**pj).sum(1)
+    rb = b**p - (bj**pj).sum(1)
+    return ra, rb, a * b - (aj * bj).sum(1)
+
+
+def _aczel_bounds(s) -> list:
+    ra, rb, cross = _head_tail_bounds(s, 2.0)
+    return _settle([(np.maximum(_sign(ra), _sign(rb)), "hypothesis_failed")], cross**2.0, ra * rb)
+
+
+def _popoviciu_bounds(s) -> list:
+    p = s["p"]
+    ra, rb, cross = _head_tail_bounds(s, p)
+    return _settle(
+        [
+            (_exact_guard(p >= 1.0), "exponent_below_one"),
+            (np.maximum(_sign(ra), _sign(rb)), "hypothesis_failed"),
+            (_sign(cross), "cross_term_negative"),
+        ],
+        cross**p,
+        ra * rb,
+    )
+
+
+def _column_powers(s) -> tuple:
+    """(p, 1/p, sum_i a_ij^{1/p} per column) of the weighted Bellman kinds."""
+    p = s["p"]
+    q = 1 / _Interval(p)
+    return p, q, (_Interval(s["a"]) ** q[:, None, None]).sum(1)
+
+
+def _bellman_weighted_bounds(s) -> list:
+    p, q, col_caps = _column_powers(s)
+    w = _Interval(s["weights"])
+    dominated = (w * (1 - col_caps) ** p[:, None]).sum(1)
+    mixed = (w[:, None, :] * _Interval(s["a"])).sum(2)
+    dominant = (1 - (mixed ** q[:, None]).sum(1)) ** p
+    return _settle([(_sign(1 - col_caps).min(1), "column_hypothesis_failed")], dominant, dominated)
+
+
+def _bellman_columns_bounds(s) -> list:
+    p, q, col_sums = _column_powers(s)
+    caps = _Interval(s["caps"])
+    room = caps ** q[:, None] - col_sums
+    dominated = (room ** p[:, None]).sum(1)
+    row_sums = _Interval(s["a"]).sum(2)
+    base = caps.sum(1) ** q - (row_sums ** q[:, None]).sum(1)
+    return _settle(
+        [(_sign(room).min(1), "column_hypothesis_failed"), (_sign(base), "joint_base_negative")],
+        base**p,
+        dominated,
+    )
+
+
+def _bellman_reverse_bounds(s) -> list:
+    p, q, col_caps = _column_powers(s)
+    w = _Interval(s["weights"])
+    pp = _Interval(p)
+    const = (1 - pp) * pp ** (pp / (1 - pp))
+    dominant = const + (w * (1 - col_caps) ** p[:, None]).sum(1)
+    dominated = (1 - (w * col_caps).sum(1)) ** p
+    return _settle([(_sign(1 - col_caps).min(1), "column_hypothesis_failed")], dominant, dominated)
+
+
 # -- scalar suite ------------------------------------------------------------
 
 
@@ -839,6 +1111,7 @@ def check_bellman_chain_interp(inst: InstanceFamily, params, tol) -> tuple:
     axes=("n",),
     statement="(a^p - sum a_j^p)^{1/p} + (b^p - sum b_j^p)^{1/p} <= ((a+b)^p - sum (a_j+b_j)^p)^{1/p}",
     hypothesis="positive reals, integer p >= 1, column sums below caps",
+    bounds=_bellman_bounds,
 )
 def check_scalar_bellman(inst: dict, params, tol) -> tuple:
     """(a^p - sum a_j^p)^{1/p} + (b^p - sum b_j^p)^{1/p}
@@ -863,6 +1136,7 @@ def check_scalar_bellman(inst: dict, params, tol) -> tuple:
     axes=("n",),
     statement="(a_1^2 - sum a_j^2)(b_1^2 - sum b_j^2) <= (a_1 b_1 - sum a_j b_j)^2",
     hypothesis="a_1^2 > sum a_j^2 or b_1^2 > sum b_j^2",
+    bounds=_aczel_bounds,
 )
 def check_scalar_aczel(inst: dict, params, tol) -> tuple:
     """(a_1^2 - sum a_j^2)(b_1^2 - sum b_j^2) <= (a_1 b_1 - sum a_j b_j)^2."""
@@ -882,6 +1156,7 @@ def check_scalar_aczel(inst: dict, params, tol) -> tuple:
     axes=("n",),
     statement="(a_1^p - sum a_j^p)(b_1^p - sum b_j^p) <= (a_1 b_1 - sum a_j b_j)^p",
     hypothesis="p >= 1 and a head power dominates its column",
+    bounds=_popoviciu_bounds,
 )
 def check_scalar_popoviciu(inst: dict, params, tol) -> tuple:
     """(a_1^p - sum a_j^p)(b_1^p - sum b_j^p) <= (a_1 b_1 - sum a_j b_j)^p, p >= 1."""
@@ -903,6 +1178,7 @@ def check_scalar_popoviciu(inst: dict, params, tol) -> tuple:
     axes=("n", "p"),
     statement="sum_j w_j (1 - sum_i a_ij^{1/p})^p <= (1 - sum_i (sum_j w_j a_ij)^{1/p})^p",
     hypothesis="sum_i a_ij^{1/p} <= 1 per column, weights sum to 1, 0 < p < 1",
+    bounds=_bellman_weighted_bounds,
 )
 def check_scalar_bellman_weighted(inst: dict, params, tol) -> tuple:
     """sum_j w_j (1 - sum_i a_ij^{1/p})^p <= (1 - sum_i (sum_j w_j a_ij)^{1/p})^p."""
@@ -924,6 +1200,7 @@ def check_scalar_bellman_weighted(inst: dict, params, tol) -> tuple:
     axes=("n", "p"),
     statement="sum_j (M_j^{1/p} - sum_i a_ij^{1/p})^p <= ((sum M_j)^{1/p} - sum_i (sum_j a_ij)^{1/p})^p",
     hypothesis="sum_i a_ij^{1/p} <= M_j^{1/p} per column, 0 < p < 1",
+    bounds=_bellman_columns_bounds,
 )
 def check_scalar_bellman_columns(inst: dict, params, tol) -> tuple:
     """sum_j (M_j^{1/p} - sum_i a_ij^{1/p})^p
@@ -952,6 +1229,7 @@ def check_scalar_bellman_columns(inst: dict, params, tol) -> tuple:
     axes=("n", "p"),
     statement="(1-p) p^{p/(1-p)} + sum_j w_j (1 - sum_i a_ij^{1/p})^p >= (1 - sum_ij w_j a_ij^{1/p})^p",
     hypothesis="sum_i a_ij^{1/p} <= 1 per column, weights sum to 1, 0 < p < 1",
+    bounds=_bellman_reverse_bounds,
 )
 def check_scalar_bellman_reverse(inst: dict, params, tol) -> tuple:
     """(1-p) p^{p/(1-p)} + sum_j w_j (1 - sum_i a_ij^{1/p})^p

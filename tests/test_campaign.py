@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -485,3 +486,73 @@ def test_cli_constants_exponent_outside_range_gives_notes(capsys):
     for name in ("gamma_h", "delta_affine_power", "zeta_aczel"):
         assert rows[name]["closed_form"] is None and "exponent p" in rows[name]["note"]
     assert rows["beta_log"]["closed_form"] is not None
+
+
+def test_builder_hypothesis_error_is_a_rejected_trial(tmp_path):
+    # at p = P_MIN, a^(1/p) underflows in the mp1 builder, whose
+    # HypothesisError used to abort the campaign with exit 1
+    cfg = CampaignConfig(p_grid=(0.001,), trials=1)
+    for cell in campaign.expand_cells("scalar_bellman_columns", cfg):
+        outcome, inst, params, _ = run_check_trial("scalar_bellman_columns", cell, cfg, 0)
+        assert (outcome.status, outcome.witness) == ("not_applicable", {"guard": "generator_rejected"})
+        assert inst is None and params is None
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"p_grid": [0.001], "trials": 1}))
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["summary"]["trials"] == len(report["cells"]) == 1008
+    assert {g for row in report["cells"] for g in row["na_guards"]} == {"generator_rejected"}
+
+
+#: The scalar_suite benchmark grid: n = 1 cells tie, p = 1 Bellman trials have slack 0.
+SCALAR_SUITE = dict(n_values=(1, 2, 3), p_grid=(0.25, 0.5, 0.75), checks=tuple(checks.SCALAR_IDS), seed=301)
+
+
+def _per_trial_summary(cfg):
+    """(cells, summary) of a report, every trial evaluated through run_check_trial."""
+    cells = []
+    total = {"trials": 0, "holds": 0, "violations": 0, "not_applicable": 0}
+    for check_id in cfg.checks:
+        for cell in campaign.expand_cells(check_id, cfg):
+            holds = violated = na = 0
+            slacks, normalized, na_guards, witnesses = [], [], {}, []
+            argmin_ref, min_slack = None, math.inf
+            for trial in range(cfg.trials):
+                outcome, inst, params, provenance = run_check_trial(check_id, cell, cfg, trial)
+                if outcome.status == "not_applicable":
+                    na += 1
+                    guard = outcome.witness["guard"]
+                    na_guards[guard] = na_guards.get(guard, 0) + 1
+                    continue
+                slacks.append(outcome.slack)
+                if outcome.scale > 0:
+                    normalized.append(outcome.slack / outcome.scale)
+                if outcome.slack < min_slack:
+                    min_slack, argmin_ref = outcome.slack, {"trial": trial}
+                if outcome.status == "violated":
+                    violated += 1
+                    witnesses.append(make_witness(check_id, params, inst, outcome, provenance))
+                else:
+                    holds += 1
+            for key, value in (("trials", cfg.trials), ("holds", holds), ("violations", violated),
+                               ("not_applicable", na)):
+                total[key] += value
+            cells.append({
+                "check": check_id, "cell": cell, "trials": cfg.trials, "holds": holds,
+                "violations": violated, "not_applicable": na, "na_guards": dict(sorted(na_guards.items())),
+                "min_slack": min(slacks) if slacks else None,
+                "median_normalized_slack": statistics.median(normalized) if normalized else None,
+                "argmin": argmin_ref, "violation_witnesses": witnesses,
+            })
+    return cells, total
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 200])
+def test_filtered_scalar_campaign_matches_per_trial_summary(trials):
+    # odd and even medians, and the n = 1 cells where every slack ties
+    cfg = CampaignConfig(trials=trials, **SCALAR_SUITE)
+    report = run_campaign(cfg)
+    cells, summary = _per_trial_summary(cfg)
+    expected = campaign.report_to_json(dict(report, cells=cells, summary=summary))
+    assert campaign.report_to_json(report) == expected

@@ -343,9 +343,9 @@ def test_registry_entries_are_complete():
         assert entry.axes, cid
         assert entry.interval_kind in ("sandwich", "unit", "positive", "none"), cid
         if entry.group == "scalar":
-            assert entry.reference is None, cid
+            assert entry.reference is None and callable(entry.bounds), cid
         else:
-            assert callable(entry.reference), cid
+            assert callable(entry.reference) and entry.bounds is None, cid
 
 
 def test_scalar_checks_hold_on_generated_instances():
@@ -560,3 +560,121 @@ def test_check_svd_budget_per_trial(check_id, monkeypatch):
             assert state["svds"] <= budget, (cell, trial, state["svds"])
             counted += state["svds"]
     assert counted > 0
+
+
+#: Largest eigvalsh and eigh counts of one check call on CampaignConfig(seed=11).
+EIG_BUDGETS = {
+    "bellman_map": (7, 4),
+    "bellman_mean": (10, 9),
+    "jensen_map": (3, 2),
+    "mean_superadditive": (7, 8),
+    "mean_remainder": (4, 10),
+    "mean_power_compose": (5, 5),
+    "jensen_ratio_reverse": (3, 2),
+    "mean_map_ratio_reverse": (5, 4),
+    "mean_sum_ratio_reverse": (7, 8),
+    "bellman_ratio_reverse": (12, 10),
+    "compression_ratio_reverse": (4, 2),
+    "mean_power_ratio_reverse": (6, 5),
+    "bellman_arith_reverse": (11, 3),
+    "jensen_diff_reverse": (3, 2),
+    "mean_map_diff_reverse": (5, 4),
+    "mean_sum_diff_reverse": (7, 8),
+    "bellman_diff_reverse": (11, 10),
+    "aczel_reverse": (11, 10),
+    "jensen_family_diff_reverse": (7, 4),
+    "bellman_family_reverse": (7, 4),
+    "log_family_reverse": (7, 4),
+    "bellman_chain_split": (12, 12),
+    "bellman_chain_interp": (12, 13),
+}
+
+
+def test_eig_budgets_cover_every_operator_check():
+    assert set(EIG_BUDGETS) == set(checks.OPERATOR_IDS)
+
+
+@pytest.mark.parametrize("check_id", checks.OPERATOR_IDS)
+def test_check_eig_budget_per_trial(check_id, monkeypatch):
+    # pinned at today's maxima, so that a change adding eigensolver calls
+    # to a check shows here
+    kinds = ("eigvalsh", "eigh")
+    budget = dict(zip(kinds, EIG_BUDGETS[check_id]))
+    run = checks.check
+    state = {"in_check": False, **dict.fromkeys(kinds, 0)}
+
+    def counted(kind, solver):
+        def call(*args, **kwargs):
+            state[kind] += state["in_check"]
+            return solver(*args, **kwargs)
+
+        return call
+
+    def counted_check(*args, **kwargs):
+        state["in_check"] = True
+        try:
+            return run(*args, **kwargs)
+        finally:
+            state["in_check"] = False
+
+    for kind in kinds:
+        monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
+    monkeypatch.setattr(checks, "check", counted_check)
+    cfg = CampaignConfig(seed=11)
+    total = dict.fromkeys(kinds, 0)
+    for cell in campaign.expand_cells(check_id, cfg):
+        for trial in range(cfg.trials):
+            state.update(dict.fromkeys(kinds, 0))
+            run_check_trial(check_id, cell, cfg, trial)
+            for kind in kinds:
+                assert state[kind] <= budget[kind], (kind, cell, trial, state[kind])
+                total[kind] += state[kind]
+    assert all(total.values()), total
+
+
+# -- float64 bounds of the scalar suite -------------------------------------------
+
+
+@pytest.mark.parametrize("check_id", checks.SCALAR_IDS)
+def test_scalar_bounds_agree_with_the_mpmath_checker(check_id):
+    # acceptance n and p grids, plus exponents near the ends of [P_MIN, 1 - P_MIN]
+    cfg = CampaignConfig(
+        trials=40,
+        n_values=(1, 2, 3),
+        p_grid=(0.25, 0.5, 0.75, 0.005, 0.995, constants.P_MIN),
+        seed=20260809,
+        tolerance=Tolerance(atol=1e-10, rtol=1e-10),
+    )
+    decided = 0
+    for cell in campaign.expand_cells(check_id, cfg):
+        for trial, t in enumerate(campaign._bounded_trials(check_id, cell, cfg)):
+            exact, *_ = run_check_trial(check_id, cell, cfg, trial)
+            if t.outcome is not None:
+                assert (t.outcome.status, t.outcome.witness) == (exact.status, exact.witness), (cell, trial)
+            elif t.slack is not None:
+                decided += 1
+                assert exact.status == HOLDS, (cell, trial, exact)
+                assert t.slack[0] <= exact.slack <= t.slack[1], (cell, trial, t.slack, exact)
+                ratio = exact.slack / exact.scale
+                assert t.normalized[0] <= ratio <= t.normalized[1], (cell, trial, t.normalized, ratio)
+    assert decided >= cfg.trials
+
+
+@pytest.mark.parametrize("check_id,inst,verdict", [
+    ("scalar_bellman", {"p": 0.5, "a": 1.0, "a_j": [0.5], "b": 1.0, "b_j": [0.5]}, "exponent_below_one"),
+    ("scalar_bellman", {"p": 2.0, "a": 1.0, "a_j": [1.5], "b": 1.0, "b_j": [0.5]}, "column_hypothesis_failed"),
+    ("scalar_bellman", {"p": 1.0, "a": 1.0, "a_j": [1.0], "b": 1.0, "b_j": [0.5]}, None),
+    ("scalar_aczel", {"p": 2.0, "a": 1.0, "a_j": [1.5], "b": 1.0, "b_j": [1.5]}, "hypothesis_failed"),
+    ("scalar_popoviciu", {"p": 1.5, "a": 1.0, "a_j": [0.5], "b": 0.1, "b_j": [1.0]}, "cross_term_negative"),
+    ("scalar_bellman_weighted", {"a": [[2.0]], "weights": [1.0], "p": 0.5}, "column_hypothesis_failed"),
+    ("scalar_bellman_columns", {"a": [[0.5]], "caps": [0.25], "p": 0.5}, "column_hypothesis_failed"),
+    ("scalar_bellman_reverse", {"a": [[1.0]], "weights": [1.0], "p": 0.5}, None),
+])
+def test_scalar_bounds_decide_a_guard_only_away_from_its_boundary(check_id, inst, verdict):
+    # a guard exactly on its boundary (a_j = a at p = 1, a column sum of 1)
+    # is left to the mpmath checker
+    inst = {k: v if np.isscalar(v) else np.asarray(v, dtype=float) for k, v in inst.items()}
+    (bound,) = checks.REGISTRY[check_id].bounds([inst])
+    assert bound == verdict
+    if verdict is not None:
+        assert check(check_id, inst, {}, TOL).witness == {"guard": verdict}
