@@ -609,20 +609,25 @@ class _Trial:
         return self
 
 
-def _build_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int) -> _Trial:
-    """Draw one seeded trial's instance.  A builder that gives up (None) or
-    raises ``HypothesisError`` leaves a ``generator_rejected`` outcome."""
+def _build_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> list[_Trial]:
+    """Draw the instances of the seeded trials ``trials`` of one cell.  A
+    builder that gives up (None) or raises ``HypothesisError`` leaves a
+    ``generator_rejected`` outcome."""
     cell_key = json.dumps(cell, sort_keys=True)
-    rng = subrng(cfg.seed, check_id, cell_key, trial)
-    provenance = {"seed": cfg.seed, "cell": cell, "trial": trial}
-    try:
-        inst, draws = BUILDERS[check_id](cell, rng)
-    except HypothesisError:
-        inst = None
-    if inst is None:
-        return _Trial(None, None, provenance).settle(_na(check_id, "generator_rejected"))
-    params = {k: v for k, v in cell.items() if k not in _SHAPE_KEYS} | draws
-    return _Trial(inst, params, provenance)
+    cell_params = {k: v for k, v in cell.items() if k not in _SHAPE_KEYS}
+    out = []
+    for trial in trials:
+        rng = subrng(cfg.seed, check_id, cell_key, trial)
+        provenance = {"seed": cfg.seed, "cell": cell, "trial": trial}
+        try:
+            inst, draws = BUILDERS[check_id](cell, rng)
+        except HypothesisError:
+            inst = None
+        if inst is None:
+            out.append(_Trial(None, None, provenance).settle(_na(check_id, "generator_rejected")))
+        else:
+            out.append(_Trial(inst, cell_params | draws, provenance))
+    return out
 
 
 def run_check_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int):
@@ -630,16 +635,29 @@ def run_check_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int):
 
     The params are the cell without its instance-shape keys ``_SHAPE_KEYS``,
     plus whatever the builder drew itself."""
-    t = _build_trial(check_id, cell, cfg, trial)
+    (t,) = _build_trials(check_id, cell, cfg, [trial])
     if t.outcome is None:
         t.settle(checks.check(check_id, t.inst, t.params, cfg.tolerance))
     return t.outcome, t.inst, t.params, t.provenance
 
 
+def _checked_trials(check_id: str, cell: dict, cfg: CampaignConfig) -> list[_Trial]:
+    """The trials of an operator cell, checked in one ``checks.check_cell``
+    call on the stack of the trials the builder did not reject."""
+    trials = _build_trials(check_id, cell, cfg, range(cfg.trials))
+    built = [t for t in trials if t.outcome is None]
+    if built:
+        insts, params = [t.inst for t in built], [t.params for t in built]
+        outcomes = checks.check_cell(check_id, insts, params, cfg.tolerance)
+        for t, outcome in zip(built, outcomes):
+            t.settle(outcome)
+    return trials
+
+
 def _bounded_trials(check_id: str, cell: dict, cfg: CampaignConfig) -> list[_Trial]:
     """The trials of a scalar cell, settled where the check's float64 bound
     decides a guard or certainly holds; the rest are left for ``checks.check``."""
-    trials = [_build_trial(check_id, cell, cfg, t) for t in range(cfg.trials)]
+    trials = _build_trials(check_id, cell, cfg, range(cfg.trials))
     built = [t for t in trials if t.outcome is None]
     verdicts = REGISTRY[check_id].bounds([t.inst for t in built]) if built else []
     for t, b in zip(built, verdicts):
@@ -724,7 +742,8 @@ def run_campaign(cfg: CampaignConfig) -> dict:
     """Execute the full campaign and return the report document.
 
     A check that declares float64 bounds runs its cells through
-    ``_bounded_trials``; every other trial goes through ``run_check_trial``.
+    ``_bounded_trials``; an operator check runs each cell as one stack
+    through ``_checked_trials``.
     """
     cfg.validate()
     cells_out = []
@@ -738,12 +757,7 @@ def run_campaign(cfg: CampaignConfig) -> dict:
             if REGISTRY[check_id].bounds is not None:
                 trials = _bounded_trials(check_id, cell, cfg)
             else:
-                trials = [
-                    _Trial(inst, params, provenance).settle(outcome)
-                    for outcome, inst, params, provenance in (
-                        run_check_trial(check_id, cell, cfg, trial) for trial in range(cfg.trials)
-                    )
-                ]
+                trials = _checked_trials(check_id, cell, cfg)
             row = _cell_summary(check_id, cell, cfg, trials)
             cells_out.append(row)
             total["trials"] += cfg.trials

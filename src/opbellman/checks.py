@@ -6,6 +6,12 @@ smallest eigenvalue of (dominant side minus dominated side).  A failed
 hypothesis or power-domain guard yields ``not_applicable`` with the guard
 named in the witness; ``violated`` is reserved for instances that satisfy
 every hypothesis yet fail the final comparison.
+
+An operator checker is written against a stack of trials: its instance is
+``instances.stack_families`` of the trials' instances, so every matrix
+carries a leading trial axis (none for a single trial, whose d x d matrices
+are the stack of one), and every guard decides per trial.  ``check`` runs
+one trial; ``check_cell`` runs all trials of a cell in one pass.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .errors import (
     ParameterError,
     UnboundedRatioError,
 )
-from .instances import InstanceFamily
+from .instances import InstanceFamily, stack_families
 from .means import (
     RepresentingFunction,
     arithmetic_w,
@@ -40,9 +46,12 @@ from .means import (
 from .spectral import (
     DEFAULT_TOL,
     Tolerance,
+    _any,
     _eigvalsh,
+    adjoint,
     apply_function,
     eig,
+    from_spectrum,
     hermitize,
     identity,
     loewner_holds,
@@ -72,41 +81,61 @@ class CheckOutcome:
 
 
 class _GuardFail(Exception):
-    def __init__(self, guard: str):
+    """Guard ``guard`` failed on the trials ``where`` marks (True: all)."""
+
+    def __init__(self, guard: str, where=True):
         super().__init__(guard)
         self.guard = guard
+        self.where = where
 
 
-def _require(cond: bool, guard: str) -> None:
-    if not cond:
-        raise _GuardFail(guard)
+def _require(cond, guard: str) -> None:
+    """Fail ``guard`` on the trials where ``cond`` (one bool, or one per trial) is False."""
+    if cond is True:  # a plain bool: a guard on cell values, or a scalar checker's
+        return
+    failed = ~np.asarray(cond)
+    if _any(failed):
+        raise _GuardFail(guard, failed)
 
 
 def _na(check_id: str, guard: str) -> CheckOutcome:
     return CheckOutcome(check_id, NOT_APPLICABLE, math.nan, math.nan, witness={"guard": guard})
 
 
-def _compare(check_id, dominant, dominated, tol) -> CheckOutcome:
+def _compare(check_id, dominant, dominated, tol) -> list[CheckOutcome]:
     v = loewner_leq(dominated, dominant, tol)
-    return CheckOutcome(
-        check_id=check_id,
-        status=HOLDS if v.holds else VIOLATED,
-        slack=v.slack,
-        scale=v.scale,
-    )
+    return [
+        CheckOutcome(check_id, HOLDS if holds else VIOLATED, float(slack), float(scale))
+        for holds, slack, scale in zip(*np.atleast_1d(v.holds, v.slack, v.scale))
+    ]
 
 
-def _chain_outcome(check_id, t1, t2, t3, tol) -> CheckOutcome:
+def _chain_outcome(check_id, t1, t2, t3, tol) -> list[CheckOutcome]:
     l1 = loewner_leq(t1, t2, tol)
     l2 = loewner_leq(t2, t3, tol)
-    holds = l1.holds and l2.holds
-    return CheckOutcome(
-        check_id=check_id,
-        status=HOLDS if holds else VIOLATED,
-        slack=min(l1.slack, l2.slack),
-        scale=max(l1.scale, l2.scale),
-        chain_slacks=(l1.slack, l2.slack),
-    )
+    return [
+        CheckOutcome(
+            check_id=check_id,
+            status=HOLDS if h1 and h2 else VIOLATED,
+            slack=min(float(s1), float(s2)),
+            scale=max(float(c1), float(c2)),
+            chain_slacks=(float(s1), float(s2)),
+        )
+        for h1, h2, s1, s2, c1, c2 in zip(
+            *np.atleast_1d(l1.holds, l2.holds, l1.slack, l2.slack, l1.scale, l2.scale)
+        )
+    ]
+
+
+def _stack_params(params: list[dict]) -> dict:
+    """The params of a stack of trials: a value all trials share stays as it
+    is, and a per-trial draw that differs becomes an array on a leading axis."""
+    if len(params) == 1:
+        return params[0]
+    return {
+        key: value if all(p[key] == value for p in params[1:]) else np.asarray([p[key] for p in params])
+        for key, value in params[0].items()
+    }
 
 
 def _scalar_outcome(check_id, dominant, dominated, tol) -> CheckOutcome:
@@ -126,7 +155,8 @@ class RegistryEntry:
     interval_kind: str  # sandwich | unit | positive | none
     axes: tuple[str, ...]  # campaign grids the check consumes
     reference: object  # dim-1 scalar formula; None for scalar checks
-    runner: object
+    runner: object  # one trial: (inst, params, tol) -> CheckOutcome
+    cell_runner: object  # a cell: (insts, params, tol) -> one CheckOutcome per trial
     bounds: object  # float64 enclosure of a cell's trials; None for operator checks
 
 
@@ -139,8 +169,16 @@ def inequality(
     """Declare one inequality: register it in ``REGISTRY`` and wrap its checker.
 
     The checker returns the sides to compare, (dominant, dominated), or
-    (t1, t2, t3) for a chain t1 <= t2 <= t3.  Scalar checkers run, and their
-    sides are subtracted, at ``SCALAR_DPS`` digits.  A scalar check may
+    (t1, t2, t3) for a chain t1 <= t2 <= t3.  The entry's ``runner`` checks
+    one trial; its ``cell_runner`` takes a list of instances and one of
+    params and returns one outcome per trial.
+
+    An operator checker runs once on the stack of all trials.  A guard that
+    fails on some trials settles them, and the checker runs again on the
+    rest, so no call sees the operands of a trial past its first failing
+    guard; a stacked call gives each trial the bits it gives it alone.
+    Scalar checkers run per trial, and their sides are subtracted, at
+    ``SCALAR_DPS`` digits.  A scalar check may
     declare ``bounds``, a function of the cell's instances stacked into
     arrays that mirrors the checker in float64 intervals (see
     ``_Interval``); the entry's ``bounds`` takes the list of instances and
@@ -149,22 +187,43 @@ def inequality(
     """
 
     def deco(fn):
-        @functools.wraps(fn)
-        def runner(inst, params, tol: Tolerance = DEFAULT_TOL) -> CheckOutcome:
+        def scalar_trial(inst, params, tol) -> CheckOutcome:
             try:
-                if group == "scalar":
-                    with mpmath.workdps(SCALAR_DPS):
-                        return _scalar_outcome(check_id, *fn(inst, params, tol), tol)
-                sides = fn(inst, params, tol)
+                with mpmath.workdps(SCALAR_DPS):
+                    return _scalar_outcome(check_id, *fn(inst, params, tol), tol)
             except _GuardFail as g:
                 return _na(check_id, g.guard)
-            if group == "chain":
-                return _chain_outcome(check_id, *sides, tol)
-            return _compare(check_id, *sides, tol)
+
+        def cell_runner(insts: list, params: list, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
+            if group == "scalar":
+                return [scalar_trial(inst, p, tol) for inst, p in zip(insts, params)]
+            out = [None] * len(insts)
+            live = list(range(len(insts)))
+            while live:
+                stack = stack_families([insts[t] for t in live])
+                try:
+                    sides = fn(stack, _stack_params([params[t] for t in live]), tol)
+                except _GuardFail as g:
+                    failed = np.broadcast_to(g.where, (len(live),))
+                    for t in np.flatnonzero(failed):
+                        out[live[t]] = _na(check_id, g.guard)
+                    live = [t for t, f in zip(live, failed) if not f]
+                    continue
+                compare = _chain_outcome if group == "chain" else _compare
+                for t, outcome in zip(live, compare(check_id, *sides, tol)):
+                    out[t] = outcome
+                break
+            return out
+
+        @functools.wraps(fn)
+        def runner(inst, params, tol: Tolerance = DEFAULT_TOL) -> CheckOutcome:
+            if group == "scalar":
+                return scalar_trial(inst, params, tol)
+            return cell_runner([inst], [params], tol)[0]
 
         REGISTRY[check_id] = RegistryEntry(
             check_id, group, direction, statement, hypothesis, interval_kind, axes, reference, runner,
-            None if bounds is None else _cell_bounds(bounds),
+            cell_runner, None if bounds is None else _cell_bounds(bounds),
         )
         return runner
 
@@ -177,8 +236,8 @@ def inequality(
 def _mean_g(a, b, f, guard: str):
     try:
         return mean(a, b, f)
-    except (ConditioningError, DomainError):
-        raise _GuardFail(guard) from None
+    except (ConditioningError, DomainError) as exc:
+        raise _GuardFail(guard, exc.where) from None
 
 
 def _pair_means(inst, f):
@@ -189,36 +248,39 @@ def _pair_means(inst, f):
 def _fcalc_g(h, f: RepresentingFunction, guard: str):
     try:
         return apply_function(h, f.fn, f.domain)
-    except DomainError:
-        raise _GuardFail(guard) from None
+    except DomainError as exc:
+        raise _GuardFail(guard, exc.where) from None
 
 
 def _power_guarded(base, p: float, tol: Tolerance, guard: str):
     """base^p after an independent PSD check; tolerated negative eigenvalues
     (within the comparison margin) are clipped to zero."""
     lam, u = eig(base)
-    norm = float(np.abs(lam).max(initial=0.0))
-    _require(float(lam[0]) >= -tol.margin(norm), guard)
+    norm = np.abs(lam).max(axis=-1, initial=0.0)
+    _require(lam[..., 0] >= -tol.margin(norm), guard)
     lam = np.clip(lam, 0.0, None)
     if p == 0.0:
-        return identity(base.shape[0])
-    return hermitize((u * lam**p) @ u.conj().T)
+        return np.broadcast_to(identity(base.shape[-1]), base.shape)
+    return hermitize(from_spectrum(u, lam**p))
+
+
+def _per_member(x):
+    """An (n,) or (trials, n) array of per-member scalars (weights,
+    interpolants) as n factors shaped (1, 1) or (trials, 1, 1), each scaling
+    a stack of member matrices."""
+    return np.asarray(x, dtype=float).swapaxes(0, -1)[..., None, None]
 
 
 def _family_sum(inst, mats):
     """sum_j w_j Phi_j(X_j) over the family's weights and per-member maps."""
-    dim = inst.maps[0].output_dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for w, phi, x in zip(inst.weights, inst.maps, mats):
-        out += w * phi.apply(x)
-    return out
+    return sum(w * phi.apply(x) for w, phi, x in zip(_per_member(inst.weights), inst.maps, mats))
 
 
 # -- hypothesis re-verification --------------------------------------------
 
 
 def _guard_window(mats, m, M, tol, name="spectrum_window"):
-    eye = identity(mats[0].shape[0])
+    eye = identity(mats[0].shape[-1])
     for a in mats:
         _require(loewner_holds(m * eye, a, tol), f"{name}_below_m")
         _require(loewner_holds(a, M * eye, tol), f"{name}_above_M")
@@ -237,7 +299,7 @@ def _guard_psd(x, tol, guard):
 
 def _guard_pd_floor(x, guard):
     lam = _eigvalsh(hermitize(x))
-    _require(float(lam[0]) >= PD_REL_FLOOR * max(float(lam[-1]), 1e-300), guard)
+    _require(lam[..., 0] >= PD_REL_FLOOR * np.maximum(lam[..., -1], 1e-300), guard)
 
 
 def _complement_prologue(inst, m, M, tol, f=None):
@@ -248,7 +310,7 @@ def _complement_prologue(inst, m, M, tol, f=None):
     Returns (g, I, I - sum A_j, I - sum B_j)."""
     _require(m < 1.0 < M, "window_not_straddling_one")
     g = 1.0 if f is None else _gamma_guarded(f, m, M)
-    eye = identity(inst.A[0].shape[0])
+    eye = identity(inst.A[0].shape[-1])
     _guard_pair_sandwich(zip(inst.A, inst.B), m, M, tol)
     comp_a = hermitize(eye - g * sum(inst.A))
     comp_b = hermitize(eye - g * sum(inst.B))
@@ -293,10 +355,10 @@ def check_bellman_map(inst: InstanceFamily, params, tol) -> tuple:
     """(Phi(I - sum w_j A_j))^p >= Phi(sum w_j (I - A_j)^p) for contractions
     0 <= A_j <= I."""
     p = params["p"]
-    eye = identity(inst.A[0].shape[0])
+    eye = identity(inst.A[0].shape[-1])
     _guard_window(inst.A, 0.0, 1.0, tol, "contraction_window")
     phi = inst.maps[0]
-    w = inst.weights
+    w = _per_member(inst.weights)
     avg = hermitize(sum(wj * a for wj, a in zip(w, inst.A)))
     dominant = _power_guarded(hermitize(phi.apply(eye - avg)), p, tol, "map_base_not_psd")
     inner = sum(
@@ -319,7 +381,7 @@ def check_bellman_mean(inst: InstanceFamily, params, tol) -> tuple:
     for subidentity families."""
     f = function_from_id(params["f"])
     p = params["p"]
-    eye = identity(inst.A[0].shape[0])
+    eye = identity(inst.A[0].shape[-1])
     for mats in (inst.A, inst.B):
         for x in mats:
             _guard_psd(x, tol, "member_not_psd")
@@ -515,17 +577,17 @@ def check_compression_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     m, M = params["m"], params["M"]
     x = inst.A[0]
     c = inst.aux["C"]
-    eye = identity(x.shape[0])
-    gram = c.conj().T @ c
+    eye = identity(x.shape[-1])
+    gram = adjoint(c) @ c
     _require(loewner_holds(hermitize(gram), eye, tol), "not_a_contraction")
     _require(f.operator_monotone, "not_operator_monotone")
     _guard_window([x], m, M, tol)
     g = _gamma_guarded(f, m, M)
-    compressed = hermitize(c.conj().T @ x @ c)
+    compressed = hermitize(adjoint(c) @ x @ c)
     dominated = _fcalc_g(compressed, f, "compressed_spectrum_outside_domain")
     fm = float(f(m))
     dominant = hermitize(
-        g * (c.conj().T @ _fcalc_g(x, f, "function_domain") @ c + fm * (eye - gram))
+        g * (adjoint(c) @ _fcalc_g(x, f, "function_domain") @ c + fm * (eye - gram))
     )
     return dominant, dominated
 
@@ -551,7 +613,7 @@ def check_mean_power_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
         gh = constants.gamma_power(fm, fM, p).value
     except ParameterError:
         raise _GuardFail("degenerate_power_interval") from None
-    eye = identity(a.shape[0])
+    eye = identity(a.shape[-1])
     dominated = _power_guarded(_mean_g(a, b, f, "mean_conditioning"), p, tol, "mean_base_not_psd")
     dominant = hermitize(gh * (fm**p * (eye - a) + _mean_g(a, b, powered(f, p), "mean_conditioning")))
     return dominant, dominated
@@ -731,7 +793,7 @@ def check_bellman_family_reverse(inst: InstanceFamily, params, tol) -> tuple:
     _require(0.0 <= m < M < 1.0, "window_not_in_unit_interval")
     _guard_window(inst.A, m, M, tol)
     delta = constants.delta_bellman(m, M, p).value
-    eye = identity(inst.A[0].shape[0])
+    eye = identity(inst.A[0].shape[-1])
     out_eye = identity(inst.maps[0].output_dim)
     powers = [_power_guarded(hermitize(eye - a), p, tol, "member_base_not_psd") for a in inst.A]
     dominant = hermitize(delta * out_eye + _family_sum(inst, powers))
@@ -755,7 +817,7 @@ def check_log_family_reverse(inst: InstanceFamily, params, tol) -> tuple:
     c = constants.beta_log(m, M).value
     phi = inst.maps[0]
     out_eye = identity(phi.output_dim)
-    w = inst.weights
+    w = _per_member(inst.weights)
     logs = hermitize(sum(wj * _fcalc_g(a, log_fn, "member_not_pd") for wj, a in zip(w, inst.A)))
     dominant = hermitize(c * out_eye + phi.apply(logs))
     mixed = hermitize(sum(wj * phi.apply(a) for wj, a in zip(w, inst.A)))
@@ -767,7 +829,7 @@ def check_log_family_reverse(inst: InstanceFamily, params, tol) -> tuple:
 
 
 def _subidentity_guards(inst, tol):
-    eye = identity(inst.A[0].shape[0])
+    eye = identity(inst.A[0].shape[-1])
     for mats, tag in ((inst.A, "A"), (inst.B, "B")):
         for x in mats:
             _guard_psd(x, tol, f"{tag}_member_not_psd")
@@ -790,7 +852,7 @@ def check_bellman_chain_split(inst: InstanceFamily, params, tol) -> tuple:
     n = len(inst.A)
     _require(1 <= k <= n - 1, "split_index_out_of_range")
     _subidentity_guards(inst, tol)
-    eye = identity(inst.A[0].shape[0])
+    eye = identity(inst.A[0].shape[-1])
     comp_a = hermitize(eye - sum(inst.A))
     comp_b = hermitize(eye - sum(inst.B))
     _guard_pd_floor(comp_a, "complement_a_not_pd")
@@ -820,9 +882,10 @@ def check_bellman_chain_interp(inst: InstanceFamily, params, tol) -> tuple:
     p = params["p"]
     t = np.asarray(params["t"], dtype=float)
     n = len(inst.A)
-    _require(t.size == n and np.all((0.0 <= t) & (t <= 1.0)), "interpolants_outside_unit")
+    _require(t.shape[-1:] == (n,) and np.all((0.0 <= t) & (t <= 1.0), axis=-1), "interpolants_outside_unit")
+    t = _per_member(t)
     _subidentity_guards(inst, tol)
-    eye = identity(inst.A[0].shape[0])
+    eye = identity(inst.A[0].shape[-1])
     comp_a = hermitize(eye - sum(inst.A))
     comp_b = hermitize(eye - sum(inst.B))
     _guard_pd_floor(comp_a, "complement_a_not_pd")
@@ -1260,13 +1323,25 @@ SCALAR_IDS = [e.check_id for e in REGISTRY.values() if e.group == "scalar"]
 OPERATOR_IDS = FORWARD_IDS + REVERSE_IDS + CHAIN_IDS
 
 
-def check(check_id: str, inst, params, tol: Tolerance = DEFAULT_TOL) -> CheckOutcome:
-    """Dispatch one inequality check by registry id."""
+def _entry(check_id: str) -> RegistryEntry:
     try:
-        entry = REGISTRY[check_id]
+        return REGISTRY[check_id]
     except KeyError:
         raise ParameterError(f"unknown inequality id {check_id!r}") from None
-    return entry.runner(inst, params, tol)
+
+
+def check(check_id: str, inst, params, tol: Tolerance = DEFAULT_TOL) -> CheckOutcome:
+    """Dispatch one inequality check on one trial by registry id."""
+    return _entry(check_id).runner(inst, params, tol)
+
+
+def check_cell(check_id: str, insts: list, params: list, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
+    """One outcome per trial of a cell, from one run of the checker on the
+    stack of its trials.  A single trial goes through ``check``, so what
+    wraps the per-trial entry sees every trial of a one-trial cell."""
+    if len(insts) == 1:
+        return [check(check_id, insts[0], params[0], tol)]
+    return _entry(check_id).cell_runner(insts, params, tol)
 
 
 def registry_listing() -> list[dict]:

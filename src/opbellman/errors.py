@@ -2,7 +2,15 @@
 
 
 class OpBellmanError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``where`` says which matrices of a stack an operation failed on (a bool
+    per matrix); True when the failure is not tied to particular matrices.
+    """
+
+    def __init__(self, *args, where=True):
+        super().__init__(*args)
+        self.where = where
 
 
 class ShapeError(OpBellmanError, ValueError):

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import HypothesisError, ParameterError
 from .means import POSITIVE_HALFLINE, RepresentingFunction, mean
-from .spectral import _eigvalsh, apply_function, hermitize, identity, spectral_norm
+from .positive_maps import stack_maps
+from .spectral import _eigvalsh, apply_function, from_spectrum, hermitize, identity, spectral_norm
 
 #: Hypothesis margin every released instance must clear.
 DEFAULT_MARGIN = 1e-6
@@ -61,6 +62,33 @@ class InstanceFamily:
     meta: dict = field(default_factory=dict)
 
 
+def stack_families(insts: list[InstanceFamily]) -> InstanceFamily:
+    """The instances of one cell's trials as one family on a leading trial axis.
+
+    Member j of ``A`` (and ``B``) becomes a (trials, d, d) stack, ``weights``
+    a (trials, n) array, each map a ``stack_maps`` map and each ``aux``
+    matrix a stack.  The trials must share their shapes and map classes.
+    One instance is returned as it is: its d x d matrices are the stack of one.
+    """
+    first = insts[0]
+    if len(insts) == 1:
+        return first
+
+    def members(name):
+        if getattr(first, name) is None:
+            return None
+        return [np.stack(ms) for ms in zip(*(getattr(i, name) for i in insts))]
+
+    return InstanceFamily(
+        hypothesis_tag=first.hypothesis_tag,
+        A=members("A"),
+        B=members("B"),
+        weights=None if first.weights is None else np.stack([i.weights for i in insts]),
+        maps=None if first.maps is None else [stack_maps(ms) for ms in zip(*(i.maps for i in insts))],
+        aux={k: np.stack([i.aux[k] for i in insts]) for k in first.aux},
+    )
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix with
     phase normalization of the triangular factor's diagonal (the standard
@@ -84,7 +112,7 @@ def random_spectrum_matrix(
         raise ParameterError(f"need a <= b, got [{a}, {b}]")
     lam = np.sort(rng.uniform(a, b, size=dim))
     u = haar_unitary(dim, rng)
-    return hermitize((u * lam) @ u.conj().T)
+    return hermitize(from_spectrum(u, lam))
 
 
 def random_pd(
@@ -317,7 +345,8 @@ def scalar_instance(
         a = rng.uniform(0.1, 1.0, size=(rows, cols))
         theta = rng.uniform(0.2, 0.9, size=cols)
         col_sums = np.sum(a**q, axis=0)
-        a = a * (theta / col_sums) ** p
+        with np.errstate(divide="ignore", over="ignore"):
+            a = a * (theta / col_sums) ** p
         if not np.all(np.sum(a**q, axis=0) <= 1.0):
             raise HypothesisError(f"{kind} instance: a column sum of a_ij^(1/p) exceeds 1")
         return {"a": a, "weights": random_weights(cols, rng), "p": p}
@@ -328,7 +357,8 @@ def scalar_instance(
         a = rng.uniform(0.1, 1.0, size=(rows, cols))
         theta = rng.uniform(0.2, 0.9, size=cols)
         col_sums = np.sum(a**q, axis=0)
-        a = a * (theta * caps**q / col_sums) ** p
+        with np.errstate(divide="ignore", over="ignore"):
+            a = a * (theta * caps**q / col_sums) ** p
         if not np.all(np.sum(a**q, axis=0) <= caps**q):
             raise HypothesisError("mp1 instance: a column sum of a_ij^(1/p) exceeds its cap")
         return {"a": a, "caps": caps, "p": p}

@@ -147,10 +147,12 @@ def require_mean(f: RepresentingFunction) -> RepresentingFunction:
 
 
 def mean(a: np.ndarray, b: np.ndarray, f: RepresentingFunction) -> np.ndarray:
-    """A sigma_f B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}.
+    """A sigma_f B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}, pair by pair
+    for stacks (..., d, d) of A and B.
 
     A must be positive definite with margin (no silent regularization);
-    B may be positive semidefinite.
+    B may be positive semidefinite.  A ``ConditioningError`` or
+    ``DomainError`` names the failing pairs of a stack in ``where``.
     """
     require_mean(f)
     a = np.asarray(a, dtype=complex)

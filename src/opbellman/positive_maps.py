@@ -1,24 +1,27 @@
 """Concrete unital positive linear maps.
 
 Every variant sends positive matrices to positive matrices, is linear and
-maps the identity to the identity.
+maps the identity to the identity.  ``apply`` takes a stack ``(..., d, d)``
+of operands.  ``stack_maps`` joins one map per trial into a single map
+whose arrays carry a leading trial axis; it applies trial t's map to
+operand t of a stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .spectral import _eigvalsh, hermitize, identity
+from .spectral import _eigvalsh, adjoint, hermitize, identity
 
 _ISOMETRY_TOL = 1e-10
 
 
 def _as_square(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
-    if x.shape != (dim, dim):
+    if x.shape[-2:] != (dim, dim):
         raise ShapeError(f"{what}: expected shape {(dim, dim)}, got {x.shape}")
     return x
 
@@ -26,7 +29,7 @@ def _as_square(x: np.ndarray, dim: int, what: str) -> np.ndarray:
 def _isometry_error(v: np.ndarray) -> float:
     """||V*V - I|| as the largest |eigenvalue| of the Hermitian difference;
     NaN when V has a NaN entry, which the callers reject."""
-    return float(np.abs(_eigvalsh(hermitize(v.conj().T @ v - identity(v.shape[1])))).max())
+    return float(np.abs(_eigvalsh(hermitize(adjoint(v) @ v - identity(v.shape[1])))).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,15 +70,15 @@ class Compression:
 
     @property
     def input_dim(self) -> int:
-        return self.v.shape[0]
+        return self.v.shape[-2]
 
     @property
     def output_dim(self) -> int:
-        return self.v.shape[1]
+        return self.v.shape[-1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = _as_square(x, self.input_dim, "compression")
-        return self.v.conj().T @ x @ self.v
+        return adjoint(self.v) @ x @ self.v
 
     def to_json(self) -> dict:
         return {
@@ -113,7 +116,7 @@ class UnitaryMixture:
 
     @property
     def input_dim(self) -> int:
-        return self.unitaries[0].shape[0]
+        return self.unitaries[0].shape[-1]
 
     @property
     def output_dim(self) -> int:
@@ -121,10 +124,8 @@ class UnitaryMixture:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = _as_square(x, self.input_dim, "unitary mixture")
-        out = np.zeros_like(x)
-        for w, u in zip(self.weights, self.unitaries):
-            out += w * (u.conj().T @ x @ u)
-        return out
+        weights = self.weights.swapaxes(0, -1)[..., None, None]  # one factor per unitary
+        return sum(w * (adjoint(u) @ x @ u) for w, u in zip(weights, self.unitaries))
 
     def to_json(self) -> dict:
         return {
@@ -167,7 +168,7 @@ class Pinching:
         out = np.zeros_like(x)
         for blk in self.blocks:
             idx = np.asarray(blk)
-            out[np.ix_(idx, idx)] = x[np.ix_(idx, idx)]
+            out[..., idx[:, None], idx] = x[..., idx[:, None], idx]
         return out
 
     def to_json(self) -> dict:
@@ -175,6 +176,24 @@ class Pinching:
 
 
 PositiveLinearMap = IdentityMap | Compression | UnitaryMixture | Pinching
+
+
+def stack_maps(maps: list) -> PositiveLinearMap:
+    """One map of the trials' common class whose arrays (an isometry, the
+    mixture's weights and unitaries) are the trials' stacked along a leading
+    axis.  Each map was validated when it was built, so the stack is not."""
+    out = object.__new__(type(maps[0]))
+    for field in fields(out):
+        values = [getattr(m, field.name) for m in maps]
+        first = values[0]
+        if isinstance(first, np.ndarray):
+            first = np.stack(values)
+        elif field.name == "unitaries":
+            first = tuple(np.stack(us) for us in zip(*values))
+        elif any(v != first for v in values):
+            raise ShapeError(f"cannot stack maps with different {field.name}")
+        object.__setattr__(out, field.name, first)
+    return out
 
 
 def map_from_json(obj: dict) -> PositiveLinearMap:

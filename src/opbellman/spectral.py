@@ -6,6 +6,13 @@ calculus, spectral powers and comparisons in the Loewner order.  Matrices
 are plain complex ``numpy`` arrays; Hermitian operands are symmetrized at
 every construction site so that ``entries[i, j] == conj(entries[j, i])``
 holds exactly.
+
+Every operation takes a stack ``(..., d, d)`` of matrices as well as one
+``d x d`` matrix, and acts on each matrix of the stack as it acts on that
+matrix alone: stacked LAPACK and ``@`` calls give bit-identical results per
+matrix.  Per-matrix results (slacks, norms, verdicts) carry the stack's
+leading shape, which is ``()`` for a single matrix.  An operation that fails
+on some matrices of a stack says which ones in the error's ``where``.
 """
 
 from __future__ import annotations
@@ -61,9 +68,9 @@ class OrderVerdict:
     two operand spectral norms.
     """
 
-    holds: bool
-    slack: float
-    scale: float
+    holds: bool | np.ndarray
+    slack: float | np.ndarray
+    scale: float | np.ndarray
 
 
 class SpectralDecomposition(NamedTuple):
@@ -71,28 +78,49 @@ class SpectralDecomposition(NamedTuple):
     vectors: np.ndarray  # unitary; columns are eigenvectors
 
 
+def adjoint(x: np.ndarray) -> np.ndarray:
+    """X* of each matrix of a stack: ``.T`` would reverse the stack's axes too."""
+    return x.conj().swapaxes(-1, -2)
+
+
 def hermitize(x: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian manifold: (X + X*)/2."""
     x = np.asarray(x, dtype=complex)
-    return (x + x.conj().T) / 2.0
+    return (x + x.conj().swapaxes(-1, -2)) / 2.0
+
+
+def from_spectrum(u: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """U diag(vals) U* for each matrix of a stack of eigenvector matrices U."""
+    return (u * vals[..., None, :]) @ adjoint(u)
 
 
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def spectral_norm(x: np.ndarray) -> float:
-    """Largest singular value: the SVD behind ``np.linalg.norm(x, 2)``, without its axis handling."""
-    return float(np.linalg.svd(x, compute_uv=False).max())
+def spectral_norm(x: np.ndarray):
+    """Largest singular value of each matrix: the SVD behind ``np.linalg.norm(x, 2)``,
+    without its axis handling."""
+    return np.linalg.svd(x, compute_uv=False).max(axis=-1)
 
 
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix.
+    """Ascending eigenvalues of each Hermitian matrix of a stack.
 
     Every ``eigvalsh`` of the package goes through here: the one point at
     which to count or time them.
     """
     return np.linalg.eigvalsh(h)
+
+
+def _any(mask) -> bool:
+    """Whether a per-matrix mask marks any matrix (cheap for a single matrix)."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
+
+
+def _first(mask: np.ndarray) -> tuple:
+    """Index of the first True of a per-matrix mask; () for a single matrix."""
+    return tuple(np.argwhere(mask)[0])
 
 
 def matrix_hash(x: np.ndarray) -> str:
@@ -101,11 +129,11 @@ def matrix_hash(x: np.ndarray) -> str:
 
 
 def eig(h: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+    """Eigendecomposition of each Hermitian matrix of a stack, eigenvalues ascending.
 
     The reconstruction U diag(lam) U* is verified against the input; a
     failure to converge is reported with a content hash of the offending
-    matrix rather than silently returning garbage.
+    matrix (or stack) rather than silently returning garbage.
     """
     h = np.asarray(h, dtype=complex)
     try:
@@ -114,20 +142,21 @@ def eig(h: np.ndarray) -> SpectralDecomposition:
         raise EigendecompositionError(
             f"eigh failed to converge on matrix {matrix_hash(h)}: {exc}"
         ) from exc
-    recon = (u * lam) @ u.conj().T
-    norm = float(np.abs(lam).max(initial=0.0))
-    budget = h.shape[0] * (DEFAULT_ATOL + DEFAULT_RTOL * norm) + 1e-13 * (1.0 + norm)
-    err = float(np.linalg.norm(recon - h))
-    if err > budget:
+    norm = np.abs(lam).max(axis=-1, initial=0.0)
+    budget = h.shape[-1] * (DEFAULT_ATOL + DEFAULT_RTOL * norm) + 1e-13 * (1.0 + norm)
+    err = np.linalg.norm(from_spectrum(u, lam) - h, axis=(-2, -1))
+    bad = err > budget
+    if _any(bad):
+        i = _first(bad)
         raise EigendecompositionError(
-            f"reconstruction error {err:.3e} exceeds {budget:.3e} "
-            f"on matrix {matrix_hash(h)}"
+            f"reconstruction error {err[i]:.3e} exceeds {budget[i]:.3e} "
+            f"on matrix {matrix_hash(h[i])}"
         )
     return SpectralDecomposition(lam, u)
 
 
-def _clip_to_interval(lam: np.ndarray, lo: float, hi: float, norm: float) -> np.ndarray:
-    """Clip eigenvalues into [lo, hi], allowing only rounding-level excursions.
+def _clip_to_interval(lam: np.ndarray, lo: float, hi: float, norm) -> np.ndarray:
+    """Clip eigenvalues (..., d) into [lo, hi], allowing only rounding-level excursions.
 
     The margin kappa absorbs the drift that congruences such as
     A^{-1/2} B A^{-1/2} introduce at interval endpoints; anything farther
@@ -135,18 +164,23 @@ def _clip_to_interval(lam: np.ndarray, lo: float, hi: float, norm: float) -> np.
     """
     kappa = 1e-12 * (1.0 + norm)
     if lo > -math.inf:
-        worst = float(lam.min(initial=math.inf))
-        if worst < lo - kappa:
-            raise DomainError(
-                f"eigenvalue {worst!r} below domain bound {lo!r} (margin {kappa:.3e})"
-            )
+        worst = lam.min(axis=-1, initial=math.inf)
+        _refuse(worst < lo - kappa, worst, "below", lo, kappa)
     if hi < math.inf:
-        worst = float(lam.max(initial=-math.inf))
-        if worst > hi + kappa:
-            raise DomainError(
-                f"eigenvalue {worst!r} above domain bound {hi!r} (margin {kappa:.3e})"
-            )
+        worst = lam.max(axis=-1, initial=-math.inf)
+        _refuse(worst > hi + kappa, worst, "above", hi, kappa)
     return np.clip(lam, lo, hi)
+
+
+def _refuse(out, worst, side: str, bound: float, kappa) -> None:
+    """DomainError naming the matrices whose extreme eigenvalue is ``out`` of bounds."""
+    if _any(out):
+        i = _first(out)
+        raise DomainError(
+            f"eigenvalue {float(worst[i])!r} {side} domain bound {bound!r} "
+            f"(margin {float(kappa[i]):.3e})",
+            where=out,
+        )
 
 
 def apply_function(
@@ -160,63 +194,83 @@ def apply_function(
     drift past an endpoint by rounding are clipped onto it.
     """
     lam, u = eig(h)
-    norm = float(np.abs(lam).max(initial=0.0))
-    lam = _clip_to_interval(lam, domain[0], domain[1], norm)
+    lam = _clip_to_interval(lam, domain[0], domain[1], np.abs(lam).max(axis=-1, initial=0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.asarray(fn(lam), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = lam[~np.isfinite(vals)]
-        raise DomainError(f"function evaluated non-finite at eigenvalue(s) {bad!r}")
-    return hermitize((u * vals) @ u.conj().T)
+    bad = ~np.isfinite(vals).all(axis=-1)
+    if _any(bad):
+        i = _first(bad)
+        raise DomainError(
+            f"function evaluated non-finite at eigenvalue(s) {lam[i][~np.isfinite(vals[i])]!r}",
+            where=bad,
+        )
+    return hermitize(from_spectrum(u, vals))
+
+
+def _operands(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y broadcast to one stack; their matrices must have one shape."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if x.shape == y.shape:
+        return x, y
+    if x.shape[-2:] != y.shape[-2:]:
+        raise ShapeError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    return np.broadcast_arrays(x, y)
+
+
+def _larger(a, b):
+    """``max(a, b)`` per matrix, NaN handling included: b only where b > a."""
+    return np.where(b > a, b, a)
 
 
 def loewner_leq(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> OrderVerdict:
-    """Decide X <= Y in the Loewner order.
+    """Decide X <= Y in the Loewner order, per matrix of a stack.
 
     slack = lambda_min of the Hermitized difference Y - X, reported raw.
+    For one matrix the verdict holds Python scalars.
     """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape != y.shape:
-        raise ShapeError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    diff = hermitize(y - x)
-    slack = float(_eigvalsh(diff)[0])
-    scale = max(spectral_norm(x), spectral_norm(y))
-    return OrderVerdict(holds=slack >= -tol.margin(scale), slack=slack, scale=scale)
+    x, y = _operands(x, y)
+    slack = _eigvalsh(hermitize(y - x))[..., 0]
+    scale = _larger(spectral_norm(x), spectral_norm(y))
+    holds = slack >= -tol.margin(scale)
+    if slack.ndim == 0:
+        return OrderVerdict(holds=bool(holds), slack=float(slack), scale=float(scale))
+    return OrderVerdict(holds=holds, slack=slack, scale=scale)
 
 
-def loewner_holds(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+def loewner_holds(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """``loewner_leq(x, y, tol).holds``, sizing the tolerance only when it matters.
 
     The margin atol + rtol * scale is never negative, so a slack >= 0 holds
-    whatever the scale; the two spectral norms are taken only for a negative
-    slack.  A NaN slack does not hold.  A non-finite difference also takes
-    the full path: ``eigvalsh`` can return finite eigenvalues for it.
+    whatever the scale; the two spectral norms are taken only for the
+    matrices with a negative slack.  A NaN slack does not hold.  A non-finite
+    difference also takes the full path: ``eigvalsh`` can return finite
+    eigenvalues for it.  A bool for one matrix, a bool array for a stack.
     """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape != y.shape:
-        raise ShapeError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    x, y = _operands(x, y)
     diff = hermitize(y - x)
-    slack = float(_eigvalsh(diff)[0])
-    if slack >= 0.0 and np.isfinite(diff).all():
-        return True
-    return slack >= -tol.margin(max(spectral_norm(x), spectral_norm(y)))
+    slack = _eigvalsh(diff)[..., 0]
+    holds = np.asarray((slack >= 0.0) & np.isfinite(diff).all(axis=(-2, -1)))
+    rest = ~holds
+    if _any(rest):
+        holds[rest] = slack[rest] >= -tol.margin(_larger(spectral_norm(x[rest]), spectral_norm(y[rest])))
+    return bool(holds) if holds.ndim == 0 else holds
 
 
 def pd_root_pair(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H^{1/2}, H^{-1/2}) from a single decomposition of a PD matrix."""
+    """(H^{1/2}, H^{-1/2}) from a single decomposition of each PD matrix."""
     lam, u = eig(h)
-    lam_min = float(lam.min(initial=math.inf))
-    lam_max = float(np.abs(lam).max(initial=0.0))
-    if lam_min < POSITIVITY_FLOOR * max(lam_max, 1e-300):
+    lam_min = lam.min(axis=-1, initial=math.inf)
+    lam_max = np.abs(lam).max(axis=-1, initial=0.0)
+    bad = lam_min < POSITIVITY_FLOOR * np.maximum(lam_max, 1e-300)
+    if _any(bad):
+        i = _first(bad)
         raise ConditioningError(
             f"congruence root needs lambda_min above the positivity floor; "
-            f"lambda_min = {lam_min:.6e}, norm = {lam_max:.6e}"
+            f"lambda_min = {lam_min[i]:.6e}, norm = {lam_max[i]:.6e}",
+            where=bad,
         )
-    root = hermitize((u * lam**0.5) @ u.conj().T)
-    inv_root = hermitize((u * lam**-0.5) @ u.conj().T)
-    return root, inv_root
+    return hermitize(from_spectrum(u, lam**0.5)), hermitize(from_spectrum(u, lam**-0.5))
 
 
 def matrix_to_json(x: np.ndarray) -> dict:

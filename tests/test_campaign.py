@@ -1,10 +1,14 @@
 import dataclasses
+import hashlib
 import json
 import math
 import statistics
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_acceptance import ACCEPT_CFG
 
 from opbellman import campaign, checks, cli
 from opbellman.campaign import (
@@ -556,3 +560,106 @@ def test_filtered_scalar_campaign_matches_per_trial_summary(trials):
     cells, summary = _per_trial_summary(cfg)
     expected = campaign.report_to_json(dict(report, cells=cells, summary=summary))
     assert campaign.report_to_json(report) == expected
+
+
+def _operator_deep(**overrides) -> CampaignConfig:
+    """The operator_deep benchmark config at seed 301, with ``overrides``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+    config = json.loads(path.read_text(encoding="utf-8"))["workloads"]["operator_deep"]["config"]
+    return config_from_json(dict(config, seed=301, **overrides))
+
+
+@pytest.mark.parametrize("grid", ["acceptance", "operator_deep"])
+def test_stacked_operator_campaign_matches_per_trial_summary(grid):
+    # a campaign checks each operator cell as one stack of trials; the
+    # acceptance grid is trimmed for time, keeping every map kind and
+    # interval, and operator_deep to its dim-3 cells
+    if grid == "acceptance":
+        cfg = dataclasses.replace(
+            ACCEPT_CFG,
+            trials=3,
+            dims=(2,),
+            n_values=(1, 3),
+            p_grid=(0.25, 0.75),
+            means=("geom:0.5", "power:0.3"),
+            checks=tuple(checks.OPERATOR_IDS),
+        )
+    else:
+        cfg = _operator_deep(dims=[3])
+    report = run_campaign(cfg)
+    cells, summary = _per_trial_summary(cfg)
+    expected = campaign.report_to_json(dict(report, cells=cells, summary=summary))
+    assert campaign.report_to_json(report) == expected
+
+
+def test_stacked_cell_leaves_out_rejected_builds(monkeypatch):
+    # the stack holds only the trials the builder did not reject, in trial order
+    builder = campaign.BUILDERS["mean_sum_ratio_reverse"]
+
+    def rejecting(cell, rng):
+        inst, draws = builder(cell, rng)
+        return (None if rng.uniform() < 0.4 else inst), draws
+
+    monkeypatch.setitem(campaign.BUILDERS, "mean_sum_ratio_reverse", rejecting)
+    cfg = CampaignConfig(trials=8, dims=(2, 3), checks=("mean_sum_ratio_reverse",), seed=3)
+    report = run_campaign(cfg)
+    cells, summary = _per_trial_summary(cfg)
+    assert 0 < summary["not_applicable"] < summary["trials"]
+    assert all(0 < row["not_applicable"] < row["trials"] for row in cells)
+    expected = campaign.report_to_json(dict(report, cells=cells, summary=summary))
+    assert campaign.report_to_json(report) == expected
+
+
+def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
+    # with no guard failing, a cell of 30 trials makes the numpy.linalg calls of one
+    kinds = ("eigvalsh", "eigh", "svd", "qr", "norm")
+    run = checks.check_cell
+    state = {"in_check": False}
+    per_cell = []
+
+    def counted(kind, fn):
+        def call(*args, **kwargs):
+            if state["in_check"]:
+                per_cell[-1][kind] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    def counted_cell(*args, **kwargs):
+        per_cell.append(dict.fromkeys(kinds, 0))
+        state["in_check"] = True
+        try:
+            return run(*args, **kwargs)
+        finally:
+            state["in_check"] = False
+
+    for kind in kinds:
+        monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
+    monkeypatch.setattr(checks, "check_cell", counted_cell)
+    counts = {}
+    for trials in (1, 30):
+        per_cell.clear()
+        report = run_campaign(_operator_deep(trials=trials))
+        assert report["summary"]["not_applicable"] == 0
+        counts[trials] = list(per_cell)
+    assert len(counts[1]) == len(report["cells"]) == 72
+    assert counts[30] == counts[1]
+    assert all(c["eigvalsh"] and c["svd"] for c in counts[1])
+
+
+def test_smallest_exponent_scalar_builders_run_without_warnings():
+    # a^(1/p) underflows at p = 0.001; the rejected draws stay rejected and
+    # the normalization no longer warns about the division
+    cfg = config_from_json({
+        "p_grid": [0.001],
+        "trials": 20,
+        "checks": ["scalar_bellman_weighted", "scalar_bellman_columns", "scalar_bellman_reverse"],
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        text = campaign.report_to_json(run_campaign(cfg))
+    report = json.loads(text)
+    assert report["summary"]["not_applicable"] > 0 and report["summary"]["holds"] > 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "ee953d221d019108b7b5dc0bcad84e5bc1579934e43c07907826ab679677f2bc"
+    )

@@ -678,3 +678,114 @@ def test_scalar_bounds_decide_a_guard_only_away_from_its_boundary(check_id, inst
     assert bound == verdict
     if verdict is not None:
         assert check(check_id, inst, {}, TOL).witness == {"guard": verdict}
+
+
+# -- stacked cells ------------------------------------------------------------------
+
+
+def _family(tag, a, b=None, **kw):
+    b = None if b is None else [_mat(x) for x in b]
+    return InstanceFamily(hypothesis_tag=tag, A=[_mat(x) for x in a], B=b, **kw)
+
+
+def _nan_pair():
+    # NaN off the diagonal: eigvalsh gives NaN eigenvalues, and an SVD raises
+    x = np.diag([1.0, 1.0]).astype(complex)
+    x[0, 1] = x[1, 0] = np.nan
+    return x
+
+
+def _mixed_guard_cells():
+    """(check, instances, params, guards): one cell per case, trials failing
+    different guards at different points of the checker between trials that hold."""
+    rng = np.random.default_rng(31)
+    pd = lambda: random_pd(2, rng, 0.5, 1.5)  # noqa: E731
+    window = {"m": 0.5, "M": 2.0}
+    x, y = random_sandwich_pair(pd(), 0.5, 2.0, rng)
+    yield (
+        "jensen_map",  # window guard, below then above
+        [
+            _family("spectrum_window", [np.diag([v, 1.0])], maps=[IdentityMap(2)])
+            for v in (1.2, 0.3, 1.5, 2.5)
+        ],
+        [dict(window, f="geom:0.5")] * 4,
+        [None, "spectrum_window_below_m", None, "spectrum_window_above_M"],
+    )
+    yield (
+        "mean_superadditive",  # a PSD guard, then mean_conditioning raised inside _mean_g
+        [
+            _family("pd_family", [pd(), pd()], [pd(), pd()]),
+            _family("pd_family", [pd(), np.diag([1e-12, 1.0])], [pd(), pd()]),
+            _family("pd_family", [pd(), np.diag([-0.5, 1.0])], [pd(), pd()]),
+            _family("pd_family", [pd(), pd()], [pd(), pd()]),
+        ],
+        [{"f": "geom:0.5"}] * 4,
+        [None, "mean_conditioning", "member_not_psd", None],
+    )
+    yield (
+        "compression_ratio_reverse",  # the contraction guard, the window, then _fcalc_g's domain guard
+        [
+            _family("contraction_window", [np.diag([1.5, 2.5])], aux={"C": 0.5 * identity(2)}),
+            _family("contraction_window", [np.diag([1.5, 2.5])], aux={"C": np.diag([0.0, 0.5])}),
+            _family("contraction_window", [np.diag([1.5, 2.5])], aux={"C": 2.0 * identity(2)}),
+            _family("contraction_window", [np.diag([1.0, 2.5])], aux={"C": 0.5 * identity(2)}),
+        ],
+        [{"f": "log", "m": 1.2, "M": 3.0}] * 4,
+        [None, "compressed_spectrum_outside_domain", "not_a_contraction", "spectrum_window_below_m"],
+    )
+    yield (
+        "bellman_map",  # _power_guarded's PSD guard on an unnormalized weight
+        [
+            _family("spectrum_window_family", [a * np.eye(2)], weights=np.array([w]), maps=[IdentityMap(2)])
+            for a, w in ((0.8, 1.0), (0.8, 2.0), (0.8, 1.0), (1.5, 1.0))
+        ],
+        [{"p": 0.5}] * 4,
+        [None, "map_base_not_psd", None, "contraction_window_above_M"],
+    )
+    yield (
+        "mean_map_ratio_reverse",  # _guard_pd_floor, on a tiny eigenvalue and on NaN operands
+        [
+            _family("sandwich_pair", [x], [y], maps=[Compression(np.eye(2)[:, :1])]),
+            _family("sandwich_pair", [np.diag([1e-9, 1.0])], [y], maps=[Compression(np.eye(2)[:, :1])]),
+            _family("sandwich_pair", [_nan_pair()], [_nan_pair()], maps=[Compression(np.eye(2)[:, :1])]),
+            _family("sandwich_pair", [x], [4.0 * x], maps=[Compression(np.eye(2)[:, :1])]),
+        ],
+        [dict(window, f="geom:0.5")] * 4,
+        [None, "first_operand_not_pd", "first_operand_not_pd", "pair_sandwich_upper"],
+    )
+    a = [0.2 * identity(2), 0.3 * identity(2)]
+    yield (
+        "bellman_chain_interp",  # interpolants with NaN operands, then the subidentity guards
+        [
+            _family("subidentity_pair_family", a, a),
+            _family("subidentity_pair_family", [_nan_pair(), _nan_pair()], a),
+            _family("subidentity_pair_family", a, [0.6 * identity(2), 0.6 * identity(2)]),
+            _family("subidentity_pair_family", a, a),
+        ],
+        [
+            {"f": "geom:0.5", "p": 0.5, "t": [0.3, 0.6]},
+            {"f": "geom:0.5", "p": 0.5, "t": [0.3, np.nan]},
+            {"f": "geom:0.5", "p": 0.5, "t": [0.5, 0.5]},
+            {"f": "geom:0.5", "p": 0.5, "t": [0.9, 0.1]},
+        ],
+        [None, "interpolants_outside_unit", "B_sum_exceeds_identity", None],
+    )
+
+
+@pytest.mark.parametrize("case", list(_mixed_guard_cells()), ids=lambda case: case[0])
+def test_stacked_cell_settles_each_trial_as_alone(case):
+    check_id, insts, params, guards = case
+    stacked = checks.check_cell(check_id, insts, params, TOL)
+    alone = [check(check_id, inst, p, TOL) for inst, p in zip(insts, params)]
+    assert [o.witness and o.witness["guard"] for o in alone] == guards
+    # repr compares NaN slacks of not-applicable trials, and every float bit for bit
+    assert [repr(o) for o in stacked] == [repr(o) for o in alone]
+
+
+def test_stack_of_nan_operands_raises_as_alone():
+    # a trial whose NaN operands reach a spectral norm fails alone and in a stack
+    insts = [_family("pd_family", [x], [x]) for x in (np.eye(2), _nan_pair())]
+    with pytest.raises(np.linalg.LinAlgError):
+        check("mean_superadditive", insts[1], {"f": "geom:0.5"}, TOL)
+    with pytest.raises(np.linalg.LinAlgError):
+        checks.check_cell("mean_superadditive", insts, [{"f": "geom:0.5"}] * 2, TOL)

@@ -160,3 +160,30 @@ def test_map_json_round_trip():
         d = spec.input_dim
         x = hermitize(RNG.standard_normal((d, d)) + 1j * RNG.standard_normal((d, d)))
         assert np.allclose(spec.apply(x), back.apply(x))
+
+
+def test_stacked_maps_apply_each_trial_map_to_its_operand():
+    # stack_maps joins one map per trial: each operand of a stack meets its own map, to the bit
+    from opbellman.positive_maps import stack_maps
+
+    rng = np.random.default_rng(210)
+    dim = 3
+
+    def mixture():
+        return UnitaryMixture(random_weights(2, rng), (haar_unitary(dim, rng), haar_unitary(dim, rng)))
+
+    families = [
+        [IdentityMap(dim) for _ in range(4)],
+        [Compression(haar_unitary(dim, rng)[:, :2]) for _ in range(4)],
+        [mixture() for _ in range(4)],
+        [Pinching(((0, 1), (2,))) for _ in range(4)],
+    ]
+    xs = np.stack([random_pd(dim, rng) for _ in range(4)])
+    for maps in families:
+        stacked = stack_maps(maps)
+        assert (stacked.input_dim, stacked.output_dim) == (maps[0].input_dim, maps[0].output_dim)
+        out = stacked.apply(xs)
+        for t, phi in enumerate(maps):
+            assert np.array_equal(out[t], phi.apply(xs[t]))
+    with pytest.raises(ShapeError):
+        stack_maps([Pinching(((0, 1), (2,))), Pinching(((0,), (1, 2)))])

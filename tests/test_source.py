@@ -19,9 +19,23 @@ def test_package_source_has_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_package_source_has_no_transpose_attribute():
+    # ``.T`` reverses every axis of a stack (..., d, d) of matrices; the
+    # adjoint of each matrix swaps only the last two (``spectral.adjoint``)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "T"
+    ]
+    assert not found, f".T attributes in the package: {found}"
+
+
 #: Top-level names that are entry points rather than helpers: the dim-1
-#: oracle of the tier-1 suite and the console-script entry.
-ENTRY_POINTS = {"reference_slack", "entrypoint"}
+#: oracle of the tier-1 suite, the console-script entry, and the per-trial
+#: campaign entry that the acceptance gate and the benchmark's tracer call
+#: (a campaign checks whole cells).
+ENTRY_POINTS = {"reference_slack", "entrypoint", "run_check_trial"}
 
 
 def _decorator_names(node):

@@ -229,3 +229,52 @@ def test_spectrum_matrix_ranges():
     h = random_spectrum_matrix(5, (0.25, 0.75), rng)
     lam = np.linalg.eigvalsh(h)
     assert lam.min() >= 0.25 - 1e-12 and lam.max() <= 0.75 + 1e-12
+
+
+def _stack_with_bad(rng, dim, bad):
+    """Five PD matrices, with ``bad`` at index 2."""
+    mats = [random_pd(dim, rng, 0.3, 2.0) for _ in range(5)]
+    mats[2] = bad
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_stacked_primitives_match_per_matrix_calls(dim):
+    # each matrix of a stack gets, to the bit, what it gets alone
+    from opbellman.means import geometric_w, mean
+
+    rng = np.random.default_rng(40 + dim)
+    xs = np.stack([random_pd(dim, rng, 0.3, 2.0) for _ in range(5)])
+    ys = np.stack([random_spectrum_matrix(dim, (-0.5, 2.0), rng) for _ in range(5)])
+    f = geometric_w(0.3)
+    lam, u = eig(xs)
+    roots = pd_root_pair(xs)
+    leq = loewner_leq(xs, ys)
+    for t in range(5):
+        assert np.array_equal(hermitize(ys)[t], hermitize(ys[t]))
+        assert np.array_equal(lam[t], eig(xs[t]).eigenvalues)
+        assert np.array_equal(u[t], eig(xs[t]).vectors)
+        sqrt = (np.sqrt, (0.0, np.inf))
+        assert np.array_equal(apply_function(xs, *sqrt)[t], apply_function(xs[t], *sqrt))
+        assert all(np.array_equal(r[t], r1) for r, r1 in zip(roots, pd_root_pair(xs[t])))
+        assert np.array_equal(mean(xs, xs + 1.0, f)[t], mean(xs[t], xs[t] + 1.0, f))
+        assert spectral_norm(ys)[t] == spectral_norm(ys[t])
+        alone = loewner_leq(xs[t], ys[t])
+        assert (leq.holds[t], leq.slack[t], leq.scale[t]) == (alone.holds, alone.slack, alone.scale)
+        assert loewner_holds(xs, ys)[t] == loewner_holds(xs[t], ys[t])
+        assert loewner_holds(0.2 * identity(dim), xs)[t] == loewner_holds(0.2 * identity(dim), xs[t])
+
+
+def test_stacked_primitive_errors_name_the_failing_matrices():
+    rng = np.random.default_rng(41)
+    singular = _stack_with_bad(rng, 2, np.diag([1e-12, 1.0]).astype(complex))
+    with pytest.raises(ConditioningError, match="lambda_min = 1.0") as exc:
+        pd_root_pair(singular)
+    assert exc.value.where.tolist() == [False, False, True, False, False]
+    negative = _stack_with_bad(rng, 2, np.diag([-0.5, 1.0]).astype(complex))
+    with pytest.raises(DomainError, match="below domain bound") as exc:
+        apply_function(negative, np.sqrt, (0.0, np.inf))
+    assert exc.value.where.tolist() == [False, False, True, False, False]
+    with pytest.raises(DomainError, match="non-finite") as exc:
+        apply_function(_stack_with_bad(rng, 2, np.zeros((2, 2), complex)), np.log, (0.0, np.inf))
+    assert exc.value.where.tolist() == [False, False, True, False, False]
