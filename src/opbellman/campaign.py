@@ -34,6 +34,7 @@ from .instances import (
     EDGE_SHRINK,
     InstanceFamily,
     complement_sandwich_family,
+    family_of_trial,
     random_contraction,
     random_pd,
     random_sandwich_pair,
@@ -200,14 +201,15 @@ def _parse_map_id(map_id: str) -> tuple[str, int]:
     return kind, arg
 
 
-def build_map(map_id: str, dim: int, rng: np.random.Generator):
-    """Instantiate a positive map from its config id for operands of ``dim``."""
+def build_map(map_id: str, dim: int, rng):
+    """Instantiate a positive map from its config id for operands of ``dim``,
+    from one Generator or, stacked, from a list of them."""
     kind, arg = _parse_map_id(map_id)
     if kind == "id":
         return IdentityMap(dim)
     if kind == "compress":
         k = max(1, min(arg, dim))
-        return Compression(haar_unitary(dim, rng)[:, :k])
+        return Compression(haar_unitary(dim, rng)[..., :k])
     if kind == "unitary-mix":
         r = max(1, arg)
         return UnitaryMixture(random_weights(r, rng), tuple(haar_unitary(dim, rng) for _ in range(r)))
@@ -219,9 +221,13 @@ def build_map(map_id: str, dim: int, rng: np.random.Generator):
 
 # -- instance builders --------------------------------------------------------
 #
-# A builder maps (cell, rng) to (instance, draws).  A trial's params are the
-# cell without its instance-shape keys plus the builder's own draws, which
-# never repeat a cell key (see run_check_trial).
+# A builder maps (cell, rngs), one stream per trial, to (instances, draws).
+# An operator builder returns the trials' instances as one family stacked on
+# a leading trial axis, and raises HypothesisError naming in ``where`` the
+# trials whose hypotheses failed; a scalar builder returns one instance per
+# trial, None for a rejected one.  ``draws`` holds one dict per trial: a
+# trial's params are the cell without its instance-shape keys plus its
+# draws, which never repeat a cell key (see run_check_trial).
 
 
 def _shrunk(m: float, M: float) -> tuple[float, float]:
@@ -233,100 +239,100 @@ def _window_family(per_member_maps: bool):
     """Weighted family of n spectrum-window matrices with one map, or one
     map per member when ``per_member_maps``."""
 
-    def build(cell, rng):
+    def build(cell, rngs):
         lo, hi = _shrunk(cell["m"], cell["M"])
         n, d = cell["n"], cell["dim"]
         fam = InstanceFamily(
             hypothesis_tag="spectrum_window_family",
-            A=[random_spectrum_matrix(d, (lo, hi), rng) for _ in range(n)],
-            weights=random_weights(n, rng),
-            maps=[build_map(cell["map"], d, rng) for _ in range(n if per_member_maps else 1)],
+            A=[random_spectrum_matrix(d, (lo, hi), rngs) for _ in range(n)],
+            weights=random_weights(n, rngs),
+            maps=[build_map(cell["map"], d, rngs) for _ in range(n if per_member_maps else 1)],
         )
-        return fam, {}
+        return fam, [{}] * len(rngs)
 
     return build
 
 
-def _build_bellman_mean(cell, rng):
-    cap_a = rng.uniform(0.4, 0.85)
-    cap_b = rng.uniform(0.4, 0.85)
+def _build_bellman_mean(cell, rngs):
+    cap_a = np.array([rng.uniform(0.4, 0.85) for rng in rngs])
+    cap_b = np.array([rng.uniform(0.4, 0.85) for rng in rngs])
     fam = InstanceFamily(
         hypothesis_tag="subidentity_pair_family",
-        A=random_subidentity_family(cell["n"], cell["dim"], rng, cap_a),
-        B=random_subidentity_family(cell["n"], cell["dim"], rng, cap_b),
+        A=random_subidentity_family(cell["n"], cell["dim"], rngs, cap_a),
+        B=random_subidentity_family(cell["n"], cell["dim"], rngs, cap_b),
     )
-    return fam, {}
+    return fam, [{}] * len(rngs)
 
 
-def _build_window_single(cell, rng):
+def _build_window_single(cell, rngs):
     lo, hi = _shrunk(cell["m"], cell["M"])
-    x = random_spectrum_matrix(cell["dim"], (lo, hi), rng)
+    x = random_spectrum_matrix(cell["dim"], (lo, hi), rngs)
     fam = InstanceFamily(
         hypothesis_tag="spectrum_window",
         A=[x],
-        maps=[build_map(cell["map"], cell["dim"], rng)],
+        maps=[build_map(cell["map"], cell["dim"], rngs)],
     )
-    return fam, {}
+    return fam, [{}] * len(rngs)
 
 
-def _build_pd_family(cell, rng):
+def _build_pd_family(cell, rngs):
     n, d = cell["n"], cell["dim"]
     fam = InstanceFamily(
         hypothesis_tag="pd_family",
-        A=[random_pd(d, rng, 0.3, 1.5) for _ in range(n)],
-        B=[random_pd(d, rng, 0.3, 1.5) for _ in range(n)],
+        A=[random_pd(d, rngs, 0.3, 1.5) for _ in range(n)],
+        B=[random_pd(d, rngs, 0.3, 1.5) for _ in range(n)],
     )
-    return fam, {}
+    return fam, [{}] * len(rngs)
 
 
-def _build_dominated_family(cell, rng):
+def _build_dominated_family(cell, rngs):
     n, d = cell["n"], cell["dim"]
-    a = [random_pd(d, rng, 0.2, 1.0) for _ in range(n)]
-    b = [random_pd(d, rng, 0.2, 1.0) for _ in range(n)]
+    a = [random_pd(d, rngs, 0.2, 1.0) for _ in range(n)]
+    b = [random_pd(d, rngs, 0.2, 1.0) for _ in range(n)]
     fam = InstanceFamily(
         hypothesis_tag="dominated_family",
         A=a,
         B=b,
         aux={
-            "A_total": sum(a) + random_pd(d, rng, 0.2, 1.0),
-            "B_total": sum(b) + random_pd(d, rng, 0.2, 1.0),
+            "A_total": sum(a) + random_pd(d, rngs, 0.2, 1.0),
+            "B_total": sum(b) + random_pd(d, rngs, 0.2, 1.0),
         },
     )
-    return fam, {}
+    return fam, [{}] * len(rngs)
 
 
-def _build_pd_contraction_pair(cell, rng):
+def _build_pd_contraction_pair(cell, rngs):
     d = cell["dim"]
     fam = InstanceFamily(
         hypothesis_tag="pd_contraction_pair",
-        A=[random_spectrum_matrix(d, (0.1, 0.95), rng)],
-        B=[random_pd(d, rng, 0.3, 2.0)],
+        A=[random_spectrum_matrix(d, (0.1, 0.95), rngs)],
+        B=[random_pd(d, rngs, 0.3, 2.0)],
     )
-    return fam, {}
+    return fam, [{}] * len(rngs)
 
 
-def _build_sandwich_pair(cell, rng):
+def _build_sandwich_pair(cell, rngs):
     d = cell["dim"]
-    x = random_pd(d, rng, 0.5, 1.5)
-    x, y = random_sandwich_pair(x, cell["m"], cell["M"], rng)
+    x = random_pd(d, rngs, 0.5, 1.5)
+    x, y = random_sandwich_pair(x, cell["m"], cell["M"], rngs)
     fam = InstanceFamily(
         hypothesis_tag="sandwich_pair",
         A=[x],
         B=[y],
-        maps=[build_map(cell["map"], d, rng)],
+        maps=[build_map(cell["map"], d, rngs)],
     )
-    return fam, {}
+    return fam, [{}] * len(rngs)
 
 
-def _build_sandwich_family(cell, rng):
+def _build_sandwich_family(cell, rngs):
     d, n = cell["dim"], cell["n"]
-    pairs = [random_sandwich_pair(random_pd(d, rng, 0.5, 1.5), cell["m"], cell["M"], rng) for _ in range(n)]
+    pairs = [random_sandwich_pair(random_pd(d, rngs, 0.5, 1.5), cell["m"], cell["M"], rngs) for _ in range(n)]
     fam = InstanceFamily(
         hypothesis_tag="sandwich_family",
         A=[p[0] for p in pairs],
         B=[p[1] for p in pairs],
     )
-    return fam, {}
+    return fam, [{}] * len(rngs)
 
 
 def _complement_family(mean_id: str, gamma_scaled: bool = False, lam_is_p: bool = False):
@@ -338,44 +344,43 @@ def _complement_family(mean_id: str, gamma_scaled: bool = False, lam_is_p: bool 
     p-weighted geometric one, and ``lam_is_p`` records lam = p as a draw.
     """
 
-    def build(cell, rng):
+    def build(cell, rngs):
         m, M = cell["m"], cell["M"]
         f = function_from_id(mean_id.format(**cell))
         g = _gamma_cached(f.label, m, M) if gamma_scaled else 1.0
-        fam = complement_sandwich_family(cell["dim"], cell["n"], (m, M), f, g, rng)
-        return fam, {"lam": cell["p"]} if lam_is_p else {}
+        fam = complement_sandwich_family(cell["dim"], cell["n"], (m, M), f, g, rngs)
+        return fam, [{"lam": cell["p"]} if lam_is_p else {}] * len(rngs)
 
     return build
 
 
-def _build_contraction_window(cell, rng):
+def _build_contraction_window(cell, rngs):
     d = cell["dim"]
     lo, hi = _shrunk(cell["m"], cell["M"])
-    kind = "unitary" if rng.uniform() < 0.5 else "ginibre"
+    kinds = ["unitary" if rng.uniform() < 0.5 else "ginibre" for rng in rngs]
     fam = InstanceFamily(
         hypothesis_tag="contraction_window",
-        A=[random_spectrum_matrix(d, (lo, hi), rng)],
-        aux={"C": random_contraction(d, rng, kind)},
+        A=[random_spectrum_matrix(d, (lo, hi), rngs)],
+        aux={"C": random_contraction(d, rngs, kinds)},
     )
-    return fam, {}
+    return fam, [{}] * len(rngs)
 
 
-def _build_pd_contraction_sandwich(cell, rng):
+def _build_pd_contraction_sandwich(cell, rngs):
     d = cell["dim"]
-    a = random_spectrum_matrix(d, (0.15, 0.9), rng)
-    a, b = random_sandwich_pair(a, cell["m"], cell["M"], rng)
+    a = random_spectrum_matrix(d, (0.15, 0.9), rngs)
+    a, b = random_sandwich_pair(a, cell["m"], cell["M"], rngs)
     fam = InstanceFamily(hypothesis_tag="pd_contraction_sandwich", A=[a], B=[b])
-    return fam, {}
+    return fam, [{}] * len(rngs)
 
 
-def _build_chain_interp(cell, rng):
-    fam, _ = _build_bellman_mean(cell, rng)
-    t = rng.uniform(0.0, 1.0, size=cell["n"])
-    return fam, {"t": [float(v) for v in t]}
+def _build_chain_interp(cell, rngs):
+    fam, _ = _build_bellman_mean(cell, rngs)
+    return fam, [{"t": [float(v) for v in rng.uniform(0.0, 1.0, size=cell["n"])]} for rng in rngs]
 
 
 def _build_scalar(kind):
-    def build(cell, rng):
+    def build_one(cell, rng):
         rows = int(rng.integers(1, 4))
         if kind == "bellman":
             draws = {"p": float(rng.integers(1, 5))}
@@ -387,8 +392,14 @@ def _build_scalar(kind):
             draws = {"p": float(rng.uniform(1.0, 2.0))}
         else:
             draws = {}
-        inst = scalar_instance(kind, (rows, cell["n"]), (cell | draws)["p"], rng)
-        return inst, draws
+        try:
+            return scalar_instance(kind, (rows, cell["n"]), (cell | draws)["p"], rng), draws
+        except HypothesisError:
+            return None, draws
+
+    def build(cell, rngs):
+        insts, draws = zip(*(build_one(cell, rng) for rng in rngs))
+        return list(insts), list(draws)
 
     return build
 
@@ -610,28 +621,39 @@ class _Trial:
 
 
 def _build_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> list[_Trial]:
-    """Draw the instances of the seeded trials ``trials`` of one cell.  A
-    builder that gives up (None) or raises ``HypothesisError`` leaves a
-    ``generator_rejected`` outcome."""
+    """Draw the instances of the seeded trials ``trials`` of one cell, in one
+    builder call on their streams.  A trial the builder rejects (None, or
+    named in the ``where`` of a ``HypothesisError``) gets a
+    ``generator_rejected`` outcome; after a ``HypothesisError`` the other
+    trials are built again from fresh copies of their streams."""
     cell_key = json.dumps(cell, sort_keys=True)
     cell_params = {k: v for k, v in cell.items() if k not in _SHAPE_KEYS}
-    out = []
-    for trial in trials:
-        rng = subrng(cfg.seed, check_id, cell_key, trial)
-        provenance = {"seed": cfg.seed, "cell": cell, "trial": trial}
+    out = [_Trial(None, None, {"seed": cfg.seed, "cell": cell, "trial": trial}) for trial in trials]
+    live = list(range(len(out)))
+    while live:
+        rngs = [subrng(cfg.seed, check_id, cell_key, out[i].provenance["trial"]) for i in live]
         try:
-            inst, draws = BUILDERS[check_id](cell, rng)
-        except HypothesisError:
-            inst = None
-        if inst is None:
-            out.append(_Trial(None, None, provenance).settle(_na(check_id, "generator_rejected")))
-        else:
-            out.append(_Trial(inst, cell_params | draws, provenance))
+            insts, draws = BUILDERS[check_id](cell, rngs)
+        except HypothesisError as exc:
+            failed = np.broadcast_to(exc.where, (len(live),))
+            for i in np.flatnonzero(failed):
+                out[live[i]].settle(_na(check_id, "generator_rejected"))
+            live = [i for i, f in zip(live, failed) if not f]
+            continue
+        if isinstance(insts, InstanceFamily):
+            insts = [family_of_trial(insts, t) for t in range(len(live))]
+        for i, inst, d in zip(live, insts, draws):
+            if inst is None:
+                out[i].settle(_na(check_id, "generator_rejected"))
+            else:
+                out[i].inst, out[i].params = inst, cell_params | d
+        break
     return out
 
 
 def run_check_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int):
-    """One seeded trial; returns (outcome, inst, params, provenance).
+    """One seeded trial, built as a stack of one by the cell's builder;
+    returns (outcome, inst, params, provenance).
 
     The params are the cell without its instance-shape keys ``_SHAPE_KEYS``,
     plus whatever the builder drew itself."""

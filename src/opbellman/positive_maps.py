@@ -2,9 +2,11 @@
 
 Every variant sends positive matrices to positive matrices, is linear and
 maps the identity to the identity.  ``apply`` takes a stack ``(..., d, d)``
-of operands.  ``stack_maps`` joins one map per trial into a single map
-whose arrays carry a leading trial axis; it applies trial t's map to
-operand t of a stack.
+of operands.  A map whose arrays carry a leading trial axis applies trial
+t's map to operand t of a stack: ``Compression`` and ``UnitaryMixture``
+take such arrays and check every trial's isometries in one ``_eigvalsh``
+call, ``stack_maps`` joins one map per trial into one and
+``map_of_trial`` takes one trial's map back out.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .spectral import _eigvalsh, adjoint, hermitize, identity
+from .spectral import _any, _eigvalsh, adjoint, hermitize, identity
 
 _ISOMETRY_TOL = 1e-10
 
@@ -26,10 +28,18 @@ def _as_square(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     return x
 
 
-def _isometry_error(v: np.ndarray) -> float:
-    """||V*V - I|| as the largest |eigenvalue| of the Hermitian difference;
-    NaN when V has a NaN entry, which the callers reject."""
-    return float(np.abs(_eigvalsh(hermitize(adjoint(v) @ v - identity(v.shape[1])))).max())
+def _isometry_error(v: np.ndarray) -> np.ndarray:
+    """||V*V - I|| of each isometry of a stack, as the largest |eigenvalue|
+    of the Hermitian difference; NaN where V has a NaN entry."""
+    return np.abs(_eigvalsh(hermitize(adjoint(v) @ v - identity(v.shape[-1])))).max(axis=-1)
+
+
+def _require_isometry(err: np.ndarray, what: str) -> None:
+    """Reject where an isometry error exceeds ``_ISOMETRY_TOL`` or is NaN;
+    ``where`` names the failing trials of a stack."""
+    failed = ~(err <= _ISOMETRY_TOL)
+    if _any(failed):
+        raise ParameterError(f"{what} deviates from identity by {np.max(err[failed]):.3e}", where=failed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,13 +69,11 @@ class Compression:
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=complex)
-        if v.ndim != 2:
+        if v.ndim < 2:
             raise ShapeError("compression needs a 2-d isometry")
-        if v.shape[1] > v.shape[0]:
+        if v.shape[-1] > v.shape[-2]:
             raise ShapeError("compression cannot enlarge the space")
-        err = _isometry_error(v)
-        if not err <= _ISOMETRY_TOL:
-            raise ParameterError(f"V*V deviates from identity by {err:.3e}")
+        _require_isometry(_isometry_error(v), "V*V")
         object.__setattr__(self, "v", v)
 
     @property
@@ -100,17 +108,15 @@ class UnitaryMixture:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         us = tuple(np.asarray(u, dtype=complex) for u in self.unitaries)
-        if w.ndim != 1 or len(us) != w.size or w.size == 0:
+        if w.ndim < 1 or len(us) != w.shape[-1] or w.size == 0:
             raise ShapeError("need one unitary per weight")
-        if np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ParameterError("weights must be positive and sum to one")
-        dim = us[0].shape[0]
-        for u in us:
-            if u.shape != (dim, dim):
-                raise ShapeError("unitaries must share one dimension")
-            err = _isometry_error(u)
-            if not err <= _ISOMETRY_TOL:
-                raise ParameterError(f"U*U deviates from identity by {err:.3e}")
+        bad = np.any(w <= 0.0, axis=-1) | (np.abs(w.sum(axis=-1) - 1.0) > 1e-12)
+        if _any(bad):
+            raise ParameterError("weights must be positive and sum to one", where=bad)
+        dim = us[0].shape[-1]
+        if any(u.shape != w.shape[:-1] + (dim, dim) for u in us):
+            raise ShapeError("unitaries must share one dimension")
+        _require_isometry(_isometry_error(np.stack(us)).max(axis=0), "U*U")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "unitaries", us)
 
@@ -193,6 +199,19 @@ def stack_maps(maps: list) -> PositiveLinearMap:
         elif any(v != first for v in values):
             raise ShapeError(f"cannot stack maps with different {field.name}")
         object.__setattr__(out, field.name, first)
+    return out
+
+
+def map_of_trial(stacked: PositiveLinearMap, t: int) -> PositiveLinearMap:
+    """Trial t's map of a stacked map, the inverse of ``stack_maps``."""
+    out = object.__new__(type(stacked))
+    for field in fields(out):
+        value = getattr(stacked, field.name)
+        if isinstance(value, np.ndarray):
+            value = value[t]
+        elif field.name == "unitaries":
+            value = tuple(u[t] for u in value)
+        object.__setattr__(out, field.name, value)
     return out
 
 

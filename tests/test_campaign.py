@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from test_acceptance import ACCEPT_CFG
 
-from opbellman import campaign, checks, cli
+from opbellman import campaign, checks, cli, instances
 from opbellman.campaign import (
     CampaignConfig,
     config_from_json,
@@ -21,8 +21,9 @@ from opbellman.campaign import (
     run_check_trial,
 )
 from opbellman.checks import CheckOutcome, check
-from opbellman.errors import ParameterError, WitnessFormatError
-from opbellman.instances import InstanceFamily
+from opbellman.errors import HypothesisError, ParameterError, WitnessFormatError
+from opbellman.instances import InstanceFamily, subrng
+from opbellman.means import function_from_id
 from opbellman.spectral import Tolerance
 
 
@@ -593,12 +594,16 @@ def test_stacked_operator_campaign_matches_per_trial_summary(grid):
 
 
 def test_stacked_cell_leaves_out_rejected_builds(monkeypatch):
-    # the stack holds only the trials the builder did not reject, in trial order
+    # the stack holds only the trials the builder did not reject, in trial
+    # order; a rejection names its trials in ``where`` and the rest are rebuilt
     builder = campaign.BUILDERS["mean_sum_ratio_reverse"]
 
-    def rejecting(cell, rng):
-        inst, draws = builder(cell, rng)
-        return (None if rng.uniform() < 0.4 else inst), draws
+    def rejecting(cell, rngs):
+        fam, draws = builder(cell, rngs)
+        rejected = np.array([rng.uniform() < 0.4 for rng in rngs])
+        if rejected.any():
+            raise HypothesisError("rejected for the test", where=rejected)
+        return fam, draws
 
     monkeypatch.setitem(campaign.BUILDERS, "mean_sum_ratio_reverse", rejecting)
     cfg = CampaignConfig(trials=8, dims=(2, 3), checks=("mean_sum_ratio_reverse",), seed=3)
@@ -611,40 +616,48 @@ def test_stacked_cell_leaves_out_rejected_builds(monkeypatch):
 
 
 def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
-    # with no guard failing, a cell of 30 trials makes the numpy.linalg calls of one
+    # with no guard failing and no family drawing twice, a cell of 30 trials
+    # makes the numpy.linalg calls of one, in its check and in its build
     kinds = ("eigvalsh", "eigh", "svd", "qr", "norm")
-    run = checks.check_cell
-    state = {"in_check": False}
-    per_cell = []
+    phases = {"check": (checks, "check_cell"), "build": (campaign, "_build_trials")}
+    state = {"phase": None}
+    per_cell = {phase: [] for phase in phases}
 
     def counted(kind, fn):
         def call(*args, **kwargs):
-            if state["in_check"]:
-                per_cell[-1][kind] += 1
+            if state["phase"]:
+                per_cell[state["phase"]][-1][kind] += 1
             return fn(*args, **kwargs)
 
         return call
 
-    def counted_cell(*args, **kwargs):
-        per_cell.append(dict.fromkeys(kinds, 0))
-        state["in_check"] = True
-        try:
-            return run(*args, **kwargs)
-        finally:
-            state["in_check"] = False
+    def counted_phase(phase, run):
+        def call(*args, **kwargs):
+            per_cell[phase].append(dict.fromkeys(kinds, 0))
+            state["phase"] = phase
+            try:
+                return run(*args, **kwargs)
+            finally:
+                state["phase"] = None
+
+        return call
 
     for kind in kinds:
         monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
-    monkeypatch.setattr(checks, "check_cell", counted_cell)
+    for phase, (owner, name) in phases.items():
+        monkeypatch.setattr(owner, name, counted_phase(phase, getattr(owner, name)))
     counts = {}
     for trials in (1, 30):
-        per_cell.clear()
+        for calls in per_cell.values():
+            calls.clear()
         report = run_campaign(_operator_deep(trials=trials))
         assert report["summary"]["not_applicable"] == 0
-        counts[trials] = list(per_cell)
-    assert len(counts[1]) == len(report["cells"]) == 72
-    assert counts[30] == counts[1]
-    assert all(c["eigvalsh"] and c["svd"] for c in counts[1])
+        counts[trials] = {phase: list(calls) for phase, calls in per_cell.items()}
+    for phase in phases:
+        assert len(counts[1][phase]) == len(report["cells"]) == 72
+        assert counts[30][phase] == counts[1][phase], phase
+    assert all(c["eigvalsh"] and c["svd"] for c in counts[1]["check"])
+    assert all(c["qr"] for c in counts[1]["build"])
 
 
 def test_smallest_exponent_scalar_builders_run_without_warnings():
@@ -663,3 +676,109 @@ def test_smallest_exponent_scalar_builders_run_without_warnings():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "ee953d221d019108b7b5dc0bcad84e5bc1579934e43c07907826ab679677f2bc"
     )
+
+
+# -- stacked builds -----------------------------------------------------------
+
+
+def _assert_same_bits(x, y, where="instance"):
+    """x and y hold the same values, arrays compared byte for byte (sign of
+    zero and NaN payloads included); an instance's ``meta`` is left out."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        assert isinstance(x, np.ndarray) and isinstance(y, np.ndarray), where
+        assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes()), where
+    elif dataclasses.is_dataclass(x):
+        assert type(x) is type(y), where
+        for field in dataclasses.fields(x):
+            if field.name != "meta":
+                _assert_same_bits(getattr(x, field.name), getattr(y, field.name), f"{where}.{field.name}")
+    elif isinstance(x, (list, tuple)):
+        assert type(x) is type(y) and len(x) == len(y), where
+        for k, (a, b) in enumerate(zip(x, y)):
+            _assert_same_bits(a, b, f"{where}[{k}]")
+    elif isinstance(x, dict):
+        assert x.keys() == y.keys(), where
+        for k in x:
+            _assert_same_bits(x[k], y[k], f"{where}[{k!r}]")
+    else:
+        assert type(x) is type(y) and x == y, where
+
+
+def _assert_stack_builds_each_trial_as_alone(check_id, cell, cfg):
+    """The trials of a cell built as one stack equal, bit for bit, each trial
+    built alone (a stack of one): instance, params (with the builder's
+    draws) and rejection; the built trials are returned."""
+    stacked = campaign._build_trials(check_id, cell, cfg, range(cfg.trials))
+    for trial, s in enumerate(stacked):
+        (alone,) = campaign._build_trials(check_id, cell, cfg, [trial])
+        where = f"{check_id} {cell} trial {trial}"
+        assert repr(s.outcome) == repr(alone.outcome), where
+        _assert_same_bits(s.params, alone.params, f"{where} params")
+        _assert_same_bits(s.inst, alone.inst, where)
+    return [t for t in stacked if t.outcome is None]
+
+
+def _streams(check_id, cell, cfg):
+    key = json.dumps(cell, sort_keys=True)
+    return [subrng(cfg.seed, check_id, key, trial) for trial in range(cfg.trials)]
+
+
+@pytest.mark.parametrize("check_id", checks.OPERATOR_IDS)
+def test_stacked_build_equals_each_trial_built_alone(check_id):
+    # every operator builder, on dims 1 and 3 and every map kind; each stream
+    # also ends where it ends alone, so it got exactly its own draws
+    cfg = CampaignConfig(trials=5, dims=(1, 3), maps=("id", "compress:2", "unitary-mix:2", "pinch:2"), seed=41)
+    for cell in campaign.expand_cells(check_id, cfg):
+        assert len(_assert_stack_builds_each_trial_as_alone(check_id, cell, cfg)) == cfg.trials
+        rngs = _streams(check_id, cell, cfg)
+        campaign.BUILDERS[check_id](cell, rngs)
+        for trial, rng in enumerate(rngs):
+            alone = _streams(check_id, cell, cfg)[trial]
+            campaign.BUILDERS[check_id](cell, [alone])
+            assert rng.bit_generator.state == alone.bit_generator.state
+
+
+def test_stacked_complement_build_retries_and_rejects_per_trial(monkeypatch):
+    # an oversized gamma makes some trials draw again and others run out of
+    # MAX_REJECTS; the rounds of the stack are its slowest trial's attempts
+    monkeypatch.setattr(instances, "MAX_REJECTS", 3)
+    monkeypatch.setattr(campaign, "_gamma_cached", lambda *args: 7e4)
+    cfg = CampaignConfig(trials=12, dims=(2,), n_values=(2,), means=("geom:0.5",), seed=36)
+    cell = campaign.expand_cells("bellman_ratio_reverse", cfg)[0]
+    built = _assert_stack_builds_each_trial_as_alone("bellman_ratio_reverse", cell, cfg)
+    assert 0 < len(built) < cfg.trials
+    f = function_from_id(cell["f"])
+    shape = (cell["dim"], cell["n"], (cell["m"], cell["M"]), f, 7e4)
+    alone = [instances.complement_sandwich_family(*shape, rng) for rng in _streams("bellman_ratio_reverse", cell, cfg)]
+    assert {fam.meta["attempts"] for fam in alone if fam is not None} == {1, 2, 3}
+    with pytest.raises(HypothesisError) as exc:
+        instances.complement_sandwich_family(*shape, _streams("bellman_ratio_reverse", cell, cfg))
+    assert list(exc.value.where) == [fam is None for fam in alone]
+    kept = [rng for rng, fam in zip(_streams("bellman_ratio_reverse", cell, cfg), alone) if fam is not None]
+    stack = instances.complement_sandwich_family(*shape, kept)
+    alone = [fam for fam in alone if fam is not None]
+    assert stack.meta["attempts"] == 3
+    for t, fam in enumerate(alone):
+        _assert_same_bits(instances.family_of_trial(stack, t), fam)
+        assert stack.meta["scale"][t] == fam.meta["scale"]
+
+
+@pytest.mark.parametrize(
+    "check_id", ["mean_map_ratio_reverse", "mean_sum_ratio_reverse", "mean_power_ratio_reverse", "bellman_diff_reverse"]
+)
+def test_stacked_build_rejects_only_failed_sandwich_trials(monkeypatch, check_id):
+    # a window wider than [m, M] makes the sandwich verification fail on some
+    # trials; only those are rejected, the rest are built as alone
+    monkeypatch.setattr(instances, "EDGE_SHRINK", -0.05)
+    cfg = CampaignConfig(trials=10, dims=(2,), n_values=(2,), seed=5)
+    cell = campaign.expand_cells(check_id, cfg)[0]
+    built = _assert_stack_builds_each_trial_as_alone(check_id, cell, cfg)
+    assert 0 < len(built) < cfg.trials
+
+
+def test_stacked_contraction_window_mixes_both_kinds():
+    cfg = CampaignConfig(trials=8, dims=(3,), seed=7)
+    cell = campaign.expand_cells("compression_ratio_reverse", cfg)[0]
+    kinds = {rng.uniform() < 0.5 for rng in _streams("compression_ratio_reverse", cell, cfg)}
+    assert kinds == {True, False}
+    _assert_stack_builds_each_trial_as_alone("compression_ratio_reverse", cell, cfg)

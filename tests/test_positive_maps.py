@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opbellman import positive_maps
 from opbellman.errors import ParameterError, ShapeError
 from opbellman.instances import haar_unitary, random_pd, random_weights
 from opbellman.means import geometric_w, log_fn
@@ -108,7 +109,7 @@ def test_pinching_partition_validation():
 
 
 @pytest.mark.parametrize("dim, cols", [(1, 1), (3, 2), (6, 6)])
-def test_isometry_tolerance_is_the_rejection_boundary(dim, cols):
+def test_isometry_tolerance_is_the_rejection_boundary(monkeypatch, dim, cols):
     # stretching one column by sqrt(1 + d) makes ||V*V - I|| = d exactly up to rounding
     for factor, rejected in ((0.9, False), (1.1, True)):
         stretch = np.ones(cols)
@@ -121,6 +122,23 @@ def test_isometry_tolerance_is_the_rejection_boundary(dim, cols):
                     build()
             else:
                 build()
+    # a stack is checked in one eigvalsh call and names the trial just outside
+    exact = np.stack([haar_unitary(dim, RNG) for _ in range(4)])
+    inside, outside = (np.sqrt(1.0 + factor * _ISOMETRY_TOL) for factor in (0.9, 1.1))
+    stretch = np.ones((4, 1, dim))
+    stretch[:, 0, 0] = [inside, 1.0, outside, inside]
+    for build in (
+        lambda: Compression((exact * stretch)[..., :cols]),
+        lambda: UnitaryMixture(np.full((4, 2), 0.5), (exact[::-1], exact * stretch)),
+    ):
+        with pytest.raises(ParameterError, match="deviates from identity") as exc:
+            build()
+        assert list(exc.value.where) == [False, False, True, False]
+    calls = []
+    monkeypatch.setattr(positive_maps, "_eigvalsh", lambda h: calls.append(h.shape) or np.linalg.eigvalsh(h))
+    Compression((exact * stretch)[[0, 1, 3], :, :cols])
+    UnitaryMixture(np.full((3, 2), 0.5), (exact[:3], exact[[0, 1, 3]] * stretch[[0, 1, 3]]))
+    assert calls == [(3, cols, cols), (2, 3, dim, dim)]
 
 
 def test_non_finite_isometry_rejected():
