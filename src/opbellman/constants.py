@@ -97,8 +97,9 @@ def _oracle_max(f: RepresentingFunction, m: float, M: float, objective: str) -> 
     fvals = np.asarray(f.fn(grid), dtype=float)
     with mpmath.workdps(ORACLE_DPS):
         fm, fM = f.mp(mpmath.mpf(m)), f.mp(mpmath.mpf(M))
-        mu = (fM - fm) / (M - m)
-        nu = (M * fm - m * fM) / (M - m)
+        width = mpmath.mpf(M) - mpmath.mpf(m)
+        mu = (fM - fm) / width
+        nu = (M * fm - m * fM) / width
         if objective == "ratio":
             if f.mp(m) <= 0 or f.mp(M) <= 0:
                 raise UnboundedRatioError("ratio objective needs f > 0 on [m, M]")

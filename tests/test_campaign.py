@@ -341,6 +341,16 @@ def test_sandwich_checks_fall_back_from_nonpositive_windows(interval):
     assert report["summary"]["trials"] == sum(len(campaign.expand_cells(c, cfg)) for c in sandwich)
 
 
+@pytest.mark.parametrize("interval", [[1100000000.1, 73000000000.3], [1e149, 1e150]])
+def test_far_intervals_run_to_a_report(interval):
+    # the oracle's chord width M - m was a double whose rounding grows with
+    # the endpoints; both configs aborted with UnimodalityError on the affine mean
+    cfg = config_from_json({"intervals": [interval]})
+    report = run_campaign(cfg)
+    assert report["summary"]["trials"] > 0 and report["summary"]["violations"] == 0
+    assert any(c["cell"].get("m") == interval[0] for c in report["cells"])
+
+
 def test_config_file_is_read_once(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 3}))
