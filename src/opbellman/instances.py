@@ -118,13 +118,6 @@ def _streams(rng) -> tuple[list, bool]:
     return list(rng), False
 
 
-def _each(rngs: list, draw) -> np.ndarray:
-    """``draw(rng)`` of every stream, stacked on a leading trial axis."""
-    if len(rngs) == 1:
-        return draw(rngs[0])[None]
-    return np.stack([draw(r) for r in rngs])
-
-
 def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
@@ -143,7 +136,7 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     if dim < 1:
         raise ParameterError("dim must be at least 1")
     rngs, one = _streams(rng)
-    u = _unitary_factor(_each(rngs, lambda r: _gaussian(dim, r)) / np.sqrt(2.0))
+    u = _unitary_factor(np.stack([_gaussian(dim, r) for r in rngs]) / np.sqrt(2.0))
     return u[0] if one else u
 
 
@@ -153,7 +146,7 @@ def random_spectrum_matrix(dim: int, interval: tuple[float, float], rng) -> np.n
     if a > b:
         raise ParameterError(f"need a <= b, got [{a}, {b}]")
     rngs, one = _streams(rng)
-    lam = _each(rngs, lambda r: np.sort(r.uniform(a, b, size=dim)))
+    lam = np.stack([np.sort(r.uniform(a, b, size=dim)) for r in rngs])
     u = haar_unitary(dim, rngs)
     x = hermitize(from_spectrum(u, lam))
     return x[0] if one else x
@@ -235,7 +228,7 @@ def random_weights(n: int, rng) -> np.ndarray:
     if n < 1:
         raise ParameterError("need n >= 1")
     rngs, one = _streams(rng)
-    w = _each(rngs, lambda r: r.uniform(0.2, 1.0, size=n))
+    w = np.stack([r.uniform(0.2, 1.0, size=n) for r in rngs])
     w = w / w.sum(axis=-1, keepdims=True)
     return w[0] if one else w
 
@@ -311,8 +304,7 @@ def complement_sandwich_family(
             try:
                 pairs.append(random_sandwich_pair(random_pd(dim, streams, 0.5, 1.5), m, M, streams))
             except HypothesisError as exc:
-                failed = np.zeros(len(rngs), dtype=bool)
-                failed[pending[np.broadcast_to(exc.where, pending.shape)]] = True
+                failed = np.isin(np.arange(len(rngs)), pending[np.broadcast_to(exc.where, pending.shape)])
                 raise HypothesisError(str(exc), where=failed[0] if one else failed) from None
         a, b = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
         s_max = _scale_limit(gamma_value, sum(a), sum(b), sum(mean(a, b, f)), m, M, DEFAULT_MARGIN)
@@ -334,8 +326,7 @@ def complement_sandwich_family(
     if one:
         return None if pending.size else family_of_trial(family, 0)
     if pending.size:
-        failed = np.zeros(len(rngs), dtype=bool)
-        failed[pending] = True
+        failed = np.isin(np.arange(len(rngs)), pending)
         raise HypothesisError(f"no complement-sandwiched family in {MAX_REJECTS} draws", where=failed)
     return family
 
