@@ -28,13 +28,12 @@ from .checks import (
     _gamma_cached,
     _na,
 )
-from .constants import P_MIN
+from .constants import MIN_INTERVAL, P_MIN
 from .errors import HypothesisError, ParameterError, WitnessFormatError
 from .instances import (
     EDGE_SHRINK,
     InstanceFamily,
     complement_sandwich_family,
-    family_of_trial,
     random_contraction,
     random_pd,
     random_sandwich_pair,
@@ -43,6 +42,7 @@ from .instances import (
     random_weights,
     scalar_instance,
     subrng,
+    take,
     haar_unitary,
 )
 from .means import function_from_id
@@ -101,8 +101,8 @@ class CampaignConfig:
                     f"intervals[{i}]=({m}, {M}): endpoints must be finite and at most "
                     f"{MAX_ENDPOINT:g} in magnitude"
                 )
-            if not m < M:
-                raise ParameterError(f"intervals[{i}]=({m}, {M}): need m < M")
+            if not M - m >= MIN_INTERVAL:
+                raise ParameterError(f"intervals[{i}]=({m}, {M}): need M - m >= {MIN_INTERVAL:g}")
         for i, p in enumerate(self.p_grid):
             if not P_MIN <= p <= 1.0 - P_MIN:
                 raise ParameterError(f"p_grid[{i}]={p}: must be in [{P_MIN}, {1.0 - P_MIN}]")
@@ -600,15 +600,18 @@ _SHAPE_KEYS = ("dim", "n", "map")
 class _Trial:
     """One trial of a cell, as the cell summary sees it.
 
+    ``stack`` holds the cell's built instances, an operator builder's stack
+    or a scalar builder's list, and the trial is its entry ``index``.
     ``outcome`` is exact (from ``checks.check``, or a guard or generator
     rejection).  Without one, the trial holds for certain and ``slack`` and
     ``normalized`` enclose its slack and slack/scale; with one, they are
     that outcome's values, ``normalized`` None where scale > 0 fails.
     """
 
-    inst: object
-    params: dict | None
     provenance: dict
+    stack: object = None
+    index: int | None = None
+    params: dict | None = None
     outcome: CheckOutcome | None = None
     slack: tuple[float, float] | None = None
     normalized: tuple[float, float] | None = None
@@ -619,6 +622,13 @@ class _Trial:
         self.normalized = (outcome.slack / outcome.scale,) * 2 if outcome.scale > 0 else None
         return self
 
+    @property
+    def inst(self):
+        """The trial's own instance; an operator trial's family is formed only here."""
+        if isinstance(self.stack, InstanceFamily):
+            return take(self.stack, self.index)
+        return None if self.stack is None else self.stack[self.index]
+
 
 def _build_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> list[_Trial]:
     """Draw the instances of the seeded trials ``trials`` of one cell, in one
@@ -628,7 +638,7 @@ def _build_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> lis
     trials are built again from fresh copies of their streams."""
     cell_key = json.dumps(cell, sort_keys=True)
     cell_params = {k: v for k, v in cell.items() if k not in _SHAPE_KEYS}
-    out = [_Trial(None, None, {"seed": cfg.seed, "cell": cell, "trial": trial}) for trial in trials]
+    out = [_Trial({"seed": cfg.seed, "cell": cell, "trial": trial}) for trial in trials]
     live = list(range(len(out)))
     while live:
         rngs = [subrng(cfg.seed, check_id, cell_key, out[i].provenance["trial"]) for i in live]
@@ -640,13 +650,11 @@ def _build_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> lis
                 out[live[i]].settle(_na(check_id, "generator_rejected"))
             live = [i for i, f in zip(live, failed) if not f]
             continue
-        if isinstance(insts, InstanceFamily):
-            insts = [family_of_trial(insts, t) for t in range(len(live))]
-        for i, inst, d in zip(live, insts, draws):
-            if inst is None:
+        for k, (i, d) in enumerate(zip(live, draws)):
+            if isinstance(insts, list) and insts[k] is None:
                 out[i].settle(_na(check_id, "generator_rejected"))
             else:
-                out[i].inst, out[i].params = inst, cell_params | d
+                out[i].stack, out[i].index, out[i].params = insts, k, cell_params | d
         break
     return out
 
@@ -658,19 +666,19 @@ def run_check_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int):
     The params are the cell without its instance-shape keys ``_SHAPE_KEYS``,
     plus whatever the builder drew itself."""
     (t,) = _build_trials(check_id, cell, cfg, [trial])
+    inst = t.inst
     if t.outcome is None:
-        t.settle(checks.check(check_id, t.inst, t.params, cfg.tolerance))
-    return t.outcome, t.inst, t.params, t.provenance
+        t.settle(checks.check(check_id, inst, t.params, cfg.tolerance))
+    return t.outcome, inst, t.params, t.provenance
 
 
 def _checked_trials(check_id: str, cell: dict, cfg: CampaignConfig) -> list[_Trial]:
     """The trials of an operator cell, checked in one ``checks.check_cell``
-    call on the stack of the trials the builder did not reject."""
+    call on the builder's stack, which holds the trials it did not reject."""
     trials = _build_trials(check_id, cell, cfg, range(cfg.trials))
     built = [t for t in trials if t.outcome is None]
     if built:
-        insts, params = [t.inst for t in built], [t.params for t in built]
-        outcomes = checks.check_cell(check_id, insts, params, cfg.tolerance)
+        outcomes = checks.check_cell(check_id, built[0].stack, [t.params for t in built], cfg.tolerance)
         for t, outcome in zip(built, outcomes):
             t.settle(outcome)
     return trials

@@ -8,10 +8,10 @@ named in the witness; ``violated`` is reserved for instances that satisfy
 every hypothesis yet fail the final comparison.
 
 An operator checker is written against a stack of trials: its instance is
-``instances.stack_families`` of the trials' instances, so every matrix
-carries a leading trial axis (none for a single trial, whose d x d matrices
-are the stack of one), and every guard decides per trial.  ``check`` runs
-one trial; ``check_cell`` runs all trials of a cell in one pass.
+the cell's family as the builder stacked it, so every matrix carries a
+leading trial axis (none for a single trial, whose d x d matrices are the
+stack of one), and every guard decides per trial.  ``check`` runs one
+trial; ``check_cell`` runs all trials of a cell in one pass.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     ParameterError,
     UnboundedRatioError,
 )
-from .instances import InstanceFamily, stack_families
+from .instances import InstanceFamily, take
 from .means import (
     RepresentingFunction,
     arithmetic_w,
@@ -155,8 +155,7 @@ class RegistryEntry:
     interval_kind: str  # sandwich | unit | positive | none
     axes: tuple[str, ...]  # campaign grids the check consumes
     reference: object  # dim-1 scalar formula; None for scalar checks
-    runner: object  # one trial: (inst, params, tol) -> CheckOutcome
-    cell_runner: object  # a cell: (insts, params, tol) -> one CheckOutcome per trial
+    runner: object  # a cell: (insts, params, tol) -> one CheckOutcome per trial
     bounds: object  # float64 enclosure of a cell's trials; None for operator checks
 
 
@@ -169,14 +168,15 @@ def inequality(
     """Declare one inequality: register it in ``REGISTRY`` and wrap its checker.
 
     The checker returns the sides to compare, (dominant, dominated), or
-    (t1, t2, t3) for a chain t1 <= t2 <= t3.  The entry's ``runner`` checks
-    one trial; its ``cell_runner`` takes a list of instances and one of
-    params and returns one outcome per trial.
+    (t1, t2, t3) for a chain t1 <= t2 <= t3.  The entry's ``runner`` takes
+    a cell's instances, a stack for an operator check and a list for a
+    scalar one, with a list of params, and returns one outcome per trial.
 
     An operator checker runs once on the stack of all trials.  A guard that
-    fails on some trials settles them, and the checker runs again on the
-    rest, so no call sees the operands of a trial past its first failing
-    guard; a stacked call gives each trial the bits it gives it alone.
+    fails on some trials settles them, and the checker runs again on
+    ``take(stack, keep)`` of the rest, so no call sees the operands of a
+    trial past its first failing guard; a stacked call gives each trial the
+    bits it gives it alone.
     Scalar checkers run per trial, and their sides are subtracted, at
     ``SCALAR_DPS`` digits.  A scalar check may
     declare ``bounds``, a function of the cell's instances stacked into
@@ -194,20 +194,22 @@ def inequality(
             except _GuardFail as g:
                 return _na(check_id, g.guard)
 
-        def cell_runner(insts: list, params: list, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
+        @functools.wraps(fn)
+        def runner(insts, params: list, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
             if group == "scalar":
                 return [scalar_trial(inst, p, tol) for inst, p in zip(insts, params)]
-            out = [None] * len(insts)
-            live = list(range(len(insts)))
-            while live:
-                stack = stack_families([insts[t] for t in live])
+            out = [None] * len(params)
+            live = np.arange(len(params))
+            while live.size:
                 try:
-                    sides = fn(stack, _stack_params([params[t] for t in live]), tol)
+                    sides = fn(insts, _stack_params([params[t] for t in live]), tol)
                 except _GuardFail as g:
-                    failed = np.broadcast_to(g.where, (len(live),))
-                    for t in np.flatnonzero(failed):
-                        out[live[t]] = _na(check_id, g.guard)
-                    live = [t for t, f in zip(live, failed) if not f]
+                    failed = np.broadcast_to(g.where, live.shape)
+                    for t in live[failed]:
+                        out[t] = _na(check_id, g.guard)
+                    live = live[~failed]
+                    if live.size:
+                        insts = take(insts, np.flatnonzero(~failed))
                     continue
                 compare = _chain_outcome if group == "chain" else _compare
                 for t, outcome in zip(live, compare(check_id, *sides, tol)):
@@ -215,15 +217,9 @@ def inequality(
                 break
             return out
 
-        @functools.wraps(fn)
-        def runner(inst, params, tol: Tolerance = DEFAULT_TOL) -> CheckOutcome:
-            if group == "scalar":
-                return scalar_trial(inst, params, tol)
-            return cell_runner([inst], [params], tol)[0]
-
         REGISTRY[check_id] = RegistryEntry(
             check_id, group, direction, statement, hypothesis, interval_kind, axes, reference, runner,
-            cell_runner, None if bounds is None else _cell_bounds(bounds),
+            None if bounds is None else _cell_bounds(bounds),
         )
         return runner
 
@@ -1331,17 +1327,21 @@ def _entry(check_id: str) -> RegistryEntry:
 
 
 def check(check_id: str, inst, params, tol: Tolerance = DEFAULT_TOL) -> CheckOutcome:
-    """Dispatch one inequality check on one trial by registry id."""
-    return _entry(check_id).runner(inst, params, tol)
+    """Dispatch one inequality check on one trial by registry id: the entry's
+    runner on a stack of one (d x d matrices, or a trial axis of length one)."""
+    entry = _entry(check_id)
+    return entry.runner([inst] if entry.group == "scalar" else inst, [params], tol)[0]
 
 
-def check_cell(check_id: str, insts: list, params: list, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
-    """One outcome per trial of a cell, from one run of the checker on the
-    stack of its trials.  A single trial goes through ``check``, so what
+def check_cell(
+    check_id: str, stack: InstanceFamily, params: list, tol: Tolerance = DEFAULT_TOL
+) -> list[CheckOutcome]:
+    """One outcome per trial of an operator cell, from one run of the checker
+    on the cell's stack.  A single trial goes through ``check``, so what
     wraps the per-trial entry sees every trial of a one-trial cell."""
-    if len(insts) == 1:
-        return [check(check_id, insts[0], params[0], tol)]
-    return _entry(check_id).cell_runner(insts, params, tol)
+    if len(params) == 1:
+        return [check(check_id, stack, params[0], tol)]
+    return _entry(check_id).runner(stack, params, tol)
 
 
 def registry_listing() -> list[dict]:

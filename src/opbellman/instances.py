@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import HypothesisError, ParameterError
 from .means import POSITIVE_HALFLINE, RepresentingFunction, mean
-from .positive_maps import map_of_trial, stack_maps
+from .positive_maps import take_map
 from .spectral import _any, _eigvalsh, apply_function, from_spectrum, hermitize, identity, spectral_norm
 
 #: Hypothesis margin every released instance must clear.
@@ -69,45 +69,18 @@ class InstanceFamily:
     meta: dict = field(default_factory=dict)
 
 
-def stack_families(insts: list[InstanceFamily]) -> InstanceFamily:
-    """The instances of one cell's trials as one family on a leading trial axis.
-
-    Member j of ``A`` (and ``B``) becomes a (trials, d, d) stack, ``weights``
-    a (trials, n) array, each map a ``stack_maps`` map and each ``aux``
-    matrix a stack.  The trials must share their shapes and map classes.
-    One instance is returned as it is: its d x d matrices are the stack of one.
-    """
-    first = insts[0]
-    if len(insts) == 1:
-        return first
-
-    def members(name):
-        if getattr(first, name) is None:
-            return None
-        return [np.stack(ms) for ms in zip(*(getattr(i, name) for i in insts))]
-
-    return InstanceFamily(
-        hypothesis_tag=first.hypothesis_tag,
-        A=members("A"),
-        B=members("B"),
-        weights=None if first.weights is None else np.stack([i.weights for i in insts]),
-        maps=None if first.maps is None else [stack_maps(ms) for ms in zip(*(i.maps for i in insts))],
-        aux={k: np.stack([i.aux[k] for i in insts]) for k in first.aux},
-    )
-
-
-def family_of_trial(stack: InstanceFamily, t: int) -> InstanceFamily:
-    """Trial t of a family stacked on a leading trial axis (views of its
-    matrices), the inverse of ``stack_families``; a ``meta`` array holds one
-    value per trial."""
+def take(stack: InstanceFamily, idx) -> InstanceFamily:
+    """The trials ``idx`` of a family stacked on a leading trial axis: an int
+    gives that trial's family (views of its d x d matrices), an index array
+    a smaller stack.  A ``meta`` array holds one value per trial."""
     return InstanceFamily(
         hypothesis_tag=stack.hypothesis_tag,
-        A=[a[t] for a in stack.A],
-        B=None if stack.B is None else [b[t] for b in stack.B],
-        weights=None if stack.weights is None else stack.weights[t],
-        maps=None if stack.maps is None else [map_of_trial(m, t) for m in stack.maps],
-        aux={k: v[t] for k, v in stack.aux.items()},
-        meta={k: v[t] if isinstance(v, np.ndarray) else v for k, v in stack.meta.items()},
+        A=[a[idx] for a in stack.A],
+        B=None if stack.B is None else [b[idx] for b in stack.B],
+        weights=None if stack.weights is None else stack.weights[idx],
+        maps=None if stack.maps is None else [take_map(m, idx) for m in stack.maps],
+        aux={k: v[idx] for k, v in stack.aux.items()},
+        meta={k: v[idx] if isinstance(v, np.ndarray) else v for k, v in stack.meta.items()},
     )
 
 
@@ -324,7 +297,7 @@ def complement_sandwich_family(
         meta={"attempts": attempts, "scale": scale, "gamma": gamma_value},
     )
     if one:
-        return None if pending.size else family_of_trial(family, 0)
+        return None if pending.size else take(family, 0)
     if pending.size:
         failed = np.isin(np.arange(len(rngs)), pending)
         raise HypothesisError(f"no complement-sandwiched family in {MAX_REJECTS} draws", where=failed)

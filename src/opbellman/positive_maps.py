@@ -5,8 +5,7 @@ maps the identity to the identity.  ``apply`` takes a stack ``(..., d, d)``
 of operands.  A map whose arrays carry a leading trial axis applies trial
 t's map to operand t of a stack: ``Compression`` and ``UnitaryMixture``
 take such arrays and check every trial's isometries in one ``_eigvalsh``
-call, ``stack_maps`` joins one map per trial into one and
-``map_of_trial`` takes one trial's map back out.
+call, and ``take_map`` takes one trial's map, or a smaller stack, out.
 """
 
 from __future__ import annotations
@@ -184,33 +183,17 @@ class Pinching:
 PositiveLinearMap = IdentityMap | Compression | UnitaryMixture | Pinching
 
 
-def stack_maps(maps: list) -> PositiveLinearMap:
-    """One map of the trials' common class whose arrays (an isometry, the
-    mixture's weights and unitaries) are the trials' stacked along a leading
-    axis.  Each map was validated when it was built, so the stack is not."""
-    out = object.__new__(type(maps[0]))
-    for field in fields(out):
-        values = [getattr(m, field.name) for m in maps]
-        first = values[0]
-        if isinstance(first, np.ndarray):
-            first = np.stack(values)
-        elif field.name == "unitaries":
-            first = tuple(np.stack(us) for us in zip(*values))
-        elif any(v != first for v in values):
-            raise ShapeError(f"cannot stack maps with different {field.name}")
-        object.__setattr__(out, field.name, first)
-    return out
-
-
-def map_of_trial(stacked: PositiveLinearMap, t: int) -> PositiveLinearMap:
-    """Trial t's map of a stacked map, the inverse of ``stack_maps``."""
+def take_map(stacked: PositiveLinearMap, idx) -> PositiveLinearMap:
+    """The trials ``idx`` of a map whose arrays carry a leading trial axis:
+    an int gives that trial's map, an index array a smaller stack.  The
+    stack was validated when it was built, so the result is not."""
     out = object.__new__(type(stacked))
     for field in fields(out):
         value = getattr(stacked, field.name)
         if isinstance(value, np.ndarray):
-            value = value[t]
+            value = value[idx]
         elif field.name == "unitaries":
-            value = tuple(u[t] for u in value)
+            value = tuple(u[idx] for u in value)
         object.__setattr__(out, field.name, value)
     return out
 

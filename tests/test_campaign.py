@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import statistics
+import sys
 import warnings
 from pathlib import Path
 
@@ -204,8 +205,9 @@ def test_text_report_mentions_checks():
 def test_na_warning_over_half(monkeypatch):
     entry = checks.REGISTRY["jensen_map"]
 
-    def always_na(inst, params, tol=None):
-        return CheckOutcome("jensen_map", "not_applicable", math.nan, math.nan, {"guard": "forced"})
+    def always_na(stack, params, tol=None):
+        forced = CheckOutcome("jensen_map", "not_applicable", math.nan, math.nan, {"guard": "forced"})
+        return [forced] * len(params)
 
     monkeypatch.setitem(checks.REGISTRY, "jensen_map", dataclasses.replace(entry, runner=always_na))
     report = run_campaign(_tiny_cfg(checks=("jensen_map",)))
@@ -313,6 +315,8 @@ def test_cli_run_bad_config_exit_one(tmp_path, capsys):
         ({"means": ["nonsense"]}, None, [], "means[0]"),
         ({"intervals": [[0.5, math.inf]]}, None, [], "intervals[0]"),
         ({"intervals": [[0.5, 2.0], [-math.inf, 0.8]]}, None, [], "intervals[1]"),
+        ({"intervals": [[0.5, 0.5000000000000001]]}, None, [], "intervals[0]"),
+        ({"intervals": [[0.5, 2.0], [1e-300, 1e-299]]}, None, [], "intervals[1]"),
         # t^2 is not operator monotone: ran, to false violations
         ({"means": ["power:2"]}, None, [], "means[0]"),
         ({"means": ["geom:0.5", "powered:geom:0.5:2"]}, None, [], "means[1]"),
@@ -372,8 +376,8 @@ def test_config_file_is_read_once(tmp_path, monkeypatch):
 def test_cli_run_violation_exit_two(tmp_path, monkeypatch):
     entry = checks.REGISTRY["scalar_aczel"]
 
-    def always_violated(inst, params, tol=None):
-        return CheckOutcome("scalar_aczel", "violated", -1.0, 1.0)
+    def always_violated(insts, params, tol=None):
+        return [CheckOutcome("scalar_aczel", "violated", -1.0, 1.0) for _ in params]
 
     monkeypatch.setitem(checks.REGISTRY, "scalar_aczel", dataclasses.replace(entry, runner=always_violated))
     out = tmp_path / "report.json"
@@ -670,6 +674,27 @@ def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
     assert all(c["qr"] for c in counts[1]["build"])
 
 
+def test_campaign_forms_a_trial_family_only_for_a_witness(monkeypatch):
+    # the builder's stack goes to the checker as it is: with no violation, no
+    # trial of a cell is taken out on its own (take with an int index)
+    take = instances.take
+    ints = []
+
+    def counted(stack, idx):
+        ints.append(np.ndim(idx) == 0)
+        return take(stack, idx)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("opbellman")]:
+        if getattr(module, "take", None) is take:
+            monkeypatch.setattr(module, "take", counted)
+    report = run_campaign(_operator_deep(trials=30))
+    assert report["summary"]["violations"] == 0 and report["summary"]["trials"] == 2160
+    assert ints.count(True) == 0
+    cell = campaign.expand_cells("bellman_map", _operator_deep())[0]
+    run_check_trial("bellman_map", cell, _operator_deep(), 0)
+    assert ints.count(True) == 1
+
+
 def test_smallest_exponent_scalar_builders_run_without_warnings():
     # a^(1/p) underflows at p = 0.001; the rejected draws stay rejected and
     # the normalization no longer warns about the division
@@ -769,7 +794,7 @@ def test_stacked_complement_build_retries_and_rejects_per_trial(monkeypatch):
     alone = [fam for fam in alone if fam is not None]
     assert stack.meta["attempts"] == 3
     for t, fam in enumerate(alone):
-        _assert_same_bits(instances.family_of_trial(stack, t), fam)
+        _assert_same_bits(instances.take(stack, t), fam)
         assert stack.meta["scale"][t] == fam.meta["scale"]
 
 

@@ -688,6 +688,28 @@ def _family(tag, a, b=None, **kw):
     return InstanceFamily(hypothesis_tag=tag, A=[_mat(x) for x in a], B=b, **kw)
 
 
+def _stacked(insts):
+    """Hand-built trials as one family on a leading trial axis, as a builder
+    returns a cell: a compression is built again from its stacked isometries,
+    and a map without arrays is shared."""
+
+    def members(values):
+        return None if values[0] is None else [np.stack(ms) for ms in zip(*values)]
+
+    def stacked_map(maps):
+        return Compression(np.stack([m.v for m in maps])) if isinstance(maps[0], Compression) else maps[0]
+
+    first = insts[0]
+    return InstanceFamily(
+        hypothesis_tag=first.hypothesis_tag,
+        A=members([i.A for i in insts]),
+        B=members([i.B for i in insts]),
+        weights=None if first.weights is None else np.stack([i.weights for i in insts]),
+        maps=None if first.maps is None else [stacked_map(ms) for ms in zip(*(i.maps for i in insts))],
+        aux={k: np.stack([i.aux[k] for i in insts]) for k in first.aux},
+    )
+
+
 def _nan_pair():
     # NaN off the diagonal: eigvalsh gives NaN eigenvalues, and an SVD raises
     x = np.diag([1.0, 1.0]).astype(complex)
@@ -775,7 +797,7 @@ def _mixed_guard_cells():
 @pytest.mark.parametrize("case", list(_mixed_guard_cells()), ids=lambda case: case[0])
 def test_stacked_cell_settles_each_trial_as_alone(case):
     check_id, insts, params, guards = case
-    stacked = checks.check_cell(check_id, insts, params, TOL)
+    stacked = checks.check_cell(check_id, _stacked(insts), params, TOL)
     alone = [check(check_id, inst, p, TOL) for inst, p in zip(insts, params)]
     assert [o.witness and o.witness["guard"] for o in alone] == guards
     # repr compares NaN slacks of not-applicable trials, and every float bit for bit
@@ -788,4 +810,4 @@ def test_stack_of_nan_operands_raises_as_alone():
     with pytest.raises(np.linalg.LinAlgError):
         check("mean_superadditive", insts[1], {"f": "geom:0.5"}, TOL)
     with pytest.raises(np.linalg.LinAlgError):
-        checks.check_cell("mean_superadditive", insts, [{"f": "geom:0.5"}] * 2, TOL)
+        checks.check_cell("mean_superadditive", _stacked(insts), [{"f": "geom:0.5"}] * 2, TOL)

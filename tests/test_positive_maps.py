@@ -12,6 +12,7 @@ from opbellman.positive_maps import (
     Pinching,
     UnitaryMixture,
     map_from_json,
+    take_map,
 )
 from opbellman.spectral import (
     DEFAULT_TOL,
@@ -181,27 +182,29 @@ def test_map_json_round_trip():
 
 
 def test_stacked_maps_apply_each_trial_map_to_its_operand():
-    # stack_maps joins one map per trial: each operand of a stack meets its own map, to the bit
-    from opbellman.positive_maps import stack_maps
-
+    # a map built from arrays with a trial axis meets each operand of a stack
+    # with that trial's map, to the bit; take_map takes one trial's map (an
+    # int) or a smaller stack (an index array) back out
     rng = np.random.default_rng(210)
     dim = 3
-
-    def mixture():
-        return UnitaryMixture(random_weights(2, rng), (haar_unitary(dim, rng), haar_unitary(dim, rng)))
-
-    families = [
-        [IdentityMap(dim) for _ in range(4)],
-        [Compression(haar_unitary(dim, rng)[:, :2]) for _ in range(4)],
-        [mixture() for _ in range(4)],
-        [Pinching(((0, 1), (2,))) for _ in range(4)],
+    vs = [haar_unitary(dim, rng)[:, :2] for _ in range(4)]
+    ws = [random_weights(2, rng) for _ in range(4)]
+    us = [(haar_unitary(dim, rng), haar_unitary(dim, rng)) for _ in range(4)]
+    cases = [
+        (IdentityMap(dim), [IdentityMap(dim)] * 4),
+        (Compression(np.stack(vs)), [Compression(v) for v in vs]),
+        (
+            UnitaryMixture(np.stack(ws), tuple(np.stack(u) for u in zip(*us))),
+            [UnitaryMixture(w, u) for w, u in zip(ws, us)],
+        ),
+        (Pinching(((0, 1), (2,))), [Pinching(((0, 1), (2,)))] * 4),
     ]
     xs = np.stack([random_pd(dim, rng) for _ in range(4)])
-    for maps in families:
-        stacked = stack_maps(maps)
+    for stacked, maps in cases:
         assert (stacked.input_dim, stacked.output_dim) == (maps[0].input_dim, maps[0].output_dim)
         out = stacked.apply(xs)
         for t, phi in enumerate(maps):
             assert np.array_equal(out[t], phi.apply(xs[t]))
-    with pytest.raises(ShapeError):
-        stack_maps([Pinching(((0, 1), (2,))), Pinching(((0,), (1, 2)))])
+            assert np.array_equal(take_map(stacked, t).apply(xs[t]), out[t])
+        idx = np.array([3, 1])
+        assert np.array_equal(take_map(stacked, idx).apply(xs[idx]), out[idx])
