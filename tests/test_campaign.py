@@ -315,11 +315,12 @@ def test_cli_run_bad_config_exit_one(tmp_path, capsys):
         ({"means": ["nonsense"]}, None, [], "means[0]"),
         ({"intervals": [[0.5, math.inf]]}, None, [], "intervals[0]"),
         ({"intervals": [[0.5, 2.0], [-math.inf, 0.8]]}, None, [], "intervals[1]"),
-        ({"intervals": [[0.5, 0.5000000000000001]]}, None, [], "intervals[0]"),
-        ({"intervals": [[0.5, 2.0], [1e-300, 1e-299]]}, None, [], "intervals[1]"),
         # t^2 is not operator monotone: ran, to false violations
         ({"means": ["power:2"]}, None, [], "means[0]"),
         ({"means": ["geom:0.5", "powered:geom:0.5:2"]}, None, [], "means[1]"),
+        # narrower than MIN_INTERVAL: passed validate(), then aborted the campaign
+        ({"intervals": [[0.5, 0.5000000000000001]]}, None, [], "intervals[0]"),
+        ({"intervals": [[0.5, 2.0], [1e-300, 1e-299]]}, None, [], "intervals[1]"),
     ],
 )
 def test_cli_run_malformed_config_value_exit_one(tmp_path, capsys, monkeypatch, config, env_seed, flags, message):
