@@ -187,17 +187,19 @@ def config_from_json(obj: dict) -> CampaignConfig:
 
 
 def _parse_map_id(map_id: str) -> tuple[str, int]:
-    """Split a map id into (kind, argument); raises ParameterError if malformed."""
+    """Split a map id into (kind, argument); raises ParameterError unless it
+    names a known kind with at most one argument, an integer >= 1."""
     if map_id == "id":
         return "id", 1
-    parts = map_id.split(":")
-    kind = parts[0]
-    try:
-        arg = int(parts[1]) if len(parts) > 1 else 1
-    except ValueError as exc:
-        raise ParameterError(f"malformed map id {map_id!r}") from exc
+    kind, *args = map_id.split(":")
     if kind not in ("compress", "unitary-mix", "pinch"):
         raise ParameterError(f"unknown map id {map_id!r}")
+    try:
+        (arg,) = [int(a) for a in args] or [1]
+    except ValueError as exc:
+        raise ParameterError(f"malformed map id {map_id!r}") from exc
+    if arg < 1:
+        raise ParameterError(f"map id {map_id!r}: the argument must be >= 1")
     return kind, arg
 
 
@@ -208,12 +210,10 @@ def build_map(map_id: str, dim: int, rng):
     if kind == "id":
         return IdentityMap(dim)
     if kind == "compress":
-        k = max(1, min(arg, dim))
-        return Compression(haar_unitary(dim, rng)[..., :k])
+        return Compression(haar_unitary(dim, rng)[..., : min(arg, dim)])
     if kind == "unitary-mix":
-        r = max(1, arg)
-        return UnitaryMixture(random_weights(r, rng), tuple(haar_unitary(dim, rng) for _ in range(r)))
-    b = max(1, min(arg, dim))
+        return UnitaryMixture(random_weights(arg, rng), tuple(haar_unitary(dim, rng) for _ in range(arg)))
+    b = min(arg, dim)
     bounds = np.linspace(0, dim, b + 1).astype(int)
     blocks = tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(b) if bounds[i] < bounds[i + 1])
     return Pinching(blocks)
@@ -602,7 +602,7 @@ class _Trial:
 
     ``stack`` holds the cell's built instances, an operator builder's stack
     or a scalar builder's list, and the trial is its entry ``index``.
-    ``outcome`` is exact (from ``checks.check``, or a guard or generator
+    ``outcome`` is exact (from the check's runner, or a guard or generator
     rejection).  Without one, the trial holds for certain and ``slack`` and
     ``normalized`` enclose its slack and slack/scale; with one, they are
     that outcome's values, ``normalized`` None where scale > 0 fails.
@@ -686,7 +686,8 @@ def _checked_trials(check_id: str, cell: dict, cfg: CampaignConfig) -> list[_Tri
 
 def _bounded_trials(check_id: str, cell: dict, cfg: CampaignConfig) -> list[_Trial]:
     """The trials of a scalar cell, settled where the check's float64 bound
-    decides a guard or certainly holds; the rest are left for ``checks.check``."""
+    decides a guard or certainly holds; the rest are left for its 30-digit
+    evaluation in ``_cell_summary``."""
     trials = _build_trials(check_id, cell, cfg, range(cfg.trials))
     built = [t for t in trials if t.outcome is None]
     verdicts = REGISTRY[check_id].bounds([t.inst for t in built]) if built else []
@@ -703,19 +704,24 @@ def _bounded_trials(check_id: str, cell: dict, cfg: CampaignConfig) -> list[_Tri
 def _cell_summary(check_id: str, cell: dict, cfg: CampaignConfig, trials: list[_Trial]) -> dict:
     """The report record of one cell.
 
-    A trial without an exact outcome is evaluated through ``checks.check``
+    A scalar trial without an exact outcome is evaluated at 30 digits
     unless its enclosures show that the reported values do not depend on
     it: its slack interval lies above the smallest slack upper end, and its
     slack/scale interval misses [k-th smallest lower end, k-th smallest
-    upper end] for each middle rank k.  The summary then reads each other
-    trial at its lower ends, which keeps the minimum, the first trial that
-    reaches it and the median.
+    upper end] for each middle rank k.  The trials each step still needs
+    go through ``checks.check_cell`` as one stack.  The summary then reads
+    each other trial at its lower ends, which keeps the minimum, the first
+    trial that reaches it and the median.
     """
 
     def evaluate(pending) -> None:
-        for t in pending:
-            if t.outcome is None:
-                t.settle(checks.check(check_id, t.inst, t.params, cfg.tolerance))
+        pending = [t for t in pending if t.outcome is None]
+        if pending:
+            outcomes = checks.check_cell(
+                check_id, [t.inst for t in pending], [t.params for t in pending], cfg.tolerance
+            )
+            for t, outcome in zip(pending, outcomes):
+                t.settle(outcome)
 
     evaluate([t for t in trials if t.slack is None])
     applicable = [t for t in trials if t.outcome is None or t.outcome.status != NOT_APPLICABLE]

@@ -12,12 +12,17 @@ the cell's family as the builder stacked it, so every matrix carries a
 leading trial axis (none for a single trial, whose d x d matrices are the
 stack of one), and every guard decides per trial.  ``check`` runs one
 trial; ``check_cell`` runs all trials of a cell in one pass.
+
+A scalar check is one expression over its cell's trials stacked into
+arrays.  On float64 intervals it is the campaign's filter; at 30 digits of
+mpmath it is the exact check (see ``inequality``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,7 +96,7 @@ class _GuardFail(Exception):
 
 def _require(cond, guard: str) -> None:
     """Fail ``guard`` on the trials where ``cond`` (one bool, or one per trial) is False."""
-    if cond is True:  # a plain bool: a guard on cell values, or a scalar checker's
+    if cond is True:  # a plain bool: a guard on cell values
         return
     failed = ~np.asarray(cond)
     if _any(failed):
@@ -138,11 +143,19 @@ def _stack_params(params: list[dict]) -> dict:
     }
 
 
-def _scalar_outcome(check_id, dominant, dominated, tol) -> CheckOutcome:
-    slack = float(dominant - dominated)
-    scale = max(abs(float(dominant)), abs(float(dominated)))
-    status = HOLDS if slack >= -tol.margin(scale) else VIOLATED
-    return CheckOutcome(check_id, status, slack, scale)
+def _scalar_outcomes(check_id, guards, dominant, dominated, tol) -> list[CheckOutcome]:
+    """One outcome per trial of a scalar check's exact sides: not applicable
+    at the trial's first failing guard, else the comparison of its sides."""
+    out = []
+    for t, (hi, lo) in enumerate(zip(dominant.v, dominated.v)):
+        failed = next((name for state, name in guards if state[t] < 0), None)
+        if failed is not None:
+            out.append(_na(check_id, failed))
+            continue
+        slack = float(hi - lo)
+        scale = max(abs(float(hi)), abs(float(lo)))
+        out.append(CheckOutcome(check_id, HOLDS if slack >= -tol.margin(scale) else VIOLATED, slack, scale))
+    return out
 
 
 @dataclass(frozen=True)
@@ -156,48 +169,44 @@ class RegistryEntry:
     axes: tuple[str, ...]  # campaign grids the check consumes
     reference: object  # dim-1 scalar formula; None for scalar checks
     runner: object  # a cell: (insts, params, tol) -> one CheckOutcome per trial
-    bounds: object  # float64 enclosure of a cell's trials; None for operator checks
+    bounds: object  # a scalar cell's float64 verdicts: insts -> one per trial; None for operator checks
 
 
 REGISTRY: dict[str, RegistryEntry] = {}
 
 
-def inequality(
-    check_id, *, group, direction, interval_kind, axes, statement, hypothesis, reference=None, bounds=None
-):
+def inequality(check_id, *, group, direction, interval_kind, axes, statement, hypothesis, reference=None):
     """Declare one inequality: register it in ``REGISTRY`` and wrap its checker.
 
-    The checker returns the sides to compare, (dominant, dominated), or
-    (t1, t2, t3) for a chain t1 <= t2 <= t3.  The entry's ``runner`` takes
-    a cell's instances, a stack for an operator check and a list for a
-    scalar one, with a list of params, and returns one outcome per trial.
+    An operator checker returns the sides to compare, (dominant, dominated),
+    or (t1, t2, t3) for a chain t1 <= t2 <= t3.  The entry's ``runner``
+    takes a cell's instances, a stack for an operator check and a list for
+    a scalar one, with a list of params, and returns one outcome per trial.
 
     An operator checker runs once on the stack of all trials.  A guard that
     fails on some trials settles them, and the checker runs again on
     ``take(stack, keep)`` of the rest, so no call sees the operands of a
     trial past its first failing guard; a stacked call gives each trial the
     bits it gives it alone.
-    Scalar checkers run per trial, and their sides are subtracted, at
-    ``SCALAR_DPS`` digits.  A scalar check may
-    declare ``bounds``, a function of the cell's instances stacked into
-    arrays that mirrors the checker in float64 intervals (see
-    ``_Interval``); the entry's ``bounds`` takes the list of instances and
-    returns one ``_settle`` verdict per instance.  Registration order is the
-    campaign's check order.
+
+    A scalar check is one function ``fn(s, num)`` of the cell's instances
+    stacked into arrays (``_stack_scalars``) and a number kind ``num`` that
+    converts an input array, ``_Interval`` or ``_Digits``.  It returns
+    (guards, dominant, dominated), the guards in order as (verdict per
+    trial, name) pairs from ``_nonneg``, ``_positive`` or ``_exact_guard``.
+    The entry's ``bounds`` runs it on float64 intervals and returns one
+    ``_settle`` verdict per instance.  Its ``runner`` runs it at
+    ``SCALAR_DPS`` digits and settles each trial at its first failing
+    guard, or by its sides' difference at those digits.  Registration order
+    is the campaign's check order.
     """
 
     def deco(fn):
-        def scalar_trial(inst, params, tol) -> CheckOutcome:
-            try:
-                with mpmath.workdps(SCALAR_DPS):
-                    return _scalar_outcome(check_id, *fn(inst, params, tol), tol)
-            except _GuardFail as g:
-                return _na(check_id, g.guard)
-
         @functools.wraps(fn)
         def runner(insts, params: list, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
             if group == "scalar":
-                return [scalar_trial(inst, p, tol) for inst, p in zip(insts, params)]
+                with mpmath.workdps(SCALAR_DPS):
+                    return _scalar_outcomes(check_id, *fn(_stack_scalars(insts), _Digits), tol)
             out = [None] * len(params)
             live = np.arange(len(params))
             while live.size:
@@ -217,9 +226,13 @@ def inequality(
                 break
             return out
 
+        def bounds(insts: list) -> list:
+            with np.errstate(all="ignore"):
+                return _settle(*fn(_stack_scalars(insts), _Interval))
+
         REGISTRY[check_id] = RegistryEntry(
             check_id, group, direction, statement, hypothesis, interval_kind, axes, reference, runner,
-            None if bounds is None else _cell_bounds(bounds),
+            bounds if group == "scalar" else None,
         )
         return runner
 
@@ -899,16 +912,17 @@ def check_bellman_chain_interp(inst: InstanceFamily, params, tol) -> tuple:
     return t1, t2, t3
 
 
-# -- float64 bounds of the scalar suite ----------------------------------------
+# -- number kinds of the scalar suite ------------------------------------------
 #
-# A scalar check's ``bounds`` repeats its checker's arithmetic on intervals of
-# float64 arrays, one row per trial of a cell (Shewchuk's adaptive filter,
-# "Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
-# Predicates", 1997).  Each operation widens its result outward by more than
-# the float64 rounding and mpmath's 30-digit rounding of the same operation
-# together, so every value the mpmath checker computes lies inside the
-# matching interval.  A trial the intervals cannot settle is left undecided
-# and the campaign evaluates it through the checker.
+# A scalar check is one expression over the arrays of a cell's stacked trials,
+# evaluated on one of two number kinds.  ``_Interval`` holds float64 intervals
+# (Shewchuk's adaptive filter, "Adaptive Precision Floating-Point Arithmetic
+# and Fast Robust Geometric Predicates", 1997): each operation widens its
+# result outward by more than the float64 rounding and mpmath's 30-digit
+# rounding of the same operation together, so every value of the exact
+# evaluation lies inside the matching interval.  A trial the intervals
+# cannot settle is left undecided and the campaign evaluates it on
+# ``_Digits``, the exact kind.
 
 #: Unit roundoff of float64; all outward widening is a multiple of it.
 ROUNDING_UNIT = 2.0**-53
@@ -1029,9 +1043,10 @@ class SlackBounds(NamedTuple):
 
 
 def _settle(guards, dominant: _Interval, dominated: _Interval) -> list:
-    """Per trial, in the checker's order of ``guards`` (tri-state arrays from
-    ``_sign``, with the guard name): the name of the first failing guard when
-    every earlier one is decided, ``SlackBounds`` when all pass, else None."""
+    """Per trial, in the check's order of ``guards`` (tri-state arrays from
+    ``_nonneg``, ``_positive`` or ``_exact_guard``, with the guard name): the
+    name of the first failing guard when every earlier one is decided,
+    ``SlackBounds`` when all pass, else None."""
     slack = dominant - dominated
     slack_lo, slack_hi = slack.lo - DECIDE_MARGIN, slack.hi + DECIDE_MARGIN
     scale_lo = np.maximum(_abs_lo(dominant), _abs_lo(dominated))
@@ -1051,115 +1066,85 @@ def _settle(guards, dominant: _Interval, dominated: _Interval) -> list:
     return out
 
 
-def _cell_bounds(fn):
-    """``fn`` over a list of scalar instances: stacks them with a leading
-    trial axis, zero-padding matrices to the largest row count (a zero entry
-    adds exact zeros to every sum it enters)."""
-
-    @functools.wraps(fn)
-    def bounds(insts: list) -> list:
-        stacked = {}
-        for key in insts[0]:
-            values = [inst[key] for inst in insts]
-            if np.ndim(values[0]) == 2:
-                arr = np.zeros((len(values), max(v.shape[0] for v in values), values[0].shape[1]))
-                for t, v in enumerate(values):
-                    arr[t, : v.shape[0]] = v
-                stacked[key] = arr
-            else:
-                stacked[key] = np.asarray(values, dtype=float)
-        with np.errstate(all="ignore"):
-            return fn(stacked)
-
-    return bounds
+def _stack_scalars(insts: list) -> dict:
+    """Scalar instances stacked with a leading trial axis, matrices
+    zero-padded to the largest row count (a zero entry adds exact zeros to
+    every sum it enters)."""
+    stacked = {}
+    for key in insts[0]:
+        values = [inst[key] for inst in insts]
+        if np.ndim(values[0]) == 2:
+            arr = np.zeros((len(values), max(v.shape[0] for v in values), values[0].shape[1]))
+            for t, v in enumerate(values):
+                arr[t, : v.shape[0]] = v
+            stacked[key] = arr
+        else:
+            stacked[key] = np.asarray(values, dtype=float)
+    return stacked
 
 
-def _bellman_bounds(s) -> list:
-    p = s["p"]
-    a, b = _Interval(s["a"]), _Interval(s["b"])
-    aj, bj = _Interval(s["a_j"]), _Interval(s["b_j"])
-    ra = a**p - (aj ** p[:, None]).sum(1)
-    rb = b**p - (bj ** p[:, None]).sum(1)
-    rc = (a + b) ** p - ((aj + bj) ** p[:, None]).sum(1)
-    inv = 1 / _Interval(p)
-    return _settle(
-        [
-            (_exact_guard(p >= 1.0), "exponent_below_one"),
-            (np.minimum(_sign(ra), _sign(rb)), "column_hypothesis_failed"),
-            (_sign(rc), "joint_base_negative"),
-        ],
-        rc**inv,
-        ra**inv + rb**inv,
-    )
+_MPF = np.frompyfunc(mpmath.mpf, 1, 1)
 
 
-def _head_tail_bounds(s, p) -> tuple:
+def _lift(op, reflected=False):
+    """``op`` on ``_Digits`` values, or on one and a plain operand."""
+
+    def method(self, other):
+        other = other.v if isinstance(other, _Digits) else other
+        return _Digits(op(other, self.v) if reflected else op(self.v, other))
+
+    return method
+
+
+class _Digits:
+    """mpmath values in object arrays, the exact number kind of a scalar
+    check: arithmetic is mpmath's at the working precision, element by
+    element, and ``sum`` is one ``mpmath.fsum`` over the terms of each sum."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, x):
+        self.v = x if x.dtype == object else _MPF(x)
+
+    def __getitem__(self, index):
+        return _Digits(self.v[index])
+
+    __add__, __radd__ = _lift(operator.add), _lift(operator.add, True)
+    __sub__, __rsub__ = _lift(operator.sub), _lift(operator.sub, True)
+    __mul__, __rmul__ = _lift(operator.mul), _lift(operator.mul, True)
+    __truediv__, __rtruediv__ = _lift(operator.truediv), _lift(operator.truediv, True)
+    __pow__ = _lift(operator.pow)
+
+    def sum(self, axis):
+        terms = np.moveaxis(self.v, axis, -1)
+        sums = (mpmath.fsum(row) for row in terms.reshape(-1, terms.shape[-1]))
+        return _Digits(np.fromiter(sums, dtype=object).reshape(terms.shape[:-1]))
+
+
+def _nonneg(x) -> np.ndarray:
+    """x >= 0 per trial, as 1 (holds), -1 (fails) or 0 (undecided):
+    ``_sign`` on intervals, an exact comparison on digits."""
+    return _sign(x) if isinstance(x, _Interval) else np.where(x.v >= 0, 1, -1)
+
+
+def _positive(x) -> np.ndarray:
+    """x > 0 per trial, as ``_nonneg``."""
+    return _sign(x) if isinstance(x, _Interval) else np.where(x.v > 0, 1, -1)
+
+
+def _head_tail(s, num, p) -> tuple:
     """(a^p - sum a_j^p, b^p - sum b_j^p, a b - sum a_j b_j) of Aczel and Popoviciu."""
-    a, b = _Interval(s["a"]), _Interval(s["b"])
-    aj, bj = _Interval(s["a_j"]), _Interval(s["b_j"])
+    a, b, aj, bj = (num(s[key]) for key in ("a", "b", "a_j", "b_j"))
     pj = p if np.ndim(p) == 0 else p[:, None]
-    ra = a**p - (aj**pj).sum(1)
-    rb = b**p - (bj**pj).sum(1)
-    return ra, rb, a * b - (aj * bj).sum(1)
+    return a**p - (aj**pj).sum(1), b**p - (bj**pj).sum(1), a * b - (aj * bj).sum(1)
 
 
-def _aczel_bounds(s) -> list:
-    ra, rb, cross = _head_tail_bounds(s, 2.0)
-    return _settle([(np.maximum(_sign(ra), _sign(rb)), "hypothesis_failed")], cross**2.0, ra * rb)
-
-
-def _popoviciu_bounds(s) -> list:
-    p = s["p"]
-    ra, rb, cross = _head_tail_bounds(s, p)
-    return _settle(
-        [
-            (_exact_guard(p >= 1.0), "exponent_below_one"),
-            (np.maximum(_sign(ra), _sign(rb)), "hypothesis_failed"),
-            (_sign(cross), "cross_term_negative"),
-        ],
-        cross**p,
-        ra * rb,
-    )
-
-
-def _column_powers(s) -> tuple:
-    """(p, 1/p, sum_i a_ij^{1/p} per column) of the weighted Bellman kinds."""
-    p = s["p"]
-    q = 1 / _Interval(p)
-    return p, q, (_Interval(s["a"]) ** q[:, None, None]).sum(1)
-
-
-def _bellman_weighted_bounds(s) -> list:
-    p, q, col_caps = _column_powers(s)
-    w = _Interval(s["weights"])
-    dominated = (w * (1 - col_caps) ** p[:, None]).sum(1)
-    mixed = (w[:, None, :] * _Interval(s["a"])).sum(2)
-    dominant = (1 - (mixed ** q[:, None]).sum(1)) ** p
-    return _settle([(_sign(1 - col_caps).min(1), "column_hypothesis_failed")], dominant, dominated)
-
-
-def _bellman_columns_bounds(s) -> list:
-    p, q, col_sums = _column_powers(s)
-    caps = _Interval(s["caps"])
-    room = caps ** q[:, None] - col_sums
-    dominated = (room ** p[:, None]).sum(1)
-    row_sums = _Interval(s["a"]).sum(2)
-    base = caps.sum(1) ** q - (row_sums ** q[:, None]).sum(1)
-    return _settle(
-        [(_sign(room).min(1), "column_hypothesis_failed"), (_sign(base), "joint_base_negative")],
-        base**p,
-        dominated,
-    )
-
-
-def _bellman_reverse_bounds(s) -> list:
-    p, q, col_caps = _column_powers(s)
-    w = _Interval(s["weights"])
-    pp = _Interval(p)
-    const = (1 - pp) * pp ** (pp / (1 - pp))
-    dominant = const + (w * (1 - col_caps) ** p[:, None]).sum(1)
-    dominated = (1 - (w * col_caps).sum(1)) ** p
-    return _settle([(_sign(1 - col_caps).min(1), "column_hypothesis_failed")], dominant, dominated)
+def _column_sums(s, num) -> tuple:
+    """(p, 1/p, a, sum_i a_ij^{1/p} per column) of the weighted Bellman kinds."""
+    p = num(s["p"])
+    q = 1 / p
+    a = num(s["a"])
+    return p, q, a, (a ** q[:, None, None]).sum(1)
 
 
 # -- scalar suite ------------------------------------------------------------
@@ -1170,24 +1155,22 @@ def _bellman_reverse_bounds(s) -> list:
     axes=("n",),
     statement="(a^p - sum a_j^p)^{1/p} + (b^p - sum b_j^p)^{1/p} <= ((a+b)^p - sum (a_j+b_j)^p)^{1/p}",
     hypothesis="positive reals, integer p >= 1, column sums below caps",
-    bounds=_bellman_bounds,
 )
-def check_scalar_bellman(inst: dict, params, tol) -> tuple:
+def check_scalar_bellman(s, num) -> tuple:
     """(a^p - sum a_j^p)^{1/p} + (b^p - sum b_j^p)^{1/p}
     <= ((a+b)^p - sum (a_j+b_j)^p)^{1/p}, integer p >= 1."""
-    p = inst["p"]
-    _require(p >= 1.0, "exponent_below_one")
-    a, b = mpmath.mpf(inst["a"]), mpmath.mpf(inst["b"])
-    aj = [mpmath.mpf(v) for v in inst["a_j"]]
-    bj = [mpmath.mpf(v) for v in inst["b_j"]]
-    ra = a**p - mpmath.fsum(v**p for v in aj)
-    rb = b**p - mpmath.fsum(v**p for v in bj)
-    _require(ra >= 0 and rb >= 0, "column_hypothesis_failed")
-    rc = (a + b) ** p - mpmath.fsum((x + y) ** p for x, y in zip(aj, bj))
-    _require(rc >= 0, "joint_base_negative")
-    dominated = ra ** (1 / mpmath.mpf(p)) + rb ** (1 / mpmath.mpf(p))
-    dominant = rc ** (1 / mpmath.mpf(p))
-    return dominant, dominated
+    p = s["p"]
+    a, b, aj, bj = (num(s[key]) for key in ("a", "b", "a_j", "b_j"))
+    ra = a**p - (aj ** p[:, None]).sum(1)
+    rb = b**p - (bj ** p[:, None]).sum(1)
+    rc = (a + b) ** p - ((aj + bj) ** p[:, None]).sum(1)
+    q = 1 / num(p)
+    guards = [
+        (_exact_guard(p >= 1.0), "exponent_below_one"),
+        (np.minimum(_nonneg(ra), _nonneg(rb)), "column_hypothesis_failed"),
+        (_nonneg(rc), "joint_base_negative"),
+    ]
+    return guards, rc**q, ra**q + rb**q
 
 
 @inequality(
@@ -1195,19 +1178,11 @@ def check_scalar_bellman(inst: dict, params, tol) -> tuple:
     axes=("n",),
     statement="(a_1^2 - sum a_j^2)(b_1^2 - sum b_j^2) <= (a_1 b_1 - sum a_j b_j)^2",
     hypothesis="a_1^2 > sum a_j^2 or b_1^2 > sum b_j^2",
-    bounds=_aczel_bounds,
 )
-def check_scalar_aczel(inst: dict, params, tol) -> tuple:
+def check_scalar_aczel(s, num) -> tuple:
     """(a_1^2 - sum a_j^2)(b_1^2 - sum b_j^2) <= (a_1 b_1 - sum a_j b_j)^2."""
-    a, b = mpmath.mpf(inst["a"]), mpmath.mpf(inst["b"])
-    aj = [mpmath.mpf(v) for v in inst["a_j"]]
-    bj = [mpmath.mpf(v) for v in inst["b_j"]]
-    ra = a**2 - mpmath.fsum(v**2 for v in aj)
-    rb = b**2 - mpmath.fsum(v**2 for v in bj)
-    _require(ra > 0 or rb > 0, "hypothesis_failed")
-    dominated = ra * rb
-    dominant = (a * b - mpmath.fsum(x * y for x, y in zip(aj, bj))) ** 2
-    return dominant, dominated
+    ra, rb, cross = _head_tail(s, num, 2)
+    return [(np.maximum(_positive(ra), _positive(rb)), "hypothesis_failed")], cross**2, ra * rb
 
 
 @inequality(
@@ -1215,21 +1190,17 @@ def check_scalar_aczel(inst: dict, params, tol) -> tuple:
     axes=("n",),
     statement="(a_1^p - sum a_j^p)(b_1^p - sum b_j^p) <= (a_1 b_1 - sum a_j b_j)^p",
     hypothesis="p >= 1 and a head power dominates its column",
-    bounds=_popoviciu_bounds,
 )
-def check_scalar_popoviciu(inst: dict, params, tol) -> tuple:
+def check_scalar_popoviciu(s, num) -> tuple:
     """(a_1^p - sum a_j^p)(b_1^p - sum b_j^p) <= (a_1 b_1 - sum a_j b_j)^p, p >= 1."""
-    p = inst["p"]
-    _require(p >= 1.0, "exponent_below_one")
-    a, b = mpmath.mpf(inst["a"]), mpmath.mpf(inst["b"])
-    aj = [mpmath.mpf(v) for v in inst["a_j"]]
-    bj = [mpmath.mpf(v) for v in inst["b_j"]]
-    ra = a**p - mpmath.fsum(v**p for v in aj)
-    rb = b**p - mpmath.fsum(v**p for v in bj)
-    _require(ra > 0 or rb > 0, "hypothesis_failed")
-    cross = a * b - mpmath.fsum(x * y for x, y in zip(aj, bj))
-    _require(cross >= 0, "cross_term_negative")
-    return cross**p, ra * rb
+    p = s["p"]
+    ra, rb, cross = _head_tail(s, num, p)
+    guards = [
+        (_exact_guard(p >= 1.0), "exponent_below_one"),
+        (np.maximum(_positive(ra), _positive(rb)), "hypothesis_failed"),
+        (_nonneg(cross), "cross_term_negative"),
+    ]
+    return guards, cross**p, ra * rb
 
 
 @inequality(
@@ -1237,21 +1208,15 @@ def check_scalar_popoviciu(inst: dict, params, tol) -> tuple:
     axes=("n", "p"),
     statement="sum_j w_j (1 - sum_i a_ij^{1/p})^p <= (1 - sum_i (sum_j w_j a_ij)^{1/p})^p",
     hypothesis="sum_i a_ij^{1/p} <= 1 per column, weights sum to 1, 0 < p < 1",
-    bounds=_bellman_weighted_bounds,
 )
-def check_scalar_bellman_weighted(inst: dict, params, tol) -> tuple:
+def check_scalar_bellman_weighted(s, num) -> tuple:
     """sum_j w_j (1 - sum_i a_ij^{1/p})^p <= (1 - sum_i (sum_j w_j a_ij)^{1/p})^p."""
-    p = inst["p"]
-    q = 1 / mpmath.mpf(p)
-    a = [[mpmath.mpf(v) for v in row] for row in np.asarray(inst["a"])]
-    w = [mpmath.mpf(v) for v in inst["weights"]]
-    rows, cols = len(a), len(a[0])
-    col_caps = [mpmath.fsum(a[i][j] ** q for i in range(rows)) for j in range(cols)]
-    _require(all(c <= 1 for c in col_caps), "column_hypothesis_failed")
-    dominated = mpmath.fsum(w[j] * (1 - col_caps[j]) ** mpmath.mpf(p) for j in range(cols))
-    mixed = [mpmath.fsum(w[j] * a[i][j] for j in range(cols)) for i in range(rows)]
-    dominant = (1 - mpmath.fsum(u**q for u in mixed)) ** mpmath.mpf(p)
-    return dominant, dominated
+    p, q, a, col_caps = _column_sums(s, num)
+    w = num(s["weights"])
+    dominated = (w * (1 - col_caps) ** p[:, None]).sum(1)
+    mixed = (w[:, None, :] * a).sum(2)
+    dominant = (1 - (mixed ** q[:, None]).sum(1)) ** p
+    return [(_nonneg(1 - col_caps).min(1), "column_hypothesis_failed")], dominant, dominated
 
 
 @inequality(
@@ -1259,28 +1224,17 @@ def check_scalar_bellman_weighted(inst: dict, params, tol) -> tuple:
     axes=("n", "p"),
     statement="sum_j (M_j^{1/p} - sum_i a_ij^{1/p})^p <= ((sum M_j)^{1/p} - sum_i (sum_j a_ij)^{1/p})^p",
     hypothesis="sum_i a_ij^{1/p} <= M_j^{1/p} per column, 0 < p < 1",
-    bounds=_bellman_columns_bounds,
 )
-def check_scalar_bellman_columns(inst: dict, params, tol) -> tuple:
+def check_scalar_bellman_columns(s, num) -> tuple:
     """sum_j (M_j^{1/p} - sum_i a_ij^{1/p})^p
     <= ((sum_j M_j)^{1/p} - sum_i (sum_j a_ij)^{1/p})^p."""
-    p = inst["p"]
-    q = 1 / mpmath.mpf(p)
-    a = [[mpmath.mpf(v) for v in row] for row in np.asarray(inst["a"])]
-    caps = [mpmath.mpf(v) for v in inst["caps"]]
-    rows, cols = len(a), len(a[0])
-    col_sums = [mpmath.fsum(a[i][j] ** q for i in range(rows)) for j in range(cols)]
-    _require(
-        all(col_sums[j] <= caps[j] ** q for j in range(cols)), "column_hypothesis_failed"
-    )
-    dominated = mpmath.fsum(
-        (caps[j] ** q - col_sums[j]) ** mpmath.mpf(p) for j in range(cols)
-    )
-    row_sums = [mpmath.fsum(a[i][j] for j in range(cols)) for i in range(rows)]
-    base = mpmath.fsum(caps) ** q - mpmath.fsum(u**q for u in row_sums)
-    _require(base >= 0, "joint_base_negative")
-    dominant = base ** mpmath.mpf(p)
-    return dominant, dominated
+    p, q, a, col_sums = _column_sums(s, num)
+    caps = num(s["caps"])
+    room = caps ** q[:, None] - col_sums
+    dominated = (room ** p[:, None]).sum(1)
+    base = caps.sum(1) ** q - (a.sum(2) ** q[:, None]).sum(1)
+    guards = [(_nonneg(room).min(1), "column_hypothesis_failed"), (_nonneg(base), "joint_base_negative")]
+    return guards, base**p, dominated
 
 
 @inequality(
@@ -1288,25 +1242,16 @@ def check_scalar_bellman_columns(inst: dict, params, tol) -> tuple:
     axes=("n", "p"),
     statement="(1-p) p^{p/(1-p)} + sum_j w_j (1 - sum_i a_ij^{1/p})^p >= (1 - sum_ij w_j a_ij^{1/p})^p",
     hypothesis="sum_i a_ij^{1/p} <= 1 per column, weights sum to 1, 0 < p < 1",
-    bounds=_bellman_reverse_bounds,
 )
-def check_scalar_bellman_reverse(inst: dict, params, tol) -> tuple:
+def check_scalar_bellman_reverse(s, num) -> tuple:
     """(1-p) p^{p/(1-p)} + sum_j w_j (1 - sum_i a_ij^{1/p})^p
     >= (1 - sum_i sum_j w_j a_ij^{1/p})^p."""
-    p = inst["p"]
-    q = 1 / mpmath.mpf(p)
-    pp = mpmath.mpf(p)
-    a = [[mpmath.mpf(v) for v in row] for row in np.asarray(inst["a"])]
-    w = [mpmath.mpf(v) for v in inst["weights"]]
-    rows, cols = len(a), len(a[0])
-    col_caps = [mpmath.fsum(a[i][j] ** q for i in range(rows)) for j in range(cols)]
-    _require(all(c <= 1 for c in col_caps), "column_hypothesis_failed")
-    const = (1 - pp) * pp ** (pp / (1 - pp))
-    dominant = const + mpmath.fsum(
-        w[j] * (1 - col_caps[j]) ** pp for j in range(cols)
-    )
-    dominated = (1 - mpmath.fsum(w[j] * col_caps[j] for j in range(cols))) ** pp
-    return dominant, dominated
+    p, q, _, col_caps = _column_sums(s, num)
+    w = num(s["weights"])
+    const = (1 - p) * p ** (p / (1 - p))
+    dominant = const + (w * (1 - col_caps) ** p[:, None]).sum(1)
+    dominated = (1 - (w * col_caps).sum(1)) ** p
+    return [(_nonneg(1 - col_caps).min(1), "column_hypothesis_failed")], dominant, dominated
 
 
 # -- registry ----------------------------------------------------------------
@@ -1333,14 +1278,13 @@ def check(check_id: str, inst, params, tol: Tolerance = DEFAULT_TOL) -> CheckOut
     return entry.runner([inst] if entry.group == "scalar" else inst, [params], tol)[0]
 
 
-def check_cell(
-    check_id: str, stack: InstanceFamily, params: list, tol: Tolerance = DEFAULT_TOL
-) -> list[CheckOutcome]:
-    """One outcome per trial of an operator cell, from one run of the checker
-    on the cell's stack.  A single trial goes through ``check``, so what
-    wraps the per-trial entry sees every trial of a one-trial cell."""
+def check_cell(check_id: str, stack, params: list, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
+    """One outcome per trial of a cell, from one run of the entry's runner
+    on the cell's stack: an operator builder's family, or a list of scalar
+    instances.  A single trial goes through ``check``, so what wraps the
+    per-trial entry sees every trial of a one-trial cell."""
     if len(params) == 1:
-        return [check(check_id, stack, params[0], tol)]
+        return [check(check_id, stack[0] if isinstance(stack, list) else stack, params[0], tol)]
     return _entry(check_id).runner(stack, params, tol)
 
 

@@ -116,18 +116,16 @@ def powered(f: RepresentingFunction, p: float) -> RepresentingFunction:
 
 def function_from_id(fid: str) -> RepresentingFunction:
     """Resolve a function id such as "arith:0.5", "geom:0.3", "power:0.7",
-    "log", "powered:<id>:p" or "composed:power:p:<id>"."""
+    "log", "powered:<id>:p" or "composed:power:p:<id>"; any other field,
+    such as a second argument, raises ParameterError."""
     if fid == "log":
         return log_fn
     parts = fid.split(":")
     kind = parts[0]
     try:
-        if kind == "arith":
-            return arithmetic_w(float(parts[1]))
-        if kind == "geom":
-            return geometric_w(float(parts[1]))
-        if kind == "power":
-            return power_fn(float(parts[1]))
+        if kind in ("arith", "geom", "power"):
+            (arg,) = parts[1:]
+            return {"arith": arithmetic_w, "geom": geometric_w, "power": power_fn}[kind](float(arg))
         if kind == "powered":
             return powered(function_from_id(":".join(parts[1:-1])), float(parts[-1]))
         if kind == "composed":

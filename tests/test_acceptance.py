@@ -8,6 +8,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from opbellman import campaign, checks, cli, constants
 from opbellman.campaign import CampaignConfig, run_check_trial
@@ -48,6 +49,42 @@ def _run_many(check_id: str, count: int, max_attempts: int):
         cell = cells[attempts % len(cells)]
         trial = attempts // len(cells)
         outcome, *_ = run_check_trial(check_id, cell, ACCEPT_CFG, trial)
+        attempts += 1
+        if outcome.status == NOT_APPLICABLE:
+            na += 1
+            continue
+        applicable += 1
+        worst = min(worst, outcome.slack)
+        if outcome.status == VIOLATED:
+            violations += 1
+    return applicable, violations, na, worst
+
+
+def _run_many_stacked(check_id: str, count: int, max_attempts: int):
+    """``_run_many`` for a scalar check, with each cell's trials built in
+    rounds and each round checked as one stack by the check's exact runner.
+
+    Outcomes are read in ``_run_many``'s attempt order (attempt a is cell
+    a mod C, trial a div C) and the loop stops where it stops; trials built
+    past that point are dropped uncounted.  A round holds the trials one
+    cell is expected to need for the applicable outcomes still missing."""
+    cells = campaign.expand_cells(check_id, ACCEPT_CFG)
+    runner = checks.REGISTRY[check_id].runner
+    outcomes = [[] for _ in cells]
+    applicable = violations = na = 0
+    worst = np.inf
+    attempts = 0
+    while applicable < count and attempts < max_attempts:
+        cell, trial = attempts % len(cells), attempts // len(cells)
+        if trial == len(outcomes[cell]):
+            size = min(-(-(count - applicable) // len(cells)), -(-max_attempts // len(cells)) - trial)
+            built = campaign._build_trials(check_id, cells[cell], ACCEPT_CFG, range(trial, trial + size))
+            pending = [t for t in built if t.outcome is None]
+            if pending:
+                for t, outcome in zip(pending, runner([t.inst for t in pending], [t.params for t in pending], TOL)):
+                    t.settle(outcome)
+            outcomes[cell] += [t.outcome for t in built]
+        outcome = outcomes[cell][trial]
         attempts += 1
         if outcome.status == NOT_APPLICABLE:
             na += 1
@@ -177,7 +214,7 @@ def test_criterion_6_scalar_suite():
     started = time.perf_counter()
     total_viol = 0
     for cid in checks.SCALAR_IDS:
-        applicable, violations, na, worst = _run_many(cid, 10_000, 10_500)
+        applicable, violations, na, worst = _run_many_stacked(cid, 10_000, 10_500)
         total_viol += violations
         assert applicable == 10_000, f"{cid}: only {applicable} applicable instances"
     elapsed = time.perf_counter() - started
@@ -187,6 +224,31 @@ def test_criterion_6_scalar_suite():
         ok,
         f"{total_viol} violations over {len(checks.SCALAR_IDS)}x10^4, {elapsed:.1f}s",
     )
+
+
+def _rejecting(builder):
+    """``builder`` that also rejects about one trial in four, from the trial's own stream."""
+
+    def build(cell, rngs):
+        insts, draws = builder(cell, rngs)
+        return [None if rng.uniform() < 0.25 else inst for inst, rng in zip(insts, rngs)], draws
+
+    return build
+
+
+@pytest.mark.parametrize("count,max_attempts,reject", [
+    (150, 160, False), (150, 100, False), (150, 260, True), (150, 170, True),
+])
+def test_stacked_scalar_loop_matches_the_per_trial_loop(monkeypatch, count, max_attempts, reject):
+    # criterion 6's loop at a reduced count, stopping at the count and at the
+    # attempt cap; the acceptance grid rejects no scalar build, so rejections
+    # are added to make cells need further rounds
+    for cid in checks.SCALAR_IDS:
+        if reject:
+            monkeypatch.setitem(campaign.BUILDERS, cid, _rejecting(campaign.BUILDERS[cid]))
+        stacked = _run_many_stacked(cid, count, max_attempts)
+        assert stacked == _run_many(cid, count, max_attempts), cid
+        assert (stacked[2] > 0) == reject, cid
 
 
 def test_criterion_7_dim1_oracle_equivalence():

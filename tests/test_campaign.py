@@ -321,6 +321,12 @@ def test_cli_run_bad_config_exit_one(tmp_path, capsys):
         # narrower than MIN_INTERVAL: passed validate(), then aborted the campaign
         ({"intervals": [[0.5, 0.5000000000000001]]}, None, [], "intervals[0]"),
         ({"intervals": [[0.5, 2.0], [1e-300, 1e-299]]}, None, [], "intervals[1]"),
+        # ran as compress:2, or clamped to an argument of 1, under the id as given
+        ({"maps": ["compress:2:junk"]}, None, [], "maps[0]"),
+        ({"maps": ["compress:0"]}, None, [], "maps[0]"),
+        ({"maps": ["unitary-mix:-4"]}, None, [], "maps[0]"),
+        # ran as geom:0.5 under the id as given
+        ({"means": ["geom:0.5:junk"]}, None, [], "means[0]"),
     ],
 )
 def test_cli_run_malformed_config_value_exit_one(tmp_path, capsys, monkeypatch, config, env_seed, flags, message):
@@ -578,11 +584,20 @@ def test_filtered_scalar_campaign_matches_per_trial_summary(trials):
     assert campaign.report_to_json(report) == expected
 
 
-def _operator_deep(**overrides) -> CampaignConfig:
-    """The operator_deep benchmark config at seed 301, with ``overrides``."""
+def _workload(name: str, **overrides) -> CampaignConfig:
+    """The config of benchmark workload ``name`` at seed 301, with ``overrides``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
-    config = json.loads(path.read_text(encoding="utf-8"))["workloads"]["operator_deep"]["config"]
+    config = json.loads(path.read_text(encoding="utf-8"))["workloads"][name]["config"]
     return config_from_json(dict(config, seed=301, **overrides))
+
+
+def test_scalar_suite_report_digest_is_pinned():
+    # the scalar cells' filter and their stacked 30-digit evaluation must
+    # leave every reported bit as the per-trial checkers gave it
+    text = campaign.report_to_json(run_campaign(_workload("scalar_suite", trials=20)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "62825c3a9f83fc7e1a392e7cf6fd26e740f14f915d435e6d97a4c22b343534e3"
+    )
 
 
 @pytest.mark.parametrize("grid", ["acceptance", "operator_deep"])
@@ -601,7 +616,7 @@ def test_stacked_operator_campaign_matches_per_trial_summary(grid):
             checks=tuple(checks.OPERATOR_IDS),
         )
     else:
-        cfg = _operator_deep(dims=[3])
+        cfg = _workload("operator_deep", dims=[3])
     report = run_campaign(cfg)
     cells, summary = _per_trial_summary(cfg)
     expected = campaign.report_to_json(dict(report, cells=cells, summary=summary))
@@ -665,7 +680,7 @@ def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
     for trials in (1, 30):
         for calls in per_cell.values():
             calls.clear()
-        report = run_campaign(_operator_deep(trials=trials))
+        report = run_campaign(_workload("operator_deep", trials=trials))
         assert report["summary"]["not_applicable"] == 0
         counts[trials] = {phase: list(calls) for phase, calls in per_cell.items()}
     for phase in phases:
@@ -688,11 +703,11 @@ def test_campaign_forms_a_trial_family_only_for_a_witness(monkeypatch):
     for module in [m for name, m in sys.modules.items() if name.startswith("opbellman")]:
         if getattr(module, "take", None) is take:
             monkeypatch.setattr(module, "take", counted)
-    report = run_campaign(_operator_deep(trials=30))
+    report = run_campaign(_workload("operator_deep", trials=30))
     assert report["summary"]["violations"] == 0 and report["summary"]["trials"] == 2160
     assert ints.count(True) == 0
-    cell = campaign.expand_cells("bellman_map", _operator_deep())[0]
-    run_check_trial("bellman_map", cell, _operator_deep(), 0)
+    cell = campaign.expand_cells("bellman_map", _workload("operator_deep"))[0]
+    run_check_trial("bellman_map", cell, _workload("operator_deep"), 0)
     assert ints.count(True) == 1
 
 

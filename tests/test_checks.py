@@ -1,9 +1,12 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
 from opbellman import campaign, checks, constants
 from opbellman.campaign import CampaignConfig, run_check_trial
-from opbellman.checks import HOLDS, NOT_APPLICABLE, VIOLATED, check
+from opbellman.checks import HOLDS, NOT_APPLICABLE, VIOLATED, CheckOutcome, check
 from opbellman.errors import ParameterError
 from opbellman.instances import InstanceFamily, random_pd, random_sandwich_pair, subrng
 from opbellman.means import function_from_id, geometric_w
@@ -635,6 +638,189 @@ def test_check_eig_budget_per_trial(check_id, monkeypatch):
 # -- float64 bounds of the scalar suite -------------------------------------------
 
 
+#: Hand-built scalar trials, with the guard that the float64 bound names, or
+#: None where the trial sits on a guard's boundary.
+GUARD_CASES = [
+    ("scalar_bellman", {"p": 0.5, "a": 1.0, "a_j": [0.5], "b": 1.0, "b_j": [0.5]}, "exponent_below_one"),
+    ("scalar_bellman", {"p": 2.0, "a": 1.0, "a_j": [1.5], "b": 1.0, "b_j": [0.5]}, "column_hypothesis_failed"),
+    ("scalar_bellman", {"p": 1.0, "a": 1.0, "a_j": [1.0], "b": 1.0, "b_j": [0.5]}, None),
+    ("scalar_aczel", {"p": 2.0, "a": 1.0, "a_j": [1.5], "b": 1.0, "b_j": [1.5]}, "hypothesis_failed"),
+    ("scalar_popoviciu", {"p": 1.5, "a": 1.0, "a_j": [0.5], "b": 0.1, "b_j": [1.0]}, "cross_term_negative"),
+    ("scalar_bellman_weighted", {"a": [[2.0]], "weights": [1.0], "p": 0.5}, "column_hypothesis_failed"),
+    ("scalar_bellman_columns", {"a": [[0.5]], "caps": [0.25], "p": 0.5}, "column_hypothesis_failed"),
+    ("scalar_bellman_reverse", {"a": [[1.0]], "weights": [1.0], "p": 0.5}, None),
+    ("scalar_bellman_reverse", {"a": [[2.0]], "weights": [1.0], "p": 0.5}, "column_hypothesis_failed"),
+]
+
+
+def _scalar_case(inst):
+    return {k: v if np.isscalar(v) else np.asarray(v, dtype=float) for k, v in inst.items()}
+
+
+# Reference: the per-trial 30-digit checkers of the scalar suite, one list of
+# mpmath terms per sum, as they were before the checks took stacked cells.
+
+
+class _RefGuard(Exception):
+    pass
+
+
+def _ref_require(cond, guard):
+    if not cond:
+        raise _RefGuard(guard)
+
+
+def _reference_bellman(inst):
+    p = inst["p"]
+    _ref_require(p >= 1.0, "exponent_below_one")
+    a, b = mpmath.mpf(inst["a"]), mpmath.mpf(inst["b"])
+    aj = [mpmath.mpf(v) for v in inst["a_j"]]
+    bj = [mpmath.mpf(v) for v in inst["b_j"]]
+    ra = a**p - mpmath.fsum(v**p for v in aj)
+    rb = b**p - mpmath.fsum(v**p for v in bj)
+    _ref_require(ra >= 0 and rb >= 0, "column_hypothesis_failed")
+    rc = (a + b) ** p - mpmath.fsum((x + y) ** p for x, y in zip(aj, bj))
+    _ref_require(rc >= 0, "joint_base_negative")
+    dominated = ra ** (1 / mpmath.mpf(p)) + rb ** (1 / mpmath.mpf(p))
+    dominant = rc ** (1 / mpmath.mpf(p))
+    return dominant, dominated
+
+
+def _reference_aczel(inst):
+    a, b = mpmath.mpf(inst["a"]), mpmath.mpf(inst["b"])
+    aj = [mpmath.mpf(v) for v in inst["a_j"]]
+    bj = [mpmath.mpf(v) for v in inst["b_j"]]
+    ra = a**2 - mpmath.fsum(v**2 for v in aj)
+    rb = b**2 - mpmath.fsum(v**2 for v in bj)
+    _ref_require(ra > 0 or rb > 0, "hypothesis_failed")
+    dominated = ra * rb
+    dominant = (a * b - mpmath.fsum(x * y for x, y in zip(aj, bj))) ** 2
+    return dominant, dominated
+
+
+def _reference_popoviciu(inst):
+    p = inst["p"]
+    _ref_require(p >= 1.0, "exponent_below_one")
+    a, b = mpmath.mpf(inst["a"]), mpmath.mpf(inst["b"])
+    aj = [mpmath.mpf(v) for v in inst["a_j"]]
+    bj = [mpmath.mpf(v) for v in inst["b_j"]]
+    ra = a**p - mpmath.fsum(v**p for v in aj)
+    rb = b**p - mpmath.fsum(v**p for v in bj)
+    _ref_require(ra > 0 or rb > 0, "hypothesis_failed")
+    cross = a * b - mpmath.fsum(x * y for x, y in zip(aj, bj))
+    _ref_require(cross >= 0, "cross_term_negative")
+    return cross**p, ra * rb
+
+
+def _reference_bellman_weighted(inst):
+    p = inst["p"]
+    q = 1 / mpmath.mpf(p)
+    a = [[mpmath.mpf(v) for v in row] for row in np.asarray(inst["a"])]
+    w = [mpmath.mpf(v) for v in inst["weights"]]
+    rows, cols = len(a), len(a[0])
+    col_caps = [mpmath.fsum(a[i][j] ** q for i in range(rows)) for j in range(cols)]
+    _ref_require(all(c <= 1 for c in col_caps), "column_hypothesis_failed")
+    dominated = mpmath.fsum(w[j] * (1 - col_caps[j]) ** mpmath.mpf(p) for j in range(cols))
+    mixed = [mpmath.fsum(w[j] * a[i][j] for j in range(cols)) for i in range(rows)]
+    dominant = (1 - mpmath.fsum(u**q for u in mixed)) ** mpmath.mpf(p)
+    return dominant, dominated
+
+
+def _reference_bellman_columns(inst):
+    p = inst["p"]
+    q = 1 / mpmath.mpf(p)
+    a = [[mpmath.mpf(v) for v in row] for row in np.asarray(inst["a"])]
+    caps = [mpmath.mpf(v) for v in inst["caps"]]
+    rows, cols = len(a), len(a[0])
+    col_sums = [mpmath.fsum(a[i][j] ** q for i in range(rows)) for j in range(cols)]
+    _ref_require(all(col_sums[j] <= caps[j] ** q for j in range(cols)), "column_hypothesis_failed")
+    dominated = mpmath.fsum((caps[j] ** q - col_sums[j]) ** mpmath.mpf(p) for j in range(cols))
+    row_sums = [mpmath.fsum(a[i][j] for j in range(cols)) for i in range(rows)]
+    base = mpmath.fsum(caps) ** q - mpmath.fsum(u**q for u in row_sums)
+    _ref_require(base >= 0, "joint_base_negative")
+    dominant = base ** mpmath.mpf(p)
+    return dominant, dominated
+
+
+def _reference_bellman_reverse(inst):
+    p = inst["p"]
+    q = 1 / mpmath.mpf(p)
+    pp = mpmath.mpf(p)
+    a = [[mpmath.mpf(v) for v in row] for row in np.asarray(inst["a"])]
+    w = [mpmath.mpf(v) for v in inst["weights"]]
+    rows, cols = len(a), len(a[0])
+    col_caps = [mpmath.fsum(a[i][j] ** q for i in range(rows)) for j in range(cols)]
+    _ref_require(all(c <= 1 for c in col_caps), "column_hypothesis_failed")
+    const = (1 - pp) * pp ** (pp / (1 - pp))
+    dominant = const + mpmath.fsum(w[j] * (1 - col_caps[j]) ** pp for j in range(cols))
+    dominated = (1 - mpmath.fsum(w[j] * col_caps[j] for j in range(cols))) ** pp
+    return dominant, dominated
+
+
+SCALAR_REFERENCES = {
+    "scalar_bellman": _reference_bellman,
+    "scalar_aczel": _reference_aczel,
+    "scalar_popoviciu": _reference_popoviciu,
+    "scalar_bellman_weighted": _reference_bellman_weighted,
+    "scalar_bellman_columns": _reference_bellman_columns,
+    "scalar_bellman_reverse": _reference_bellman_reverse,
+}
+
+
+def _reference_outcome(check_id, inst, tol):
+    try:
+        with mpmath.workdps(checks.SCALAR_DPS):
+            dominant, dominated = SCALAR_REFERENCES[check_id](inst)
+            slack = float(dominant - dominated)
+            scale = max(abs(float(dominant)), abs(float(dominated)))
+    except _RefGuard as g:
+        return CheckOutcome(check_id, NOT_APPLICABLE, math.nan, math.nan, witness={"guard": str(g)})
+    return CheckOutcome(check_id, HOLDS if slack >= -tol.margin(scale) else VIOLATED, slack, scale)
+
+
+def _assert_runner_matches_reference(check_id, insts, tol):
+    got = checks.REGISTRY[check_id].runner(insts, [{}] * len(insts), tol)
+    want = [_reference_outcome(check_id, inst, tol) for inst in insts]
+    assert list(map(repr, got)) == list(map(repr, want))
+    return got
+
+
+@pytest.mark.parametrize("check_id", checks.SCALAR_IDS)
+def test_scalar_runner_on_stacked_cells_matches_the_per_trial_reference(check_id):
+    # the acceptance n grid plus n = 5, rows of 1-3 zero-padded in the stack,
+    # and exponents across [P_MIN, 1 - P_MIN]
+    cfg = CampaignConfig(
+        trials=12,
+        n_values=(1, 2, 3, 5),
+        p_grid=(constants.P_MIN, 0.005, 0.25, 0.5, 0.75, 0.995),
+        seed=20260809,
+        tolerance=Tolerance(atol=1e-10, rtol=1e-10),
+    )
+    compared = 0
+    for cell in campaign.expand_cells(check_id, cfg):
+        trials = campaign._build_trials(check_id, cell, cfg, range(cfg.trials))
+        insts = [t.inst for t in trials if t.outcome is None]
+        if insts:
+            _assert_runner_matches_reference(check_id, insts, cfg.tolerance)
+        compared += len(insts)
+    assert compared >= 4 * cfg.trials
+
+
+@pytest.mark.parametrize("check_id", checks.SCALAR_IDS)
+def test_scalar_runner_settles_guard_cases_next_to_passing_trials(check_id):
+    # a guard-failing trial's sides turn complex at 30 digits; its neighbours
+    # in the stack must still come out real and exact
+    cfg = CampaignConfig(trials=4, n_values=(1,), seed=7)
+    cell = campaign.expand_cells(check_id, cfg)[0]
+    built = [t.inst for t in campaign._build_trials(check_id, cell, cfg, range(cfg.trials)) if t.outcome is None]
+    cases = [_scalar_case(inst) for cid, inst, _ in GUARD_CASES if cid == check_id]
+    insts = built[:2] + cases + built[2:]
+    outcomes = _assert_runner_matches_reference(check_id, insts, TOL)
+    assert [o.status for o in outcomes].count(HOLDS) >= len(built) == cfg.trials
+    assert any(o.status == NOT_APPLICABLE for o in outcomes)
+
+
+
 @pytest.mark.parametrize("check_id", checks.SCALAR_IDS)
 def test_scalar_bounds_agree_with_the_mpmath_checker(check_id):
     # acceptance n and p grids, plus exponents near the ends of [P_MIN, 1 - P_MIN]
@@ -660,20 +846,11 @@ def test_scalar_bounds_agree_with_the_mpmath_checker(check_id):
     assert decided >= cfg.trials
 
 
-@pytest.mark.parametrize("check_id,inst,verdict", [
-    ("scalar_bellman", {"p": 0.5, "a": 1.0, "a_j": [0.5], "b": 1.0, "b_j": [0.5]}, "exponent_below_one"),
-    ("scalar_bellman", {"p": 2.0, "a": 1.0, "a_j": [1.5], "b": 1.0, "b_j": [0.5]}, "column_hypothesis_failed"),
-    ("scalar_bellman", {"p": 1.0, "a": 1.0, "a_j": [1.0], "b": 1.0, "b_j": [0.5]}, None),
-    ("scalar_aczel", {"p": 2.0, "a": 1.0, "a_j": [1.5], "b": 1.0, "b_j": [1.5]}, "hypothesis_failed"),
-    ("scalar_popoviciu", {"p": 1.5, "a": 1.0, "a_j": [0.5], "b": 0.1, "b_j": [1.0]}, "cross_term_negative"),
-    ("scalar_bellman_weighted", {"a": [[2.0]], "weights": [1.0], "p": 0.5}, "column_hypothesis_failed"),
-    ("scalar_bellman_columns", {"a": [[0.5]], "caps": [0.25], "p": 0.5}, "column_hypothesis_failed"),
-    ("scalar_bellman_reverse", {"a": [[1.0]], "weights": [1.0], "p": 0.5}, None),
-])
+@pytest.mark.parametrize("check_id,inst,verdict", GUARD_CASES)
 def test_scalar_bounds_decide_a_guard_only_away_from_its_boundary(check_id, inst, verdict):
     # a guard exactly on its boundary (a_j = a at p = 1, a column sum of 1)
     # is left to the mpmath checker
-    inst = {k: v if np.isscalar(v) else np.asarray(v, dtype=float) for k, v in inst.items()}
+    inst = _scalar_case(inst)
     (bound,) = checks.REGISTRY[check_id].bounds([inst])
     assert bound == verdict
     if verdict is not None:

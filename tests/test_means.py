@@ -127,10 +127,11 @@ def test_function_id_round_trip():
 
 
 def test_function_id_errors():
-    with pytest.raises(ParameterError):
-        function_from_id("nope:1")
-    with pytest.raises(ParameterError):
-        function_from_id("arith:now")
+    # a trailing field used to be ignored, so the id named another function than the one run
+    for fid in ["nope:1", "arith:now", "arith:0.5:1", "geom:0.5:junk", "power:0.3:0.7",
+                "powered:geom:0.5:junk:2", "composed:power:0.3:geom:0.5:junk"]:
+        with pytest.raises(ParameterError):
+            function_from_id(fid)
 
 
 def test_powered_matches_composed_power():
