@@ -221,13 +221,12 @@ def build_map(map_id: str, dim: int, rng):
 
 # -- instance builders --------------------------------------------------------
 #
-# A builder maps (cell, rngs), one stream per trial, to (instances, draws).
-# An operator builder returns the trials' instances as one family stacked on
-# a leading trial axis, and raises HypothesisError naming in ``where`` the
-# trials whose hypotheses failed; a scalar builder returns one instance per
-# trial, None for a rejected one.  ``draws`` holds one dict per trial: a
-# trial's params are the cell without its instance-shape keys plus its
-# draws, which never repeat a cell key (see run_check_trial).
+# A builder maps (cell, rngs), one stream per trial, to (instances, draws):
+# an operator builder's instances are one family stacked on a leading trial
+# axis, a scalar builder's a list.  Either raises HypothesisError naming in
+# ``where`` the trials whose hypotheses failed.  ``draws`` holds one dict per
+# trial: a trial's params are the cell without its instance-shape keys plus
+# its draws, which never repeat a cell key (see run_check_trial).
 
 
 def _shrunk(m: float, M: float) -> tuple[float, float]:
@@ -380,26 +379,28 @@ def _build_chain_interp(cell, rngs):
 
 
 def _build_scalar(kind):
-    def build_one(cell, rng):
-        rows = int(rng.integers(1, 4))
-        if kind == "bellman":
-            draws = {"p": float(rng.integers(1, 5))}
-        elif kind == "aczel":
-            draws = {"p": 2.0}
-        elif kind == "popoviciu":
-            # The same-exponent product form follows from the Hoelder-type
-            # original only for p <= 2; above 2 it admits counterexamples.
-            draws = {"p": float(rng.uniform(1.0, 2.0))}
-        else:
-            draws = {}
-        try:
-            return scalar_instance(kind, (rows, cell["n"]), (cell | draws)["p"], rng), draws
-        except HypothesisError:
-            return None, draws
-
     def build(cell, rngs):
-        insts, draws = zip(*(build_one(cell, rng) for rng in rngs))
-        return list(insts), list(draws)
+        insts, draws, rejected = [], [], np.zeros(len(rngs), dtype=bool)
+        for t, rng in enumerate(rngs):
+            rows = int(rng.integers(1, 4))
+            if kind == "bellman":
+                d = {"p": float(rng.integers(1, 5))}
+            elif kind == "aczel":
+                d = {"p": 2.0}
+            elif kind == "popoviciu":
+                # The same-exponent product form follows from the Hoelder-type
+                # original only for p <= 2; above 2 it admits counterexamples.
+                d = {"p": float(rng.uniform(1.0, 2.0))}
+            else:
+                d = {}
+            draws.append(d)
+            try:
+                insts.append(scalar_instance(kind, (rows, cell["n"]), (cell | d)["p"], rng))
+            except HypothesisError:
+                rejected[t] = True
+        if rejected.any():
+            raise HypothesisError(f"{kind} instances failed their hypothesis", where=rejected)
+        return insts, draws
 
     return build
 
@@ -600,12 +601,13 @@ _SHAPE_KEYS = ("dim", "n", "map")
 class _Trial:
     """One trial of a cell, as the cell summary sees it.
 
-    ``stack`` holds the cell's built instances, an operator builder's stack
-    or a scalar builder's list, and the trial is its entry ``index``.
-    ``outcome`` is exact (from the check's runner, or a guard or generator
-    rejection).  Without one, the trial holds for certain and ``slack`` and
-    ``normalized`` enclose its slack and slack/scale; with one, they are
-    that outcome's values, ``normalized`` None where scale > 0 fails.
+    ``stack`` holds the cell's built instances, exactly its built trials in
+    trial order (an operator builder's stack or a scalar builder's list),
+    and the trial is its entry ``index``.  ``outcome`` is exact (from the
+    check's runner, or a guard or generator rejection).  Without one, the
+    trial holds for certain and ``slack`` and ``normalized`` enclose its
+    slack and slack/scale; with one, they are that outcome's values,
+    ``normalized`` None where scale > 0 fails.
     """
 
     provenance: dict
@@ -632,10 +634,9 @@ class _Trial:
 
 def _build_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> list[_Trial]:
     """Draw the instances of the seeded trials ``trials`` of one cell, in one
-    builder call on their streams.  A trial the builder rejects (None, or
-    named in the ``where`` of a ``HypothesisError``) gets a
-    ``generator_rejected`` outcome; after a ``HypothesisError`` the other
-    trials are built again from fresh copies of their streams."""
+    builder call on their streams.  A trial named in the ``where`` of a
+    builder's ``HypothesisError`` gets a ``generator_rejected`` outcome, and
+    the other trials are built again from fresh copies of their streams."""
     cell_key = json.dumps(cell, sort_keys=True)
     cell_params = {k: v for k, v in cell.items() if k not in _SHAPE_KEYS}
     out = [_Trial({"seed": cfg.seed, "cell": cell, "trial": trial}) for trial in trials]
@@ -643,7 +644,7 @@ def _build_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> lis
     while live:
         rngs = [subrng(cfg.seed, check_id, cell_key, out[i].provenance["trial"]) for i in live]
         try:
-            insts, draws = BUILDERS[check_id](cell, rngs)
+            stack, draws = BUILDERS[check_id](cell, rngs)
         except HypothesisError as exc:
             failed = np.broadcast_to(exc.where, (len(live),))
             for i in np.flatnonzero(failed):
@@ -651,88 +652,85 @@ def _build_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> lis
             live = [i for i, f in zip(live, failed) if not f]
             continue
         for k, (i, d) in enumerate(zip(live, draws)):
-            if isinstance(insts, list) and insts[k] is None:
-                out[i].settle(_na(check_id, "generator_rejected"))
-            else:
-                out[i].stack, out[i].index, out[i].params = insts, k, cell_params | d
+            out[i].stack, out[i].index, out[i].params = stack, k, cell_params | d
         break
     return out
 
 
+def _check_pending(check_id: str, trials: list[_Trial], tol: Tolerance) -> None:
+    """Settle the trials of one cell that have no outcome yet, in one
+    ``checks.check_cell`` call.  An operator cell's pending trials are its
+    whole stack, since no filter settles any of them first; a scalar cell's
+    are checked as the list of their instances."""
+    pending = [t for t in trials if t.outcome is None]
+    if not pending:
+        return
+    stack = pending[0].stack
+    if isinstance(stack, list):
+        stack = [stack[t.index] for t in pending]
+    for t, outcome in zip(pending, checks.check_cell(check_id, stack, [t.params for t in pending], tol)):
+        t.settle(outcome)
+
+
+def _checked_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> list[_Trial]:
+    """The seeded trials ``trials`` of one cell, built in one builder call and
+    the built ones checked in one ``checks.check_cell`` call on its stack."""
+    out = _build_trials(check_id, cell, cfg, trials)
+    _check_pending(check_id, out, cfg.tolerance)
+    return out
+
+
 def run_check_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int):
-    """One seeded trial, built as a stack of one by the cell's builder;
-    returns (outcome, inst, params, provenance).
+    """One seeded trial, built and checked as a stack of one; returns
+    (outcome, inst, params, provenance).
 
     The params are the cell without its instance-shape keys ``_SHAPE_KEYS``,
     plus whatever the builder drew itself."""
-    (t,) = _build_trials(check_id, cell, cfg, [trial])
-    inst = t.inst
-    if t.outcome is None:
-        t.settle(checks.check(check_id, inst, t.params, cfg.tolerance))
-    return t.outcome, inst, t.params, t.provenance
+    (t,) = _checked_trials(check_id, cell, cfg, [trial])
+    return t.outcome, t.inst, t.params, t.provenance
 
 
-def _checked_trials(check_id: str, cell: dict, cfg: CampaignConfig) -> list[_Trial]:
-    """The trials of an operator cell, checked in one ``checks.check_cell``
-    call on the builder's stack, which holds the trials it did not reject."""
-    trials = _build_trials(check_id, cell, cfg, range(cfg.trials))
+def _filter_trials(check_id: str, trials: list[_Trial], tol: Tolerance) -> None:
+    """Settle the built trials of a cell where the check's float64 bounds
+    decide a guard, and enclose the slack of those that certainly hold; a
+    check without bounds leaves every trial to ``_cell_summary``."""
+    bounds = REGISTRY[check_id].bounds
     built = [t for t in trials if t.outcome is None]
-    if built:
-        outcomes = checks.check_cell(check_id, built[0].stack, [t.params for t in built], cfg.tolerance)
-        for t, outcome in zip(built, outcomes):
-            t.settle(outcome)
-    return trials
-
-
-def _bounded_trials(check_id: str, cell: dict, cfg: CampaignConfig) -> list[_Trial]:
-    """The trials of a scalar cell, settled where the check's float64 bound
-    decides a guard or certainly holds; the rest are left for its 30-digit
-    evaluation in ``_cell_summary``."""
-    trials = _build_trials(check_id, cell, cfg, range(cfg.trials))
-    built = [t for t in trials if t.outcome is None]
-    verdicts = REGISTRY[check_id].bounds([t.inst for t in built]) if built else []
-    for t, b in zip(built, verdicts):
+    if bounds is None or not built:
+        return
+    for t, b in zip(built, bounds(built[0].stack)):
         if isinstance(b, str):
             t.settle(_na(check_id, b))
-        elif b is not None and b.scale_lo > 0 and b.slack_lo >= -cfg.tolerance.margin(b.scale_lo):
+        elif b is not None and b.scale_lo > 0 and b.slack_lo >= -tol.margin(b.scale_lo):
             t.slack = (b.slack_lo, b.slack_hi)
             ratios = [s / c for s in t.slack for c in (b.scale_lo, b.scale_hi)]
             t.normalized = (min(ratios), max(ratios))
-    return trials
 
 
 def _cell_summary(check_id: str, cell: dict, cfg: CampaignConfig, trials: list[_Trial]) -> dict:
     """The report record of one cell.
 
-    A scalar trial without an exact outcome is evaluated at 30 digits
-    unless its enclosures show that the reported values do not depend on
-    it: its slack interval lies above the smallest slack upper end, and its
-    slack/scale interval misses [k-th smallest lower end, k-th smallest
-    upper end] for each middle rank k.  The trials each step still needs
-    go through ``checks.check_cell`` as one stack.  The summary then reads
-    each other trial at its lower ends, which keeps the minimum, the first
-    trial that reaches it and the median.
+    A trial without an exact outcome is checked unless its enclosures show
+    that the reported values do not depend on it: its slack interval lies
+    above the smallest slack upper end, and its slack/scale interval misses
+    [k-th smallest lower end, k-th smallest upper end] for each middle rank
+    k.  Only a scalar trial the filter left to hold for certain has such
+    enclosures.  The trials each step still needs go through
+    ``_check_pending`` as one stack.  The summary then reads each other
+    trial at its lower ends, which keeps the minimum, the first trial that
+    reaches it and the median.
     """
-
-    def evaluate(pending) -> None:
-        pending = [t for t in pending if t.outcome is None]
-        if pending:
-            outcomes = checks.check_cell(
-                check_id, [t.inst for t in pending], [t.params for t in pending], cfg.tolerance
-            )
-            for t, outcome in zip(pending, outcomes):
-                t.settle(outcome)
-
-    evaluate([t for t in trials if t.slack is None])
+    tol = cfg.tolerance
+    _check_pending(check_id, [t for t in trials if t.slack is None], tol)
     applicable = [t for t in trials if t.outcome is None or t.outcome.status != NOT_APPLICABLE]
     if applicable:
         top = min(t.slack[1] for t in applicable)
-        evaluate([t for t in applicable if t.slack[0] <= top])
+        _check_pending(check_id, [t for t in applicable if t.slack[0] <= top], tol)
     normed = [t for t in applicable if t.normalized is not None]
     for k in sorted({(len(normed) - 1) // 2, len(normed) // 2}) if normed else ():
         lo_k = sorted(t.normalized[0] for t in normed)[k]
         hi_k = sorted(t.normalized[1] for t in normed)[k]
-        evaluate([t for t in normed if t.normalized[0] <= hi_k and t.normalized[1] >= lo_k])
+        _check_pending(check_id, [t for t in normed if t.normalized[0] <= hi_k and t.normalized[1] >= lo_k], tol)
 
     holds = violated = na = 0
     slacks = []
@@ -777,9 +775,9 @@ def _cell_summary(check_id: str, cell: dict, cfg: CampaignConfig, trials: list[_
 def run_campaign(cfg: CampaignConfig) -> dict:
     """Execute the full campaign and return the report document.
 
-    A check that declares float64 bounds runs its cells through
-    ``_bounded_trials``; an operator check runs each cell as one stack
-    through ``_checked_trials``.
+    Each cell is built in one builder call, filtered by the check's float64
+    bounds where it has them, and summarized by ``_cell_summary``, which
+    checks the trials the summary needs exactly.
     """
     cfg.validate()
     cells_out = []
@@ -790,10 +788,8 @@ def run_campaign(cfg: CampaignConfig) -> dict:
 
     for check_id in cfg.checks:
         for cell in expand_cells(check_id, cfg):
-            if REGISTRY[check_id].bounds is not None:
-                trials = _bounded_trials(check_id, cell, cfg)
-            else:
-                trials = _checked_trials(check_id, cell, cfg)
+            trials = _build_trials(check_id, cell, cfg, range(cfg.trials))
+            _filter_trials(check_id, trials, cfg.tolerance)
             row = _cell_summary(check_id, cell, cfg, trials)
             cells_out.append(row)
             total["trials"] += cfg.trials

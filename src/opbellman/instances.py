@@ -251,6 +251,11 @@ def complement_sandwich_family(
     s = s_max (1 - 1e-6); a draw with s_max below ``MIN_SCALE`` is
     rejected.  The released family is re-verified with ``DEFAULT_MARGIN``.
 
+    Every draw has sum B_j >= (m + delta) lo I (delta = ``EDGE_SHRINK``
+    (M - m), lo the floor of A_j's spectrum), so s_max <= (1 - margin) /
+    (gamma (m + delta) lo); where that is below ``MIN_SCALE`` / 2, with room
+    for rounding, no draw is made (a wide window, or a huge gamma).
+
     For a list of streams the trials still pending draw again together, in
     rounds, and the stack of their families is returned; ``meta`` holds
     each trial's scale and the number of rounds.  After ``MAX_REJECTS``
@@ -261,21 +266,23 @@ def complement_sandwich_family(
     m, M = interval
     if dim < 1 or n < 1:
         raise ParameterError("dim and n must be at least 1")
-    if not m < 1.0 < M:
-        raise ParameterError(f"complement sandwich needs m < 1 < M, got [{m}, {M}]")
+    if not 0.0 < m < 1.0 < M:
+        raise ParameterError(f"complement sandwich needs 0 < m < 1 < M, got [{m}, {M}]")
     rngs, one = _streams(rng)
     a_out = np.empty((n, len(rngs), dim, dim), dtype=complex)
     b_out = np.empty_like(a_out)
     scale = np.full(len(rngs), np.nan)
     pending = np.arange(len(rngs))
     attempts = 0
-    while pending.size and attempts < MAX_REJECTS:
+    lo, hi = 0.5, 1.5
+    hopeless = gamma_value * (m + EDGE_SHRINK * (M - m)) * lo * MIN_SCALE / 2.0 > 1.0 - DEFAULT_MARGIN
+    while pending.size and attempts < (0 if hopeless else MAX_REJECTS):
         attempts += 1
         streams = [rngs[t] for t in pending]
         pairs = []
         for _ in range(n):
             try:
-                pairs.append(random_sandwich_pair(random_pd(dim, streams, 0.5, 1.5), m, M, streams))
+                pairs.append(random_sandwich_pair(random_pd(dim, streams, lo, hi), m, M, streams))
             except HypothesisError as exc:
                 failed = np.isin(np.arange(len(rngs)), pending[np.broadcast_to(exc.where, pending.shape)])
                 raise HypothesisError(str(exc), where=failed[0] if one else failed) from None

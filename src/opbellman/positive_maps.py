@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .spectral import _any, _eigvalsh, adjoint, hermitize, identity
+from .spectral import _any, _eigvalsh, adjoint, hermitize, identity, matrix_from_json, matrix_to_json
 
 _ISOMETRY_TOL = 1e-10
 
@@ -136,14 +136,7 @@ class UnitaryMixture:
         return {
             "kind": "unitary_mixture",
             "weights": [float(w) for w in self.weights],
-            "unitaries": [
-                {
-                    "dim": int(u.shape[0]),
-                    "re": [float(t) for t in u.real.ravel()],
-                    "im": [float(t) for t in u.imag.ravel()],
-                }
-                for u in self.unitaries
-            ],
+            "unitaries": [matrix_to_json(u) for u in self.unitaries],
         }
 
 
@@ -207,13 +200,8 @@ def map_from_json(obj: dict) -> PositiveLinearMap:
         v = (np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float))
         return Compression(v.reshape(rows, cols))
     if kind == "unitary_mixture":
-        us = []
-        for u in obj["unitaries"]:
-            d = int(u["dim"])
-            us.append(
-                (np.asarray(u["re"], dtype=float) + 1j * np.asarray(u["im"], dtype=float)).reshape(d, d)
-            )
-        return UnitaryMixture(np.asarray(obj["weights"], dtype=float), tuple(us))
+        us = tuple(matrix_from_json(u) for u in obj["unitaries"])
+        return UnitaryMixture(np.asarray(obj["weights"], dtype=float), us)
     if kind == "pinching":
         return Pinching(tuple(tuple(blk) for blk in obj["blocks"]))
     raise ParameterError(f"unknown map kind {kind!r}")

@@ -4,6 +4,7 @@ Each criterion below runs at its stated tolerance and prints one pass/fail
 line (visible with ``pytest -s tests/test_acceptance.py``).
 """
 
+import dataclasses
 import json
 import time
 
@@ -13,6 +14,7 @@ import pytest
 from opbellman import campaign, checks, cli, constants
 from opbellman.campaign import CampaignConfig, run_check_trial
 from opbellman.checks import HOLDS, NOT_APPLICABLE, VIOLATED
+from opbellman.errors import HypothesisError
 from opbellman.instances import random_subidentity_family, subrng
 from opbellman.means import arithmetic_w
 from opbellman.scalar_refs import reference_slack
@@ -39,16 +41,17 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _run_many(check_id: str, count: int, max_attempts: int):
-    """Cycle the acceptance cells until ``count`` applicable outcomes."""
-    cells = campaign.expand_cells(check_id, ACCEPT_CFG)
+def _run_many(check_id: str, count: int, max_attempts: int, cfg=ACCEPT_CFG):
+    """Cycle the acceptance cells until ``count`` applicable outcomes, one
+    ``run_check_trial`` per attempt: the reference for ``_attempts``."""
+    cells = campaign.expand_cells(check_id, cfg)
     applicable = violations = na = 0
     worst = np.inf
     attempts = 0
     while applicable < count and attempts < max_attempts:
         cell = cells[attempts % len(cells)]
         trial = attempts // len(cells)
-        outcome, *_ = run_check_trial(check_id, cell, ACCEPT_CFG, trial)
+        outcome, *_ = run_check_trial(check_id, cell, cfg, trial)
         attempts += 1
         if outcome.status == NOT_APPLICABLE:
             na += 1
@@ -60,40 +63,36 @@ def _run_many(check_id: str, count: int, max_attempts: int):
     return applicable, violations, na, worst
 
 
-def _run_many_stacked(check_id: str, count: int, max_attempts: int):
-    """``_run_many`` for a scalar check, with each cell's trials built in
-    rounds and each round checked as one stack by the check's exact runner.
+def _attempts(check_id: str, count: int, max_attempts: int, cfg=ACCEPT_CFG):
+    """The checked trials of ``_run_many``'s attempts, in its order (attempt a
+    is cell a mod C, trial a div C), up to where it stops.
 
-    Outcomes are read in ``_run_many``'s attempt order (attempt a is cell
-    a mod C, trial a div C) and the loop stops where it stops; trials built
-    past that point are dropped uncounted.  A round holds the trials one
-    cell is expected to need for the applicable outcomes still missing."""
-    cells = campaign.expand_cells(check_id, ACCEPT_CFG)
-    runner = checks.REGISTRY[check_id].runner
-    outcomes = [[] for _ in cells]
-    applicable = violations = na = 0
-    worst = np.inf
-    attempts = 0
-    while applicable < count and attempts < max_attempts:
-        cell, trial = attempts % len(cells), attempts // len(cells)
-        if trial == len(outcomes[cell]):
+    Each cell's trials are built and checked in rounds through
+    ``campaign._checked_trials``; a round holds the trials one cell is
+    expected to need for the applicable outcomes still missing, and trials
+    built past the stopping point are dropped unread."""
+    cells = campaign.expand_cells(check_id, cfg)
+    done = [[] for _ in cells]
+    applicable = 0
+    for attempt in range(max_attempts):
+        if applicable >= count:
+            return
+        cell, trial = attempt % len(cells), attempt // len(cells)
+        if trial == len(done[cell]):
             size = min(-(-(count - applicable) // len(cells)), -(-max_attempts // len(cells)) - trial)
-            built = campaign._build_trials(check_id, cells[cell], ACCEPT_CFG, range(trial, trial + size))
-            pending = [t for t in built if t.outcome is None]
-            if pending:
-                for t, outcome in zip(pending, runner([t.inst for t in pending], [t.params for t in pending], TOL)):
-                    t.settle(outcome)
-            outcomes[cell] += [t.outcome for t in built]
-        outcome = outcomes[cell][trial]
-        attempts += 1
-        if outcome.status == NOT_APPLICABLE:
-            na += 1
-            continue
-        applicable += 1
-        worst = min(worst, outcome.slack)
-        if outcome.status == VIOLATED:
-            violations += 1
-    return applicable, violations, na, worst
+            done[cell] += campaign._checked_trials(check_id, cells[cell], cfg, range(trial, trial + size))
+        t = done[cell][trial]
+        applicable += t.outcome.status != NOT_APPLICABLE
+        yield t
+
+
+def _tally(trials):
+    """(applicable, violations, not applicable, worst slack) of checked trials."""
+    outcomes = [t.outcome for t in trials]
+    slacks = [o.slack for o in outcomes if o.status != NOT_APPLICABLE]
+    na = len(outcomes) - len(slacks)
+    violations = sum(o.status == VIOLATED for o in outcomes)
+    return len(slacks), violations, na, min(slacks, default=np.inf)
 
 
 def test_criterion_1_constant_reproduction():
@@ -141,7 +140,7 @@ def test_criterion_3_forward_inequalities():
     summary = []
     total_viol = 0
     for cid in checks.FORWARD_IDS:
-        applicable, violations, na, worst = _run_many(cid, 1000, 3000)
+        applicable, violations, na, worst = _tally(_attempts(cid, 1000, 3000))
         total_viol += violations
         summary.append(f"{cid}:{applicable}ok/{na}na")
         assert applicable == 1000, f"{cid}: only {applicable} applicable instances"
@@ -159,7 +158,7 @@ def test_criterion_4_reverse_inequalities():
     total_viol = 0
     na_report = []
     for cid in checks.REVERSE_IDS:
-        applicable, violations, na, worst = _run_many(cid, 500, 2500)
+        applicable, violations, na, worst = _tally(_attempts(cid, 500, 2500))
         total_viol += violations
         na_report.append(f"{cid}:{na}na")
         assert applicable == 500, f"{cid}: only {applicable} applicable instances"
@@ -178,7 +177,7 @@ def test_criterion_5_refinement_chains():
     total_viol = 0
     worst_link = np.inf
     for cid in checks.CHAIN_IDS:
-        applicable, violations, na, worst = _run_many(cid, 500, 2500)
+        applicable, violations, na, worst = _tally(_attempts(cid, 500, 2500))
         total_viol += violations
         worst_link = min(worst_link, worst)
         assert applicable == 500, f"{cid}: only {applicable} applicable instances"
@@ -214,7 +213,7 @@ def test_criterion_6_scalar_suite():
     started = time.perf_counter()
     total_viol = 0
     for cid in checks.SCALAR_IDS:
-        applicable, violations, na, worst = _run_many_stacked(cid, 10_000, 10_500)
+        applicable, violations, na, worst = _tally(_attempts(cid, 10_000, 10_500))
         total_viol += violations
         assert applicable == 10_000, f"{cid}: only {applicable} applicable instances"
     elapsed = time.perf_counter() - started
@@ -227,28 +226,52 @@ def test_criterion_6_scalar_suite():
 
 
 def _rejecting(builder):
-    """``builder`` that also rejects about one trial in four, from the trial's own stream."""
+    """``builder`` that also rejects about one trial in four, each trial's
+    draw taken from its own stream."""
 
     def build(cell, rngs):
-        insts, draws = builder(cell, rngs)
-        return [None if rng.uniform() < 0.25 else inst for inst, rng in zip(insts, rngs)], draws
+        out = builder(cell, rngs)
+        rejected = np.array([rng.uniform() < 0.25 for rng in rngs])
+        if rejected.any():
+            raise HypothesisError("rejected for the test", where=rejected)
+        return out
 
     return build
 
 
-@pytest.mark.parametrize("count,max_attempts,reject", [
-    (150, 160, False), (150, 100, False), (150, 260, True), (150, 170, True),
-])
-def test_stacked_scalar_loop_matches_the_per_trial_loop(monkeypatch, count, max_attempts, reject):
-    # criterion 6's loop at a reduced count, stopping at the count and at the
-    # attempt cap; the acceptance grid rejects no scalar build, so rejections
-    # are added to make cells need further rounds
-    for cid in checks.SCALAR_IDS:
-        if reject:
-            monkeypatch.setitem(campaign.BUILDERS, cid, _rejecting(campaign.BUILDERS[cid]))
-        stacked = _run_many_stacked(cid, count, max_attempts)
-        assert stacked == _run_many(cid, count, max_attempts), cid
-        assert (stacked[2] > 0) == reject, cid
+#: A trimmed acceptance grid: one to eight cells per check.
+LOOP_CFG = dataclasses.replace(
+    ACCEPT_CFG,
+    dims=(1, 3),
+    n_values=(2,),
+    intervals=((0.5, 2.0), (0.2, 0.8)),
+    p_grid=(0.5,),
+    lambda_grid=(0.3,),
+    means=("geom:0.5",),
+    maps=("unitary-mix:2",),
+)
+
+
+@pytest.mark.parametrize("max_attempts", [80, 20])
+def test_stacked_loop_matches_the_per_trial_loop(monkeypatch, max_attempts):
+    # criteria 3-7's loop on every check at count 20, stopping at the count
+    # (80 attempts), where the rejections make every check's cells need
+    # further rounds, and at the attempt cap (20)
+    count = 20
+    rounds = []
+    checked = campaign._checked_trials
+    monkeypatch.setattr(campaign, "_checked_trials", lambda *args: rounds.append(args) or checked(*args))
+    for cid in checks.REGISTRY:
+        monkeypatch.setitem(campaign.BUILDERS, cid, _rejecting(campaign.BUILDERS[cid]))
+        rounds.clear()
+        stacked = _tally(_attempts(cid, count, max_attempts, LOOP_CFG))
+        assert stacked == _run_many(cid, count, max_attempts, LOOP_CFG), cid
+        applicable, _, na, _ = stacked
+        assert na > 0, cid
+        if max_attempts > count:
+            assert applicable == count and len(rounds) > len(campaign.expand_cells(cid, LOOP_CFG)), cid
+        else:
+            assert applicable + na == max_attempts, cid
 
 
 def test_criterion_7_dim1_oracle_equivalence():
@@ -267,16 +290,12 @@ def test_criterion_7_dim1_oracle_equivalence():
     )
     worst = 0.0
     for cid in checks.OPERATOR_IDS:
-        cells = campaign.expand_cells(cid, cfg)
-        compared = attempts = 0
-        while compared < 100 and attempts < 400:
-            cell = cells[attempts % len(cells)]
-            trial = attempts // len(cells)
-            outcome, inst, params, _ = run_check_trial(cid, cell, cfg, trial)
-            attempts += 1
+        compared = 0
+        for t in _attempts(cid, 100, 400, cfg):
+            outcome = t.outcome
             if outcome.status == NOT_APPLICABLE:
                 continue
-            ref = reference_slack(cid, inst, params)
+            ref = reference_slack(cid, t.inst, t.params)
             worst = max(worst, abs(outcome.slack - ref["slack"]))
             if outcome.chain_slacks is not None:
                 for got, want in zip(outcome.chain_slacks, ref["chain"]):

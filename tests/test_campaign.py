@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -470,17 +471,31 @@ def test_cli_run_empty_check_list_exit_one(tmp_path, capsys, config, flags):
     assert capsys.readouterr().err.startswith("error: checks: ")
 
 
+#: The checks whose instances are complement-sandwich families.
+COMPLEMENT_IDS = ("bellman_ratio_reverse", "bellman_arith_reverse", "bellman_diff_reverse", "aczel_reverse")
+
+
 @pytest.mark.parametrize("M", [1e20, 1e150])
 def test_huge_interval_end_runs_to_a_report(tmp_path, M):
-    # the oracle's golden-section loop never ended for M >= 1e20; the four
-    # complement-family checks are left out only for time (about 2 s a cell)
+    # the oracle's golden-section loop never ended for M >= 1e20
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"intervals": [[0.5, M]], "dims": [2]}))
-    slow = {"bellman_ratio_reverse", "bellman_arith_reverse", "bellman_diff_reverse", "aczel_reverse"}
-    ids = ",".join(cid for cid in checks.REGISTRY if cid not in slow)
     out = tmp_path / "report.json"
-    assert cli.main(["run", "--config", str(path), "--trials", "1", "--checks", ids, "--out", str(out)]) == 0
+    assert cli.main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["summary"]["trials"] > 100
+
+
+def test_wide_window_complement_families_draw_nothing(monkeypatch):
+    # on [0.5, 1e20] every draw has sum B_j >= 1e18 I, so no family scale
+    # reaches MIN_SCALE: each trial is rejected without a sandwich-pair draw
+    calls = []
+    draw = instances.random_sandwich_pair
+    monkeypatch.setattr(instances, "random_sandwich_pair", lambda *args: calls.append(1) or draw(*args))
+    cfg = config_from_json({"intervals": [[0.5, 1e20]], "dims": [2], "trials": 1, "checks": list(COMPLEMENT_IDS)})
+    report = run_campaign(cfg)
+    assert report["summary"]["not_applicable"] == report["summary"]["trials"] == 12
+    assert {g for row in report["cells"] for g in row["na_guards"]} == {"generator_rejected"}
+    assert calls == []
 
 
 @pytest.mark.parametrize("interval", [[0.5, 1e200], [-1e300, 0.5]])
@@ -774,19 +789,31 @@ def _streams(check_id, cell, cfg):
     return [subrng(cfg.seed, check_id, key, trial) for trial in range(cfg.trials)]
 
 
-@pytest.mark.parametrize("check_id", checks.OPERATOR_IDS)
+@pytest.mark.parametrize("check_id", checks.OPERATOR_IDS + checks.SCALAR_IDS)
 def test_stacked_build_equals_each_trial_built_alone(check_id):
-    # every operator builder, on dims 1 and 3 and every map kind; each stream
-    # also ends where it ends alone, so it got exactly its own draws
-    cfg = CampaignConfig(trials=5, dims=(1, 3), maps=("id", "compress:2", "unitary-mix:2", "pinch:2"), seed=41)
+    # every operator builder, on dims 1 and 3 and every map kind, and every
+    # scalar builder at p = 0.001, where the mp1/mp3/eq3 builders reject: a
+    # stack holds exactly the built trials; each stream also ends where it
+    # ends alone, so it got exactly its own draws
+    p_grid = (0.001, 0.5) if check_id in checks.SCALAR_IDS else (0.5,)
+    cfg = CampaignConfig(trials=5, dims=(1, 3), p_grid=p_grid, maps=("id", "compress:2", "unitary-mix:2", "pinch:2"), seed=41)
+    rejected = 0
     for cell in campaign.expand_cells(check_id, cfg):
-        assert len(_assert_stack_builds_each_trial_as_alone(check_id, cell, cfg)) == cfg.trials
+        built = _assert_stack_builds_each_trial_as_alone(check_id, cell, cfg)
+        if check_id in checks.OPERATOR_IDS:
+            assert len(built) == cfg.trials
+        elif built:
+            assert len(built[0].stack) == len(built)
+        rejected += cfg.trials - len(built)
         rngs = _streams(check_id, cell, cfg)
-        campaign.BUILDERS[check_id](cell, rngs)
+        with contextlib.suppress(HypothesisError):
+            campaign.BUILDERS[check_id](cell, rngs)
         for trial, rng in enumerate(rngs):
             alone = _streams(check_id, cell, cfg)[trial]
-            campaign.BUILDERS[check_id](cell, [alone])
+            with contextlib.suppress(HypothesisError):
+                campaign.BUILDERS[check_id](cell, [alone])
             assert rng.bit_generator.state == alone.bit_generator.state
+    assert (rejected > 0) == (check_id in ("scalar_bellman_weighted", "scalar_bellman_columns", "scalar_bellman_reverse"))
 
 
 def test_stacked_complement_build_retries_and_rejects_per_trial(monkeypatch):

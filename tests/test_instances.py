@@ -242,9 +242,32 @@ def test_complement_family_scale_branches():
     assert seen == {True, False}
 
 
+def _counted_sandwich_pairs(monkeypatch) -> list:
+    calls = []
+    draw = instances.random_sandwich_pair
+    monkeypatch.setattr(instances, "random_sandwich_pair", lambda *args: calls.append(1) or draw(*args))
+    return calls
+
+
 def test_complement_family_oversized_gamma_is_rejected(monkeypatch):
+    # every draw has s_max <= (1 - margin) / (gamma (m + delta) / 2), which at
+    # gamma = 1e10 is below MIN_SCALE / 2: no draw is made
     monkeypatch.setattr(instances, "MAX_REJECTS", 3)
+    calls = _counted_sandwich_pairs(monkeypatch)
     assert complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), 1e10, subrng(34, "gen", 0)) is None
+    assert calls == []
+
+
+def test_complement_family_gamma_under_the_bound_runs_out_of_rounds(monkeypatch):
+    # at gamma = 5e8 the bound is 7.5e-9: above MIN_SCALE / 2, so the
+    # generator draws, but below MIN_SCALE, so all MAX_REJECTS rounds fail
+    monkeypatch.setattr(instances, "MAX_REJECTS", 3)
+    calls = _counted_sandwich_pairs(monkeypatch)
+    assert complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), 5e8, subrng(34, "gen", 0)) is None
+    assert len(calls) == 3 * 2
+    with pytest.raises(HypothesisError) as exc:
+        complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), 5e8, [subrng(34, "gen", t) for t in range(2)])
+    assert list(exc.value.where) == [True, True]
 
 
 #: numpy.linalg calls of one single-attempt complement_sandwich_family at dim 6, n 3.

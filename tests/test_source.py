@@ -33,8 +33,9 @@ def test_package_source_has_no_transpose_attribute():
 
 #: Top-level names that are entry points rather than helpers: the dim-1
 #: oracle of the tier-1 suite, the console-script entry, and the per-trial
-#: campaign entry that the acceptance gate and the benchmark's tracer call
-#: (a campaign checks whole cells).
+#: campaign entry that the benchmark's tracer wraps and the tests call (a
+#: campaign checks whole cells, and the acceptance gate checks its trials
+#: in rounds through ``_checked_trials``).
 ENTRY_POINTS = {"reference_slack", "entrypoint", "run_check_trial"}
 
 
