@@ -239,6 +239,22 @@ def _rejecting(builder):
     return build
 
 
+@pytest.mark.parametrize("count,max_attempts,reject", [
+    (150, 160, False), (150, 100, False), (150, 260, True), (150, 170, True),
+])
+def test_stacked_scalar_loop_matches_the_per_trial_loop(monkeypatch, count, max_attempts, reject):
+    # criterion 6's loop at a reduced count on the full acceptance grid,
+    # stopping at the count and at the attempt cap; the acceptance grid
+    # rejects no scalar build, so rejections are added to make cells need
+    # further rounds
+    for cid in checks.SCALAR_IDS:
+        if reject:
+            monkeypatch.setitem(campaign.BUILDERS, cid, _rejecting(campaign.BUILDERS[cid]))
+        stacked = _tally(_attempts(cid, count, max_attempts))
+        assert stacked == _run_many(cid, count, max_attempts), cid
+        assert (stacked[2] > 0) == reject, cid
+
+
 #: A trimmed acceptance grid: one to eight cells per check.
 LOOP_CFG = dataclasses.replace(
     ACCEPT_CFG,
