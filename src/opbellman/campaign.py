@@ -27,6 +27,8 @@ from .checks import (
     CheckOutcome,
     _gamma_cached,
     _na,
+    _per_trial,
+    _stack_params,
 )
 from .constants import MIN_INTERVAL, P_MIN
 from .errors import HypothesisError, ParameterError, WitnessFormatError
@@ -223,8 +225,13 @@ def build_map(map_id: str, dim: int, rng):
 #
 # A builder maps (cell, rngs), one stream per trial, to (instances, draws):
 # an operator builder's instances are one family stacked on a leading trial
-# axis, a scalar builder's a list.  Either raises HypothesisError naming in
-# ``where`` the trials whose hypotheses failed.  ``draws`` holds one dict per
+# axis, a scalar builder's a list.  The trials may come from several cells
+# that differ only in their interval: then ``cell["m"]`` and ``cell["M"]``
+# are arrays of one value per trial (``checks._stack_params``), which a
+# builder hands on to the generators as they are.  Either raises
+# HypothesisError naming in ``where`` the trials whose hypotheses failed; a
+# scalar builder, whose trials draw independently, attaches its other
+# trials' instances and draws as ``built``.  ``draws`` holds one dict per
 # trial: a trial's params are the cell without its instance-shape keys plus
 # its draws, which never repeat a cell key (see run_check_trial).
 
@@ -346,7 +353,7 @@ def _complement_family(mean_id: str, gamma_scaled: bool = False, lam_is_p: bool 
     def build(cell, rngs):
         m, M = cell["m"], cell["M"]
         f = function_from_id(mean_id.format(**cell))
-        g = _gamma_cached(f.label, m, M) if gamma_scaled else 1.0
+        g = _per_trial(_gamma_cached, f.label, m, M) if gamma_scaled else 1.0
         fam = complement_sandwich_family(cell["dim"], cell["n"], (m, M), f, g, rngs)
         return fam, [{"lam": cell["p"]} if lam_is_p else {}] * len(rngs)
 
@@ -393,13 +400,13 @@ def _build_scalar(kind):
                 d = {"p": float(rng.uniform(1.0, 2.0))}
             else:
                 d = {}
-            draws.append(d)
             try:
                 insts.append(scalar_instance(kind, (rows, cell["n"]), (cell | d)["p"], rng))
+                draws.append(d)
             except HypothesisError:
                 rejected[t] = True
         if rejected.any():
-            raise HypothesisError(f"{kind} instances failed their hypothesis", where=rejected)
+            raise HypothesisError(f"{kind} instances failed their hypothesis", where=rejected, built=(insts, draws))
         return insts, draws
 
     return build
@@ -601,8 +608,8 @@ _SHAPE_KEYS = ("dim", "n", "map")
 class _Trial:
     """One trial of a cell, as the cell summary sees it.
 
-    ``stack`` holds the cell's built instances, exactly its built trials in
-    trial order (an operator builder's stack or a scalar builder's list),
+    ``stack`` holds the instances of one builder call, exactly its built
+    trials in order (an operator builder's stack or a scalar builder's list),
     and the trial is its entry ``index``.  ``outcome`` is exact (from the
     check's runner, or a guard or generator rejection).  Without one, the
     trial holds for certain and ``slack`` and ``normalized`` enclose its
@@ -632,34 +639,42 @@ class _Trial:
         return None if self.stack is None else self.stack[self.index]
 
 
-def _build_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> list[_Trial]:
-    """Draw the instances of the seeded trials ``trials`` of one cell, in one
-    builder call on their streams.  A trial named in the ``where`` of a
-    builder's ``HypothesisError`` gets a ``generator_rejected`` outcome, and
-    the other trials are built again from fresh copies of their streams."""
-    cell_key = json.dumps(cell, sort_keys=True)
-    cell_params = {k: v for k, v in cell.items() if k not in _SHAPE_KEYS}
-    out = [_Trial({"seed": cfg.seed, "cell": cell, "trial": trial}) for trial in trials]
+def _build_trials(check_id: str, pairs, cfg: CampaignConfig) -> list[_Trial]:
+    """Draw the instances of the seeded (cell, trial) ``pairs``, of cells that
+    differ at most in their interval, in one builder call on their streams,
+    with ``m`` and ``M`` per trial where the cells' differ.
+
+    Each trial keeps its own stream, provenance and params.  A trial named
+    in the ``where`` of a builder's ``HypothesisError`` gets a
+    ``generator_rejected`` outcome; the other trials keep the instances the
+    error carries (a scalar builder's), or else are built again from fresh
+    copies of their streams."""
+    cells = {id(cell): cell for cell, _ in pairs}
+    keys = {i: json.dumps(cell, sort_keys=True) for i, cell in cells.items()}
+    params = {i: {k: v for k, v in cell.items() if k not in _SHAPE_KEYS} for i, cell in cells.items()}
+    out = [_Trial({"seed": cfg.seed, "cell": cell, "trial": trial}) for cell, trial in pairs]
     live = list(range(len(out)))
     while live:
-        rngs = [subrng(cfg.seed, check_id, cell_key, out[i].provenance["trial"]) for i in live]
+        rngs = [subrng(cfg.seed, check_id, keys[id(pairs[i][0])], pairs[i][1]) for i in live]
         try:
-            stack, draws = BUILDERS[check_id](cell, rngs)
+            stack, draws = BUILDERS[check_id](_stack_params([pairs[i][0] for i in live]), rngs)
         except HypothesisError as exc:
             failed = np.broadcast_to(exc.where, (len(live),))
             for i in np.flatnonzero(failed):
                 out[live[i]].settle(_na(check_id, "generator_rejected"))
             live = [i for i, f in zip(live, failed) if not f]
-            continue
+            if exc.built is None:
+                continue
+            stack, draws = exc.built
         for k, (i, d) in enumerate(zip(live, draws)):
-            out[i].stack, out[i].index, out[i].params = stack, k, cell_params | d
+            out[i].stack, out[i].index, out[i].params = stack, k, params[id(pairs[i][0])] | d
         break
     return out
 
 
 def _check_pending(check_id: str, trials: list[_Trial], tol: Tolerance) -> None:
-    """Settle the trials of one cell that have no outcome yet, in one
-    ``checks.check_cell`` call.  An operator cell's pending trials are its
+    """Settle the trials of one build that have no outcome yet, in one
+    ``checks.check_cell`` call.  An operator build's pending trials are its
     whole stack, since no filter settles any of them first; a scalar cell's
     are checked as the list of their instances."""
     pending = [t for t in trials if t.outcome is None]
@@ -675,7 +690,7 @@ def _check_pending(check_id: str, trials: list[_Trial], tol: Tolerance) -> None:
 def _checked_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> list[_Trial]:
     """The seeded trials ``trials`` of one cell, built in one builder call and
     the built ones checked in one ``checks.check_cell`` call on its stack."""
-    out = _build_trials(check_id, cell, cfg, trials)
+    out = _build_trials(check_id, [(cell, trial) for trial in trials], cfg)
     _check_pending(check_id, out, cfg.tolerance)
     return out
 
@@ -708,7 +723,8 @@ def _filter_trials(check_id: str, trials: list[_Trial], tol: Tolerance) -> None:
 
 
 def _cell_summary(check_id: str, cell: dict, cfg: CampaignConfig, trials: list[_Trial]) -> dict:
-    """The report record of one cell.
+    """The report record of one cell, whose trials have each an outcome or
+    enclosures of their slack.
 
     A trial without an exact outcome is checked unless its enclosures show
     that the reported values do not depend on it: its slack interval lies
@@ -721,7 +737,6 @@ def _cell_summary(check_id: str, cell: dict, cfg: CampaignConfig, trials: list[_
     reaches it and the median.
     """
     tol = cfg.tolerance
-    _check_pending(check_id, [t for t in trials if t.slack is None], tol)
     applicable = [t for t in trials if t.outcome is None or t.outcome.status != NOT_APPLICABLE]
     if applicable:
         top = min(t.slack[1] for t in applicable)
@@ -772,12 +787,46 @@ def _cell_summary(check_id: str, cell: dict, cfg: CampaignConfig, trials: list[_
     }
 
 
+def _interval_groups(cells: list[dict]) -> list[list[int]]:
+    """The indices of ``cells`` grouped by the cell without its interval keys
+    ``m`` and ``M``, in order of first appearance.  The builders and checkers
+    use an interval only as numbers, so a group builds and checks as one
+    stack; a cell without an interval is a group of its own."""
+    groups: dict[tuple, list[int]] = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault(tuple((k, v) for k, v in cell.items() if k not in ("m", "M")), []).append(i)
+    return list(groups.values())
+
+
+def _checked_cells(check_id: str, cfg: CampaignConfig):
+    """Each cell of one check with its trials, in ``expand_cells`` order.
+
+    The cells that differ only in their interval are built in one
+    ``_build_trials`` call when the first of them comes up, filtered by the
+    check's float64 bounds where it has them, and the trials the filter
+    leaves are checked in one ``_check_pending`` call.  A cell's trials are
+    let go once yielded.
+    """
+    cells = expand_cells(check_id, cfg)
+    groups = {group[0]: group for group in _interval_groups(cells)}
+    built = {}
+    for i, cell in enumerate(cells):
+        if i in groups:
+            trials = _build_trials(check_id, [(cells[j], t) for j in groups[i] for t in range(cfg.trials)], cfg)
+            _filter_trials(check_id, trials, cfg.tolerance)
+            _check_pending(check_id, [t for t in trials if t.slack is None], cfg.tolerance)
+            for k, j in enumerate(groups[i]):
+                built[j] = trials[k * cfg.trials : (k + 1) * cfg.trials]
+        yield cell, built.pop(i)
+
+
 def run_campaign(cfg: CampaignConfig) -> dict:
     """Execute the full campaign and return the report document.
 
-    Each cell is built in one builder call, filtered by the check's float64
-    bounds where it has them, and summarized by ``_cell_summary``, which
-    checks the trials the summary needs exactly.
+    Each cell comes from ``_checked_cells``, which builds and checks the
+    cells of a check that differ only in their interval as one stack, and
+    is summarized on its own by ``_cell_summary``, which checks any further
+    trials the summary needs exactly.
     """
     cfg.validate()
     cells_out = []
@@ -787,9 +836,7 @@ def run_campaign(cfg: CampaignConfig) -> dict:
     trials_by_check: dict[str, int] = {}
 
     for check_id in cfg.checks:
-        for cell in expand_cells(check_id, cfg):
-            trials = _build_trials(check_id, cell, cfg, range(cfg.trials))
-            _filter_trials(check_id, trials, cfg.tolerance)
+        for cell, trials in _checked_cells(check_id, cfg):
             row = _cell_summary(check_id, cell, cfg, trials)
             cells_out.append(row)
             total["trials"] += cfg.trials

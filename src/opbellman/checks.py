@@ -8,10 +8,13 @@ named in the witness; ``violated`` is reserved for instances that satisfy
 every hypothesis yet fail the final comparison.
 
 An operator checker is written against a stack of trials: its instance is
-the cell's family as the builder stacked it, so every matrix carries a
-leading trial axis (none for a single trial, whose d x d matrices are the
-stack of one), and every guard decides per trial.  ``check`` runs one
-trial; ``check_cell`` runs all trials of a cell in one pass.
+the family as the builder stacked it, so every matrix carries a leading
+trial axis (none for a single trial, whose d x d matrices are the stack of
+one), and every guard decides per trial.  The trials may come from cells
+that differ only in their interval, so ``m`` and ``M`` are numbers or
+arrays of one value per trial, and every constant comes from
+``_per_trial``.  ``check`` runs one trial; ``check_cell`` runs a stack of
+trials in one pass.
 
 A scalar check is one expression over its cell's trials stacked into
 arrays.  On float64 intervals it is the campaign's filter; at 30 digits of
@@ -37,7 +40,7 @@ from .errors import (
     ParameterError,
     UnboundedRatioError,
 )
-from .instances import InstanceFamily, take
+from .instances import InstanceFamily, _trial_factor, take
 from .means import (
     RepresentingFunction,
     arithmetic_w,
@@ -133,8 +136,9 @@ def _chain_outcome(check_id, t1, t2, t3, tol) -> list[CheckOutcome]:
 
 
 def _stack_params(params: list[dict]) -> dict:
-    """The params of a stack of trials: a value all trials share stays as it
-    is, and a per-trial draw that differs becomes an array on a leading axis."""
+    """The params (or cells) of a stack of trials: a value all trials share
+    stays as it is, and one that differs (a per-trial draw, or the interval
+    of cells built together) becomes an array on a leading axis."""
     if len(params) == 1:
         return params[0]
     return {
@@ -290,12 +294,14 @@ def _family_sum(inst, mats):
 
 def _guard_window(mats, m, M, tol, name="spectrum_window"):
     eye = identity(mats[0].shape[-1])
+    m, M = _trial_factor(m), _trial_factor(M)
     for a in mats:
         _require(loewner_holds(m * eye, a, tol), f"{name}_below_m")
         _require(loewner_holds(a, M * eye, tol), f"{name}_above_M")
 
 
 def _guard_pair_sandwich(pairs, m, M, tol, name="pair_sandwich"):
+    m, M = _trial_factor(m), _trial_factor(M)
     for a, b in pairs:
         _require(loewner_holds(m * a, b, tol), f"{name}_lower")
         _require(loewner_holds(b, M * a, tol), f"{name}_upper")
@@ -317,7 +323,7 @@ def _complement_prologue(inst, m, M, tol, f=None):
     g = gamma_f when ``f`` is given and g = 1 otherwise.
 
     Returns (g, I, I - sum A_j, I - sum B_j)."""
-    _require(m < 1.0 < M, "window_not_straddling_one")
+    _require((m < 1.0) & (1.0 < M), "window_not_straddling_one")
     g = 1.0 if f is None else _gamma_guarded(f, m, M)
     eye = identity(inst.A[0].shape[-1])
     _guard_pair_sandwich(zip(inst.A, inst.B), m, M, tol)
@@ -325,12 +331,12 @@ def _complement_prologue(inst, m, M, tol, f=None):
     comp_b = hermitize(eye - g * sum(inst.B))
     _guard_pd_floor(comp_a, "complement_a_not_pd")
     _guard_pd_floor(comp_b, "complement_b_not_pd")
-    _require(loewner_holds(m * comp_a, comp_b, tol), "complement_sandwich_lower")
-    _require(loewner_holds(comp_b, M * comp_a, tol), "complement_sandwich_upper")
+    _require(loewner_holds(_trial_factor(m) * comp_a, comp_b, tol), "complement_sandwich_lower")
+    _require(loewner_holds(comp_b, _trial_factor(M) * comp_a, tol), "complement_sandwich_upper")
     return g, eye, hermitize(eye - sum(inst.A)), hermitize(eye - sum(inst.B))
 
 
-# -- memoized constants -----------------------------------------------------
+# -- constants per trial -----------------------------------------------------
 
 
 @functools.lru_cache(maxsize=4096)
@@ -343,11 +349,44 @@ def _beta_cached(label: str, m: float, M: float) -> float:
     return constants.beta(function_from_id(label), m, M).value
 
 
-def _gamma_guarded(f, m, M) -> float:
-    try:
-        return _gamma_cached(f.label, m, M)
-    except UnboundedRatioError:
-        raise _GuardFail("chord_not_positive") from None
+def _per_trial(fn, *args, guard: str | None = None):
+    """``fn(*args)`` as a float for each trial of a stack, where each argument
+    is a number or an array of one value per trial (``m`` and ``M`` of a
+    stack of cells, or an earlier result); a ``ConstantResult`` gives its
+    value.  Every checker takes its constants, and the scalars it forms from
+    ``m`` and ``M``, through here.
+
+    Each distinct tuple of arguments is evaluated once, on Python floats, so
+    every trial gets the bits it gets alone.  The result is a float when no
+    argument is an array, else an array shaped (trials, 1, 1) that scales a
+    stack of matrices.  With ``guard``, the trials whose tuple raises
+    UnboundedRatioError, ParameterError or DegenerateIntervalError fail it.
+    """
+    cols = [np.ravel(a).tolist() if isinstance(a, np.ndarray) else None for a in args]
+    size = next((len(c) for c in cols if c is not None), None)
+    rows = [tuple(a if c is None else c[t] for a, c in zip(args, cols)) for t in range(size or 1)]
+    values = {}
+    for row in rows:
+        if row in values:
+            continue
+        try:
+            value = fn(*row)
+        except (UnboundedRatioError, ParameterError, DegenerateIntervalError):
+            if guard is None:
+                raise
+            values[row] = None
+            continue
+        values[row] = float(value.value if isinstance(value, constants.ConstantResult) else value)
+    failed = np.array([values[row] is None for row in rows])
+    if failed.any():
+        raise _GuardFail(guard, True if size is None else failed)
+    if size is None:
+        return values[rows[0]]
+    return np.array([values[row] for row in rows])[:, None, None]
+
+
+def _gamma_guarded(f, m, M):
+    return _per_trial(_gamma_cached, f.label, m, M, guard="chord_not_positive")
 
 
 # -- forward checks ---------------------------------------------------------
@@ -567,7 +606,7 @@ def check_bellman_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     # the prologue tested I - g sum A_j; the plain complement is another matrix
     _guard_pd_floor(comp_a, "complement_a_not_pd")
     lhs_base = _mean_g(comp_a, comp_b, f, "mean_conditioning")
-    dominant = g**p * _power_guarded(lhs_base, p, tol, "lhs_base_not_psd")
+    dominant = _per_trial(operator.pow, g, p) * _power_guarded(lhs_base, p, tol, "lhs_base_not_psd")
     rhs_base = hermitize(eye - g * sum(_pair_means(inst, f)))
     dominated = _power_guarded(rhs_base, p, tol, "rhs_base_not_psd")
     return dominant, dominated
@@ -594,7 +633,7 @@ def check_compression_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     g = _gamma_guarded(f, m, M)
     compressed = hermitize(adjoint(c) @ x @ c)
     dominated = _fcalc_g(compressed, f, "compressed_spectrum_outside_domain")
-    fm = float(f(m))
+    fm = _per_trial(f, m)
     dominant = hermitize(
         g * (adjoint(c) @ _fcalc_g(x, f, "function_domain") @ c + fm * (eye - gram))
     )
@@ -617,14 +656,12 @@ def check_mean_power_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     _guard_window([a], 0.0, 1.0, tol, "contraction_window")
     _guard_pd_floor(a, "contraction_not_pd")
     _guard_pair_sandwich([(a, b)], m, M, tol)
-    fm, fM = float(f(m)), float(f(M))
-    try:
-        gh = constants.gamma_power(fm, fM, p).value
-    except ParameterError:
-        raise _GuardFail("degenerate_power_interval") from None
+    fm, fM = _per_trial(f, m), _per_trial(f, M)
+    gh = _per_trial(constants.gamma_power, fm, fM, p, guard="degenerate_power_interval")
     eye = identity(a.shape[-1])
     dominated = _power_guarded(_mean_g(a, b, f, "mean_conditioning"), p, tol, "mean_base_not_psd")
-    dominant = hermitize(gh * (fm**p * (eye - a) + _mean_g(a, b, powered(f, p), "mean_conditioning")))
+    fmp = _per_trial(operator.pow, fm, p)
+    dominant = hermitize(gh * (fmp * (eye - a) + _mean_g(a, b, powered(f, p), "mean_conditioning")))
     return dominant, dominated
 
 
@@ -642,14 +679,11 @@ def check_bellman_arith_reverse(inst: InstanceFamily, params, tol) -> tuple:
     m, M, p = params["m"], params["M"], params["p"]
     _, eye, comp_a, comp_b = _complement_prologue(inst, m, M, tol)
     f = arithmetic_w(lam)
-    try:
-        delta = constants.delta_affine_power(lam, m, M, p).value
-    except (ParameterError, DegenerateIntervalError):
-        raise _GuardFail("degenerate_power_interval") from None
-    fm = float(f(m))
+    delta = _per_trial(constants.delta_affine_power, lam, m, M, p, guard="degenerate_power_interval")
+    fmp = _per_trial(operator.pow, _per_trial(f, m), p)
     dominant = hermitize(
         delta
-        * (fm**p * sum(inst.A) + _mean_g(comp_a, comp_b, powered(f, p), "mean_conditioning"))
+        * (fmp * sum(inst.A) + _mean_g(comp_a, comp_b, powered(f, p), "mean_conditioning"))
     )
     rhs_base = hermitize(eye - sum(weighted_arithmetic(a, b, lam) for a, b in zip(inst.A, inst.B)))
     dominated = _power_guarded(rhs_base, p, tol, "rhs_base_not_psd")
@@ -672,7 +706,7 @@ def check_jensen_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     m, M = params["m"], params["M"]
     x = inst.A[0]
     _guard_window([x], m, M, tol)
-    beta = _beta_cached(f.label, m, M)
+    beta = _per_trial(_beta_cached, f.label, m, M)
     phi = inst.maps[0]
     out_eye = identity(phi.output_dim)
     dominant = hermitize(beta * out_eye + phi.apply(_fcalc_g(x, f, "function_domain")))
@@ -694,7 +728,7 @@ def check_mean_map_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     x, y = inst.A[0], inst.B[0]
     _guard_pd_floor(x, "first_operand_not_pd")
     _guard_pair_sandwich([(x, y)], m, M, tol)
-    beta = _beta_cached(f.label, m, M)
+    beta = _per_trial(_beta_cached, f.label, m, M)
     psi = inst.maps[0]
     px = hermitize(psi.apply(x))
     py = hermitize(psi.apply(y))
@@ -716,7 +750,7 @@ def check_mean_sum_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     _guard_pair_sandwich(zip(inst.A, inst.B), m, M, tol)
-    beta = _beta_cached(f.label, m, M)
+    beta = _per_trial(_beta_cached, f.label, m, M)
     dominant = hermitize(
         beta * sum(inst.A)
         + sum(_pair_means(inst, f))
@@ -738,7 +772,7 @@ def check_bellman_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     f = function_from_id(params["f"])
     m, M, p = params["m"], params["M"], params["p"]
     _, eye, comp_a, comp_b = _complement_prologue(inst, m, M, tol)
-    beta = _beta_cached(f.label, m, M)
+    beta = _per_trial(_beta_cached, f.label, m, M)
     lhs_base = hermitize(beta * eye + _mean_g(comp_a, comp_b, f, "mean_conditioning"))
     dominant = _power_guarded(lhs_base, p, tol, "lhs_base_not_psd")
     rhs_base = hermitize(eye - sum(_pair_means(inst, f)))
@@ -759,7 +793,7 @@ def check_aczel_reverse(inst: InstanceFamily, params, tol) -> tuple:
     m, M, p = params["m"], params["M"], params["p"]
     _, eye, comp_a, comp_b = _complement_prologue(inst, m, M, tol)
     f = geometric_w(lam)
-    zeta = constants.zeta_aczel(m, M, p).value
+    zeta = _per_trial(constants.zeta_aczel, m, M, p)
     lhs_base = hermitize(zeta * eye + _mean_g(comp_a, comp_b, f, "mean_conditioning"))
     dominant = _power_guarded(lhs_base, p, tol, "lhs_base_not_psd")
     rhs_base = hermitize(eye - sum(_pair_means(inst, f)))
@@ -779,7 +813,7 @@ def check_jensen_family_diff_reverse(inst: InstanceFamily, params, tol) -> tuple
     f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     _guard_window(inst.A, m, M, tol)
-    beta = _beta_cached(f.label, m, M)
+    beta = _per_trial(_beta_cached, f.label, m, M)
     out_eye = identity(inst.maps[0].output_dim)
     f_members = [_fcalc_g(a, f, "function_domain") for a in inst.A]
     dominant = hermitize(beta * out_eye + _family_sum(inst, f_members))
@@ -799,9 +833,9 @@ def check_bellman_family_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """delta I + sum w_j Phi_j((I - A_j)^p) >= (sum w_j Phi_j(I - A_j))^p for
     contractions with 0 <= m I <= A_j <= M I < I."""
     m, M, p = params["m"], params["M"], params["p"]
-    _require(0.0 <= m < M < 1.0, "window_not_in_unit_interval")
+    _require((0.0 <= m) & (m < M) & (M < 1.0), "window_not_in_unit_interval")
     _guard_window(inst.A, m, M, tol)
-    delta = constants.delta_bellman(m, M, p).value
+    delta = _per_trial(constants.delta_bellman, m, M, p)
     eye = identity(inst.A[0].shape[-1])
     out_eye = identity(inst.maps[0].output_dim)
     powers = [_power_guarded(hermitize(eye - a), p, tol, "member_base_not_psd") for a in inst.A]
@@ -823,7 +857,7 @@ def check_log_family_reverse(inst: InstanceFamily, params, tol) -> tuple:
     m, M = params["m"], params["M"]
     _require(m > 0.0, "window_not_positive")
     _guard_window(inst.A, m, M, tol)
-    c = constants.beta_log(m, M).value
+    c = _per_trial(constants.beta_log, m, M)
     phi = inst.maps[0]
     out_eye = identity(phi.output_dim)
     w = _per_member(inst.weights)
@@ -1279,10 +1313,11 @@ def check(check_id: str, inst, params, tol: Tolerance = DEFAULT_TOL) -> CheckOut
 
 
 def check_cell(check_id: str, stack, params: list, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
-    """One outcome per trial of a cell, from one run of the entry's runner
-    on the cell's stack: an operator builder's family, or a list of scalar
-    instances.  A single trial goes through ``check``, so what wraps the
-    per-trial entry sees every trial of a one-trial cell."""
+    """One outcome per trial of a stack, from one run of the entry's runner
+    on it: an operator builder's family, or a list of scalar instances, of
+    one cell or of cells that differ only in their interval.  A single trial
+    goes through ``check``, so what wraps the per-trial entry sees every
+    trial of a one-trial cell."""
     if len(params) == 1:
         return [check(check_id, stack[0] if isinstance(stack, list) else stack, params[0], tol)]
     return _entry(check_id).runner(stack, params, tol)

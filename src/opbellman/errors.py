@@ -43,7 +43,15 @@ class ParameterError(OpBellmanError, ValueError):
 
 class HypothesisError(OpBellmanError, ValueError):
     """Inputs violate the hypothesis required by a closed-form constant or
-    a generated instance."""
+    a generated instance.
+
+    ``built``, when given, is (instances, draws) of the trials not in
+    ``where``, from a builder whose trials draw independently of each other.
+    """
+
+    def __init__(self, *args, where=True, built=None):
+        super().__init__(*args, where=where)
+        self.built = built
 
 
 class UnimodalityError(OpBellmanError, RuntimeError):

@@ -84,6 +84,12 @@ def take(stack: InstanceFamily, idx) -> InstanceFamily:
     )
 
 
+def _trial_factor(x):
+    """A number as it is, or an array of one value per trial shaped
+    (trials, 1, 1), to scale a stack of matrices trial by trial."""
+    return x.reshape(-1, 1, 1) if isinstance(x, np.ndarray) else x
+
+
 def _streams(rng) -> tuple[list, bool]:
     """(the trials' streams, whether one Generator was given rather than a list)."""
     if isinstance(rng, np.random.Generator):
@@ -114,12 +120,13 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
 
 
 def random_spectrum_matrix(dim: int, interval: tuple[float, float], rng) -> np.ndarray:
-    """Hermitian matrix with eigenvalues drawn uniformly from [a, b]."""
-    a, b = interval
-    if a > b:
-        raise ParameterError(f"need a <= b, got [{a}, {b}]")
+    """Hermitian matrix with eigenvalues drawn uniformly from [a, b]; for a
+    list of streams, a and b are numbers or one per stream."""
     rngs, one = _streams(rng)
-    lam = np.stack([np.sort(r.uniform(a, b, size=dim)) for r in rngs])
+    a, b = (x.tolist() if isinstance(x, np.ndarray) else [x] * len(rngs) for x in interval)
+    if any(lo > hi for lo, hi in zip(a, b)):
+        raise ParameterError(f"need a <= b, got [{interval[0]}, {interval[1]}]")
+    lam = np.stack([np.sort(r.uniform(lo, hi, size=dim)) for r, lo, hi in zip(rngs, a, b)])
     u = haar_unitary(dim, rngs)
     x = hermitize(from_spectrum(u, lam))
     return x[0] if one else x
@@ -160,20 +167,21 @@ def random_contraction(dim: int, rng, kind="ginibre") -> np.ndarray:
 
 
 def random_sandwich_pair(a: np.ndarray, m: float, M: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) with m A <= B <= M A via B = A^{1/2} T A^{1/2}, m I <= T <= M I.
+    """(A, B) with m A <= B <= M A via B = A^{1/2} T A^{1/2}, m I <= T <= M I;
+    for a list of streams, m and M are numbers or one per stream.
 
     The inner spectrum is shrunk away from m and M so the sandwich holds
     with margin at least EDGE_SHRINK (M - m) lambda_min(A); both sides are
     re-verified from lambda_min(B - m A) and lambda_min(M A - B), and a
     ``HypothesisError`` names the failing pairs of a stack in ``where``.
     """
-    if not 0.0 < m < M:
+    if not np.all((0.0 < m) & (m < M)):
         raise ParameterError(f"need 0 < m < M, got m={m}, M={M}")
     delta = EDGE_SHRINK * (M - m)
     root = apply_function(a, np.sqrt, POSITIVE_HALFLINE)
     t = random_spectrum_matrix(a.shape[-1], (m + delta, M - delta), rng)
     b = hermitize(root @ t @ root)
-    low = _eigvalsh(hermitize(np.stack([b - m * a, M * a - b])))[..., 0]
+    low = _eigvalsh(hermitize(np.stack([b - _trial_factor(m) * a, _trial_factor(M) * a - b])))[..., 0]
     failed = (low < 0.0).any(axis=0)
     if _any(failed):
         raise HypothesisError("sandwich construction failed verification", where=failed)
@@ -216,7 +224,7 @@ def _scale_limit(
     margin: float,
 ):
     """Largest s for which the family scaled by s is complement-sandwiched,
-    per trial of a stack.
+    per trial of a stack, where gamma, m and M are numbers or one per trial.
 
     Every constraint is affine in s: lambda_min(c I - g s X) = c - g s
     lambda_max(X) >= margin for (c, X) in (1, sum A), (1, sum B),
@@ -225,10 +233,11 @@ def _scale_limit(
     lambda_max(X) is not positive never binds.  One ``_eigvalsh`` call
     takes all five.
     """
-    rooms = np.array([1.0 - margin, 1.0 - margin, 1.0 - m - margin, M - 1.0 - margin, BASE_CAP])
-    xs = np.stack([sum_a, sum_b, sum_b - m * sum_a, M * sum_a - sum_b, sum_means])
+    rooms = np.stack(np.broadcast_arrays(1.0 - margin, 1.0 - margin, 1.0 - m - margin, M - 1.0 - margin, BASE_CAP))
+    mf, Mf = _trial_factor(m), _trial_factor(M)
+    xs = np.stack([sum_a, sum_b, sum_b - mf * sum_a, Mf * sum_a - sum_b, sum_means])
     top = gamma_value * _eigvalsh(xs)[..., -1]
-    rooms = rooms.reshape(rooms.shape + (1,) * (top.ndim - 1))
+    rooms = rooms.reshape(rooms.shape + (1,) * (top.ndim - rooms.ndim))
     return np.divide(rooms, top, out=np.full(top.shape, math.inf), where=top > 0.0).min(axis=0)
 
 
@@ -254,45 +263,47 @@ def complement_sandwich_family(
     Every draw has sum B_j >= (m + delta) lo I (delta = ``EDGE_SHRINK``
     (M - m), lo the floor of A_j's spectrum), so s_max <= (1 - margin) /
     (gamma (m + delta) lo); where that is below ``MIN_SCALE`` / 2, with room
-    for rounding, no draw is made (a wide window, or a huge gamma).
+    for rounding, the trial makes no draw (a wide window, or a huge gamma).
 
-    For a list of streams the trials still pending draw again together, in
-    rounds, and the stack of their families is returned; ``meta`` holds
-    each trial's scale and the number of rounds.  After ``MAX_REJECTS``
+    For a list of streams, m, M and gamma are numbers or one per stream;
+    the trials still pending draw again together, in rounds, and the stack
+    of their families is returned; ``meta`` holds each trial's scale and
+    gamma, and the number of rounds.  After ``MAX_REJECTS``
     rounds one Generator gives None (rejection is data for the campaign
     report, not an error); a list raises ``HypothesisError`` naming the
     trials that ran out in ``where``, as a failed sandwich pair does.
     """
-    m, M = interval
     if dim < 1 or n < 1:
         raise ParameterError("dim and n must be at least 1")
-    if not 0.0 < m < 1.0 < M:
-        raise ParameterError(f"complement sandwich needs 0 < m < 1 < M, got [{m}, {M}]")
     rngs, one = _streams(rng)
+    m, M, gamma = (np.broadcast_to(np.ravel(x), len(rngs)) for x in (*interval, gamma_value))
+    if not np.all((0.0 < m) & (m < 1.0) & (1.0 < M)):
+        raise ParameterError(f"complement sandwich needs 0 < m < 1 < M, got [{interval[0]}, {interval[1]}]")
     a_out = np.empty((n, len(rngs), dim, dim), dtype=complex)
     b_out = np.empty_like(a_out)
     scale = np.full(len(rngs), np.nan)
-    pending = np.arange(len(rngs))
     attempts = 0
     lo, hi = 0.5, 1.5
-    hopeless = gamma_value * (m + EDGE_SHRINK * (M - m)) * lo * MIN_SCALE / 2.0 > 1.0 - DEFAULT_MARGIN
-    while pending.size and attempts < (0 if hopeless else MAX_REJECTS):
+    hopeless = gamma * (m + EDGE_SHRINK * (M - m)) * lo * MIN_SCALE / 2.0 > 1.0 - DEFAULT_MARGIN
+    pending = np.flatnonzero(~hopeless)
+    while pending.size and attempts < MAX_REJECTS:
         attempts += 1
         streams = [rngs[t] for t in pending]
+        g, mp, Mp = gamma[pending], m[pending], M[pending]
         pairs = []
         for _ in range(n):
             try:
-                pairs.append(random_sandwich_pair(random_pd(dim, streams, lo, hi), m, M, streams))
+                pairs.append(random_sandwich_pair(random_pd(dim, streams, lo, hi), mp, Mp, streams))
             except HypothesisError as exc:
                 failed = np.isin(np.arange(len(rngs)), pending[np.broadcast_to(exc.where, pending.shape)])
                 raise HypothesisError(str(exc), where=failed[0] if one else failed) from None
         a, b = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
-        s_max = _scale_limit(gamma_value, sum(a), sum(b), sum(mean(a, b, f)), m, M, DEFAULT_MARGIN)
+        s_max = _scale_limit(g, sum(a), sum(b), sum(mean(a, b, f)), mp, Mp, DEFAULT_MARGIN)
         s = np.where(s_max >= 1.0, 1.0, s_max * (1.0 - 1e-6))[:, None, None]
         a, b = hermitize(s * a), hermitize(s * b)
         ok = ~(s_max < MIN_SCALE) & _verify_complement_family(
             InstanceFamily(hypothesis_tag="complement_sandwich_family", A=list(a), B=list(b)),
-            gamma_value, m, M, DEFAULT_MARGIN,
+            g, mp, Mp, DEFAULT_MARGIN,
         )
         a_out[:, pending[ok]], b_out[:, pending[ok]] = a[:, ok], b[:, ok]
         scale[pending[ok]] = s[ok, 0, 0]
@@ -301,12 +312,12 @@ def complement_sandwich_family(
         hypothesis_tag="complement_sandwich_family",
         A=list(a_out),
         B=list(b_out),
-        meta={"attempts": attempts, "scale": scale, "gamma": gamma_value},
+        meta={"attempts": attempts, "scale": scale, "gamma": np.array(gamma)},
     )
+    failed = hopeless | np.isin(np.arange(len(rngs)), pending)
     if one:
-        return None if pending.size else take(family, 0)
-    if pending.size:
-        failed = np.isin(np.arange(len(rngs)), pending)
+        return None if failed[0] else take(family, 0)
+    if failed.any():
         raise HypothesisError(f"no complement-sandwiched family in {MAX_REJECTS} draws", where=failed)
     return family
 
@@ -319,15 +330,17 @@ def _verify_complement_family(
     margin: float,
 ):
     """Whether every pairwise and complement sandwich holds with slack >=
-    margin, per trial of a stack.
+    margin, per trial of a stack, where gamma, m and M are numbers or one
+    per trial.
 
     The slack of X <= Y is lambda_min(hermitize(Y - X)), as in
     ``loewner_leq``, without the spectral norms behind its tolerance; one
     ``_eigvalsh`` call takes every gap.
     """
     eye = identity(fam.A[0].shape[-1])
-    comp_a = eye - gamma_value * sum(fam.A)
-    comp_b = eye - gamma_value * sum(fam.B)
+    g, m, M = _trial_factor(gamma_value), _trial_factor(m), _trial_factor(M)
+    comp_a = eye - g * sum(fam.A)
+    comp_b = eye - g * sum(fam.B)
     gaps = [gap for a, b in zip(fam.A, fam.B) for gap in (b - m * a, M * a - b)]
     gaps += [comp_a, comp_b, comp_b - m * comp_a, M * comp_a - comp_b]
     return (_eigvalsh(hermitize(np.stack(gaps)))[..., 0] >= margin).all(axis=0)

@@ -23,7 +23,7 @@ from opbellman.campaign import (
     run_check_trial,
 )
 from opbellman.checks import CheckOutcome, check
-from opbellman.errors import HypothesisError, ParameterError, WitnessFormatError
+from opbellman.errors import HypothesisError, ParameterError, UnboundedRatioError, WitnessFormatError
 from opbellman.instances import InstanceFamily, subrng
 from opbellman.means import function_from_id
 from opbellman.spectral import Tolerance
@@ -638,19 +638,24 @@ def test_stacked_operator_campaign_matches_per_trial_summary(grid):
     assert campaign.report_to_json(report) == expected
 
 
-def test_stacked_cell_leaves_out_rejected_builds(monkeypatch):
-    # the stack holds only the trials the builder did not reject, in trial
-    # order; a rejection names its trials in ``where`` and the rest are rebuilt
-    builder = campaign.BUILDERS["mean_sum_ratio_reverse"]
+def _rejecting(builder):
+    """``builder`` that also rejects about 40% of its trials, each by a draw
+    from its own stream after its build."""
 
-    def rejecting(cell, rngs):
+    def build(cell, rngs):
         fam, draws = builder(cell, rngs)
         rejected = np.array([rng.uniform() < 0.4 for rng in rngs])
         if rejected.any():
             raise HypothesisError("rejected for the test", where=rejected)
         return fam, draws
 
-    monkeypatch.setitem(campaign.BUILDERS, "mean_sum_ratio_reverse", rejecting)
+    return build
+
+
+def test_stacked_cell_leaves_out_rejected_builds(monkeypatch):
+    # the stack holds only the trials the builder did not reject, in trial
+    # order; a rejection names its trials in ``where`` and the rest are rebuilt
+    monkeypatch.setitem(campaign.BUILDERS, "mean_sum_ratio_reverse", _rejecting(campaign.BUILDERS["mean_sum_ratio_reverse"]))
     cfg = CampaignConfig(trials=8, dims=(2, 3), checks=("mean_sum_ratio_reverse",), seed=3)
     report = run_campaign(cfg)
     cells, summary = _per_trial_summary(cfg)
@@ -660,9 +665,104 @@ def test_stacked_cell_leaves_out_rejected_builds(monkeypatch):
     assert campaign.report_to_json(report) == expected
 
 
+#: Two or three windows of each interval kind; every window with m > 0 is
+#: also a positive one.  [0.5, 1e20] admits no complement-sandwich family.
+MIXED_INTERVALS = ((0.5, 2.0), (0.8, 1.25), (0.5, 1e20), (0.2, 0.8), (0.1, 0.7), (0.0, 0.6))
+
+
+def test_interval_groups_match_per_trial_summary(monkeypatch):
+    # the cells of a check that differ only in their interval build and check
+    # as one stack; gamma_f is made undefined on [0.8, 1.25], so the guard
+    # chord_not_positive fails one cell of each group of the gamma reverses,
+    # and the complement-sandwich groups also hold [0.5, 1e20], whose trials
+    # the generator rejects without a draw
+    gamma = checks._gamma_cached
+
+    def undefined_on_one_window(label, m, M):
+        if (m, M) == (0.8, 1.25):
+            raise UnboundedRatioError("undefined for the test")
+        return gamma(label, m, M)
+
+    monkeypatch.setattr(checks, "_gamma_cached", undefined_on_one_window)
+    cfg = CampaignConfig(
+        trials=3,
+        dims=(2,),
+        n_values=(1, 3),
+        intervals=MIXED_INTERVALS,
+        means=("geom:0.5", "power:0.3"),
+        maps=("id", "compress:2"),
+        checks=tuple(checks.OPERATOR_IDS),
+        seed=8,
+    )
+    report = run_campaign(cfg)
+    cells, summary = _per_trial_summary(cfg)
+    mixed = [
+        row for row in cells
+        if row["check"] == "bellman_ratio_reverse" and row["cell"]["n"] == 3 and row["cell"]["f"] == "geom:0.5"
+    ]
+    assert [(row["holds"], row["na_guards"]) for row in mixed] == [
+        (3, {}), (0, {"chord_not_positive": 3}), (0, {"generator_rejected": 3}),
+    ]
+    assert summary["holds"] > 0 and summary["violations"] == 0
+    expected = campaign.report_to_json(dict(report, cells=cells, summary=summary))
+    assert campaign.report_to_json(report) == expected
+
+
+def test_interval_group_leaves_out_rejected_builds(monkeypatch):
+    # the rejecting builder of test_stacked_cell_leaves_out_rejected_builds
+    # on groups of three sandwich and five positive windows
+    for check_id in ("mean_sum_ratio_reverse", "jensen_family_diff_reverse"):
+        monkeypatch.setitem(campaign.BUILDERS, check_id, _rejecting(campaign.BUILDERS[check_id]))
+    cfg = CampaignConfig(
+        trials=4,
+        dims=(2,),
+        n_values=(1, 3),
+        intervals=MIXED_INTERVALS[:5],
+        means=("geom:0.5",),
+        maps=("id",),
+        checks=("mean_sum_ratio_reverse", "jensen_family_diff_reverse"),
+        seed=3,
+    )
+    report = run_campaign(cfg)
+    cells, summary = _per_trial_summary(cfg)
+    assert 0 < summary["not_applicable"] < summary["trials"]
+    expected = campaign.report_to_json(dict(report, cells=cells, summary=summary))
+    assert campaign.report_to_json(report) == expected
+
+
+def test_campaign_calls_do_not_grow_with_intervals(monkeypatch):
+    # with trials fixed, a campaign on three positive windows makes the
+    # builder, check_cell and numpy.linalg calls of one: the positive checks'
+    # cells that differ only in their window build and check as one stack
+    counts = {}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for kind in ("eigvalsh", "eigh", "svd", "qr", "norm"):
+        monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
+    for check_id, builder in list(campaign.BUILDERS.items()):
+        monkeypatch.setitem(campaign.BUILDERS, check_id, counted("builder", builder))
+    monkeypatch.setattr(checks, "check_cell", counted("check_cell", checks.check_cell))
+    seen = {}
+    for intervals in (((2.0, 3.0),), ((2.0, 3.0), (1.5, 4.0), (3.0, 5.0))):
+        counts.clear()
+        report = run_campaign(CampaignConfig(trials=2, dims=(1, 3), intervals=intervals, seed=5))
+        assert report["summary"]["not_applicable"] == 0
+        seen[len(intervals)] = (dict(counts), len(report["cells"]))
+    assert seen[3][0] == seen[1][0]
+    assert seen[3][1] > seen[1][1]
+    assert seen[3][0]["builder"] < seen[3][1] and seen[1][0]["eigvalsh"] > 0
+
+
 def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
     # with no guard failing and no family drawing twice, a cell of 30 trials
-    # makes the numpy.linalg calls of one, in its check and in its build
+    # makes the numpy.linalg calls of one, in its check and in its build; the
+    # 72 cells build and check as 54 groups of cells differing in their interval
     kinds = ("eigvalsh", "eigh", "svd", "qr", "norm")
     phases = {"check": (checks, "check_cell"), "build": (campaign, "_build_trials")}
     state = {"phase": None}
@@ -699,7 +799,7 @@ def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
         assert report["summary"]["not_applicable"] == 0
         counts[trials] = {phase: list(calls) for phase, calls in per_cell.items()}
     for phase in phases:
-        assert len(counts[1][phase]) == len(report["cells"]) == 72
+        assert len(counts[1][phase]) == 54 and len(report["cells"]) == 72
         assert counts[30][phase] == counts[1][phase], phase
     assert all(c["eigvalsh"] and c["svd"] for c in counts[1]["check"])
     assert all(c["qr"] for c in counts[1]["build"])
@@ -724,6 +824,25 @@ def test_campaign_forms_a_trial_family_only_for_a_witness(monkeypatch):
     cell = campaign.expand_cells("bellman_map", _workload("operator_deep"))[0]
     run_check_trial("bellman_map", cell, _workload("operator_deep"), 0)
     assert ints.count(True) == 1
+
+
+def test_rejecting_scalar_builder_builds_each_trial_once(monkeypatch):
+    # a scalar trial draws alone, so the trials a scalar builder did not
+    # reject keep their first build: at p = 0.001 the mp1/mp3/eq3 builders
+    # reject about half of their trials, and each trial is still drawn once
+    streams = []
+    ids = ("scalar_bellman_weighted", "scalar_bellman_columns", "scalar_bellman_reverse")
+    for check_id in ids:
+        builder = campaign.BUILDERS[check_id]
+        monkeypatch.setitem(campaign.BUILDERS, check_id, lambda cell, rngs, b=builder: streams.extend(rngs) or b(cell, rngs))
+    cfg = config_from_json({"p_grid": [0.001], "n_values": [1, 2, 3], "trials": 200, "checks": list(ids)})
+    rejected = 0
+    for check_id in ids:
+        for cell in campaign.expand_cells(check_id, cfg):
+            trials = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
+            rejected += sum(t.outcome is not None for t in trials)
+    assert len(streams) == 1800
+    assert 0 < rejected < 1800
 
 
 def test_smallest_exponent_scalar_builders_run_without_warnings():
@@ -770,13 +889,16 @@ def _assert_same_bits(x, y, where="instance"):
         assert type(x) is type(y) and x == y, where
 
 
-def _assert_stack_builds_each_trial_as_alone(check_id, cell, cfg):
-    """The trials of a cell built as one stack equal, bit for bit, each trial
-    built alone (a stack of one): instance, params (with the builder's
-    draws) and rejection; the built trials are returned."""
-    stacked = campaign._build_trials(check_id, cell, cfg, range(cfg.trials))
-    for trial, s in enumerate(stacked):
-        (alone,) = campaign._build_trials(check_id, cell, cfg, [trial])
+def _assert_stack_builds_each_trial_as_alone(check_id, cells, cfg):
+    """The trials of cells (one cell, or a list of cells that differ only in
+    their interval) built as one stack equal, bit for bit, each trial built
+    alone (a stack of one): instance, params (with the builder's draws) and
+    rejection; the built trials are returned."""
+    cells = [cells] if isinstance(cells, dict) else cells
+    pairs = [(cell, t) for cell in cells for t in range(cfg.trials)]
+    stacked = campaign._build_trials(check_id, pairs, cfg)
+    for (cell, trial), s in zip(pairs, stacked):
+        (alone,) = campaign._build_trials(check_id, [(cell, trial)], cfg)
         where = f"{check_id} {cell} trial {trial}"
         assert repr(s.outcome) == repr(alone.outcome), where
         _assert_same_bits(s.params, alone.params, f"{where} params")
@@ -794,26 +916,60 @@ def test_stacked_build_equals_each_trial_built_alone(check_id):
     # every operator builder, on dims 1 and 3 and every map kind, and every
     # scalar builder at p = 0.001, where the mp1/mp3/eq3 builders reject: a
     # stack holds exactly the built trials; each stream also ends where it
-    # ends alone, so it got exactly its own draws
+    # ends alone, so it got exactly its own draws.  The cells that differ only
+    # in their interval are built as one stack, of two windows of each kind
     p_grid = (0.001, 0.5) if check_id in checks.SCALAR_IDS else (0.5,)
-    cfg = CampaignConfig(trials=5, dims=(1, 3), p_grid=p_grid, maps=("id", "compress:2", "unitary-mix:2", "pinch:2"), seed=41)
+    cfg = CampaignConfig(
+        trials=5, dims=(1, 3), intervals=((0.5, 2.0), (0.8, 1.25), (0.2, 0.8), (0.1, 0.7)), p_grid=p_grid,
+        maps=("id", "compress:2", "unitary-mix:2", "pinch:2"), seed=41,
+    )
+    cells = campaign.expand_cells(check_id, cfg)
     rejected = 0
-    for cell in campaign.expand_cells(check_id, cfg):
-        built = _assert_stack_builds_each_trial_as_alone(check_id, cell, cfg)
+    for group in campaign._interval_groups(cells):
+        group = [cells[i] for i in group]
+        assert len(group) == {"none": 1, "sandwich": 2, "unit": 2, "positive": 4}[checks.REGISTRY[check_id].interval_kind]
+        built = _assert_stack_builds_each_trial_as_alone(check_id, group, cfg)
         if check_id in checks.OPERATOR_IDS:
-            assert len(built) == cfg.trials
+            assert len(built) == len(group) * cfg.trials
         elif built:
             assert len(built[0].stack) == len(built)
-        rejected += cfg.trials - len(built)
-        rngs = _streams(check_id, cell, cfg)
+        rejected += len(group) * cfg.trials - len(built)
+        rngs = [rng for cell in group for rng in _streams(check_id, cell, cfg)]
         with contextlib.suppress(HypothesisError):
-            campaign.BUILDERS[check_id](cell, rngs)
-        for trial, rng in enumerate(rngs):
+            campaign.BUILDERS[check_id](checks._stack_params([c for c in group for _ in range(cfg.trials)]), rngs)
+        for (cell, trial), rng in zip([(c, t) for c in group for t in range(cfg.trials)], rngs):
             alone = _streams(check_id, cell, cfg)[trial]
             with contextlib.suppress(HypothesisError):
                 campaign.BUILDERS[check_id](cell, [alone])
             assert rng.bit_generator.state == alone.bit_generator.state
     assert (rejected > 0) == (check_id in ("scalar_bellman_weighted", "scalar_bellman_columns", "scalar_bellman_reverse"))
+
+
+@pytest.mark.parametrize(
+    "check_id", [cid for cid in checks.OPERATOR_IDS if checks.REGISTRY[cid].interval_kind != "none"]
+)
+def test_stacked_check_with_windows_per_trial_equals_each_trial_alone(check_id):
+    # a stack of two windows' trials, checked with a window per trial; the
+    # second window's trials claim a narrower window than they were built on,
+    # so a guard fails on only part of the stack, and each trial still gets
+    # the outcome it gets alone
+    cfg = CampaignConfig(
+        trials=3, dims=(2,), n_values=(2,), intervals=((0.5, 2.0), (0.8, 1.25), (0.2, 0.8), (0.1, 0.7)),
+        means=("geom:0.5",), maps=("compress:2",), seed=12,
+    )
+    cells = campaign.expand_cells(check_id, cfg)
+    group = [cells[i] for i in campaign._interval_groups(cells)[0]][:2]
+    trials = campaign._build_trials(check_id, [(cell, t) for cell in group for t in range(cfg.trials)], cfg)
+    params = [t.params for t in trials[: cfg.trials]]
+    for t in trials[cfg.trials :]:
+        m, M = t.params["m"], t.params["M"]
+        params.append(dict(t.params, m=m + 0.45 * (M - m), M=M - 0.45 * (M - m)))
+    stacked = checks.check_cell(check_id, trials[0].stack, params)
+    alone = [checks.check(check_id, t.inst, p) for t, p in zip(trials, params)]
+    assert list(map(repr, stacked)) == list(map(repr, alone))
+    assert {o.status for o in stacked[: cfg.trials]} == {"holds"}
+    # bellman_map's window is [0, 1] whatever the cell's interval
+    assert ("not_applicable" in {o.status for o in stacked[cfg.trials :]}) == (check_id != "bellman_map")
 
 
 def test_stacked_complement_build_retries_and_rejects_per_trial(monkeypatch):

@@ -798,7 +798,7 @@ def test_scalar_runner_on_stacked_cells_matches_the_per_trial_reference(check_id
     )
     compared = 0
     for cell in campaign.expand_cells(check_id, cfg):
-        trials = campaign._build_trials(check_id, cell, cfg, range(cfg.trials))
+        trials = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
         insts = [t.inst for t in trials if t.outcome is None]
         if insts:
             _assert_runner_matches_reference(check_id, insts, cfg.tolerance)
@@ -812,7 +812,7 @@ def test_scalar_runner_settles_guard_cases_next_to_passing_trials(check_id):
     # in the stack must still come out real and exact
     cfg = CampaignConfig(trials=4, n_values=(1,), seed=7)
     cell = campaign.expand_cells(check_id, cfg)[0]
-    built = [t.inst for t in campaign._build_trials(check_id, cell, cfg, range(cfg.trials)) if t.outcome is None]
+    built = [t.inst for t in campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg) if t.outcome is None]
     cases = [_scalar_case(inst) for cid, inst, _ in GUARD_CASES if cid == check_id]
     insts = built[:2] + cases + built[2:]
     outcomes = _assert_runner_matches_reference(check_id, insts, TOL)
@@ -833,7 +833,7 @@ def test_scalar_bounds_agree_with_the_mpmath_checker(check_id):
     )
     decided = 0
     for cell in campaign.expand_cells(check_id, cfg):
-        trials = campaign._build_trials(check_id, cell, cfg, range(cfg.trials))
+        trials = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
         campaign._filter_trials(check_id, trials, cfg.tolerance)
         for trial, t in enumerate(trials):
             exact, *_ = run_check_trial(check_id, cell, cfg, trial)

@@ -64,3 +64,32 @@ def test_every_top_level_definition_has_a_caller():
                     defined.append((path.name, stmt.name))
     dead = [f"{mod}:{name}" for mod, name in defined if name not in used and name not in ENTRY_POINTS]
     assert not dead, f"top-level definitions with no caller in the package: {dead}"
+
+
+#: The wrappers that define a constant lookup rather than use one.
+_CONSTANT_DEFINITIONS = {"_gamma_cached", "_beta_cached", "_per_trial"}
+
+
+def test_checkers_take_constants_through_the_per_trial_lookup():
+    # a checker's cell values m and M may be one per trial of a stack; a
+    # constant called on them directly sees an array, or the first trial's
+    # interval, where ``checks._per_trial`` evaluates each trial's own
+    # interval on Python floats
+    found, passed = [], 0
+    for name in ("checks.py", "campaign.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
+        for stmt in tree.body:
+            if getattr(stmt, "name", None) in _CONSTANT_DEFINITIONS:
+                continue
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                direct = isinstance(fn, ast.Name) and fn.id in ("_gamma_cached", "_beta_cached")
+                module = isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name) and fn.value.id == "constants"
+                if direct or module:
+                    found.append(f"{name}:{node.lineno}")
+                if isinstance(fn, ast.Name) and fn.id == "_per_trial":
+                    passed += 1
+    assert not found, f"constants called other than through checks._per_trial: {found}"
+    assert passed >= 10
