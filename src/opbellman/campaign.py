@@ -226,9 +226,11 @@ def build_map(map_id: str, dim: int, rng):
 # A builder maps (cell, rngs), one stream per trial, to (instances, draws):
 # an operator builder's instances are one family stacked on a leading trial
 # axis, a scalar builder's a list.  The trials may come from several cells
-# that differ only in their interval: then ``cell["m"]`` and ``cell["M"]``
-# are arrays of one value per trial (``checks._stack_params``), which a
-# builder hands on to the generators as they are.  Either raises
+# that differ only in the keys ``_PER_TRIAL_KEYS``, their interval and their
+# mean: then ``cell["m"]``, ``cell["M"]`` and ``cell["f"]`` may be arrays of
+# one value per trial (``checks._stack_params``), which a builder hands on
+# to the generators as they are, a mean as ``function_from_id`` resolves
+# it.  Either raises
 # HypothesisError naming in ``where`` the trials whose hypotheses failed; a
 # scalar builder, whose trials draw independently, attaches its other
 # trials' instances and draws as ``built``.  ``draws`` holds one dict per
@@ -341,9 +343,10 @@ def _build_sandwich_family(cell, rngs):
     return fam, [{}] * len(rngs)
 
 
-def _complement_family(mean_id: str, gamma_scaled: bool = False, lam_is_p: bool = False):
+def _complement_family(mean_id: str | None = None, gamma_scaled: bool = False, lam_is_p: bool = False):
     """Complement-sandwich family for the pairwise mean ``mean_id.format(**cell)``,
-    scaled by gamma_f when ``gamma_scaled``.
+    or the cell's own mean ``f`` (one per trial of a stack) when ``mean_id``
+    is None, scaled by gamma_f when ``gamma_scaled``.
 
     The Aczel-type reverse ties its geometric weight to the exponent: its
     additive constant is the chord gap of t^p, so the matching mean is the
@@ -352,7 +355,7 @@ def _complement_family(mean_id: str, gamma_scaled: bool = False, lam_is_p: bool 
 
     def build(cell, rngs):
         m, M = cell["m"], cell["M"]
-        f = function_from_id(mean_id.format(**cell))
+        f = function_from_id(cell["f"] if mean_id is None else mean_id.format(**cell))
         g = _per_trial(_gamma_cached, f.label, m, M) if gamma_scaled else 1.0
         fam = complement_sandwich_family(cell["dim"], cell["n"], (m, M), f, g, rngs)
         return fam, [{"lam": cell["p"]} if lam_is_p else {}] * len(rngs)
@@ -422,14 +425,14 @@ BUILDERS = {
     "jensen_ratio_reverse": _build_window_single,
     "mean_map_ratio_reverse": _build_sandwich_pair,
     "mean_sum_ratio_reverse": _build_sandwich_family,
-    "bellman_ratio_reverse": _complement_family("{f}", gamma_scaled=True),
+    "bellman_ratio_reverse": _complement_family(gamma_scaled=True),
     "compression_ratio_reverse": _build_contraction_window,
     "mean_power_ratio_reverse": _build_pd_contraction_sandwich,
     "bellman_arith_reverse": _complement_family("arith:{lam:g}"),
     "jensen_diff_reverse": _build_window_single,
     "mean_map_diff_reverse": _build_sandwich_pair,
     "mean_sum_diff_reverse": _build_sandwich_family,
-    "bellman_diff_reverse": _complement_family("{f}"),
+    "bellman_diff_reverse": _complement_family(),
     "aczel_reverse": _complement_family("geom:{p:g}", lam_is_p=True),
     "jensen_family_diff_reverse": _window_family(per_member_maps=True),
     "bellman_family_reverse": _window_family(per_member_maps=True),
@@ -603,6 +606,13 @@ def replay_witness(obj: dict, tol: Tolerance = Tolerance()) -> tuple[CheckOutcom
 #: Cell keys that only shape an instance; no checker reads them.
 _SHAPE_KEYS = ("dim", "n", "map")
 
+#: Cell keys that the builders and checkers take per trial: the interval,
+#: used only as numbers, and the mean, whose function a stack resolves per
+#: trial (``means.per_trial``).  ``p``, ``lam`` and ``k`` stay in a group's
+#: key: numpy's power takes fast paths for some scalar exponents that an
+#: exponent array does not, so per-trial exponents would move last bits.
+_PER_TRIAL_KEYS = ("m", "M", "f")
+
 
 @dataclass
 class _Trial:
@@ -641,8 +651,8 @@ class _Trial:
 
 def _build_trials(check_id: str, pairs, cfg: CampaignConfig) -> list[_Trial]:
     """Draw the instances of the seeded (cell, trial) ``pairs``, of cells that
-    differ at most in their interval, in one builder call on their streams,
-    with ``m`` and ``M`` per trial where the cells' differ.
+    differ at most in their ``_PER_TRIAL_KEYS``, in one builder call on their
+    streams, with each of those keys per trial where the cells' differ.
 
     Each trial keeps its own stream, provenance and params.  A trial named
     in the ``where`` of a builder's ``HypothesisError`` gets a
@@ -787,28 +797,28 @@ def _cell_summary(check_id: str, cell: dict, cfg: CampaignConfig, trials: list[_
     }
 
 
-def _interval_groups(cells: list[dict]) -> list[list[int]]:
-    """The indices of ``cells`` grouped by the cell without its interval keys
-    ``m`` and ``M``, in order of first appearance.  The builders and checkers
-    use an interval only as numbers, so a group builds and checks as one
-    stack; a cell without an interval is a group of its own."""
+def _stack_groups(cells: list[dict]) -> list[list[int]]:
+    """The indices of ``cells`` grouped by the cell without its
+    ``_PER_TRIAL_KEYS``, in order of first appearance; a group builds and
+    checks as one stack.  A scalar cell, which has none of them, is a group
+    of its own."""
     groups: dict[tuple, list[int]] = {}
     for i, cell in enumerate(cells):
-        groups.setdefault(tuple((k, v) for k, v in cell.items() if k not in ("m", "M")), []).append(i)
+        groups.setdefault(tuple((k, v) for k, v in cell.items() if k not in _PER_TRIAL_KEYS), []).append(i)
     return list(groups.values())
 
 
 def _checked_cells(check_id: str, cfg: CampaignConfig):
     """Each cell of one check with its trials, in ``expand_cells`` order.
 
-    The cells that differ only in their interval are built in one
+    The cells that differ only in their ``_PER_TRIAL_KEYS`` are built in one
     ``_build_trials`` call when the first of them comes up, filtered by the
     check's float64 bounds where it has them, and the trials the filter
     leaves are checked in one ``_check_pending`` call.  A cell's trials are
     let go once yielded.
     """
     cells = expand_cells(check_id, cfg)
-    groups = {group[0]: group for group in _interval_groups(cells)}
+    groups = {group[0]: group for group in _stack_groups(cells)}
     built = {}
     for i, cell in enumerate(cells):
         if i in groups:
@@ -824,7 +834,8 @@ def run_campaign(cfg: CampaignConfig) -> dict:
     """Execute the full campaign and return the report document.
 
     Each cell comes from ``_checked_cells``, which builds and checks the
-    cells of a check that differ only in their interval as one stack, and
+    cells of a check that differ only in their interval and their mean as
+    one stack, and
     is summarized on its own by ``_cell_summary``, which checks any further
     trials the summary needs exactly.
     """

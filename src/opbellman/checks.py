@@ -11,10 +11,13 @@ An operator checker is written against a stack of trials: its instance is
 the family as the builder stacked it, so every matrix carries a leading
 trial axis (none for a single trial, whose d x d matrices are the stack of
 one), and every guard decides per trial.  The trials may come from cells
-that differ only in their interval, so ``m`` and ``M`` are numbers or
-arrays of one value per trial, and every constant comes from
-``_per_trial``.  ``check`` runs one trial; ``check_cell`` runs a stack of
-trials in one pass.
+that differ only in their interval and their mean, so ``m``, ``M`` and the
+mean id ``f`` are each one value or an array of one value per trial.  A
+checker resolves ``f`` with ``function_from_id``, which gives one
+function or a per-trial one, and takes every constant, and f(m), through
+``_per_trial`` on the id or the label, never by calling f on one float.
+``p``, ``lam`` and ``k`` stay one number per stack.  ``check`` runs one
+trial; ``check_cell`` runs a stack of trials in one pass.
 
 A scalar check is one expression over its cell's trials stacked into
 arrays.  On float64 intervals it is the campaign's filter; at 30 digits of
@@ -385,6 +388,14 @@ def _per_trial(fn, *args, guard: str | None = None):
     return np.array([values[row] for row in rows])[:, None, None]
 
 
+def _value_at(make, arg, x: float) -> float:
+    """``make(arg)(x)`` on a Python float: the value at x of the function
+    built from ``arg``, an id for ``function_from_id`` or a weight for
+    ``arithmetic_w``.  A per-trial function cannot be called on one float,
+    so a checker takes f(m) as ``_per_trial(_value_at, make, arg, m)``."""
+    return make(arg)(x)
+
+
 def _gamma_guarded(f, m, M):
     return _per_trial(_gamma_cached, f.label, m, M, guard="chord_not_positive")
 
@@ -633,7 +644,7 @@ def check_compression_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     g = _gamma_guarded(f, m, M)
     compressed = hermitize(adjoint(c) @ x @ c)
     dominated = _fcalc_g(compressed, f, "compressed_spectrum_outside_domain")
-    fm = _per_trial(f, m)
+    fm = _per_trial(_value_at, function_from_id, params["f"], m)
     dominant = hermitize(
         g * (adjoint(c) @ _fcalc_g(x, f, "function_domain") @ c + fm * (eye - gram))
     )
@@ -656,7 +667,7 @@ def check_mean_power_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     _guard_window([a], 0.0, 1.0, tol, "contraction_window")
     _guard_pd_floor(a, "contraction_not_pd")
     _guard_pair_sandwich([(a, b)], m, M, tol)
-    fm, fM = _per_trial(f, m), _per_trial(f, M)
+    fm, fM = (_per_trial(_value_at, function_from_id, params["f"], x) for x in (m, M))
     gh = _per_trial(constants.gamma_power, fm, fM, p, guard="degenerate_power_interval")
     eye = identity(a.shape[-1])
     dominated = _power_guarded(_mean_g(a, b, f, "mean_conditioning"), p, tol, "mean_base_not_psd")
@@ -680,7 +691,7 @@ def check_bellman_arith_reverse(inst: InstanceFamily, params, tol) -> tuple:
     _, eye, comp_a, comp_b = _complement_prologue(inst, m, M, tol)
     f = arithmetic_w(lam)
     delta = _per_trial(constants.delta_affine_power, lam, m, M, p, guard="degenerate_power_interval")
-    fmp = _per_trial(operator.pow, _per_trial(f, m), p)
+    fmp = _per_trial(operator.pow, _per_trial(_value_at, arithmetic_w, lam, m), p)
     dominant = hermitize(
         delta
         * (fmp * sum(inst.A) + _mean_g(comp_a, comp_b, powered(f, p), "mean_conditioning"))
@@ -1315,9 +1326,9 @@ def check(check_id: str, inst, params, tol: Tolerance = DEFAULT_TOL) -> CheckOut
 def check_cell(check_id: str, stack, params: list, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
     """One outcome per trial of a stack, from one run of the entry's runner
     on it: an operator builder's family, or a list of scalar instances, of
-    one cell or of cells that differ only in their interval.  A single trial
-    goes through ``check``, so what wraps the per-trial entry sees every
-    trial of a one-trial cell."""
+    one cell or of cells that differ only in their interval and their mean.
+    A single trial goes through ``check``, so what wraps the per-trial entry
+    sees every trial of a one-trial cell."""
     if len(params) == 1:
         return [check(check_id, stack[0] if isinstance(stack, list) else stack, params[0], tol)]
     return _entry(check_id).runner(stack, params, tol)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisError, ParameterError
-from .means import POSITIVE_HALFLINE, RepresentingFunction, mean
+from .means import POSITIVE_HALFLINE, RepresentingFunction, mean, per_trial
 from .positive_maps import take_map
 from .spectral import _any, _eigvalsh, apply_function, from_spectrum, hermitize, identity, spectral_norm
 
@@ -265,9 +265,10 @@ def complement_sandwich_family(
     (gamma (m + delta) lo); where that is below ``MIN_SCALE`` / 2, with room
     for rounding, the trial makes no draw (a wide window, or a huge gamma).
 
-    For a list of streams, m, M and gamma are numbers or one per stream;
-    the trials still pending draw again together, in rounds, and the stack
-    of their families is returned; ``meta`` holds each trial's scale and
+    For a list of streams, m, M and gamma are numbers or one per stream, and
+    f one function or a per-trial one (``means.per_trial``); the trials
+    still pending draw again together, in rounds, each round's means formed
+    with their own functions, and the stack of their families is returned; ``meta`` holds each trial's scale and
     gamma, and the number of rounds.  After ``MAX_REJECTS``
     rounds one Generator gives None (rejection is data for the campaign
     report, not an error); a list raises ``HypothesisError`` naming the
@@ -277,6 +278,7 @@ def complement_sandwich_family(
         raise ParameterError("dim and n must be at least 1")
     rngs, one = _streams(rng)
     m, M, gamma = (np.broadcast_to(np.ravel(x), len(rngs)) for x in (*interval, gamma_value))
+    fs = f.parts or (f,) * len(rngs)
     if not np.all((0.0 < m) & (m < 1.0) & (1.0 < M)):
         raise ParameterError(f"complement sandwich needs 0 < m < 1 < M, got [{interval[0]}, {interval[1]}]")
     a_out = np.empty((n, len(rngs), dim, dim), dtype=complex)
@@ -298,7 +300,8 @@ def complement_sandwich_family(
                 failed = np.isin(np.arange(len(rngs)), pending[np.broadcast_to(exc.where, pending.shape)])
                 raise HypothesisError(str(exc), where=failed[0] if one else failed) from None
         a, b = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
-        s_max = _scale_limit(g, sum(a), sum(b), sum(mean(a, b, f)), mp, Mp, DEFAULT_MARGIN)
+        means = mean(a, b, per_trial([fs[t] for t in pending]))
+        s_max = _scale_limit(g, sum(a), sum(b), sum(means), mp, Mp, DEFAULT_MARGIN)
         s = np.where(s_max >= 1.0, 1.0, s_max * (1.0 - 1e-6))[:, None, None]
         a, b = hermitize(s * a), hermitize(s * b)
         ok = ~(s_max < MIN_SCALE) & _verify_complement_family(

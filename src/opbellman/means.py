@@ -5,6 +5,10 @@ A connection with representing function f acts on positive matrices as
 The built-in functions cover weighted arithmetic and geometric means,
 plain powers, the logarithm (usable in Jensen-type checks but not as a
 mean), and pointwise compositions/powers of the above.
+
+A stack of trials may take one function per trial (``per_trial``): trial
+t's rows of an eigenvalue stack go through its own function, so every
+trial gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -31,14 +35,19 @@ class RepresentingFunction:
     ``fn`` evaluates elementwise on floats/ndarrays; ``mp_fn`` is an
     mpmath-safe scalar twin used by the high-precision constant oracle
     (defaults to ``fn`` when plain arithmetic is already exact).
+
+    A function of ``per_trial`` holds its trials' functions in ``parts``,
+    and ``label``, ``operator_monotone`` and ``normalized`` as arrays of
+    one value per trial.
     """
 
-    label: str
+    label: str | np.ndarray
     fn: Callable
     domain: tuple[float, float] = POSITIVE_HALFLINE
-    operator_monotone: bool = True
-    normalized: bool = False
+    operator_monotone: bool | np.ndarray = True
+    normalized: bool | np.ndarray = False
     mp_fn: Callable | None = field(default=None, compare=False)
+    parts: tuple | None = field(default=None, compare=False, repr=False)
 
     def __call__(self, t):
         return self.fn(t)
@@ -103,7 +112,11 @@ def composed(h: RepresentingFunction, f: RepresentingFunction) -> RepresentingFu
 
 
 def powered(f: RepresentingFunction, p: float) -> RepresentingFunction:
-    """Pointwise power t -> f(t)^p; f is evaluated first."""
+    """Pointwise power t -> f(t)^p; f is evaluated first.  Of a per-trial f,
+    the per-trial function of each trial's own f powered."""
+    if f.parts is not None:
+        made = {id(g): powered(g, p) for g in f.parts}
+        return per_trial([made[id(g)] for g in f.parts])
     return RepresentingFunction(
         label=f"powered:{f.label}:{p:g}",
         fn=lambda t: f.fn(t) ** p,
@@ -114,10 +127,53 @@ def powered(f: RepresentingFunction, p: float) -> RepresentingFunction:
     )
 
 
-def function_from_id(fid: str) -> RepresentingFunction:
+def per_trial(funcs) -> RepresentingFunction:
+    """One function per trial of a stack, ``funcs[t]`` for trial t; the
+    function itself when every trial has the same one.
+
+    Its ``fn`` takes eigenvalues shaped (..., trials, d) and runs each
+    distinct function, with its own scalar parameters, on its trials' rows:
+    numpy's ``x ** 0.5`` and ``x ** 2.0`` take fast paths that an exponent
+    array does not, and differ from it in the last bit.  The functions
+    must share one domain.
+    """
+    funcs = tuple(funcs)
+    distinct = list({id(f): f for f in funcs}.values())
+    if len(distinct) == 1:
+        return distinct[0]
+    if len({f.domain for f in distinct}) > 1:
+        raise ParameterError(f"functions on different domains cannot share a stack: {[f.label for f in distinct]}")
+    rows = [[t for t, g in enumerate(funcs) if g is f] for f in distinct]
+
+    def fn(t):
+        if np.shape(t)[-2:-1] != (len(funcs),):
+            raise ShapeError(f"expected {len(funcs)} trials on axis -2, got shape {np.shape(t)}")
+        out = np.empty(np.shape(t))
+        for f, r in zip(distinct, rows):
+            out[..., r, :] = f.fn(t[..., r, :])
+        return out
+
+    return RepresentingFunction(
+        label=np.array([f.label for f in funcs]),
+        fn=fn,
+        domain=distinct[0].domain,
+        operator_monotone=np.array([f.operator_monotone for f in funcs]),
+        normalized=np.array([f.normalized for f in funcs]),
+        parts=funcs,
+    )
+
+
+def function_from_id(fid) -> RepresentingFunction:
     """Resolve a function id such as "arith:0.5", "geom:0.3", "power:0.7",
     "log", "powered:<id>:p" or "composed:power:p:<id>"; any other field,
-    such as a second argument, raises ParameterError."""
+    such as a second argument, raises ParameterError.
+
+    An array of ids, one per trial (a stack of cells that differ in their
+    mean), gives their ``per_trial`` function."""
+    if isinstance(fid, np.ndarray):
+        ids = fid.ravel().tolist()
+        resolved = {i: function_from_id(i) for i in ids}
+        return per_trial([resolved[i] for i in ids])
     if fid == "log":
         return log_fn
     parts = fid.split(":")
@@ -138,8 +194,9 @@ def function_from_id(fid: str) -> RepresentingFunction:
 
 
 def require_mean(f: RepresentingFunction) -> RepresentingFunction:
-    """A connection is a mean only if its representing function is normalized."""
-    if not f.normalized:
+    """A connection is a mean only if its representing function is normalized
+    (on every trial, for a per-trial function)."""
+    if not np.all(f.normalized):
         raise ParameterError(f"{f.label!r} is not normalized (f(1) != 1); not a mean")
     return f
 

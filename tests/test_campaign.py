@@ -730,10 +730,54 @@ def test_interval_group_leaves_out_rejected_builds(monkeypatch):
     assert campaign.report_to_json(report) == expected
 
 
-def test_campaign_calls_do_not_grow_with_intervals(monkeypatch):
-    # with trials fixed, a campaign on three positive windows makes the
-    # builder, check_cell and numpy.linalg calls of one: the positive checks'
-    # cells that differ only in their window build and check as one stack
+#: Four means of the four kinds of function a stack evaluates per trial.
+MIXED_MEANS = ("arith:0.3", "geom:0.7", "power:0.3", "powered:geom:0.5:0.5")
+
+
+def test_mean_groups_match_per_trial_summary(monkeypatch):
+    # the cells of a check that differ only in their interval and their mean
+    # build and check as one stack; gamma_f is made undefined for power:0.3
+    # alone, so the guard chord_not_positive fails just that mean's trials of
+    # each group of the gamma reverses, and the complement-sandwich groups
+    # also hold [0.5, 1e20], whose trials the generator rejects without a draw
+    gamma = checks._gamma_cached
+
+    def undefined_for_one_mean(label, m, M):
+        if label == "power:0.3":
+            raise UnboundedRatioError("undefined for the test")
+        return gamma(label, m, M)
+
+    monkeypatch.setattr(checks, "_gamma_cached", undefined_for_one_mean)
+    cfg = CampaignConfig(
+        trials=2,
+        dims=(2,),
+        n_values=(1, 3),
+        intervals=((0.5, 2.0), (0.5, 1e20), (0.2, 0.8), (0.1, 0.7)),
+        means=MIXED_MEANS,
+        maps=("id",),
+        checks=tuple(checks.OPERATOR_IDS),
+        seed=15,
+    )
+    report = run_campaign(cfg)
+    cells, summary = _per_trial_summary(cfg)
+    mixed = [
+        (row["cell"]["m"], row["cell"]["M"], row["cell"]["f"], row["holds"], row["na_guards"])
+        for row in cells if row["check"] == "bellman_ratio_reverse" and row["cell"]["n"] == 3
+    ]
+    assert mixed == [
+        (0.5, 2.0, "arith:0.3", 2, {}),
+        (0.5, 2.0, "geom:0.7", 2, {}),
+        (0.5, 2.0, "power:0.3", 0, {"chord_not_positive": 2}),
+        (0.5, 2.0, "powered:geom:0.5:0.5", 2, {}),
+    ] + [(0.5, 1e20, f, 0, {"generator_rejected": 2}) for f in MIXED_MEANS]
+    assert summary["holds"] > 0 and summary["violations"] == 0
+    expected = campaign.report_to_json(dict(report, cells=cells, summary=summary))
+    assert campaign.report_to_json(report) == expected
+
+
+def _campaign_calls(monkeypatch, configs) -> list[tuple[dict, int]]:
+    """(builder, check_cell and numpy.linalg call counts, cells) of a campaign
+    on each config, whose trials must all be applicable."""
     counts = {}
 
     def counted(name, fn):
@@ -748,21 +792,46 @@ def test_campaign_calls_do_not_grow_with_intervals(monkeypatch):
     for check_id, builder in list(campaign.BUILDERS.items()):
         monkeypatch.setitem(campaign.BUILDERS, check_id, counted("builder", builder))
     monkeypatch.setattr(checks, "check_cell", counted("check_cell", checks.check_cell))
-    seen = {}
-    for intervals in (((2.0, 3.0),), ((2.0, 3.0), (1.5, 4.0), (3.0, 5.0))):
+    seen = []
+    for cfg in configs:
         counts.clear()
-        report = run_campaign(CampaignConfig(trials=2, dims=(1, 3), intervals=intervals, seed=5))
+        report = run_campaign(cfg)
         assert report["summary"]["not_applicable"] == 0
-        seen[len(intervals)] = (dict(counts), len(report["cells"]))
-    assert seen[3][0] == seen[1][0]
-    assert seen[3][1] > seen[1][1]
-    assert seen[3][0]["builder"] < seen[3][1] and seen[1][0]["eigvalsh"] > 0
+        seen.append((dict(counts), len(report["cells"])))
+    return seen
+
+
+def test_campaign_calls_do_not_grow_with_intervals(monkeypatch):
+    # with trials fixed, a campaign on three positive windows makes the
+    # builder, check_cell and numpy.linalg calls of one: the positive checks'
+    # cells that differ only in their window build and check as one stack
+    one, three = _campaign_calls(monkeypatch, [
+        CampaignConfig(trials=2, dims=(1, 3), intervals=intervals, seed=5)
+        for intervals in (((2.0, 3.0),), ((2.0, 3.0), (1.5, 4.0), (3.0, 5.0)))
+    ])
+    assert three[0] == one[0]
+    assert three[1] > one[1]
+    assert three[0]["builder"] < three[1] and one[0]["eigvalsh"] > 0
+
+
+def test_campaign_calls_do_not_grow_with_means(monkeypatch):
+    # with trials fixed, a campaign on three means makes the builder,
+    # check_cell and numpy.linalg calls of one: the cells that differ only in
+    # their mean build and check as one stack, each trial with its own function
+    one, three = _campaign_calls(monkeypatch, [
+        CampaignConfig(trials=2, dims=(1, 3), means=means, seed=5)
+        for means in (("geom:0.5",), ("arith:0.5", "geom:0.5", "geom:0.3"))
+    ])
+    assert three[0] == one[0]
+    assert three[1] > one[1]
+    assert three[0]["builder"] < three[1] and one[0]["eigvalsh"] > 0
 
 
 def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
     # with no guard failing and no family drawing twice, a cell of 30 trials
     # makes the numpy.linalg calls of one, in its check and in its build; the
-    # 72 cells build and check as 54 groups of cells differing in their interval
+    # 72 cells build and check as 48 groups of cells differing in their
+    # interval or their mean (jensen_family_diff_reverse's geom:0.5 and log)
     kinds = ("eigvalsh", "eigh", "svd", "qr", "norm")
     phases = {"check": (checks, "check_cell"), "build": (campaign, "_build_trials")}
     state = {"phase": None}
@@ -799,7 +868,7 @@ def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
         assert report["summary"]["not_applicable"] == 0
         counts[trials] = {phase: list(calls) for phase, calls in per_cell.items()}
     for phase in phases:
-        assert len(counts[1][phase]) == 54 and len(report["cells"]) == 72
+        assert len(counts[1][phase]) == 48 and len(report["cells"]) == 72
         assert counts[30][phase] == counts[1][phase], phase
     assert all(c["eigvalsh"] and c["svd"] for c in counts[1]["check"])
     assert all(c["qr"] for c in counts[1]["build"])
@@ -891,7 +960,7 @@ def _assert_same_bits(x, y, where="instance"):
 
 def _assert_stack_builds_each_trial_as_alone(check_id, cells, cfg):
     """The trials of cells (one cell, or a list of cells that differ only in
-    their interval) built as one stack equal, bit for bit, each trial built
+    their interval and their mean) built as one stack equal, bit for bit, each trial built
     alone (a stack of one): instance, params (with the builder's draws) and
     rejection; the built trials are returned."""
     cells = [cells] if isinstance(cells, dict) else cells
@@ -917,7 +986,8 @@ def test_stacked_build_equals_each_trial_built_alone(check_id):
     # scalar builder at p = 0.001, where the mp1/mp3/eq3 builders reject: a
     # stack holds exactly the built trials; each stream also ends where it
     # ends alone, so it got exactly its own draws.  The cells that differ only
-    # in their interval are built as one stack, of two windows of each kind
+    # in their interval and their mean are built as one stack, of two windows
+    # of each kind and each mean
     p_grid = (0.001, 0.5) if check_id in checks.SCALAR_IDS else (0.5,)
     cfg = CampaignConfig(
         trials=5, dims=(1, 3), intervals=((0.5, 2.0), (0.8, 1.25), (0.2, 0.8), (0.1, 0.7)), p_grid=p_grid,
@@ -925,9 +995,11 @@ def test_stacked_build_equals_each_trial_built_alone(check_id):
     )
     cells = campaign.expand_cells(check_id, cfg)
     rejected = 0
-    for group in campaign._interval_groups(cells):
+    entry = checks.REGISTRY[check_id]
+    means = len(cfg.means) if "f" in entry.axes else len(cfg.means) + 1 if "f+log" in entry.axes else 1
+    for group in campaign._stack_groups(cells):
         group = [cells[i] for i in group]
-        assert len(group) == {"none": 1, "sandwich": 2, "unit": 2, "positive": 4}[checks.REGISTRY[check_id].interval_kind]
+        assert len(group) == {"none": 1, "sandwich": 2, "unit": 2, "positive": 4}[entry.interval_kind] * means
         built = _assert_stack_builds_each_trial_as_alone(check_id, group, cfg)
         if check_id in checks.OPERATOR_IDS:
             assert len(built) == len(group) * cfg.trials
@@ -958,7 +1030,9 @@ def test_stacked_check_with_windows_per_trial_equals_each_trial_alone(check_id):
         means=("geom:0.5",), maps=("compress:2",), seed=12,
     )
     cells = campaign.expand_cells(check_id, cfg)
-    group = [cells[i] for i in campaign._interval_groups(cells)[0]][:2]
+    group = [cells[i] for i in campaign._stack_groups(cells)[0]]
+    group = [cell for cell in group if cell.get("f") == group[0].get("f")][:2]
+    assert group[0]["m"] != group[1]["m"]
     trials = campaign._build_trials(check_id, [(cell, t) for cell in group for t in range(cfg.trials)], cfg)
     params = [t.params for t in trials[: cfg.trials]]
     for t in trials[cfg.trials :]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opbellman.errors import ConditioningError, ParameterError
+from opbellman.errors import ConditioningError, ParameterError, ShapeError
 from opbellman.instances import random_pd
 from opbellman.means import (
     arithmetic_w,
@@ -9,7 +9,9 @@ from opbellman.means import (
     function_from_id,
     geometric_w,
     log_fn,
+    RepresentingFunction,
     mean,
+    per_trial,
     power_fn,
     powered,
     weighted_arithmetic,
@@ -156,3 +158,49 @@ def test_mp_twin_agrees_with_float():
     for f in [geometric_w(0.3), log_fn, powered(arithmetic_w(0.4), 0.6)]:
         for t in (0.4, 1.7):
             assert float(f.mp(mpmath.mpf(t))) == pytest.approx(float(f(t)), rel=1e-14)
+
+
+def test_per_trial_function_gives_each_trial_its_own_bits():
+    # each id's function runs with its own scalar exponent on its own rows:
+    # numpy's x ** 0.5 takes a fast path that an exponent array does not
+    ids = np.array(["geom:0.5", "arith:0.5", "power:0.3", "log", "geom:0.5", "log", "power:0.3"])
+    lam = RNG.uniform(0.05, 4.0, size=(2, len(ids), 5))
+    f = function_from_id(ids)
+    out = f.fn(lam)
+    for t, fid in enumerate(ids):
+        alone = function_from_id(str(fid))
+        for k in range(lam.shape[0]):
+            assert out[k, t].tobytes() == np.asarray(alone.fn(lam[k, t]), dtype=float).tobytes(), fid
+        assert f.label[t] == alone.label
+        assert f.operator_monotone[t] == alone.operator_monotone
+        assert f.normalized[t] == alone.normalized
+    assert list(f.normalized) == [fid != "log" for fid in ids]
+    assert list(function_from_id(np.array(["power:0.3", "power:2"])).operator_monotone) == [True, False]
+    with pytest.raises(ShapeError):
+        f.fn(lam[:, :3])
+    with pytest.raises(ParameterError, match="not normalized"):
+        mean(random_pd(2, RNG), random_pd(2, RNG), f)
+
+
+def test_per_trial_mean_equals_each_pair_alone():
+    ids = np.array(["geom:0.5", "arith:0.5", "power:0.3", "powered:geom:0.5:0.5", "geom:0.5"])
+    a = np.stack([random_pd(3, RNG, 0.3, 2.0) for _ in ids])
+    b = np.stack([random_pd(3, RNG, 0.3, 2.0) for _ in ids])
+    stacked = mean(a, b, function_from_id(ids))
+    powered_stack = mean(a, b, powered(function_from_id(ids), 0.7))
+    for t, fid in enumerate(ids):
+        f = function_from_id(str(fid))
+        assert stacked[t].tobytes() == mean(a[t], b[t], f).tobytes(), fid
+        assert powered_stack[t].tobytes() == mean(a[t], b[t], powered(f, 0.7)).tobytes(), fid
+
+
+def test_per_trial_function_of_one_function_is_that_function():
+    f = geometric_w(0.5)
+    assert per_trial([f, f, f]) is f
+    assert function_from_id(np.array(["log", "log"])) is log_fn
+
+
+def test_per_trial_function_refuses_mixed_domains():
+    shifted = RepresentingFunction(label="shifted", fn=np.log1p, domain=(-1.0, np.inf))
+    with pytest.raises(ParameterError, match="different domains"):
+        per_trial([log_fn, shifted])

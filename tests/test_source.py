@@ -93,3 +93,31 @@ def test_checkers_take_constants_through_the_per_trial_lookup():
                     passed += 1
     assert not found, f"constants called other than through checks._per_trial: {found}"
     assert passed >= 10
+
+
+def test_checkers_never_call_a_mean_on_one_float():
+    # a checker's mean f is one function per trial of a stack where the cells
+    # differ in their mean (means.per_trial), whose fn takes eigenvalue rows,
+    # not one float; f(m) goes through ``_per_trial(_value_at, ...)`` on the
+    # mean's id, so the function ``_per_trial`` evaluates is a module-level
+    # function, never a RepresentingFunction or a value a checker formed
+    import importlib
+
+    from opbellman.means import RepresentingFunction
+
+    found, passed = [], 0
+    for name in ("checks.py", "campaign.py"):
+        module = importlib.import_module(f"opbellman.{name[:-3]}")
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_per_trial"):
+                continue
+            passed += 1
+            target = node.args[0]
+            if isinstance(target, ast.Attribute):
+                continue  # a module's function, such as operator.pow
+            obj = getattr(module, target.id, None) if isinstance(target, ast.Name) else None
+            if obj is None or isinstance(obj, RepresentingFunction):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, f"a function value handed to checks._per_trial: {found}"
+    assert passed >= 10
