@@ -608,9 +608,10 @@ _SHAPE_KEYS = ("dim", "n", "map")
 
 #: Cell keys that the builders and checkers take per trial: the interval,
 #: used only as numbers, and the mean, whose function a stack resolves per
-#: trial (``means.per_trial``).  ``p``, ``lam`` and ``k`` stay in a group's
-#: key: numpy's power takes fast paths for some scalar exponents that an
-#: exponent array does not, so per-trial exponents would move last bits.
+#: trial (``means.per_trial_function``).  ``p``, ``lam`` and ``k`` stay in a
+#: group's key: numpy's power takes fast paths for some scalar exponents
+#: that an exponent array does not, so per-trial exponents would move last
+#: bits.
 _PER_TRIAL_KEYS = ("m", "M", "f")
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisError, ParameterError
-from .means import POSITIVE_HALFLINE, RepresentingFunction, mean, per_trial
+from .means import POSITIVE_HALFLINE, RepresentingFunction, mean, per_trial_function
 from .positive_maps import take_map
 from .spectral import _any, _eigvalsh, apply_function, from_spectrum, hermitize, identity, spectral_norm
 
@@ -266,13 +266,14 @@ def complement_sandwich_family(
     for rounding, the trial makes no draw (a wide window, or a huge gamma).
 
     For a list of streams, m, M and gamma are numbers or one per stream, and
-    f one function or a per-trial one (``means.per_trial``); the trials
-    still pending draw again together, in rounds, each round's means formed
-    with their own functions, and the stack of their families is returned; ``meta`` holds each trial's scale and
-    gamma, and the number of rounds.  After ``MAX_REJECTS``
-    rounds one Generator gives None (rejection is data for the campaign
-    report, not an error); a list raises ``HypothesisError`` naming the
-    trials that ran out in ``where``, as a failed sandwich pair does.
+    f is one function or a per-trial one (``means.per_trial_function``);
+    the trials still pending draw again together, in rounds, each round's
+    means formed with those trials' own functions, and the stack of their
+    families is returned; ``meta`` holds each trial's scale and gamma, and
+    the number of rounds.  After ``MAX_REJECTS`` rounds one Generator gives
+    None (rejection is data for the campaign report, not an error); a list
+    raises ``HypothesisError`` naming the trials that ran out in ``where``,
+    as a failed sandwich pair does.
     """
     if dim < 1 or n < 1:
         raise ParameterError("dim and n must be at least 1")
@@ -300,7 +301,7 @@ def complement_sandwich_family(
                 failed = np.isin(np.arange(len(rngs)), pending[np.broadcast_to(exc.where, pending.shape)])
                 raise HypothesisError(str(exc), where=failed[0] if one else failed) from None
         a, b = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
-        means = mean(a, b, per_trial([fs[t] for t in pending]))
+        means = mean(a, b, per_trial_function([fs[t] for t in pending]))
         s_max = _scale_limit(g, sum(a), sum(b), sum(means), mp, Mp, DEFAULT_MARGIN)
         s = np.where(s_max >= 1.0, 1.0, s_max * (1.0 - 1e-6))[:, None, None]
         a, b = hermitize(s * a), hermitize(s * b)

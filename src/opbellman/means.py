@@ -6,9 +6,9 @@ The built-in functions cover weighted arithmetic and geometric means,
 plain powers, the logarithm (usable in Jensen-type checks but not as a
 mean), and pointwise compositions/powers of the above.
 
-A stack of trials may take one function per trial (``per_trial``): trial
-t's rows of an eigenvalue stack go through its own function, so every
-trial gets the bits it gets alone.
+A stack of trials may take one function per trial
+(``per_trial_function``): trial t's rows of an eigenvalue stack go through
+its own function, so every trial gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ class RepresentingFunction:
     mpmath-safe scalar twin used by the high-precision constant oracle
     (defaults to ``fn`` when plain arithmetic is already exact).
 
-    A function of ``per_trial`` holds its trials' functions in ``parts``,
-    and ``label``, ``operator_monotone`` and ``normalized`` as arrays of
-    one value per trial.
+    A function of ``per_trial_function`` holds its trials' functions in
+    ``parts``, and ``label``, ``operator_monotone`` and ``normalized`` as
+    arrays of one value per trial.
     """
 
     label: str | np.ndarray
@@ -116,7 +116,7 @@ def powered(f: RepresentingFunction, p: float) -> RepresentingFunction:
     the per-trial function of each trial's own f powered."""
     if f.parts is not None:
         made = {id(g): powered(g, p) for g in f.parts}
-        return per_trial([made[id(g)] for g in f.parts])
+        return per_trial_function([made[id(g)] for g in f.parts])
     return RepresentingFunction(
         label=f"powered:{f.label}:{p:g}",
         fn=lambda t: f.fn(t) ** p,
@@ -127,7 +127,7 @@ def powered(f: RepresentingFunction, p: float) -> RepresentingFunction:
     )
 
 
-def per_trial(funcs) -> RepresentingFunction:
+def per_trial_function(funcs) -> RepresentingFunction:
     """One function per trial of a stack, ``funcs[t]`` for trial t; the
     function itself when every trial has the same one.
 
@@ -169,11 +169,11 @@ def function_from_id(fid) -> RepresentingFunction:
     such as a second argument, raises ParameterError.
 
     An array of ids, one per trial (a stack of cells that differ in their
-    mean), gives their ``per_trial`` function."""
+    mean), gives their ``per_trial_function`` function."""
     if isinstance(fid, np.ndarray):
         ids = fid.ravel().tolist()
         resolved = {i: function_from_id(i) for i in ids}
-        return per_trial([resolved[i] for i in ids])
+        return per_trial_function([resolved[i] for i in ids])
     if fid == "log":
         return log_fn
     parts = fid.split(":")

@@ -11,7 +11,7 @@ from opbellman.means import (
     log_fn,
     RepresentingFunction,
     mean,
-    per_trial,
+    per_trial_function,
     power_fn,
     powered,
     weighted_arithmetic,
@@ -196,11 +196,11 @@ def test_per_trial_mean_equals_each_pair_alone():
 
 def test_per_trial_function_of_one_function_is_that_function():
     f = geometric_w(0.5)
-    assert per_trial([f, f, f]) is f
+    assert per_trial_function([f, f, f]) is f
     assert function_from_id(np.array(["log", "log"])) is log_fn
 
 
 def test_per_trial_function_refuses_mixed_domains():
     shifted = RepresentingFunction(label="shifted", fn=np.log1p, domain=(-1.0, np.inf))
     with pytest.raises(ParameterError, match="different domains"):
-        per_trial([log_fn, shifted])
+        per_trial_function([log_fn, shifted])

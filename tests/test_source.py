@@ -97,7 +97,7 @@ def test_checkers_take_constants_through_the_per_trial_lookup():
 
 def test_checkers_never_call_a_mean_on_one_float():
     # a checker's mean f is one function per trial of a stack where the cells
-    # differ in their mean (means.per_trial), whose fn takes eigenvalue rows,
+    # differ in their mean (means.per_trial_function), whose fn takes eigenvalue rows,
     # not one float; f(m) goes through ``_per_trial(_value_at, ...)`` on the
     # mean's id, so the function ``_per_trial`` evaluates is a module-level
     # function, never a RepresentingFunction or a value a checker formed
