@@ -226,16 +226,16 @@ def build_map(map_id: str, dim: int, rng):
 # A builder maps (cell, rngs), one stream per trial, to (instances, draws):
 # an operator builder's instances are one family stacked on a leading trial
 # axis, a scalar builder's a list.  The trials may come from several cells
-# that differ only in the keys ``_PER_TRIAL_KEYS``, their interval and their
+# that differ only in their ``_PER_TRIAL_KEYS``, their interval and their
 # mean: then ``cell["m"]``, ``cell["M"]`` and ``cell["f"]`` may be arrays of
 # one value per trial (``checks._stack_params``), which a builder hands on
 # to the generators as they are, a mean as ``function_from_id`` resolves
-# it.  Either raises
-# HypothesisError naming in ``where`` the trials whose hypotheses failed; a
-# scalar builder, whose trials draw independently, attaches its other
-# trials' instances and draws as ``built``.  ``draws`` holds one dict per
-# trial: a trial's params are the cell without its instance-shape keys plus
-# its draws, which never repeat a cell key (see run_check_trial).
+# it.  Either raises HypothesisError naming in ``where`` the trials whose
+# hypotheses failed; a scalar builder, whose trials draw independently,
+# attaches its other trials' instances and draws as ``built``.  ``draws``
+# holds one dict per trial: a trial's params are the cell without its
+# instance-shape keys plus its draws, which never repeat a cell key (see
+# run_check_trial).
 
 
 def _shrunk(m: float, M: float) -> tuple[float, float]:
@@ -836,9 +836,8 @@ def run_campaign(cfg: CampaignConfig) -> dict:
 
     Each cell comes from ``_checked_cells``, which builds and checks the
     cells of a check that differ only in their interval and their mean as
-    one stack, and
-    is summarized on its own by ``_cell_summary``, which checks any further
-    trials the summary needs exactly.
+    one stack, and is summarized on its own by ``_cell_summary``, which
+    checks any further trials the summary needs exactly.
     """
     cfg.validate()
     cells_out = []

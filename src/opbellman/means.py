@@ -172,7 +172,7 @@ def function_from_id(fid) -> RepresentingFunction:
     mean), gives their ``per_trial_function`` function."""
     if isinstance(fid, np.ndarray):
         ids = fid.ravel().tolist()
-        resolved = {i: function_from_id(i) for i in ids}
+        resolved = {i: function_from_id(i) for i in dict.fromkeys(ids)}
         return per_trial_function([resolved[i] for i in ids])
     if fid == "log":
         return log_fn
