@@ -355,9 +355,9 @@ def _complement_family(mean_id: str | None = None, gamma_scaled: bool = False, l
 
     def build(cell, rngs):
         m, M = cell["m"], cell["M"]
-        f = function_from_id(cell["f"] if mean_id is None else mean_id.format(**cell))
-        g = _per_trial(_gamma_cached, f.label, m, M) if gamma_scaled else 1.0
-        fam = complement_sandwich_family(cell["dim"], cell["n"], (m, M), f, g, rngs)
+        f_id = cell["f"] if mean_id is None else mean_id.format(**cell)
+        g = _per_trial(_gamma_cached, f_id, m, M) if gamma_scaled else 1.0
+        fam = complement_sandwich_family(cell["dim"], cell["n"], (m, M), function_from_id(f_id), g, rngs)
         return fam, [{"lam": cell["p"]} if lam_is_p else {}] * len(rngs)
 
     return build
@@ -428,12 +428,12 @@ BUILDERS = {
     "bellman_ratio_reverse": _complement_family(gamma_scaled=True),
     "compression_ratio_reverse": _build_contraction_window,
     "mean_power_ratio_reverse": _build_pd_contraction_sandwich,
-    "bellman_arith_reverse": _complement_family("arith:{lam:g}"),
+    "bellman_arith_reverse": _complement_family("arith:{lam!r}"),
     "jensen_diff_reverse": _build_window_single,
     "mean_map_diff_reverse": _build_sandwich_pair,
     "mean_sum_diff_reverse": _build_sandwich_family,
     "bellman_diff_reverse": _complement_family(),
-    "aczel_reverse": _complement_family("geom:{p:g}", lam_is_p=True),
+    "aczel_reverse": _complement_family("geom:{p!r}", lam_is_p=True),
     "jensen_family_diff_reverse": _window_family(per_member_maps=True),
     "bellman_family_reverse": _window_family(per_member_maps=True),
     "log_family_reverse": _window_family(per_member_maps=False),

@@ -15,7 +15,7 @@ that differ only in their interval and their mean, so ``m``, ``M`` and the
 mean id ``f`` are each one value or an array of one value per trial.  A
 checker resolves ``f`` with ``function_from_id``, which gives one
 function or a per-trial one, and takes every constant, and f(m), through
-``_per_trial`` on the id or the label, never by calling f on one float.
+``_per_trial`` on the id, never by calling f on one float.
 ``p``, ``lam`` and ``k`` stay one number per stack.  ``check`` runs one
 trial; ``check_cell`` runs a stack of trials in one pass.
 
@@ -320,14 +320,14 @@ def _guard_pd_floor(x, guard):
     _require(lam[..., 0] >= PD_REL_FLOOR * np.maximum(lam[..., -1], 1e-300), guard)
 
 
-def _complement_prologue(inst, m, M, tol, f=None):
+def _complement_prologue(inst, m, M, tol, f_id=None):
     """Hypotheses of the complement-sandwich reverses: m < 1 < M, the pairwise
     sandwiches, and the sandwich of I - g sum A_j and I - g sum B_j, where
-    g = gamma_f when ``f`` is given and g = 1 otherwise.
+    g = gamma_f of the mean id ``f_id`` when it is given and g = 1 otherwise.
 
     Returns (g, I, I - sum A_j, I - sum B_j)."""
     _require((m < 1.0) & (1.0 < M), "window_not_straddling_one")
-    g = 1.0 if f is None else _gamma_guarded(f, m, M)
+    g = 1.0 if f_id is None else _gamma_guarded(f_id, m, M)
     eye = identity(inst.A[0].shape[-1])
     _guard_pair_sandwich(zip(inst.A, inst.B), m, M, tol)
     comp_a = hermitize(eye - g * sum(inst.A))
@@ -343,13 +343,13 @@ def _complement_prologue(inst, m, M, tol, f=None):
 
 
 @functools.lru_cache(maxsize=4096)
-def _gamma_cached(label: str, m: float, M: float) -> float:
-    return constants.gamma(function_from_id(label), m, M).value
+def _gamma_cached(f_id: str, m: float, M: float) -> float:
+    return constants.gamma(function_from_id(f_id), m, M).value
 
 
 @functools.lru_cache(maxsize=4096)
-def _beta_cached(label: str, m: float, M: float) -> float:
-    return constants.beta(function_from_id(label), m, M).value
+def _beta_cached(f_id: str, m: float, M: float) -> float:
+    return constants.beta(function_from_id(f_id), m, M).value
 
 
 def _per_trial(fn, *args, guard: str | None = None):
@@ -396,8 +396,8 @@ def _value_at(make, arg, x: float) -> float:
     return make(arg)(x)
 
 
-def _gamma_guarded(f, m, M):
-    return _per_trial(_gamma_cached, f.label, m, M, guard="chord_not_positive")
+def _gamma_guarded(f_id, m, M):
+    return _per_trial(_gamma_cached, f_id, m, M, guard="chord_not_positive")
 
 
 # -- forward checks ---------------------------------------------------------
@@ -552,7 +552,7 @@ def check_jensen_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     m, M = params["m"], params["M"]
     x = inst.A[0]
     _guard_window([x], m, M, tol)
-    g = _gamma_guarded(f, m, M)
+    g = _gamma_guarded(params["f"], m, M)
     phi = inst.maps[0]
     dominant = hermitize(g * phi.apply(_fcalc_g(x, f, "function_domain")))
     dominated = _fcalc_g(hermitize(phi.apply(x)), f, "image_function_domain")
@@ -573,7 +573,7 @@ def check_mean_map_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     x, y = inst.A[0], inst.B[0]
     _guard_pd_floor(x, "first_operand_not_pd")
     _guard_pair_sandwich([(x, y)], m, M, tol)
-    g = _gamma_guarded(f, m, M)
+    g = _gamma_guarded(params["f"], m, M)
     psi = inst.maps[0]
     dominant = hermitize(g * psi.apply(_mean_g(x, y, f, "mean_conditioning")))
     px = hermitize(psi.apply(x))
@@ -595,7 +595,7 @@ def check_mean_sum_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     _guard_pair_sandwich(zip(inst.A, inst.B), m, M, tol)
-    g = _gamma_guarded(f, m, M)
+    g = _gamma_guarded(params["f"], m, M)
     dominant = hermitize(g * sum(_pair_means(inst, f)))
     dominated = _mean_g(hermitize(sum(inst.A)), hermitize(sum(inst.B)), f, "mean_conditioning")
     return dominant, dominated
@@ -613,7 +613,7 @@ def check_bellman_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     >= (I - gamma sum A_j sigma_f B_j)^p on gamma-complement sandwiches."""
     f = function_from_id(params["f"])
     m, M, p = params["m"], params["M"], params["p"]
-    g, eye, comp_a, comp_b = _complement_prologue(inst, m, M, tol, f)
+    g, eye, comp_a, comp_b = _complement_prologue(inst, m, M, tol, params["f"])
     # the prologue tested I - g sum A_j; the plain complement is another matrix
     _guard_pd_floor(comp_a, "complement_a_not_pd")
     lhs_base = _mean_g(comp_a, comp_b, f, "mean_conditioning")
@@ -641,7 +641,7 @@ def check_compression_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     _require(loewner_holds(hermitize(gram), eye, tol), "not_a_contraction")
     _require(f.operator_monotone, "not_operator_monotone")
     _guard_window([x], m, M, tol)
-    g = _gamma_guarded(f, m, M)
+    g = _gamma_guarded(params["f"], m, M)
     compressed = hermitize(adjoint(c) @ x @ c)
     dominated = _fcalc_g(compressed, f, "compressed_spectrum_outside_domain")
     fm = _per_trial(_value_at, function_from_id, params["f"], m)
@@ -717,7 +717,7 @@ def check_jensen_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     m, M = params["m"], params["M"]
     x = inst.A[0]
     _guard_window([x], m, M, tol)
-    beta = _per_trial(_beta_cached, f.label, m, M)
+    beta = _per_trial(_beta_cached, params["f"], m, M)
     phi = inst.maps[0]
     out_eye = identity(phi.output_dim)
     dominant = hermitize(beta * out_eye + phi.apply(_fcalc_g(x, f, "function_domain")))
@@ -739,7 +739,7 @@ def check_mean_map_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     x, y = inst.A[0], inst.B[0]
     _guard_pd_floor(x, "first_operand_not_pd")
     _guard_pair_sandwich([(x, y)], m, M, tol)
-    beta = _per_trial(_beta_cached, f.label, m, M)
+    beta = _per_trial(_beta_cached, params["f"], m, M)
     psi = inst.maps[0]
     px = hermitize(psi.apply(x))
     py = hermitize(psi.apply(y))
@@ -761,7 +761,7 @@ def check_mean_sum_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     _guard_pair_sandwich(zip(inst.A, inst.B), m, M, tol)
-    beta = _per_trial(_beta_cached, f.label, m, M)
+    beta = _per_trial(_beta_cached, params["f"], m, M)
     dominant = hermitize(
         beta * sum(inst.A)
         + sum(_pair_means(inst, f))
@@ -783,7 +783,7 @@ def check_bellman_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     f = function_from_id(params["f"])
     m, M, p = params["m"], params["M"], params["p"]
     _, eye, comp_a, comp_b = _complement_prologue(inst, m, M, tol)
-    beta = _per_trial(_beta_cached, f.label, m, M)
+    beta = _per_trial(_beta_cached, params["f"], m, M)
     lhs_base = hermitize(beta * eye + _mean_g(comp_a, comp_b, f, "mean_conditioning"))
     dominant = _power_guarded(lhs_base, p, tol, "lhs_base_not_psd")
     rhs_base = hermitize(eye - sum(_pair_means(inst, f)))
@@ -824,7 +824,7 @@ def check_jensen_family_diff_reverse(inst: InstanceFamily, params, tol) -> tuple
     f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     _guard_window(inst.A, m, M, tol)
-    beta = _per_trial(_beta_cached, f.label, m, M)
+    beta = _per_trial(_beta_cached, params["f"], m, M)
     out_eye = identity(inst.maps[0].output_dim)
     f_members = [_fcalc_g(a, f, "function_domain") for a in inst.A]
     dominant = hermitize(beta * out_eye + _family_sum(inst, f_members))

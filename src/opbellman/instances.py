@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisError, ParameterError
-from .means import POSITIVE_HALFLINE, RepresentingFunction, mean, per_trial_function
+from .means import POSITIVE_HALFLINE, RepresentingFunction, mean
 from .positive_maps import take_map
 from .spectral import _any, _eigvalsh, apply_function, from_spectrum, hermitize, identity, spectral_norm
 
@@ -38,9 +38,6 @@ BASE_CAP = 0.9
 
 #: Smallest family scale a complement-sandwich draw may need before it is rejected.
 MIN_SCALE = 1e-8
-
-#: Complement-sandwich draws that may fail before the generator gives up.
-MAX_REJECTS = 1000
 
 _MASK64 = (1 << 64) - 1
 
@@ -248,82 +245,44 @@ def complement_sandwich_family(
     f: RepresentingFunction,
     gamma_value: float,
     rng,
-) -> InstanceFamily | None:
+) -> InstanceFamily:
     """Pairs (A_j, B_j) with m A_j <= B_j <= M A_j whose gamma-weighted
     complements I - gamma sum A_j and I - gamma sum B_j satisfy the same
     [m, M] sandwich with positive margin.
 
-    Strategy: draw sandwich pairs, then rescale the whole family by a
-    scalar s in (0, 1].  Each hypothesis on the scaled family is affine in
-    s, so the largest feasible scale s_max has a closed form
-    (``_scale_limit``).  s = 1 when s_max >= 1, otherwise
-    s = s_max (1 - 1e-6); a draw with s_max below ``MIN_SCALE`` is
-    rejected.  The released family is re-verified with ``DEFAULT_MARGIN``.
-
-    Every draw has sum B_j >= (m + delta) lo I (delta = ``EDGE_SHRINK``
-    (M - m), lo the floor of A_j's spectrum), so s_max <= (1 - margin) /
-    (gamma (m + delta) lo); where that is below ``MIN_SCALE`` / 2, with room
-    for rounding, the trial makes no draw (a wide window, or a huge gamma).
+    Each trial draws its n sandwich pairs once, and the whole family is
+    rescaled by a scalar s in (0, 1].  Each hypothesis on the scaled family
+    is affine in s, so the largest feasible scale s_max has a closed form
+    (``_scale_limit``): s = 1 when s_max >= 1, otherwise s = s_max (1 -
+    1e-6).  The scaled family is re-verified with ``DEFAULT_MARGIN``, and a
+    trial whose s_max is below ``MIN_SCALE`` or whose verification fails is
+    rejected: a ``HypothesisError`` names the rejected trials in ``where``,
+    as a failed sandwich pair does.
 
     For a list of streams, m, M and gamma are numbers or one per stream, and
     f is one function or a per-trial one (``means.per_trial_function``);
-    the trials still pending draw again together, in rounds, each round's
-    means formed with those trials' own functions, and the stack of their
-    families is returned; ``meta`` holds each trial's scale and gamma, and
-    the number of rounds.  After ``MAX_REJECTS`` rounds one Generator gives
-    None (rejection is data for the campaign report, not an error); a list
-    raises ``HypothesisError`` naming the trials that ran out in ``where``,
-    as a failed sandwich pair does.
+    ``meta`` holds each trial's scale and gamma.
     """
     if dim < 1 or n < 1:
         raise ParameterError("dim and n must be at least 1")
     rngs, one = _streams(rng)
     m, M, gamma = (np.broadcast_to(np.ravel(x), len(rngs)) for x in (*interval, gamma_value))
-    fs = f.parts or (f,) * len(rngs)
     if not np.all((0.0 < m) & (m < 1.0) & (1.0 < M)):
         raise ParameterError(f"complement sandwich needs 0 < m < 1 < M, got [{interval[0]}, {interval[1]}]")
-    a_out = np.empty((n, len(rngs), dim, dim), dtype=complex)
-    b_out = np.empty_like(a_out)
-    scale = np.full(len(rngs), np.nan)
-    attempts = 0
-    lo, hi = 0.5, 1.5
-    hopeless = gamma * (m + EDGE_SHRINK * (M - m)) * lo * MIN_SCALE / 2.0 > 1.0 - DEFAULT_MARGIN
-    pending = np.flatnonzero(~hopeless)
-    while pending.size and attempts < MAX_REJECTS:
-        attempts += 1
-        streams = [rngs[t] for t in pending]
-        g, mp, Mp = gamma[pending], m[pending], M[pending]
-        pairs = []
-        for _ in range(n):
-            try:
-                pairs.append(random_sandwich_pair(random_pd(dim, streams, lo, hi), mp, Mp, streams))
-            except HypothesisError as exc:
-                failed = np.isin(np.arange(len(rngs)), pending[np.broadcast_to(exc.where, pending.shape)])
-                raise HypothesisError(str(exc), where=failed[0] if one else failed) from None
-        a, b = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
-        means = mean(a, b, per_trial_function([fs[t] for t in pending]))
-        s_max = _scale_limit(g, sum(a), sum(b), sum(means), mp, Mp, DEFAULT_MARGIN)
-        s = np.where(s_max >= 1.0, 1.0, s_max * (1.0 - 1e-6))[:, None, None]
-        a, b = hermitize(s * a), hermitize(s * b)
-        ok = ~(s_max < MIN_SCALE) & _verify_complement_family(
-            InstanceFamily(hypothesis_tag="complement_sandwich_family", A=list(a), B=list(b)),
-            g, mp, Mp, DEFAULT_MARGIN,
-        )
-        a_out[:, pending[ok]], b_out[:, pending[ok]] = a[:, ok], b[:, ok]
-        scale[pending[ok]] = s[ok, 0, 0]
-        pending = pending[~ok]
+    pairs = [random_sandwich_pair(random_pd(dim, rngs, 0.5, 1.5), m, M, rngs) for _ in range(n)]
+    a, b = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+    s_max = _scale_limit(gamma, sum(a), sum(b), sum(mean(a, b, f)), m, M, DEFAULT_MARGIN)
+    s = np.where(s_max >= 1.0, 1.0, s_max * (1.0 - 1e-6))
     family = InstanceFamily(
         hypothesis_tag="complement_sandwich_family",
-        A=list(a_out),
-        B=list(b_out),
-        meta={"attempts": attempts, "scale": scale, "gamma": np.array(gamma)},
+        A=list(hermitize(_trial_factor(s) * a)),
+        B=list(hermitize(_trial_factor(s) * b)),
+        meta={"scale": s, "gamma": np.array(gamma)},
     )
-    failed = hopeless | np.isin(np.arange(len(rngs)), pending)
-    if one:
-        return None if failed[0] else take(family, 0)
+    failed = (s_max < MIN_SCALE) | ~_verify_complement_family(family, gamma, m, M, DEFAULT_MARGIN)
     if failed.any():
-        raise HypothesisError(f"no complement-sandwiched family in {MAX_REJECTS} draws", where=failed)
-    return family
+        raise HypothesisError("no complement-sandwiched scale of the drawn family", where=failed[0] if one else failed)
+    return take(family, 0) if one else family
 
 
 def _verify_complement_family(

@@ -423,6 +423,24 @@ def test_dim1_consistency_with_scalar_reference(check_id):
     assert compared > 0
 
 
+@pytest.mark.parametrize("check_id", ["jensen_ratio_reverse", "jensen_diff_reverse"])
+def test_mean_constants_follow_the_id_not_its_label(check_id):
+    # geom:0.1234567 prints its label as geom:0.123457, whose gamma_f and
+    # beta_f on [0.5, 2] are about 5e-8 larger: looked up by label, every
+    # slack would come out that much too large
+    cfg = CampaignConfig(dims=(1,), intervals=((0.5, 2.0),), means=("geom:0.1234567",), maps=("id",), trials=4)
+    compared = 0
+    for cell in campaign.expand_cells(check_id, cfg):
+        if cell["f"] != "geom:0.1234567":
+            continue
+        for trial in range(cfg.trials):
+            out, inst, params, _ = run_check_trial(check_id, cell, cfg, trial)
+            assert out.status == HOLDS
+            assert out.slack == pytest.approx(reference_slack(check_id, inst, params)["slack"], abs=1e-12)
+            compared += 1
+    assert compared == cfg.trials
+
+
 def test_outcome_replay_is_deterministic():
     cfg = CampaignConfig(dims=(3,), n_values=(2,), trials=1)
     cell = campaign.expand_cells("bellman_diff_reverse", cfg)[0]

@@ -6,7 +6,6 @@ from opbellman.errors import HypothesisError, ParameterError
 from opbellman.instances import (
     BASE_CAP,
     DEFAULT_MARGIN,
-    MAX_REJECTS,
     InstanceFamily,
     _scale_limit,
     _verify_complement_family,
@@ -107,14 +106,12 @@ def test_random_weights():
 def test_complement_family_scalar_affine_accepted():
     rng = subrng(11, "gen", 0)
     fam = complement_sandwich_family(1, 1, (0.5, 2.0), arithmetic_w(0.5), 1.0, rng)
-    assert fam is not None
-    assert fam.meta["attempts"] >= 1
+    assert 0.0 < fam.meta["scale"] <= 1.0
 
 
 def test_complement_family_hypotheses_reverified():
     rng = subrng(12, "gen", 1)
     fam = complement_sandwich_family(3, 2, (0.5, 2.0), geometric_w(0.5), 1.1, rng)
-    assert fam is not None
     eye = identity(3)
     for a, b in zip(fam.A, fam.B):
         assert loewner_leq(0.5 * a, b).slack >= DEFAULT_MARGIN
@@ -154,7 +151,7 @@ def _feasible(s, g, sum_a, sum_b, sum_means, m, M, margin):
 
 
 def _draw_sums(shape, f, rng):
-    """The draws of one complement_sandwich_family attempt, in its order;
+    """The draws of one complement_sandwich_family call, in its order;
     ``shape`` is its (dim, n, interval)."""
     dim, n, (m, M) = shape
     pairs = [random_sandwich_pair(random_pd(dim, rng, 0.5, 1.5), m, M, rng) for _ in range(n)]
@@ -162,35 +159,33 @@ def _draw_sums(shape, f, rng):
 
 
 def _bisected_family_scale(shape, f, g, rng):
-    """(attempts, scale) of the 60-step bisection the closed form replaced."""
+    """The scale the 60-step bisection the closed form replaced gives the
+    family drawn from ``rng``, or None where it finds none."""
     m, M = shape[2]
-    for attempts in range(1, MAX_REJECTS + 1):
-        pairs, sum_a, sum_b, sum_means = _draw_sums(shape, f, rng)
+    pairs, sum_a, sum_b, sum_means = _draw_sums(shape, f, rng)
 
-        def feasible(s):
-            return all(_feasible(s, g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN))
+    def feasible(s):
+        return all(_feasible(s, g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN))
 
-        if feasible(1.0):
-            s = 1.0
-        else:
-            lo, hi = 1e-8, 1.0
-            if not feasible(lo):
-                continue
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if feasible(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            s = lo * (1.0 - 1e-6)
-        fam = InstanceFamily(
-            hypothesis_tag="complement_sandwich_family",
-            A=[hermitize(s * p[0]) for p in pairs],
-            B=[hermitize(s * p[1]) for p in pairs],
-        )
-        if _verify_complement_family(fam, g, m, M, DEFAULT_MARGIN):
-            return attempts, s
-    return None
+    if feasible(1.0):
+        s = 1.0
+    else:
+        lo, hi = 1e-8, 1.0
+        if not feasible(lo):
+            return None
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                lo = mid
+            else:
+                hi = mid
+        s = lo * (1.0 - 1e-6)
+    fam = InstanceFamily(
+        hypothesis_tag="complement_sandwich_family",
+        A=[hermitize(s * p[0]) for p in pairs],
+        B=[hermitize(s * p[1]) for p in pairs],
+    )
+    return s if _verify_complement_family(fam, g, m, M, DEFAULT_MARGIN) else None
 
 
 def _scale_draws():
@@ -209,9 +204,8 @@ def test_closed_form_scale_matches_bisection():
     for shape, f, g, key in _scale_draws():
         fam = complement_sandwich_family(*shape, f, g, subrng(31, "scale", *key))
         ref = _bisected_family_scale(shape, f, g, subrng(31, "scale", *key))
-        assert fam is not None and ref is not None
-        assert fam.meta["attempts"] == ref[0]
-        assert fam.meta["scale"] == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+        assert ref is not None
+        assert fam.meta["scale"] == pytest.approx(ref, rel=1e-12, abs=0.0)
         rescaled += fam.meta["scale"] < 1.0
     assert rescaled >= 100
 
@@ -233,7 +227,6 @@ def test_complement_family_scale_branches():
         _, sum_a, sum_b, sum_means = _draw_sums(shape, f, subrng(33, "branch", k))
         s_max = _scale_limit(1.0, sum_a, sum_b, sum_means, 0.5, 2.0, DEFAULT_MARGIN)
         fam = complement_sandwich_family(*shape, f, 1.0, subrng(33, "branch", k))
-        assert fam.meta["attempts"] == 1
         if s_max >= 1.0:
             assert fam.meta["scale"] == 1.0
         else:
@@ -250,27 +243,24 @@ def _counted_sandwich_pairs(monkeypatch) -> list:
 
 
 def test_complement_family_oversized_gamma_is_rejected(monkeypatch):
-    # every draw has s_max <= (1 - margin) / (gamma (m + delta) / 2), which at
-    # gamma = 1e10 is below MIN_SCALE / 2: no draw is made
-    monkeypatch.setattr(instances, "MAX_REJECTS", 3)
+    # every draw has s_max <= (1 - margin) / (gamma (m + delta) / 2), which is
+    # 7.5e-9 at gamma = 5e8, below MIN_SCALE: each of the n = 2 members is
+    # drawn once, and the family is rejected
     calls = _counted_sandwich_pairs(monkeypatch)
-    assert complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), 1e10, subrng(34, "gen", 0)) is None
-    assert calls == []
+    for gamma in (5e8, 1e10):
+        calls.clear()
+        with pytest.raises(HypothesisError) as exc:
+            complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, subrng(34, "gen", 0))
+        assert exc.value.where
+        assert len(calls) == 2
+        rngs = [subrng(34, "gen", t) for t in range(2)]
+        with pytest.raises(HypothesisError) as exc:
+            complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, rngs)
+        assert list(exc.value.where) == [True, True]
+        assert len(calls) == 2 + 2
 
 
-def test_complement_family_gamma_under_the_bound_runs_out_of_rounds(monkeypatch):
-    # at gamma = 5e8 the bound is 7.5e-9: above MIN_SCALE / 2, so the
-    # generator draws, but below MIN_SCALE, so all MAX_REJECTS rounds fail
-    monkeypatch.setattr(instances, "MAX_REJECTS", 3)
-    calls = _counted_sandwich_pairs(monkeypatch)
-    assert complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), 5e8, subrng(34, "gen", 0)) is None
-    assert len(calls) == 3 * 2
-    with pytest.raises(HypothesisError) as exc:
-        complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), 5e8, [subrng(34, "gen", t) for t in range(2)])
-    assert list(exc.value.where) == [True, True]
-
-
-#: numpy.linalg calls of one single-attempt complement_sandwich_family at dim 6, n 3.
+#: numpy.linalg calls of one complement_sandwich_family at dim 6, n 3.
 FAMILY_CALL_BUDGET = {"eigvalsh": 21, "svd": 0, "eigh": 9, "norm": 9, "qr": 6}
 
 
@@ -288,7 +278,7 @@ def test_complement_family_linalg_call_budget(monkeypatch):
         monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
     fam = complement_sandwich_family(6, 3, (0.5, 2.0), geometric_w(0.5), 1.0, subrng(35, "budget", 0))
     monkeypatch.undo()
-    assert fam is not None and fam.meta["attempts"] == 1
+    assert fam.meta["scale"] > 0.0
     over = {k: (counts[k], FAMILY_CALL_BUDGET[k]) for k in counts if counts[k] > FAMILY_CALL_BUDGET[k]}
     assert not over, f"numpy.linalg calls over budget (count, budget): {over}"
 
