@@ -242,22 +242,30 @@ def _counted_sandwich_pairs(monkeypatch) -> list:
     return calls
 
 
+def _assert_drawn_once_and_rejected(calls, gamma):
+    # each of the n = 2 members is drawn once, and the family is rejected
+    calls.clear()
+    with pytest.raises(HypothesisError) as exc:
+        complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, subrng(34, "gen", 0))
+    assert exc.value.where
+    assert len(calls) == 2
+    rngs = [subrng(34, "gen", t) for t in range(2)]
+    with pytest.raises(HypothesisError) as exc:
+        complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, rngs)
+    assert list(exc.value.where) == [True, True]
+    assert len(calls) == 2 + 2
+
+
+def test_complement_family_gamma_under_the_bound_runs_out_of_rounds(monkeypatch):
+    # at gamma = 5e8 the bound is 7.5e-9: above MIN_SCALE / 2, so the
+    # generator draws, but below MIN_SCALE, so its single round fails
+    _assert_drawn_once_and_rejected(_counted_sandwich_pairs(monkeypatch), 5e8)
+
+
 def test_complement_family_oversized_gamma_is_rejected(monkeypatch):
-    # every draw has s_max <= (1 - margin) / (gamma (m + delta) / 2), which is
-    # 7.5e-9 at gamma = 5e8, below MIN_SCALE: each of the n = 2 members is
-    # drawn once, and the family is rejected
-    calls = _counted_sandwich_pairs(monkeypatch)
-    for gamma in (5e8, 1e10):
-        calls.clear()
-        with pytest.raises(HypothesisError) as exc:
-            complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, subrng(34, "gen", 0))
-        assert exc.value.where
-        assert len(calls) == 2
-        rngs = [subrng(34, "gen", t) for t in range(2)]
-        with pytest.raises(HypothesisError) as exc:
-            complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, rngs)
-        assert list(exc.value.where) == [True, True]
-        assert len(calls) == 2 + 2
+    # every draw has s_max <= (1 - margin) / (gamma (m + delta) / 2), which
+    # at gamma = 1e10 is far below MIN_SCALE: the family is still drawn once
+    _assert_drawn_once_and_rejected(_counted_sandwich_pairs(monkeypatch), 1e10)
 
 
 #: numpy.linalg calls of one complement_sandwich_family at dim 6, n 3.
