@@ -43,7 +43,7 @@ from .instances import (
     random_subidentity_family,
     random_weights,
     scalar_instance,
-    subrng,
+    substreams,
     take,
     haar_unitary,
 )
@@ -88,6 +88,8 @@ class CampaignConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ParameterError("trials: must be >= 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ParameterError(f"seed={self.seed}: must be in [0, 2^64)")
         for name in ("dims", "n_values", "intervals", "p_grid", "lambda_grid", "means", "maps", "checks"):
             if not getattr(self, name):
                 raise ParameterError(f"{name}: must be nonempty")
@@ -655,7 +657,8 @@ def _build_trials(check_id: str, pairs, cfg: CampaignConfig) -> list[_Trial]:
     differ at most in their ``_PER_TRIAL_KEYS``, in one builder call on their
     streams, with each of those keys per trial where the cells' differ.
 
-    Each trial keeps its own stream, provenance and params.  A trial named
+    Each trial keeps its own stream, provenance and params; the streams of
+    the live trials are seeded in one ``substreams`` call.  A trial named
     in the ``where`` of a builder's ``HypothesisError`` gets a
     ``generator_rejected`` outcome; the other trials keep the instances the
     error carries (a scalar builder's), or else are built again from fresh
@@ -666,7 +669,7 @@ def _build_trials(check_id: str, pairs, cfg: CampaignConfig) -> list[_Trial]:
     out = [_Trial({"seed": cfg.seed, "cell": cell, "trial": trial}) for cell, trial in pairs]
     live = list(range(len(out)))
     while live:
-        rngs = [subrng(cfg.seed, check_id, keys[id(pairs[i][0])], pairs[i][1]) for i in live]
+        rngs = substreams(cfg.seed, [(check_id, keys[id(pairs[i][0])], pairs[i][1]) for i in live])
         try:
             stack, draws = BUILDERS[check_id](_stack_params([pairs[i][0] for i in live]), rngs)
         except HypothesisError as exc:

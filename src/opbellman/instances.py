@@ -3,8 +3,8 @@
 Every generator is a pure function of (seed-derived rng); released
 families re-verify their declared hypotheses in the Loewner order with
 a positive margin, so the construction itself is never trusted.  Trial k
-of a campaign draws from a counter-derived substream, which makes
-campaigns order-independent.
+of a campaign draws from a counter-derived substream (``substreams``),
+which makes campaigns order-independent.
 
 Every generator takes one Generator and returns d x d matrices, or a list
 of Generators, one per trial, and returns stacks (trials, d, d).  Each
@@ -16,6 +16,8 @@ alone.  A hypothesis that fails on some trials of a stack raises
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -39,18 +41,74 @@ BASE_CAP = 0.9
 #: Smallest family scale a complement-sandwich draw may need before it is rejected.
 MIN_SCALE = 1e-8
 
-_MASK64 = (1 << 64) - 1
+#: numpy's ``SeedSequence.generate_state`` hash, which derives the 8 uint32
+#: words of a PCG64 state from the 4-word pool: word i is the pool word i mod 4
+#: xor-ed with h_i, times h_(i+1), xor-shifted right by 16, where h_0 =
+#: 0x8B51F9DD and h_(i+1) = h_i * 0x58F38DED mod 2^32.  No h depends on the
+#: data, so one array operation hashes every pool of a build.
+_HASH = list(itertools.accumulate(range(8), lambda h, _: h * 0x58F38DED & 0xFFFFFFFF, initial=0x8B51F9DD))
+_HASH_XOR = np.array(_HASH[:8], dtype=np.uint32)
+_HASH_MUL = np.array(_HASH[1:], dtype=np.uint32)
 
 
-def subrng(seed: int, *key) -> np.random.Generator:
-    """Independent substream for (seed, key); strings are crc32-folded."""
-    words = [int(seed) & _MASK64]
-    for part in key:
-        if isinstance(part, str):
-            words.append(zlib.crc32(part.encode("utf-8")))
-        else:
-            words.append(int(part) & _MASK64)
-    return np.random.default_rng(np.random.SeedSequence(words))
+@functools.cache
+def _state_type() -> type:
+    """The class that hands ``PCG64`` a state already hashed, through numpy's
+    seed interface.  It is made on first use, as ``numpy.random`` loads on
+    first use: imported with the package, ``numpy.random`` added about 9 ms
+    and 2 MB to every start-up, before any draw."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PCG64State(ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint64):
+            return self.state
+
+    return PCG64State
+
+
+def _words(part) -> tuple[int, ...]:
+    """The uint32 words ``SeedSequence`` splits a key part into: a string's
+    crc32, an int's low word then its high word when it has one ([0] for 0).
+    An int outside [0, 2^64) raises: masked, it would take another key's
+    stream."""
+    if isinstance(part, str):
+        return (zlib.crc32(part.encode("utf-8")),)
+    x = int(part)
+    if not 0 <= x < 1 << 64:
+        raise ParameterError(f"stream key {x}: must be in [0, 2^64)")
+    return (x & 0xFFFFFFFF, x >> 32) if x >> 32 else (x,)
+
+
+def substreams(seed: int, keys) -> list[np.random.Generator]:
+    """One independent stream per key of ``keys`` (a nonempty list of tuples):
+    the Generator ``np.random.default_rng(np.random.SeedSequence(words))``
+    gives, bit for bit, where ``words`` are the uint32 words of (seed, *key),
+    strings crc32-folded and ints in [0, 2^64).
+
+    Each stream's ``SeedSequence`` mixes its words into a pool; the pools of
+    all keys are hashed into PCG64 states at once (``_HASH_XOR``,
+    ``_HASH_MUL``), and each state is handed to ``PCG64`` as it is
+    (``_state_type``).
+    """
+    head = _words(seed)
+    pools = []
+    for key in keys:
+        words = head + tuple(w for part in key for w in _words(part))
+        pools.append(np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tobytes())
+    x = np.frombuffer(b"".join(pools), dtype=np.uint32).reshape(-1, 4)
+    x = np.concatenate([x, x], axis=1)
+    x ^= _HASH_XOR
+    x *= _HASH_MUL
+    x ^= x >> 16
+    # each pair of words is one uint64, low word first, on any byte order
+    states = x.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    state = _state_type()
+    return [np.random.Generator(np.random.PCG64(state(s))) for s in states]
 
 
 @dataclass
@@ -95,7 +153,15 @@ def _streams(rng) -> tuple[list, bool]:
 
 
 def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    """The real and the imaginary part (2, d, d) of a complex Gaussian d x d
+    matrix, in one call: the values of two (d, d) calls, in their order."""
+    return rng.standard_normal((2, dim, dim))
+
+
+def _complex(g: np.ndarray) -> np.ndarray:
+    """The complex matrices re + 1j im of a stack (trials, 2, d, d) of
+    ``_gaussian`` draws, formed once for the stack."""
+    return g[:, 0] + 1j * g[:, 1]
 
 
 def _unitary_factor(z: np.ndarray) -> np.ndarray:
@@ -108,11 +174,15 @@ def _unitary_factor(z: np.ndarray) -> np.ndarray:
 def haar_unitary(dim: int, rng) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix with
     phase normalization of the triangular factor's diagonal (the standard
-    construction)."""
+    construction).
+
+    Each stream makes one ``standard_normal`` call; the complex matrices,
+    their QR and the phases are formed once on the stack.
+    """
     if dim < 1:
         raise ParameterError("dim must be at least 1")
     rngs, one = _streams(rng)
-    u = _unitary_factor(np.stack([_gaussian(dim, r) for r in rngs]) / np.sqrt(2.0))
+    u = _unitary_factor(_complex(np.stack([_gaussian(dim, r) for r in rngs])) / np.sqrt(2.0))
     return u[0] if one else u
 
 
@@ -123,7 +193,7 @@ def random_spectrum_matrix(dim: int, interval: tuple[float, float], rng) -> np.n
     a, b = (x.tolist() if isinstance(x, np.ndarray) else [x] * len(rngs) for x in interval)
     if any(lo > hi for lo, hi in zip(a, b)):
         raise ParameterError(f"need a <= b, got [{interval[0]}, {interval[1]}]")
-    lam = np.stack([np.sort(r.uniform(lo, hi, size=dim)) for r, lo, hi in zip(rngs, a, b)])
+    lam = np.sort(np.stack([r.uniform(lo, hi, size=dim) for r, lo, hi in zip(rngs, a, b)]), axis=-1)
     u = haar_unitary(dim, rngs)
     x = hermitize(from_spectrum(u, lam))
     return x[0] if one else x
@@ -154,7 +224,7 @@ def random_contraction(dim: int, rng, kind="ginibre") -> np.ndarray:
         g.append(_gaussian(dim, r))
         if not u:
             s[t] = r.uniform(0.2, 0.95)
-    g = np.stack(g)
+    g = _complex(np.stack(g))
     c = np.where(
         unitary[:, None, None],
         s * _unitary_factor(g / np.sqrt(2.0)),

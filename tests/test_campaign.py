@@ -24,7 +24,7 @@ from opbellman.campaign import (
 )
 from opbellman.checks import CheckOutcome, check
 from opbellman.errors import HypothesisError, ParameterError, UnboundedRatioError, WitnessFormatError
-from opbellman.instances import InstanceFamily, subrng
+from opbellman.instances import InstanceFamily, substreams
 from opbellman.means import function_from_id
 from opbellman.spectral import Tolerance
 
@@ -295,6 +295,15 @@ def test_cli_run_bad_config_exit_one(tmp_path, capsys):
     assert "p_grid[0]" in captured.err
 
 
+def test_cli_run_takes_the_largest_seed(tmp_path):
+    out = tmp_path / "report.json"
+    seed = (1 << 64) - 1
+    code = cli.main(["run", "--checks", "bellman_map", "--trials", "1", "--seed", str(seed), "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["seed"] == seed and report["summary"]["trials"] > 0
+
+
 @pytest.mark.parametrize(
     "config,env_seed,flags,message",
     [
@@ -328,6 +337,13 @@ def test_cli_run_bad_config_exit_one(tmp_path, capsys):
         ({"maps": ["unitary-mix:-4"]}, None, [], "maps[0]"),
         # ran as geom:0.5 under the id as given
         ({"means": ["geom:0.5:junk"]}, None, [], "means[0]"),
+        # the streams took the seed modulo 2^64: 2^64 reported the cells of
+        # seed 0, and -1 those of 2^64 - 1, each under its own seed
+        ({}, None, ["--seed", str(1 << 64)], "seed="),
+        ({}, None, ["--seed", "-1"], "seed="),
+        ({}, str(1 << 64), [], "seed="),
+        ({}, "-1", [], "seed="),
+        ({"seed": 1 << 64}, None, [], "seed="),
     ],
 )
 def test_cli_run_malformed_config_value_exit_one(tmp_path, capsys, monkeypatch, config, env_seed, flags, message):
@@ -631,6 +647,16 @@ def test_complement_report_digest_is_pinned():
     text = campaign.report_to_json(run_campaign(CampaignConfig(seed=11, checks=COMPLEMENT_IDS)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "b19372a920fd2abbb1ca6b1382d01c1e65c2017124ae86c3f8a7ae8b4e32e5f7"
+    )
+
+
+def test_default_report_digest_is_pinned():
+    # every operator draw (Haar, window, sandwich, contraction, map) and the
+    # seeding of its stream: the stacked-vs-alone comparisons run one
+    # generator on both sides, so only a pinned digest sees a moved bit
+    text = campaign.report_to_json(run_campaign(CampaignConfig(seed=11)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "f216d6e17a8f137af887466c1ce7efac9cd40c0134531c9e7651646116619980"
     )
 
 
@@ -996,7 +1022,7 @@ def _assert_stack_builds_each_trial_as_alone(check_id, cells, cfg):
 
 def _streams(check_id, cell, cfg):
     key = json.dumps(cell, sort_keys=True)
-    return [subrng(cfg.seed, check_id, key, trial) for trial in range(cfg.trials)]
+    return substreams(cfg.seed, [(check_id, key, trial) for trial in range(cfg.trials)])
 
 
 @pytest.mark.parametrize("check_id", checks.OPERATOR_IDS + checks.SCALAR_IDS)

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from opbellman.instances import (
     random_subidentity_family,
     random_weights,
     scalar_instance,
-    subrng,
+    substreams,
 )
 from opbellman.means import arithmetic_w, geometric_w, mean
 from opbellman.spectral import hermitize, identity, loewner_leq
@@ -104,13 +106,13 @@ def test_random_weights():
 
 
 def test_complement_family_scalar_affine_accepted():
-    rng = subrng(11, "gen", 0)
+    rng = substreams(11, [("gen", 0)])[0]
     fam = complement_sandwich_family(1, 1, (0.5, 2.0), arithmetic_w(0.5), 1.0, rng)
     assert 0.0 < fam.meta["scale"] <= 1.0
 
 
 def test_complement_family_hypotheses_reverified():
-    rng = subrng(12, "gen", 1)
+    rng = substreams(12, [("gen", 1)])[0]
     fam = complement_sandwich_family(3, 2, (0.5, 2.0), geometric_w(0.5), 1.1, rng)
     eye = identity(3)
     for a, b in zip(fam.A, fam.B):
@@ -202,8 +204,8 @@ def _scale_draws():
 def test_closed_form_scale_matches_bisection():
     rescaled = 0
     for shape, f, g, key in _scale_draws():
-        fam = complement_sandwich_family(*shape, f, g, subrng(31, "scale", *key))
-        ref = _bisected_family_scale(shape, f, g, subrng(31, "scale", *key))
+        fam = complement_sandwich_family(*shape, f, g, substreams(31, [("scale", *key)])[0])
+        ref = _bisected_family_scale(shape, f, g, substreams(31, [("scale", *key)])[0])
         assert ref is not None
         assert fam.meta["scale"] == pytest.approx(ref, rel=1e-12, abs=0.0)
         rescaled += fam.meta["scale"] < 1.0
@@ -213,7 +215,7 @@ def test_closed_form_scale_matches_bisection():
 def test_closed_form_scale_is_pinned_from_above():
     for shape, f, g, key in _scale_draws():
         m, M = shape[2]
-        _, sum_a, sum_b, sum_means = _draw_sums(shape, f, subrng(32, "pin", *key))
+        _, sum_a, sum_b, sum_means = _draw_sums(shape, f, substreams(32, [("pin", *key)])[0])
         s_max = _scale_limit(g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN)
         assert all(_feasible(s_max * (1.0 - 1e-9), g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN))
         assert not all(_feasible(s_max * (1.0 + 1e-9), g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN))
@@ -224,9 +226,9 @@ def test_complement_family_scale_branches():
     f = arithmetic_w(0.5)
     seen = set()
     for k in range(40):
-        _, sum_a, sum_b, sum_means = _draw_sums(shape, f, subrng(33, "branch", k))
+        _, sum_a, sum_b, sum_means = _draw_sums(shape, f, substreams(33, [("branch", k)])[0])
         s_max = _scale_limit(1.0, sum_a, sum_b, sum_means, 0.5, 2.0, DEFAULT_MARGIN)
-        fam = complement_sandwich_family(*shape, f, 1.0, subrng(33, "branch", k))
+        fam = complement_sandwich_family(*shape, f, 1.0, substreams(33, [("branch", k)])[0])
         if s_max >= 1.0:
             assert fam.meta["scale"] == 1.0
         else:
@@ -246,10 +248,10 @@ def _assert_drawn_once_and_rejected(calls, gamma):
     # each of the n = 2 members is drawn once, and the family is rejected
     calls.clear()
     with pytest.raises(HypothesisError) as exc:
-        complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, subrng(34, "gen", 0))
+        complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, substreams(34, [("gen", 0)])[0])
     assert exc.value.where
     assert len(calls) == 2
-    rngs = [subrng(34, "gen", t) for t in range(2)]
+    rngs = substreams(34, [("gen", t) for t in range(2)])
     with pytest.raises(HypothesisError) as exc:
         complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, rngs)
     assert list(exc.value.where) == [True, True]
@@ -284,7 +286,7 @@ def test_complement_family_linalg_call_budget(monkeypatch):
 
     for kind in counts:
         monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
-    fam = complement_sandwich_family(6, 3, (0.5, 2.0), geometric_w(0.5), 1.0, subrng(35, "budget", 0))
+    fam = complement_sandwich_family(6, 3, (0.5, 2.0), geometric_w(0.5), 1.0, substreams(35, [("budget", 0)])[0])
     monkeypatch.undo()
     assert fam.meta["scale"] > 0.0
     over = {k: (counts[k], FAMILY_CALL_BUDGET[k]) for k in counts if counts[k] > FAMILY_CALL_BUDGET[k]}
@@ -292,19 +294,86 @@ def test_complement_family_linalg_call_budget(monkeypatch):
 
 
 def test_generator_determinism():
-    a1 = random_spectrum_matrix(4, (0.5, 2.0), subrng(42, "x", 3))
-    a2 = random_spectrum_matrix(4, (0.5, 2.0), subrng(42, "x", 3))
-    a3 = random_spectrum_matrix(4, (0.5, 2.0), subrng(42, "x", 4))
+    a1 = random_spectrum_matrix(4, (0.5, 2.0), substreams(42, [("x", 3)])[0])
+    a2 = random_spectrum_matrix(4, (0.5, 2.0), substreams(42, [("x", 3)])[0])
+    a3 = random_spectrum_matrix(4, (0.5, 2.0), substreams(42, [("x", 4)])[0])
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, a3)
 
 
-def test_subrng_order_independence():
+def test_substreams_order_independence():
     # substreams are a pure function of (seed, key), not of draw order
-    first = subrng(9, "a", 1).standard_normal(4)
-    _ = subrng(9, "a", 0).standard_normal(17)
-    again = subrng(9, "a", 1).standard_normal(4)
+    first = substreams(9, [("a", 1)])[0].standard_normal(4)
+    _ = substreams(9, [("a", 0)])[0].standard_normal(17)
+    again = substreams(9, [("a", 1)])[0].standard_normal(4)
     assert np.array_equal(first, again)
+
+
+
+#: Keys at the edges of ``SeedSequence``'s word split: the empty string's
+#: crc32 is 0, one zero word like the int 0; from 2^32 an int takes two words.
+_SEEDING_KEYS = [("check", "{}", 0), ("", "", 1), ("check", "{}", 1 << 32), ("check", "{}", (1 << 64) - 1)]
+
+
+@pytest.mark.parametrize("seed", [0, 1729, 1 << 32, (1 << 64) - 1])
+def test_substreams_equal_numpy_seeding_bit_for_bit(seed):
+    # substreams hashes the seed pools into PCG64 states itself; each stream,
+    # seeded in a batch of keys or alone, must be the Generator numpy seeds
+    # from the same words
+    batch = substreams(seed, _SEEDING_KEYS)
+    for key, rng in zip(_SEEDING_KEYS, batch):
+        words = [seed, *(zlib.crc32(p.encode("utf-8")) if isinstance(p, str) else p for p in key)]
+        ref = np.random.default_rng(np.random.SeedSequence(words))
+        (alone,) = substreams(seed, [key])
+        for got in (rng, alone):
+            assert got.bit_generator.state == ref.bit_generator.state, (seed, key)
+        draws = [r.standard_normal(5).tobytes() for r in (rng, alone, ref)]
+        assert draws[0] == draws[1] == draws[2], (seed, key)
+
+
+def test_substreams_refuse_a_word_outside_64_bits():
+    # a mask would alias 2^64 to 0 and -1 to 2^64 - 1
+    for seed, key in [(0, ("check", -1)), (0, ("check", 1 << 64)), (-1, ("check",)), (1 << 64, ("check",))]:
+        with pytest.raises(ParameterError):
+            substreams(seed, [key])
+
+
+def test_gaussian_draw_is_two_matrix_draws_in_one_call():
+    one, two = substreams(3, [("gaussian",), ("gaussian",)])
+    g = instances._gaussian(4, one)
+    assert g.tobytes() == np.stack([two.standard_normal((4, 4)), two.standard_normal((4, 4))]).tobytes()
+
+
+class _CountingStream:
+    """A stream that counts its ``standard_normal`` calls and passes every draw on."""
+
+    def __init__(self, rng):
+        self.rng, self.normal_calls = rng, 0
+
+    def standard_normal(self, size):
+        self.normal_calls += 1
+        return self.rng.standard_normal(size)
+
+    def uniform(self, *args, **kwargs):
+        return self.rng.uniform(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rngs: haar_unitary(3, rngs),
+        lambda rngs: random_spectrum_matrix(3, (0.5, 2.0), rngs),
+        lambda rngs: random_contraction(3, rngs, ["unitary", "ginibre", "ginibre"]),
+    ],
+    ids=["haar", "spectrum", "contraction"],
+)
+def test_each_stream_draws_a_gaussian_matrix_in_one_call(draw):
+    # the fixed cost of a draw is per call: a Haar or Ginibre matrix takes
+    # one standard_normal call per stream, real and imaginary parts together
+    streams = [_CountingStream(r) for r in substreams(5, [("count", t) for t in range(3)])]
+    plain = draw(substreams(5, [("count", t) for t in range(3)]))
+    assert draw(streams).tobytes() == plain.tobytes()
+    assert [s.normal_calls for s in streams] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("kind,p", [("bellman", 2.0), ("aczel", 2.0), ("popoviciu", 1.7)])

@@ -31,6 +31,29 @@ def test_package_source_has_no_transpose_attribute():
     assert not found, f".T attributes in the package: {found}"
 
 
+#: The numpy calls that make a stream or seed one.
+_STREAM_CALLS = {"default_rng", "SeedSequence", "PCG64", "Generator"}
+
+
+def test_every_stream_comes_from_the_one_seeding_function():
+    # only instances.py makes streams (``substreams``), so every trial's
+    # draws are seeded one way; a module that seeds its own stream would
+    # draw bits that no test of the seeding function sees
+    found, seen = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            if (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) in _STREAM_CALLS:
+                if path.name == "instances.py":
+                    seen += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"streams made outside instances.py: {found}"
+    assert seen >= 3
+
+
 #: Top-level names that are entry points rather than helpers: the dim-1
 #: oracle of the tier-1 suite, the console-script entry, and the per-trial
 #: campaign entry that the benchmark's tracer wraps and the tests call (a
