@@ -34,6 +34,7 @@ from .constants import MIN_INTERVAL, P_MIN
 from .errors import HypothesisError, ParameterError, WitnessFormatError
 from .instances import (
     EDGE_SHRINK,
+    HEAD_KINDS,
     InstanceFamily,
     complement_sandwich_family,
     random_contraction,
@@ -91,8 +92,13 @@ class CampaignConfig:
         if not 0 <= self.seed < 1 << 64:
             raise ParameterError(f"seed={self.seed}: must be in [0, 2^64)")
         for name in ("dims", "n_values", "intervals", "p_grid", "lambda_grid", "means", "maps", "checks"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ParameterError(f"{name}: must be nonempty")
+            # equal values make equal cells with equal streams, counted twice
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ParameterError(f"{name}[{i}]={value!r}: repeats {name}[{values.index(value)}]")
         for i, d in enumerate(self.dims):
             if d < 1:
                 raise ParameterError(f"dims[{i}]={d}: must be >= 1")
@@ -226,18 +232,18 @@ def build_map(map_id: str, dim: int, rng):
 # -- instance builders --------------------------------------------------------
 #
 # A builder maps (cell, rngs), one stream per trial, to (instances, draws):
-# an operator builder's instances are one family stacked on a leading trial
-# axis, a scalar builder's a list.  The trials may come from several cells
-# that differ only in their ``_PER_TRIAL_KEYS``, their interval and their
-# mean: then ``cell["m"]``, ``cell["M"]`` and ``cell["f"]`` may be arrays of
-# one value per trial (``checks._stack_params``), which a builder hands on
-# to the generators as they are, a mean as ``function_from_id`` resolves
-# it.  Either raises HypothesisError naming in ``where`` the trials whose
-# hypotheses failed; a scalar builder, whose trials draw independently,
-# attaches its other trials' instances and draws as ``built``.  ``draws``
-# holds one dict per trial: a trial's params are the cell without its
-# instance-shape keys plus its draws, which never repeat a cell key (see
-# run_check_trial).
+# its instances are one family stacked on a leading trial axis, a scalar
+# builder's the arrays ``instances.scalar_instance`` stacks in ``aux``.  The
+# trials may come from several cells that differ only in their
+# ``_PER_TRIAL_KEYS``, their interval and their mean: then ``cell["m"]``,
+# ``cell["M"]`` and ``cell["f"]`` may be arrays of one value per trial
+# (``checks._stack_params``), which a builder hands on to the generators as
+# they are, a mean as ``function_from_id`` resolves it.  Either raises
+# HypothesisError naming in ``where`` the trials whose hypotheses failed; a
+# scalar builder, whose trials draw independently, attaches the stack of
+# its other trials and their draws as ``built``.  ``draws`` holds one dict
+# per trial: a trial's params are the cell without its instance-shape keys
+# plus its draws, which never repeat a cell key (see run_check_trial).
 
 
 def _shrunk(m: float, M: float) -> tuple[float, float]:
@@ -391,28 +397,31 @@ def _build_chain_interp(cell, rngs):
 
 
 def _build_scalar(kind):
+    """The builder of a scalar kind: each stream draws its row count and a
+    head kind's exponent, then ``instances.scalar_instance`` draws the rest
+    on all the streams and returns their stack."""
+
     def build(cell, rngs):
-        insts, draws, rejected = [], [], np.zeros(len(rngs), dtype=bool)
-        for t, rng in enumerate(rngs):
-            rows = int(rng.integers(1, 4))
+        rows, draws = [], []
+        for rng in rngs:
+            rows.append(int(rng.integers(1, 4)))
             if kind == "bellman":
-                d = {"p": float(rng.integers(1, 5))}
+                draws.append({"p": float(rng.integers(1, 5))})
             elif kind == "aczel":
-                d = {"p": 2.0}
+                draws.append({"p": 2.0})
             elif kind == "popoviciu":
                 # The same-exponent product form follows from the Hoelder-type
                 # original only for p <= 2; above 2 it admits counterexamples.
-                d = {"p": float(rng.uniform(1.0, 2.0))}
+                draws.append({"p": float(rng.uniform(1.0, 2.0))})
             else:
-                d = {}
-            try:
-                insts.append(scalar_instance(kind, (rows, cell["n"]), (cell | d)["p"], rng))
-                draws.append(d)
-            except HypothesisError:
-                rejected[t] = True
-        if rejected.any():
-            raise HypothesisError(f"{kind} instances failed their hypothesis", where=rejected, built=(insts, draws))
-        return insts, draws
+                draws.append({})
+        p = [d["p"] for d in draws] if kind in HEAD_KINDS else cell["p"]
+        try:
+            return scalar_instance(kind, (rows, cell["n"]), p, rngs), draws
+        except HypothesisError as exc:
+            kept = [d for d, failed in zip(draws, exc.where) if not failed]
+            built = None if exc.built is None else (exc.built, kept)
+            raise HypothesisError(*exc.args, where=exc.where, built=built) from None
 
     return build
 
@@ -549,7 +558,7 @@ def _scalar_inst_from_json(obj: dict) -> dict:
 def make_witness(check_id: str, params: dict, inst, outcome: CheckOutcome, provenance: dict) -> dict:
     """Replayable record of one check evaluation."""
     if check_id in SCALAR_IDS:
-        payload = {"scalars": _scalar_inst_to_json(inst)}
+        payload = {"scalars": _scalar_inst_to_json(inst.aux)}
     else:
         payload = {"family": _family_to_json(inst)}
     return {
@@ -583,7 +592,7 @@ def replay_witness(obj: dict, tol: Tolerance = Tolerance()) -> tuple[CheckOutcom
     payload = obj["instance"]
     try:
         if check_id in SCALAR_IDS:
-            inst = _scalar_inst_from_json(payload["scalars"])
+            inst = InstanceFamily(hypothesis_tag="scalar", aux=_scalar_inst_from_json(payload["scalars"]))
         else:
             inst = _family_from_json(payload["family"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -622,12 +631,11 @@ class _Trial:
     """One trial of a cell, as the cell summary sees it.
 
     ``stack`` holds the instances of one builder call, exactly its built
-    trials in order (an operator builder's stack or a scalar builder's list),
-    and the trial is its entry ``index``.  ``outcome`` is exact (from the
-    check's runner, or a guard or generator rejection).  Without one, the
-    trial holds for certain and ``slack`` and ``normalized`` enclose its
-    slack and slack/scale; with one, they are that outcome's values,
-    ``normalized`` None where scale > 0 fails.
+    trials in order, and the trial is its entry ``index``.  ``outcome`` is
+    exact (from the check's runner, or a guard or generator rejection).
+    Without one, the trial holds for certain and ``slack`` and
+    ``normalized`` enclose its slack and slack/scale; with one, they are
+    that outcome's values, ``normalized`` None where scale > 0 fails.
     """
 
     provenance: dict
@@ -646,10 +654,8 @@ class _Trial:
 
     @property
     def inst(self):
-        """The trial's own instance; an operator trial's family is formed only here."""
-        if isinstance(self.stack, InstanceFamily):
-            return take(self.stack, self.index)
-        return None if self.stack is None else self.stack[self.index]
+        """The trial's own instance, formed only here (``instances.take``)."""
+        return None if self.stack is None else take(self.stack, self.index)
 
 
 def _build_trials(check_id: str, pairs, cfg: CampaignConfig) -> list[_Trial]:
@@ -660,9 +666,10 @@ def _build_trials(check_id: str, pairs, cfg: CampaignConfig) -> list[_Trial]:
     Each trial keeps its own stream, provenance and params; the streams of
     the live trials are seeded in one ``substreams`` call.  A trial named
     in the ``where`` of a builder's ``HypothesisError`` gets a
-    ``generator_rejected`` outcome; the other trials keep the instances the
-    error carries (a scalar builder's), or else are built again from fresh
-    copies of their streams."""
+    ``generator_rejected`` outcome; the other trials keep the stack the
+    error carries (a scalar builder's, whose trials draw independently), or
+    else are built again from fresh copies of their streams.  Either way
+    the stack holds exactly the built trials, in order."""
     cells = {id(cell): cell for cell, _ in pairs}
     keys = {i: json.dumps(cell, sort_keys=True) for i, cell in cells.items()}
     params = {i: {k: v for k, v in cell.items() if k not in _SHAPE_KEYS} for i, cell in cells.items()}
@@ -686,17 +693,23 @@ def _build_trials(check_id: str, pairs, cfg: CampaignConfig) -> list[_Trial]:
     return out
 
 
+def _size(stack: InstanceFamily) -> int:
+    """The number of trials of a builder's stack: the length of the trial
+    axis of its first array (an operand, or a scalar stack's ``aux``)."""
+    return len((stack.A or list(stack.aux.values()))[0])
+
+
 def _check_pending(check_id: str, trials: list[_Trial], tol: Tolerance) -> None:
     """Settle the trials of one build that have no outcome yet, in one
-    ``checks.check_cell`` call.  An operator build's pending trials are its
-    whole stack, since no filter settles any of them first; a scalar cell's
-    are checked as the list of their instances."""
+    ``checks.check_cell`` call on the build's stack, or on ``take`` of the
+    pending trials where the float64 filter settled the others.  An
+    operator build's pending trials are its whole stack."""
     pending = [t for t in trials if t.outcome is None]
     if not pending:
         return
     stack = pending[0].stack
-    if isinstance(stack, list):
-        stack = [stack[t.index] for t in pending]
+    if len(pending) < _size(stack):
+        stack = take(stack, np.array([t.index for t in pending]))
     for t, outcome in zip(pending, checks.check_cell(check_id, stack, [t.params for t in pending], tol)):
         t.settle(outcome)
 

@@ -19,9 +19,10 @@ function or a per-trial one, and takes every constant, and f(m), through
 ``p``, ``lam`` and ``k`` stay one number per stack.  ``check`` runs one
 trial; ``check_cell`` runs a stack of trials in one pass.
 
-A scalar check is one expression over its cell's trials stacked into
-arrays.  On float64 intervals it is the campaign's filter; at 30 digits of
-mpmath it is the exact check (see ``inequality``).
+A scalar check is one expression over the arrays of its cell's stack, the
+family ``instances.scalar_instance`` builds.  On float64 intervals it is the
+campaign's filter; at 30 digits of mpmath it is the exact check (see
+``inequality``).
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
 
     An operator checker returns the sides to compare, (dominant, dominated),
     or (t1, t2, t3) for a chain t1 <= t2 <= t3.  The entry's ``runner``
-    takes a cell's instances, a stack for an operator check and a list for
-    a scalar one, with a list of params, and returns one outcome per trial.
+    takes a cell's stack, as its builder returns it, with a list of params,
+    and returns one outcome per trial.
 
     An operator checker runs once on the stack of all trials.  A guard that
     fails on some trials settles them, and the checker runs again on
@@ -196,13 +197,14 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
     trial past its first failing guard; a stacked call gives each trial the
     bits it gives it alone.
 
-    A scalar check is one function ``fn(s, num)`` of the cell's instances
-    stacked into arrays (``_stack_scalars``) and a number kind ``num`` that
-    converts an input array, ``_Interval`` or ``_Digits``.  It returns
+    A scalar check is one function ``fn(s, num)`` of the arrays of the
+    cell's stack (``_scalar_arrays``: its ``aux``, a matrix zero-padded to
+    the build's largest row count) and a number kind ``num`` that converts
+    an input array, ``_Interval`` or ``_Digits``.  It returns
     (guards, dominant, dominated), the guards in order as (verdict per
     trial, name) pairs from ``_nonneg``, ``_positive`` or ``_exact_guard``.
     The entry's ``bounds`` runs it on float64 intervals and returns one
-    ``_settle`` verdict per instance.  Its ``runner`` runs it at
+    ``_settle`` verdict per trial.  Its ``runner`` runs it at
     ``SCALAR_DPS`` digits and settles each trial at its first failing
     guard, or by its sides' difference at those digits.  Registration order
     is the campaign's check order.
@@ -213,7 +215,7 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
         def runner(insts, params: list, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
             if group == "scalar":
                 with mpmath.workdps(SCALAR_DPS):
-                    return _scalar_outcomes(check_id, *fn(_stack_scalars(insts), _Digits), tol)
+                    return _scalar_outcomes(check_id, *fn(_scalar_arrays(insts), _Digits), tol)
             out = [None] * len(params)
             live = np.arange(len(params))
             while live.size:
@@ -233,9 +235,9 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
                 break
             return out
 
-        def bounds(insts: list) -> list:
+        def bounds(stack: InstanceFamily) -> list:
             with np.errstate(all="ignore"):
-                return _settle(*fn(_stack_scalars(insts), _Interval))
+                return _settle(*fn(_scalar_arrays(stack), _Interval))
 
         REGISTRY[check_id] = RegistryEntry(
             check_id, group, direction, statement, hypothesis, interval_kind, axes, reference, runner,
@@ -1111,21 +1113,12 @@ def _settle(guards, dominant: _Interval, dominated: _Interval) -> list:
     return out
 
 
-def _stack_scalars(insts: list) -> dict:
-    """Scalar instances stacked with a leading trial axis, matrices
-    zero-padded to the largest row count (a zero entry adds exact zeros to
-    every sum it enters)."""
-    stacked = {}
-    for key in insts[0]:
-        values = [inst[key] for inst in insts]
-        if np.ndim(values[0]) == 2:
-            arr = np.zeros((len(values), max(v.shape[0] for v in values), values[0].shape[1]))
-            for t, v in enumerate(values):
-                arr[t, : v.shape[0]] = v
-            stacked[key] = arr
-        else:
-            stacked[key] = np.asarray(values, dtype=float)
-    return stacked
+def _scalar_arrays(inst: InstanceFamily) -> dict:
+    """The arrays of a scalar stack (``instances.scalar_instance``), or of one
+    trial, whose ``p`` is one number, as a stack of one."""
+    if np.ndim(inst.aux["p"]):
+        return inst.aux
+    return {k: np.asarray(v, dtype=float)[None] for k, v in inst.aux.items()}
 
 
 _MPF = np.frompyfunc(mpmath.mpf, 1, 1)
@@ -1319,18 +1312,17 @@ def _entry(check_id: str) -> RegistryEntry:
 def check(check_id: str, inst, params, tol: Tolerance = DEFAULT_TOL) -> CheckOutcome:
     """Dispatch one inequality check on one trial by registry id: the entry's
     runner on a stack of one (d x d matrices, or a trial axis of length one)."""
-    entry = _entry(check_id)
-    return entry.runner([inst] if entry.group == "scalar" else inst, [params], tol)[0]
+    return _entry(check_id).runner(inst, [params], tol)[0]
 
 
 def check_cell(check_id: str, stack, params: list, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
     """One outcome per trial of a stack, from one run of the entry's runner
-    on it: an operator builder's family, or a list of scalar instances, of
-    one cell or of cells that differ only in their interval and their mean.
-    A single trial goes through ``check``, so what wraps the per-trial entry
-    sees every trial of a one-trial cell."""
+    on it: a builder's family, of one cell or of cells that differ only in
+    their interval and their mean.  A single trial goes through ``check``,
+    so what wraps the per-trial entry sees every trial of a one-trial
+    cell."""
     if len(params) == 1:
-        return [check(check_id, stack[0] if isinstance(stack, list) else stack, params[0], tol)]
+        return [check(check_id, stack, params[0], tol)]
     return _entry(check_id).runner(stack, params, tol)
 
 

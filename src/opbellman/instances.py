@@ -127,15 +127,21 @@ class InstanceFamily:
 def take(stack: InstanceFamily, idx) -> InstanceFamily:
     """The trials ``idx`` of a family stacked on a leading trial axis: an int
     gives that trial's family (views of its d x d matrices), an index array
-    a smaller stack.  A ``meta`` array holds one value per trial."""
+    a smaller stack.  A ``meta`` array holds one value per trial.  A scalar
+    stack (``scalar_instance``) pads its matrix to its largest row count,
+    so one trial's is cut to that trial's ``meta["rows"]``."""
+    aux = {k: v[idx] for k, v in stack.aux.items()}
+    meta = {k: v[idx] if isinstance(v, np.ndarray) else v for k, v in stack.meta.items()}
+    if "rows" in meta and np.ndim(idx) == 0:
+        aux["a"] = aux["a"][: meta["rows"]]
     return InstanceFamily(
         hypothesis_tag=stack.hypothesis_tag,
         A=[a[idx] for a in stack.A],
         B=None if stack.B is None else [b[idx] for b in stack.B],
         weights=None if stack.weights is None else stack.weights[idx],
         maps=None if stack.maps is None else [take_map(m, idx) for m in stack.maps],
-        aux={k: v[idx] for k, v in stack.aux.items()},
-        meta={k: v[idx] if isinstance(v, np.ndarray) else v for k, v in stack.meta.items()},
+        aux=aux,
+        meta=meta,
     )
 
 
@@ -379,76 +385,118 @@ def _verify_complement_family(
     return (_eigvalsh(hermitize(np.stack(gaps)))[..., 0] >= margin).all(axis=0)
 
 
-def scalar_instance(
-    kind: str,
-    sizes: tuple[int, int],
-    p: float,
-    rng: np.random.Generator,
-) -> dict:
-    """Positive scalar arrays satisfying one classical-inequality hypothesis.
+#: The scalar kinds whose hypothesis bounds a head power by its column's.
+HEAD_KINDS = ("bellman", "aczel", "popoviciu")
 
-    ``sizes`` is (rows, cols) where applicable; constraints are imposed
-    with a random contraction factor theta < 1 and re-verified.  The
-    column constraints of the weighted Bellman kinds use the exponent 1/p,
-    matching the displayed inequalities they feed.
+#: The scalar kinds whose hypothesis bounds each column sum of a_ij^(1/p).
+COLUMN_KINDS = ("mp3", "eq3", "mp1")
+
+
+def scalar_instance(kind: str, sizes: tuple, p, rng) -> InstanceFamily:
+    """Positive scalar arrays satisfying one classical-inequality hypothesis,
+    in ``aux`` with the exponent ``p``.
+
+    ``sizes`` is (rows, cols), rows sizing the matrix of the column kinds;
+    constraints are imposed with a random contraction factor theta < 1 and
+    re-verified.  The column constraints of the weighted Bellman kinds use
+    the exponent 1/p, matching the displayed inequalities they feed.
+
+    One Generator gives one instance.  A list of streams gives a stack, whose
+    arrays carry a leading trial axis: rows and a head kind's p are numbers
+    or one per stream, a column kind's p is one number.  A column kind's
+    matrix ``a`` is zero-padded to the stack's largest row count, and
+    ``meta["rows"]`` holds each trial's, so ``take`` gives a trial its own
+    rows.  Each stream draws what it draws alone, in that order: the kind's
+    arrays, then the weights of a trial that met its hypothesis.
+
+    The column kinds scale and re-verify the whole stack in one pass, which
+    gives each trial the bits it gets alone: their exponent is one number,
+    numpy's array power does not depend on the array's size, and a padded
+    row adds exact zeros.  The head kinds raise each trial's head to its own
+    exponent with a scalar pow, which an exponent array does not reproduce
+    to the last bit, so they run trial by trial.  A ``HypothesisError``
+    names the rejected trials in ``where`` and carries the stack of the
+    others as ``built``.
     """
-    rows, cols = sizes
-    if rows < 1 or cols < 1:
+    rngs, one = _streams(rng)
+    rows = np.broadcast_to(np.asarray(sizes[0], dtype=int), (len(rngs),))
+    cols = sizes[1]
+    if rows.min() < 1 or cols < 1:
         raise ParameterError("sizes must be at least 1")
-    if kind in ("bellman", "popoviciu", "aczel"):
-        if p < 1.0:
+    if kind in HEAD_KINDS:
+        if np.min(p) < 1.0:
             raise ParameterError(f"{kind} needs p >= 1, got {p}")
-    elif not 0.0 < p < 1.0:
-        raise ParameterError(f"{kind} needs p in (0, 1), got {p}")
+        aux, failed = _head_arrays(kind, cols, np.broadcast_to(np.asarray(p, dtype=float), (len(rngs),)), rngs)
+    elif kind in COLUMN_KINDS:
+        if not 0.0 < p < 1.0:
+            raise ParameterError(f"{kind} needs p in (0, 1), got {p}")
+        aux, failed = _column_arrays(kind, rows, cols, p, rngs)
+    else:
+        raise ParameterError(f"unknown scalar instance kind {kind!r}")
+    keep = np.flatnonzero(~failed)
+    aux, meta = {k: v[keep] for k, v in aux.items()}, {}
+    if kind in COLUMN_KINDS and keep.size:
+        aux["a"] = aux["a"][:, : rows[keep].max()]
+        meta["rows"] = rows[keep]
+        if kind != "mp1":
+            aux["weights"] = random_weights(cols, [rngs[t] for t in keep])
+    stack = InstanceFamily(hypothesis_tag=f"scalar_{kind}", aux=aux, meta=meta)
+    if failed.any():
+        raise HypothesisError(
+            f"{kind} instances failed their hypothesis",
+            where=failed[0] if one else failed,
+            built=None if one or not keep.size else stack,
+        )
+    return take(stack, 0) if one else stack
 
-    if kind == "bellman":
-        out = {"p": p}
+
+def _head_arrays(kind: str, cols: int, p: np.ndarray, rngs: list) -> tuple[dict, np.ndarray]:
+    """(arrays, rejected) of a head kind, each trial scaled and verified on
+    its own: heads ``a``, ``b``, tails ``a_j``, ``b_j`` and the exponent
+    (2 for aczel).  A trial draws its ``b`` only once its ``a`` holds."""
+    p = np.full(len(rngs), 2.0) if kind == "aczel" else p
+    aux = {"a": np.empty(len(rngs)), "b": np.empty(len(rngs)), "p": p}
+    aux |= {"a_j": np.empty((len(rngs), cols)), "b_j": np.empty((len(rngs), cols))}
+    failed = np.zeros(len(rngs), dtype=bool)
+    for t, (rng, q) in enumerate(zip(rngs, p.tolist())):
         for name in ("a", "b"):
-            head = rng.uniform(0.5, 2.0)
-            raw = rng.uniform(0.1, 1.0, size=cols)
-            theta = rng.uniform(0.2, 0.9)
-            scale = (theta * head**p / np.sum(raw**p)) ** (1.0 / p)
-            tail = raw * scale
-            if not np.sum(tail**p) <= head**p:
-                raise HypothesisError("bellman instance: tail powers exceed the head power")
-            out[name] = head
-            out[f"{name}_j"] = tail
-        return out
+            if kind == "bellman":
+                head = rng.uniform(0.5, 2.0)
+                raw = rng.uniform(0.1, 1.0, size=cols)
+                theta = rng.uniform(0.2, 0.9)
+                tail = raw * (theta * head**q / np.sum(raw**q)) ** (1.0 / q)
+                failed[t] = not np.sum(tail**q) <= head**q
+            else:
+                tail = rng.uniform(0.1, 1.0, size=cols)
+                theta = rng.uniform(0.2, 0.9)
+                head = (np.sum(tail**q) / theta) ** (1.0 / q)
+                failed[t] = not np.sum(tail**q) < head**q
+            if failed[t]:
+                break
+            aux[name][t], aux[f"{name}_j"][t] = head, tail
+    return aux, failed
 
-    if kind == "aczel" or kind == "popoviciu":
-        q = 2.0 if kind == "aczel" else p
-        out = {"p": q}
-        for name in ("a", "b"):
-            tail = rng.uniform(0.1, 1.0, size=cols)
-            theta = rng.uniform(0.2, 0.9)
-            head = (np.sum(tail**q) / theta) ** (1.0 / q)
-            if not np.sum(tail**q) < head**q:
-                raise HypothesisError(f"{kind} instance: tail powers reach the head power")
-            out[name] = head
-            out[f"{name}_j"] = tail
-        return out
 
-    if kind in ("mp3", "eq3"):
-        q = 1.0 / p
-        a = rng.uniform(0.1, 1.0, size=(rows, cols))
-        theta = rng.uniform(0.2, 0.9, size=cols)
-        col_sums = np.sum(a**q, axis=0)
-        with np.errstate(divide="ignore", over="ignore"):
-            a = a * (theta / col_sums) ** p
-        if not np.all(np.sum(a**q, axis=0) <= 1.0):
-            raise HypothesisError(f"{kind} instance: a column sum of a_ij^(1/p) exceeds 1")
-        return {"a": a, "weights": random_weights(cols, rng), "p": p}
-
+def _column_arrays(kind: str, rows: np.ndarray, cols: int, p: float, rngs: list) -> tuple[dict, np.ndarray]:
+    """(arrays, rejected) of a column kind: each stream draws mp1's caps,
+    then its matrix and the column factors theta; the stack (trials, largest
+    row count, cols) is then scaled so that each column sum of a_ij^(1/p) is
+    theta (theta caps^(1/p) for mp1) and re-verified in one pass."""
+    q = 1.0 / p
+    a = np.zeros((len(rngs), rows.max(), cols))
+    theta = np.empty((len(rngs), cols))
+    caps = np.empty((len(rngs), cols))
+    for t, rng in enumerate(rngs):
+        if kind == "mp1":
+            caps[t] = rng.uniform(0.5, 2.0, size=cols)
+        a[t, : rows[t]] = rng.uniform(0.1, 1.0, size=(rows[t], cols))
+        theta[t] = rng.uniform(0.2, 0.9, size=cols)
+    # an underflowed column sum makes a padded row 0 * inf; the trial fails either way
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bound = caps**q if kind == "mp1" else 1.0  # theta * 1.0 is theta, bit for bit
+        a = a * ((theta * bound / np.sum(a**q, axis=1)) ** p)[:, None, :]
+        failed = ~np.all(np.sum(a**q, axis=1) <= bound, axis=-1)
+    aux = {"a": a, "p": np.full(len(rngs), p)}
     if kind == "mp1":
-        q = 1.0 / p
-        caps = rng.uniform(0.5, 2.0, size=cols)
-        a = rng.uniform(0.1, 1.0, size=(rows, cols))
-        theta = rng.uniform(0.2, 0.9, size=cols)
-        col_sums = np.sum(a**q, axis=0)
-        with np.errstate(divide="ignore", over="ignore"):
-            a = a * (theta * caps**q / col_sums) ** p
-        if not np.all(np.sum(a**q, axis=0) <= caps**q):
-            raise HypothesisError("mp1 instance: a column sum of a_ij^(1/p) exceeds its cap")
-        return {"a": a, "caps": caps, "p": p}
-
-    raise ParameterError(f"unknown scalar instance kind {kind!r}")
+        aux["caps"] = caps
+    return aux, failed

@@ -357,6 +357,39 @@ def test_cli_run_malformed_config_value_exit_one(tmp_path, capsys, monkeypatch, 
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+#: A repeated value of each grid, last in its list.
+REPEATED_GRIDS = {
+    "dims": [2, 3, 2],
+    "n_values": [1, 1],
+    "intervals": [[0.5, 2.0], [0.2, 0.8], [0.5, 2.0]],
+    "p_grid": [0.5, 0.5],
+    "lambda_grid": [0.3, 0.7, 0.3],
+    "means": ["geom:0.5", "geom:0.5"],
+    "maps": ["id", "id"],
+    "checks": ["scalar_aczel", "scalar_aczel"],
+}
+
+
+@pytest.mark.parametrize("grid", list(REPEATED_GRIDS))
+def test_repeated_grid_value_is_refused(tmp_path, capsys, grid):
+    # equal values make equal cells with equal streams, which the summary
+    # counted twice: checks [scalar_aczel, scalar_aczel] reported 8 trials
+    # of 4, dims [2, 2] 36 cells of 18
+    values = REPEATED_GRIDS[grid]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({grid: values}))
+    assert cli.main(["run", "--config", str(path), "--trials", "1"]) == 1
+    index = len(values) - 1
+    assert capsys.readouterr().err.startswith(f"error: {grid}[{index}]=")
+    with pytest.raises(ParameterError, match=f"repeats {grid}\\[{values.index(values[index])}\\]"):
+        config_from_json({grid: values})
+
+
+def test_cli_refuses_a_repeated_check(capsys):
+    assert cli.main(["run", "--checks", "scalar_aczel,scalar_aczel", "--trials", "2", "--seed", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: checks[1]='scalar_aczel': repeats checks[0]")
+
+
 @pytest.mark.parametrize("interval", [(0.0, 2.0), (-0.5, 2.0)])
 def test_sandwich_checks_fall_back_from_nonpositive_windows(interval):
     # 0 < m A <= B needs m > 0; such a grid used to abort in random_sandwich_pair
@@ -959,6 +992,44 @@ def test_rejecting_scalar_builder_builds_each_trial_once(monkeypatch):
     assert 0 < rejected < 1800
 
 
+def test_small_exponent_rejections_report_digest_is_pinned():
+    # p = 0.001 and 0.002 make the column kinds reject part of each stack,
+    # which then carries its surviving trials, unpadded rows and all, to the
+    # filter and the 30-digit check
+    cfg = config_from_json({
+        "p_grid": [0.001, 0.002, 0.5],
+        "trials": 20,
+        "n_values": [1, 2, 3],
+        "checks": ["scalar_bellman_weighted", "scalar_bellman_columns", "scalar_bellman_reverse"],
+        "seed": 5,
+    })
+    report = run_campaign(cfg)
+    text = campaign.report_to_json(report)
+    rejected = sum(row["na_guards"].get("generator_rejected", 0) for row in report["cells"])
+    assert (rejected, report["summary"]["trials"]) == (114, 540)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "1157c943c0650bf227f0673fbacc19625037be129035e189e5f9934382f8fc26"
+    )
+
+
+@pytest.mark.parametrize("check_id", ["scalar_bellman_weighted", "scalar_bellman_columns", "scalar_bellman_reverse"])
+def test_column_kind_build_runs_its_arithmetic_once(monkeypatch, check_id):
+    # a column kind scales and re-verifies its whole stack in one pass, so the
+    # np.sum calls of one builder call (the column sums, then the verified
+    # sums) do not grow with its trials; the stream states checked by
+    # test_stacked_build_equals_each_trial_built_alone keep each stream's draws
+    calls = []
+    plain_sum = np.sum
+    monkeypatch.setattr(np, "sum", lambda *args, **kwargs: calls.append(args) or plain_sum(*args, **kwargs))
+    cell = campaign.expand_cells(check_id, _tiny_cfg(checks=(check_id,), n_values=(3,)))[0]
+    counts = []
+    for trials in (1, 40):
+        calls.clear()
+        campaign.BUILDERS[check_id](cell, substreams(7, [("count", t) for t in range(trials)]))
+        counts.append(len(calls))
+    assert counts == [2, 2]
+
+
 def test_smallest_exponent_scalar_builders_run_without_warnings():
     # a^(1/p) underflows at p = 0.001; the rejected draws stay rejected and
     # the normalization no longer warns about the division
@@ -1049,7 +1120,7 @@ def test_stacked_build_equals_each_trial_built_alone(check_id):
         if check_id in checks.OPERATOR_IDS:
             assert len(built) == len(group) * cfg.trials
         elif built:
-            assert len(built[0].stack) == len(built)
+            assert campaign._size(built[0].stack) == len(built)
         rejected += len(group) * cfg.trials - len(built)
         rngs = [rng for cell in group for rng in _streams(check_id, cell, cfg)]
         with contextlib.suppress(HypothesisError):

@@ -361,7 +361,7 @@ def test_scalar_checks_hold_on_generated_instances():
 
 
 def test_scalar_bellman_single_column():
-    inst = {"p": 2.0, "a": 1.0, "a_j": np.array([0.6]), "b": 1.0, "b_j": np.array([0.6])}
+    inst = _scalar_case({"p": 2.0, "a": 1.0, "a_j": np.array([0.6]), "b": 1.0, "b_j": np.array([0.6])})
     out = check("scalar_bellman", inst, {}, TOL)
     # equal proportional columns make the classical bound tight
     assert out.status == HOLDS
@@ -371,13 +371,13 @@ def test_scalar_bellman_single_column():
 def test_scalar_popoviciu_large_exponent_counterexample():
     # the same-exponent product form is provable only for p <= 2; this
     # p > 2 instance satisfies the stated hypotheses yet fails
-    inst = {
+    inst = _scalar_case({
         "p": 2.1218242917117216,
         "a": 1.5996604951402518,
         "a_j": np.array([0.7520282, 0.63385116]),
         "b": 1.200868356402317,
         "b_j": np.array([0.60137707, 0.68335775]),
-    }
+    })
     out = check("scalar_popoviciu", inst, {}, TOL)
     assert out.status == VIOLATED
 
@@ -672,7 +672,24 @@ GUARD_CASES = [
 
 
 def _scalar_case(inst):
-    return {k: v if np.isscalar(v) else np.asarray(v, dtype=float) for k, v in inst.items()}
+    """A hand-built scalar trial as the one-trial instance a builder's stack gives."""
+    aux = {k: v if np.isscalar(v) else np.asarray(v, dtype=float) for k, v in inst.items()}
+    return InstanceFamily(hypothesis_tag="scalar", aux=aux)
+
+
+def _scalar_stack(insts):
+    """One-trial scalar instances as one stack, each matrix zero-padded to
+    the largest row count, as ``instances.scalar_instance`` pads a stack."""
+    aux = {}
+    for key in insts[0].aux:
+        values = [np.asarray(inst.aux[key], dtype=float) for inst in insts]
+        if values[0].ndim < 2:
+            aux[key] = np.stack(values)
+            continue
+        aux[key] = np.zeros((len(values), max(len(v) for v in values), values[0].shape[1]))
+        for t, v in enumerate(values):
+            aux[key][t, : len(v)] = v
+    return InstanceFamily(hypothesis_tag="scalar", aux=aux)
 
 
 # Reference: the per-trial 30-digit checkers of the scalar suite, one list of
@@ -796,9 +813,11 @@ def _reference_outcome(check_id, inst, tol):
     return CheckOutcome(check_id, HOLDS if slack >= -tol.margin(scale) else VIOLATED, slack, scale)
 
 
-def _assert_runner_matches_reference(check_id, insts, tol):
-    got = checks.REGISTRY[check_id].runner(insts, [{}] * len(insts), tol)
-    want = [_reference_outcome(check_id, inst, tol) for inst in insts]
+def _assert_runner_matches_reference(check_id, stack, insts, tol):
+    """The runner on ``stack`` gives each of its trials ``insts`` (each one
+    trial's instance) the outcome of the per-trial reference."""
+    got = checks.REGISTRY[check_id].runner(stack, [{}] * len(insts), tol)
+    want = [_reference_outcome(check_id, inst.aux, tol) for inst in insts]
     assert list(map(repr, got)) == list(map(repr, want))
     return got
 
@@ -817,10 +836,10 @@ def test_scalar_runner_on_stacked_cells_matches_the_per_trial_reference(check_id
     compared = 0
     for cell in campaign.expand_cells(check_id, cfg):
         trials = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
-        insts = [t.inst for t in trials if t.outcome is None]
-        if insts:
-            _assert_runner_matches_reference(check_id, insts, cfg.tolerance)
-        compared += len(insts)
+        built = [t for t in trials if t.outcome is None]
+        if built:
+            _assert_runner_matches_reference(check_id, built[0].stack, [t.inst for t in built], cfg.tolerance)
+        compared += len(built)
     assert compared >= 4 * cfg.trials
 
 
@@ -833,7 +852,7 @@ def test_scalar_runner_settles_guard_cases_next_to_passing_trials(check_id):
     built = [t.inst for t in campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg) if t.outcome is None]
     cases = [_scalar_case(inst) for cid, inst, _ in GUARD_CASES if cid == check_id]
     insts = built[:2] + cases + built[2:]
-    outcomes = _assert_runner_matches_reference(check_id, insts, TOL)
+    outcomes = _assert_runner_matches_reference(check_id, _scalar_stack(insts), insts, TOL)
     assert [o.status for o in outcomes].count(HOLDS) >= len(built) == cfg.trials
     assert any(o.status == NOT_APPLICABLE for o in outcomes)
 
@@ -871,7 +890,7 @@ def test_scalar_bounds_decide_a_guard_only_away_from_its_boundary(check_id, inst
     # a guard exactly on its boundary (a_j = a at p = 1, a column sum of 1)
     # is left to the mpmath checker
     inst = _scalar_case(inst)
-    (bound,) = checks.REGISTRY[check_id].bounds([inst])
+    (bound,) = checks.REGISTRY[check_id].bounds(inst)
     assert bound == verdict
     if verdict is not None:
         assert check(check_id, inst, {}, TOL).witness == {"guard": verdict}

@@ -380,7 +380,7 @@ def test_each_stream_draws_a_gaussian_matrix_in_one_call(draw):
 def test_scalar_instance_head_hypotheses(kind, p):
     rng = np.random.default_rng(8)
     for _ in range(20):
-        inst = scalar_instance(kind, (1, 3), p, rng)
+        inst = scalar_instance(kind, (1, 3), p, rng).aux
         q = inst["p"]
         assert np.sum(inst["a_j"] ** q) <= inst["a"] ** q + 1e-12
         assert np.sum(inst["b_j"] ** q) <= inst["b"] ** q + 1e-12
@@ -390,7 +390,7 @@ def test_scalar_instance_head_hypotheses(kind, p):
 def test_scalar_instance_column_hypotheses(kind):
     rng = np.random.default_rng(9)
     for _ in range(20):
-        inst = scalar_instance(kind, (3, 4), 0.4, rng)
+        inst = scalar_instance(kind, (3, 4), 0.4, rng).aux
         q = 1.0 / inst["p"]
         assert np.all(np.sum(inst["a"] ** q, axis=0) <= 1.0 + 1e-12)
         assert abs(inst["weights"].sum() - 1.0) <= 1e-14
@@ -398,7 +398,7 @@ def test_scalar_instance_column_hypotheses(kind):
 
 def test_scalar_instance_capped_columns():
     rng = np.random.default_rng(10)
-    inst = scalar_instance("mp1", (2, 3), 0.5, rng)
+    inst = scalar_instance("mp1", (2, 3), 0.5, rng).aux
     q = 1.0 / inst["p"]
     assert np.all(np.sum(inst["a"] ** q, axis=0) <= inst["caps"] ** q + 1e-12)
 
