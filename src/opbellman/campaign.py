@@ -633,9 +633,11 @@ class _Trial:
     ``stack`` holds the instances of one builder call, exactly its built
     trials in order, and the trial is its entry ``index``.  ``outcome`` is
     exact (from the check's runner, or a guard or generator rejection).
-    Without one, the trial holds for certain and ``slack`` and
-    ``normalized`` enclose its slack and slack/scale; with one, they are
-    that outcome's values, ``normalized`` None where scale > 0 fails.
+    Without one, the trial holds for certain and ``slack``, ``scale`` and
+    ``normalized`` enclose its slack, scale and slack/scale; an enclosure
+    that is one point is the exact value.  With one, ``slack`` and
+    ``normalized`` are that outcome's values, ``normalized`` None where
+    scale > 0 fails.
     """
 
     provenance: dict
@@ -644,6 +646,7 @@ class _Trial:
     params: dict | None = None
     outcome: CheckOutcome | None = None
     slack: tuple[float, float] | None = None
+    scale: tuple[float, float] | None = None
     normalized: tuple[float, float] | None = None
 
     def settle(self, outcome: CheckOutcome) -> "_Trial":
@@ -651,6 +654,13 @@ class _Trial:
         self.slack = (outcome.slack, outcome.slack)
         self.normalized = (outcome.slack / outcome.scale,) * 2 if outcome.scale > 0 else None
         return self
+
+    def enclose(self, slack: tuple[float, float], scale: tuple[float, float]) -> None:
+        """Enclosures of a trial that holds for certain, from those of its
+        slack and of its scale, whose lower end is positive."""
+        self.slack, self.scale = slack, scale
+        ratios = [s / c for s in slack for c in scale]
+        self.normalized = (min(ratios), max(ratios))
 
     @property
     def inst(self):
@@ -734,8 +744,9 @@ def run_check_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int):
 
 def _filter_trials(check_id: str, trials: list[_Trial], tol: Tolerance) -> None:
     """Settle the built trials of a cell where the check's float64 bounds
-    decide a guard, and enclose the slack of those that certainly hold; a
-    check without bounds leaves every trial to ``_cell_summary``."""
+    decide a guard, and enclose the slack and scale of those that certainly
+    hold; a check without bounds leaves every trial to ``_cell_summary``,
+    which narrows the slack enclosures of a tied cell to its one slack."""
     bounds = REGISTRY[check_id].bounds
     built = [t for t in trials if t.outcome is None]
     if bounds is None or not built:
@@ -744,35 +755,44 @@ def _filter_trials(check_id: str, trials: list[_Trial], tol: Tolerance) -> None:
         if isinstance(b, str):
             t.settle(_na(check_id, b))
         elif b is not None and b.scale_lo > 0 and b.slack_lo >= -tol.margin(b.scale_lo):
-            t.slack = (b.slack_lo, b.slack_hi)
-            ratios = [s / c for s in t.slack for c in (b.scale_lo, b.scale_hi)]
-            t.normalized = (min(ratios), max(ratios))
+            t.enclose((b.slack_lo, b.slack_hi), (b.scale_lo, b.scale_hi))
 
 
 def _cell_summary(check_id: str, cell: dict, cfg: CampaignConfig, trials: list[_Trial]) -> dict:
     """The report record of one cell, whose trials have each an outcome or
     enclosures of their slack.
 
+    In a cell where the check declares a ``tie``, the first applicable trial
+    is checked, and each trial the filter left to hold for certain gets its
+    exact slack as a point enclosure, where its own enclosure contains it.
+
     A trial without an exact outcome is checked unless its enclosures show
-    that the reported values do not depend on it: its slack interval lies
-    above the smallest slack upper end, and its slack/scale interval misses
-    [k-th smallest lower end, k-th smallest upper end] for each middle rank
-    k.  Only a scalar trial the filter left to hold for certain has such
-    enclosures.  The trials each step still needs go through
-    ``_check_pending`` as one stack.  The summary then reads each other
-    trial at its lower ends, which keeps the minimum, the first trial that
-    reaches it and the median.
+    that the reported values do not depend on it: its slack interval is a
+    point or lies above the smallest slack upper end, and its slack/scale
+    interval is a point or misses [k-th smallest lower end, k-th smallest
+    upper end] for each middle rank k.  Only a scalar trial the filter left
+    to hold for certain has such enclosures.  The trials each step still
+    needs go through ``_check_pending`` as one stack.  The summary then
+    reads each other trial at its lower ends, which keeps the minimum, the
+    first trial that reaches it and the median.
     """
     tol = cfg.tolerance
     applicable = [t for t in trials if t.outcome is None or t.outcome.status != NOT_APPLICABLE]
+    if applicable and REGISTRY[check_id].ties(cell):
+        _check_pending(check_id, applicable[:1], tol)
+        c = applicable[0].outcome.slack
+        for t in applicable[1:]:
+            if t.outcome is None and t.slack[0] <= c <= t.slack[1]:
+                t.enclose((c, c), t.scale)
     if applicable:
         top = min(t.slack[1] for t in applicable)
-        _check_pending(check_id, [t for t in applicable if t.slack[0] <= top], tol)
+        _check_pending(check_id, [t for t in applicable if t.slack[0] < t.slack[1] and t.slack[0] <= top], tol)
     normed = [t for t in applicable if t.normalized is not None]
     for k in sorted({(len(normed) - 1) // 2, len(normed) // 2}) if normed else ():
         lo_k = sorted(t.normalized[0] for t in normed)[k]
         hi_k = sorted(t.normalized[1] for t in normed)[k]
-        _check_pending(check_id, [t for t in normed if t.normalized[0] <= hi_k and t.normalized[1] >= lo_k], tol)
+        window = [t for t in normed if t.normalized[0] <= hi_k and t.normalized[1] >= lo_k]
+        _check_pending(check_id, [t for t in window if t.normalized[0] < t.normalized[1]], tol)
 
     holds = violated = na = 0
     slacks = []

@@ -178,12 +178,18 @@ class RegistryEntry:
     reference: object  # dim-1 scalar formula; None for scalar checks
     runner: object  # a cell: (insts, params, tol) -> one CheckOutcome per trial
     bounds: object  # a scalar cell's float64 verdicts: insts -> one per trial; None for operator checks
+    tie: dict | None  # cell values at which every trial has one exact slack
+
+    def ties(self, cell: dict) -> bool:
+        """Whether ``cell`` has the values of ``tie``: its trials' exact
+        slacks are one number."""
+        return self.tie is not None and all(cell.get(k) == v for k, v in self.tie.items())
 
 
 REGISTRY: dict[str, RegistryEntry] = {}
 
 
-def inequality(check_id, *, group, direction, interval_kind, axes, statement, hypothesis, reference=None):
+def inequality(check_id, *, group, direction, interval_kind, axes, statement, hypothesis, reference=None, tie=None):
     """Declare one inequality: register it in ``REGISTRY`` and wrap its checker.
 
     An operator checker returns the sides to compare, (dominant, dominated),
@@ -208,6 +214,15 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
     ``SCALAR_DPS`` digits and settles each trial at its first failing
     guard, or by its sides' difference at those digits.  Registration order
     is the campaign's check order.
+
+    ``tie`` declares cell values, such as ``{"n": 1}``, at which the check's
+    expression gives every trial one reported slack, whatever the operands:
+    its two sides are formed by the same operations, or differ by a
+    constant of the cell.  In such a cell the campaign evaluates the first
+    applicable trial at ``SCALAR_DPS`` digits and gives its slack to each
+    trial the float64 filter settled as holding whose enclosure contains it
+    (``campaign._cell_summary``).  A tie that holds only for some operands'
+    magnitudes is not one.
     """
 
     def deco(fn):
@@ -241,7 +256,7 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
 
         REGISTRY[check_id] = RegistryEntry(
             check_id, group, direction, statement, hypothesis, interval_kind, axes, reference, runner,
-            bounds if group == "scalar" else None,
+            bounds if group == "scalar" else None, tie,
         )
         return runner
 
@@ -1243,12 +1258,15 @@ def check_scalar_popoviciu(s, num) -> tuple:
 
 @inequality(
     "scalar_bellman_weighted", group="scalar", direction="rhs>=lhs", interval_kind="none",
-    axes=("n", "p"),
+    axes=("n", "p"), tie={"n": 1},
     statement="sum_j w_j (1 - sum_i a_ij^{1/p})^p <= (1 - sum_i (sum_j w_j a_ij)^{1/p})^p",
     hypothesis="sum_i a_ij^{1/p} <= 1 per column, weights sum to 1, 0 < p < 1",
 )
 def check_scalar_bellman_weighted(s, num) -> tuple:
-    """sum_j w_j (1 - sum_i a_ij^{1/p})^p <= (1 - sum_i (sum_j w_j a_ij)^{1/p})^p."""
+    """sum_j w_j (1 - sum_i a_ij^{1/p})^p <= (1 - sum_i (sum_j w_j a_ij)^{1/p})^p.
+
+    At n = 1 the weight is 1.0 and both sides are (1 - sum_i a_i^{1/p})^p,
+    formed by the same operations: every slack is 0."""
     p, q, a, col_caps = _column_sums(s, num)
     w = num(s["weights"])
     dominated = (w * (1 - col_caps) ** p[:, None]).sum(1)
@@ -1259,13 +1277,16 @@ def check_scalar_bellman_weighted(s, num) -> tuple:
 
 @inequality(
     "scalar_bellman_columns", group="scalar", direction="rhs>=lhs", interval_kind="none",
-    axes=("n", "p"),
+    axes=("n", "p"), tie={"n": 1},
     statement="sum_j (M_j^{1/p} - sum_i a_ij^{1/p})^p <= ((sum M_j)^{1/p} - sum_i (sum_j a_ij)^{1/p})^p",
     hypothesis="sum_i a_ij^{1/p} <= M_j^{1/p} per column, 0 < p < 1",
 )
 def check_scalar_bellman_columns(s, num) -> tuple:
     """sum_j (M_j^{1/p} - sum_i a_ij^{1/p})^p
-    <= ((sum_j M_j)^{1/p} - sum_i (sum_j a_ij)^{1/p})^p."""
+    <= ((sum_j M_j)^{1/p} - sum_i (sum_j a_ij)^{1/p})^p.
+
+    At n = 1 both sides are (M^{1/p} - sum_i a_i^{1/p})^p, formed by the
+    same operations (a sum of one term is that term): every slack is 0."""
     p, q, a, col_sums = _column_sums(s, num)
     caps = num(s["caps"])
     room = caps ** q[:, None] - col_sums
@@ -1277,13 +1298,17 @@ def check_scalar_bellman_columns(s, num) -> tuple:
 
 @inequality(
     "scalar_bellman_reverse", group="scalar", direction="lhs>=rhs", interval_kind="none",
-    axes=("n", "p"),
+    axes=("n", "p"), tie={"n": 1},
     statement="(1-p) p^{p/(1-p)} + sum_j w_j (1 - sum_i a_ij^{1/p})^p >= (1 - sum_ij w_j a_ij^{1/p})^p",
     hypothesis="sum_i a_ij^{1/p} <= 1 per column, weights sum to 1, 0 < p < 1",
 )
 def check_scalar_bellman_reverse(s, num) -> tuple:
     """(1-p) p^{p/(1-p)} + sum_j w_j (1 - sum_i a_ij^{1/p})^p
-    >= (1 - sum_i sum_j w_j a_ij^{1/p})^p."""
+    >= (1 - sum_i sum_j w_j a_ij^{1/p})^p.
+
+    At n = 1 the weight is 1.0 and the sides differ by the constant alone:
+    every slack is (1-p) p^{p/(1-p)} to within the 30-digit rounding of one
+    sum, about 1e-30, which the float64 slack does not keep."""
     p, q, _, col_caps = _column_sums(s, num)
     w = num(s["weights"])
     const = (1 - p) * p ** (p / (1 - p))

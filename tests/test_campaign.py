@@ -647,14 +647,82 @@ def _per_trial_summary(cfg):
     return cells, total
 
 
-@pytest.mark.parametrize("trials", [1, 2, 3, 200])
-def test_filtered_scalar_campaign_matches_per_trial_summary(trials):
-    # odd and even medians, and the n = 1 cells where every slack ties
-    cfg = CampaignConfig(trials=trials, **SCALAR_SUITE)
+#: The checks that declare a tie.
+TIE_IDS = [cid for cid, entry in checks.REGISTRY.items() if entry.tie is not None]
+
+
+@pytest.mark.parametrize("cfg", [
+    *(pytest.param(CampaignConfig(trials=trials, **SCALAR_SUITE), id=str(trials)) for trials in (1, 2, 3, 200)),
+    pytest.param(
+        CampaignConfig(trials=300, n_values=(1,), p_grid=(0.001, 0.999), checks=tuple(TIE_IDS), seed=7),
+        id="edge-exponent-ties",
+    ),
+])
+def test_filtered_scalar_campaign_matches_per_trial_summary(cfg):
+    # odd and even medians, the n = 1 cells where every slack ties, and the
+    # tied cells at the edge exponents: p = 0.001 rejects 74 to 138 of the
+    # 300 builds of each, trial 0 of the scalar_bellman_columns cell among
+    # them, so the tie's slack and the argmin are the first applicable trial's
     report = run_campaign(cfg)
     cells, summary = _per_trial_summary(cfg)
     expected = campaign.report_to_json(dict(report, cells=cells, summary=summary))
     assert campaign.report_to_json(report) == expected
+
+
+@pytest.mark.parametrize("check_id", TIE_IDS)
+def test_declared_tie_gives_every_trial_one_slack(check_id):
+    # every trial of each tied cell, checked at 30 digits (_checked_trials
+    # checks them all), has one slack to the last bit: 0 for the forward
+    # checks, the reverse's constant (1-p) p^{p/(1-p)} for the reverse.  A
+    # tie declared on a check whose slacks differ fails here.
+    pinned = {0.001: 0.9921160721936046, 0.5: 0.25, 0.999: 0.0003680634882592236}
+    entry = checks.REGISTRY[check_id]
+    p_grid = (0.001, 0.25, 0.5, 0.75, 0.999)
+    cfg = CampaignConfig(trials=300, n_values=(1, 2, 3), p_grid=p_grid, checks=(check_id,), seed=7)
+    cells = [cell for cell in campaign.expand_cells(check_id, cfg) if entry.ties(cell)]
+    assert cells
+    for cell in cells:
+        trials = campaign._checked_trials(check_id, cell, cfg, range(cfg.trials))
+        slacks = {t.outcome.slack for t in trials if t.outcome.status != "not_applicable"}
+        assert len(slacks) == 1, (cell, sorted(slacks)[:3])
+        if check_id != "scalar_bellman_reverse":
+            assert slacks == {0.0}, cell
+        elif cell["p"] in pinned:
+            assert slacks == {pinned[cell["p"]]}, cell
+
+
+def test_tied_cells_send_one_trial_to_the_exact_check(monkeypatch):
+    # a counting proxy, independent of the machine: the trials each n = 1
+    # cell of the three column checks sends to the 30-digit runner.  The
+    # forward checks' point slacks of 0 settle the median too; the reverse's
+    # normalized slacks still send one trial per middle rank.  Before ties,
+    # all 20 trials of each of these nine cells went, 268 trials in all.
+    sent = {}
+    pending = campaign._check_pending
+
+    def counted(check_id, trials, tol):
+        for t in trials:
+            if t.outcome is None:
+                key = (check_id, json.dumps(t.provenance["cell"], sort_keys=True))
+                sent.setdefault(key, []).append(t.provenance["trial"])
+        return pending(check_id, trials, tol)
+
+    monkeypatch.setattr(campaign, "_check_pending", counted)
+    cfg = _workload("scalar_suite", trials=20)
+    run_campaign(cfg)
+    tied = {
+        (cid, json.dumps(cell, sort_keys=True)): cid
+        for cid in cfg.checks
+        for cell in campaign.expand_cells(cid, cfg)
+        if checks.REGISTRY[cid].ties(cell)
+    }
+    assert len(tied) == 9
+    for key, cid in tied.items():
+        if cid == "scalar_bellman_reverse":
+            assert 1 < len(sent[key]) <= 3, key
+        else:
+            assert len(sent[key]) == 1, key
+    assert sum(map(len, sent.values())) < 120
 
 
 def _workload(name: str, **overrides) -> CampaignConfig:
