@@ -22,7 +22,6 @@ from . import __version__, checks
 from .checks import (
     NOT_APPLICABLE,
     REGISTRY,
-    SCALAR_IDS,
     VIOLATED,
     CheckOutcome,
     _gamma_cached,
@@ -56,7 +55,7 @@ from .positive_maps import (
     UnitaryMixture,
     map_from_json,
 )
-from .spectral import Tolerance, matrix_from_json, matrix_to_json
+from .spectral import Tolerance, array_from_json, array_to_json
 
 DEFAULT_SEED = 1729
 
@@ -174,6 +173,9 @@ def config_from_json(obj: dict) -> CampaignConfig:
     kwargs = {}
     for key, value in obj.items():
         try:
+            # a bare string iterates as its characters
+            if key not in ("trials", "seed", "tolerance") and not isinstance(value, (list, tuple)):
+                raise TypeError("expected a list")
             if key == "tolerance":
                 kwargs[key] = Tolerance(float(value["atol"]), float(value["rtol"]))
             elif key == "intervals":
@@ -239,11 +241,10 @@ def build_map(map_id: str, dim: int, rng):
 # ``cell["M"]`` and ``cell["f"]`` may be arrays of one value per trial
 # (``checks._stack_params``), which a builder hands on to the generators as
 # they are, a mean as ``function_from_id`` resolves it.  Either raises
-# HypothesisError naming in ``where`` the trials whose hypotheses failed; a
-# scalar builder, whose trials draw independently, attaches the stack of
-# its other trials and their draws as ``built``.  ``draws`` holds one dict
-# per trial: a trial's params are the cell without its instance-shape keys
-# plus its draws, which never repeat a cell key (see run_check_trial).
+# HypothesisError naming in ``where`` the trials whose hypotheses failed.
+# ``draws`` holds one dict per trial: a trial's params are the cell without
+# its instance-shape keys plus its draws, which never repeat a cell key (see
+# run_check_trial).
 
 
 def _shrunk(m: float, M: float) -> tuple[float, float]:
@@ -416,12 +417,7 @@ def _build_scalar(kind):
             else:
                 draws.append({})
         p = [d["p"] for d in draws] if kind in HEAD_KINDS else cell["p"]
-        try:
-            return scalar_instance(kind, (rows, cell["n"]), p, rngs), draws
-        except HypothesisError as exc:
-            kept = [d for d, failed in zip(draws, exc.where) if not failed]
-            built = None if exc.built is None else (exc.built, kept)
-            raise HypothesisError(*exc.args, where=exc.where, built=built) from None
+        return scalar_instance(kind, (rows, cell["n"]), p, rngs), draws
 
     return build
 
@@ -469,8 +465,6 @@ def _interval_matches(kind: str, m: float, M: float) -> bool:
 
 
 def _intervals_for(entry, cfg: CampaignConfig) -> list[tuple[float, float]]:
-    if entry.interval_kind == "none":
-        return [(math.nan, math.nan)]
     good = [iv for iv in cfg.intervals if _interval_matches(entry.interval_kind, *iv)]
     return good or [_FALLBACK_INTERVAL[entry.interval_kind]]
 
@@ -516,56 +510,32 @@ def expand_cells(check_id: str, cfg: CampaignConfig) -> list[dict]:
 def _family_to_json(inst: InstanceFamily) -> dict:
     return {
         "hypothesis_tag": inst.hypothesis_tag,
-        "A": [matrix_to_json(a) for a in inst.A],
-        "B": None if inst.B is None else [matrix_to_json(b) for b in inst.B],
-        "weights": None if inst.weights is None else [float(w) for w in inst.weights],
+        "A": [array_to_json(a) for a in inst.A],
+        "B": None if inst.B is None else [array_to_json(b) for b in inst.B],
+        "weights": None if inst.weights is None else array_to_json(inst.weights),
         "maps": None if inst.maps is None else [m.to_json() for m in inst.maps],
-        "aux": {k: matrix_to_json(v) for k, v in inst.aux.items()},
+        "aux": {k: array_to_json(v) for k, v in inst.aux.items()},
     }
 
 
 def _family_from_json(obj: dict) -> InstanceFamily:
     return InstanceFamily(
         hypothesis_tag=obj["hypothesis_tag"],
-        A=[matrix_from_json(a) for a in obj["A"]],
-        B=None if obj["B"] is None else [matrix_from_json(b) for b in obj["B"]],
-        weights=None if obj["weights"] is None else np.asarray(obj["weights"], dtype=float),
+        A=[array_from_json(a) for a in obj["A"]],
+        B=None if obj["B"] is None else [array_from_json(b) for b in obj["B"]],
+        weights=None if obj["weights"] is None else array_from_json(obj["weights"]),
         maps=None if obj["maps"] is None else [map_from_json(m) for m in obj["maps"]],
-        aux={k: matrix_from_json(v) for k, v in obj.get("aux", {}).items()},
+        aux={k: array_from_json(v) for k, v in obj["aux"].items()},
     )
 
 
-def _scalar_inst_to_json(inst: dict) -> dict:
-    out = {}
-    for key, value in inst.items():
-        if isinstance(value, np.ndarray):
-            out[key] = {"array": value.tolist()}
-        else:
-            out[key] = float(value)
-    return out
-
-
-def _scalar_inst_from_json(obj: dict) -> dict:
-    out = {}
-    for key, value in obj.items():
-        if isinstance(value, dict) and "array" in value:
-            out[key] = np.asarray(value["array"], dtype=float)
-        else:
-            out[key] = float(value)
-    return out
-
-
-def make_witness(check_id: str, params: dict, inst, outcome: CheckOutcome, provenance: dict) -> dict:
-    """Replayable record of one check evaluation."""
-    if check_id in SCALAR_IDS:
-        payload = {"scalars": _scalar_inst_to_json(inst.aux)}
-    else:
-        payload = {"family": _family_to_json(inst)}
+def make_witness(check_id: str, params: dict, inst: InstanceFamily, outcome: CheckOutcome, provenance: dict) -> dict:
+    """Replayable record of one check evaluation on one trial's family."""
     return {
-        "schema": "opbellman-witness/1",
+        "schema": "opbellman-witness/2",
         "check": check_id,
         "params": params,
-        "instance": payload,
+        "instance": {"family": _family_to_json(inst)},
         "outcome": {
             "status": outcome.status,
             "slack": outcome.slack,
@@ -576,28 +546,37 @@ def make_witness(check_id: str, params: dict, inst, outcome: CheckOutcome, prove
     }
 
 
+class _WitnessParams(dict):
+    """A witness's params, as a checker reads them: a key the check needs
+    and the witness lacks is a schema error, not a checker's KeyError."""
+
+    def __missing__(self, key):
+        raise WitnessFormatError(f"witness params lack {key!r}")
+
+
 def replay_witness(obj: dict, tol: Tolerance = Tolerance()) -> tuple[CheckOutcome, dict, bool]:
     """Re-run a recorded check; returns (fresh outcome, recorded outcome, match).
 
     Match means the recomputed slack agrees with the recorded one to 1e-12.
     """
-    if not isinstance(obj, dict) or obj.get("schema") != "opbellman-witness/1":
-        raise WitnessFormatError("not an opbellman witness document")
+    if not isinstance(obj, dict) or obj.get("schema") != "opbellman-witness/2":
+        raise WitnessFormatError("not an opbellman-witness/2 document")
     for key in ("check", "params", "instance", "outcome"):
         if key not in obj:
             raise WitnessFormatError(f"witness is missing field {key!r}")
     check_id = obj["check"]
-    if check_id not in REGISTRY:
+    if not isinstance(check_id, str) or check_id not in REGISTRY:
         raise WitnessFormatError(f"witness names unknown check {check_id!r}")
-    payload = obj["instance"]
+    for key in ("params", "outcome"):
+        if not isinstance(obj[key], dict):
+            raise WitnessFormatError(f"witness field {key!r} is not an object")
     try:
-        if check_id in SCALAR_IDS:
-            inst = InstanceFamily(hypothesis_tag="scalar", aux=_scalar_inst_from_json(payload["scalars"]))
-        else:
-            inst = _family_from_json(payload["family"])
+        inst = _family_from_json(obj["instance"]["family"])
     except (KeyError, TypeError, ValueError) as exc:
         raise WitnessFormatError(f"bad instance payload: {exc}") from exc
-    outcome = checks.check(check_id, inst, obj["params"], tol)
+    if REGISTRY[check_id].group != "scalar" and not inst.A:
+        raise WitnessFormatError(f"witness family of operator check {check_id!r} has no operands")
+    outcome = checks.check(check_id, inst, _WitnessParams(obj["params"]), tol)
     recorded = obj["outcome"]
     rec_slack = recorded.get("slack")
     if outcome.status == NOT_APPLICABLE or rec_slack is None:
@@ -676,10 +655,9 @@ def _build_trials(check_id: str, pairs, cfg: CampaignConfig) -> list[_Trial]:
     Each trial keeps its own stream, provenance and params; the streams of
     the live trials are seeded in one ``substreams`` call.  A trial named
     in the ``where`` of a builder's ``HypothesisError`` gets a
-    ``generator_rejected`` outcome; the other trials keep the stack the
-    error carries (a scalar builder's, whose trials draw independently), or
-    else are built again from fresh copies of their streams.  Either way
-    the stack holds exactly the built trials, in order."""
+    ``generator_rejected`` outcome, and the other trials are built again
+    from fresh copies of their streams, so the stack holds exactly the
+    built trials, in order."""
     cells = {id(cell): cell for cell, _ in pairs}
     keys = {i: json.dumps(cell, sort_keys=True) for i, cell in cells.items()}
     params = {i: {k: v for k, v in cell.items() if k not in _SHAPE_KEYS} for i, cell in cells.items()}
@@ -694,9 +672,7 @@ def _build_trials(check_id: str, pairs, cfg: CampaignConfig) -> list[_Trial]:
             for i in np.flatnonzero(failed):
                 out[live[i]].settle(_na(check_id, "generator_rejected"))
             live = [i for i, f in zip(live, failed) if not f]
-            if exc.built is None:
-                continue
-            stack, draws = exc.built
+            continue
         for k, (i, d) in enumerate(zip(live, draws)):
             out[i].stack, out[i].index, out[i].params = stack, k, params[id(pairs[i][0])] | d
         break

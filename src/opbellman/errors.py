@@ -43,17 +43,7 @@ class ParameterError(OpBellmanError, ValueError):
 
 class HypothesisError(OpBellmanError, ValueError):
     """Inputs violate the hypothesis required by a closed-form constant or
-    a generated instance.
-
-    ``built``, when given, holds the trials not in ``where``, from a
-    generator or builder whose trials draw independently of each other:
-    ``instances.scalar_instance``'s stack of them, or a campaign builder's
-    (stack, draws).
-    """
-
-    def __init__(self, *args, where=True, built=None):
-        super().__init__(*args, where=where)
-        self.built = built
+    a generated instance."""
 
 
 class UnimodalityError(OpBellmanError, RuntimeError):

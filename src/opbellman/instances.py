@@ -415,8 +415,7 @@ def scalar_instance(kind: str, sizes: tuple, p, rng) -> InstanceFamily:
     row adds exact zeros.  The head kinds raise each trial's head to its own
     exponent with a scalar pow, which an exponent array does not reproduce
     to the last bit, so they run trial by trial.  A ``HypothesisError``
-    names the rejected trials in ``where`` and carries the stack of the
-    others as ``built``.
+    names the rejected trials in ``where``.
     """
     rngs, one = _streams(rng)
     rows = np.broadcast_to(np.asarray(sizes[0], dtype=int), (len(rngs),))
@@ -433,20 +432,10 @@ def scalar_instance(kind: str, sizes: tuple, p, rng) -> InstanceFamily:
         aux, failed = _column_arrays(kind, rows, cols, p, rngs)
     else:
         raise ParameterError(f"unknown scalar instance kind {kind!r}")
-    keep = np.flatnonzero(~failed)
-    aux, meta = {k: v[keep] for k, v in aux.items()}, {}
-    if kind in COLUMN_KINDS and keep.size:
-        aux["a"] = aux["a"][:, : rows[keep].max()]
-        meta["rows"] = rows[keep]
-        if kind != "mp1":
-            aux["weights"] = random_weights(cols, [rngs[t] for t in keep])
-    stack = InstanceFamily(hypothesis_tag=f"scalar_{kind}", aux=aux, meta=meta)
     if failed.any():
-        raise HypothesisError(
-            f"{kind} instances failed their hypothesis",
-            where=failed[0] if one else failed,
-            built=None if one or not keep.size else stack,
-        )
+        raise HypothesisError(f"{kind} instances failed their hypothesis", where=failed[0] if one else failed)
+    meta = {"rows": rows} if kind in COLUMN_KINDS else {}
+    stack = InstanceFamily(hypothesis_tag=f"scalar_{kind}", aux=aux, meta=meta)
     return take(stack, 0) if one else stack
 
 
@@ -481,7 +470,9 @@ def _column_arrays(kind: str, rows: np.ndarray, cols: int, p: float, rngs: list)
     """(arrays, rejected) of a column kind: each stream draws mp1's caps,
     then its matrix and the column factors theta; the stack (trials, largest
     row count, cols) is then scaled so that each column sum of a_ij^(1/p) is
-    theta (theta caps^(1/p) for mp1) and re-verified in one pass."""
+    theta (theta caps^(1/p) for mp1) and re-verified in one pass.  Then each
+    stream of a trial that holds draws mp3's and eq3's weights, also where
+    another trial fails."""
     q = 1.0 / p
     a = np.zeros((len(rngs), rows.max(), cols))
     theta = np.empty((len(rngs), cols))
@@ -499,4 +490,6 @@ def _column_arrays(kind: str, rows: np.ndarray, cols: int, p: float, rngs: list)
     aux = {"a": a, "p": np.full(len(rngs), p)}
     if kind == "mp1":
         aux["caps"] = caps
+    elif not failed.all():
+        aux["weights"] = random_weights(cols, [rng for rng, bad in zip(rngs, failed) if not bad])
     return aux, failed

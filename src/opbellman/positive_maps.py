@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .spectral import _any, _eigvalsh, adjoint, hermitize, identity, matrix_from_json, matrix_to_json
+from .spectral import _any, _eigvalsh, adjoint, array_from_json, array_to_json, hermitize, identity
 
 _ISOMETRY_TOL = 1e-10
 
@@ -88,13 +88,7 @@ class Compression:
         return adjoint(self.v) @ x @ self.v
 
     def to_json(self) -> dict:
-        return {
-            "kind": "compression",
-            "rows": int(self.v.shape[0]),
-            "cols": int(self.v.shape[1]),
-            "re": [float(t) for t in self.v.real.ravel()],
-            "im": [float(t) for t in self.v.imag.ravel()],
-        }
+        return {"kind": "compression", "v": array_to_json(self.v)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,8 +129,8 @@ class UnitaryMixture:
     def to_json(self) -> dict:
         return {
             "kind": "unitary_mixture",
-            "weights": [float(w) for w in self.weights],
-            "unitaries": [matrix_to_json(u) for u in self.unitaries],
+            "weights": array_to_json(self.weights),
+            "unitaries": [array_to_json(u) for u in self.unitaries],
         }
 
 
@@ -196,12 +190,9 @@ def map_from_json(obj: dict) -> PositiveLinearMap:
     if kind == "identity":
         return IdentityMap(int(obj["dim"]))
     if kind == "compression":
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        v = (np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float))
-        return Compression(v.reshape(rows, cols))
+        return Compression(array_from_json(obj["v"]))
     if kind == "unitary_mixture":
-        us = tuple(matrix_from_json(u) for u in obj["unitaries"])
-        return UnitaryMixture(np.asarray(obj["weights"], dtype=float), us)
+        return UnitaryMixture(array_from_json(obj["weights"]), tuple(array_from_json(u) for u in obj["unitaries"]))
     if kind == "pinching":
         return Pinching(tuple(tuple(blk) for blk in obj["blocks"]))
     raise ParameterError(f"unknown map kind {kind!r}")

@@ -273,22 +273,27 @@ def pd_root_pair(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hermitize(from_spectrum(u, lam**0.5)), hermitize(from_spectrum(u, lam**-0.5))
 
 
-def matrix_to_json(x: np.ndarray) -> dict:
-    """Serialize a square complex matrix as {dim, re, im} (row-major)."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {x.shape}")
-    return {
-        "dim": int(x.shape[0]),
-        "re": [float(v) for v in x.real.ravel()],
-        "im": [float(v) for v in x.imag.ravel()],
-    }
+def array_to_json(x) -> dict:
+    """Serialize an array as {shape, re, im}: its shape and its row-major
+    real parts, and imaginary parts only for a complex array."""
+    x = np.asarray(x)
+    out = {"shape": list(x.shape), "re": [float(v) for v in x.real.ravel()]}
+    if np.iscomplexobj(x):
+        out["im"] = [float(v) for v in x.imag.ravel()]
+    return out
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
-    dim = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    if re.size != dim * dim or im.size != dim * dim:
-        raise ShapeError(f"serialized matrix has {re.size} entries for dim {dim}")
-    return (re + 1j * im).reshape(dim, dim)
+def array_from_json(obj: dict) -> np.ndarray:
+    """The array ``array_to_json`` serialized: float, or complex when the
+    object has ``im``."""
+    shape = tuple(int(n) for n in obj["shape"])
+    x = np.asarray(obj["re"], dtype=float)
+    if "im" in obj:
+        im = np.asarray(obj["im"], dtype=float)
+        if im.shape != x.shape:
+            raise ShapeError(f"serialized array has {x.size} real and {im.size} imaginary parts")
+        x = x.astype(complex)
+        x.imag = im
+    if x.shape != (math.prod(shape),):
+        raise ShapeError(f"serialized array of shape {shape} has {x.size} entries")
+    return x.reshape(shape)

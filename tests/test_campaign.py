@@ -269,8 +269,66 @@ def test_scalar_witness_round_trip():
     cell = campaign.expand_cells("scalar_bellman_weighted", cfg)[0]
     out, inst, params, prov = run_check_trial("scalar_bellman_weighted", cell, cfg, 0)
     wit = make_witness("scalar_bellman_weighted", params, inst, out, prov)
+    family = wit["instance"]["family"]
+    assert family["hypothesis_tag"] == "scalar_mp3" and family["A"] == []
+    assert family["aux"]["p"] == {"shape": [], "re": [0.5]}
     fresh, _, match = replay_witness(wit)
     assert match and fresh.status == "holds"
+
+
+#: A grid on which the first cells of each check take every map kind.
+WITNESS_CFG = dict(dims=(3,), n_values=(3,), maps=("id", "compress:2", "unitary-mix:2", "pinch:2"), trials=1)
+
+
+def test_every_check_witness_round_trips_through_json():
+    # one trial of each of the first eight cells of every check: operands,
+    # weights, every map's arrays, aux matrices (C, A_total, B_total), a
+    # scalar trial's cut arrays and its 0-d p, each stored as
+    # {shape, re[, im]} and read back to the bit
+    cfg = CampaignConfig(**WITNESS_CFG)
+    replayed = 0
+    for check_id in checks.REGISTRY:
+        for cell in campaign.expand_cells(check_id, cfg)[:8]:
+            out, inst, params, prov = run_check_trial(check_id, cell, cfg, 0)
+            assert inst is not None, (check_id, cell)
+            wit = json.loads(json.dumps(make_witness(check_id, params, inst, out, prov)))
+            fresh, recorded, match = replay_witness(wit)
+            assert match, (check_id, cell, fresh, recorded)
+            replayed += 1
+    assert replayed == 100
+
+
+def _replayable_witness():
+    cfg = CampaignConfig(**WITNESS_CFG)
+    cell = campaign.expand_cells("bellman_map", cfg)[0]
+    out, inst, params, prov = run_check_trial("bellman_map", cell, cfg, 0)
+    return make_witness("bellman_map", params, inst, out, prov)
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        # each printed a traceback: a KeyError 'p' in the checker, a
+        # TypeError, an AttributeError reading the recorded slack, an
+        # IndexError on the first operand, a TypeError hashing the check
+        (("params",), {}, "witness params lack 'p'"),
+        (("params",), [], "witness field 'params' is not an object"),
+        (("outcome",), [], "witness field 'outcome' is not an object"),
+        (("instance", "family", "A"), [], "witness family of operator check 'bellman_map' has no operands"),
+        (("check",), [], "witness names unknown check []"),
+        (("schema",), "opbellman-witness/1", "not an opbellman-witness/2 document"),
+    ],
+)
+def test_cli_replay_malformed_witness_is_a_schema_error(tmp_path, capsys, path, value, message):
+    wit = _replayable_witness()
+    target = wit
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    file = tmp_path / "witness.json"
+    file.write_text(json.dumps(wit))
+    assert cli.main(["replay", str(file)]) == 1
+    assert capsys.readouterr().err == f"witness schema error: {message}\n"
 
 
 # -- command line ---------------------------------------------------------------
@@ -344,6 +402,16 @@ def test_cli_run_takes_the_largest_seed(tmp_path):
         ({}, str(1 << 64), [], "seed="),
         ({}, "-1", [], "seed="),
         ({"seed": 1 << 64}, None, [], "seed="),
+        # a bare string was split into its characters: checks[4]='a' repeated
+        # checks[2], and "geom:0.5" read as the mean id 'g'
+        ({"checks": "scalar_aczel"}, None, [], "checks: malformed value 'scalar_aczel' (expected a list)"),
+        ({"means": "geom:0.5"}, None, [], "means: malformed value 'geom:0.5' (expected a list)"),
+        ({"maps": "id"}, None, [], "maps: malformed value 'id' (expected a list)"),
+        ({"dims": "3"}, None, [], "dims: malformed value '3' (expected a list)"),
+        ({"n_values": 3}, None, [], "n_values: malformed value 3 (expected a list)"),
+        ({"intervals": {"m": 0.5}}, None, [], "intervals: malformed value {'m': 0.5} (expected a list)"),
+        ({"p_grid": 0.5}, None, [], "p_grid: malformed value 0.5 (expected a list)"),
+        ({"lambda_grid": "0.5"}, None, [], "lambda_grid: malformed value '0.5' (expected a list)"),
     ],
 )
 def test_cli_run_malformed_config_value_exit_one(tmp_path, capsys, monkeypatch, config, env_seed, flags, message):
@@ -1039,25 +1107,6 @@ def test_campaign_forms_a_trial_family_only_for_a_witness(monkeypatch):
     cell = campaign.expand_cells("bellman_map", _workload("operator_deep"))[0]
     run_check_trial("bellman_map", cell, _workload("operator_deep"), 0)
     assert ints.count(True) == 1
-
-
-def test_rejecting_scalar_builder_builds_each_trial_once(monkeypatch):
-    # a scalar trial draws alone, so the trials a scalar builder did not
-    # reject keep their first build: at p = 0.001 the mp1/mp3/eq3 builders
-    # reject about half of their trials, and each trial is still drawn once
-    streams = []
-    ids = ("scalar_bellman_weighted", "scalar_bellman_columns", "scalar_bellman_reverse")
-    for check_id in ids:
-        builder = campaign.BUILDERS[check_id]
-        monkeypatch.setitem(campaign.BUILDERS, check_id, lambda cell, rngs, b=builder: streams.extend(rngs) or b(cell, rngs))
-    cfg = config_from_json({"p_grid": [0.001], "n_values": [1, 2, 3], "trials": 200, "checks": list(ids)})
-    rejected = 0
-    for check_id in ids:
-        for cell in campaign.expand_cells(check_id, cfg):
-            trials = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
-            rejected += sum(t.outcome is not None for t in trials)
-    assert len(streams) == 1800
-    assert 0 < rejected < 1800
 
 
 def test_small_exponent_rejections_report_digest_is_pinned():

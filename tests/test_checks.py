@@ -345,6 +345,8 @@ def test_registry_entries_are_complete():
         assert entry.check_id == cid
         assert entry.axes, cid
         assert entry.interval_kind in ("sandwich", "unit", "positive", "none"), cid
+        # expand_cells takes an interval exactly for the checks that have a kind
+        assert ("interval" in entry.axes) == (entry.interval_kind != "none"), cid
         if entry.group == "scalar":
             assert entry.reference is None and callable(entry.bounds), cid
         else:

@@ -144,3 +144,20 @@ def test_checkers_never_call_a_mean_on_one_float():
                 found.append(f"{name}:{node.lineno}")
     assert not found, f"a function value handed to checks._per_trial: {found}"
     assert passed >= 10
+
+
+def test_arrays_are_serialized_only_by_spectral():
+    # spectral.array_to_json is the one array encoding ({shape, re, im});
+    # a module that writes its own "re"/"im" dict stores arrays a second way
+    found, seen = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Dict) and any(
+                isinstance(k, ast.Constant) and k.value in ("re", "im") for k in node.keys
+            ):
+                if path.name == "spectral.py":
+                    seen += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"array encodings outside spectral.py: {found}"
+    assert seen >= 1

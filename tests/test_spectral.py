@@ -7,13 +7,13 @@ from opbellman.spectral import (
     OrderVerdict,
     Tolerance,
     apply_function,
+    array_from_json,
+    array_to_json,
     eig,
     hermitize,
     identity,
     loewner_holds,
     loewner_leq,
-    matrix_from_json,
-    matrix_to_json,
     pd_root_pair,
     spectral_norm,
 )
@@ -215,13 +215,22 @@ def test_tolerance_validation():
 def test_matrix_json_round_trip():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    back = matrix_from_json(matrix_to_json(x))
-    assert np.array_equal(back, x)
+    back = array_from_json(array_to_json(x))
+    assert np.array_equal(back, x) and back.dtype == complex
+    # a real array stores no imaginary parts and reads back real, any shape
+    for y in (rng.standard_normal((2, 3)), np.float64(0.5), np.array([-0.0, 1e-300])):
+        obj = array_to_json(y)
+        assert "im" not in obj
+        back = array_from_json(obj)
+        assert back.shape == np.shape(y) and back.dtype == float
+        assert np.array_equal(np.signbit(back), np.signbit(y)) and np.array_equal(back, y)
 
 
 def test_matrix_json_rejects_bad_payload():
     with pytest.raises(ShapeError):
-        matrix_from_json({"dim": 2, "re": [1.0], "im": [0.0]})
+        array_from_json({"shape": [2, 2], "re": [1.0], "im": [0.0]})
+    with pytest.raises(ShapeError):
+        array_from_json({"shape": [2], "re": [1.0, 2.0], "im": [0.0]})
 
 
 def test_spectrum_matrix_ranges():
