@@ -43,7 +43,8 @@ from .instances import (
     random_subidentity_family,
     random_weights,
     scalar_instance,
-    substreams,
+    stream_states,
+    streams,
     take,
     haar_unitary,
 )
@@ -550,8 +551,16 @@ class _WitnessParams(dict):
     """A witness's params, as a checker reads them: a key the check needs
     and the witness lacks is a schema error, not a checker's KeyError."""
 
+    lacking = "witness params lack"
+
     def __missing__(self, key):
-        raise WitnessFormatError(f"witness params lack {key!r}")
+        raise WitnessFormatError(f"{self.lacking} {key!r}")
+
+
+class _WitnessArrays(_WitnessParams):
+    """A witness family's ``aux`` arrays, read as its params are."""
+
+    lacking = "witness family aux lacks"
 
 
 def replay_witness(obj: dict, tol: Tolerance = Tolerance()) -> tuple[CheckOutcome, dict, bool]:
@@ -576,6 +585,7 @@ def replay_witness(obj: dict, tol: Tolerance = Tolerance()) -> tuple[CheckOutcom
         raise WitnessFormatError(f"bad instance payload: {exc}") from exc
     if REGISTRY[check_id].group != "scalar" and not inst.A:
         raise WitnessFormatError(f"witness family of operator check {check_id!r} has no operands")
+    inst.aux = _WitnessArrays(inst.aux)
     outcome = checks.check(check_id, inst, _WitnessParams(obj["params"]), tol)
     recorded = obj["outcome"]
     rec_slack = recorded.get("slack")
@@ -647,24 +657,33 @@ class _Trial:
         return None if self.stack is None else take(self.stack, self.index)
 
 
-def _build_trials(check_id: str, pairs, cfg: CampaignConfig) -> list[_Trial]:
+def _stream_states(check_id: str, pairs, cfg: CampaignConfig) -> np.ndarray:
+    """The PCG64 states of the streams of the seeded (cell, trial) ``pairs``,
+    keyed (check, cell JSON, trial), from one ``stream_states`` call."""
+    cells = {id(cell): cell for cell, _ in pairs}
+    keys = {i: json.dumps(cell, sort_keys=True) for i, cell in cells.items()}
+    return stream_states(cfg.seed, [(check_id, keys[id(cell)], trial) for cell, trial in pairs])
+
+
+def _build_trials(check_id: str, pairs, cfg: CampaignConfig, states=None) -> list[_Trial]:
     """Draw the instances of the seeded (cell, trial) ``pairs``, of cells that
     differ at most in their ``_PER_TRIAL_KEYS``, in one builder call on their
     streams, with each of those keys per trial where the cells' differ.
 
-    Each trial keeps its own stream, provenance and params; the streams of
-    the live trials are seeded in one ``substreams`` call.  A trial named
-    in the ``where`` of a builder's ``HypothesisError`` gets a
+    Each trial keeps its own stream, provenance and params; the streams
+    are made from ``states``, their PCG64 states, which ``_stream_states``
+    seeds in one pass when they are not given.  A trial named in the
+    ``where`` of a builder's ``HypothesisError`` gets a
     ``generator_rejected`` outcome, and the other trials are built again
-    from fresh copies of their streams, so the stack holds exactly the
+    from fresh streams of the same states, so the stack holds exactly the
     built trials, in order."""
     cells = {id(cell): cell for cell, _ in pairs}
-    keys = {i: json.dumps(cell, sort_keys=True) for i, cell in cells.items()}
     params = {i: {k: v for k, v in cell.items() if k not in _SHAPE_KEYS} for i, cell in cells.items()}
+    states = _stream_states(check_id, pairs, cfg) if states is None else states
     out = [_Trial({"seed": cfg.seed, "cell": cell, "trial": trial}) for cell, trial in pairs]
     live = list(range(len(out)))
     while live:
-        rngs = substreams(cfg.seed, [(check_id, keys[id(pairs[i][0])], pairs[i][1]) for i in live])
+        rngs = streams(states[live])
         try:
             stack, draws = BUILDERS[check_id](_stack_params([pairs[i][0] for i in live]), rngs)
         except HypothesisError as exc:
@@ -828,14 +847,18 @@ def _checked_cells(check_id: str, cfg: CampaignConfig):
     ``_build_trials`` call when the first of them comes up, filtered by the
     check's float64 bounds where it has them, and the trials the filter
     leaves are checked in one ``_check_pending`` call.  A cell's trials are
-    let go once yielded.
+    let go once yielded.  The streams of every trial of the check are seeded
+    in one ``_stream_states`` pass.
     """
     cells = expand_cells(check_id, cfg)
     groups = {group[0]: group for group in _stack_groups(cells)}
+    pairs = [(cell, t) for cell in cells for t in range(cfg.trials)]
+    states = _stream_states(check_id, pairs, cfg).reshape(len(cells), cfg.trials, 4)
     built = {}
     for i, cell in enumerate(cells):
         if i in groups:
-            trials = _build_trials(check_id, [(cells[j], t) for j in groups[i] for t in range(cfg.trials)], cfg)
+            group = [(cells[j], t) for j in groups[i] for t in range(cfg.trials)]
+            trials = _build_trials(check_id, group, cfg, states[groups[i]].reshape(len(group), 4))
             _filter_trials(check_id, trials, cfg.tolerance)
             _check_pending(check_id, [t for t in trials if t.slack is None], cfg.tolerance)
             for k, j in enumerate(groups[i]):

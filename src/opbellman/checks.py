@@ -1130,10 +1130,11 @@ def _settle(guards, dominant: _Interval, dominated: _Interval) -> list:
 
 def _scalar_arrays(inst: InstanceFamily) -> dict:
     """The arrays of a scalar stack (``instances.scalar_instance``), or of one
-    trial, whose ``p`` is one number, as a stack of one."""
+    trial, whose ``p`` is one number, as a stack of one in a mapping of the
+    ``aux``'s own type (a witness's raises a schema error on a missing key)."""
     if np.ndim(inst.aux["p"]):
         return inst.aux
-    return {k: np.asarray(v, dtype=float)[None] for k, v in inst.aux.items()}
+    return type(inst.aux)((k, np.asarray(v, dtype=float)[None]) for k, v in inst.aux.items())
 
 
 _MPF = np.frompyfunc(mpmath.mpf, 1, 1)

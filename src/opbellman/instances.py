@@ -3,7 +3,7 @@
 Every generator is a pure function of (seed-derived rng); released
 families re-verify their declared hypotheses in the Loewner order with
 a positive margin, so the construction itself is never trusted.  Trial k
-of a campaign draws from a counter-derived substream (``substreams``),
+of a campaign draws from a counter-derived stream (``stream_states``),
 which makes campaigns order-independent.
 
 Every generator takes one Generator and returns d x d matrices, or a list
@@ -41,14 +41,62 @@ BASE_CAP = 0.9
 #: Smallest family scale a complement-sandwich draw may need before it is rejected.
 MIN_SCALE = 1e-8
 
-#: numpy's ``SeedSequence.generate_state`` hash, which derives the 8 uint32
-#: words of a PCG64 state from the 4-word pool: word i is the pool word i mod 4
-#: xor-ed with h_i, times h_(i+1), xor-shifted right by 16, where h_0 =
-#: 0x8B51F9DD and h_(i+1) = h_i * 0x58F38DED mod 2^32.  No h depends on the
-#: data, so one array operation hashes every pool of a build.
-_HASH = list(itertools.accumulate(range(8), lambda h, _: h * 0x58F38DED & 0xFFFFFFFF, initial=0x8B51F9DD))
-_HASH_XOR = np.array(_HASH[:8], dtype=np.uint32)
-_HASH_MUL = np.array(_HASH[1:], dtype=np.uint32)
+#: numpy's ``SeedSequence`` hash constants.  ``mix_entropy`` hashes each
+#: word x with the running constant h as ((x ^ h_i) * h_(i+1)) xor-shifted
+#: right by 16, where h_0 = 0x43B0D7E5 and h_(i+1) = h_i * 0x931E8875 mod
+#: 2^32, and mixes two words as (0xCA01F9DD x - 0x4973F715 y) xor-shifted
+#: right by 16.  ``generate_state`` hashes the pool the same way from h_0 =
+#: 0x8B51F9DD, h_(i+1) = h_i * 0x58F38DED.  No h depends on the data, so
+#: each step runs once on the words of every key of one length.
+_MIX_INIT, _MIX_MULT = 0x43B0D7E5, 0x931E8875
+_STATE_INIT, _STATE_MULT = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+@functools.cache
+def _hashes(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(h_0 .. h_(count-1), h_1 .. h_count) of the chain h_(i+1) = h_i * mult
+    mod 2^32 from h_0 = init, as uint32 arrays: the xor and the multiplier
+    of each of ``count`` hashes in turn."""
+    h = np.array(list(itertools.accumulate(range(count), lambda x, _: x * mult & 0xFFFFFFFF, initial=init)))
+    return h[:-1].astype(np.uint32), h[1:].astype(np.uint32)
+
+
+def _hashmix(x: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """The hash of uint32 words x with the constants (xor, mul), broadcast."""
+    x = x ^ xor
+    x *= mul
+    x ^= x >> 16
+    return x
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The pool words x with the hashed words y mixed in."""
+    x = _MIX_L * x - _MIX_R * y
+    x ^= x >> 16
+    return x
+
+
+def _pools(words: np.ndarray) -> np.ndarray:
+    """The 4-word pools (keys, 4) numpy's ``SeedSequence.mix_entropy`` forms
+    from the uint32 words (keys, length) of keys of one length.
+
+    Each hash of the mixing loop uses the next constant of one chain, so
+    the three hashes of a source word into the other pool words, or the
+    four of a word past the pool, run as one array step."""
+    length = words.shape[1]
+    xor, mul = _hashes(_MIX_INIT, _MIX_MULT, 16 + 4 * max(length - 4, 0))
+    pool = np.zeros((len(words), 4), dtype=np.uint32)
+    pool[:, : min(length, 4)] = words[:, :4]
+    pool = _hashmix(pool, xor[:4], mul[:4])
+    for src in range(4):
+        k = 4 + 3 * src
+        dst = [d for d in range(4) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], xor[k : k + 3], mul[k : k + 3]))
+    for src in range(4, length):
+        k = 16 + 4 * (src - 4)
+        pool = _mix(pool, _hashmix(words[:, src, None], xor[k : k + 4], mul[k : k + 4]))
+    return pool
 
 
 @functools.cache
@@ -84,29 +132,35 @@ def _words(part) -> tuple[int, ...]:
     return (x & 0xFFFFFFFF, x >> 32) if x >> 32 else (x,)
 
 
-def substreams(seed: int, keys) -> list[np.random.Generator]:
-    """One independent stream per key of ``keys`` (a nonempty list of tuples):
-    the Generator ``np.random.default_rng(np.random.SeedSequence(words))``
-    gives, bit for bit, where ``words`` are the uint32 words of (seed, *key),
-    strings crc32-folded and ints in [0, 2^64).
+def stream_states(seed: int, keys) -> np.ndarray:
+    """The PCG64 states (keys, 4) of one stream per key of ``keys`` (a list
+    of tuples): the state ``np.random.SeedSequence(words)``
+    seeds, bit for bit, where ``words`` are the uint32 words of (seed, *key),
+    strings crc32-folded and ints in [0, 2^64).  ``streams`` makes the
+    Generators.
 
-    Each stream's ``SeedSequence`` mixes its words into a pool; the pools of
-    all keys are hashed into PCG64 states at once (``_HASH_XOR``,
-    ``_HASH_MUL``), and each state is handed to ``PCG64`` as it is
-    (``_state_type``).
+    The keys are grouped by word count, each group's pools are mixed in one
+    array pass (``_pools``), and every pool is hashed into its state in one
+    more (numpy's ``generate_state``); no ``SeedSequence`` is made.
     """
     head = _words(seed)
-    pools = []
-    for key in keys:
-        words = head + tuple(w for part in key for w in _words(part))
-        pools.append(np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tobytes())
-    x = np.frombuffer(b"".join(pools), dtype=np.uint32).reshape(-1, 4)
-    x = np.concatenate([x, x], axis=1)
-    x ^= _HASH_XOR
-    x *= _HASH_MUL
-    x ^= x >> 16
+    words = {part: _words(part) for part in set(itertools.chain.from_iterable(keys))}.__getitem__
+    rows = [sum(map(words, key), head) for key in keys]
+    by_length: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(i)
+    pools = np.empty((len(rows), 4), dtype=np.uint32)
+    for idx in by_length.values():
+        pools[idx] = _pools(np.array([rows[i] for i in idx], dtype=np.uint32))
+    x = _hashmix(np.concatenate([pools, pools], axis=1), *_hashes(_STATE_INIT, _STATE_MULT, 8))
     # each pair of words is one uint64, low word first, on any byte order
-    states = x.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return x.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def streams(states: np.ndarray) -> list[np.random.Generator]:
+    """One Generator per PCG64 state of ``stream_states``, each state handed
+    to ``PCG64`` as it is (``_state_type``); the same states give fresh
+    streams with the same draws."""
     state = _state_type()
     return [np.random.Generator(np.random.PCG64(state(s))) for s in states]
 
@@ -277,12 +331,19 @@ def random_subidentity_family(n: int, dim: int, rng, cap) -> list[np.ndarray]:
     return [hermitize(scale * p) for p in raw]
 
 
+def _scaled(u, lo: float, hi: float):
+    """Draws u of ``Generator.random`` mapped to [lo, hi) by numpy's own
+    ``Generator.uniform`` formula, so they are, bit for bit, the values the
+    same stream's ``uniform(lo, hi)`` calls give."""
+    return lo + (hi - lo) * u
+
+
 def random_weights(n: int, rng) -> np.ndarray:
-    """Positive weights summing to one."""
+    """Positive weights summing to one: one ``random`` call per stream."""
     if n < 1:
         raise ParameterError("need n >= 1")
     rngs, one = _streams(rng)
-    w = np.stack([r.uniform(0.2, 1.0, size=n) for r in rngs])
+    w = _scaled(np.stack([r.random(n) for r in rngs]), 0.2, 1.0)
     w = w / w.sum(axis=-1, keepdims=True)
     return w[0] if one else w
 
@@ -406,16 +467,18 @@ def scalar_instance(kind: str, sizes: tuple, p, rng) -> InstanceFamily:
     or one per stream, a column kind's p is one number.  A column kind's
     matrix ``a`` is zero-padded to the stack's largest row count, and
     ``meta["rows"]`` holds each trial's, so ``take`` gives a trial its own
-    rows.  Each stream draws what it draws alone, in that order: the kind's
+    rows.  Each stream draws what it draws alone, in that order, each step
+    in one ``random`` call mapped on the stack by ``_scaled``: the kind's
     arrays, then the weights of a trial that met its hypothesis.
 
     The column kinds scale and re-verify the whole stack in one pass, which
     gives each trial the bits it gets alone: their exponent is one number,
     numpy's array power does not depend on the array's size, and a padded
-    row adds exact zeros.  The head kinds raise each trial's head to its own
-    exponent with a scalar pow, which an exponent array does not reproduce
-    to the last bit, so they run trial by trial.  A ``HypothesisError``
-    names the rejected trials in ``where``.
+    row adds exact zeros.  The head kinds run their array steps once per
+    group of trials with one exponent value; each trial's head is raised to
+    its exponent, and a column sum to its inverse, with a scalar pow on
+    Python floats, which an array power does not reproduce to the last bit.
+    A ``HypothesisError`` names the rejected trials in ``where``.
     """
     rngs, one = _streams(rng)
     rows = np.broadcast_to(np.asarray(sizes[0], dtype=int), (len(rngs),))
@@ -440,55 +503,72 @@ def scalar_instance(kind: str, sizes: tuple, p, rng) -> InstanceFamily:
 
 
 def _head_arrays(kind: str, cols: int, p: np.ndarray, rngs: list) -> tuple[dict, np.ndarray]:
-    """(arrays, rejected) of a head kind, each trial scaled and verified on
-    its own: heads ``a``, ``b``, tails ``a_j``, ``b_j`` and the exponent
-    (2 for aczel).  A trial draws its ``b`` only once its ``a`` holds."""
+    """(arrays, rejected) of a head kind: heads ``a``, ``b``, tails ``a_j``,
+    ``b_j`` and the exponent (2 for aczel).  Each stream draws a side in one
+    call, Bellman's head, raw tail and theta or the others' tail and theta;
+    a trial draws its ``b`` only once its ``a`` holds."""
     p = np.full(len(rngs), 2.0) if kind == "aczel" else p
     aux = {"a": np.empty(len(rngs)), "b": np.empty(len(rngs)), "p": p}
     aux |= {"a_j": np.empty((len(rngs), cols)), "b_j": np.empty((len(rngs), cols))}
     failed = np.zeros(len(rngs), dtype=bool)
-    for t, (rng, q) in enumerate(zip(rngs, p.tolist())):
-        for name in ("a", "b"):
-            if kind == "bellman":
-                head = rng.uniform(0.5, 2.0)
-                raw = rng.uniform(0.1, 1.0, size=cols)
-                theta = rng.uniform(0.2, 0.9)
-                tail = raw * (theta * head**q / np.sum(raw**q)) ** (1.0 / q)
-                failed[t] = not np.sum(tail**q) <= head**q
-            else:
-                tail = rng.uniform(0.1, 1.0, size=cols)
-                theta = rng.uniform(0.2, 0.9)
-                head = (np.sum(tail**q) / theta) ** (1.0 / q)
-                failed[t] = not np.sum(tail**q) < head**q
-            if failed[t]:
-                break
-            aux[name][t], aux[f"{name}_j"][t] = head, tail
+    live = np.arange(len(rngs))
+    size = cols + 2 if kind == "bellman" else cols + 1
+    for name in ("a", "b"):
+        if not live.size:
+            break
+        u = np.stack([rngs[t].random(size) for t in live.tolist()])
+        held = np.empty(live.size, dtype=bool)
+        exponents = p[live]
+        for q in dict.fromkeys(exponents.tolist()):
+            g = np.flatnonzero(exponents == q)
+            aux[name][live[g]], aux[f"{name}_j"][live[g]], held[g] = _head_side(kind, u[g], q)
+        failed[live[~held]] = True
+        live = live[held]
     return aux, failed
 
 
+def _head_side(kind: str, u: np.ndarray, q: float) -> tuple[list, np.ndarray, np.ndarray]:
+    """(heads, tails, held) of one side of the trials of one exponent q, from
+    their draws u (trials, k): the array steps run once for the group, each
+    pow of a head or of a column sum on its trial's Python float."""
+    theta = _scaled(u[:, -1], 0.2, 0.9).tolist()
+    if kind == "bellman":
+        head = _scaled(u[:, 0], 0.5, 2.0).tolist()
+        raw = _scaled(u[:, 1:-1], 0.1, 1.0)
+        top = [h**q for h in head]
+        sums = np.sum(raw**q, axis=1).tolist()
+        tail = raw * np.array([(t * h / s) ** (1.0 / q) for t, h, s in zip(theta, top, sums)])[:, None]
+        return head, tail, np.sum(tail**q, axis=1) <= top
+    tail = _scaled(u[:, :-1], 0.1, 1.0)
+    sums = np.sum(tail**q, axis=1)
+    head = [(s / t) ** (1.0 / q) for s, t in zip(sums.tolist(), theta)]
+    return head, tail, sums < [h**q for h in head]
+
+
 def _column_arrays(kind: str, rows: np.ndarray, cols: int, p: float, rngs: list) -> tuple[dict, np.ndarray]:
-    """(arrays, rejected) of a column kind: each stream draws mp1's caps,
-    then its matrix and the column factors theta; the stack (trials, largest
-    row count, cols) is then scaled so that each column sum of a_ij^(1/p) is
-    theta (theta caps^(1/p) for mp1) and re-verified in one pass.  Then each
-    stream of a trial that holds draws mp3's and eq3's weights, also where
-    another trial fails."""
+    """(arrays, rejected) of a column kind: each stream draws mp1's caps, its
+    matrix and the column factors theta in one call, rows of cols; the stack
+    (trials, largest row count, cols) is then scaled so that each column sum
+    of a_ij^(1/p) is theta (theta caps^(1/p) for mp1) and re-verified in one
+    pass.  Then each stream of a trial that holds draws mp3's and eq3's
+    weights, also where another trial fails."""
     q = 1.0 / p
-    a = np.zeros((len(rngs), rows.max(), cols))
-    theta = np.empty((len(rngs), cols))
-    caps = np.empty((len(rngs), cols))
-    for t, rng in enumerate(rngs):
-        if kind == "mp1":
-            caps[t] = rng.uniform(0.5, 2.0, size=cols)
-        a[t, : rows[t]] = rng.uniform(0.1, 1.0, size=(rows[t], cols))
-        theta[t] = rng.uniform(0.2, 0.9, size=cols)
+    lead = int(kind == "mp1")
+    # row 0 holds mp1's caps, the next rows[t] rows the matrix, the last drawn row theta
+    u = np.zeros((len(rngs), lead + rows.max() + 1, cols))
+    for t, (rng, r) in enumerate(zip(rngs, rows.tolist())):
+        u[t, : lead + r + 1] = rng.random((lead + r + 1, cols))
+    caps = _scaled(u[:, 0], 0.5, 2.0) if lead else None
+    own = (np.arange(rows.max()) < rows[:, None])[..., None]
+    a = np.where(own, _scaled(u[:, lead : lead + rows.max()], 0.1, 1.0), 0.0)
+    theta = _scaled(u[np.arange(len(rngs)), lead + rows], 0.2, 0.9)
     # an underflowed column sum makes a padded row 0 * inf; the trial fails either way
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bound = caps**q if kind == "mp1" else 1.0  # theta * 1.0 is theta, bit for bit
+        bound = caps**q if lead else 1.0  # theta * 1.0 is theta, bit for bit
         a = a * ((theta * bound / np.sum(a**q, axis=1)) ** p)[:, None, :]
         failed = ~np.all(np.sum(a**q, axis=1) <= bound, axis=-1)
     aux = {"a": a, "p": np.full(len(rngs), p)}
-    if kind == "mp1":
+    if lead:
         aux["caps"] = caps
     elif not failed.all():
         aux["weights"] = random_weights(cols, [rng for rng, bad in zip(rngs, failed) if not bad])

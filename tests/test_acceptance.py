@@ -15,7 +15,7 @@ from opbellman import campaign, checks, cli, constants
 from opbellman.campaign import CampaignConfig, run_check_trial
 from opbellman.checks import HOLDS, NOT_APPLICABLE, VIOLATED
 from opbellman.errors import HypothesisError
-from opbellman.instances import random_subidentity_family, substreams
+from opbellman.instances import random_subidentity_family, stream_states, streams
 from opbellman.means import arithmetic_w
 from opbellman.scalar_refs import reference_slack
 from opbellman.spectral import Tolerance
@@ -184,7 +184,7 @@ def test_criterion_5_refinement_chains():
     # degenerate interpolants must collapse one link to zero slack
     collapse_worst = 0.0
     for trial in range(20):
-        rng = substreams(77, [("collapse", trial)])[0]
+        rng = streams(stream_states(77, [("collapse", trial)]))[0]
         n, dim = 3, int(rng.integers(1, 5))
         inst_a = random_subidentity_family(n, dim, rng, 0.6)
         inst_b = random_subidentity_family(n, dim, rng, 0.6)

@@ -24,7 +24,7 @@ from opbellman.campaign import (
 )
 from opbellman.checks import CheckOutcome, check
 from opbellman.errors import HypothesisError, ParameterError, UnboundedRatioError, WitnessFormatError
-from opbellman.instances import InstanceFamily, substreams
+from opbellman.instances import InstanceFamily, stream_states, streams
 from opbellman.means import function_from_id
 from opbellman.spectral import Tolerance
 
@@ -329,6 +329,32 @@ def test_cli_replay_malformed_witness_is_a_schema_error(tmp_path, capsys, path, 
     file.write_text(json.dumps(wit))
     assert cli.main(["replay", str(file)]) == 1
     assert capsys.readouterr().err == f"witness schema error: {message}\n"
+
+
+#: An array each scalar check's expression reads from its trial's ``aux``.
+_READ_ARRAYS = {
+    "scalar_bellman": "b_j",
+    "scalar_aczel": "a_j",
+    "scalar_popoviciu": "b",
+    "scalar_bellman_weighted": "weights",
+    "scalar_bellman_columns": "caps",
+    "scalar_bellman_reverse": "weights",
+}
+
+
+@pytest.mark.parametrize("check_id", checks.SCALAR_IDS)
+def test_cli_replay_scalar_witness_without_an_array_is_a_schema_error(tmp_path, capsys, check_id):
+    # a one-trial aux became a plain dict before the checker read it, so a
+    # missing array printed a KeyError traceback
+    cfg = CampaignConfig(**WITNESS_CFG)
+    cell = campaign.expand_cells(check_id, cfg)[0]
+    out, inst, params, prov = run_check_trial(check_id, cell, cfg, 0)
+    wit = make_witness(check_id, params, inst, out, prov)
+    del wit["instance"]["family"]["aux"][_READ_ARRAYS[check_id]]
+    file = tmp_path / "witness.json"
+    file.write_text(json.dumps(wit))
+    assert cli.main(["replay", str(file)]) == 1
+    assert capsys.readouterr().err == f"witness schema error: witness family aux lacks {_READ_ARRAYS[check_id]!r}\n"
 
 
 # -- command line ---------------------------------------------------------------
@@ -800,6 +826,52 @@ def _workload(name: str, **overrides) -> CampaignConfig:
     return config_from_json(dict(config, seed=301, **overrides))
 
 
+#: The most ``Generator`` calls one stream of a scalar check makes: the row
+#: count, a head kind's exponent (not Aczel's), then one ``random`` call per
+#: draw step (a head kind's two sides, a column kind's arrays, the weights).
+_SCALAR_CALLS = {
+    "scalar_bellman": 4,
+    "scalar_aczel": 3,
+    "scalar_popoviciu": 4,
+    "scalar_bellman_weighted": 3,
+    "scalar_bellman_columns": 2,
+    "scalar_bellman_reverse": 3,
+}
+
+
+def test_scalar_trials_make_one_generator_call_per_draw_step(monkeypatch):
+    # the machine-independent cost of seeding and drawing the scalar suite:
+    # no SeedSequence is made, each draw step of a stream is one Generator
+    # call, and a trial makes at most 3 on average, rebuilt streams included
+    made, seeded = [], []
+
+    class Counted(np.random.Generator):
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            self.calls = 0
+            made.append(self)
+
+    for name in ("random", "integers", "uniform", "standard_normal"):
+
+        def method(self, *args, _draw=getattr(np.random.Generator, name), **kwargs):
+            self.calls += 1
+            return _draw(self, *args, **kwargs)
+
+        setattr(Counted, name, method)
+    monkeypatch.setattr(np.random, "Generator", Counted)
+    seed_sequence = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *args: seeded.append(args) or seed_sequence(*args))
+    trials = total = 0
+    for check_id, most in _SCALAR_CALLS.items():
+        made.clear()
+        report = run_campaign(_workload("scalar_suite", trials=20, checks=[check_id]))
+        assert max(g.calls for g in made) == most, check_id
+        trials += report["summary"]["trials"]
+        total += sum(g.calls for g in made)
+    assert not seeded
+    assert trials == 720 and total <= 3.0 * trials
+
+
 def test_scalar_suite_report_digest_is_pinned():
     # the scalar cells' filter and their stacked 30-digit evaluation must
     # leave every reported bit as the per-trial checkers gave it
@@ -1142,7 +1214,7 @@ def test_column_kind_build_runs_its_arithmetic_once(monkeypatch, check_id):
     counts = []
     for trials in (1, 40):
         calls.clear()
-        campaign.BUILDERS[check_id](cell, substreams(7, [("count", t) for t in range(trials)]))
+        campaign.BUILDERS[check_id](cell, streams(stream_states(7, [("count", t) for t in range(trials)])))
         counts.append(len(calls))
     assert counts == [2, 2]
 
@@ -1210,7 +1282,7 @@ def _assert_stack_builds_each_trial_as_alone(check_id, cells, cfg):
 
 def _streams(check_id, cell, cfg):
     key = json.dumps(cell, sort_keys=True)
-    return substreams(cfg.seed, [(check_id, key, trial) for trial in range(cfg.trials)])
+    return streams(stream_states(cfg.seed, [(check_id, key, trial) for trial in range(cfg.trials)]))
 
 
 @pytest.mark.parametrize("check_id", checks.OPERATOR_IDS + checks.SCALAR_IDS)

@@ -8,7 +8,7 @@ from opbellman import campaign, checks, constants
 from opbellman.campaign import CampaignConfig, run_check_trial
 from opbellman.checks import HOLDS, NOT_APPLICABLE, VIOLATED, CheckOutcome, check
 from opbellman.errors import ParameterError
-from opbellman.instances import InstanceFamily, random_pd, random_sandwich_pair, substreams
+from opbellman.instances import InstanceFamily, random_pd, random_sandwich_pair, stream_states, streams
 from opbellman.means import function_from_id, geometric_w
 from opbellman.positive_maps import Compression, IdentityMap
 from opbellman.scalar_refs import reference_slack
@@ -458,7 +458,7 @@ def test_affine_scaling_consistency_on_shared_instance():
     from opbellman.instances import complement_sandwich_family
     from opbellman.means import arithmetic_w
 
-    rng = substreams(5150, [("shared", 0)])[0]
+    rng = streams(stream_states(5150, [("shared", 0)]))[0]
     fam = complement_sandwich_family(3, 2, (0.5, 2.0), arithmetic_w(0.4), 1.0, rng)
     assert fam is not None
     reverse = check(

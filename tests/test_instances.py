@@ -20,7 +20,8 @@ from opbellman.instances import (
     random_subidentity_family,
     random_weights,
     scalar_instance,
-    substreams,
+    stream_states,
+    streams,
 )
 from opbellman.means import arithmetic_w, geometric_w, mean
 from opbellman.spectral import hermitize, identity, loewner_leq
@@ -106,13 +107,13 @@ def test_random_weights():
 
 
 def test_complement_family_scalar_affine_accepted():
-    rng = substreams(11, [("gen", 0)])[0]
+    rng = streams(stream_states(11, [("gen", 0)]))[0]
     fam = complement_sandwich_family(1, 1, (0.5, 2.0), arithmetic_w(0.5), 1.0, rng)
     assert 0.0 < fam.meta["scale"] <= 1.0
 
 
 def test_complement_family_hypotheses_reverified():
-    rng = substreams(12, [("gen", 1)])[0]
+    rng = streams(stream_states(12, [("gen", 1)]))[0]
     fam = complement_sandwich_family(3, 2, (0.5, 2.0), geometric_w(0.5), 1.1, rng)
     eye = identity(3)
     for a, b in zip(fam.A, fam.B):
@@ -204,8 +205,8 @@ def _scale_draws():
 def test_closed_form_scale_matches_bisection():
     rescaled = 0
     for shape, f, g, key in _scale_draws():
-        fam = complement_sandwich_family(*shape, f, g, substreams(31, [("scale", *key)])[0])
-        ref = _bisected_family_scale(shape, f, g, substreams(31, [("scale", *key)])[0])
+        fam = complement_sandwich_family(*shape, f, g, streams(stream_states(31, [("scale", *key)]))[0])
+        ref = _bisected_family_scale(shape, f, g, streams(stream_states(31, [("scale", *key)]))[0])
         assert ref is not None
         assert fam.meta["scale"] == pytest.approx(ref, rel=1e-12, abs=0.0)
         rescaled += fam.meta["scale"] < 1.0
@@ -215,7 +216,7 @@ def test_closed_form_scale_matches_bisection():
 def test_closed_form_scale_is_pinned_from_above():
     for shape, f, g, key in _scale_draws():
         m, M = shape[2]
-        _, sum_a, sum_b, sum_means = _draw_sums(shape, f, substreams(32, [("pin", *key)])[0])
+        _, sum_a, sum_b, sum_means = _draw_sums(shape, f, streams(stream_states(32, [("pin", *key)]))[0])
         s_max = _scale_limit(g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN)
         assert all(_feasible(s_max * (1.0 - 1e-9), g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN))
         assert not all(_feasible(s_max * (1.0 + 1e-9), g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN))
@@ -226,9 +227,9 @@ def test_complement_family_scale_branches():
     f = arithmetic_w(0.5)
     seen = set()
     for k in range(40):
-        _, sum_a, sum_b, sum_means = _draw_sums(shape, f, substreams(33, [("branch", k)])[0])
+        _, sum_a, sum_b, sum_means = _draw_sums(shape, f, streams(stream_states(33, [("branch", k)]))[0])
         s_max = _scale_limit(1.0, sum_a, sum_b, sum_means, 0.5, 2.0, DEFAULT_MARGIN)
-        fam = complement_sandwich_family(*shape, f, 1.0, substreams(33, [("branch", k)])[0])
+        fam = complement_sandwich_family(*shape, f, 1.0, streams(stream_states(33, [("branch", k)]))[0])
         if s_max >= 1.0:
             assert fam.meta["scale"] == 1.0
         else:
@@ -248,10 +249,10 @@ def _assert_drawn_once_and_rejected(calls, gamma):
     # each of the n = 2 members is drawn once, and the family is rejected
     calls.clear()
     with pytest.raises(HypothesisError) as exc:
-        complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, substreams(34, [("gen", 0)])[0])
+        complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, streams(stream_states(34, [("gen", 0)]))[0])
     assert exc.value.where
     assert len(calls) == 2
-    rngs = substreams(34, [("gen", t) for t in range(2)])
+    rngs = streams(stream_states(34, [("gen", t) for t in range(2)]))
     with pytest.raises(HypothesisError) as exc:
         complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, rngs)
     assert list(exc.value.where) == [True, True]
@@ -286,7 +287,7 @@ def test_complement_family_linalg_call_budget(monkeypatch):
 
     for kind in counts:
         monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
-    fam = complement_sandwich_family(6, 3, (0.5, 2.0), geometric_w(0.5), 1.0, substreams(35, [("budget", 0)])[0])
+    fam = complement_sandwich_family(6, 3, (0.5, 2.0), geometric_w(0.5), 1.0, streams(stream_states(35, [("budget", 0)]))[0])
     monkeypatch.undo()
     assert fam.meta["scale"] > 0.0
     over = {k: (counts[k], FAMILY_CALL_BUDGET[k]) for k in counts if counts[k] > FAMILY_CALL_BUDGET[k]}
@@ -294,18 +295,18 @@ def test_complement_family_linalg_call_budget(monkeypatch):
 
 
 def test_generator_determinism():
-    a1 = random_spectrum_matrix(4, (0.5, 2.0), substreams(42, [("x", 3)])[0])
-    a2 = random_spectrum_matrix(4, (0.5, 2.0), substreams(42, [("x", 3)])[0])
-    a3 = random_spectrum_matrix(4, (0.5, 2.0), substreams(42, [("x", 4)])[0])
+    a1 = random_spectrum_matrix(4, (0.5, 2.0), streams(stream_states(42, [("x", 3)]))[0])
+    a2 = random_spectrum_matrix(4, (0.5, 2.0), streams(stream_states(42, [("x", 3)]))[0])
+    a3 = random_spectrum_matrix(4, (0.5, 2.0), streams(stream_states(42, [("x", 4)]))[0])
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, a3)
 
 
 def test_substreams_order_independence():
     # substreams are a pure function of (seed, key), not of draw order
-    first = substreams(9, [("a", 1)])[0].standard_normal(4)
-    _ = substreams(9, [("a", 0)])[0].standard_normal(17)
-    again = substreams(9, [("a", 1)])[0].standard_normal(4)
+    first = streams(stream_states(9, [("a", 1)]))[0].standard_normal(4)
+    _ = streams(stream_states(9, [("a", 0)]))[0].standard_normal(17)
+    again = streams(stream_states(9, [("a", 1)]))[0].standard_normal(4)
     assert np.array_equal(first, again)
 
 
@@ -314,17 +315,41 @@ def test_substreams_order_independence():
 #: crc32 is 0, one zero word like the int 0; from 2^32 an int takes two words.
 _SEEDING_KEYS = [("check", "{}", 0), ("", "", 1), ("check", "{}", 1 << 32), ("check", "{}", (1 << 64) - 1)]
 
+#: One batch of 524 keys of 2 to 10 words with the seed: trials 0, 2^32 and
+#: 2^64 - 1 and their neighbours, keys shorter than numpy's 4-word pool and
+#: keys past it, so ``stream_states`` mixes several word counts in one call.
+_SEEDING_BATCH = _SEEDING_KEYS + [
+    key
+    for t in range(130)
+    for key in (
+        ("check", f"cell {t % 9}", t),
+        ("check", f"cell {t % 9}", (1 << 32) + t),
+        ("check", f"cell {t % 9}", (1 << 64) - 1 - t),
+        (("x",), ("x", t), ("a", "b", "c", "d", t << 40, "", t))[t % 3],
+    )
+]
+
+
+def _key_words(seed, key):
+    return [seed, *(zlib.crc32(p.encode("utf-8")) if isinstance(p, str) else p for p in key)]
+
 
 @pytest.mark.parametrize("seed", [0, 1729, 1 << 32, (1 << 64) - 1])
 def test_substreams_equal_numpy_seeding_bit_for_bit(seed):
-    # substreams hashes the seed pools into PCG64 states itself; each stream,
-    # seeded in a batch of keys or alone, must be the Generator numpy seeds
-    # from the same words
-    batch = substreams(seed, _SEEDING_KEYS)
-    for key, rng in zip(_SEEDING_KEYS, batch):
-        words = [seed, *(zlib.crc32(p.encode("utf-8")) if isinstance(p, str) else p for p in key)]
-        ref = np.random.default_rng(np.random.SeedSequence(words))
-        (alone,) = substreams(seed, [key])
+    # stream_states mixes the seed pools and hashes them into PCG64 states
+    # itself, one array pass per word count; each state of one batch of keys
+    # of mixed word counts, and each stream seeded alone, must be the one
+    # numpy seeds from the same words
+    counts = {sum(1 + (w >> 32 > 0) for w in _key_words(seed, key)) for key in _SEEDING_BATCH}
+    assert len(counts) >= 5 and min(counts) <= 3 and max(counts) >= 9
+    states = stream_states(seed, _SEEDING_BATCH)
+    assert len(states) >= 500
+    for key, state in zip(_SEEDING_BATCH, states):
+        ref = np.random.SeedSequence(_key_words(seed, key)).generate_state(4, np.uint64)
+        assert state.tobytes() == ref.tobytes(), (seed, key)
+    for key, rng in zip(_SEEDING_KEYS, streams(states)):
+        ref = np.random.default_rng(np.random.SeedSequence(_key_words(seed, key)))
+        (alone,) = streams(stream_states(seed, [key]))
         for got in (rng, alone):
             assert got.bit_generator.state == ref.bit_generator.state, (seed, key)
         draws = [r.standard_normal(5).tobytes() for r in (rng, alone, ref)]
@@ -335,11 +360,11 @@ def test_substreams_refuse_a_word_outside_64_bits():
     # a mask would alias 2^64 to 0 and -1 to 2^64 - 1
     for seed, key in [(0, ("check", -1)), (0, ("check", 1 << 64)), (-1, ("check",)), (1 << 64, ("check",))]:
         with pytest.raises(ParameterError):
-            substreams(seed, [key])
+            streams(stream_states(seed, [key]))
 
 
 def test_gaussian_draw_is_two_matrix_draws_in_one_call():
-    one, two = substreams(3, [("gaussian",), ("gaussian",)])
+    one, two = streams(stream_states(3, [("gaussian",), ("gaussian",)]))
     g = instances._gaussian(4, one)
     assert g.tobytes() == np.stack([two.standard_normal((4, 4)), two.standard_normal((4, 4))]).tobytes()
 
@@ -370,10 +395,10 @@ class _CountingStream:
 def test_each_stream_draws_a_gaussian_matrix_in_one_call(draw):
     # the fixed cost of a draw is per call: a Haar or Ginibre matrix takes
     # one standard_normal call per stream, real and imaginary parts together
-    streams = [_CountingStream(r) for r in substreams(5, [("count", t) for t in range(3)])]
-    plain = draw(substreams(5, [("count", t) for t in range(3)]))
-    assert draw(streams).tobytes() == plain.tobytes()
-    assert [s.normal_calls for s in streams] == [1, 1, 1]
+    states = stream_states(5, [("count", t) for t in range(3)])
+    counted = [_CountingStream(r) for r in streams(states)]
+    assert draw(counted).tobytes() == draw(streams(states)).tobytes()
+    assert [s.normal_calls for s in counted] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("kind,p", [("bellman", 2.0), ("aczel", 2.0), ("popoviciu", 1.7)])
@@ -411,3 +436,113 @@ def test_scalar_instance_parameter_validation():
         scalar_instance("mp3", (1, 2), 1.5, rng)
     with pytest.raises(ParameterError):
         scalar_instance("unknown", (1, 2), 0.5, rng)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.5, 2.0), (0.1, 1.0), (0.2, 0.9), (0.2, 1.0), (1.0, 2.0)])
+@pytest.mark.parametrize("size", [None, 1000, (40, 17)])
+@pytest.mark.parametrize("after_integers", [False, True])
+def test_uniform_draws_are_mapped_random_draws(lo, hi, size, after_integers):
+    # the scalar builders and random_weights draw with Generator.random and
+    # map each step by lo + (hi - lo) u, numpy's own Generator.uniform
+    # formula; a numpy release that changes either gives other draws here
+    one, two = streams(stream_states(61, [("uniform", lo, hi)] * 2))
+    if after_integers:
+        assert one.integers(1, 4) == two.integers(1, 4)
+    want = one.uniform(lo, hi, size)
+    got = instances._scaled(two.random(size), lo, hi)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert one.bit_generator.state == two.bit_generator.state
+
+
+def _loop_random_weights(n, rngs):
+    w = np.stack([r.uniform(0.2, 1.0, size=n) for r in rngs])
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _loop_head_arrays(kind, cols, p, rngs):
+    """The head-kind build drawn and scaled trial by trial with one
+    ``uniform`` call per array."""
+    p = np.full(len(rngs), 2.0) if kind == "aczel" else p
+    aux = {"a": np.empty(len(rngs)), "b": np.empty(len(rngs)), "p": p}
+    aux |= {"a_j": np.empty((len(rngs), cols)), "b_j": np.empty((len(rngs), cols))}
+    failed = np.zeros(len(rngs), dtype=bool)
+    for t, (rng, q) in enumerate(zip(rngs, p.tolist())):
+        for name in ("a", "b"):
+            if kind == "bellman":
+                head = rng.uniform(0.5, 2.0)
+                raw = rng.uniform(0.1, 1.0, size=cols)
+                theta = rng.uniform(0.2, 0.9)
+                tail = raw * (theta * head**q / np.sum(raw**q)) ** (1.0 / q)
+                failed[t] = not np.sum(tail**q) <= head**q
+            else:
+                tail = rng.uniform(0.1, 1.0, size=cols)
+                theta = rng.uniform(0.2, 0.9)
+                head = (np.sum(tail**q) / theta) ** (1.0 / q)
+                failed[t] = not np.sum(tail**q) < head**q
+            if failed[t]:
+                break
+            aux[name][t], aux[f"{name}_j"][t] = head, tail
+    return aux, failed
+
+
+def _loop_column_arrays(kind, rows, cols, p, rngs):
+    """The column-kind build drawn trial by trial with one ``uniform`` call
+    per array and scaled on the padded stack."""
+    q = 1.0 / p
+    a = np.zeros((len(rngs), rows.max(), cols))
+    theta = np.empty((len(rngs), cols))
+    caps = np.empty((len(rngs), cols))
+    for t, rng in enumerate(rngs):
+        if kind == "mp1":
+            caps[t] = rng.uniform(0.5, 2.0, size=cols)
+        a[t, : rows[t]] = rng.uniform(0.1, 1.0, size=(rows[t], cols))
+        theta[t] = rng.uniform(0.2, 0.9, size=cols)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bound = caps**q if kind == "mp1" else 1.0
+        a = a * ((theta * bound / np.sum(a**q, axis=1)) ** p)[:, None, :]
+        failed = ~np.all(np.sum(a**q, axis=1) <= bound, axis=-1)
+    aux = {"a": a, "p": np.full(len(rngs), p)}
+    if kind == "mp1":
+        aux["caps"] = caps
+    elif not failed.all():
+        aux["weights"] = _loop_random_weights(cols, [rng for rng, bad in zip(rngs, failed) if not bad])
+    return aux, failed
+
+
+#: Each head kind with the exponents of its stack, one per trial: Bellman's
+#: p in {1, 2, 3, 4} interleaved, Aczel's 2, Popoviciu's in (1, 2) with 1.37,
+#: where an array power and a scalar pow differ in the last bit.
+_HEAD_EXPONENTS = {
+    "bellman": [float(1 + t * 3 % 4) for t in range(48)],
+    "aczel": [2.0] * 48,
+    "popoviciu": [(1.37, 1.5, 1.91, 1.0 + t / 48)[t % 4] for t in range(48)],
+}
+
+
+@pytest.mark.parametrize("cols", [1, 3, 9, 17])
+@pytest.mark.parametrize("kind", ["bellman", "aczel", "popoviciu", "mp3", "eq3", "mp1"])
+def test_stacked_scalar_build_equals_the_per_trial_loops(kind, cols):
+    # one random call per draw step, the head kinds' array steps per exponent
+    # group and the column kinds' per stack give every trial the bits of a
+    # build trial by trial with uniform draws, and leave each stream where
+    # that build leaves it; 9 and 17 columns reach numpy's pairwise-sum
+    # blocks, and the column kinds at p = 0.001 reject part of the stack
+    keys = [("loop", kind, cols, t) for t in range(48)]
+    for p in [np.array(_HEAD_EXPONENTS[kind])] if kind in _HEAD_EXPONENTS else [0.5, 0.001]:
+        got_rngs, want_rngs = streams(stream_states(71, keys)), streams(stream_states(71, keys))
+        if kind in _HEAD_EXPONENTS:
+            got, got_failed = instances._head_arrays(kind, cols, p, got_rngs)
+            want, want_failed = _loop_head_arrays(kind, cols, p, want_rngs)
+            held = {"a": ~want_failed, "b": ~want_failed, "a_j": ~want_failed, "b_j": ~want_failed, "p": slice(None)}
+        else:
+            rows = np.array([1 + t % 3 for t in range(48)])
+            got, got_failed = instances._column_arrays(kind, rows, cols, p, got_rngs)
+            want, want_failed = _loop_column_arrays(kind, rows, cols, p, want_rngs)
+            held = dict.fromkeys(want, slice(None))
+            assert want_failed.any() == (p == 0.001) and not want_failed.all()
+        assert got_failed.tobytes() == want_failed.tobytes(), (kind, cols, p)
+        assert got.keys() == want.keys()
+        for name, rows_kept in held.items():
+            assert got[name][rows_kept].tobytes() == want[name][rows_kept].tobytes(), (kind, cols, p, name)
+        assert [r.bit_generator.state for r in got_rngs] == [r.bit_generator.state for r in want_rngs]

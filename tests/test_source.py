@@ -36,22 +36,23 @@ _STREAM_CALLS = {"default_rng", "SeedSequence", "PCG64", "Generator"}
 
 
 def test_every_stream_comes_from_the_one_seeding_function():
-    # only instances.py makes streams (``substreams``), so every trial's
-    # draws are seeded one way; a module that seeds its own stream would
-    # draw bits that no test of the seeding function sees
-    found, seen = [], 0
+    # only instances.py makes streams (``streams`` from ``stream_states``),
+    # so every trial's draws are seeded one way; a module that seeds its own
+    # stream would draw bits that no test of the seeding function sees
+    found, seen = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             if not isinstance(node, ast.Call):
                 continue
             fn = node.func
-            if (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) in _STREAM_CALLS:
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name in _STREAM_CALLS:
                 if path.name == "instances.py":
-                    seen += 1
+                    seen.add(name)
                 else:
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, f"streams made outside instances.py: {found}"
-    assert seen >= 3
+    assert seen == {"PCG64", "Generator"}
 
 
 #: Top-level names that are entry points rather than helpers: the dim-1
