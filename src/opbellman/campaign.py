@@ -38,6 +38,7 @@ from .instances import (
     complement_sandwich_family,
     random_contraction,
     random_pd,
+    random_sandwich_family,
     random_sandwich_pair,
     random_spectrum_matrix,
     random_subidentity_family,
@@ -47,6 +48,7 @@ from .instances import (
     streams,
     take,
     haar_unitary,
+    random_unitary_mixture,
 )
 from .means import function_from_id
 from .positive_maps import (
@@ -55,6 +57,7 @@ from .positive_maps import (
     Pinching,
     UnitaryMixture,
     map_from_json,
+    take_map,
 )
 from .spectral import Tolerance, array_from_json, array_to_json
 
@@ -216,20 +219,27 @@ def _parse_map_id(map_id: str) -> tuple[str, int]:
     return kind, arg
 
 
-def build_map(map_id: str, dim: int, rng):
+def build_map(map_id: str, dim: int, rng, n: int | None = None):
     """Instantiate a positive map from its config id for operands of ``dim``,
-    from one Generator or, stacked, from a list of them."""
+    from one Generator or, stacked, from a list of them.
+
+    With ``n``, a list of n maps, one per member: each stream draws the maps
+    member by member, as n calls would, and one construction forms them on
+    a member axis and checks every isometry in one call; ``take_map`` hands
+    out each member's map."""
     kind, arg = _parse_map_id(map_id)
     if kind == "id":
-        return IdentityMap(dim)
-    if kind == "compress":
-        return Compression(haar_unitary(dim, rng)[..., : min(arg, dim)])
-    if kind == "unitary-mix":
-        return UnitaryMixture(random_weights(arg, rng), tuple(haar_unitary(dim, rng) for _ in range(arg)))
-    b = min(arg, dim)
-    bounds = np.linspace(0, dim, b + 1).astype(int)
-    blocks = tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(b) if bounds[i] < bounds[i + 1])
-    return Pinching(blocks)
+        made = IdentityMap(dim)
+    elif kind == "compress":
+        made = Compression(haar_unitary(dim, rng, n)[..., : min(arg, dim)])
+    elif kind == "unitary-mix":
+        made = UnitaryMixture(*random_unitary_mixture(dim, arg, rng, n))
+    else:
+        b = min(arg, dim)
+        bounds = np.linspace(0, dim, b + 1).astype(int)
+        blocks = tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(b) if bounds[i] < bounds[i + 1])
+        made = Pinching(blocks)
+    return made if n is None else [take_map(made, j) for j in range(n)]
 
 
 # -- instance builders --------------------------------------------------------
@@ -262,9 +272,9 @@ def _window_family(per_member_maps: bool):
         n, d = cell["n"], cell["dim"]
         fam = InstanceFamily(
             hypothesis_tag="spectrum_window_family",
-            A=[random_spectrum_matrix(d, (lo, hi), rngs) for _ in range(n)],
+            A=random_spectrum_matrix(d, (lo, hi), rngs, n),
             weights=random_weights(n, rngs),
-            maps=[build_map(cell["map"], d, rngs) for _ in range(n if per_member_maps else 1)],
+            maps=build_map(cell["map"], d, rngs, n) if per_member_maps else [build_map(cell["map"], d, rngs)],
         )
         return fam, [{}] * len(rngs)
 
@@ -284,10 +294,9 @@ def _build_bellman_mean(cell, rngs):
 
 def _build_window_single(cell, rngs):
     lo, hi = _shrunk(cell["m"], cell["M"])
-    x = random_spectrum_matrix(cell["dim"], (lo, hi), rngs)
     fam = InstanceFamily(
         hypothesis_tag="spectrum_window",
-        A=[x],
+        A=random_spectrum_matrix(cell["dim"], (lo, hi), rngs, 1),
         maps=[build_map(cell["map"], cell["dim"], rngs)],
     )
     return fam, [{}] * len(rngs)
@@ -295,26 +304,22 @@ def _build_window_single(cell, rngs):
 
 def _build_pd_family(cell, rngs):
     n, d = cell["n"], cell["dim"]
-    fam = InstanceFamily(
-        hypothesis_tag="pd_family",
-        A=[random_pd(d, rngs, 0.3, 1.5) for _ in range(n)],
-        B=[random_pd(d, rngs, 0.3, 1.5) for _ in range(n)],
-    )
+    # the A members, then the B members, drawn as one family
+    x = random_pd(d, rngs, 0.3, 1.5, 2 * n)
+    fam = InstanceFamily(hypothesis_tag="pd_family", A=x[:n], B=x[n:])
     return fam, [{}] * len(rngs)
 
 
 def _build_dominated_family(cell, rngs):
     n, d = cell["n"], cell["dim"]
-    a = [random_pd(d, rngs, 0.2, 1.0) for _ in range(n)]
-    b = [random_pd(d, rngs, 0.2, 1.0) for _ in range(n)]
+    # the A members, the B members, then the excess of each total, drawn as one family
+    x = random_pd(d, rngs, 0.2, 1.0, 2 * n + 2)
+    a, b = x[:n], x[n : 2 * n]
     fam = InstanceFamily(
         hypothesis_tag="dominated_family",
         A=a,
         B=b,
-        aux={
-            "A_total": sum(a) + random_pd(d, rngs, 0.2, 1.0),
-            "B_total": sum(b) + random_pd(d, rngs, 0.2, 1.0),
-        },
+        aux={"A_total": sum(a) + x[2 * n], "B_total": sum(b) + x[2 * n + 1]},
     )
     return fam, [{}] * len(rngs)
 
@@ -323,8 +328,8 @@ def _build_pd_contraction_pair(cell, rngs):
     d = cell["dim"]
     fam = InstanceFamily(
         hypothesis_tag="pd_contraction_pair",
-        A=[random_spectrum_matrix(d, (0.1, 0.95), rngs)],
-        B=[random_pd(d, rngs, 0.3, 2.0)],
+        A=random_spectrum_matrix(d, (0.1, 0.95), rngs, 1),
+        B=random_pd(d, rngs, 0.3, 2.0, 1),
     )
     return fam, [{}] * len(rngs)
 
@@ -335,8 +340,8 @@ def _build_sandwich_pair(cell, rngs):
     x, y = random_sandwich_pair(x, cell["m"], cell["M"], rngs)
     fam = InstanceFamily(
         hypothesis_tag="sandwich_pair",
-        A=[x],
-        B=[y],
+        A=x[None],
+        B=y[None],
         maps=[build_map(cell["map"], d, rngs)],
     )
     return fam, [{}] * len(rngs)
@@ -344,12 +349,8 @@ def _build_sandwich_pair(cell, rngs):
 
 def _build_sandwich_family(cell, rngs):
     d, n = cell["dim"], cell["n"]
-    pairs = [random_sandwich_pair(random_pd(d, rngs, 0.5, 1.5), cell["m"], cell["M"], rngs) for _ in range(n)]
-    fam = InstanceFamily(
-        hypothesis_tag="sandwich_family",
-        A=[p[0] for p in pairs],
-        B=[p[1] for p in pairs],
-    )
+    a, b = random_sandwich_family(d, n, (0.5, 1.5), cell["m"], cell["M"], rngs)
+    fam = InstanceFamily(hypothesis_tag="sandwich_family", A=a, B=b)
     return fam, [{}] * len(rngs)
 
 
@@ -379,7 +380,7 @@ def _build_contraction_window(cell, rngs):
     kinds = ["unitary" if rng.uniform() < 0.5 else "ginibre" for rng in rngs]
     fam = InstanceFamily(
         hypothesis_tag="contraction_window",
-        A=[random_spectrum_matrix(d, (lo, hi), rngs)],
+        A=random_spectrum_matrix(d, (lo, hi), rngs, 1),
         aux={"C": random_contraction(d, rngs, kinds)},
     )
     return fam, [{}] * len(rngs)
@@ -389,7 +390,7 @@ def _build_pd_contraction_sandwich(cell, rngs):
     d = cell["dim"]
     a = random_spectrum_matrix(d, (0.15, 0.9), rngs)
     a, b = random_sandwich_pair(a, cell["m"], cell["M"], rngs)
-    fam = InstanceFamily(hypothesis_tag="pd_contraction_sandwich", A=[a], B=[b])
+    fam = InstanceFamily(hypothesis_tag="pd_contraction_sandwich", A=a[None], B=b[None])
     return fam, [{}] * len(rngs)
 
 
@@ -511,7 +512,7 @@ def expand_cells(check_id: str, cfg: CampaignConfig) -> list[dict]:
 def _family_to_json(inst: InstanceFamily) -> dict:
     return {
         "hypothesis_tag": inst.hypothesis_tag,
-        "A": [array_to_json(a) for a in inst.A],
+        "A": [] if inst.A is None else [array_to_json(a) for a in inst.A],
         "B": None if inst.B is None else [array_to_json(b) for b in inst.B],
         "weights": None if inst.weights is None else array_to_json(inst.weights),
         "maps": None if inst.maps is None else [m.to_json() for m in inst.maps],
@@ -583,8 +584,10 @@ def replay_witness(obj: dict, tol: Tolerance = Tolerance()) -> tuple[CheckOutcom
         inst = _family_from_json(obj["instance"]["family"])
     except (KeyError, TypeError, ValueError) as exc:
         raise WitnessFormatError(f"bad instance payload: {exc}") from exc
-    if REGISTRY[check_id].group != "scalar" and not inst.A:
+    if REGISTRY[check_id].group != "scalar" and inst.A is None:
         raise WitnessFormatError(f"witness family of operator check {check_id!r} has no operands")
+    if inst.B is not None and inst.B.shape != inst.A.shape:
+        raise WitnessFormatError(f"witness family operands differ in shape: A {inst.A.shape}, B {inst.B.shape}")
     inst.aux = _WitnessArrays(inst.aux)
     outcome = checks.check(check_id, inst, _WitnessParams(obj["params"]), tol)
     recorded = obj["outcome"]
@@ -700,8 +703,8 @@ def _build_trials(check_id: str, pairs, cfg: CampaignConfig, states=None) -> lis
 
 def _size(stack: InstanceFamily) -> int:
     """The number of trials of a builder's stack: the length of the trial
-    axis of its first array (an operand, or a scalar stack's ``aux``)."""
-    return len((stack.A or list(stack.aux.values()))[0])
+    axis of its operands, or of a scalar stack's first ``aux`` array."""
+    return len(next(iter(stack.aux.values()))) if stack.A is None else stack.A.shape[1]
 
 
 def _check_pending(check_id: str, trials: list[_Trial], tol: Tolerance) -> None:

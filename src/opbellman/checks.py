@@ -8,9 +8,15 @@ named in the witness; ``violated`` is reserved for instances that satisfy
 every hypothesis yet fail the final comparison.
 
 An operator checker is written against a stack of trials: its instance is
-the family as the builder stacked it, so every matrix carries a leading
-trial axis (none for a single trial, whose d x d matrices are the stack of
-one), and every guard decides per trial.  The trials may come from cells
+the family as the builder stacked it, so every matrix carries a trial axis
+(none for a single trial, whose d x d matrices are the stack of one), and
+every guard decides per trial.  The operands ``A`` and ``B`` carry a member
+axis in front of it, and a step on the members is one call on that stack:
+a per-member verdict is reduced over the member axis, and a step whose
+members each pass several guards in turn attributes each trial to its
+first failing one (``_require_first``), as a loop over the members would.
+Sums over the members stay Python ``sum``, which adds them one at a time
+from 0, as the loop did.  The trials may come from cells
 that differ only in their interval and their mean, so ``m``, ``M`` and the
 mean id ``f`` are each one value or an array of one value per trial.  A
 checker resolves ``f`` with ``function_from_id``, which gives one
@@ -102,12 +108,26 @@ class _GuardFail(Exception):
 
 
 def _require(cond, guard: str) -> None:
-    """Fail ``guard`` on the trials where ``cond`` (one bool, or one per trial) is False."""
+    """Fail ``guard`` on the trials where ``cond`` (one bool, or one per
+    trial, or one per member and trial) is False."""
     if cond is True:  # a plain bool: a guard on cell values
         return
     failed = ~np.asarray(cond)
     if _any(failed):
         raise _GuardFail(guard, failed)
+
+
+def _require_first(ok, names) -> None:
+    """Fail each trial at the first guard of ``names`` whose verdict fails:
+    ``ok`` holds one row per guard, in the order a loop would test them,
+    and one verdict per trial (or one, for a single trial).  Raises for one
+    guard at a time; the runner runs the trials that fail another again."""
+    ok = np.asarray(ok).reshape(len(names), -1)
+    failed = ~ok.all(axis=0)
+    if failed.any():
+        first = np.asarray(names)[np.argmin(ok, axis=0)]
+        guard = first[failed][0]
+        raise _GuardFail(str(guard), failed & (first == guard))
 
 
 def _na(check_id: str, guard: str) -> CheckOutcome:
@@ -198,9 +218,10 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
     and returns one outcome per trial.
 
     An operator checker runs once on the stack of all trials.  A guard that
-    fails on some trials settles them, and the checker runs again on
-    ``take(stack, keep)`` of the rest, so no call sees the operands of a
-    trial past its first failing guard; a stacked call gives each trial the
+    fails on some trials (on any member of a trial, for a guard on the
+    member stack) settles them, and the checker runs again on
+    ``take(stack, keep)`` of the rest, so no step after a trial's first
+    failing guard sees its operands; a stacked call gives each trial the
     bits it gives it alone.
 
     A scalar check is one function ``fn(s, num)`` of the arrays of the
@@ -237,7 +258,10 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
                 try:
                     sides = fn(insts, _stack_params([params[t] for t in live]), tol)
                 except _GuardFail as g:
-                    failed = np.broadcast_to(g.where, live.shape)
+                    failed = np.asarray(g.where)
+                    if failed.ndim > insts.A.ndim - 3:  # a verdict per member and trial
+                        failed = failed.any(axis=0)
+                    failed = np.broadcast_to(failed, live.shape)
                     for t in live[failed]:
                         out[t] = _na(check_id, g.guard)
                     live = live[~failed]
@@ -274,8 +298,8 @@ def _mean_g(a, b, f, guard: str):
 
 
 def _pair_means(inst, f):
-    """A_j sigma_f B_j for every pair of the family, guarded."""
-    return [_mean_g(a, b, f, "mean_conditioning") for a, b in zip(inst.A, inst.B)]
+    """A_j sigma_f B_j for every pair of the family, on the member stack, guarded."""
+    return _mean_g(inst.A, inst.B, f, "mean_conditioning")
 
 
 def _fcalc_g(h, f: RepresentingFunction, guard: str):
@@ -297,34 +321,42 @@ def _power_guarded(base, p: float, tol: Tolerance, guard: str):
     return hermitize(from_spectrum(u, lam**p))
 
 
-def _per_member(x):
+def _per_member(x, mats):
     """An (n,) or (trials, n) array of per-member scalars (weights,
-    interpolants) as n factors shaped (1, 1) or (trials, 1, 1), each scaling
-    a stack of member matrices."""
-    return np.asarray(x, dtype=float).swapaxes(0, -1)[..., None, None]
+    interpolants) as factors shaped to scale the member stack ``mats``:
+    (n, trials, 1, 1), or (n, 1, 1) for a single trial."""
+    x = np.asarray(x, dtype=float).swapaxes(0, -1)
+    return x.reshape(x.shape + (1,) * (mats.ndim - x.ndim))
 
 
 def _family_sum(inst, mats):
     """sum_j w_j Phi_j(X_j) over the family's weights and per-member maps."""
-    return sum(w * phi.apply(x) for w, phi, x in zip(_per_member(inst.weights), inst.maps, mats))
+    return sum(w * phi.apply(x) for w, phi, x in zip(_per_member(inst.weights, mats), inst.maps, mats))
 
 
 # -- hypothesis re-verification --------------------------------------------
 
 
+def _require_each_member(lower, upper, tol, names):
+    """Fail each trial at its first failing comparison lower_j <= upper_j,
+    member by member, and within a member the pairs of ``names`` in turn:
+    ``lower`` and ``upper`` stack one comparison per name in front of the
+    member axis.  One ``loewner_holds`` call takes them all."""
+    holds = loewner_holds(lower, upper, tol)
+    _require_first(np.swapaxes(holds, 0, 1), names * holds.shape[1])
+
+
 def _guard_window(mats, m, M, tol, name="spectrum_window"):
-    eye = identity(mats[0].shape[-1])
-    m, M = _trial_factor(m), _trial_factor(M)
-    for a in mats:
-        _require(loewner_holds(m * eye, a, tol), f"{name}_below_m")
-        _require(loewner_holds(a, M * eye, tol), f"{name}_above_M")
+    """m I <= A_j <= M I for each member of the stack ``mats``."""
+    eye = identity(mats.shape[-1])
+    low, high = (np.broadcast_to(_trial_factor(x) * eye, mats.shape) for x in (m, M))
+    _require_each_member(np.stack([low, mats]), np.stack([mats, high]), tol, [f"{name}_below_m", f"{name}_above_M"])
 
 
-def _guard_pair_sandwich(pairs, m, M, tol, name="pair_sandwich"):
+def _guard_pair_sandwich(a, b, m, M, tol, name="pair_sandwich"):
+    """m A_j <= B_j <= M A_j for each pair of the member stacks ``a``, ``b``."""
     m, M = _trial_factor(m), _trial_factor(M)
-    for a, b in pairs:
-        _require(loewner_holds(m * a, b, tol), f"{name}_lower")
-        _require(loewner_holds(b, M * a, tol), f"{name}_upper")
+    _require_each_member(np.stack([m * a, b]), np.stack([b, M * a]), tol, [f"{name}_lower", f"{name}_upper"])
 
 
 def _guard_psd(x, tol, guard):
@@ -332,9 +364,25 @@ def _guard_psd(x, tol, guard):
     _require(loewner_holds(zero, x, tol), guard)
 
 
-def _guard_pd_floor(x, guard):
+def _pd_floor(x):
+    """Whether lambda_min of each matrix clears PD_REL_FLOOR lambda_max."""
     lam = _eigvalsh(hermitize(x))
-    _require(lam[..., 0] >= PD_REL_FLOOR * np.maximum(lam[..., -1], 1e-300), guard)
+    return lam[..., 0] >= PD_REL_FLOOR * np.maximum(lam[..., -1], 1e-300)
+
+
+def _guard_pd_floor(x, guard):
+    _require(_pd_floor(x), guard)
+
+
+def _subidentity_guards(inst, tol, tags=("A_", "B_")):
+    """A_j >= 0 for each member, then sum A_j <= I, then the same of B, in
+    one ``loewner_holds`` call, each trial failing at its first failing
+    guard in that order; ``tags`` prefix the guard names of A and of B."""
+    eye = identity(inst.A.shape[-1])
+    mats = np.concatenate([inst.A, (eye - sum(inst.A))[None], inst.B, (eye - sum(inst.B))[None]])
+    n = len(inst.A)
+    names = [name for tag in tags for name in [f"{tag}member_not_psd"] * n + [f"{tag}sum_exceeds_identity"]]
+    _require_first(loewner_holds(np.zeros_like(mats), mats, tol), names)
 
 
 def _complement_prologue(inst, m, M, tol, f_id=None):
@@ -345,14 +393,12 @@ def _complement_prologue(inst, m, M, tol, f_id=None):
     Returns (g, I, I - sum A_j, I - sum B_j)."""
     _require((m < 1.0) & (1.0 < M), "window_not_straddling_one")
     g = 1.0 if f_id is None else _gamma_guarded(f_id, m, M)
-    eye = identity(inst.A[0].shape[-1])
-    _guard_pair_sandwich(zip(inst.A, inst.B), m, M, tol)
+    eye = identity(inst.A.shape[-1])
+    _guard_pair_sandwich(inst.A, inst.B, m, M, tol)
     comp_a = hermitize(eye - g * sum(inst.A))
     comp_b = hermitize(eye - g * sum(inst.B))
-    _guard_pd_floor(comp_a, "complement_a_not_pd")
-    _guard_pd_floor(comp_b, "complement_b_not_pd")
-    _require(loewner_holds(_trial_factor(m) * comp_a, comp_b, tol), "complement_sandwich_lower")
-    _require(loewner_holds(comp_b, _trial_factor(M) * comp_a, tol), "complement_sandwich_upper")
+    _require_first(_pd_floor(np.stack([comp_a, comp_b])), ["complement_a_not_pd", "complement_b_not_pd"])
+    _guard_pair_sandwich(comp_a[None], comp_b[None], m, M, tol, "complement_sandwich")
     return g, eye, hermitize(eye - sum(inst.A)), hermitize(eye - sum(inst.B))
 
 
@@ -431,16 +477,13 @@ def check_bellman_map(inst: InstanceFamily, params, tol) -> tuple:
     """(Phi(I - sum w_j A_j))^p >= Phi(sum w_j (I - A_j)^p) for contractions
     0 <= A_j <= I."""
     p = params["p"]
-    eye = identity(inst.A[0].shape[-1])
+    eye = identity(inst.A.shape[-1])
     _guard_window(inst.A, 0.0, 1.0, tol, "contraction_window")
     phi = inst.maps[0]
-    w = _per_member(inst.weights)
-    avg = hermitize(sum(wj * a for wj, a in zip(w, inst.A)))
+    w = _per_member(inst.weights, inst.A)
+    avg = hermitize(sum(w * inst.A))
     dominant = _power_guarded(hermitize(phi.apply(eye - avg)), p, tol, "map_base_not_psd")
-    inner = sum(
-        wj * _power_guarded(hermitize(eye - a), p, tol, "member_base_not_psd")
-        for wj, a in zip(w, inst.A)
-    )
+    inner = sum(w * _power_guarded(hermitize(eye - inst.A), p, tol, "member_base_not_psd"))
     dominated = hermitize(phi.apply(inner))
     return dominant, dominated
 
@@ -457,11 +500,8 @@ def check_bellman_mean(inst: InstanceFamily, params, tol) -> tuple:
     for subidentity families."""
     f = function_from_id(params["f"])
     p = params["p"]
-    eye = identity(inst.A[0].shape[-1])
-    for mats in (inst.A, inst.B):
-        for x in mats:
-            _guard_psd(x, tol, "member_not_psd")
-        _guard_psd(eye - sum(mats), tol, "sum_exceeds_identity")
+    eye = identity(inst.A.shape[-1])
+    _subidentity_guards(inst, tol, ("", ""))
     comp_a = hermitize(eye - sum(inst.A))
     comp_b = hermitize(eye - sum(inst.B))
     _guard_pd_floor(comp_a, "complement_a_not_pd")
@@ -484,7 +524,7 @@ def check_jensen_map(inst: InstanceFamily, params, tol) -> tuple:
     m, M = params["m"], params["M"]
     _require(f.operator_monotone, "not_operator_concave")
     x = inst.A[0]
-    _guard_window([x], m, M, tol)
+    _guard_window(inst.A[:1], m, M, tol)
     phi = inst.maps[0]
     dominated = hermitize(phi.apply(_fcalc_g(x, f, "function_domain")))
     dominant = _fcalc_g(hermitize(phi.apply(x)), f, "image_function_domain")
@@ -501,8 +541,7 @@ def check_jensen_map(inst: InstanceFamily, params, tol) -> tuple:
 def check_mean_superadditive(inst: InstanceFamily, params, tol) -> tuple:
     """sum_j (X_j sigma_f Y_j) <= (sum X_j) sigma_f (sum Y_j)."""
     f = function_from_id(params["f"])
-    for x in list(inst.A) + list(inst.B):
-        _guard_psd(x, tol, "member_not_psd")
+    _guard_psd(np.concatenate([inst.A, inst.B]), tol, "member_not_psd")
     dominated = hermitize(sum(_pair_means(inst, f)))
     dominant = _mean_g(hermitize(sum(inst.A)), hermitize(sum(inst.B)), f, "mean_conditioning")
     return dominant, dominated
@@ -520,10 +559,9 @@ def check_mean_remainder(inst: InstanceFamily, params, tol) -> tuple:
     f = function_from_id(params["f"])
     a_total = inst.aux["A_total"]
     b_total = inst.aux["B_total"]
-    _guard_psd(a_total - sum(inst.A), tol, "A_sum_exceeds_total")
-    _guard_psd(b_total - sum(inst.B), tol, "B_sum_exceeds_total")
-    rem_a = hermitize(a_total - sum(inst.A))
-    rem_b = hermitize(b_total - sum(inst.B))
+    rems = np.stack([a_total - sum(inst.A), b_total - sum(inst.B)])
+    _require_first(loewner_holds(np.zeros_like(rems), rems, tol), ["A_sum_exceeds_total", "B_sum_exceeds_total"])
+    rem_a, rem_b = hermitize(rems)
     _guard_pd_floor(rem_a, "remainder_not_pd")
     dominated = _mean_g(rem_a, rem_b, f, "mean_conditioning")
     dominant = hermitize(
@@ -545,7 +583,7 @@ def check_mean_power_compose(inst: InstanceFamily, params, tol) -> tuple:
     f = function_from_id(params["f"])
     p = params["p"]
     a, b = inst.A[0], inst.B[0]
-    _guard_window([a], 0.0, 1.0, tol, "contraction_window")
+    _guard_window(inst.A[:1], 0.0, 1.0, tol, "contraction_window")
     _guard_pd_floor(a, "contraction_not_pd")
     _guard_psd(b, tol, "second_operand_not_psd")
     dominated = _mean_g(a, b, powered(f, p), "mean_conditioning")
@@ -568,7 +606,7 @@ def check_jensen_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     x = inst.A[0]
-    _guard_window([x], m, M, tol)
+    _guard_window(inst.A[:1], m, M, tol)
     g = _gamma_guarded(params["f"], m, M)
     phi = inst.maps[0]
     dominant = hermitize(g * phi.apply(_fcalc_g(x, f, "function_domain")))
@@ -589,7 +627,7 @@ def check_mean_map_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     m, M = params["m"], params["M"]
     x, y = inst.A[0], inst.B[0]
     _guard_pd_floor(x, "first_operand_not_pd")
-    _guard_pair_sandwich([(x, y)], m, M, tol)
+    _guard_pair_sandwich(inst.A[:1], inst.B[:1], m, M, tol)
     g = _gamma_guarded(params["f"], m, M)
     psi = inst.maps[0]
     dominant = hermitize(g * psi.apply(_mean_g(x, y, f, "mean_conditioning")))
@@ -611,7 +649,7 @@ def check_mean_sum_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """gamma_f sum_j (A_j sigma_f B_j) >= (sum A_j) sigma_f (sum B_j)."""
     f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
-    _guard_pair_sandwich(zip(inst.A, inst.B), m, M, tol)
+    _guard_pair_sandwich(inst.A, inst.B, m, M, tol)
     g = _gamma_guarded(params["f"], m, M)
     dominant = hermitize(g * sum(_pair_means(inst, f)))
     dominated = _mean_g(hermitize(sum(inst.A)), hermitize(sum(inst.B)), f, "mean_conditioning")
@@ -657,7 +695,7 @@ def check_compression_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     gram = adjoint(c) @ c
     _require(loewner_holds(hermitize(gram), eye, tol), "not_a_contraction")
     _require(f.operator_monotone, "not_operator_monotone")
-    _guard_window([x], m, M, tol)
+    _guard_window(inst.A[:1], m, M, tol)
     g = _gamma_guarded(params["f"], m, M)
     compressed = hermitize(adjoint(c) @ x @ c)
     dominated = _fcalc_g(compressed, f, "compressed_spectrum_outside_domain")
@@ -681,9 +719,9 @@ def check_mean_power_ratio_reverse(inst: InstanceFamily, params, tol) -> tuple:
     f = function_from_id(params["f"])
     m, M, p = params["m"], params["M"], params["p"]
     a, b = inst.A[0], inst.B[0]
-    _guard_window([a], 0.0, 1.0, tol, "contraction_window")
+    _guard_window(inst.A[:1], 0.0, 1.0, tol, "contraction_window")
     _guard_pd_floor(a, "contraction_not_pd")
-    _guard_pair_sandwich([(a, b)], m, M, tol)
+    _guard_pair_sandwich(inst.A[:1], inst.B[:1], m, M, tol)
     fm, fM = (_per_trial(_value_at, function_from_id, params["f"], x) for x in (m, M))
     gh = _per_trial(constants.gamma_power, fm, fM, p, guard="degenerate_power_interval")
     eye = identity(a.shape[-1])
@@ -713,7 +751,7 @@ def check_bellman_arith_reverse(inst: InstanceFamily, params, tol) -> tuple:
         delta
         * (fmp * sum(inst.A) + _mean_g(comp_a, comp_b, powered(f, p), "mean_conditioning"))
     )
-    rhs_base = hermitize(eye - sum(weighted_arithmetic(a, b, lam) for a, b in zip(inst.A, inst.B)))
+    rhs_base = hermitize(eye - sum(weighted_arithmetic(inst.A, inst.B, lam)))
     dominated = _power_guarded(rhs_base, p, tol, "rhs_base_not_psd")
     return dominant, dominated
 
@@ -733,7 +771,7 @@ def check_jensen_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
     x = inst.A[0]
-    _guard_window([x], m, M, tol)
+    _guard_window(inst.A[:1], m, M, tol)
     beta = _per_trial(_beta_cached, params["f"], m, M)
     phi = inst.maps[0]
     out_eye = identity(phi.output_dim)
@@ -755,7 +793,7 @@ def check_mean_map_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     m, M = params["m"], params["M"]
     x, y = inst.A[0], inst.B[0]
     _guard_pd_floor(x, "first_operand_not_pd")
-    _guard_pair_sandwich([(x, y)], m, M, tol)
+    _guard_pair_sandwich(inst.A[:1], inst.B[:1], m, M, tol)
     beta = _per_trial(_beta_cached, params["f"], m, M)
     psi = inst.maps[0]
     px = hermitize(psi.apply(x))
@@ -777,7 +815,7 @@ def check_mean_sum_diff_reverse(inst: InstanceFamily, params, tol) -> tuple:
     """beta_f sum X_j + sum (X_j sigma_f Y_j) >= (sum X_j) sigma_f (sum Y_j)."""
     f = function_from_id(params["f"])
     m, M = params["m"], params["M"]
-    _guard_pair_sandwich(zip(inst.A, inst.B), m, M, tol)
+    _guard_pair_sandwich(inst.A, inst.B, m, M, tol)
     beta = _per_trial(_beta_cached, params["f"], m, M)
     dominant = hermitize(
         beta * sum(inst.A)
@@ -843,8 +881,7 @@ def check_jensen_family_diff_reverse(inst: InstanceFamily, params, tol) -> tuple
     _guard_window(inst.A, m, M, tol)
     beta = _per_trial(_beta_cached, params["f"], m, M)
     out_eye = identity(inst.maps[0].output_dim)
-    f_members = [_fcalc_g(a, f, "function_domain") for a in inst.A]
-    dominant = hermitize(beta * out_eye + _family_sum(inst, f_members))
+    dominant = hermitize(beta * out_eye + _family_sum(inst, _fcalc_g(inst.A, f, "function_domain")))
     mapped = hermitize(_family_sum(inst, inst.A))
     dominated = _fcalc_g(mapped, f, "image_function_domain")
     return dominant, dominated
@@ -864,11 +901,12 @@ def check_bellman_family_reverse(inst: InstanceFamily, params, tol) -> tuple:
     _require((0.0 <= m) & (m < M) & (M < 1.0), "window_not_in_unit_interval")
     _guard_window(inst.A, m, M, tol)
     delta = _per_trial(constants.delta_bellman, m, M, p)
-    eye = identity(inst.A[0].shape[-1])
+    eye = identity(inst.A.shape[-1])
     out_eye = identity(inst.maps[0].output_dim)
-    powers = [_power_guarded(hermitize(eye - a), p, tol, "member_base_not_psd") for a in inst.A]
+    bases = hermitize(eye - inst.A)
+    powers = _power_guarded(bases, p, tol, "member_base_not_psd")
     dominant = hermitize(delta * out_eye + _family_sum(inst, powers))
-    mapped = hermitize(_family_sum(inst, [hermitize(eye - a) for a in inst.A]))
+    mapped = hermitize(_family_sum(inst, bases))
     dominated = _power_guarded(mapped, p, tol, "mapped_base_not_psd")
     return dominant, dominated
 
@@ -888,23 +926,15 @@ def check_log_family_reverse(inst: InstanceFamily, params, tol) -> tuple:
     c = _per_trial(constants.beta_log, m, M)
     phi = inst.maps[0]
     out_eye = identity(phi.output_dim)
-    w = _per_member(inst.weights)
-    logs = hermitize(sum(wj * _fcalc_g(a, log_fn, "member_not_pd") for wj, a in zip(w, inst.A)))
+    w = _per_member(inst.weights, inst.A)
+    logs = hermitize(sum(w * _fcalc_g(inst.A, log_fn, "member_not_pd")))
     dominant = hermitize(c * out_eye + phi.apply(logs))
-    mixed = hermitize(sum(wj * phi.apply(a) for wj, a in zip(w, inst.A)))
+    mixed = hermitize(sum(w * phi.apply(inst.A)))
     dominated = _fcalc_g(mixed, log_fn, "mapped_operand_not_pd")
     return dominant, dominated
 
 
 # -- refinement chains -------------------------------------------------------
-
-
-def _subidentity_guards(inst, tol):
-    eye = identity(inst.A[0].shape[-1])
-    for mats, tag in ((inst.A, "A"), (inst.B, "B")):
-        for x in mats:
-            _guard_psd(x, tol, f"{tag}_member_not_psd")
-        _guard_psd(eye - sum(mats), tol, f"{tag}_sum_exceeds_identity")
 
 
 @inequality(
@@ -923,7 +953,7 @@ def check_bellman_chain_split(inst: InstanceFamily, params, tol) -> tuple:
     n = len(inst.A)
     _require(1 <= k <= n - 1, "split_index_out_of_range")
     _subidentity_guards(inst, tol)
-    eye = identity(inst.A[0].shape[-1])
+    eye = identity(inst.A.shape[-1])
     comp_a = hermitize(eye - sum(inst.A))
     comp_b = hermitize(eye - sum(inst.B))
     _guard_pd_floor(comp_a, "complement_a_not_pd")
@@ -954,20 +984,20 @@ def check_bellman_chain_interp(inst: InstanceFamily, params, tol) -> tuple:
     t = np.asarray(params["t"], dtype=float)
     n = len(inst.A)
     _require(t.shape[-1:] == (n,) and np.all((0.0 <= t) & (t <= 1.0), axis=-1), "interpolants_outside_unit")
-    t = _per_member(t)
+    t = _per_member(t, inst.A)
     _subidentity_guards(inst, tol)
-    eye = identity(inst.A[0].shape[-1])
+    eye = identity(inst.A.shape[-1])
     comp_a = hermitize(eye - sum(inst.A))
     comp_b = hermitize(eye - sum(inst.B))
     _guard_pd_floor(comp_a, "complement_a_not_pd")
     t1 = _power_guarded(_mean_g(comp_a, comp_b, f, "mean_conditioning"), p, tol, "lhs_base_not_psd")
-    part_a = hermitize(eye - sum(tj * a for tj, a in zip(t, inst.A)))
-    part_b = hermitize(eye - sum(tj * b for tj, b in zip(t, inst.B)))
+    part_a = hermitize(eye - sum(t * inst.A))
+    part_b = hermitize(eye - sum(t * inst.B))
     _guard_pd_floor(part_a, "partial_complement_not_pd")
     pair_means = _pair_means(inst, f)
     mid_base = hermitize(
         _mean_g(part_a, part_b, f, "mean_conditioning")
-        - sum((1.0 - tj) * pm for tj, pm in zip(t, pair_means))
+        - sum((1.0 - t) * pair_means)
     )
     t2 = _power_guarded(mid_base, p, tol, "mid_base_not_psd")
     t3 = _power_guarded(hermitize(eye - sum(pair_means)), p, tol, "rhs_base_not_psd")

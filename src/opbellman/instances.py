@@ -7,11 +7,13 @@ of a campaign draws from a counter-derived stream (``stream_states``),
 which makes campaigns order-independent.
 
 Every generator takes one Generator and returns d x d matrices, or a list
-of Generators, one per trial, and returns stacks (trials, d, d).  Each
-stream gets the draws, in the order, that it gets alone; the linear
-algebra runs once on the stack and gives each trial the bits it gives it
-alone.  A hypothesis that fails on some trials of a stack raises
-``HypothesisError`` naming them in ``where``.
+of Generators, one per trial, and returns stacks (trials, d, d).  A family
+of n members carries a member axis in front: (n, trials, d, d), or (n, d, d)
+for one Generator.  Each stream gets the draws, in the order, that it gets
+alone, member by member; the linear algebra runs once on the stack of every
+member and trial and gives each matrix the bits it gets alone.  A
+hypothesis that fails on some trials of a stack raises ``HypothesisError``
+naming them in ``where``.
 """
 
 from __future__ import annotations
@@ -167,31 +169,42 @@ def streams(states: np.ndarray) -> list[np.random.Generator]:
 
 @dataclass
 class InstanceFamily:
-    """One concrete instance: operand families plus whatever a check needs."""
+    """One concrete instance: operand families plus whatever a check needs.
+
+    ``A`` and ``B`` hold the members on one axis in front of the trial axis,
+    (n, trials, d, d), or (n, d, d) for one trial; a list of members is
+    stacked.  A scalar family has no operands (``A`` is None)."""
 
     hypothesis_tag: str
-    A: list = field(default_factory=list)
-    B: list | None = None
+    A: np.ndarray | None = None
+    B: np.ndarray | None = None
     weights: np.ndarray | None = None
     maps: list | None = None
     aux: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if isinstance(self.A, (list, tuple)):
+            self.A = np.asarray(self.A) if self.A else None
+        if isinstance(self.B, (list, tuple)):
+            self.B = np.asarray(self.B)
+
 
 def take(stack: InstanceFamily, idx) -> InstanceFamily:
-    """The trials ``idx`` of a family stacked on a leading trial axis: an int
-    gives that trial's family (views of its d x d matrices), an index array
-    a smaller stack.  A ``meta`` array holds one value per trial.  A scalar
-    stack (``scalar_instance``) pads its matrix to its largest row count,
-    so one trial's is cut to that trial's ``meta["rows"]``."""
+    """The trials ``idx`` of a family stacked on a trial axis, the axis after
+    the operands' member axis: an int gives that trial's family (views of
+    its members' d x d matrices), an index array a smaller stack.  A
+    ``meta`` array holds one value per trial.  A scalar stack
+    (``scalar_instance``) pads its matrix to its largest row count, so one
+    trial's is cut to that trial's ``meta["rows"]``."""
     aux = {k: v[idx] for k, v in stack.aux.items()}
     meta = {k: v[idx] if isinstance(v, np.ndarray) else v for k, v in stack.meta.items()}
     if "rows" in meta and np.ndim(idx) == 0:
         aux["a"] = aux["a"][: meta["rows"]]
     return InstanceFamily(
         hypothesis_tag=stack.hypothesis_tag,
-        A=[a[idx] for a in stack.A],
-        B=None if stack.B is None else [b[idx] for b in stack.B],
+        A=None if stack.A is None else stack.A[:, idx],
+        B=None if stack.B is None else stack.B[:, idx],
         weights=None if stack.weights is None else stack.weights[idx],
         maps=None if stack.maps is None else [take_map(m, idx) for m in stack.maps],
         aux=aux,
@@ -212,6 +225,15 @@ def _streams(rng) -> tuple[list, bool]:
     return list(rng), False
 
 
+def _unstacked(x: np.ndarray, n: int | None, one: bool) -> np.ndarray:
+    """A stack (members, trials, ...) as a generator returns it: without the
+    member axis when no member count ``n`` was asked for, without the trial
+    axis when one Generator was given."""
+    if one:
+        x = x[:, 0]
+    return x if n is not None else x[0]
+
+
 def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """The real and the imaginary part (2, d, d) of a complex Gaussian d x d
     matrix, in one call: the values of two (d, d) calls, in their order."""
@@ -219,9 +241,9 @@ def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _complex(g: np.ndarray) -> np.ndarray:
-    """The complex matrices re + 1j im of a stack (trials, 2, d, d) of
-    ``_gaussian`` draws, formed once for the stack."""
-    return g[:, 0] + 1j * g[:, 1]
+    """The complex matrices re + 1j im of a stack (..., 2, d, d) of Gaussian
+    draws, formed once for the stack."""
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
 def _unitary_factor(z: np.ndarray) -> np.ndarray:
@@ -231,39 +253,85 @@ def _unitary_factor(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def haar_unitary(dim: int, rng) -> np.ndarray:
+def _haar(g: np.ndarray) -> np.ndarray:
+    """The Haar unitaries of a stack (..., 2, d, d) of Gaussian draws, in one QR call."""
+    return _unitary_factor(_complex(g) / np.sqrt(2.0))
+
+
+def haar_unitary(dim: int, rng, n: int | None = None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix with
     phase normalization of the triangular factor's diagonal (the standard
-    construction).
+    construction); with ``n``, n of them per stream, member axis first.
 
-    Each stream makes one ``standard_normal`` call; the complex matrices,
-    their QR and the phases are formed once on the stack.
+    Each stream makes one ``standard_normal`` call for all its members; the
+    complex matrices, their QR and the phases are formed once on the stack.
     """
     if dim < 1:
         raise ParameterError("dim must be at least 1")
     rngs, one = _streams(rng)
-    u = _unitary_factor(_complex(np.stack([_gaussian(dim, r) for r in rngs])) / np.sqrt(2.0))
-    return u[0] if one else u
+    g = np.empty((n or 1, len(rngs), 2, dim, dim))
+    for t, r in enumerate(rngs):
+        g[:, t] = r.standard_normal(g[:, t].shape)  # the n Gaussians of n calls
+    return _unstacked(_haar(g), n, one)
 
 
-def random_spectrum_matrix(dim: int, interval: tuple[float, float], rng) -> np.ndarray:
-    """Hermitian matrix with eigenvalues drawn uniformly from [a, b]; for a
-    list of streams, a and b are numbers or one per stream."""
+def random_unitary_mixture(dim: int, k: int, rng, n: int | None = None) -> tuple[np.ndarray, list]:
+    """(weights, unitaries) of a mixture of k Haar unitaries: positive
+    weights summing to one, on a last axis of k, and a list of the k
+    unitaries; with ``n``, n mixtures per stream, member axis first.
+
+    Each stream draws member by member a mixture's weights in one
+    ``random`` call, as ``random_weights`` does, then its k Gaussians in one
+    ``standard_normal`` call, as k ``haar_unitary`` calls do; one QR call
+    forms every unitary.
+    """
     rngs, one = _streams(rng)
-    a, b = (x.tolist() if isinstance(x, np.ndarray) else [x] * len(rngs) for x in interval)
-    if any(lo > hi for lo, hi in zip(a, b)):
-        raise ParameterError(f"need a <= b, got [{interval[0]}, {interval[1]}]")
-    lam = np.sort(np.stack([r.uniform(lo, hi, size=dim) for r, lo, hi in zip(rngs, a, b)]), axis=-1)
-    u = haar_unitary(dim, rngs)
-    x = hermitize(from_spectrum(u, lam))
-    return x[0] if one else x
+    u = np.empty((n or 1, len(rngs), k))
+    g = np.empty((n or 1, len(rngs), k, 2, dim, dim))
+    for t, r in enumerate(rngs):
+        for j in range(n or 1):
+            u[j, t] = r.random(k)
+            g[j, t] = r.standard_normal((k, 2, dim, dim))
+    return _unstacked(_weights(u), n, one), [_unstacked(x, n, one) for x in np.moveaxis(_haar(g), 2, 0)]
 
 
-def random_pd(dim: int, rng, lo: float = 0.5, hi: float = 1.5) -> np.ndarray:
-    """Positive definite matrix with spectrum in [lo, hi] (lo > 0)."""
+def _spectral(dim: int, intervals, rngs: list, n: int) -> np.ndarray:
+    """Hermitian matrices (len(intervals), n, trials, d, d), each with
+    eigenvalues drawn uniformly from its interval [a, b], whose ends are
+    numbers or one per stream.
+
+    Each stream draws member by member, for each interval in turn, its
+    spectrum and then its Gaussian: the draws of ``random_spectrum_matrix``
+    called once per interval for each member in turn.  One QR call forms
+    every matrix."""
+    bounds = [[x.tolist() if isinstance(x, np.ndarray) else [x] * len(rngs) for x in iv] for iv in intervals]
+    for (a, b), iv in zip(bounds, intervals):
+        if any(lo > hi for lo, hi in zip(a, b)):
+            raise ParameterError(f"need a <= b, got [{iv[0]}, {iv[1]}]")
+    lam = np.empty((len(intervals), n, len(rngs), dim))
+    g = np.empty((len(intervals), n, len(rngs), 2, dim, dim))
+    for t, r in enumerate(rngs):
+        for j in range(n):
+            for i, (a, b) in enumerate(bounds):
+                lam[i, j, t] = r.uniform(a[t], b[t], size=dim)
+                g[i, j, t] = _gaussian(dim, r)
+    return hermitize(from_spectrum(_haar(g), np.sort(lam, axis=-1)))
+
+
+def random_spectrum_matrix(dim: int, interval: tuple[float, float], rng, n: int | None = None) -> np.ndarray:
+    """Hermitian matrix with eigenvalues drawn uniformly from [a, b]; for a
+    list of streams, a and b are numbers or one per stream.  With ``n``, n
+    of them per stream, member axis first."""
+    rngs, one = _streams(rng)
+    return _unstacked(_spectral(dim, [interval], rngs, n or 1)[0], n, one)
+
+
+def random_pd(dim: int, rng, lo: float = 0.5, hi: float = 1.5, n: int | None = None) -> np.ndarray:
+    """Positive definite matrix with spectrum in [lo, hi] (lo > 0); with
+    ``n``, n of them per stream, member axis first."""
     if lo <= 0.0:
         raise ParameterError("positive definite draw needs lo > 0")
-    return random_spectrum_matrix(dim, (lo, hi), rng)
+    return random_spectrum_matrix(dim, (lo, hi), rng, n)
 
 
 def random_contraction(dim: int, rng, kind="ginibre") -> np.ndarray:
@@ -293,6 +361,26 @@ def random_contraction(dim: int, rng, kind="ginibre") -> np.ndarray:
     return c[0] if one else c
 
 
+def _sandwiched(a: np.ndarray, t: np.ndarray, m, M) -> tuple[np.ndarray, np.ndarray]:
+    """(B, failed): B = A^{1/2} T A^{1/2} of each pair of stacks (..., trials,
+    d, d), m and M numbers or one per trial, and whether m A <= B <= M A
+    fails, from lambda_min(B - m A) and lambda_min(M A - B) in one
+    ``_eigvalsh`` call, per matrix of the stack."""
+    root = apply_function(a, np.sqrt, POSITIVE_HALFLINE)
+    b = hermitize(root @ t @ root)
+    low = _eigvalsh(hermitize(np.stack([b - _trial_factor(m) * a, _trial_factor(M) * a - b])))[..., 0]
+    return b, (low < 0.0).any(axis=0)
+
+
+def _sandwich_window(m, M) -> tuple:
+    """The window [m + delta, M - delta] of an inner spectrum, delta =
+    EDGE_SHRINK (M - m); refuses unless 0 < m < M."""
+    if not np.all((0.0 < m) & (m < M)):
+        raise ParameterError(f"need 0 < m < M, got m={m}, M={M}")
+    delta = EDGE_SHRINK * (M - m)
+    return m + delta, M - delta
+
+
 def random_sandwich_pair(a: np.ndarray, m: float, M: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) with m A <= B <= M A via B = A^{1/2} T A^{1/2}, m I <= T <= M I;
     for a list of streams, m and M are numbers or one per stream.
@@ -302,22 +390,34 @@ def random_sandwich_pair(a: np.ndarray, m: float, M: float, rng) -> tuple[np.nda
     re-verified from lambda_min(B - m A) and lambda_min(M A - B), and a
     ``HypothesisError`` names the failing pairs of a stack in ``where``.
     """
-    if not np.all((0.0 < m) & (m < M)):
-        raise ParameterError(f"need 0 < m < M, got m={m}, M={M}")
-    delta = EDGE_SHRINK * (M - m)
-    root = apply_function(a, np.sqrt, POSITIVE_HALFLINE)
-    t = random_spectrum_matrix(a.shape[-1], (m + delta, M - delta), rng)
-    b = hermitize(root @ t @ root)
-    low = _eigvalsh(hermitize(np.stack([b - _trial_factor(m) * a, _trial_factor(M) * a - b])))[..., 0]
-    failed = (low < 0.0).any(axis=0)
+    t = random_spectrum_matrix(a.shape[-1], _sandwich_window(m, M), rng)
+    b, failed = _sandwiched(a, t, m, M)
     if _any(failed):
         raise HypothesisError("sandwich construction failed verification", where=failed)
     return a, b
 
 
-def random_subidentity_family(n: int, dim: int, rng, cap) -> list[np.ndarray]:
+def random_sandwich_family(dim: int, n: int, interval: tuple[float, float], m, M, rng) -> tuple[np.ndarray, np.ndarray]:
+    """n pairs (A_j, B_j) per stream, member axis first, with the spectrum of
+    A_j drawn from ``interval`` and m A_j <= B_j <= M A_j: the pairs
+    ``random_sandwich_pair(random_spectrum_matrix(dim, interval, rng), m,
+    M, rng)`` makes member by member, drawn in that order by each stream.
+    One QR call forms every A_j and T_j, one ``eigh`` call takes the roots
+    and one ``_eigvalsh`` call verifies every sandwich; a
+    ``HypothesisError`` names the trials with a failing pair in ``where``.
+    """
+    rngs, one = _streams(rng)
+    a, t = _spectral(dim, [interval, _sandwich_window(m, M)], rngs, n)
+    b, failed = _sandwiched(a, t, m, M)
+    failed = failed.any(axis=0)
+    if failed.any():
+        raise HypothesisError("sandwich construction failed verification", where=failed[0] if one else failed)
+    return _unstacked(a, n, one), _unstacked(b, n, one)
+
+
+def random_subidentity_family(n: int, dim: int, rng, cap) -> np.ndarray:
     """A_1..A_n >= 0 with sum A_j <= cap * I, cap in (0, 1) (one per trial
-    of a stack).
+    of a stack), member axis first.
 
     Raw positive-definite draws are rescaled by cap / lambda_max(sum), so
     each member keeps a healthy relative spectral floor.
@@ -325,10 +425,9 @@ def random_subidentity_family(n: int, dim: int, rng, cap) -> list[np.ndarray]:
     caps = np.asarray(cap)
     if not np.all((0.0 < caps) & (caps < 1.0)):
         raise ParameterError(f"cap must be in (0, 1), got {cap}")
-    raw = [random_pd(dim, rng, 0.2, 1.0) for _ in range(n)]
-    total = sum(raw)
-    scale = (cap / _eigvalsh(total)[..., -1])[..., None, None]
-    return [hermitize(scale * p) for p in raw]
+    raw = random_pd(dim, rng, 0.2, 1.0, n)
+    scale = (cap / _eigvalsh(sum(raw))[..., -1])[..., None, None]
+    return hermitize(scale * raw)
 
 
 def _scaled(u, lo: float, hi: float):
@@ -343,9 +442,15 @@ def random_weights(n: int, rng) -> np.ndarray:
     if n < 1:
         raise ParameterError("need n >= 1")
     rngs, one = _streams(rng)
-    w = _scaled(np.stack([r.random(n) for r in rngs]), 0.2, 1.0)
-    w = w / w.sum(axis=-1, keepdims=True)
+    w = _weights(np.stack([r.random(n) for r in rngs]))
     return w[0] if one else w
+
+
+def _weights(u: np.ndarray) -> np.ndarray:
+    """Positive weights summing to one along the last axis, from draws u of
+    ``Generator.random``: u mapped to [0.2, 1), then normalized."""
+    w = _scaled(u, 0.2, 1.0)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _scale_limit(
@@ -406,14 +511,13 @@ def complement_sandwich_family(
     m, M, gamma = (np.broadcast_to(np.ravel(x), len(rngs)) for x in (*interval, gamma_value))
     if not np.all((0.0 < m) & (m < 1.0) & (1.0 < M)):
         raise ParameterError(f"complement sandwich needs 0 < m < 1 < M, got [{interval[0]}, {interval[1]}]")
-    pairs = [random_sandwich_pair(random_pd(dim, rngs, 0.5, 1.5), m, M, rngs) for _ in range(n)]
-    a, b = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+    a, b = random_sandwich_family(dim, n, (0.5, 1.5), m, M, rngs)
     s_max = _scale_limit(gamma, sum(a), sum(b), sum(mean(a, b, f)), m, M, DEFAULT_MARGIN)
     s = np.where(s_max >= 1.0, 1.0, s_max * (1.0 - 1e-6))
     family = InstanceFamily(
         hypothesis_tag="complement_sandwich_family",
-        A=list(hermitize(_trial_factor(s) * a)),
-        B=list(hermitize(_trial_factor(s) * b)),
+        A=hermitize(_trial_factor(s) * a),
+        B=hermitize(_trial_factor(s) * b),
         meta={"scale": s, "gamma": np.array(gamma)},
     )
     failed = (s_max < MIN_SCALE) | ~_verify_complement_family(family, gamma, m, M, DEFAULT_MARGIN)
@@ -437,13 +541,14 @@ def _verify_complement_family(
     ``loewner_leq``, without the spectral norms behind its tolerance; one
     ``_eigvalsh`` call takes every gap.
     """
-    eye = identity(fam.A[0].shape[-1])
+    eye = identity(fam.A.shape[-1])
     g, m, M = _trial_factor(gamma_value), _trial_factor(m), _trial_factor(M)
     comp_a = eye - g * sum(fam.A)
     comp_b = eye - g * sum(fam.B)
-    gaps = [gap for a, b in zip(fam.A, fam.B) for gap in (b - m * a, M * a - b)]
-    gaps += [comp_a, comp_b, comp_b - m * comp_a, M * comp_a - comp_b]
-    return (_eigvalsh(hermitize(np.stack(gaps)))[..., 0] >= margin).all(axis=0)
+    gaps = np.concatenate(
+        [fam.B - m * fam.A, M * fam.A - fam.B, np.stack([comp_a, comp_b, comp_b - m * comp_a, M * comp_a - comp_b])]
+    )
+    return (_eigvalsh(hermitize(gaps))[..., 0] >= margin).all(axis=0)
 
 
 #: The scalar kinds whose hypothesis bounds a head power by its column's.

@@ -5,7 +5,9 @@ maps the identity to the identity.  ``apply`` takes a stack ``(..., d, d)``
 of operands.  A map whose arrays carry a leading trial axis applies trial
 t's map to operand t of a stack: ``Compression`` and ``UnitaryMixture``
 take such arrays and check every trial's isometries in one ``_eigvalsh``
-call, and ``take_map`` takes one trial's map, or a smaller stack, out.
+call, and ``take_map`` takes one trial's map, or a smaller stack, out.  The
+maps of a family's members are built the same way on a member axis in front
+of the trial axis, and ``take_map`` hands out each member's.
 """
 
 from __future__ import annotations
@@ -171,9 +173,9 @@ PositiveLinearMap = IdentityMap | Compression | UnitaryMixture | Pinching
 
 
 def take_map(stacked: PositiveLinearMap, idx) -> PositiveLinearMap:
-    """The trials ``idx`` of a map whose arrays carry a leading trial axis:
-    an int gives that trial's map, an index array a smaller stack.  The
-    stack was validated when it was built, so the result is not."""
+    """The entries ``idx`` of a map's leading axis, trials or members: an int
+    gives that trial's (or member's) map, an index array a smaller stack.
+    The stack was validated when it was built, so the result is not."""
     out = object.__new__(type(stacked))
     for field in fields(out):
         value = getattr(stacked, field.name)

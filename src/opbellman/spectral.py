@@ -208,14 +208,13 @@ def apply_function(
 
 
 def _operands(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X and Y broadcast to one stack; their matrices must have one shape."""
+    """X and Y as complex arrays, as they are: stacks whose leading shapes
+    broadcast, of matrices of one shape."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if x.shape == y.shape:
-        return x, y
     if x.shape[-2:] != y.shape[-2:]:
         raise ShapeError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return np.broadcast_arrays(x, y)
+    return x, y
 
 
 def _larger(a, b):
@@ -230,6 +229,8 @@ def loewner_leq(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> O
     For one matrix the verdict holds Python scalars.
     """
     x, y = _operands(x, y)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
     slack = _eigvalsh(hermitize(y - x))[..., 0]
     scale = _larger(spectral_norm(x), spectral_norm(y))
     holds = slack >= -tol.margin(scale)
@@ -243,9 +244,11 @@ def loewner_holds(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL):
 
     The margin atol + rtol * scale is never negative, so a slack >= 0 holds
     whatever the scale; the two spectral norms are taken only for the
-    matrices with a negative slack.  A NaN slack does not hold.  A non-finite
-    difference also takes the full path: ``eigvalsh`` can return finite
-    eigenvalues for it.  A bool for one matrix, a bool array for a stack.
+    matrices with a negative slack, and only those are broadcast against
+    the other operand (a guard compares a stack with one m I).  A NaN slack
+    does not hold.  A non-finite difference also takes the full path:
+    ``eigvalsh`` can return finite eigenvalues for it.  A bool for one
+    matrix, a bool array for a stack.
     """
     x, y = _operands(x, y)
     diff = hermitize(y - x)
@@ -253,7 +256,8 @@ def loewner_holds(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     holds = np.asarray((slack >= 0.0) & np.isfinite(diff).all(axis=(-2, -1)))
     rest = ~holds
     if _any(rest):
-        holds[rest] = slack[rest] >= -tol.margin(_larger(spectral_norm(x[rest]), spectral_norm(y[rest])))
+        x, y = (np.broadcast_to(v, diff.shape)[rest] for v in (x, y))
+        holds[rest] = slack[rest] >= -tol.margin(_larger(spectral_norm(x), spectral_norm(y)))
     return bool(holds) if holds.ndim == 0 else holds
 
 

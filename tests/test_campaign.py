@@ -25,8 +25,9 @@ from opbellman.campaign import (
 from opbellman.checks import CheckOutcome, check
 from opbellman.errors import HypothesisError, ParameterError, UnboundedRatioError, WitnessFormatError
 from opbellman.instances import InstanceFamily, stream_states, streams
-from opbellman.means import function_from_id
-from opbellman.spectral import Tolerance
+from opbellman.means import POSITIVE_HALFLINE, function_from_id, mean
+from opbellman.positive_maps import Compression, UnitaryMixture
+from opbellman.spectral import Tolerance, adjoint, apply_function, hermitize
 
 
 def _tiny_cfg(**kw):
@@ -329,6 +330,22 @@ def test_cli_replay_malformed_witness_is_a_schema_error(tmp_path, capsys, path, 
     file.write_text(json.dumps(wit))
     assert cli.main(["replay", str(file)]) == 1
     assert capsys.readouterr().err == f"witness schema error: {message}\n"
+
+
+def test_cli_replay_witness_with_unequal_operand_stacks_is_a_schema_error(tmp_path, capsys):
+    # a family's A and B members form one stack each, so a B with a member
+    # fewer than A is a malformed document, not a traceback
+    cfg = CampaignConfig(**WITNESS_CFG)
+    cell = campaign.expand_cells("mean_sum_ratio_reverse", cfg)[0]
+    out, inst, params, prov = run_check_trial("mean_sum_ratio_reverse", cell, cfg, 0)
+    wit = make_witness("mean_sum_ratio_reverse", params, inst, out, prov)
+    wit["instance"]["family"]["B"] = wit["instance"]["family"]["B"][:2]
+    file = tmp_path / "witness.json"
+    file.write_text(json.dumps(wit))
+    assert cli.main(["replay", str(file)]) == 1
+    assert capsys.readouterr().err == (
+        "witness schema error: witness family operands differ in shape: A (3, 3, 3), B (2, 3, 3)\n"
+    )
 
 
 #: An array each scalar check's expression reads from its trial's ``aux``.
@@ -637,8 +654,8 @@ def test_edge_window_complement_families_draw_each_member_once(monkeypatch, inte
     # 1 - m - DEFAULT_MARGIN is below 1e-16; each trial is rejected after one
     # draw of each family member, so the effort does not depend on the window
     calls = []
-    draw = instances.random_sandwich_pair
-    monkeypatch.setattr(instances, "random_sandwich_pair", lambda *args: calls.append(1) or draw(*args))
+    draw = instances.random_sandwich_family
+    monkeypatch.setattr(instances, "random_sandwich_family", lambda *args: calls.append(args[1]) or draw(*args))
     cfg = config_from_json({"intervals": [interval], "dims": [dim], "trials": 1, "checks": list(COMPLEMENT_IDS)})
     report = run_campaign(cfg)
     assert report["summary"]["not_applicable"] == report["summary"]["trials"] == 12
@@ -647,7 +664,7 @@ def test_edge_window_complement_families_draw_each_member_once(monkeypatch, inte
     for check_id in COMPLEMENT_IDS:
         cells = campaign.expand_cells(check_id, cfg)
         members += sum(cells[group[0]]["n"] for group in campaign._stack_groups(cells))
-    assert len(calls) == members
+    assert sum(calls) == members
 
 
 @pytest.mark.parametrize("interval", [[0.5, 1e200], [-1e300, 0.5]])
@@ -1113,6 +1130,28 @@ def test_campaign_calls_do_not_grow_with_means(monkeypatch):
     assert three[0]["builder"] < three[1] and one[0]["eigvalsh"] > 0
 
 
+def test_campaign_calls_do_not_grow_with_n(monkeypatch):
+    # a family's members sit on one axis from builder to checker, so a
+    # campaign on n = 3 makes the builder, check_cell and numpy.linalg calls
+    # of n = 2; bellman_chain_split has one cell per split index k in 1..n-1,
+    # so its calls are compared per check_cell call
+    def configs(check_ids):
+        return [
+            CampaignConfig(trials=2, dims=(1, 3), n_values=n_values, checks=check_ids, seed=5)
+            for n_values in ((2,), (3,))
+        ]
+
+    others = tuple(c for c in checks.OPERATOR_IDS if c != "bellman_chain_split")
+    two, three = _campaign_calls(monkeypatch, configs(others))
+    assert three[0] == two[0]
+    assert two[0]["eigvalsh"] > 0 and two[0]["qr"] > 0
+    two, three = _campaign_calls(monkeypatch, configs(("bellman_chain_split",)))
+    assert three[1] == 2 * two[1]
+    assert {k: v / two[0]["check_cell"] for k, v in two[0].items()} == {
+        k: v / three[0]["check_cell"] for k, v in three[0].items()
+    }
+
+
 def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
     # with no guard failing and no family drawing twice, a cell of 30 trials
     # makes the numpy.linalg calls of one, in its check and in its build; the
@@ -1320,6 +1359,187 @@ def test_stacked_build_equals_each_trial_built_alone(check_id):
                 campaign.BUILDERS[check_id](cell, [alone])
             assert rng.bit_generator.state == alone.bit_generator.state
     assert (rejected > 0) == (check_id in ("scalar_bellman_weighted", "scalar_bellman_columns", "scalar_bellman_reverse"))
+
+
+# -- member stacks: a copy of the per-member loops ------------------------------------
+#
+# Each family was once built one member at a time: one generator call per
+# member, which drew one matrix on every stream and formed it on its own.
+# These loops keep that construction to compare the member-stacked builders
+# with, bit for bit.
+
+
+def _loop_haar(dim, rngs):
+    g = np.stack([r.standard_normal((2, dim, dim)) for r in rngs])
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _loop_spectrum(dim, interval, rngs):
+    a, b = (x.tolist() if isinstance(x, np.ndarray) else [x] * len(rngs) for x in interval)
+    lam = np.sort(np.stack([r.uniform(lo, hi, size=dim) for r, lo, hi in zip(rngs, a, b)]), axis=-1)
+    u = _loop_haar(dim, rngs)
+    return hermitize((u * lam[..., None, :]) @ adjoint(u))
+
+
+def _loop_weights(n, rngs):
+    w = np.stack([r.uniform(0.2, 1.0, size=n) for r in rngs])
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _loop_map(map_id, dim, rngs):
+    kind, arg = campaign._parse_map_id(map_id)
+    if kind == "compress":
+        return Compression(_loop_haar(dim, rngs)[..., : min(arg, dim)])
+    if kind == "unitary-mix":
+        return UnitaryMixture(_loop_weights(arg, rngs), tuple(_loop_haar(dim, rngs) for _ in range(arg)))
+    return campaign.build_map(map_id, dim, rngs)  # id and pinch draw nothing
+
+
+def _loop_sandwich_pair(a, m, M, rngs):
+    delta = instances.EDGE_SHRINK * (M - m)
+    root = apply_function(a, np.sqrt, POSITIVE_HALFLINE)
+    t = _loop_spectrum(a.shape[-1], (m + delta, M - delta), rngs)
+    b = hermitize(root @ t @ root)
+    mf, Mf = instances._trial_factor(m), instances._trial_factor(M)
+    low = np.linalg.eigvalsh(hermitize(np.stack([b - mf * a, Mf * a - b])))[..., 0]
+    failed = (low < 0.0).any(axis=0)
+    if failed.any():
+        raise HypothesisError("sandwich construction failed verification", where=failed)
+    return a, b
+
+
+def _loop_subidentity(n, dim, rngs, cap):
+    raw = [_loop_spectrum(dim, (0.2, 1.0), rngs) for _ in range(n)]
+    scale = (cap / np.linalg.eigvalsh(sum(raw))[..., -1])[..., None, None]
+    return [hermitize(scale * x) for x in raw]
+
+
+def _loop_complement(dim, n, m, M, f_id, gamma, rngs):
+    m, M, gamma = (np.broadcast_to(np.ravel(x), len(rngs)) for x in (m, M, gamma))
+    pairs = [_loop_sandwich_pair(_loop_spectrum(dim, (0.5, 1.5), rngs), m, M, rngs) for _ in range(n)]
+    a, b = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+    f = function_from_id(f_id)
+    s_max = instances._scale_limit(gamma, sum(a), sum(b), sum(mean(a, b, f)), m, M, instances.DEFAULT_MARGIN)
+    s = np.where(s_max >= 1.0, 1.0, s_max * (1.0 - 1e-6))
+    family = InstanceFamily(
+        hypothesis_tag="complement_sandwich_family",
+        A=[hermitize(s.reshape(-1, 1, 1) * x) for x in a],
+        B=[hermitize(s.reshape(-1, 1, 1) * x) for x in b],
+        meta={"scale": s, "gamma": np.array(gamma)},
+    )
+    verified = instances._verify_complement_family(family, gamma, m, M, instances.DEFAULT_MARGIN)
+    failed = (s_max < instances.MIN_SCALE) | ~verified
+    if failed.any():
+        raise HypothesisError("no complement-sandwiched scale of the drawn family", where=failed)
+    return family
+
+
+#: The complement-sandwich checks: (mean id, or None for the cell's own; whether scaled by gamma_f).
+_LOOP_COMPLEMENT = {
+    "bellman_ratio_reverse": (None, True),
+    "bellman_arith_reverse": ("arith:{lam!r}", False),
+    "bellman_diff_reverse": (None, False),
+    "aczel_reverse": ("geom:{p!r}", False),
+}
+
+
+def _loop_build(check_id, cell, rngs):
+    """(family, draws) of one cell's streams as the per-member loops built them."""
+    fam = _loop_family(check_id, cell, rngs)
+    if check_id == "bellman_chain_interp":
+        return fam, [{"t": [float(v) for v in r.uniform(0.0, 1.0, size=cell["n"])]} for r in rngs]
+    return fam, [{"lam": cell["p"]} if check_id == "aczel_reverse" else {}] * len(rngs)
+
+
+def _loop_family(check_id, cell, rngs):
+    d, n = cell["dim"], cell.get("n", 1)
+    if check_id in _LOOP_COMPLEMENT:
+        mean_id, scaled = _LOOP_COMPLEMENT[check_id]
+        f_id = cell["f"] if mean_id is None else mean_id.format(**cell)
+        g = checks._per_trial(checks._gamma_cached, f_id, cell["m"], cell["M"]) if scaled else 1.0
+        return _loop_complement(d, n, cell["m"], cell["M"], f_id, g, rngs)
+    if check_id in ("bellman_map", "jensen_family_diff_reverse", "bellman_family_reverse", "log_family_reverse"):
+        lo, hi = campaign._shrunk(cell["m"], cell["M"])
+        per_member = check_id in ("jensen_family_diff_reverse", "bellman_family_reverse")
+        return InstanceFamily(
+            hypothesis_tag="spectrum_window_family",
+            A=[_loop_spectrum(d, (lo, hi), rngs) for _ in range(n)],
+            weights=_loop_weights(n, rngs),
+            maps=[_loop_map(cell["map"], d, rngs) for _ in range(n if per_member else 1)],
+        )
+    if check_id in ("bellman_mean", "bellman_chain_split", "bellman_chain_interp"):
+        cap_a = np.array([r.uniform(0.4, 0.85) for r in rngs])
+        cap_b = np.array([r.uniform(0.4, 0.85) for r in rngs])
+        return InstanceFamily(
+            hypothesis_tag="subidentity_pair_family",
+            A=_loop_subidentity(n, d, rngs, cap_a),
+            B=_loop_subidentity(n, d, rngs, cap_b),
+        )
+    if check_id in ("jensen_map", "jensen_ratio_reverse", "jensen_diff_reverse"):
+        x = _loop_spectrum(d, campaign._shrunk(cell["m"], cell["M"]), rngs)
+        return InstanceFamily(hypothesis_tag="spectrum_window", A=[x], maps=[_loop_map(cell["map"], d, rngs)])
+    if check_id == "mean_superadditive":
+        a = [_loop_spectrum(d, (0.3, 1.5), rngs) for _ in range(n)]
+        b = [_loop_spectrum(d, (0.3, 1.5), rngs) for _ in range(n)]
+        return InstanceFamily(hypothesis_tag="pd_family", A=a, B=b)
+    if check_id == "mean_remainder":
+        a = [_loop_spectrum(d, (0.2, 1.0), rngs) for _ in range(n)]
+        b = [_loop_spectrum(d, (0.2, 1.0), rngs) for _ in range(n)]
+        aux = {"A_total": sum(a) + _loop_spectrum(d, (0.2, 1.0), rngs)}
+        aux["B_total"] = sum(b) + _loop_spectrum(d, (0.2, 1.0), rngs)
+        return InstanceFamily(hypothesis_tag="dominated_family", A=a, B=b, aux=aux)
+    if check_id == "mean_power_compose":
+        a = _loop_spectrum(d, (0.1, 0.95), rngs)
+        return InstanceFamily(hypothesis_tag="pd_contraction_pair", A=[a], B=[_loop_spectrum(d, (0.3, 2.0), rngs)])
+    if check_id in ("mean_map_ratio_reverse", "mean_map_diff_reverse"):
+        x, y = _loop_sandwich_pair(_loop_spectrum(d, (0.5, 1.5), rngs), cell["m"], cell["M"], rngs)
+        return InstanceFamily(hypothesis_tag="sandwich_pair", A=[x], B=[y], maps=[_loop_map(cell["map"], d, rngs)])
+    if check_id in ("mean_sum_ratio_reverse", "mean_sum_diff_reverse"):
+        pairs = [_loop_sandwich_pair(_loop_spectrum(d, (0.5, 1.5), rngs), cell["m"], cell["M"], rngs) for _ in range(n)]
+        return InstanceFamily(hypothesis_tag="sandwich_family", A=[p[0] for p in pairs], B=[p[1] for p in pairs])
+    if check_id == "compression_ratio_reverse":
+        kinds = ["unitary" if r.uniform() < 0.5 else "ginibre" for r in rngs]
+        x = _loop_spectrum(d, campaign._shrunk(cell["m"], cell["M"]), rngs)
+        return InstanceFamily(
+            hypothesis_tag="contraction_window", A=[x], aux={"C": instances.random_contraction(d, rngs, kinds)}
+        )
+    assert check_id == "mean_power_ratio_reverse", check_id
+    a, b = _loop_sandwich_pair(_loop_spectrum(d, (0.15, 0.9), rngs), cell["m"], cell["M"], rngs)
+    return InstanceFamily(hypothesis_tag="pd_contraction_sandwich", A=[a], B=[b])
+
+
+@pytest.mark.parametrize("check_id", checks.OPERATOR_IDS)
+def test_member_stacked_build_equals_the_per_member_loops(check_id):
+    # each builder draws every member of a stream in the order the loops
+    # drew them and forms each matrix kind in one call: the same family, bit
+    # for bit (member maps, weights, aux and meta included), and each stream
+    # ends where the loops leave it, on n 1-3, dims 1, 3 and 6, every map kind
+    cfg = CampaignConfig(
+        trials=3, dims=(1, 3, 6), n_values=(1, 2, 3), means=("geom:0.5",),
+        maps=("id", "compress:2", "unitary-mix:2", "pinch:2"), seed=43,
+    )
+    seen = set()
+    for cell in campaign.expand_cells(check_id, cfg):
+        key = (cell["dim"], cell.get("n"), cell.get("map"))
+        if key in seen:
+            continue
+        seen.add(key)
+        built, loops = _streams(check_id, cell, cfg), _streams(check_id, cell, cfg)
+        fam, draws = campaign.BUILDERS[check_id](cell, built)
+        want, want_draws = _loop_build(check_id, cell, loops)
+        _assert_same_bits(fam, want, f"{check_id} {cell}")
+        _assert_same_bits(draws, want_draws, f"{check_id} {cell} draws")
+        _assert_same_bits(fam.meta, want.meta, f"{check_id} {cell} meta")
+        assert fam.A.shape == (cell.get("n", 1), cfg.trials, cell["dim"], cell["dim"])
+        for r, loop in zip(built, loops):
+            assert r.bit_generator.state == loop.bit_generator.state, (check_id, cell)
+    ns = {"n": {1, 2, 3}, "n2": {2, 3}}
+    want_n = next((v for axis, v in ns.items() if axis in checks.REGISTRY[check_id].axes), {None})
+    assert {n for _, n, _ in seen} == want_n and {d for d, _, _ in seen} == {1, 3, 6}
+    if "map" in checks.REGISTRY[check_id].axes:
+        assert {m for _, _, m in seen} == set(cfg.maps)
 
 
 @pytest.mark.parametrize(

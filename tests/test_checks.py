@@ -8,7 +8,7 @@ from opbellman import campaign, checks, constants
 from opbellman.campaign import CampaignConfig, run_check_trial
 from opbellman.checks import HOLDS, NOT_APPLICABLE, VIOLATED, CheckOutcome, check
 from opbellman.errors import ParameterError
-from opbellman.instances import InstanceFamily, random_pd, random_sandwich_pair, stream_states, streams
+from opbellman.instances import InstanceFamily, random_pd, random_sandwich_pair, stream_states, streams, take
 from opbellman.means import function_from_id, geometric_w
 from opbellman.positive_maps import Compression, IdentityMap
 from opbellman.scalar_refs import reference_slack
@@ -587,29 +587,29 @@ def test_check_svd_budget_per_trial(check_id, monkeypatch):
 
 #: Largest eigvalsh and eigh counts of one check call on CampaignConfig(seed=11).
 EIG_BUDGETS = {
-    "bellman_map": (7, 4),
-    "bellman_mean": (10, 9),
-    "jensen_map": (3, 2),
-    "mean_superadditive": (7, 8),
-    "mean_remainder": (4, 10),
-    "mean_power_compose": (5, 5),
-    "jensen_ratio_reverse": (3, 2),
-    "mean_map_ratio_reverse": (5, 4),
-    "mean_sum_ratio_reverse": (7, 8),
-    "bellman_ratio_reverse": (12, 10),
-    "compression_ratio_reverse": (4, 2),
-    "mean_power_ratio_reverse": (6, 5),
-    "bellman_arith_reverse": (11, 3),
-    "jensen_diff_reverse": (3, 2),
-    "mean_map_diff_reverse": (5, 4),
-    "mean_sum_diff_reverse": (7, 8),
-    "bellman_diff_reverse": (11, 10),
-    "aczel_reverse": (11, 10),
-    "jensen_family_diff_reverse": (7, 4),
-    "bellman_family_reverse": (7, 4),
-    "log_family_reverse": (7, 4),
-    "bellman_chain_split": (12, 12),
-    "bellman_chain_interp": (12, 13),
+    "bellman_map": (2, 2),
+    "bellman_mean": (3, 5),
+    "jensen_map": (2, 2),
+    "mean_superadditive": (2, 4),
+    "mean_remainder": (3, 6),
+    "mean_power_compose": (4, 5),
+    "jensen_ratio_reverse": (2, 2),
+    "mean_map_ratio_reverse": (4, 4),
+    "mean_sum_ratio_reverse": (2, 4),
+    "bellman_ratio_reverse": (5, 6),
+    "compression_ratio_reverse": (3, 2),
+    "mean_power_ratio_reverse": (4, 5),
+    "bellman_arith_reverse": (4, 3),
+    "jensen_diff_reverse": (2, 2),
+    "mean_map_diff_reverse": (4, 4),
+    "mean_sum_diff_reverse": (2, 4),
+    "bellman_diff_reverse": (4, 6),
+    "aczel_reverse": (4, 6),
+    "jensen_family_diff_reverse": (2, 2),
+    "bellman_family_reverse": (2, 2),
+    "log_family_reverse": (2, 2),
+    "bellman_chain_split": (5, 8),
+    "bellman_chain_interp": (5, 9),
 }
 
 
@@ -620,7 +620,8 @@ def test_eig_budgets_cover_every_operator_check():
 @pytest.mark.parametrize("check_id", checks.OPERATOR_IDS)
 def test_check_eig_budget_per_trial(check_id, monkeypatch):
     # pinned at today's maxima, so that a change adding eigensolver calls
-    # to a check shows here
+    # to a check shows here; a family's member steps are one call each, so a
+    # per-member loop that comes back shows too
     kinds = ("eigvalsh", "eigh")
     budget = dict(zip(kinds, EIG_BUDGETS[check_id]))
     run = checks.check
@@ -1020,6 +1021,53 @@ def test_stacked_cell_settles_each_trial_as_alone(case):
     assert [o.witness and o.witness["guard"] for o in alone] == guards
     # repr compares NaN slacks of not-applicable trials, and every float bit for bit
     assert [repr(o) for o in stacked] == [repr(o) for o in alone]
+
+
+def _member_stack(a, b=None, **kw):
+    """Two hand-built trials of three members, ``a[t][j]`` and ``b[t][j]``
+    the diagonals of trial t's member j, on the member axis then the trial axis."""
+
+    def members(values):
+        return None if values is None else [np.stack([np.diag(trial[j]).astype(complex) for trial in values]) for j in range(3)]
+
+    return InstanceFamily(hypothesis_tag="hand_built", A=members(a), B=members(b), **kw)
+
+
+def _member_guard_cases():
+    """(check, two-trial family of three members, params, each trial's guard):
+    trial 0 fails member 1's second guard and member 2's first, trial 1 only
+    member 3's first; a loop over the members stops at member 1 for trial 0."""
+    ok = [1.0, 1.5]
+    yield (
+        "jensen_family_diff_reverse",
+        _member_stack(
+            [[[1.0, 2.5], [0.3, 1.0], ok], [ok, ok, [0.2, 1.0]]],
+            weights=np.full((2, 3), 1.0 / 3.0),
+            maps=[IdentityMap(2)] * 3,
+        ),
+        {"f": "geom:0.5", "m": 0.5, "M": 2.0},
+        ["spectrum_window_above_M", "spectrum_window_below_m"],
+    )
+    yield (
+        "mean_sum_ratio_reverse",
+        _member_stack([[ok, ok, ok], [ok, ok, ok]], [[[3.0, 4.5], [0.2, 0.3], ok], [ok, ok, [0.1, 0.15]]]),
+        {"f": "geom:0.5", "m": 0.5, "M": 2.0},
+        ["pair_sandwich_upper", "pair_sandwich_lower"],
+    )
+
+
+@pytest.mark.parametrize("case", list(_member_guard_cases()), ids=lambda case: case[0])
+def test_member_stack_settles_each_trial_at_its_first_failing_guard(case):
+    # one comparison on the stack of every member decides a guard, and each
+    # trial reports the first guard a loop over its members fails; one
+    # trial's family of (n, d, d) operands, as a witness replays it, agrees
+    check_id, stack, params, guards = case
+    stacked = checks.check_cell(check_id, stack, [params] * 2, TOL)
+    assert [o.witness["guard"] for o in stacked] == guards
+    for t, outcome in enumerate(stacked):
+        alone = take(stack, t)
+        assert alone.A.shape == (3, 2, 2)
+        assert repr(check(check_id, alone, params, TOL)) == repr(outcome)
 
 
 def test_stack_of_nan_operands_raises_as_alone():

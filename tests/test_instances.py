@@ -239,9 +239,10 @@ def test_complement_family_scale_branches():
 
 
 def _counted_sandwich_pairs(monkeypatch) -> list:
+    """The member count of each ``random_sandwich_family`` call, as it is made."""
     calls = []
-    draw = instances.random_sandwich_pair
-    monkeypatch.setattr(instances, "random_sandwich_pair", lambda *args: calls.append(1) or draw(*args))
+    draw = instances.random_sandwich_family
+    monkeypatch.setattr(instances, "random_sandwich_family", lambda *args: calls.append(args[1]) or draw(*args))
     return calls
 
 
@@ -251,12 +252,12 @@ def _assert_drawn_once_and_rejected(calls, gamma):
     with pytest.raises(HypothesisError) as exc:
         complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, streams(stream_states(34, [("gen", 0)]))[0])
     assert exc.value.where
-    assert len(calls) == 2
+    assert sum(calls) == 2
     rngs = streams(stream_states(34, [("gen", t) for t in range(2)]))
     with pytest.raises(HypothesisError) as exc:
         complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, rngs)
     assert list(exc.value.where) == [True, True]
-    assert len(calls) == 2 + 2
+    assert sum(calls) == 2 + 2
 
 
 def test_complement_family_gamma_under_the_bound_runs_out_of_rounds(monkeypatch):
@@ -271,8 +272,9 @@ def test_complement_family_oversized_gamma_is_rejected(monkeypatch):
     _assert_drawn_once_and_rejected(_counted_sandwich_pairs(monkeypatch), 1e10)
 
 
-#: numpy.linalg calls of one complement_sandwich_family at dim 6, n 3.
-FAMILY_CALL_BUDGET = {"eigvalsh": 21, "svd": 0, "eigh": 9, "norm": 9, "qr": 6}
+#: numpy.linalg calls of one complement_sandwich_family at dim 6, n 3: each
+#: step on the members is one call, whatever n.
+FAMILY_CALL_BUDGET = {"eigvalsh": 3, "svd": 0, "eigh": 3, "norm": 3, "qr": 1}
 
 
 def test_complement_family_linalg_call_budget(monkeypatch):
