@@ -57,6 +57,7 @@ from .positive_maps import (
     Pinching,
     UnitaryMixture,
     map_from_json,
+    per_trial_map,
     take_map,
 )
 from .spectral import Tolerance, array_from_json, array_to_json
@@ -219,19 +220,38 @@ def _parse_map_id(map_id: str) -> tuple[str, int]:
     return kind, arg
 
 
-def build_map(map_id: str, dim: int, rng, n: int | None = None):
+def _map_output_dim(map_id: str, dim: int) -> int:
+    """The output dimension of map ``map_id`` on operands of ``dim``:
+    min(k, dim) for ``compress:k``, dim for every other kind."""
+    kind, arg = _parse_map_id(map_id)
+    return min(arg, dim) if kind == "compress" else dim
+
+
+def build_map(map_id, dim: int, rng, n: int | None = None):
     """Instantiate a positive map from its config id for operands of ``dim``,
     from one Generator or, stacked, from a list of them.
 
     With ``n``, a list of n maps, one per member: each stream draws the maps
     member by member, as n calls would, and one construction forms them on
     a member axis and checks every isometry in one call; ``take_map`` hands
-    out each member's map."""
+    out each member's map.
+
+    An array of ids, one per stream (a stack of cells that differ in their
+    map, of one output dimension), builds each distinct id on its own
+    streams, each drawing what it draws alone, and gives their
+    ``per_trial_map`` (one per member with ``n``)."""
+    if isinstance(map_id, np.ndarray):
+        ids = map_id.tolist()
+        rows = [[t for t, j in enumerate(ids) if j == i] for i in dict.fromkeys(ids)]
+        parts = [build_map(ids[r[0]], dim, [rng[t] for t in r], n) for r in rows]
+        if n is None:
+            return per_trial_map(parts, rows)
+        return [per_trial_map([p[j] for p in parts], rows) for j in range(n)]
     kind, arg = _parse_map_id(map_id)
     if kind == "id":
         made = IdentityMap(dim)
     elif kind == "compress":
-        made = Compression(haar_unitary(dim, rng, n)[..., : min(arg, dim)])
+        made = Compression(haar_unitary(dim, rng, n)[..., : _map_output_dim(map_id, dim)])
     elif kind == "unitary-mix":
         made = UnitaryMixture(*random_unitary_mixture(dim, arg, rng, n))
     else:
@@ -248,10 +268,11 @@ def build_map(map_id: str, dim: int, rng, n: int | None = None):
 # its instances are one family stacked on a leading trial axis, a scalar
 # builder's the arrays ``instances.scalar_instance`` stacks in ``aux``.  The
 # trials may come from several cells that differ only in their
-# ``_PER_TRIAL_KEYS``, their interval and their mean: then ``cell["m"]``,
-# ``cell["M"]`` and ``cell["f"]`` may be arrays of one value per trial
-# (``checks._stack_params``), which a builder hands on to the generators as
-# they are, a mean as ``function_from_id`` resolves it.  Either raises
+# ``_PER_TRIAL_KEYS``, their interval, their mean and their map: then
+# ``cell["m"]``, ``cell["M"]``, ``cell["f"]`` and ``cell["map"]`` may be
+# arrays of one value per trial (``checks._stack_params``), which a builder
+# hands on to the generators as they are, a mean as ``function_from_id``
+# resolves it and a map as ``build_map`` builds it.  Either raises
 # HypothesisError naming in ``where`` the trials whose hypotheses failed.
 # ``draws`` holds one dict per trial: a trial's params are the cell without
 # its instance-shape keys plus its draws, which never repeat a cell key (see
@@ -282,13 +303,10 @@ def _window_family(per_member_maps: bool):
 
 
 def _build_bellman_mean(cell, rngs):
-    cap_a = np.array([rng.uniform(0.4, 0.85) for rng in rngs])
-    cap_b = np.array([rng.uniform(0.4, 0.85) for rng in rngs])
-    fam = InstanceFamily(
-        hypothesis_tag="subidentity_pair_family",
-        A=random_subidentity_family(cell["n"], cell["dim"], rngs, cap_a),
-        B=random_subidentity_family(cell["n"], cell["dim"], rngs, cap_b),
-    )
+    # each stream draws its cap of A, its cap of B, then the A and the B members
+    caps = [np.array([rng.uniform(0.4, 0.85) for rng in rngs]) for _ in range(2)]
+    a, b = random_subidentity_family(cell["n"], cell["dim"], rngs, caps)
+    fam = InstanceFamily(hypothesis_tag="subidentity_pair_family", A=a, B=b)
     return fam, [{}] * len(rngs)
 
 
@@ -610,12 +628,14 @@ def replay_witness(obj: dict, tol: Tolerance = Tolerance()) -> tuple[CheckOutcom
 _SHAPE_KEYS = ("dim", "n", "map")
 
 #: Cell keys that the builders and checkers take per trial: the interval,
-#: used only as numbers, and the mean, whose function a stack resolves per
-#: trial (``means.per_trial_function``).  ``p``, ``lam`` and ``k`` stay in a
-#: group's key: numpy's power takes fast paths for some scalar exponents
-#: that an exponent array does not, so per-trial exponents would move last
-#: bits.
-_PER_TRIAL_KEYS = ("m", "M", "f")
+#: used only as numbers, the mean, whose function a stack resolves per
+#: trial (``means.per_trial_function``), and the map, which a stack builds
+#: per trial (``build_map``, ``positive_maps.per_trial_map``).  A group's key
+#: keeps the map's output dimension, so every trial of a stack has operands
+#: of one shape.  ``p``, ``lam`` and ``k`` stay in a group's key: numpy's
+#: power takes fast paths for some scalar exponents that an exponent array
+#: does not, so per-trial exponents would move last bits.
+_PER_TRIAL_KEYS = ("m", "M", "f", "map")
 
 
 @dataclass
@@ -834,12 +854,16 @@ def _cell_summary(check_id: str, cell: dict, cfg: CampaignConfig, trials: list[_
 
 def _stack_groups(cells: list[dict]) -> list[list[int]]:
     """The indices of ``cells`` grouped by the cell without its
-    ``_PER_TRIAL_KEYS``, in order of first appearance; a group builds and
-    checks as one stack.  A scalar cell, which has none of them, is a group
-    of its own."""
+    ``_PER_TRIAL_KEYS``, and by the output dimension of its map
+    (``_map_output_dim``) where it has one, in order of first appearance; a
+    group builds and checks as one stack.  A scalar cell, which has none of
+    those keys, is a group of its own."""
     groups: dict[tuple, list[int]] = {}
     for i, cell in enumerate(cells):
-        groups.setdefault(tuple((k, v) for k, v in cell.items() if k not in _PER_TRIAL_KEYS), []).append(i)
+        key = tuple((k, v) for k, v in cell.items() if k not in _PER_TRIAL_KEYS)
+        if "map" in cell:
+            key += (_map_output_dim(cell["map"], cell["dim"]),)
+        groups.setdefault(key, []).append(i)
     return list(groups.values())
 
 
@@ -873,9 +897,10 @@ def run_campaign(cfg: CampaignConfig) -> dict:
     """Execute the full campaign and return the report document.
 
     Each cell comes from ``_checked_cells``, which builds and checks the
-    cells of a check that differ only in their interval and their mean as
-    one stack, and is summarized on its own by ``_cell_summary``, which
-    checks any further trials the summary needs exactly.
+    cells of a check that differ only in their interval, their mean and
+    their map (of one output dimension) as one stack, and is summarized on
+    its own by ``_cell_summary``, which checks any further trials the
+    summary needs exactly.
     """
     cfg.validate()
     cells_out = []

@@ -16,9 +16,11 @@ a per-member verdict is reduced over the member axis, and a step whose
 members each pass several guards in turn attributes each trial to its
 first failing one (``_require_first``), as a loop over the members would.
 Sums over the members stay Python ``sum``, which adds them one at a time
-from 0, as the loop did.  The trials may come from cells
-that differ only in their interval and their mean, so ``m``, ``M`` and the
-mean id ``f`` are each one value or an array of one value per trial.  A
+from 0, as the loop did.  The trials may come from cells that differ only
+in their interval, their mean and their map, so ``m``, ``M`` and the mean
+id ``f`` are each one value or an array of one value per trial, and a map
+of the family may be a ``positive_maps.PerTrialMap`` of one output
+dimension, which a checker applies as it applies any map.  A
 checker resolves ``f`` with ``function_from_id``, which gives one
 function or a per-trial one, and takes every constant, and f(m), through
 ``_per_trial`` on the id, never by calling f on one float.
@@ -66,6 +68,7 @@ from .spectral import (
     Tolerance,
     _any,
     _eigvalsh,
+    _gap_holds,
     adjoint,
     apply_function,
     eig,
@@ -347,10 +350,19 @@ def _require_each_member(lower, upper, tol, names):
 
 
 def _guard_window(mats, m, M, tol, name="spectrum_window"):
-    """m I <= A_j <= M I for each member of the stack ``mats``."""
+    """m I <= A_j <= M I for each member of the stack ``mats``, from the gaps
+    A_j - m I and M I - A_j formed once; m I and M I are broadcast against
+    the members only where a gap has a negative slack."""
     eye = identity(mats.shape[-1])
-    low, high = (np.broadcast_to(_trial_factor(x) * eye, mats.shape) for x in (m, M))
-    _require_each_member(np.stack([low, mats]), np.stack([mats, high]), tol, [f"{name}_below_m", f"{name}_above_M"])
+    low, high = (_trial_factor(x) * eye for x in (m, M))
+
+    def operands(rest):
+        # the operands of m I <= A_j where rest[0] marks, then of A_j <= M I where rest[1] does
+        below, above = (np.broadcast_to(v, mats.shape)[r] for v, r in ((low, rest[0]), (high, rest[1])))
+        return np.concatenate([below, mats[rest[1]]]), np.concatenate([mats[rest[0]], above])
+
+    holds = _gap_holds(hermitize(np.stack([mats - low, high - mats])), operands, tol)
+    _require_first(np.swapaxes(holds, 0, 1), [f"{name}_below_m", f"{name}_above_M"] * holds.shape[1])
 
 
 def _guard_pair_sandwich(a, b, m, M, tol, name="pair_sandwich"):
@@ -1374,9 +1386,9 @@ def check(check_id: str, inst, params, tol: Tolerance = DEFAULT_TOL) -> CheckOut
 def check_cell(check_id: str, stack, params: list, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
     """One outcome per trial of a stack, from one run of the entry's runner
     on it: a builder's family, of one cell or of cells that differ only in
-    their interval and their mean.  A single trial goes through ``check``,
-    so what wraps the per-trial entry sees every trial of a one-trial
-    cell."""
+    their interval, their mean and their map.  A single trial goes through
+    ``check``, so what wraps the per-trial entry sees every trial of a
+    one-trial cell."""
     if len(params) == 1:
         return [check(check_id, stack, params[0], tol)]
     return _entry(check_id).runner(stack, params, tol)

@@ -420,14 +420,21 @@ def random_subidentity_family(n: int, dim: int, rng, cap) -> np.ndarray:
     of a stack), member axis first.
 
     Raw positive-definite draws are rescaled by cap / lambda_max(sum), so
-    each member keeps a healthy relative spectral floor.
+    each member keeps a healthy relative spectral floor.  A list of caps
+    gives one family per cap, on a leading axis: each stream draws the
+    families' members in turn, as one family of len(cap) n members, so one
+    QR call forms them all and one ``_eigvalsh`` call takes every family's
+    lambda_max(sum).
     """
-    caps = np.asarray(cap)
-    if not np.all((0.0 < caps) & (caps < 1.0)):
+    caps = [np.asarray(c) for c in (cap if isinstance(cap, list) else [cap])]
+    if not all(np.all((0.0 < c) & (c < 1.0)) for c in caps):
         raise ParameterError(f"cap must be in (0, 1), got {cap}")
-    raw = random_pd(dim, rng, 0.2, 1.0, n)
-    scale = (cap / _eigvalsh(sum(raw))[..., -1])[..., None, None]
-    return hermitize(scale * raw)
+    raw = random_pd(dim, rng, 0.2, 1.0, len(caps) * n)
+    raw = raw.reshape((len(caps), n) + raw.shape[1:])
+    top = _eigvalsh(sum(raw.swapaxes(0, 1)))[..., -1]
+    scale = np.stack([c / t for c, t in zip(caps, top)])[:, None, ..., None, None]
+    out = hermitize(scale * raw)
+    return out if isinstance(cap, list) else out[0]
 
 
 def _scaled(u, lo: float, hi: float):

@@ -8,6 +8,11 @@ take such arrays and check every trial's isometries in one ``_eigvalsh``
 call, and ``take_map`` takes one trial's map, or a smaller stack, out.  The
 maps of a family's members are built the same way on a member axis in front
 of the trial axis, and ``take_map`` hands out each member's.
+
+A stack of trials may also take maps of several kinds, of one output
+dimension (``per_trial_map``): a ``PerTrialMap`` holds one part per kind,
+that kind's map stacked over its own trials, and applies each part to its
+trials' rows, so every trial gets the bits its own map gives it alone.
 """
 
 from __future__ import annotations
@@ -169,13 +174,68 @@ class Pinching:
         return {"kind": "pinching", "blocks": [list(blk) for blk in self.blocks]}
 
 
-PositiveLinearMap = IdentityMap | Compression | UnitaryMixture | Pinching
+@dataclass(frozen=True, eq=False)
+class PerTrialMap:
+    """One map per trial of a stack: ``parts[i]``, a map of one kind stacked
+    over its trials, serves the trials ``rows[i]`` of the stack's trial axis.
+    Made only by ``per_trial_map``, for parts of one input and one output
+    dimension."""
+
+    parts: tuple
+    rows: tuple
+
+    @property
+    def input_dim(self) -> int:
+        return self.parts[0].input_dim
+
+    @property
+    def output_dim(self) -> int:
+        return self.parts[0].output_dim
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Each part applied to its trials' rows of a stack (..., trials, d, d)."""
+        x = np.asarray(x, dtype=complex)
+        trials = sum(len(r) for r in self.rows)
+        if x.shape[-3:-2] != (trials,):
+            raise ShapeError(f"per-trial map: expected {trials} trials on axis -3, got shape {x.shape}")
+        out = np.empty(x.shape[:-2] + (self.output_dim, self.output_dim), dtype=complex)
+        for part, r in zip(self.parts, self.rows):
+            out[..., r, :, :] = part.apply(x[..., r, :, :])
+        return out
+
+
+def per_trial_map(parts, rows):
+    """The map of a stack whose trials ``rows[i]`` (index arrays that together
+    cover the trial axis once) take the map ``parts[i]``, stacked over those
+    trials in order; the part itself when there is one."""
+    if len(parts) == 1:
+        return parts[0]
+    if len({(p.input_dim, p.output_dim) for p in parts}) > 1:
+        raise ShapeError("maps of different dimensions cannot share a stack")
+    return PerTrialMap(tuple(parts), tuple(np.asarray(r) for r in rows))
+
+
+PositiveLinearMap = IdentityMap | Compression | UnitaryMixture | Pinching | PerTrialMap
 
 
 def take_map(stacked: PositiveLinearMap, idx) -> PositiveLinearMap:
     """The entries ``idx`` of a map's leading axis, trials or members: an int
     gives that trial's (or member's) map, an index array a smaller stack.
-    The stack was validated when it was built, so the result is not."""
+    Of a ``PerTrialMap``, an int gives the trial's own map from its part, and
+    an index array the per-trial map of what each part keeps, or the one
+    part left.  The stack was validated when it was built, so the result is
+    not."""
+    if isinstance(stacked, PerTrialMap):
+        part = np.empty(sum(len(r) for r in stacked.rows), dtype=int)
+        local = np.empty_like(part)
+        for i, r in enumerate(stacked.rows):
+            part[r], local[r] = i, np.arange(len(r))
+        if np.ndim(idx) == 0:
+            return take_map(stacked.parts[part[idx]], local[idx])
+        part, local = part[idx], local[idx]
+        kept = [i for i in range(len(stacked.parts)) if (part == i).any()]
+        rows = [np.flatnonzero(part == i) for i in kept]
+        return per_trial_map([take_map(stacked.parts[i], local[r]) for i, r in zip(kept, rows)], rows)
     out = object.__new__(type(stacked))
     for field in fields(out):
         value = getattr(stacked, field.name)

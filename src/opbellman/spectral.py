@@ -84,9 +84,11 @@ def adjoint(x: np.ndarray) -> np.ndarray:
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian manifold: (X + X*)/2."""
+    """Project onto the Hermitian manifold: (X + X*)/2, the sum divided in place."""
     x = np.asarray(x, dtype=complex)
-    return (x + x.conj().swapaxes(-1, -2)) / 2.0
+    out = x + x.conj().swapaxes(-1, -2)
+    out /= 2.0
+    return out
 
 
 def from_spectrum(u: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -252,11 +254,19 @@ def loewner_holds(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """
     x, y = _operands(x, y)
     diff = hermitize(y - x)
+    return _gap_holds(diff, lambda rest: (np.broadcast_to(v, diff.shape)[rest] for v in (x, y)), tol)
+
+
+def _gap_holds(diff: np.ndarray, operands: Callable, tol: Tolerance = DEFAULT_TOL):
+    """``loewner_holds`` of X <= Y from its gap ``diff`` = hermitize(Y - X),
+    formed by the caller; ``operands(rest)`` gives (X[rest], Y[rest]), the
+    operands of the matrices a mask ``rest`` marks, which only the matrices
+    with a negative (or NaN) slack or a non-finite gap need."""
     slack = _eigvalsh(diff)[..., 0]
     holds = np.asarray((slack >= 0.0) & np.isfinite(diff).all(axis=(-2, -1)))
     rest = ~holds
     if _any(rest):
-        x, y = (np.broadcast_to(v, diff.shape)[rest] for v in (x, y))
+        x, y = operands(rest)
         holds[rest] = slack[rest] >= -tol.margin(_larger(spectral_norm(x), spectral_norm(y)))
     return bool(holds) if holds.ndim == 0 else holds
 

@@ -26,7 +26,7 @@ from opbellman.checks import CheckOutcome, check
 from opbellman.errors import HypothesisError, ParameterError, UnboundedRatioError, WitnessFormatError
 from opbellman.instances import InstanceFamily, stream_states, streams
 from opbellman.means import POSITIVE_HALFLINE, function_from_id, mean
-from opbellman.positive_maps import Compression, UnitaryMixture
+from opbellman.positive_maps import Compression, PerTrialMap, UnitaryMixture
 from opbellman.spectral import Tolerance, adjoint, apply_function, hermitize
 
 
@@ -1152,6 +1152,34 @@ def test_campaign_calls_do_not_grow_with_n(monkeypatch):
     }
 
 
+def test_campaign_calls_do_not_grow_with_maps(monkeypatch):
+    # with trials fixed, a campaign on three maps of one output shape makes
+    # the builder and check_cell calls of one: the cells that differ only in
+    # their map build and check as one stack, each trial with its own map
+    one, three = _campaign_calls(monkeypatch, [
+        CampaignConfig(trials=2, dims=(1, 3), maps=maps, seed=5)
+        for maps in (("id",), ("id", "unitary-mix:2", "pinch:2"))
+    ])
+    assert {k: three[0][k] for k in ("builder", "check_cell")} == {k: one[0][k] for k in ("builder", "check_cell")}
+    assert three[1] > one[1]
+    assert three[0]["builder"] < three[1]
+
+
+#: numpy.linalg calls of the default campaign at seed 301, by kind: the
+#: machine-independent cost of the benchmark's campaign_default workload.
+DEFAULT_LINALG_BUDGET = {"qr": 468, "eigvalsh": 1184, "eigh": 1244, "svd": 590, "norm": 1244}
+
+
+def test_default_campaign_linalg_calls_stay_within_budget(monkeypatch):
+    # pinned at today's counts, so that a change adding linear-algebra calls
+    # to the default campaign shows here, by kind
+    ((counts, cells),) = _campaign_calls(monkeypatch, [CampaignConfig(seed=301)])
+    assert cells == 1008
+    over = {k: (counts.get(k, 0), budget) for k, budget in DEFAULT_LINALG_BUDGET.items() if counts.get(k, 0) > budget}
+    assert not over, f"numpy.linalg calls over budget (count, budget): {over}"
+    assert sum(counts[k] for k in ("qr", "eigvalsh", "eigh", "svd")) <= 3486
+
+
 def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
     # with no guard failing and no family drawing twice, a cell of 30 trials
     # makes the numpy.linalg calls of one, in its check and in its build; the
@@ -1304,7 +1332,7 @@ def _assert_same_bits(x, y, where="instance"):
 
 def _assert_stack_builds_each_trial_as_alone(check_id, cells, cfg):
     """The trials of cells (one cell, or a list of cells that differ only in
-    their interval and their mean) built as one stack equal, bit for bit, each trial built
+    their interval, their mean and their map) built as one stack equal, bit for bit, each trial built
     alone (a stack of one): instance, params (with the builder's draws) and
     rejection; the built trials are returned."""
     cells = [cells] if isinstance(cells, dict) else cells
@@ -1330,8 +1358,8 @@ def test_stacked_build_equals_each_trial_built_alone(check_id):
     # scalar builder at p = 0.001, where the mp1/mp3/eq3 builders reject: a
     # stack holds exactly the built trials; each stream also ends where it
     # ends alone, so it got exactly its own draws.  The cells that differ only
-    # in their interval and their mean are built as one stack, of two windows
-    # of each kind and each mean
+    # in their interval, their mean and their map are built as one stack, of
+    # two windows of each kind, each mean and each map of one output shape
     p_grid = (0.001, 0.5) if check_id in checks.SCALAR_IDS else (0.5,)
     cfg = CampaignConfig(
         trials=5, dims=(1, 3), intervals=((0.5, 2.0), (0.8, 1.25), (0.2, 0.8), (0.1, 0.7)), p_grid=p_grid,
@@ -1343,7 +1371,8 @@ def test_stacked_build_equals_each_trial_built_alone(check_id):
     means = len(cfg.means) if "f" in entry.axes else len(cfg.means) + 1 if "f+log" in entry.axes else 1
     for group in campaign._stack_groups(cells):
         group = [cells[i] for i in group]
-        assert len(group) == {"none": 1, "sandwich": 2, "unit": 2, "positive": 4}[entry.interval_kind] * means
+        maps = len({c["map"] for c in group}) if "map" in entry.axes else 1
+        assert len(group) == {"none": 1, "sandwich": 2, "unit": 2, "positive": 4}[entry.interval_kind] * means * maps
         built = _assert_stack_builds_each_trial_as_alone(check_id, group, cfg)
         if check_id in checks.OPERATOR_IDS:
             assert len(built) == len(group) * cfg.trials
@@ -1542,6 +1571,27 @@ def test_member_stacked_build_equals_the_per_member_loops(check_id):
         assert {m for _, _, m in seen} == set(cfg.maps)
 
 
+@pytest.mark.parametrize("check_id", ["bellman_mean", "bellman_chain_split", "bellman_chain_interp"])
+def test_subidentity_pair_build_makes_one_qr_and_one_eigvalsh(monkeypatch, check_id):
+    # both sub-identity families are drawn as one family of 2n members: one
+    # QR forms every member and one eigvalsh takes both families' lambda_max
+    counts = {}
+
+    def counted(kind, solver):
+        def call(*args, **kwargs):
+            counts[kind] = counts.get(kind, 0) + 1
+            return solver(*args, **kwargs)
+
+        return call
+
+    for kind in ("qr", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
+    cfg = CampaignConfig(trials=4, dims=(3,), n_values=(3,), means=("geom:0.5",), seed=44)
+    cell = campaign.expand_cells(check_id, cfg)[0]
+    campaign.BUILDERS[check_id](cell, _streams(check_id, cell, cfg))
+    assert counts == {"qr": 1, "eigvalsh": 1}
+
+
 @pytest.mark.parametrize(
     "check_id", [cid for cid in checks.OPERATOR_IDS if checks.REGISTRY[cid].interval_kind != "none"]
 )
@@ -1569,6 +1619,73 @@ def test_stacked_check_with_windows_per_trial_equals_each_trial_alone(check_id):
     assert {o.status for o in stacked[: cfg.trials]} == {"holds"}
     # bellman_map's window is [0, 1] whatever the cell's interval
     assert ("not_applicable" in {o.status for o in stacked[cfg.trials :]}) == (check_id != "bellman_map")
+
+
+#: The checks that cross their cells with the maps grid.
+MAP_IDS = [cid for cid in checks.OPERATOR_IDS if "map" in checks.REGISTRY[cid].axes]
+
+
+@pytest.mark.parametrize("check_id", MAP_IDS)
+def test_mixed_map_stack_gives_each_trial_what_it_gets_alone(monkeypatch, check_id):
+    # the cells that differ only in their map, of one output shape, build and
+    # check as one stack of per-trial maps: every map kind at dims 1 and 2,
+    # and all but compress:2 at dim 3.  Each trial gets, bit for bit, the
+    # build and the stream end state it gets alone; check_cell gives each
+    # trial its own outcome where a narrowed window fails a guard on part of
+    # the stack; and with the reverse constants pushed down, the campaign's
+    # report equals the per-trial one and every violation witness replays
+    cfg = CampaignConfig(
+        trials=3, dims=(1, 2, 3), n_values=(2,), means=("geom:0.5",),
+        maps=("id", "compress:2", "unitary-mix:2", "pinch:2"), seed=23,
+    )
+    cells = campaign.expand_cells(check_id, cfg)
+    groups = [[cells[i] for i in group] for group in campaign._stack_groups(cells)]
+    mixed = [group for group in groups if len({c["map"] for c in group}) > 1]
+    assert {group[0]["dim"] for group in mixed} == {1, 2, 3}
+    for group in mixed:
+        pairs = [(c, t) for c in group for t in range(cfg.trials)]
+        built = _assert_stack_builds_each_trial_as_alone(check_id, group, cfg)
+        assert len(built) == len(pairs)
+        assert all(isinstance(phi, PerTrialMap) for phi in built[0].stack.maps)
+        rngs = [rng for cell in group for rng in _streams(check_id, cell, cfg)]
+        campaign.BUILDERS[check_id](checks._stack_params([c for c, _ in pairs]), rngs)
+        for (cell, trial), rng in zip(pairs, rngs):
+            alone = _streams(check_id, cell, cfg)[trial]
+            campaign.BUILDERS[check_id](cell, [alone])
+            assert rng.bit_generator.state == alone.bit_generator.state
+        # every other trial claims a narrower window than it was built on
+        params = [dict(t.params) for t in built]
+        for p in params[1::2]:
+            m, M = p["m"], p["M"]
+            p.update(m=m + 0.45 * (M - m), M=M - 0.45 * (M - m))
+        stacked = checks.check_cell(check_id, built[0].stack, params)
+        alone = [check(check_id, t.inst, p) for t, p in zip(built, params)]
+        assert list(map(repr, stacked)) == list(map(repr, alone))
+        statuses = {o.status for o in stacked}
+        assert "holds" in statuses
+        # bellman_map's window is [0, 1] whatever the cell's interval
+        assert ("not_applicable" in statuses) == (check_id != "bellman_map")
+
+    def lowered(owner, name, scale, shift):
+        constant = getattr(owner, name)
+
+        def pushed(*args):
+            value = constant(*args)
+            return scale * getattr(value, "value", value) - shift  # a ConstantResult gives its value
+
+        monkeypatch.setattr(owner, name, pushed)
+
+    lowered(checks, "_gamma_cached", 0.9, 0.0)
+    for owner, name in ((checks, "_beta_cached"), (checks.constants, "delta_bellman"), (checks.constants, "beta_log")):
+        lowered(owner, name, 1.0, 0.1)
+    cfg = dataclasses.replace(cfg, trials=2, checks=(check_id,))
+    report = run_campaign(cfg)
+    cells, summary = _per_trial_summary(cfg)
+    assert campaign.report_to_json(report) == campaign.report_to_json(dict(report, cells=cells, summary=summary))
+    witnesses = [w for row in report["cells"] for w in row["violation_witnesses"]]
+    assert bool(witnesses) == (checks.REGISTRY[check_id].group == "reverse")
+    for w in witnesses:
+        assert replay_witness(json.loads(json.dumps(w)))[2], w["provenance"]
 
 
 def test_stacked_complement_build_rejects_per_trial(monkeypatch):

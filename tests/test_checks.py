@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from opbellman import campaign, checks, constants
+from opbellman import campaign, checks, constants, instances
 from opbellman.campaign import CampaignConfig, run_check_trial
 from opbellman.checks import HOLDS, NOT_APPLICABLE, VIOLATED, CheckOutcome, check
 from opbellman.errors import ParameterError
@@ -12,7 +12,7 @@ from opbellman.instances import InstanceFamily, random_pd, random_sandwich_pair,
 from opbellman.means import function_from_id, geometric_w
 from opbellman.positive_maps import Compression, IdentityMap
 from opbellman.scalar_refs import reference_slack
-from opbellman.spectral import Tolerance, identity
+from opbellman.spectral import Tolerance, from_spectrum, hermitize, identity
 
 TOL = Tolerance()
 
@@ -611,6 +611,44 @@ EIG_BUDGETS = {
     "bellman_chain_split": (5, 8),
     "bellman_chain_interp": (5, 9),
 }
+
+
+def _raised(guard, *args):
+    """(guard name, failing trials) of the first guard ``guard`` fails, or None."""
+    try:
+        guard(*args)
+    except checks._GuardFail as g:
+        return g.guard, np.asarray(g.where).tolist()
+    return None
+
+
+def _window_on_broadcast_operands(mats, m, M, tol, name="spectrum_window"):
+    """The window guard as one Loewner comparison of m I, M I broadcast to the members."""
+    low, high = (np.broadcast_to(instances._trial_factor(x) * identity(mats.shape[-1]), mats.shape) for x in (m, M))
+    checks._require_each_member(np.stack([low, mats]), np.stack([mats, high]), tol, [f"{name}_below_m", f"{name}_above_M"])
+
+
+def test_window_guard_equals_the_comparison_on_broadcast_operands():
+    # the window guard forms the gaps A_j - m I and M I - A_j once and sizes
+    # the tolerance only where a slack is negative: members just inside the
+    # margin below m or above M hold, members past it fail, and each stack
+    # and each trial alone get the verdicts of the broadcast comparison
+    rng = np.random.default_rng(32)
+    dim, n, trials = 3, 2, 12
+    m, M = np.linspace(0.5, 0.8, trials), np.linspace(2.0, 2.6, trials)
+    lam = m[:, None] + rng.uniform(0.3, 0.7, (n, trials, dim)) * (M - m)[:, None]
+    edges = {1: m - 1e-12, 2: M + 1e-12, 5: m - 1e-6, 8: M + 1e-6}
+    for t, value in edges.items():
+        lam[t % n, t, t % dim] = value[t]
+    mats = hermitize(from_spectrum(instances.haar_unitary(dim, rng, n * trials).reshape(n, trials, dim, dim), lam))
+    tol = Tolerance()
+    got = _raised(checks._guard_window, mats, m, M, tol)
+    assert got == _raised(_window_on_broadcast_operands, mats, m, M, tol)
+    assert got[0] == "spectrum_window_below_m" and np.flatnonzero(got[1]).tolist() == [5]
+    verdicts = [_raised(checks._guard_window, mats[:, t], m[t], M[t], tol) for t in range(trials)]
+    assert verdicts == [_raised(_window_on_broadcast_operands, mats[:, t], m[t], M[t], tol) for t in range(trials)]
+    assert [t for t, v in enumerate(verdicts) if v] == [5, 8]
+    assert checks.loewner_leq(m[1] * identity(dim), mats[1, 1]).slack < 0.0
 
 
 def test_eig_budgets_cover_every_operator_check():

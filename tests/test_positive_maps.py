@@ -9,9 +9,11 @@ from opbellman.positive_maps import (
     _ISOMETRY_TOL,
     Compression,
     IdentityMap,
+    PerTrialMap,
     Pinching,
     UnitaryMixture,
     map_from_json,
+    per_trial_map,
     take_map,
 )
 from opbellman.spectral import (
@@ -208,3 +210,46 @@ def test_stacked_maps_apply_each_trial_map_to_its_operand():
             assert np.array_equal(take_map(stacked, t).apply(xs[t]), out[t])
         idx = np.array([3, 1])
         assert np.array_equal(take_map(stacked, idx).apply(xs[idx]), out[idx])
+
+
+def test_per_trial_map_applies_each_part_to_its_own_trials():
+    # four map kinds of one shape on the trials of one stack: each part is
+    # its kind's map stacked over its own trials, and every trial's operand,
+    # also with a member axis in front, meets its own map to the bit;
+    # take_map gives a trial its own map, and an index array the per-trial
+    # map of what each part keeps, or the one part left
+    rng = np.random.default_rng(211)
+    dim = 3
+    rows = [np.array([0, 4]), np.array([1, 5, 6]), np.array([2]), np.array([3, 7])]
+    alone = [IdentityMap(dim)] * 2
+    alone += [Compression(haar_unitary(dim, rng)) for _ in range(3)]
+    alone += [UnitaryMixture(random_weights(2, rng), (haar_unitary(dim, rng), haar_unitary(dim, rng)))]
+    alone += [Pinching(((0, 1), (2,)))] * 2
+    parts = [
+        IdentityMap(dim),
+        Compression(np.stack([phi.v for phi in alone[2:5]])),
+        UnitaryMixture(alone[5].weights[None], tuple(u[None] for u in alone[5].unitaries)),
+        Pinching(((0, 1), (2,))),
+    ]
+    mixed = per_trial_map(parts, rows)
+    assert isinstance(mixed, PerTrialMap) and (mixed.input_dim, mixed.output_dim) == (dim, dim)
+    own = [alone[k] for k in np.argsort(np.concatenate(rows), kind="stable")]
+    xs = np.stack([random_pd(dim, rng) for _ in range(8)])
+    for x in (xs, np.stack([xs, 2.0 * xs])):
+        out = mixed.apply(x)
+        for t, phi in enumerate(own):
+            assert np.array_equal(out[..., t, :, :], phi.apply(x[..., t, :, :]))
+    out = mixed.apply(xs)
+    for t, phi in enumerate(own):
+        assert type(take_map(mixed, t)) is type(phi)
+        assert np.array_equal(take_map(mixed, t).apply(xs[t]), out[t])
+    for idx in (np.array([6, 0, 5, 3]), np.array([1, 6])):
+        kept = take_map(mixed, idx)
+        assert np.array_equal(kept.apply(xs[idx]), out[idx])
+    assert isinstance(take_map(mixed, np.array([6, 0, 5])), PerTrialMap)
+    assert isinstance(take_map(mixed, np.array([6, 1])), Compression)
+    assert per_trial_map(parts[:1], rows[:1]) is parts[0]
+    with pytest.raises(ShapeError, match="trials on axis -3"):
+        mixed.apply(xs[:7])
+    with pytest.raises(ShapeError, match="different dimensions"):
+        per_trial_map([IdentityMap(dim), Compression(alone[2].v[:, :2])], rows[:2])
