@@ -27,7 +27,6 @@ from .checks import (
     _gamma_cached,
     _na,
     _per_trial,
-    _stack_params,
 )
 from .constants import MIN_INTERVAL, P_MIN
 from .errors import HypothesisError, ParameterError, WitnessFormatError
@@ -270,7 +269,7 @@ def build_map(map_id, dim: int, rng, n: int | None = None):
 # trials may come from several cells that differ only in their
 # ``_PER_TRIAL_KEYS``, their interval, their mean and their map: then
 # ``cell["m"]``, ``cell["M"]``, ``cell["f"]`` and ``cell["map"]`` may be
-# arrays of one value per trial (``checks._stack_params``), which a builder
+# arrays of one value per trial (``_stack_cells``), which a builder
 # hands on to the generators as they are, a mean as ``function_from_id``
 # resolves it and a map as ``build_map`` builds it.  Either raises
 # HypothesisError naming in ``where`` the trials whose hypotheses failed.
@@ -638,46 +637,75 @@ _SHAPE_KEYS = ("dim", "n", "map")
 _PER_TRIAL_KEYS = ("m", "M", "f", "map")
 
 
-@dataclass
-class _Trial:
-    """One trial of a cell, as the cell summary sees it.
-
-    ``stack`` holds the instances of one builder call, exactly its built
-    trials in order, and the trial is its entry ``index``.  ``outcome`` is
-    exact (from the check's runner, or a guard or generator rejection).
-    Without one, the trial holds for certain and ``slack``, ``scale`` and
-    ``normalized`` enclose its slack, scale and slack/scale; an enclosure
-    that is one point is the exact value.  With one, ``slack`` and
-    ``normalized`` are that outcome's values, ``normalized`` None where
-    scale > 0 fails.
+class _Build:
+    """The seeded (cell, trial) ``pairs`` of one builder call, on arrays of
+    one entry per trial: ``row``, its entry in ``stack`` (-1 if the builder
+    rejected it; ``draws`` per entry); ``guard``, the guard that makes it
+    not applicable, or None; ``exact``, the index of its exact outcome in
+    ``outcomes``, or -1; and [lo, hi] enclosures of its ``slack``, ``scale``
+    and slack/scale (``normalized``), NaN where unknown, points for an exact
+    outcome; and, in ``violated``, the trials whose exact outcome violates
+    the inequality.  A trial has a normalized slack where its scale's lower
+    end is positive.  A trial's outcome, instance, params and provenance are
+    formed only when asked for.
     """
 
-    provenance: dict
-    stack: object = None
-    index: int | None = None
-    params: dict | None = None
-    outcome: CheckOutcome | None = None
-    slack: tuple[float, float] | None = None
-    scale: tuple[float, float] | None = None
-    normalized: tuple[float, float] | None = None
+    def __init__(self, check_id: str, cfg: CampaignConfig, pairs: list):
+        self.check_id, self.cfg, self.pairs = check_id, cfg, pairs
+        self.stack, self.draws, self.outcomes, self.violated, self.cell_params = None, [], [], [], {}
+        self.row, self.exact = np.full((2, len(pairs)), -1)
+        self.guard = np.full(len(pairs), None, dtype=object)
+        # slack, scale and normalized are views of one array, set together
+        self.ends = np.full((len(pairs), 3, 2), np.nan)
+        self.slack, self.scale, self.normalized = self.ends.swapaxes(0, 1)
 
-    def settle(self, outcome: CheckOutcome) -> "_Trial":
-        self.outcome = outcome
-        self.slack = (outcome.slack, outcome.slack)
-        self.normalized = (outcome.slack / outcome.scale,) * 2 if outcome.scale > 0 else None
-        return self
+    def settle(self, idx: np.ndarray, outcomes: list[CheckOutcome]) -> None:
+        """Give the trials ``idx`` their exact ``outcomes``."""
+        self.exact[idx] = np.arange(len(self.outcomes), len(self.outcomes) + len(outcomes))
+        self.outcomes += outcomes
+        for i, o in zip(idx.tolist(), outcomes):
+            if o.status == NOT_APPLICABLE:
+                self.guard[i] = (o.witness or {}).get("guard", "unspecified")
+            elif o.status == VIOLATED:
+                self.violated.append(i)
+        points = [(o.slack, o.scale, o.slack / o.scale if o.scale > 0 else math.nan) for o in outcomes]
+        self.ends[idx] = np.array(points)[:, :, None]
 
-    def enclose(self, slack: tuple[float, float], scale: tuple[float, float]) -> None:
-        """Enclosures of a trial that holds for certain, from those of its
-        slack and of its scale, whose lower end is positive."""
-        self.slack, self.scale = slack, scale
-        ratios = [s / c for s in slack for c in scale]
-        self.normalized = (min(ratios), max(ratios))
+    def enclose(self, idx: np.ndarray, slack: np.ndarray, scale: np.ndarray) -> None:
+        """Enclose the trials ``idx``, which hold for certain, by (k, 2) slack
+        and scale enclosures, scales above 0, and slack/scale by the least
+        and greatest ratio of their ends as Python's ``min`` and ``max`` pick."""
+        self.slack[idx], self.scale[idx] = slack, scale
+        ratios = (slack[:, :, None] / scale[:, None, :]).reshape(-1, 4)
+        lo = hi = ratios[:, 0]
+        for r in np.moveaxis(ratios[:, 1:], 1, 0):
+            lo, hi = np.where(r < lo, r, lo), np.where(r > hi, r, hi)
+        self.normalized[idx] = np.stack([lo, hi], axis=1)
 
-    @property
-    def inst(self):
-        """The trial's own instance, formed only here (``instances.take``)."""
-        return None if self.stack is None else take(self.stack, self.index)
+    def outcome(self, i: int) -> CheckOutcome | None:
+        """Trial i's exact outcome, a not-applicable one at its guard, or None."""
+        if self.exact[i] >= 0:
+            return self.outcomes[self.exact[i]]
+        return None if self.guard[i] is None else _na(self.check_id, self.guard[i])
+
+    def inst(self, i: int) -> InstanceFamily | None:
+        """Trial i's own instance (``instances.take``); None if rejected."""
+        return None if self.row[i] < 0 else take(self.stack, int(self.row[i]))
+
+    def params(self, i: int) -> dict | None:
+        """Trial i's params: its cell without ``_SHAPE_KEYS``, formed once per
+        cell, plus its draws."""
+        row = self.row[i]
+        if row < 0:
+            return None
+        cell = self.pairs[i][0]
+        if id(cell) not in self.cell_params:
+            self.cell_params[id(cell)] = {k: v for k, v in cell.items() if k not in _SHAPE_KEYS}
+        return self.cell_params[id(cell)] | self.draws[row]
+
+    def provenance(self, i: int) -> dict:
+        cell, trial = self.pairs[i]
+        return {"seed": self.cfg.seed, "cell": cell, "trial": trial}
 
 
 def _stream_states(check_id: str, pairs, cfg: CampaignConfig) -> np.ndarray:
@@ -688,37 +716,41 @@ def _stream_states(check_id: str, pairs, cfg: CampaignConfig) -> np.ndarray:
     return stream_states(cfg.seed, [(check_id, keys[id(cell)], trial) for cell, trial in pairs])
 
 
-def _build_trials(check_id: str, pairs, cfg: CampaignConfig, states=None) -> list[_Trial]:
+def _stack_cells(cells: list[dict]) -> dict:
+    """``checks._stack_params`` of the cells of a build's trials, which differ
+    at most in their ``_PER_TRIAL_KEYS``, so only those are compared."""
+    first = cells[0]
+    per_trial = [k for k in _PER_TRIAL_KEYS if k in first and any(c[k] != first[k] for c in cells)]
+    return first | {k: np.asarray([c[k] for c in cells]) for k in per_trial}
+
+
+def _build_trials(check_id: str, pairs, cfg: CampaignConfig, states=None) -> _Build:
     """Draw the instances of the seeded (cell, trial) ``pairs``, of cells that
     differ at most in their ``_PER_TRIAL_KEYS``, in one builder call on their
     streams, with each of those keys per trial where the cells' differ.
 
-    Each trial keeps its own stream, provenance and params; the streams
-    are made from ``states``, their PCG64 states, which ``_stream_states``
-    seeds in one pass when they are not given.  A trial named in the
-    ``where`` of a builder's ``HypothesisError`` gets a
-    ``generator_rejected`` outcome, and the other trials are built again
-    from fresh streams of the same states, so the stack holds exactly the
-    built trials, in order."""
-    cells = {id(cell): cell for cell, _ in pairs}
-    params = {i: {k: v for k, v in cell.items() if k not in _SHAPE_KEYS} for i, cell in cells.items()}
+    Each trial keeps its own stream; the streams are made from ``states``,
+    their PCG64 states, which ``_stream_states`` seeds in one pass when they
+    are not given.  A trial named in the ``where`` of a builder's
+    ``HypothesisError`` gets the guard ``generator_rejected``, and the other
+    trials are built again from fresh streams of the same states, so the
+    stack holds exactly the built trials, in order."""
+    build = _Build(check_id, cfg, pairs)
     states = _stream_states(check_id, pairs, cfg) if states is None else states
-    out = [_Trial({"seed": cfg.seed, "cell": cell, "trial": trial}) for cell, trial in pairs]
-    live = list(range(len(out)))
-    while live:
-        rngs = streams(states[live])
+    live = np.arange(len(pairs))
+    while live.size:
         try:
-            stack, draws = BUILDERS[check_id](_stack_params([pairs[i][0] for i in live]), rngs)
+            build.stack, build.draws = BUILDERS[check_id](
+                _stack_cells([pairs[i][0] for i in live.tolist()]), streams(states[live])
+            )
         except HypothesisError as exc:
-            failed = np.broadcast_to(exc.where, (len(live),))
-            for i in np.flatnonzero(failed):
-                out[live[i]].settle(_na(check_id, "generator_rejected"))
-            live = [i for i, f in zip(live, failed) if not f]
+            failed = np.broadcast_to(exc.where, live.shape)
+            build.guard[live[failed]] = "generator_rejected"
+            live = live[~failed]
             continue
-        for k, (i, d) in enumerate(zip(live, draws)):
-            out[i].stack, out[i].index, out[i].params = stack, k, params[id(pairs[i][0])] | d
+        build.row[live] = np.arange(live.size)
         break
-    return out
+    return build
 
 
 def _size(stack: InstanceFamily) -> int:
@@ -727,27 +759,24 @@ def _size(stack: InstanceFamily) -> int:
     return len(next(iter(stack.aux.values()))) if stack.A is None else stack.A.shape[1]
 
 
-def _check_pending(check_id: str, trials: list[_Trial], tol: Tolerance) -> None:
-    """Settle the trials of one build that have no outcome yet, in one
-    ``checks.check_cell`` call on the build's stack, or on ``take`` of the
-    pending trials where the float64 filter settled the others.  An
-    operator build's pending trials are its whole stack."""
-    pending = [t for t in trials if t.outcome is None]
-    if not pending:
+def _check_pending(build: _Build, idx: np.ndarray) -> None:
+    """Settle the trials ``idx`` of ``build``, built trials with neither a
+    guard nor an exact outcome yet, in one ``checks.check_cell`` call on the
+    build's stack, or on ``take`` of their entries where they are not all
+    of it."""
+    if not idx.size:
         return
-    stack = pending[0].stack
-    if len(pending) < _size(stack):
-        stack = take(stack, np.array([t.index for t in pending]))
-    for t, outcome in zip(pending, checks.check_cell(check_id, stack, [t.params for t in pending], tol)):
-        t.settle(outcome)
+    stack = build.stack if idx.size == _size(build.stack) else take(build.stack, build.row[idx])
+    params = [build.params(i) for i in idx.tolist()]
+    build.settle(idx, checks.check_cell(build.check_id, stack, params, build.cfg.tolerance))
 
 
-def _checked_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> list[_Trial]:
+def _checked_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> _Build:
     """The seeded trials ``trials`` of one cell, built in one builder call and
     the built ones checked in one ``checks.check_cell`` call on its stack."""
-    out = _build_trials(check_id, [(cell, trial) for trial in trials], cfg)
-    _check_pending(check_id, out, cfg.tolerance)
-    return out
+    build = _build_trials(check_id, [(cell, trial) for trial in trials], cfg)
+    _check_pending(build, np.flatnonzero(build.row >= 0))
+    return build
 
 
 def run_check_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int):
@@ -756,100 +785,99 @@ def run_check_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int):
 
     The params are the cell without its instance-shape keys ``_SHAPE_KEYS``,
     plus whatever the builder drew itself."""
-    (t,) = _checked_trials(check_id, cell, cfg, [trial])
-    return t.outcome, t.inst, t.params, t.provenance
+    build = _checked_trials(check_id, cell, cfg, [trial])
+    return build.outcome(0), build.inst(0), build.params(0), build.provenance(0)
 
 
-def _filter_trials(check_id: str, trials: list[_Trial], tol: Tolerance) -> None:
-    """Settle the built trials of a cell where the check's float64 bounds
-    decide a guard, and enclose the slack and scale of those that certainly
-    hold; a check without bounds leaves every trial to ``_cell_summary``,
-    which narrows the slack enclosures of a tied cell to its one slack."""
-    bounds = REGISTRY[check_id].bounds
-    built = [t for t in trials if t.outcome is None]
-    if bounds is None or not built:
-        return
-    for t, b in zip(built, bounds(built[0].stack)):
-        if isinstance(b, str):
-            t.settle(_na(check_id, b))
-        elif b is not None and b.scale_lo > 0 and b.slack_lo >= -tol.margin(b.scale_lo):
-            t.enclose((b.slack_lo, b.slack_hi), (b.scale_lo, b.scale_hi))
+def _filter_trials(build: _Build) -> np.ndarray:
+    """Settle the built trials where the check's float64 bounds decide a
+    guard, and enclose the slack and scale of those whose bounds show that
+    they hold: a positive scale and a slack at or above the margin's
+    negative at the scale's lower end.  Returns the built trials it leaves
+    to the exact check: every one, for a check without bounds."""
+    built = np.flatnonzero(build.row >= 0)
+    bounds = REGISTRY[build.check_id].bounds
+    if bounds is None or not built.size:
+        return built
+    b = bounds(build.stack)
+    build.guard[built] = b.guard
+    scale_lo = b.scale[:, 0]
+    holds = (scale_lo > 0) & (b.slack[:, 0] >= -build.cfg.tolerance.margin(scale_lo))
+    build.enclose(built[holds], b.slack[holds], b.scale[holds])
+    return built[np.equal(b.guard, None) & ~holds]
 
 
-def _cell_summary(check_id: str, cell: dict, cfg: CampaignConfig, trials: list[_Trial]) -> dict:
-    """The report record of one cell, whose trials have each an outcome or
-    enclosures of their slack.
+def _narrow(build: _Build, cell: dict) -> None:
+    """Check exactly the trials of a scalar build, one cell's, whose
+    enclosures leave its reported values open, each step's trials a mask
+    over the build checked in one ``_check_pending`` call.  Where the check
+    declares a ``tie`` for the cell, the first applicable trial is checked,
+    and each trial the filter left to hold gets its exact slack as a point
+    enclosure, where its own contains it.  Then a trial without an exact
+    outcome is checked unless its slack interval is a point or lies above
+    the smallest slack upper end, and its slack/scale interval is a point
+    or misses [k-th smallest lower end, k-th smallest upper end] for each
+    middle rank k, the lower first; the minimum and the k-th ends are
+    Python's ``min`` and ``sorted`` on the cell's values in trial order."""
+    applicable = np.equal(build.guard, None)
+    lo, hi, n_lo, n_hi = build.slack[:, 0], build.slack[:, 1], build.normalized[:, 0], build.normalized[:, 1]
+    if applicable.any() and REGISTRY[build.check_id].ties(cell):
+        head = np.argmax(applicable)
+        if build.exact[head] < 0:
+            _check_pending(build, np.array([head]))
+        c = lo[head]
+        idx = np.flatnonzero(applicable & (build.exact < 0) & (lo <= c) & (c <= hi))
+        build.enclose(idx, np.full((idx.size, 2), c), build.scale[idx])
+    top = min(hi[applicable].tolist(), default=math.inf)
+    _check_pending(build, np.flatnonzero(applicable & (lo < hi) & (lo <= top)))
+    normed = applicable & (build.scale[:, 0] > 0)
+    count = int(normed.sum())
+    for k in sorted({(count - 1) // 2, count // 2}) if count else ():
+        lo_k, hi_k = sorted(n_lo[normed].tolist())[k], sorted(n_hi[normed].tolist())[k]
+        window = normed & (n_lo <= hi_k) & (n_hi >= lo_k)
+        _check_pending(build, np.flatnonzero(window & (n_lo < n_hi)))
 
-    In a cell where the check declares a ``tie``, the first applicable trial
-    is checked, and each trial the filter left to hold for certain gets its
-    exact slack as a point enclosure, where its own enclosure contains it.
 
-    A trial without an exact outcome is checked unless its enclosures show
-    that the reported values do not depend on it: its slack interval is a
-    point or lies above the smallest slack upper end, and its slack/scale
-    interval is a point or misses [k-th smallest lower end, k-th smallest
-    upper end] for each middle rank k.  Only a scalar trial the filter left
-    to hold for certain has such enclosures.  The trials each step still
-    needs go through ``_check_pending`` as one stack.  The summary then
-    reads each other trial at its lower ends, which keeps the minimum, the
-    first trial that reaches it and the median.
-    """
-    tol = cfg.tolerance
-    applicable = [t for t in trials if t.outcome is None or t.outcome.status != NOT_APPLICABLE]
-    if applicable and REGISTRY[check_id].ties(cell):
-        _check_pending(check_id, applicable[:1], tol)
-        c = applicable[0].outcome.slack
-        for t in applicable[1:]:
-            if t.outcome is None and t.slack[0] <= c <= t.slack[1]:
-                t.enclose((c, c), t.scale)
-    if applicable:
-        top = min(t.slack[1] for t in applicable)
-        _check_pending(check_id, [t for t in applicable if t.slack[0] < t.slack[1] and t.slack[0] <= top], tol)
-    normed = [t for t in applicable if t.normalized is not None]
-    for k in sorted({(len(normed) - 1) // 2, len(normed) // 2}) if normed else ():
-        lo_k = sorted(t.normalized[0] for t in normed)[k]
-        hi_k = sorted(t.normalized[1] for t in normed)[k]
-        window = [t for t in normed if t.normalized[0] <= hi_k and t.normalized[1] >= lo_k]
-        _check_pending(check_id, [t for t in window if t.normalized[0] < t.normalized[1]], tol)
-
-    holds = violated = na = 0
-    slacks = []
-    normalized = []
-    na_guards: dict[str, int] = {}
-    argmin_ref = None
-    min_slack = math.inf
-    witnesses = []
-    for trial, t in enumerate(trials):
-        outcome = t.outcome
-        if outcome is not None and outcome.status == NOT_APPLICABLE:
-            na += 1
-            guard = (outcome.witness or {}).get("guard", "unspecified")
-            na_guards[guard] = na_guards.get(guard, 0) + 1
-            continue
-        slacks.append(t.slack[0])
-        if t.normalized is not None:
-            normalized.append(t.normalized[0])
-        if t.slack[0] < min_slack:
-            min_slack = t.slack[0]
-            argmin_ref = {"trial": trial}
-        if outcome is not None and outcome.status == VIOLATED:
-            violated += 1
-            witnesses.append(make_witness(check_id, t.params, t.inst, outcome, t.provenance))
-        else:
-            holds += 1
-    return {
-        "check": check_id,
-        "cell": cell,
-        "trials": cfg.trials,
-        "holds": holds,
-        "violations": violated,
-        "not_applicable": na,
-        "na_guards": dict(sorted(na_guards.items())),
-        "min_slack": None if not slacks else min(slacks),
-        "median_normalized_slack": None if not normalized else median(normalized),
-        "argmin": argmin_ref,
-        "violation_witnesses": witnesses,
-    }
+def _cell_summaries(build: _Build, cells: list[dict]) -> list[dict]:
+    """The report records of the cells of one build, each cell's trials a
+    row of it, every trial settled.  ``_narrow`` first checks exactly the
+    scalar trials whose enclosures a record depends on; the others are read
+    at their lower ends.  The build's arrays become lists once, and a cell's
+    minimum and median are Python's ``min`` and ``statistics.median`` on its
+    values in trial order, so a NaN falls where it fell trial by trial."""
+    check_id, cfg = build.check_id, build.cfg
+    if REGISTRY[check_id].bounds is not None:
+        (cell,) = cells  # a scalar cell is a group of its own
+        _narrow(build, cell)
+    witnesses = [[] for _ in cells]
+    for i in sorted(build.violated):
+        witness = make_witness(check_id, build.params(i), build.inst(i), build.outcome(i), build.provenance(i))
+        witnesses[i // cfg.trials].append(witness)
+    guards = build.guard.tolist()
+    slack_lo, normalized_lo = build.slack[:, 0].tolist(), build.normalized[:, 0].tolist()
+    normed = (build.scale[:, 0] > 0).tolist()
+    out = []
+    for c, (cell, witnesses) in enumerate(zip(cells, witnesses)):
+        trials = range(c * cfg.trials, (c + 1) * cfg.trials)
+        applicable = [i for i in trials if guards[i] is None]
+        slacks = [slack_lo[i] for i in applicable]
+        normalized = [normalized_lo[i] for i in applicable if normed[i]]
+        least = min((s for s in slacks if s < math.inf), default=None)
+        na_guards = sorted(guards[i] for i in trials if guards[i] is not None)
+        out.append({
+            "check": check_id,
+            "cell": cell,
+            "trials": cfg.trials,
+            "holds": len(slacks) - len(witnesses),
+            "violations": len(witnesses),
+            "not_applicable": cfg.trials - len(slacks),
+            "na_guards": {guard: na_guards.count(guard) for guard in na_guards},
+            "min_slack": min(slacks) if slacks else None,
+            "median_normalized_slack": median(normalized) if normalized else None,
+            "argmin": None if least is None else {"trial": applicable[slacks.index(least)] - trials.start},
+            "violation_witnesses": witnesses,
+        })
+    return out
 
 
 def _stack_groups(cells: list[dict]) -> list[list[int]]:
@@ -868,39 +896,39 @@ def _stack_groups(cells: list[dict]) -> list[list[int]]:
 
 
 def _checked_cells(check_id: str, cfg: CampaignConfig):
-    """Each cell of one check with its trials, in ``expand_cells`` order.
+    """The report record of each cell of one check, in ``expand_cells`` order.
 
     The cells that differ only in their ``_PER_TRIAL_KEYS`` are built in one
     ``_build_trials`` call when the first of them comes up, filtered by the
-    check's float64 bounds where it has them, and the trials the filter
-    leaves are checked in one ``_check_pending`` call.  A cell's trials are
-    let go once yielded.  The streams of every trial of the check are seeded
-    in one ``_stream_states`` pass.
+    check's float64 bounds where it has them, the trials the filter leaves
+    are checked in one ``_check_pending`` call, and ``_cell_summaries``
+    gives every cell of the group its record at once.  The build is let go
+    then, and each record once yielded.  The streams of every trial of the
+    check are seeded in one ``_stream_states`` pass.
     """
     cells = expand_cells(check_id, cfg)
     groups = {group[0]: group for group in _stack_groups(cells)}
     pairs = [(cell, t) for cell in cells for t in range(cfg.trials)]
     states = _stream_states(check_id, pairs, cfg).reshape(len(cells), cfg.trials, 4)
-    built = {}
-    for i, cell in enumerate(cells):
+    records = {}
+    for i in range(len(cells)):
         if i in groups:
-            group = [(cells[j], t) for j in groups[i] for t in range(cfg.trials)]
-            trials = _build_trials(check_id, group, cfg, states[groups[i]].reshape(len(group), 4))
-            _filter_trials(check_id, trials, cfg.tolerance)
-            _check_pending(check_id, [t for t in trials if t.slack is None], cfg.tolerance)
-            for k, j in enumerate(groups[i]):
-                built[j] = trials[k * cfg.trials : (k + 1) * cfg.trials]
-        yield cell, built.pop(i)
+            group = groups[i]
+            pairs = [(cells[j], t) for j in group for t in range(cfg.trials)]
+            build = _build_trials(check_id, pairs, cfg, states[group].reshape(len(pairs), 4))
+            _check_pending(build, _filter_trials(build))
+            records.update(zip(group, _cell_summaries(build, [cells[j] for j in group])))
+        yield records.pop(i)
 
 
 def run_campaign(cfg: CampaignConfig) -> dict:
     """Execute the full campaign and return the report document.
 
-    Each cell comes from ``_checked_cells``, which builds and checks the
-    cells of a check that differ only in their interval, their mean and
-    their map (of one output dimension) as one stack, and is summarized on
-    its own by ``_cell_summary``, which checks any further trials the
-    summary needs exactly.
+    Each cell's record comes from ``_checked_cells``, which builds and
+    checks the cells of a check that differ only in their interval, their
+    mean and their map (of one output dimension) as one stack, and
+    summarizes them together in ``_cell_summaries``, which checks any
+    further trials the summary needs exactly.
     """
     cfg.validate()
     cells_out = []
@@ -910,8 +938,7 @@ def run_campaign(cfg: CampaignConfig) -> dict:
     trials_by_check: dict[str, int] = {}
 
     for check_id in cfg.checks:
-        for cell, trials in _checked_cells(check_id, cfg):
-            row = _cell_summary(check_id, cell, cfg, trials)
+        for row in _checked_cells(check_id, cfg):
             cells_out.append(row)
             total["trials"] += cfg.trials
             total["holds"] += row["holds"]

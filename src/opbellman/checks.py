@@ -200,7 +200,7 @@ class RegistryEntry:
     axes: tuple[str, ...]  # campaign grids the check consumes
     reference: object  # dim-1 scalar formula; None for scalar checks
     runner: object  # a cell: (insts, params, tol) -> one CheckOutcome per trial
-    bounds: object  # a scalar cell's float64 verdicts: insts -> one per trial; None for operator checks
+    bounds: object  # a scalar stack's float64 verdicts: insts -> SlackBounds arrays; None for operator checks
     tie: dict | None  # cell values at which every trial has one exact slack
 
     def ties(self, cell: dict) -> bool:
@@ -233,11 +233,12 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
     an input array, ``_Interval`` or ``_Digits``.  It returns
     (guards, dominant, dominated), the guards in order as (verdict per
     trial, name) pairs from ``_nonneg``, ``_positive`` or ``_exact_guard``.
-    The entry's ``bounds`` runs it on float64 intervals and returns one
-    ``_settle`` verdict per trial.  Its ``runner`` runs it at
-    ``SCALAR_DPS`` digits and settles each trial at its first failing
-    guard, or by its sides' difference at those digits.  Registration order
-    is the campaign's check order.
+    The entry's ``bounds`` runs it on float64 intervals and returns
+    ``_settle``'s arrays: each trial's guard verdict and enclosures of its
+    slack and scale.  Its ``runner`` runs it at ``SCALAR_DPS`` digits and
+    settles each trial at its first failing guard, or by its sides'
+    difference at those digits.  Registration order is the campaign's check
+    order.
 
     ``tie`` declares cell values, such as ``{"n": 1}``, at which the check's
     expression gives every trial one reported slack, whatever the operands:
@@ -245,7 +246,7 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
     constant of the cell.  In such a cell the campaign evaluates the first
     applicable trial at ``SCALAR_DPS`` digits and gives its slack to each
     trial the float64 filter settled as holding whose enclosure contains it
-    (``campaign._cell_summary``).  A tie that holds only for some operands'
+    (``campaign._narrow``).  A tie that holds only for some operands'
     magnitudes is not one.
     """
 
@@ -277,7 +278,7 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
                 break
             return out
 
-        def bounds(stack: InstanceFamily) -> list:
+        def bounds(stack: InstanceFamily) -> SlackBounds:
             with np.errstate(all="ignore"):
                 return _settle(*fn(_scalar_arrays(stack), _Interval))
 
@@ -1138,36 +1139,35 @@ def _abs_lo(x: _Interval) -> np.ndarray:
 
 
 class SlackBounds(NamedTuple):
-    """Enclosures of one trial's reported slack and scale."""
+    """The float64 verdicts of a stack's trials: ``guard`` names each
+    trial's first failing guard where every earlier one is decided, else
+    None; ``slack`` and ``scale`` hold (trials, 2) [lo, hi] enclosures of
+    the reported slack and scale of each trial whose guards all pass, NaN
+    for the others and where an end is not finite."""
 
-    slack_lo: float
-    slack_hi: float
-    scale_lo: float
-    scale_hi: float
+    guard: np.ndarray
+    slack: np.ndarray
+    scale: np.ndarray
 
 
-def _settle(guards, dominant: _Interval, dominated: _Interval) -> list:
-    """Per trial, in the check's order of ``guards`` (tri-state arrays from
-    ``_nonneg``, ``_positive`` or ``_exact_guard``, with the guard name): the
-    name of the first failing guard when every earlier one is decided,
-    ``SlackBounds`` when all pass, else None."""
+def _settle(guards, dominant: _Interval, dominated: _Interval) -> SlackBounds:
+    """The verdicts of a stack's trials from the check's ``guards``, in its
+    order (tri-state arrays from ``_nonneg``, ``_positive`` or
+    ``_exact_guard``, with the guard name), and the intervals of its sides."""
     slack = dominant - dominated
-    slack_lo, slack_hi = slack.lo - DECIDE_MARGIN, slack.hi + DECIDE_MARGIN
     scale_lo = np.maximum(_abs_lo(dominant), _abs_lo(dominated))
     scale_hi = np.maximum(
         np.maximum(np.abs(dominant.lo), np.abs(dominant.hi)),
         np.maximum(np.abs(dominated.lo), np.abs(dominated.hi)),
     )
-    out = [None] * len(slack_lo)
-    passed = np.ones(len(slack_lo), dtype=bool)
+    ends = np.stack([slack.lo - DECIDE_MARGIN, slack.hi + DECIDE_MARGIN, scale_lo, scale_hi], axis=1)
+    guard = np.full(len(ends), None, dtype=object)
+    passed = np.ones(len(ends), dtype=bool)
     for state, name in guards:
-        for t in np.flatnonzero(passed & (state < 0)):
-            out[t] = name
+        guard[passed & (state < 0)] = name
         passed &= state > 0
-    passed &= np.isfinite(slack_lo) & np.isfinite(slack_hi) & np.isfinite(scale_lo) & np.isfinite(scale_hi)
-    for t in np.flatnonzero(passed):
-        out[t] = SlackBounds(float(slack_lo[t]), float(slack_hi[t]), float(scale_lo[t]), float(scale_hi[t]))
-    return out
+    ends[~(passed & np.isfinite(ends).all(axis=1))] = np.nan
+    return SlackBounds(guard, ends[:, :2], ends[:, 2:])
 
 
 def _scalar_arrays(inst: InstanceFamily) -> dict:

@@ -65,7 +65,8 @@ def _run_many(check_id: str, count: int, max_attempts: int, cfg=ACCEPT_CFG):
 
 def _attempts(check_id: str, count: int, max_attempts: int, cfg=ACCEPT_CFG):
     """The checked trials of ``_run_many``'s attempts, in its order (attempt a
-    is cell a mod C, trial a div C), up to where it stops.
+    is cell a mod C, trial a div C), up to where it stops, each as its
+    build and its index in it.
 
     Each cell's trials are built and checked in rounds through
     ``campaign._checked_trials``; a round holds the trials one cell is
@@ -80,15 +81,16 @@ def _attempts(check_id: str, count: int, max_attempts: int, cfg=ACCEPT_CFG):
         cell, trial = attempt % len(cells), attempt // len(cells)
         if trial == len(done[cell]):
             size = min(-(-(count - applicable) // len(cells)), -(-max_attempts // len(cells)) - trial)
-            done[cell] += campaign._checked_trials(check_id, cells[cell], cfg, range(trial, trial + size))
-        t = done[cell][trial]
-        applicable += t.outcome.status != NOT_APPLICABLE
-        yield t
+            build = campaign._checked_trials(check_id, cells[cell], cfg, range(trial, trial + size))
+            done[cell] += [(build, i) for i in range(size)]
+        build, i = done[cell][trial]
+        applicable += build.outcome(i).status != NOT_APPLICABLE
+        yield build, i
 
 
 def _tally(trials):
     """(applicable, violations, not applicable, worst slack) of checked trials."""
-    outcomes = [t.outcome for t in trials]
+    outcomes = [build.outcome(i) for build, i in trials]
     slacks = [o.slack for o in outcomes if o.status != NOT_APPLICABLE]
     na = len(outcomes) - len(slacks)
     violations = sum(o.status == VIOLATED for o in outcomes)
@@ -307,11 +309,11 @@ def test_criterion_7_dim1_oracle_equivalence():
     worst = 0.0
     for cid in checks.OPERATOR_IDS:
         compared = 0
-        for t in _attempts(cid, 100, 400, cfg):
-            outcome = t.outcome
+        for build, i in _attempts(cid, 100, 400, cfg):
+            outcome = build.outcome(i)
             if outcome.status == NOT_APPLICABLE:
                 continue
-            ref = reference_slack(cid, t.inst, t.params)
+            ref = reference_slack(cid, build.inst(i), build.params(i))
             worst = max(worst, abs(outcome.slack - ref["slack"]))
             if outcome.chain_slacks is not None:
                 for got, want in zip(outcome.chain_slacks, ref["chain"]):

@@ -7,6 +7,7 @@ import statistics
 import sys
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -719,42 +720,49 @@ def test_builder_hypothesis_error_is_a_rejected_trial(tmp_path):
 SCALAR_SUITE = dict(n_values=(1, 2, 3), p_grid=(0.25, 0.5, 0.75), checks=tuple(checks.SCALAR_IDS), seed=301)
 
 
+def _summary_loop(check_id, cell, cfg, trials):
+    """The record of one cell from each trial's (outcome, inst, params,
+    provenance), by the loop the cell summary ran trial by trial: a trial
+    read at its outcome's slack, and at slack/scale where the scale is
+    positive."""
+    holds = violated = na = 0
+    slacks, normalized, na_guards, witnesses = [], [], {}, []
+    argmin_ref, min_slack = None, math.inf
+    for trial, (outcome, inst, params, provenance) in enumerate(trials):
+        if outcome.status == "not_applicable":
+            na += 1
+            guard = (outcome.witness or {}).get("guard", "unspecified")
+            na_guards[guard] = na_guards.get(guard, 0) + 1
+            continue
+        slacks.append(outcome.slack)
+        if outcome.scale > 0:
+            normalized.append(outcome.slack / outcome.scale)
+        if outcome.slack < min_slack:
+            min_slack, argmin_ref = outcome.slack, {"trial": trial}
+        if outcome.status == "violated":
+            violated += 1
+            witnesses.append(make_witness(check_id, params, inst, outcome, provenance))
+        else:
+            holds += 1
+    return {
+        "check": check_id, "cell": cell, "trials": cfg.trials, "holds": holds,
+        "violations": violated, "not_applicable": na, "na_guards": dict(sorted(na_guards.items())),
+        "min_slack": min(slacks) if slacks else None,
+        "median_normalized_slack": statistics.median(normalized) if normalized else None,
+        "argmin": argmin_ref, "violation_witnesses": witnesses,
+    }
+
+
 def _per_trial_summary(cfg):
     """(cells, summary) of a report, every trial evaluated through run_check_trial."""
     cells = []
     total = {"trials": 0, "holds": 0, "violations": 0, "not_applicable": 0}
     for check_id in cfg.checks:
         for cell in campaign.expand_cells(check_id, cfg):
-            holds = violated = na = 0
-            slacks, normalized, na_guards, witnesses = [], [], {}, []
-            argmin_ref, min_slack = None, math.inf
-            for trial in range(cfg.trials):
-                outcome, inst, params, provenance = run_check_trial(check_id, cell, cfg, trial)
-                if outcome.status == "not_applicable":
-                    na += 1
-                    guard = outcome.witness["guard"]
-                    na_guards[guard] = na_guards.get(guard, 0) + 1
-                    continue
-                slacks.append(outcome.slack)
-                if outcome.scale > 0:
-                    normalized.append(outcome.slack / outcome.scale)
-                if outcome.slack < min_slack:
-                    min_slack, argmin_ref = outcome.slack, {"trial": trial}
-                if outcome.status == "violated":
-                    violated += 1
-                    witnesses.append(make_witness(check_id, params, inst, outcome, provenance))
-                else:
-                    holds += 1
-            for key, value in (("trials", cfg.trials), ("holds", holds), ("violations", violated),
-                               ("not_applicable", na)):
-                total[key] += value
-            cells.append({
-                "check": check_id, "cell": cell, "trials": cfg.trials, "holds": holds,
-                "violations": violated, "not_applicable": na, "na_guards": dict(sorted(na_guards.items())),
-                "min_slack": min(slacks) if slacks else None,
-                "median_normalized_slack": statistics.median(normalized) if normalized else None,
-                "argmin": argmin_ref, "violation_witnesses": witnesses,
-            })
+            trials = [run_check_trial(check_id, cell, cfg, trial) for trial in range(cfg.trials)]
+            cells.append(_summary_loop(check_id, cell, cfg, trials))
+            for key in total:
+                total[key] += cells[-1][key]
     return cells, total
 
 
@@ -793,8 +801,9 @@ def test_declared_tie_gives_every_trial_one_slack(check_id):
     cells = [cell for cell in campaign.expand_cells(check_id, cfg) if entry.ties(cell)]
     assert cells
     for cell in cells:
-        trials = campaign._checked_trials(check_id, cell, cfg, range(cfg.trials))
-        slacks = {t.outcome.slack for t in trials if t.outcome.status != "not_applicable"}
+        build = campaign._checked_trials(check_id, cell, cfg, range(cfg.trials))
+        outcomes = [build.outcome(i) for i in range(len(build.pairs))]
+        slacks = {o.slack for o in outcomes if o.status != "not_applicable"}
         assert len(slacks) == 1, (cell, sorted(slacks)[:3])
         if check_id != "scalar_bellman_reverse":
             assert slacks == {0.0}, cell
@@ -811,12 +820,12 @@ def test_tied_cells_send_one_trial_to_the_exact_check(monkeypatch):
     sent = {}
     pending = campaign._check_pending
 
-    def counted(check_id, trials, tol):
-        for t in trials:
-            if t.outcome is None:
-                key = (check_id, json.dumps(t.provenance["cell"], sort_keys=True))
-                sent.setdefault(key, []).append(t.provenance["trial"])
-        return pending(check_id, trials, tol)
+    def counted(build, idx):
+        for i in idx:
+            if build.outcome(i) is None:
+                cell, trial = build.pairs[i]
+                sent.setdefault((build.check_id, json.dumps(cell, sort_keys=True)), []).append(trial)
+        return pending(build, idx)
 
     monkeypatch.setattr(campaign, "_check_pending", counted)
     cfg = _workload("scalar_suite", trials=20)
@@ -834,6 +843,91 @@ def test_tied_cells_send_one_trial_to_the_exact_check(monkeypatch):
         else:
             assert len(sent[key]) == 1, key
     assert sum(map(len, sent.values())) < 120
+
+
+def test_cell_records_read_scripted_outcomes_as_the_per_trial_loop(monkeypatch):
+    # an operator check's outcomes scripted per cell (one cell per build):
+    # every trial not applicable; two trials sharing the minimum, the first
+    # winning; odd and even counts of normalized slacks, a zero scale giving
+    # none; violated trials with NaN slacks, first and later; signed zeros;
+    # slacks of inf, which no trial is below
+    cid = "mean_superadditive"
+    na, nan, inf = checks._na(cid, "member_not_psd"), math.nan, math.inf
+
+    def held(slack, scale=1.0, status="holds"):
+        return CheckOutcome(cid, status, slack, scale)
+
+    def violated(slack, scale=1.0):
+        return held(slack, scale, "violated")
+
+    script = [
+        [na, na, na, na],
+        [held(0.5), held(0.1), held(0.1, 2.0), held(0.3)],
+        [held(0.2), held(0.1, 2.0), held(0.3, 0.0), na],
+        [held(0.2), held(0.1, 2.0), held(0.4, 4.0), held(0.3, 8.0)],
+        [violated(nan), held(0.2), violated(-0.1), held(0.3, 0.0)],
+        [held(0.3), violated(nan), held(0.1), violated(nan, nan)],
+        [held(0.0), held(-0.0), held(0.0, 2.0), na],
+        [held(-0.0), held(0.0), na, held(inf)],
+        [held(inf), na, held(inf, 2.0), violated(nan)],
+    ]
+    cfg = CampaignConfig(
+        trials=4, dims=(1,), n_values=tuple(range(1, len(script) + 1)), means=("geom:0.5",), checks=(cid,), seed=3
+    )
+    cells = campaign.expand_cells(cid, cfg)
+    assert len(cells) == len(script)
+    built = [[run_check_trial(cid, cell, cfg, t)[1:] for t in range(cfg.trials)] for cell in cells]
+    calls = iter(script)
+
+    def scripted(check_id, stack, params, tol):
+        outcomes = next(calls)
+        assert len(params) == len(outcomes)
+        return outcomes
+
+    monkeypatch.setattr(checks, "check_cell", scripted)
+    report = run_campaign(cfg)
+    want = [
+        _summary_loop(cid, cell, cfg, [(o, *rest) for o, rest in zip(outcomes, trials)])
+        for cell, outcomes, trials in zip(cells, script, built)
+    ]
+    assert json.dumps(report["cells"], sort_keys=True) == json.dumps(want, sort_keys=True)
+    rows = report["cells"]
+    assert (rows[0]["min_slack"], rows[0]["median_normalized_slack"], rows[0]["argmin"]) == (None, None, None)
+    assert rows[1]["argmin"] == {"trial": 1} and rows[8]["argmin"] is None
+
+
+def test_tied_scalar_cells_read_as_the_per_trial_loop():
+    # the n = 1 cells of the checks that declare a tie: the filter encloses
+    # most trials, the tie narrows them to the first applicable trial's
+    # slack, and each record reads as the loop over every trial checked alone
+    cfg = CampaignConfig(trials=30, n_values=(1,), p_grid=(0.25, 0.5), checks=tuple(TIE_IDS), seed=3)
+    report = run_campaign(cfg)
+    want = [
+        _summary_loop(cid, cell, cfg, [run_check_trial(cid, cell, cfg, t) for t in range(cfg.trials)])
+        for cid in cfg.checks
+        for cell in campaign.expand_cells(cid, cfg)
+    ]
+    assert len(want) == 6
+    assert json.dumps(report["cells"], sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_exact_checks_stay_within_their_counts_at_seed_301(monkeypatch):
+    # counts independent of the machine: the scalar_suite sends exactly 227
+    # trials to the 30-digit runner, in at most 96 check_cell calls, and the
+    # default campaign makes at most 295 calls
+    calls = []
+    check_cell = checks.check_cell
+
+    def counted(check_id, stack, params, tol):
+        calls.append(len(params))
+        return check_cell(check_id, stack, params, tol)
+
+    monkeypatch.setattr(checks, "check_cell", counted)
+    run_campaign(_workload("scalar_suite"))
+    assert sum(calls) == 227 and len(calls) <= 96
+    calls.clear()
+    run_campaign(_workload("campaign_default"))
+    assert len(calls) <= 295
 
 
 def _workload(name: str, **overrides) -> CampaignConfig:
@@ -1330,6 +1424,14 @@ def _assert_same_bits(x, y, where="instance"):
         assert type(x) is type(y) and x == y, where
 
 
+class _Built(NamedTuple):
+    """One built trial: the stack of its build, its instance and its params."""
+
+    stack: object
+    inst: object
+    params: dict
+
+
 def _assert_stack_builds_each_trial_as_alone(check_id, cells, cfg):
     """The trials of cells (one cell, or a list of cells that differ only in
     their interval, their mean and their map) built as one stack equal, bit for bit, each trial built
@@ -1338,13 +1440,13 @@ def _assert_stack_builds_each_trial_as_alone(check_id, cells, cfg):
     cells = [cells] if isinstance(cells, dict) else cells
     pairs = [(cell, t) for cell in cells for t in range(cfg.trials)]
     stacked = campaign._build_trials(check_id, pairs, cfg)
-    for (cell, trial), s in zip(pairs, stacked):
-        (alone,) = campaign._build_trials(check_id, [(cell, trial)], cfg)
+    for i, (cell, trial) in enumerate(pairs):
+        alone = campaign._build_trials(check_id, [(cell, trial)], cfg)
         where = f"{check_id} {cell} trial {trial}"
-        assert repr(s.outcome) == repr(alone.outcome), where
-        _assert_same_bits(s.params, alone.params, f"{where} params")
-        _assert_same_bits(s.inst, alone.inst, where)
-    return [t for t in stacked if t.outcome is None]
+        assert repr(stacked.outcome(i)) == repr(alone.outcome(0)), where
+        _assert_same_bits(stacked.params(i), alone.params(0), f"{where} params")
+        _assert_same_bits(stacked.inst(i), alone.inst(0), where)
+    return [_Built(stacked.stack, stacked.inst(i), stacked.params(i)) for i in range(len(pairs)) if stacked.row[i] >= 0]
 
 
 def _streams(check_id, cell, cfg):
@@ -1608,13 +1710,13 @@ def test_stacked_check_with_windows_per_trial_equals_each_trial_alone(check_id):
     group = [cells[i] for i in campaign._stack_groups(cells)[0]]
     group = [cell for cell in group if cell.get("f") == group[0].get("f")][:2]
     assert group[0]["m"] != group[1]["m"]
-    trials = campaign._build_trials(check_id, [(cell, t) for cell in group for t in range(cfg.trials)], cfg)
-    params = [t.params for t in trials[: cfg.trials]]
-    for t in trials[cfg.trials :]:
-        m, M = t.params["m"], t.params["M"]
-        params.append(dict(t.params, m=m + 0.45 * (M - m), M=M - 0.45 * (M - m)))
-    stacked = checks.check_cell(check_id, trials[0].stack, params)
-    alone = [checks.check(check_id, t.inst, p) for t, p in zip(trials, params)]
+    build = campaign._build_trials(check_id, [(cell, t) for cell in group for t in range(cfg.trials)], cfg)
+    params = [build.params(i) for i in range(cfg.trials)]
+    for i in range(cfg.trials, len(build.pairs)):
+        m, M = build.params(i)["m"], build.params(i)["M"]
+        params.append(dict(build.params(i), m=m + 0.45 * (M - m), M=M - 0.45 * (M - m)))
+    stacked = checks.check_cell(check_id, build.stack, params)
+    alone = [checks.check(check_id, build.inst(i), p) for i, p in enumerate(params)]
     assert list(map(repr, stacked)) == list(map(repr, alone))
     assert {o.status for o in stacked[: cfg.trials]} == {"holds"}
     # bellman_map's window is [0, 1] whatever the cell's interval

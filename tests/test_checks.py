@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -876,10 +877,10 @@ def test_scalar_runner_on_stacked_cells_matches_the_per_trial_reference(check_id
     )
     compared = 0
     for cell in campaign.expand_cells(check_id, cfg):
-        trials = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
-        built = [t for t in trials if t.outcome is None]
+        build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
+        built = [build.inst(i) for i in range(len(build.pairs)) if build.outcome(i) is None]
         if built:
-            _assert_runner_matches_reference(check_id, built[0].stack, [t.inst for t in built], cfg.tolerance)
+            _assert_runner_matches_reference(check_id, build.stack, built, cfg.tolerance)
         compared += len(built)
     assert compared >= 4 * cfg.trials
 
@@ -890,7 +891,8 @@ def test_scalar_runner_settles_guard_cases_next_to_passing_trials(check_id):
     # in the stack must still come out real and exact
     cfg = CampaignConfig(trials=4, n_values=(1,), seed=7)
     cell = campaign.expand_cells(check_id, cfg)[0]
-    built = [t.inst for t in campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg) if t.outcome is None]
+    build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
+    built = [build.inst(i) for i in range(len(build.pairs)) if build.outcome(i) is None]
     cases = [_scalar_case(inst) for cid, inst, _ in GUARD_CASES if cid == check_id]
     insts = built[:2] + cases + built[2:]
     outcomes = _assert_runner_matches_reference(check_id, _scalar_stack(insts), insts, TOL)
@@ -911,18 +913,19 @@ def test_scalar_bounds_agree_with_the_mpmath_checker(check_id):
     )
     decided = 0
     for cell in campaign.expand_cells(check_id, cfg):
-        trials = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
-        campaign._filter_trials(check_id, trials, cfg.tolerance)
-        for trial, t in enumerate(trials):
+        build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
+        campaign._filter_trials(build)
+        for trial in range(cfg.trials):
             exact, *_ = run_check_trial(check_id, cell, cfg, trial)
-            if t.outcome is not None:
-                assert (t.outcome.status, t.outcome.witness) == (exact.status, exact.witness), (cell, trial)
-            elif t.slack is not None:
+            outcome, slack, normalized = build.outcome(trial), build.slack[trial], build.normalized[trial]
+            if outcome is not None:
+                assert (outcome.status, outcome.witness) == (exact.status, exact.witness), (cell, trial)
+            elif not np.isnan(slack[0]):
                 decided += 1
                 assert exact.status == HOLDS, (cell, trial, exact)
-                assert t.slack[0] <= exact.slack <= t.slack[1], (cell, trial, t.slack, exact)
+                assert slack[0] <= exact.slack <= slack[1], (cell, trial, slack, exact)
                 ratio = exact.slack / exact.scale
-                assert t.normalized[0] <= ratio <= t.normalized[1], (cell, trial, t.normalized, ratio)
+                assert normalized[0] <= ratio <= normalized[1], (cell, trial, normalized, ratio)
     assert decided >= cfg.trials
 
 
@@ -931,10 +934,88 @@ def test_scalar_bounds_decide_a_guard_only_away_from_its_boundary(check_id, inst
     # a guard exactly on its boundary (a_j = a at p = 1, a column sum of 1)
     # is left to the mpmath checker
     inst = _scalar_case(inst)
-    (bound,) = checks.REGISTRY[check_id].bounds(inst)
-    assert bound == verdict
+    bounds = checks.REGISTRY[check_id].bounds(inst)
+    # undecided, or failing a guard: no enclosure either way
+    assert (bounds.guard.tolist(), np.isnan(bounds.slack).all()) == ([verdict], True)
     if verdict is not None:
         assert check(check_id, inst, {}, TOL).witness == {"guard": verdict}
+
+
+def _per_trial_filter(check_id, stack, tol):
+    """The float64 filter as it ran trial by trial before it took arrays:
+    one (guard, slack, scale, normalized) per trial of a scalar stack, the
+    enclosures NaN where the trial is not found to hold."""
+    fn = checks.REGISTRY[check_id].runner.__wrapped__
+    with np.errstate(all="ignore"):
+        guards, dominant, dominated = fn(checks._scalar_arrays(stack), checks._Interval)
+        slack = dominant - dominated
+        slack_lo, slack_hi = slack.lo - checks.DECIDE_MARGIN, slack.hi + checks.DECIDE_MARGIN
+        scale_lo = np.maximum(checks._abs_lo(dominant), checks._abs_lo(dominated))
+        scale_hi = np.maximum(
+            np.maximum(np.abs(dominant.lo), np.abs(dominant.hi)),
+            np.maximum(np.abs(dominated.lo), np.abs(dominated.hi)),
+        )
+        verdicts = [None] * len(slack_lo)
+        passed = np.ones(len(slack_lo), dtype=bool)
+        for state, name in guards:
+            for t in np.flatnonzero(passed & (state < 0)):
+                verdicts[t] = name
+            passed &= state > 0
+        passed &= np.isfinite(slack_lo) & np.isfinite(slack_hi) & np.isfinite(scale_lo) & np.isfinite(scale_hi)
+        for t in np.flatnonzero(passed):
+            verdicts[t] = (float(slack_lo[t]), float(slack_hi[t]), float(scale_lo[t]), float(scale_hi[t]))
+    none = (math.nan, math.nan)
+    out = []
+    for b in verdicts:
+        if isinstance(b, str):
+            out.append((b, none, none, none))
+        elif b is not None and b[2] > 0 and b[0] >= -tol.margin(b[2]):
+            ratios = [s / c for s in b[:2] for c in b[2:]]
+            out.append((None, b[:2], b[2:], (min(ratios), max(ratios))))
+        else:
+            out.append((None, none, none, none))
+    return out
+
+
+def _assert_filter_matches_per_trial(check_id, build):
+    """The array filter on a build gives each built trial the per-trial
+    filter's guard and, to the last bit, its enclosures; returns how many
+    it encloses."""
+    want = _per_trial_filter(check_id, build.stack, build.cfg.tolerance)
+    campaign._filter_trials(build)
+    built = np.flatnonzero(build.row >= 0)
+    assert build.guard[built].tolist() == [w[0] for w in want]
+    got = np.stack([build.slack, build.scale, build.normalized], axis=1)[built]
+    assert got.tobytes() == np.array([w[1:] for w in want], dtype=float).tobytes()
+    return sum(not math.isnan(w[1][0]) for w in want)
+
+
+@pytest.mark.parametrize("check_id", checks.SCALAR_IDS)
+def test_array_filter_equals_the_per_trial_filter_to_the_last_bit(check_id):
+    # the acceptance n and p grids and the edge exponents, then the guard
+    # cases stacked among built trials; NaN equals NaN, and -0.0 is not 0.0
+    cfg = CampaignConfig(
+        trials=40,
+        n_values=(1, 2, 3),
+        p_grid=(0.25, 0.5, 0.75, constants.P_MIN, 0.005, 0.995, 1.0 - constants.P_MIN),
+        seed=20260809,
+        tolerance=TOL,
+    )
+    enclosed = 0
+    for cell in campaign.expand_cells(check_id, cfg):
+        build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
+        if build.stack is not None:
+            enclosed += _assert_filter_matches_per_trial(check_id, build)
+    assert enclosed >= cfg.trials
+    cell = campaign.expand_cells(check_id, dataclasses.replace(cfg, n_values=(1,)))[0]
+    build = campaign._build_trials(check_id, [(cell, t) for t in range(4)], cfg)
+    insts = [build.inst(i) for i in range(4)]
+    verdicts = [v for cid, _, v in GUARD_CASES if cid == check_id]
+    insts[2:2] = [_scalar_case(inst) for cid, inst, _ in GUARD_CASES if cid == check_id]
+    stacked = campaign._Build(check_id, cfg, [(cell, t) for t in range(len(insts))])
+    stacked.stack, stacked.row = _scalar_stack(insts), np.arange(len(insts))
+    _assert_filter_matches_per_trial(check_id, stacked)
+    assert stacked.guard[2 : 2 + len(verdicts)].tolist() == verdicts
 
 
 # -- stacked cells ------------------------------------------------------------------
