@@ -34,6 +34,8 @@ from .instances import (
     EDGE_SHRINK,
     HEAD_KINDS,
     InstanceFamily,
+    Streams,
+    _scaled,
     complement_sandwich_family,
     random_contraction,
     random_pd,
@@ -44,7 +46,6 @@ from .instances import (
     random_weights,
     scalar_instance,
     stream_states,
-    streams,
     take,
     haar_unitary,
     random_unitary_mixture,
@@ -263,9 +264,11 @@ def build_map(map_id, dim: int, rng, n: int | None = None):
 
 # -- instance builders --------------------------------------------------------
 #
-# A builder maps (cell, rngs), one stream per trial, to (instances, draws):
-# its instances are one family stacked on a leading trial axis, a scalar
-# builder's the arrays ``instances.scalar_instance`` stacks in ``aux``.  The
+# A builder maps (cell, rngs), an ``instances.Streams`` stack of one stream
+# per trial, to (instances, draws): its instances are one family stacked on
+# a leading trial axis, a scalar builder's the arrays
+# ``instances.scalar_instance`` stacks in ``aux``.  An operator builder
+# draws from the stack's Generators, a scalar builder on its arrays.  The
 # trials may come from several cells that differ only in their
 # ``_PER_TRIAL_KEYS``, their interval, their mean and their map: then
 # ``cell["m"]``, ``cell["M"]``, ``cell["f"]`` and ``cell["map"]`` may be
@@ -419,24 +422,22 @@ def _build_chain_interp(cell, rngs):
 def _build_scalar(kind):
     """The builder of a scalar kind: each stream draws its row count and a
     head kind's exponent, then ``instances.scalar_instance`` draws the rest
-    on all the streams and returns their stack."""
+    and returns their stack; every draw step is one array draw of the
+    stream stack (``instances.Streams``), which makes no Generator."""
 
-    def build(cell, rngs):
-        rows, draws = [], []
-        for rng in rngs:
-            rows.append(int(rng.integers(1, 4)))
-            if kind == "bellman":
-                draws.append({"p": float(rng.integers(1, 5))})
-            elif kind == "aczel":
-                draws.append({"p": 2.0})
-            elif kind == "popoviciu":
-                # The same-exponent product form follows from the Hoelder-type
-                # original only for p <= 2; above 2 it admits counterexamples.
-                draws.append({"p": float(rng.uniform(1.0, 2.0))})
-            else:
-                draws.append({})
-        p = [d["p"] for d in draws] if kind in HEAD_KINDS else cell["p"]
-        return scalar_instance(kind, (rows, cell["n"]), p, rngs), draws
+    def build(cell, streams):
+        rows = streams.integers(1, 4)
+        if kind not in HEAD_KINDS:
+            return scalar_instance(kind, (rows, cell["n"]), cell["p"], streams), [{}] * len(streams)
+        if kind == "bellman":
+            p = streams.integers(1, 5).astype(float)
+        elif kind == "popoviciu":
+            # The same-exponent product form follows from the Hoelder-type
+            # original only for p <= 2; above 2 it admits counterexamples.
+            p = _scaled(streams.random(1)[:, 0], 1.0, 2.0)
+        else:
+            p = np.full(len(streams), 2.0)
+        return scalar_instance(kind, (rows, cell["n"]), p, streams), [{"p": x} for x in p.tolist()]
 
     return build
 
@@ -654,7 +655,7 @@ class _Build:
         self.check_id, self.cfg, self.pairs = check_id, cfg, pairs
         self.stack, self.draws, self.outcomes, self.violated, self.cell_params = None, [], [], [], {}
         self.row, self.exact = np.full((2, len(pairs)), -1)
-        self.guard = np.full(len(pairs), None, dtype=object)
+        self.guard = np.empty(len(pairs), dtype=object)  # an object array starts as None
         # slack, scale and normalized are views of one array, set together
         self.ends = np.full((len(pairs), 3, 2), np.nan)
         self.slack, self.scale, self.normalized = self.ends.swapaxes(0, 1)
@@ -695,7 +696,7 @@ class _Build:
     def params(self, i: int) -> dict | None:
         """Trial i's params: its cell without ``_SHAPE_KEYS``, formed once per
         cell, plus its draws."""
-        row = self.row[i]
+        row = self.row.item(i)
         if row < 0:
             return None
         cell = self.pairs[i][0]
@@ -708,12 +709,18 @@ class _Build:
         return {"seed": self.cfg.seed, "cell": cell, "trial": trial}
 
 
-def _stream_states(check_id: str, pairs, cfg: CampaignConfig) -> np.ndarray:
-    """The PCG64 states of the streams of the seeded (cell, trial) ``pairs``,
-    keyed (check, cell JSON, trial), from one ``stream_states`` call."""
-    cells = {id(cell): cell for cell, _ in pairs}
-    keys = {i: json.dumps(cell, sort_keys=True) for i, cell in cells.items()}
-    return stream_states(cfg.seed, [(check_id, keys[id(cell)], trial) for cell, trial in pairs])
+#: A cell's JSON as a stream key holds it: ``json.dumps(cell, sort_keys=True)``,
+#: with one encoder for every cell.
+_cell_json = json.JSONEncoder(sort_keys=True).encode
+
+
+def _stream_states(keys: list[tuple[str, dict]], trials, cfg: CampaignConfig) -> np.ndarray:
+    """The PCG64 states (keys, trials, 4) of the streams of each of
+    ``trials`` of each (check, cell) of ``keys``, keyed (check, cell JSON,
+    trial), from one ``stream_states`` call: each cell's JSON is formed
+    once and the trials are the last word of its keys."""
+    words = [(check_id, _cell_json(cell)) for check_id, cell in keys]
+    return stream_states(cfg.seed, words, trials).reshape(len(keys), len(trials), 4)
 
 
 def _stack_cells(cells: list[dict]) -> dict:
@@ -724,24 +731,25 @@ def _stack_cells(cells: list[dict]) -> dict:
     return first | {k: np.asarray([c[k] for c in cells]) for k in per_trial}
 
 
-def _build_trials(check_id: str, pairs, cfg: CampaignConfig, states=None) -> _Build:
+def _build_trials(check_id: str, pairs, cfg: CampaignConfig, states: np.ndarray) -> _Build:
     """Draw the instances of the seeded (cell, trial) ``pairs``, of cells that
     differ at most in their ``_PER_TRIAL_KEYS``, in one builder call on their
     streams, with each of those keys per trial where the cells' differ.
 
-    Each trial keeps its own stream; the streams are made from ``states``,
-    their PCG64 states, which ``_stream_states`` seeds in one pass when they
-    are not given.  A trial named in the ``where`` of a builder's
-    ``HypothesisError`` gets the guard ``generator_rejected``, and the other
-    trials are built again from fresh streams of the same states, so the
-    stack holds exactly the built trials, in order."""
+    Each trial keeps its own stream, from ``states``, the PCG64 states
+    (pairs, 4) that ``_stream_states`` seeds: the builder gets them as one
+    ``instances.Streams`` stack, which makes Generators only for a builder
+    that iterates or indexes it (the operator builders) and draws a scalar
+    builder's steps on arrays.  A trial named in the ``where`` of a
+    builder's ``HypothesisError`` gets the guard ``generator_rejected``, and
+    the other trials are built again from a fresh stack of the same states,
+    so the stack holds exactly the built trials, in order."""
     build = _Build(check_id, cfg, pairs)
-    states = _stream_states(check_id, pairs, cfg) if states is None else states
     live = np.arange(len(pairs))
     while live.size:
         try:
             build.stack, build.draws = BUILDERS[check_id](
-                _stack_cells([pairs[i][0] for i in live.tolist()]), streams(states[live])
+                _stack_cells([pairs[i][0] for i in live.tolist()]), Streams(states[live])
             )
         except HypothesisError as exc:
             failed = np.broadcast_to(exc.where, live.shape)
@@ -772,9 +780,11 @@ def _check_pending(build: _Build, idx: np.ndarray) -> None:
 
 
 def _checked_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> _Build:
-    """The seeded trials ``trials`` of one cell, built in one builder call and
-    the built ones checked in one ``checks.check_cell`` call on its stack."""
-    build = _build_trials(check_id, [(cell, trial) for trial in trials], cfg)
+    """The seeded trials ``trials`` of one cell, seeded and built in one
+    builder call and the built ones checked in one ``checks.check_cell``
+    call on its stack."""
+    states = _stream_states([(check_id, cell)], trials, cfg)[0]
+    build = _build_trials(check_id, [(cell, trial) for trial in trials], cfg, states)
     _check_pending(build, np.flatnonzero(build.row >= 0))
     return build
 
@@ -895,21 +905,18 @@ def _stack_groups(cells: list[dict]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _checked_cells(check_id: str, cfg: CampaignConfig):
-    """The report record of each cell of one check, in ``expand_cells`` order.
+def _checked_cells(check_id: str, cells: list[dict], states: np.ndarray, cfg: CampaignConfig):
+    """The report record of each of the cells ``cells`` of one check, in
+    order, from the states (cells, trials, 4) of their trials' streams.
 
     The cells that differ only in their ``_PER_TRIAL_KEYS`` are built in one
     ``_build_trials`` call when the first of them comes up, filtered by the
     check's float64 bounds where it has them, the trials the filter leaves
     are checked in one ``_check_pending`` call, and ``_cell_summaries``
     gives every cell of the group its record at once.  The build is let go
-    then, and each record once yielded.  The streams of every trial of the
-    check are seeded in one ``_stream_states`` pass.
+    then, and each record once yielded.
     """
-    cells = expand_cells(check_id, cfg)
     groups = {group[0]: group for group in _stack_groups(cells)}
-    pairs = [(cell, t) for cell in cells for t in range(cfg.trials)]
-    states = _stream_states(check_id, pairs, cfg).reshape(len(cells), cfg.trials, 4)
     records = {}
     for i in range(len(cells)):
         if i in groups:
@@ -924,11 +931,13 @@ def _checked_cells(check_id: str, cfg: CampaignConfig):
 def run_campaign(cfg: CampaignConfig) -> dict:
     """Execute the full campaign and return the report document.
 
-    Each cell's record comes from ``_checked_cells``, which builds and
-    checks the cells of a check that differ only in their interval, their
-    mean and their map (of one output dimension) as one stack, and
-    summarizes them together in ``_cell_summaries``, which checks any
-    further trials the summary needs exactly.
+    The streams of every trial of the campaign are seeded in one
+    ``_stream_states`` pass, and each cell's record comes from
+    ``_checked_cells``, which builds and checks the cells of a check that
+    differ only in their interval, their mean and their map (of one output
+    dimension) as one stack, and summarizes them together in
+    ``_cell_summaries``, which checks any further trials the summary needs
+    exactly.
     """
     cfg.validate()
     cells_out = []
@@ -937,8 +946,11 @@ def run_campaign(cfg: CampaignConfig) -> dict:
     na_by_check: dict[str, int] = {}
     trials_by_check: dict[str, int] = {}
 
-    for check_id in cfg.checks:
-        for row in _checked_cells(check_id, cfg):
+    cells = {check_id: expand_cells(check_id, cfg) for check_id in cfg.checks}
+    states = _stream_states([(c, cell) for c in cells for cell in cells[c]], range(cfg.trials), cfg)
+    ends = np.cumsum([len(c) for c in cells.values()])[:-1]
+    for (check_id, check_cells), check_states in zip(cells.items(), np.split(states, ends)):
+        for row in _checked_cells(check_id, check_cells, check_states, cfg):
             cells_out.append(row)
             total["trials"] += cfg.trials
             total["holds"] += row["holds"]

@@ -6,14 +6,16 @@ a positive margin, so the construction itself is never trusted.  Trial k
 of a campaign draws from a counter-derived stream (``stream_states``),
 which makes campaigns order-independent.
 
-Every generator takes one Generator and returns d x d matrices, or a list
-of Generators, one per trial, and returns stacks (trials, d, d).  A family
-of n members carries a member axis in front: (n, trials, d, d), or (n, d, d)
-for one Generator.  Each stream gets the draws, in the order, that it gets
-alone, member by member; the linear algebra runs once on the stack of every
-member and trial and gives each matrix the bits it gets alone.  A
-hypothesis that fails on some trials of a stack raises ``HypothesisError``
-naming them in ``where``.
+Every operator generator takes one Generator and returns d x d matrices,
+or a list of Generators, one per trial (a ``Streams`` stack iterates as
+one), and returns stacks (trials, d, d).  A family of n members carries a
+member axis in front: (n, trials, d, d), or (n, d, d) for one Generator.
+The scalar generator takes a ``Streams`` stack and draws on its arrays.
+Each stream gets the draws, in the order, that it gets alone, member by
+member; the linear algebra runs once on the stack of every member and
+trial and gives each matrix the bits it gets alone.  A hypothesis that
+fails on some trials of a stack raises ``HypothesisError`` naming them in
+``where``.
 """
 
 from __future__ import annotations
@@ -134,16 +136,31 @@ def _words(part) -> tuple[int, ...]:
     return (x & 0xFFFFFFFF, x >> 32) if x >> 32 else (x,)
 
 
-def stream_states(seed: int, keys) -> np.ndarray:
-    """The PCG64 states (keys, 4) of one stream per key of ``keys`` (a list
-    of tuples): the state ``np.random.SeedSequence(words)``
-    seeds, bit for bit, where ``words`` are the uint32 words of (seed, *key),
-    strings crc32-folded and ints in [0, 2^64).  ``streams`` makes the
-    Generators.
+def _trial_tails(trials) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(indices, uint32 words) of the trial indices ``trials`` of one word,
+    then of those of two (from 2^32), low word first, each group that has
+    any; an index outside [0, 2^64) raises, as ``_words`` does."""
+    if len(trials) and not (0 <= min(trials) and max(trials) < 1 << 64):
+        raise ParameterError(f"stream key trials in [{min(trials)}, {max(trials)}]: must be in [0, 2^64)")
+    t = np.asarray(trials, dtype=np.uint64)
+    words = np.stack([t & np.uint64(0xFFFFFFFF), t >> np.uint64(32)], axis=1).astype(np.uint32)
+    groups = [np.flatnonzero(words[:, 1] == 0), np.flatnonzero(words[:, 1])]
+    return [(idx, words[idx, :width]) for width, idx in enumerate(groups, 1) if idx.size]
 
-    The keys are grouped by word count, each group's pools are mixed in one
-    array pass (``_pools``), and every pool is hashed into its state in one
-    more (numpy's ``generate_state``); no ``SeedSequence`` is made.
+
+def stream_states(seed: int, keys, trials=None) -> np.ndarray:
+    """The PCG64 states (streams, 4) of one stream per key of ``keys`` (a list
+    of tuples), or with ``trials`` (ints) of one stream per key and trial,
+    key by key, the trial the key's last part: the state
+    ``np.random.SeedSequence(words)`` seeds, bit for bit, where ``words``
+    are the uint32 words of (seed, *key[, trial]), strings crc32-folded and
+    ints in [0, 2^64).  ``Streams`` draws from them.
+
+    The words of (seed, *key) are formed once per key and each trial's one
+    word (two from 2^32) appended as the last columns; the pools of every
+    key and trial of one word count are mixed in one array pass
+    (``_pools``), and every pool is hashed into its state in one more
+    (numpy's ``generate_state``); no ``SeedSequence`` is made.
     """
     head = _words(seed)
     words = {part: _words(part) for part in set(itertools.chain.from_iterable(keys))}.__getitem__
@@ -151,20 +168,170 @@ def stream_states(seed: int, keys) -> np.ndarray:
     by_length: dict[int, list[int]] = {}
     for i, row in enumerate(rows):
         by_length.setdefault(len(row), []).append(i)
-    pools = np.empty((len(rows), 4), dtype=np.uint32)
-    for idx in by_length.values():
-        pools[idx] = _pools(np.array([rows[i] for i in idx], dtype=np.uint32))
+    tails = [(np.zeros(1, dtype=int), np.empty((1, 0), dtype=np.uint32))] if trials is None else _trial_tails(trials)
+    count = 1 if trials is None else len(trials)
+    pools = np.empty((len(rows) * count, 4), dtype=np.uint32)
+    for kidx in by_length.values():
+        key_words = np.array([rows[i] for i in kidx], dtype=np.uint32)
+        for tidx, tail in tails:
+            grid = np.concatenate([np.repeat(key_words, tidx.size, axis=0), np.tile(tail, (len(kidx), 1))], axis=1)
+            pools[np.add.outer(np.multiply(kidx, count), tidx).ravel()] = _pools(grid)
     x = _hashmix(np.concatenate([pools, pools], axis=1), *_hashes(_STATE_INIT, _STATE_MULT, 8))
     # each pair of words is one uint64, low word first, on any byte order
     return x.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def streams(states: np.ndarray) -> list[np.random.Generator]:
-    """One Generator per PCG64 state of ``stream_states``, each state handed
-    to ``PCG64`` as it is (``_state_type``); the same states give fresh
-    streams with the same draws."""
-    state = _state_type()
-    return [np.random.Generator(np.random.PCG64(state(s))) for s in states]
+#: PCG64's 128-bit LCG multiplier (numpy's ``PCG_DEFAULT_MULTIPLIER_128``).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _mul128(a: tuple, b: tuple) -> tuple:
+    """a b mod 2^128 of (high, low) pairs of uint64 arrays, broadcast: the
+    low words' full product from their 32-bit limbs, each limb product
+    exact in 64 bits, and the cross products mod 2^64."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a1, a0, b1, b0 = a_lo >> 32, a_lo & _LOW32, b_lo >> 32, b_lo & _LOW32
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    low_mid = a0 * b1 + (mid & _LOW32)
+    return a1 * b1 + (mid >> 32) + (low_mid >> 32) + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+
+
+def _add128(a: tuple, b: tuple) -> tuple:
+    """a + b mod 2^128 of (high, low) pairs of uint64 arrays, broadcast."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+@functools.cache
+def _jumps(k: int) -> tuple:
+    """((high, low) of MULT^i, (high, low) of MULT^(i-1) + ... + 1), mod
+    2^128, for i = 1..k as uint64 arrays: a PCG64 state s with increment c
+    is MULT^i s + (MULT^(i-1) + ... + 1) c after i steps."""
+    a, c, words = 1, 0, []
+    for _ in range(k):
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+        words.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+    a_hi, a_lo, c_hi, c_lo = (np.array(x, dtype=np.uint64) for x in zip(*words))
+    return (a_hi, a_lo), (c_hi, c_lo)
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's XSL-RR outputs of states (high, low): high xor low rotated
+    right by the state's top 6 bits."""
+    x = hi ^ lo
+    rot = hi >> 58
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+class Streams:
+    """The streams of the PCG64 states (trials, 4) of ``stream_states``, one
+    per trial, drawn either through numpy Generators or on arrays.
+
+    Iterated or indexed, the stack makes one ``Generator`` per state, each
+    handed its state as it is (``_state_type``); an operator builder draws
+    from those, which interleave uniform and Gaussian draws.  ``random`` and
+    ``integers`` draw instead on arrays, a step of every stream, or of the
+    streams ``idx``, at once: a numpy PCG64 kernel whose draws are, bit for
+    bit, the draws of the same calls on each stream's Generator, stream by
+    stream in call order.  It seeds each state as numpy's
+    ``pcg64_set_seed`` does (state from words 0-1, increment (words 2-3 <<
+    1) | 1, two steps), takes k steps at once through ``_jumps``, and keeps
+    numpy's buffer of a 64-bit output's unused high half for ``integers``.
+
+    The Generators or the kernel's arrays are made on first use, so a stack
+    costs nothing until it is drawn; a stack asked for both raises.
+    """
+
+    __slots__ = ("states", "_generators", "_pcg")
+
+    def __init__(self, states: np.ndarray):
+        self.states = states
+        self._generators = self._pcg = None
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __iter__(self):
+        return iter(self._made())
+
+    def __getitem__(self, i):
+        return self._made()[i]
+
+    def _made(self) -> list:
+        if self._pcg is not None:
+            raise RuntimeError("this stream stack draws on arrays; it makes no Generators")
+        if self._generators is None:
+            state = _state_type()
+            self._generators = [np.random.Generator(np.random.PCG64(state(s))) for s in self.states]
+        return self._generators
+
+    def _kernel(self) -> np.ndarray:
+        """The kernel's rows (6, streams), uint64: state high and low words,
+        increment high and low words, whether a stream holds a buffered
+        uint32 and that uint32."""
+        if self._generators is not None:
+            raise RuntimeError("this stream stack draws through Generators; it draws nothing on arrays")
+        if self._pcg is None:
+            w = self.states
+            inc = ((w[:, 2] << 1) | (w[:, 3] >> 63), (w[:, 3] << 1) | 1)
+            state = _add128(_mul128(_jumps(1)[0], _add128((w[:, 0], w[:, 1]), inc)), inc)
+            self._pcg = np.stack([*state, *inc, *np.zeros((2, len(w)), dtype=np.uint64)])
+        return self._pcg
+
+    def _draw(self, idx: np.ndarray, counts) -> np.ndarray:
+        """The next max(counts) 64-bit outputs (len(idx), max(counts)) of the
+        streams ``idx``, each stream advanced by its own count (one, or one
+        per stream, each at least 1); its outputs past that count are ones
+        it has not drawn."""
+        hi, lo, inc_hi, inc_lo, _, _ = self._kernel()
+        k = int(np.max(counts))
+        a, c = _jumps(k)
+        inc = (inc_hi[idx, None], inc_lo[idx, None])
+        # one step adds the increment itself
+        s = _add128(_mul128(a, (hi[idx, None], lo[idx, None])), inc if k == 1 else _mul128(c, inc))
+        end = (np.arange(idx.size), counts - 1)
+        hi[idx], lo[idx] = s[0][end], s[1][end]
+        return _xsl_rr(*s)
+
+    def random(self, size, idx: np.ndarray | None = None) -> np.ndarray:
+        """``Generator.random(size)`` of each stream of ``idx`` (all by
+        default) in one array (len(idx), max(size)), ``size`` a count or one
+        per stream: (output >> 11) 2^-53.  A row's entries past its own
+        count are draws its stream does not take."""
+        idx = np.arange(len(self)) if idx is None else idx
+        return (self._draw(idx, size) >> 11) * 2.0**-53
+
+    def _next32(self, idx: np.ndarray) -> np.ndarray:
+        """Each stream's next uint32 as numpy's PCG64 ``next_uint32`` gives
+        it: the buffered high half of its last output where it holds one,
+        else the low half of a new output, whose high half it then holds."""
+        *_, held, buffered = self._kernel()
+        had = held[idx] == 1
+        out = buffered[idx]
+        fresh = idx[~had]
+        if fresh.size:
+            x = self._draw(fresh, 1)[:, 0]
+            out[~had], buffered[fresh] = x & _LOW32, x >> 32
+        held[idx] = ~had
+        return out
+
+    def integers(self, low: int, high: int) -> np.ndarray:
+        """``Generator.integers(low, high)`` of each stream, for 2 <= high -
+        low < 2^32: Lemire's method on uint32 draws, as numpy bounds them,
+        each stream drawing again while the low word of its draw times the
+        range is below (2^32 - range) mod range."""
+        idx = np.arange(len(self))
+        span = high - low
+        threshold = (2**32 - span) % span
+        x = self._next32(idx) * np.uint64(span)
+        redo = np.flatnonzero((x & _LOW32) < threshold)
+        while redo.size:
+            x[redo] = self._next32(idx[redo]) * np.uint64(span)
+            redo = redo[(x[redo] & _LOW32) < threshold]
+        return low + (x >> 32).astype(np.int64)
 
 
 @dataclass
@@ -219,7 +386,8 @@ def _trial_factor(x):
 
 
 def _streams(rng) -> tuple[list, bool]:
-    """(the trials' streams, whether one Generator was given rather than a list)."""
+    """(the trials' Generators, whether one Generator was given rather than
+    a list or a ``Streams`` stack)."""
     if isinstance(rng, np.random.Generator):
         return [rng], True
     return list(rng), False
@@ -565,23 +733,25 @@ HEAD_KINDS = ("bellman", "aczel", "popoviciu")
 COLUMN_KINDS = ("mp3", "eq3", "mp1")
 
 
-def scalar_instance(kind: str, sizes: tuple, p, rng) -> InstanceFamily:
-    """Positive scalar arrays satisfying one classical-inequality hypothesis,
-    in ``aux`` with the exponent ``p``.
+def scalar_instance(kind: str, sizes: tuple, p, streams: Streams) -> InstanceFamily:
+    """A stack of positive scalar arrays, one trial per stream of
+    ``streams``, each satisfying one classical-inequality hypothesis, in
+    ``aux`` with the exponent ``p``; ``take`` gives a trial its own.
 
     ``sizes`` is (rows, cols), rows sizing the matrix of the column kinds;
     constraints are imposed with a random contraction factor theta < 1 and
     re-verified.  The column constraints of the weighted Bellman kinds use
     the exponent 1/p, matching the displayed inequalities they feed.
 
-    One Generator gives one instance.  A list of streams gives a stack, whose
-    arrays carry a leading trial axis: rows and a head kind's p are numbers
-    or one per stream, a column kind's p is one number.  A column kind's
-    matrix ``a`` is zero-padded to the stack's largest row count, and
-    ``meta["rows"]`` holds each trial's, so ``take`` gives a trial its own
-    rows.  Each stream draws what it draws alone, in that order, each step
-    in one ``random`` call mapped on the stack by ``_scaled``: the kind's
-    arrays, then the weights of a trial that met its hypothesis.
+    The arrays carry a leading trial axis: rows and a head kind's p are
+    numbers or one per stream, a column kind's p is one number.  A column
+    kind's matrix ``a`` is zero-padded to the stack's largest row count,
+    and ``meta["rows"]`` holds each trial's.  Each stream draws what it
+    draws alone, in that order: the kind's arrays, then the weights of a
+    trial that met its hypothesis.  Every draw step is one array draw of
+    the stack (``Streams.random``), a stream's own count of values for
+    each stream that takes the step, mapped by ``_scaled``; no Generator is
+    made.
 
     The column kinds scale and re-verify the whole stack in one pass, which
     gives each trial the bits it gets alone: their exponent is one number,
@@ -592,43 +762,42 @@ def scalar_instance(kind: str, sizes: tuple, p, rng) -> InstanceFamily:
     Python floats, which an array power does not reproduce to the last bit.
     A ``HypothesisError`` names the rejected trials in ``where``.
     """
-    rngs, one = _streams(rng)
-    rows = np.broadcast_to(np.asarray(sizes[0], dtype=int), (len(rngs),))
-    cols = sizes[1]
-    if rows.min() < 1 or cols < 1:
+    rows, cols = sizes
+    if np.min(rows) < 1 or cols < 1:
         raise ParameterError("sizes must be at least 1")
-    if kind in HEAD_KINDS:
-        if np.min(p) < 1.0:
-            raise ParameterError(f"{kind} needs p >= 1, got {p}")
-        aux, failed = _head_arrays(kind, cols, np.broadcast_to(np.asarray(p, dtype=float), (len(rngs),)), rngs)
-    elif kind in COLUMN_KINDS:
-        if not 0.0 < p < 1.0:
-            raise ParameterError(f"{kind} needs p in (0, 1), got {p}")
-        aux, failed = _column_arrays(kind, rows, cols, p, rngs)
-    else:
+    if kind in HEAD_KINDS and np.min(p) < 1.0:
+        raise ParameterError(f"{kind} needs p >= 1, got {p}")
+    if kind in COLUMN_KINDS and not 0.0 < p < 1.0:
+        raise ParameterError(f"{kind} needs p in (0, 1), got {p}")
+    if kind not in HEAD_KINDS + COLUMN_KINDS:
         raise ParameterError(f"unknown scalar instance kind {kind!r}")
+    rows = np.broadcast_to(np.asarray(rows, dtype=int), (len(streams),))
+    if kind in HEAD_KINDS:
+        aux, failed = _head_arrays(kind, cols, np.broadcast_to(np.asarray(p, dtype=float), rows.shape), streams)
+    else:
+        aux, failed = _column_arrays(kind, rows, cols, p, streams)
     if failed.any():
-        raise HypothesisError(f"{kind} instances failed their hypothesis", where=failed[0] if one else failed)
+        raise HypothesisError(f"{kind} instances failed their hypothesis", where=failed)
     meta = {"rows": rows} if kind in COLUMN_KINDS else {}
-    stack = InstanceFamily(hypothesis_tag=f"scalar_{kind}", aux=aux, meta=meta)
-    return take(stack, 0) if one else stack
+    return InstanceFamily(hypothesis_tag=f"scalar_{kind}", aux=aux, meta=meta)
 
 
-def _head_arrays(kind: str, cols: int, p: np.ndarray, rngs: list) -> tuple[dict, np.ndarray]:
+def _head_arrays(kind: str, cols: int, p: np.ndarray, streams: Streams) -> tuple[dict, np.ndarray]:
     """(arrays, rejected) of a head kind: heads ``a``, ``b``, tails ``a_j``,
     ``b_j`` and the exponent (2 for aczel).  Each stream draws a side in one
-    call, Bellman's head, raw tail and theta or the others' tail and theta;
-    a trial draws its ``b`` only once its ``a`` holds."""
-    p = np.full(len(rngs), 2.0) if kind == "aczel" else p
-    aux = {"a": np.empty(len(rngs)), "b": np.empty(len(rngs)), "p": p}
-    aux |= {"a_j": np.empty((len(rngs), cols)), "b_j": np.empty((len(rngs), cols))}
-    failed = np.zeros(len(rngs), dtype=bool)
-    live = np.arange(len(rngs))
+    step, Bellman's head, raw tail and theta or the others' tail and theta,
+    one array draw of the streams that take it: a trial draws its ``b``
+    only once its ``a`` holds."""
+    p = np.full(len(streams), 2.0) if kind == "aczel" else p
+    aux = {"a": np.empty(len(streams)), "b": np.empty(len(streams)), "p": p}
+    aux |= {"a_j": np.empty((len(streams), cols)), "b_j": np.empty((len(streams), cols))}
+    failed = np.zeros(len(streams), dtype=bool)
+    live = np.arange(len(streams))
     size = cols + 2 if kind == "bellman" else cols + 1
     for name in ("a", "b"):
         if not live.size:
             break
-        u = np.stack([rngs[t].random(size) for t in live.tolist()])
+        u = streams.random(size, live)
         held = np.empty(live.size, dtype=bool)
         exponents = p[live]
         for q in dict.fromkeys(exponents.tolist()):
@@ -657,31 +826,30 @@ def _head_side(kind: str, u: np.ndarray, q: float) -> tuple[list, np.ndarray, np
     return head, tail, sums < [h**q for h in head]
 
 
-def _column_arrays(kind: str, rows: np.ndarray, cols: int, p: float, rngs: list) -> tuple[dict, np.ndarray]:
+def _column_arrays(kind: str, rows: np.ndarray, cols: int, p: float, streams: Streams) -> tuple[dict, np.ndarray]:
     """(arrays, rejected) of a column kind: each stream draws mp1's caps, its
-    matrix and the column factors theta in one call, rows of cols; the stack
-    (trials, largest row count, cols) is then scaled so that each column sum
-    of a_ij^(1/p) is theta (theta caps^(1/p) for mp1) and re-verified in one
-    pass.  Then each stream of a trial that holds draws mp3's and eq3's
-    weights, also where another trial fails."""
+    matrix and the column factors theta in one step, its own rows of cols
+    values, in one array draw of the stack; the stack (trials, largest row
+    count, cols) is then scaled so that each column sum of a_ij^(1/p) is
+    theta (theta caps^(1/p) for mp1) and re-verified in one pass.  Then each
+    stream of a trial that holds draws mp3's and eq3's weights, in one more
+    array draw, also where another trial fails."""
     q = 1.0 / p
     lead = int(kind == "mp1")
     # row 0 holds mp1's caps, the next rows[t] rows the matrix, the last drawn row theta
-    u = np.zeros((len(rngs), lead + rows.max() + 1, cols))
-    for t, (rng, r) in enumerate(zip(rngs, rows.tolist())):
-        u[t, : lead + r + 1] = rng.random((lead + r + 1, cols))
+    u = streams.random((lead + rows + 1) * cols).reshape(len(streams), lead + rows.max() + 1, cols)
     caps = _scaled(u[:, 0], 0.5, 2.0) if lead else None
     own = (np.arange(rows.max()) < rows[:, None])[..., None]
     a = np.where(own, _scaled(u[:, lead : lead + rows.max()], 0.1, 1.0), 0.0)
-    theta = _scaled(u[np.arange(len(rngs)), lead + rows], 0.2, 0.9)
+    theta = _scaled(u[np.arange(len(streams)), lead + rows], 0.2, 0.9)
     # an underflowed column sum makes a padded row 0 * inf; the trial fails either way
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bound = caps**q if lead else 1.0  # theta * 1.0 is theta, bit for bit
         a = a * ((theta * bound / np.sum(a**q, axis=1)) ** p)[:, None, :]
         failed = ~np.all(np.sum(a**q, axis=1) <= bound, axis=-1)
-    aux = {"a": a, "p": np.full(len(rngs), p)}
+    aux = {"a": a, "p": np.full(len(streams), p)}
     if lead:
         aux["caps"] = caps
     elif not failed.all():
-        aux["weights"] = random_weights(cols, [rng for rng, bad in zip(rngs, failed) if not bad])
+        aux["weights"] = _weights(streams.random(cols, np.flatnonzero(~failed)))
     return aux, failed

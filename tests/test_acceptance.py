@@ -15,7 +15,7 @@ from opbellman import campaign, checks, cli, constants
 from opbellman.campaign import CampaignConfig, run_check_trial
 from opbellman.checks import HOLDS, NOT_APPLICABLE, VIOLATED
 from opbellman.errors import HypothesisError
-from opbellman.instances import random_subidentity_family, stream_states, streams
+from opbellman.instances import Streams, random_subidentity_family, stream_states
 from opbellman.means import arithmetic_w
 from opbellman.scalar_refs import reference_slack
 from opbellman.spectral import Tolerance
@@ -186,7 +186,7 @@ def test_criterion_5_refinement_chains():
     # degenerate interpolants must collapse one link to zero slack
     collapse_worst = 0.0
     for trial in range(20):
-        rng = streams(stream_states(77, [("collapse", trial)]))[0]
+        rng = Streams(stream_states(77, [("collapse", trial)]))[0]
         n, dim = 3, int(rng.integers(1, 5))
         inst_a = random_subidentity_family(n, dim, rng, 0.6)
         inst_b = random_subidentity_family(n, dim, rng, 0.6)
@@ -233,7 +233,9 @@ def _rejecting(builder):
 
     def build(cell, rngs):
         out = builder(cell, rngs)
-        rejected = np.array([rng.uniform() < 0.25 for rng in rngs])
+        # a scalar builder drew on the stack's arrays, an operator builder through its Generators
+        u = rngs.random(1)[:, 0] if rngs._pcg is not None else np.array([rng.uniform() for rng in rngs])
+        rejected = u < 0.25
         if rejected.any():
             raise HypothesisError("rejected for the test", where=rejected)
         return out

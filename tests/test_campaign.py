@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import statistics
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -25,7 +27,7 @@ from opbellman.campaign import (
 )
 from opbellman.checks import CheckOutcome, check
 from opbellman.errors import HypothesisError, ParameterError, UnboundedRatioError, WitnessFormatError
-from opbellman.instances import InstanceFamily, stream_states, streams
+from opbellman.instances import InstanceFamily, Streams, stream_states
 from opbellman.means import POSITIVE_HALFLINE, function_from_id, mean
 from opbellman.positive_maps import Compression, PerTrialMap, UnitaryMixture
 from opbellman.spectral import Tolerance, adjoint, apply_function, hermitize
@@ -937,11 +939,13 @@ def _workload(name: str, **overrides) -> CampaignConfig:
     return config_from_json(dict(config, seed=301, **overrides))
 
 
-#: The most ``Generator`` calls one stream of a scalar check makes: the row
-#: count, a head kind's exponent (not Aczel's), then one ``random`` call per
-#: draw step (a head kind's two sides, a column kind's arrays, the weights).
-_SCALAR_CALLS = {
-    "scalar_bellman": 4,
+#: The kernel steps (``Streams._draw`` calls) of one scalar builder call on
+#: a stack whose trials all hold, whatever its size: the row count (which
+#: Bellman's exponent shares, from the buffered high half of one output),
+#: Popoviciu's exponent, then one array draw per draw step (a head kind's
+#: two sides, a column kind's arrays, the weights).
+_SCALAR_STEPS = {
+    "scalar_bellman": 3,
     "scalar_aczel": 3,
     "scalar_popoviciu": 4,
     "scalar_bellman_weighted": 3,
@@ -950,37 +954,57 @@ _SCALAR_CALLS = {
 }
 
 
-def test_scalar_trials_make_one_generator_call_per_draw_step(monkeypatch):
+def test_scalar_trials_draw_on_arrays_with_no_generator(monkeypatch):
     # the machine-independent cost of seeding and drawing the scalar suite:
-    # no SeedSequence is made, each draw step of a stream is one Generator
-    # call, and a trial makes at most 3 on average, rebuilt streams included
+    # no Generator and no SeedSequence is made, and a builder call takes a
+    # fixed number of kernel steps, for one trial as for forty
     made, seeded = [], []
+    monkeypatch.setattr(np.random, "Generator", lambda *args: made.append(args))
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *args: seeded.append(args))
+    report = run_campaign(_workload("scalar_suite", trials=20))
+    assert report["summary"]["trials"] == 720 and not made and not seeded
+    steps = []
+    draw = Streams._draw
+    monkeypatch.setattr(Streams, "_draw", lambda self, *args: steps.append(args) or draw(self, *args))
+    for check_id, most in _SCALAR_STEPS.items():
+        cell = campaign.expand_cells(check_id, _tiny_cfg(checks=(check_id,), n_values=(3,)))[0]
+        counts = []
+        for trials in (1, 40):
+            steps.clear()
+            campaign.BUILDERS[check_id](cell, Streams(stream_states(7, [("count", t) for t in range(trials)])))
+            counts.append(len(steps))
+        assert counts == [most, most], check_id
 
-    class Counted(np.random.Generator):
-        def __init__(self, bit_generator):
-            super().__init__(bit_generator)
-            self.calls = 0
-            made.append(self)
 
-    for name in ("random", "integers", "uniform", "standard_normal"):
+def test_stream_stack_draws_through_generators_or_arrays_not_both():
+    # an operator builder iterates the stack for Generators, a scalar builder
+    # draws on its arrays; a stack asked for both would draw its streams twice
+    states = stream_states(7, [("both", t) for t in range(3)])
+    drawn = Streams(states)
+    drawn.random(2)
+    with pytest.raises(RuntimeError):
+        list(drawn)
+    with pytest.raises(RuntimeError):
+        drawn[0]
+    iterated = Streams(states)
+    assert [g.random() for g in iterated] == [g.random() for g in Streams(states)]
+    with pytest.raises(RuntimeError):
+        iterated.integers(1, 4)
+    assert len(Streams(states)) == 3  # its length makes neither
 
-        def method(self, *args, _draw=getattr(np.random.Generator, name), **kwargs):
-            self.calls += 1
-            return _draw(self, *args, **kwargs)
 
-        setattr(Counted, name, method)
-    monkeypatch.setattr(np.random, "Generator", Counted)
-    seed_sequence = np.random.SeedSequence
-    monkeypatch.setattr(np.random, "SeedSequence", lambda *args: seeded.append(args) or seed_sequence(*args))
-    trials = total = 0
-    for check_id, most in _SCALAR_CALLS.items():
-        made.clear()
-        report = run_campaign(_workload("scalar_suite", trials=20, checks=[check_id]))
-        assert max(g.calls for g in made) == most, check_id
-        trials += report["summary"]["trials"]
-        total += sum(g.calls for g in made)
-    assert not seeded
-    assert trials == 720 and total <= 3.0 * trials
+def test_scalar_campaign_never_imports_numpy_random():
+    # numpy.random loads on first use: a scalar-only campaign, whose streams
+    # are drawn on arrays, never pays its import time and memory
+    code = (
+        "import sys; from opbellman.campaign import CampaignConfig, run_campaign; "
+        "run_campaign(CampaignConfig(trials=2, checks=('scalar_bellman', 'scalar_bellman_weighted'))); "
+        "print('numpy.random' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_scalar_suite_report_digest_is_pinned():
@@ -1375,7 +1399,7 @@ def test_column_kind_build_runs_its_arithmetic_once(monkeypatch, check_id):
     counts = []
     for trials in (1, 40):
         calls.clear()
-        campaign.BUILDERS[check_id](cell, streams(stream_states(7, [("count", t) for t in range(trials)])))
+        campaign.BUILDERS[check_id](cell, Streams(stream_states(7, [("count", t) for t in range(trials)])))
         counts.append(len(calls))
     assert counts == [2, 2]
 
@@ -1439,9 +1463,10 @@ def _assert_stack_builds_each_trial_as_alone(check_id, cells, cfg):
     rejection; the built trials are returned."""
     cells = [cells] if isinstance(cells, dict) else cells
     pairs = [(cell, t) for cell in cells for t in range(cfg.trials)]
-    stacked = campaign._build_trials(check_id, pairs, cfg)
+    states = campaign._stream_states([(check_id, cell) for cell in cells], range(cfg.trials), cfg).reshape(-1, 4)
+    stacked = campaign._build_trials(check_id, pairs, cfg, states)
     for i, (cell, trial) in enumerate(pairs):
-        alone = campaign._build_trials(check_id, [(cell, trial)], cfg)
+        alone = campaign._build_trials(check_id, [(cell, trial)], cfg, states[i : i + 1])
         where = f"{check_id} {cell} trial {trial}"
         assert repr(stacked.outcome(i)) == repr(alone.outcome(0)), where
         _assert_same_bits(stacked.params(i), alone.params(0), f"{where} params")
@@ -1449,9 +1474,19 @@ def _assert_stack_builds_each_trial_as_alone(check_id, cells, cfg):
     return [_Built(stacked.stack, stacked.inst(i), stacked.params(i)) for i in range(len(pairs)) if stacked.row[i] >= 0]
 
 
-def _streams(check_id, cell, cfg):
+def _states(check_id, cell, cfg):
     key = json.dumps(cell, sort_keys=True)
-    return streams(stream_states(cfg.seed, [(check_id, key, trial) for trial in range(cfg.trials)]))
+    return stream_states(cfg.seed, [(check_id, key, trial) for trial in range(cfg.trials)])
+
+
+def _streams(check_id, cell, cfg):
+    return Streams(_states(check_id, cell, cfg))
+
+
+def _stream_end(stack, i):
+    """Where stream i of a drawn stack ends: its Generator's state, or the
+    kernel's words of a stack drawn on arrays."""
+    return stack[i].bit_generator.state if stack._pcg is None else stack._pcg[:, i].tolist()
 
 
 @pytest.mark.parametrize("check_id", checks.OPERATOR_IDS + checks.SCALAR_IDS)
@@ -1481,14 +1516,15 @@ def test_stacked_build_equals_each_trial_built_alone(check_id):
         elif built:
             assert campaign._size(built[0].stack) == len(built)
         rejected += len(group) * cfg.trials - len(built)
-        rngs = [rng for cell in group for rng in _streams(check_id, cell, cfg)]
+        states = np.concatenate([_states(check_id, cell, cfg) for cell in group])
+        rngs = Streams(states)
         with contextlib.suppress(HypothesisError):
             campaign.BUILDERS[check_id](checks._stack_params([c for c in group for _ in range(cfg.trials)]), rngs)
-        for (cell, trial), rng in zip([(c, t) for c in group for t in range(cfg.trials)], rngs):
-            alone = _streams(check_id, cell, cfg)[trial]
+        for i, cell in enumerate(c for c in group for _ in range(cfg.trials)):
+            alone = Streams(states[i : i + 1])
             with contextlib.suppress(HypothesisError):
-                campaign.BUILDERS[check_id](cell, [alone])
-            assert rng.bit_generator.state == alone.bit_generator.state
+                campaign.BUILDERS[check_id](cell, alone)
+            assert _stream_end(rngs, i) == _stream_end(alone, 0)
     assert (rejected > 0) == (check_id in ("scalar_bellman_weighted", "scalar_bellman_columns", "scalar_bellman_reverse"))
 
 
@@ -1710,7 +1746,8 @@ def test_stacked_check_with_windows_per_trial_equals_each_trial_alone(check_id):
     group = [cells[i] for i in campaign._stack_groups(cells)[0]]
     group = [cell for cell in group if cell.get("f") == group[0].get("f")][:2]
     assert group[0]["m"] != group[1]["m"]
-    build = campaign._build_trials(check_id, [(cell, t) for cell in group for t in range(cfg.trials)], cfg)
+    states = campaign._stream_states([(check_id, cell) for cell in group], range(cfg.trials), cfg).reshape(-1, 4)
+    build = campaign._build_trials(check_id, [(cell, t) for cell in group for t in range(cfg.trials)], cfg, states)
     params = [build.params(i) for i in range(cfg.trials)]
     for i in range(cfg.trials, len(build.pairs)):
         m, M = build.params(i)["m"], build.params(i)["M"]

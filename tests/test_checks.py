@@ -9,7 +9,7 @@ from opbellman import campaign, checks, constants, instances
 from opbellman.campaign import CampaignConfig, run_check_trial
 from opbellman.checks import HOLDS, NOT_APPLICABLE, VIOLATED, CheckOutcome, check
 from opbellman.errors import ParameterError
-from opbellman.instances import InstanceFamily, random_pd, random_sandwich_pair, stream_states, streams, take
+from opbellman.instances import InstanceFamily, Streams, random_pd, random_sandwich_pair, stream_states, take
 from opbellman.means import function_from_id, geometric_w
 from opbellman.positive_maps import Compression, IdentityMap
 from opbellman.scalar_refs import reference_slack
@@ -21,6 +21,11 @@ TOL = Tolerance()
 def _cells(check_id, **cfg_kwargs):
     cfg = CampaignConfig(**cfg_kwargs)
     return cfg, campaign.expand_cells(check_id, cfg)
+
+
+def _cell_states(check_id, cell, cfg):
+    """The stream states of the trials of one cell, as a campaign seeds them."""
+    return campaign._stream_states([(check_id, cell)], range(cfg.trials), cfg)[0]
 
 
 def _mat(x):
@@ -459,7 +464,7 @@ def test_affine_scaling_consistency_on_shared_instance():
     from opbellman.instances import complement_sandwich_family
     from opbellman.means import arithmetic_w
 
-    rng = streams(stream_states(5150, [("shared", 0)]))[0]
+    rng = Streams(stream_states(5150, [("shared", 0)]))[0]
     fam = complement_sandwich_family(3, 2, (0.5, 2.0), arithmetic_w(0.4), 1.0, rng)
     assert fam is not None
     reverse = check(
@@ -877,7 +882,7 @@ def test_scalar_runner_on_stacked_cells_matches_the_per_trial_reference(check_id
     )
     compared = 0
     for cell in campaign.expand_cells(check_id, cfg):
-        build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
+        build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg, _cell_states(check_id, cell, cfg))
         built = [build.inst(i) for i in range(len(build.pairs)) if build.outcome(i) is None]
         if built:
             _assert_runner_matches_reference(check_id, build.stack, built, cfg.tolerance)
@@ -891,7 +896,7 @@ def test_scalar_runner_settles_guard_cases_next_to_passing_trials(check_id):
     # in the stack must still come out real and exact
     cfg = CampaignConfig(trials=4, n_values=(1,), seed=7)
     cell = campaign.expand_cells(check_id, cfg)[0]
-    build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
+    build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg, _cell_states(check_id, cell, cfg))
     built = [build.inst(i) for i in range(len(build.pairs)) if build.outcome(i) is None]
     cases = [_scalar_case(inst) for cid, inst, _ in GUARD_CASES if cid == check_id]
     insts = built[:2] + cases + built[2:]
@@ -913,7 +918,7 @@ def test_scalar_bounds_agree_with_the_mpmath_checker(check_id):
     )
     decided = 0
     for cell in campaign.expand_cells(check_id, cfg):
-        build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
+        build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg, _cell_states(check_id, cell, cfg))
         campaign._filter_trials(build)
         for trial in range(cfg.trials):
             exact, *_ = run_check_trial(check_id, cell, cfg, trial)
@@ -1003,12 +1008,12 @@ def test_array_filter_equals_the_per_trial_filter_to_the_last_bit(check_id):
     )
     enclosed = 0
     for cell in campaign.expand_cells(check_id, cfg):
-        build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg)
+        build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg, _cell_states(check_id, cell, cfg))
         if build.stack is not None:
             enclosed += _assert_filter_matches_per_trial(check_id, build)
     assert enclosed >= cfg.trials
     cell = campaign.expand_cells(check_id, dataclasses.replace(cfg, n_values=(1,)))[0]
-    build = campaign._build_trials(check_id, [(cell, t) for t in range(4)], cfg)
+    build = campaign._build_trials(check_id, [(cell, t) for t in range(4)], cfg, _cell_states(check_id, cell, cfg))
     insts = [build.inst(i) for i in range(4)]
     verdicts = [v for cid, _, v in GUARD_CASES if cid == check_id]
     insts[2:2] = [_scalar_case(inst) for cid, inst, _ in GUARD_CASES if cid == check_id]
