@@ -69,6 +69,7 @@ from .spectral import (
     _any,
     _eigvalsh,
     _gap_holds,
+    _larger,
     adjoint,
     apply_function,
     eig,
@@ -77,6 +78,7 @@ from .spectral import (
     identity,
     loewner_holds,
     loewner_leq,
+    spectral_norm,
 )
 
 HOLDS = "holds"
@@ -146,19 +148,16 @@ def _compare(check_id, dominant, dominated, tol) -> list[CheckOutcome]:
 
 
 def _chain_outcome(check_id, t1, t2, t3, tol) -> list[CheckOutcome]:
-    l1 = loewner_leq(t1, t2, tol)
-    l2 = loewner_leq(t2, t3, tol)
+    """Each trial's outcome of t1 <= t2 <= t3, each link as ``loewner_leq``
+    decides it, with ||t2|| taken once: one SVD and one eigvalsh call."""
+    terms = np.asarray(np.broadcast_arrays(t1, t2, t3), dtype=complex)
+    norms = spectral_norm(terms)
+    slack = _eigvalsh(hermitize(terms[1:] - terms[:-1]))[..., 0].reshape(2, -1)
+    scale = _larger(norms[:-1], norms[1:]).reshape(2, -1)
+    holds = slack >= -tol.margin(scale)
     return [
-        CheckOutcome(
-            check_id=check_id,
-            status=HOLDS if h1 and h2 else VIOLATED,
-            slack=min(float(s1), float(s2)),
-            scale=max(float(c1), float(c2)),
-            chain_slacks=(float(s1), float(s2)),
-        )
-        for h1, h2, s1, s2, c1, c2 in zip(
-            *np.atleast_1d(l1.holds, l2.holds, l1.slack, l2.slack, l1.scale, l2.scale)
-        )
+        CheckOutcome(check_id, HOLDS if h1 and h2 else VIOLATED, min(s1, s2), max(c1, c2), chain_slacks=(s1, s2))
+        for h1, h2, s1, s2, c1, c2 in zip(*holds, *slack.tolist(), *scale.tolist())
     ]
 
 

@@ -757,9 +757,9 @@ def scalar_instance(kind: str, sizes: tuple, p, streams: Streams) -> InstanceFam
     gives each trial the bits it gets alone: their exponent is one number,
     numpy's array power does not depend on the array's size, and a padded
     row adds exact zeros.  The head kinds run their array steps once per
-    group of trials with one exponent value; each trial's head is raised to
-    its exponent, and a column sum to its inverse, with a scalar pow on
-    Python floats, which an array power does not reproduce to the last bit.
+    side on the whole stack, each row with its own exponent (``_row_power``
+    keeps a scalar exponent's bits); each head and column-sum pow is a
+    scalar pow on Python floats, which an array power does not reproduce.
     A ``HypothesisError`` names the rejected trials in ``where``.
     """
     rows, cols = sizes
@@ -785,9 +785,9 @@ def scalar_instance(kind: str, sizes: tuple, p, streams: Streams) -> InstanceFam
 def _head_arrays(kind: str, cols: int, p: np.ndarray, streams: Streams) -> tuple[dict, np.ndarray]:
     """(arrays, rejected) of a head kind: heads ``a``, ``b``, tails ``a_j``,
     ``b_j`` and the exponent (2 for aczel).  Each stream draws a side in one
-    step, Bellman's head, raw tail and theta or the others' tail and theta,
-    one array draw of the streams that take it: a trial draws its ``b``
-    only once its ``a`` holds."""
+    step, Bellman's head, raw tail and theta or the others' tail and theta;
+    a side is one array draw and one ``_head_side`` call on the live trials,
+    whatever their exponents, and a trial draws its ``b`` once its ``a`` holds."""
     p = np.full(len(streams), 2.0) if kind == "aczel" else p
     aux = {"a": np.empty(len(streams)), "b": np.empty(len(streams)), "p": p}
     aux |= {"a_j": np.empty((len(streams), cols)), "b_j": np.empty((len(streams), cols))}
@@ -797,33 +797,42 @@ def _head_arrays(kind: str, cols: int, p: np.ndarray, streams: Streams) -> tuple
     for name in ("a", "b"):
         if not live.size:
             break
-        u = streams.random(size, live)
-        held = np.empty(live.size, dtype=bool)
-        exponents = p[live]
-        for q in dict.fromkeys(exponents.tolist()):
-            g = np.flatnonzero(exponents == q)
-            aux[name][live[g]], aux[f"{name}_j"][live[g]], held[g] = _head_side(kind, u[g], q)
+        aux[name][live], aux[f"{name}_j"][live], held = _head_side(kind, streams.random(size, live), p[live])
         failed[live[~held]] = True
         live = live[held]
     return aux, failed
 
 
-def _head_side(kind: str, u: np.ndarray, q: float) -> tuple[list, np.ndarray, np.ndarray]:
-    """(heads, tails, held) of one side of the trials of one exponent q, from
-    their draws u (trials, k): the array steps run once for the group, each
-    pow of a head or of a column sum on its trial's Python float."""
+def _head_side(kind: str, u: np.ndarray, q: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """(heads, tails, held) of one side of the trials, from their draws u
+    (trials, k) and exponents q: the array steps run once on the stack, by
+    ``_row_power``, each pow of a head or a column sum on Python floats."""
+    qs = q.tolist()
     theta = _scaled(u[:, -1], 0.2, 0.9).tolist()
     if kind == "bellman":
         head = _scaled(u[:, 0], 0.5, 2.0).tolist()
         raw = _scaled(u[:, 1:-1], 0.1, 1.0)
-        top = [h**q for h in head]
-        sums = np.sum(raw**q, axis=1).tolist()
-        tail = raw * np.array([(t * h / s) ** (1.0 / q) for t, h, s in zip(theta, top, sums)])[:, None]
-        return head, tail, np.sum(tail**q, axis=1) <= top
+        top = [h**e for h, e in zip(head, qs)]
+        sums = np.sum(_row_power(raw, q), axis=1).tolist()
+        tail = raw * np.array([(t * h / s) ** (1.0 / e) for t, h, s, e in zip(theta, top, sums, qs)])[:, None]
+        return head, tail, np.sum(_row_power(tail, q), axis=1) <= top
     tail = _scaled(u[:, :-1], 0.1, 1.0)
-    sums = np.sum(tail**q, axis=1)
-    head = [(s / t) ** (1.0 / q) for s, t in zip(sums.tolist(), theta)]
-    return head, tail, sums < [h**q for h in head]
+    sums = np.sum(_row_power(tail, q), axis=1)
+    head = [(s / t) ** (1.0 / e) for s, t, e in zip(sums.tolist(), theta, qs)]
+    return head, tail, sums < [h**e for h, e in zip(head, qs)]
+
+
+#: The Python-float exponents numpy's ``x ** q`` sends to their own ufuncs.
+_FAST_POWERS = {2.0: np.square, 0.5: np.sqrt, 1.0: np.positive, -1.0: np.reciprocal, 0.0: np.ones_like}
+
+
+def _row_power(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Each row x[i] ** float(q[i]), bit for bit: ``np.power`` with the exponent
+    array, then each fast path of ``x ** q`` (bits of its own) on its rows."""
+    out = np.power(x, q[:, None])
+    for e in _FAST_POWERS.keys() & q.tolist():
+        out[q == e] = _FAST_POWERS[e](x[q == e])
+    return out
 
 
 def _column_arrays(kind: str, rows: np.ndarray, cols: int, p: float, streams: Streams) -> tuple[dict, np.ndarray]:

@@ -954,6 +954,12 @@ _SCALAR_STEPS = {
 }
 
 
+#: ``instances._head_side`` calls of the scalar_suite workload at seed 301:
+#: one per side of each of the head kinds' nine builder calls, although
+#: Popoviciu draws a distinct exponent for every trial.
+_SUITE_HEAD_SIDES = 18
+
+
 def test_scalar_trials_draw_on_arrays_with_no_generator(monkeypatch):
     # the machine-independent cost of seeding and drawing the scalar suite:
     # no Generator and no SeedSequence is made, and a builder call takes a
@@ -974,6 +980,23 @@ def test_scalar_trials_draw_on_arrays_with_no_generator(monkeypatch):
             campaign.BUILDERS[check_id](cell, Streams(stream_states(7, [("count", t) for t in range(trials)])))
             counts.append(len(steps))
         assert counts == [most, most], check_id
+
+
+def test_head_kind_builds_run_each_side_once_whatever_the_exponents(monkeypatch):
+    # the machine-independent cost of the head kinds' array steps: one
+    # _head_side call per side of a builder call, on every live trial with
+    # its exponent, not one per distinct exponent
+    sides = []
+    head_side = instances._head_side
+    monkeypatch.setattr(instances, "_head_side", lambda kind, u, q: sides.append(q) or head_side(kind, u, q))
+    cell = campaign.expand_cells("scalar_popoviciu", _tiny_cfg(checks=("scalar_popoviciu",), n_values=(3,)))[0]
+    for trials in (1, 40):
+        sides.clear()
+        campaign.BUILDERS["scalar_popoviciu"](cell, Streams(stream_states(7, [("sides", t) for t in range(trials)])))
+        assert 1 <= len(sides) <= 2 and len(set(sides[0].tolist())) == trials
+    sides.clear()
+    assert run_campaign(_workload("scalar_suite"))["summary"]["trials"] == 7200
+    assert len(sides) == _SUITE_HEAD_SIDES
 
 
 def test_stream_stack_draws_through_generators_or_arrays_not_both():
@@ -1285,7 +1308,7 @@ def test_campaign_calls_do_not_grow_with_maps(monkeypatch):
 
 #: numpy.linalg calls of the default campaign at seed 301, by kind: the
 #: machine-independent cost of the benchmark's campaign_default workload.
-DEFAULT_LINALG_BUDGET = {"qr": 468, "eigvalsh": 1184, "eigh": 1244, "svd": 590, "norm": 1244}
+DEFAULT_LINALG_BUDGET = {"qr": 468, "eigvalsh": 1166, "eigh": 1244, "svd": 536, "norm": 1244}
 
 
 def test_default_campaign_linalg_calls_stay_within_budget(monkeypatch):
@@ -1295,7 +1318,7 @@ def test_default_campaign_linalg_calls_stay_within_budget(monkeypatch):
     assert cells == 1008
     over = {k: (counts.get(k, 0), budget) for k, budget in DEFAULT_LINALG_BUDGET.items() if counts.get(k, 0) > budget}
     assert not over, f"numpy.linalg calls over budget (count, budget): {over}"
-    assert sum(counts[k] for k in ("qr", "eigvalsh", "eigh", "svd")) <= 3486
+    assert sum(counts[k] for k in ("qr", "eigvalsh", "eigh", "svd")) <= 3414
 
 
 def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):

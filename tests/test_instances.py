@@ -1,3 +1,4 @@
+import warnings
 import zlib
 
 import numpy as np
@@ -641,3 +642,27 @@ def test_stacked_scalar_build_equals_the_per_trial_loops(kind, cols):
         for name, rows_kept in held.items():
             assert got[name][rows_kept].tobytes() == want[name][rows_kept].tobytes(), (kind, cols, p, name)
         assert _pcg_states(got_rngs) == [r.bit_generator.state for r in want_rngs]
+
+
+def test_row_power_keeps_the_bits_of_a_scalar_power():
+    # the head kinds raise each trial's row to its own exponent in one call;
+    # every row must get the bits of x ** q with q a Python float, which
+    # numpy sends to square, sqrt, positive, reciprocal or ones_like at 2,
+    # 0.5, 1, -1 and 0 and to its array power otherwise.  A numpy whose
+    # array power with an exponent array differs from that with a scalar
+    # one fails here.  The extremes are kept where the reference neither
+    # overflows nor divides, so that a fast path evaluated on the rows of
+    # another exponent (square of 1e300, reciprocal of 5e-324) trips the
+    # RuntimeWarning filter
+    exponents = [0.0, -1.0, 0.5, 1.0, 2.0, 3.0, 4.0, 1.37, 1.0 / 3.0] + [1.0 + k / 48 for k in range(48)]
+    q = np.array(exponents)[np.random.default_rng(3).permutation(len(exponents))]
+    u = np.random.default_rng(4).uniform(0.1, 1.0, size=(len(q), 40))
+    x = np.array(
+        [[*row, 1.0, 5e-324 if e >= 0.0 else 1e-300, 1e300 if e <= 1.0 else 1e300 ** (1.0 / e)] for row, e in zip(u, q)]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = instances._row_power(x, q)
+        for i, e in enumerate(q.tolist()):
+            want = x[i] ** e
+            assert got[i].tobytes() == want.tobytes(), f"np.power with an exponent array differs from x ** {e!r}"
