@@ -40,7 +40,6 @@ from .instances import (
     random_contraction,
     random_pd,
     random_sandwich_family,
-    random_sandwich_pair,
     random_spectrum_matrix,
     random_subidentity_family,
     random_weights,
@@ -227,48 +226,47 @@ def _map_output_dim(map_id: str, dim: int) -> int:
     return min(arg, dim) if kind == "compress" else dim
 
 
-def build_map(map_id, dim: int, rng, n: int | None = None):
-    """Instantiate a positive map from its config id for operands of ``dim``,
-    from one Generator or, stacked, from a list of them.
-
-    With ``n``, a list of n maps, one per member: each stream draws the maps
-    member by member, as n calls would, and one construction forms them on
-    a member axis and checks every isometry in one call; ``take_map`` hands
-    out each member's map.
+def build_map(map_id, dim: int, rngs, n: int = 1) -> list:
+    """The n maps, one per member, of config id ``map_id`` for operands of
+    ``dim``, each stacked over the streams of the stack ``rngs``: each
+    stream draws the maps member by member, as n calls would, and one
+    construction forms them on a member axis and checks every isometry in
+    one call; ``take_map`` hands out each member's map.
 
     An array of ids, one per stream (a stack of cells that differ in their
     map, of one output dimension), builds each distinct id on its own
-    streams, each drawing what it draws alone, and gives their
-    ``per_trial_map`` (one per member with ``n``)."""
+    streams, each drawing what it draws alone, and gives each member the
+    ``per_trial_map`` of its parts."""
     if isinstance(map_id, np.ndarray):
         ids = map_id.tolist()
         rows = [[t for t, j in enumerate(ids) if j == i] for i in dict.fromkeys(ids)]
-        parts = [build_map(ids[r[0]], dim, [rng[t] for t in r], n) for r in rows]
-        if n is None:
-            return per_trial_map(parts, rows)
+        parts = [build_map(ids[r[0]], dim, [rngs[t] for t in r], n) for r in rows]
         return [per_trial_map([p[j] for p in parts], rows) for j in range(n)]
     kind, arg = _parse_map_id(map_id)
     if kind == "id":
         made = IdentityMap(dim)
     elif kind == "compress":
-        made = Compression(haar_unitary(dim, rng, n)[..., : _map_output_dim(map_id, dim)])
+        made = Compression(haar_unitary(dim, rngs, n)[..., : _map_output_dim(map_id, dim)])
     elif kind == "unitary-mix":
-        made = UnitaryMixture(*random_unitary_mixture(dim, arg, rng, n))
+        made = UnitaryMixture(*random_unitary_mixture(dim, arg, rngs, n))
     else:
         b = min(arg, dim)
         bounds = np.linspace(0, dim, b + 1).astype(int)
         blocks = tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(b) if bounds[i] < bounds[i + 1])
         made = Pinching(blocks)
-    return made if n is None else [take_map(made, j) for j in range(n)]
+    return [take_map(made, j) for j in range(n)]
 
 
 # -- instance builders --------------------------------------------------------
 #
 # A builder maps (cell, rngs), an ``instances.Streams`` stack of one stream
 # per trial, to (instances, draws): its instances are one family stacked on
-# a leading trial axis, a scalar builder's the arrays
-# ``instances.scalar_instance`` stacks in ``aux``.  An operator builder
-# draws from the stack's Generators, a scalar builder on its arrays.  The
+# a trial axis, a scalar builder's the arrays ``instances.scalar_instance``
+# stacks in ``aux``.  An operator builder draws from the stack's
+# Generators, and its generators return the operands with the member axis
+# in front of the trial axis and ``build_map`` a list of maps, one per
+# member, which the family takes as they are; a scalar builder draws on
+# the stack's arrays.  The
 # trials may come from several cells that differ only in their
 # ``_PER_TRIAL_KEYS``, their interval, their mean and their map: then
 # ``cell["m"]``, ``cell["M"]``, ``cell["f"]`` and ``cell["map"]`` may be
@@ -297,7 +295,7 @@ def _window_family(per_member_maps: bool):
             hypothesis_tag="spectrum_window_family",
             A=random_spectrum_matrix(d, (lo, hi), rngs, n),
             weights=random_weights(n, rngs),
-            maps=build_map(cell["map"], d, rngs, n) if per_member_maps else [build_map(cell["map"], d, rngs)],
+            maps=build_map(cell["map"], d, rngs, n if per_member_maps else 1),
         )
         return fam, [{}] * len(rngs)
 
@@ -316,8 +314,8 @@ def _build_window_single(cell, rngs):
     lo, hi = _shrunk(cell["m"], cell["M"])
     fam = InstanceFamily(
         hypothesis_tag="spectrum_window",
-        A=random_spectrum_matrix(cell["dim"], (lo, hi), rngs, 1),
-        maps=[build_map(cell["map"], cell["dim"], rngs)],
+        A=random_spectrum_matrix(cell["dim"], (lo, hi), rngs),
+        maps=build_map(cell["map"], cell["dim"], rngs),
     )
     return fam, [{}] * len(rngs)
 
@@ -348,22 +346,16 @@ def _build_pd_contraction_pair(cell, rngs):
     d = cell["dim"]
     fam = InstanceFamily(
         hypothesis_tag="pd_contraction_pair",
-        A=random_spectrum_matrix(d, (0.1, 0.95), rngs, 1),
-        B=random_pd(d, rngs, 0.3, 2.0, 1),
+        A=random_spectrum_matrix(d, (0.1, 0.95), rngs),
+        B=random_pd(d, rngs, 0.3, 2.0),
     )
     return fam, [{}] * len(rngs)
 
 
 def _build_sandwich_pair(cell, rngs):
     d = cell["dim"]
-    x = random_pd(d, rngs, 0.5, 1.5)
-    x, y = random_sandwich_pair(x, cell["m"], cell["M"], rngs)
-    fam = InstanceFamily(
-        hypothesis_tag="sandwich_pair",
-        A=x[None],
-        B=y[None],
-        maps=[build_map(cell["map"], d, rngs)],
-    )
+    a, b = random_sandwich_family(d, 1, (0.5, 1.5), cell["m"], cell["M"], rngs)
+    fam = InstanceFamily(hypothesis_tag="sandwich_pair", A=a, B=b, maps=build_map(cell["map"], d, rngs))
     return fam, [{}] * len(rngs)
 
 
@@ -400,17 +392,15 @@ def _build_contraction_window(cell, rngs):
     kinds = ["unitary" if rng.uniform() < 0.5 else "ginibre" for rng in rngs]
     fam = InstanceFamily(
         hypothesis_tag="contraction_window",
-        A=random_spectrum_matrix(d, (lo, hi), rngs, 1),
+        A=random_spectrum_matrix(d, (lo, hi), rngs),
         aux={"C": random_contraction(d, rngs, kinds)},
     )
     return fam, [{}] * len(rngs)
 
 
 def _build_pd_contraction_sandwich(cell, rngs):
-    d = cell["dim"]
-    a = random_spectrum_matrix(d, (0.15, 0.9), rngs)
-    a, b = random_sandwich_pair(a, cell["m"], cell["M"], rngs)
-    fam = InstanceFamily(hypothesis_tag="pd_contraction_sandwich", A=a[None], B=b[None])
+    a, b = random_sandwich_family(cell["dim"], 1, (0.15, 0.9), cell["m"], cell["M"], rngs)
+    fam = InstanceFamily(hypothesis_tag="pd_contraction_sandwich", A=a, B=b)
     return fam, [{}] * len(rngs)
 
 

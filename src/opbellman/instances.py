@@ -1,16 +1,18 @@
 """Seed-deterministic random instances satisfying inequality hypotheses.
 
-Every generator is a pure function of (seed-derived rng); released
+Every generator is a pure function of its seed-derived streams; released
 families re-verify their declared hypotheses in the Loewner order with
 a positive margin, so the construction itself is never trusted.  Trial k
 of a campaign draws from a counter-derived stream (``stream_states``),
 which makes campaigns order-independent.
 
-Every operator generator takes one Generator and returns d x d matrices,
-or a list of Generators, one per trial (a ``Streams`` stack iterates as
-one), and returns stacks (trials, d, d).  A family of n members carries a
-member axis in front: (n, trials, d, d), or (n, d, d) for one Generator.
-The scalar generator takes a ``Streams`` stack and draws on its arrays.
+Every operator generator takes a stream stack, one stream per trial: a
+``Streams`` stack, whose Generators it draws from, or a list of
+Generators.  It returns n members per stream on a member axis in front of
+the trial axis, (n, trials, d, d), n = 1 by default; ``random_contraction``
+and ``random_weights`` return one matrix or weight vector per stream,
+(trials, d, d) and (trials, n).  The scalar generator draws on the arrays
+of a ``Streams`` stack.
 Each stream gets the draws, in the order, that it gets alone, member by
 member; the linear algebra runs once on the stack of every member and
 trial and gives each matrix the bits it gets alone.  A hypothesis that
@@ -31,7 +33,7 @@ import numpy as np
 from .errors import HypothesisError, ParameterError
 from .means import POSITIVE_HALFLINE, RepresentingFunction, mean
 from .positive_maps import take_map
-from .spectral import _any, _eigvalsh, apply_function, from_spectrum, hermitize, identity, spectral_norm
+from .spectral import _eigvalsh, apply_function, from_spectrum, hermitize, identity, spectral_norm
 
 #: Hypothesis margin every released instance must clear.
 DEFAULT_MARGIN = 1e-6
@@ -385,23 +387,6 @@ def _trial_factor(x):
     return x.reshape(-1, 1, 1) if isinstance(x, np.ndarray) else x
 
 
-def _streams(rng) -> tuple[list, bool]:
-    """(the trials' Generators, whether one Generator was given rather than
-    a list or a ``Streams`` stack)."""
-    if isinstance(rng, np.random.Generator):
-        return [rng], True
-    return list(rng), False
-
-
-def _unstacked(x: np.ndarray, n: int | None, one: bool) -> np.ndarray:
-    """A stack (members, trials, ...) as a generator returns it: without the
-    member axis when no member count ``n`` was asked for, without the trial
-    axis when one Generator was given."""
-    if one:
-        x = x[:, 0]
-    return x if n is not None else x[0]
-
-
 def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """The real and the imaginary part (2, d, d) of a complex Gaussian d x d
     matrix, in one call: the values of two (d, d) calls, in their order."""
@@ -426,41 +411,39 @@ def _haar(g: np.ndarray) -> np.ndarray:
     return _unitary_factor(_complex(g) / np.sqrt(2.0))
 
 
-def haar_unitary(dim: int, rng, n: int | None = None) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix with
-    phase normalization of the triangular factor's diagonal (the standard
-    construction); with ``n``, n of them per stream, member axis first.
+def haar_unitary(dim: int, rngs, n: int) -> np.ndarray:
+    """n Haar-distributed unitaries per stream (n, trials, d, d), via QR of a
+    complex Gaussian matrix with phase normalization of the triangular
+    factor's diagonal (the standard construction).
 
     Each stream makes one ``standard_normal`` call for all its members; the
     complex matrices, their QR and the phases are formed once on the stack.
     """
     if dim < 1:
         raise ParameterError("dim must be at least 1")
-    rngs, one = _streams(rng)
-    g = np.empty((n or 1, len(rngs), 2, dim, dim))
+    g = np.empty((n, len(rngs), 2, dim, dim))
     for t, r in enumerate(rngs):
         g[:, t] = r.standard_normal(g[:, t].shape)  # the n Gaussians of n calls
-    return _unstacked(_haar(g), n, one)
+    return _haar(g)
 
 
-def random_unitary_mixture(dim: int, k: int, rng, n: int | None = None) -> tuple[np.ndarray, list]:
-    """(weights, unitaries) of a mixture of k Haar unitaries: positive
-    weights summing to one, on a last axis of k, and a list of the k
-    unitaries; with ``n``, n mixtures per stream, member axis first.
+def random_unitary_mixture(dim: int, k: int, rngs, n: int) -> tuple[np.ndarray, list]:
+    """(weights, unitaries) of n mixtures of k Haar unitaries per stream,
+    member axis first: positive weights summing to one, on a last axis of
+    k, and a list of the k unitaries.
 
     Each stream draws member by member a mixture's weights in one
     ``random`` call, as ``random_weights`` does, then its k Gaussians in one
     ``standard_normal`` call, as k ``haar_unitary`` calls do; one QR call
     forms every unitary.
     """
-    rngs, one = _streams(rng)
-    u = np.empty((n or 1, len(rngs), k))
-    g = np.empty((n or 1, len(rngs), k, 2, dim, dim))
+    u = np.empty((n, len(rngs), k))
+    g = np.empty((n, len(rngs), k, 2, dim, dim))
     for t, r in enumerate(rngs):
-        for j in range(n or 1):
+        for j in range(n):
             u[j, t] = r.random(k)
             g[j, t] = r.standard_normal((k, 2, dim, dim))
-    return _unstacked(_weights(u), n, one), [_unstacked(x, n, one) for x in np.moveaxis(_haar(g), 2, 0)]
+    return _weights(u), list(np.moveaxis(_haar(g), 2, 0))
 
 
 def _spectral(dim: int, intervals, rngs: list, n: int) -> np.ndarray:
@@ -486,31 +469,29 @@ def _spectral(dim: int, intervals, rngs: list, n: int) -> np.ndarray:
     return hermitize(from_spectrum(_haar(g), np.sort(lam, axis=-1)))
 
 
-def random_spectrum_matrix(dim: int, interval: tuple[float, float], rng, n: int | None = None) -> np.ndarray:
-    """Hermitian matrix with eigenvalues drawn uniformly from [a, b]; for a
-    list of streams, a and b are numbers or one per stream.  With ``n``, n
-    of them per stream, member axis first."""
-    rngs, one = _streams(rng)
-    return _unstacked(_spectral(dim, [interval], rngs, n or 1)[0], n, one)
+def random_spectrum_matrix(dim: int, interval: tuple[float, float], rngs, n: int = 1) -> np.ndarray:
+    """n Hermitian matrices per stream (n, trials, d, d) with eigenvalues
+    drawn uniformly from [a, b], a and b numbers or one per stream."""
+    return _spectral(dim, [interval], rngs, n)[0]
 
 
-def random_pd(dim: int, rng, lo: float = 0.5, hi: float = 1.5, n: int | None = None) -> np.ndarray:
-    """Positive definite matrix with spectrum in [lo, hi] (lo > 0); with
-    ``n``, n of them per stream, member axis first."""
+def random_pd(dim: int, rngs, lo: float = 0.5, hi: float = 1.5, n: int = 1) -> np.ndarray:
+    """n positive definite matrices per stream (n, trials, d, d) with
+    spectrum in [lo, hi] (lo > 0)."""
     if lo <= 0.0:
         raise ParameterError("positive definite draw needs lo > 0")
-    return random_spectrum_matrix(dim, (lo, hi), rng, n)
+    return random_spectrum_matrix(dim, (lo, hi), rngs, n)
 
 
-def random_contraction(dim: int, rng, kind="ginibre") -> np.ndarray:
-    """Random contraction: scaled Ginibre (possibly non-normal, possibly
-    nearly singular) or a scaled Haar unitary (well-conditioned).
+def random_contraction(dim: int, rngs, kind="ginibre") -> np.ndarray:
+    """One random contraction per stream (trials, d, d): scaled Ginibre
+    (possibly non-normal, possibly nearly singular) or a scaled Haar
+    unitary (well-conditioned).
 
-    ``kind`` is one kind, or one per stream of a list.  Each stream draws
-    in its own kind's order; one QR and one SVD call serve every trial,
-    whatever the mix of kinds.
+    ``kind`` is one kind, or one per stream.  Each stream draws in its own
+    kind's order; one QR and one SVD call serve every trial, whatever the
+    mix of kinds.
     """
-    rngs, one = _streams(rng)
     unitary = np.broadcast_to(np.asarray(kind) == "unitary", (len(rngs),))
     s = np.empty((len(rngs), 1, 1))
     g = []
@@ -526,7 +507,7 @@ def random_contraction(dim: int, rng, kind="ginibre") -> np.ndarray:
         s * _unitary_factor(g / np.sqrt(2.0)),
         s * g / spectral_norm(g)[:, None, None],
     )
-    return c[0] if one else c
+    return c
 
 
 def _sandwiched(a: np.ndarray, t: np.ndarray, m, M) -> tuple[np.ndarray, np.ndarray]:
@@ -549,41 +530,28 @@ def _sandwich_window(m, M) -> tuple:
     return m + delta, M - delta
 
 
-def random_sandwich_pair(a: np.ndarray, m: float, M: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) with m A <= B <= M A via B = A^{1/2} T A^{1/2}, m I <= T <= M I;
-    for a list of streams, m and M are numbers or one per stream.
+def random_sandwich_family(dim: int, n: int, interval: tuple[float, float], m, M, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """n pairs (A_j, B_j) per stream (n, trials, d, d), the spectrum of A_j
+    drawn from ``interval``, with m A_j <= B_j <= M A_j via B_j = A_j^{1/2}
+    T_j A_j^{1/2}, m I <= T_j <= M I; m and M are numbers or one per stream.
 
     The inner spectrum is shrunk away from m and M so the sandwich holds
-    with margin at least EDGE_SHRINK (M - m) lambda_min(A); both sides are
-    re-verified from lambda_min(B - m A) and lambda_min(M A - B), and a
-    ``HypothesisError`` names the failing pairs of a stack in ``where``.
-    """
-    t = random_spectrum_matrix(a.shape[-1], _sandwich_window(m, M), rng)
-    b, failed = _sandwiched(a, t, m, M)
-    if _any(failed):
-        raise HypothesisError("sandwich construction failed verification", where=failed)
-    return a, b
-
-
-def random_sandwich_family(dim: int, n: int, interval: tuple[float, float], m, M, rng) -> tuple[np.ndarray, np.ndarray]:
-    """n pairs (A_j, B_j) per stream, member axis first, with the spectrum of
-    A_j drawn from ``interval`` and m A_j <= B_j <= M A_j: the pairs
-    ``random_sandwich_pair(random_spectrum_matrix(dim, interval, rng), m,
-    M, rng)`` makes member by member, drawn in that order by each stream.
-    One QR call forms every A_j and T_j, one ``eigh`` call takes the roots
-    and one ``_eigvalsh`` call verifies every sandwich; a
+    with margin at least EDGE_SHRINK (M - m) lambda_min(A_j).  Each stream
+    draws member by member A_j's spectrum and Gaussian, then T_j's.  One QR
+    call forms every A_j and T_j, one ``eigh`` call takes the roots and one
+    ``_eigvalsh`` call re-verifies both sides of every sandwich, from
+    lambda_min(B_j - m A_j) and lambda_min(M A_j - B_j); a
     ``HypothesisError`` names the trials with a failing pair in ``where``.
     """
-    rngs, one = _streams(rng)
     a, t = _spectral(dim, [interval, _sandwich_window(m, M)], rngs, n)
     b, failed = _sandwiched(a, t, m, M)
     failed = failed.any(axis=0)
     if failed.any():
-        raise HypothesisError("sandwich construction failed verification", where=failed[0] if one else failed)
-    return _unstacked(a, n, one), _unstacked(b, n, one)
+        raise HypothesisError("sandwich construction failed verification", where=failed)
+    return a, b
 
 
-def random_subidentity_family(n: int, dim: int, rng, cap) -> np.ndarray:
+def random_subidentity_family(n: int, dim: int, rngs, cap) -> np.ndarray:
     """A_1..A_n >= 0 with sum A_j <= cap * I, cap in (0, 1) (one per trial
     of a stack), member axis first.
 
@@ -597,7 +565,7 @@ def random_subidentity_family(n: int, dim: int, rng, cap) -> np.ndarray:
     caps = [np.asarray(c) for c in (cap if isinstance(cap, list) else [cap])]
     if not all(np.all((0.0 < c) & (c < 1.0)) for c in caps):
         raise ParameterError(f"cap must be in (0, 1), got {cap}")
-    raw = random_pd(dim, rng, 0.2, 1.0, len(caps) * n)
+    raw = random_pd(dim, rngs, 0.2, 1.0, len(caps) * n)
     raw = raw.reshape((len(caps), n) + raw.shape[1:])
     top = _eigvalsh(sum(raw.swapaxes(0, 1)))[..., -1]
     scale = np.stack([c / t for c, t in zip(caps, top)])[:, None, ..., None, None]
@@ -612,13 +580,12 @@ def _scaled(u, lo: float, hi: float):
     return lo + (hi - lo) * u
 
 
-def random_weights(n: int, rng) -> np.ndarray:
-    """Positive weights summing to one: one ``random`` call per stream."""
+def random_weights(n: int, rngs) -> np.ndarray:
+    """n positive weights summing to one per stream (trials, n): one
+    ``random`` call per stream."""
     if n < 1:
         raise ParameterError("need n >= 1")
-    rngs, one = _streams(rng)
-    w = _weights(np.stack([r.random(n) for r in rngs]))
-    return w[0] if one else w
+    return _weights(np.stack([r.random(n) for r in rngs]))
 
 
 def _weights(u: np.ndarray) -> np.ndarray:
@@ -661,7 +628,7 @@ def complement_sandwich_family(
     interval: tuple[float, float],
     f: RepresentingFunction,
     gamma_value: float,
-    rng,
+    rngs,
 ) -> InstanceFamily:
     """Pairs (A_j, B_j) with m A_j <= B_j <= M A_j whose gamma-weighted
     complements I - gamma sum A_j and I - gamma sum B_j satisfy the same
@@ -676,13 +643,12 @@ def complement_sandwich_family(
     rejected: a ``HypothesisError`` names the rejected trials in ``where``,
     as a failed sandwich pair does.
 
-    For a list of streams, m, M and gamma are numbers or one per stream, and
-    f is one function or a per-trial one (``means.per_trial_function``);
-    ``meta`` holds each trial's scale and gamma.
+    m, M and gamma are numbers or one per stream, and f is one function or
+    a per-trial one (``means.per_trial_function``); the family is stacked
+    (n, trials, d, d), and ``meta`` holds each trial's scale and gamma.
     """
     if dim < 1 or n < 1:
         raise ParameterError("dim and n must be at least 1")
-    rngs, one = _streams(rng)
     m, M, gamma = (np.broadcast_to(np.ravel(x), len(rngs)) for x in (*interval, gamma_value))
     if not np.all((0.0 < m) & (m < 1.0) & (1.0 < M)):
         raise ParameterError(f"complement sandwich needs 0 < m < 1 < M, got [{interval[0]}, {interval[1]}]")
@@ -697,8 +663,8 @@ def complement_sandwich_family(
     )
     failed = (s_max < MIN_SCALE) | ~_verify_complement_family(family, gamma, m, M, DEFAULT_MARGIN)
     if failed.any():
-        raise HypothesisError("no complement-sandwiched scale of the drawn family", where=failed[0] if one else failed)
-    return take(family, 0) if one else family
+        raise HypothesisError("no complement-sandwiched scale of the drawn family", where=failed)
+    return family
 
 
 def _verify_complement_family(

@@ -188,8 +188,8 @@ def test_criterion_5_refinement_chains():
     for trial in range(20):
         rng = Streams(stream_states(77, [("collapse", trial)]))[0]
         n, dim = 3, int(rng.integers(1, 5))
-        inst_a = random_subidentity_family(n, dim, rng, 0.6)
-        inst_b = random_subidentity_family(n, dim, rng, 0.6)
+        inst_a = random_subidentity_family(n, dim, [rng], 0.6)[:, 0]
+        inst_b = random_subidentity_family(n, dim, [rng], 0.6)[:, 0]
         from opbellman.instances import InstanceFamily
 
         inst = InstanceFamily(hypothesis_tag="subidentity_pair_family", A=inst_a, B=inst_b)

@@ -9,9 +9,9 @@ from opbellman import campaign, checks, constants, instances
 from opbellman.campaign import CampaignConfig, run_check_trial
 from opbellman.checks import HOLDS, NOT_APPLICABLE, VIOLATED, CheckOutcome, check
 from opbellman.errors import ParameterError
-from opbellman.instances import InstanceFamily, Streams, random_pd, random_sandwich_pair, stream_states, take
+from opbellman.instances import InstanceFamily, Streams, random_pd, random_sandwich_family, stream_states, take
 from opbellman.means import function_from_id, geometric_w
-from opbellman.positive_maps import Compression, IdentityMap
+from opbellman.positive_maps import Compression, IdentityMap, take_map
 from opbellman.scalar_refs import reference_slack
 from opbellman.spectral import Tolerance, from_spectrum, hermitize, identity
 
@@ -134,7 +134,7 @@ def test_compression_identity_contraction():
     m, M = 0.5, 2.0
     f = geometric_w(0.5)
     g = constants.gamma(f, m, M).value
-    x = random_pd(3, rng, 0.6, 1.9)
+    x = random_pd(3, [rng], 0.6, 1.9)[0, 0]
     inst = InstanceFamily(hypothesis_tag="contraction_window", A=[x], aux={"C": identity(3)})
     out = check("compression_ratio_reverse", inst, {"f": "geom:0.5", "m": m, "M": M}, TOL)
     fx_min = np.linalg.eigvalsh(x).min() ** 0.5
@@ -163,7 +163,8 @@ def test_compression_log_domain_guard():
 def test_mean_power_ratio_identity_contraction():
     rng = np.random.default_rng(2)
     a = identity(3)
-    _, b = random_sandwich_pair(a, 0.5, 2.0, rng)
+    # with A = I the sandwich A^{1/2} T A^{1/2} is T, drawn from the shrunk window
+    b = instances.random_spectrum_matrix(3, instances._sandwich_window(0.5, 2.0), [rng])[0, 0]
     inst = InstanceFamily(hypothesis_tag="pd_contraction_sandwich", A=[a], B=[b])
     out = check("mean_power_ratio_reverse", inst, {"f": "geom:0.5", "m": 0.5, "M": 2.0, "p": 0.5}, TOL)
     assert out.status == HOLDS and out.slack >= -1e-14
@@ -171,7 +172,7 @@ def test_mean_power_ratio_identity_contraction():
 
 def test_mean_power_compose_identity_equality():
     rng = np.random.default_rng(3)
-    b = random_pd(3, rng, 0.4, 2.0)
+    b = random_pd(3, [rng], 0.4, 2.0)[0, 0]
     inst = InstanceFamily(hypothesis_tag="pd_contraction_pair", A=[identity(3)], B=[b])
     out = check("mean_power_compose", inst, {"f": "geom:0.5", "p": 0.4}, TOL)
     assert out.status == HOLDS
@@ -187,7 +188,7 @@ def test_mean_power_compose_scalar_needs_contraction():
 
 def test_superadditive_halves_equality():
     rng = np.random.default_rng(4)
-    x, y = random_pd(3, rng), random_pd(3, rng)
+    x, y = random_pd(3, [rng])[0, 0], random_pd(3, [rng])[0, 0]
     inst = InstanceFamily(hypothesis_tag="pd_family", A=[x / 2, x / 2], B=[y / 2, y / 2])
     out = check("mean_superadditive", inst, {"f": "geom:0.5"}, TOL)
     assert out.status == HOLDS
@@ -196,7 +197,7 @@ def test_superadditive_halves_equality():
 
 def test_jensen_diff_affine_equality():
     rng = np.random.default_rng(5)
-    x = random_pd(3, rng, 0.6, 1.9)
+    x = random_pd(3, [rng], 0.6, 1.9)[0, 0]
     inst = InstanceFamily(hypothesis_tag="spectrum_window", A=[x], maps=[IdentityMap(3)])
     out = check("jensen_diff_reverse", inst, {"f": "arith:0.4", "m": 0.5, "M": 2.0}, TOL)
     assert out.status == HOLDS
@@ -207,10 +208,9 @@ def test_jensen_ratio_affine_equality_under_linear_map():
     rng = np.random.default_rng(6)
     from opbellman.campaign import build_map
 
-    x = random_pd(4, rng, 0.6, 1.9)
-    inst = InstanceFamily(
-        hypothesis_tag="spectrum_window", A=[x], maps=[build_map("unitary-mix:2", 4, rng)]
-    )
+    x = random_pd(4, [rng], 0.6, 1.9)[0, 0]
+    phi = take_map(build_map("unitary-mix:2", 4, [rng])[0], 0)
+    inst = InstanceFamily(hypothesis_tag="spectrum_window", A=[x], maps=[phi])
     out = check("jensen_ratio_reverse", inst, {"f": "arith:0.3", "m": 0.5, "M": 2.0}, TOL)
     assert out.status == HOLDS
     assert abs(out.slack) <= 1e-12
@@ -266,7 +266,7 @@ def test_log_family_near_degenerate_window():
     m, M = 0.8, 0.8 + 1e-4
     from opbellman.instances import random_spectrum_matrix
 
-    a = random_spectrum_matrix(3, (m + 1e-6, M - 1e-6), rng)
+    a = random_spectrum_matrix(3, (m + 1e-6, M - 1e-6), [rng])[0, 0]
     inst = InstanceFamily(
         hypothesis_tag="spectrum_window_family",
         A=[a],
@@ -282,7 +282,7 @@ def test_chain_split_equal_families():
     rng = np.random.default_rng(8)
     from opbellman.instances import random_subidentity_family
 
-    a = random_subidentity_family(2, 3, rng, 0.6)
+    a = random_subidentity_family(2, 3, [rng], 0.6)[:, 0]
     inst = InstanceFamily(hypothesis_tag="subidentity_pair_family", A=a, B=[x.copy() for x in a])
     out = check("bellman_chain_split", inst, {"f": "geom:0.5", "p": 0.5, "k": 1}, TOL)
     assert out.status == HOLDS
@@ -293,8 +293,8 @@ def test_chain_split_index_guard():
     rng = np.random.default_rng(9)
     from opbellman.instances import random_subidentity_family
 
-    a = random_subidentity_family(2, 2, rng, 0.6)
-    b = random_subidentity_family(2, 2, rng, 0.6)
+    a = random_subidentity_family(2, 2, [rng], 0.6)[:, 0]
+    b = random_subidentity_family(2, 2, [rng], 0.6)[:, 0]
     inst = InstanceFamily(hypothesis_tag="subidentity_pair_family", A=a, B=b)
     out = check("bellman_chain_split", inst, {"f": "geom:0.5", "p": 0.5, "k": 2}, TOL)
     assert out.status == NOT_APPLICABLE
@@ -305,8 +305,8 @@ def test_chain_interp_collapses():
     rng = np.random.default_rng(10)
     from opbellman.instances import random_subidentity_family
 
-    a = random_subidentity_family(3, 3, rng, 0.6)
-    b = random_subidentity_family(3, 3, rng, 0.6)
+    a = random_subidentity_family(3, 3, [rng], 0.6)[:, 0]
+    b = random_subidentity_family(3, 3, [rng], 0.6)[:, 0]
     inst = InstanceFamily(hypothesis_tag="subidentity_pair_family", A=a, B=b)
     ones = check("bellman_chain_interp", inst, {"f": "geom:0.5", "p": 0.5, "t": [1.0, 1.0, 1.0]}, TOL)
     assert ones.status == HOLDS
@@ -320,8 +320,8 @@ def test_chain_coherence_scalar_total_is_link_sum():
     rng = np.random.default_rng(11)
     from opbellman.instances import random_subidentity_family
 
-    a = random_subidentity_family(2, 1, rng, 0.6)
-    b = random_subidentity_family(2, 1, rng, 0.6)
+    a = random_subidentity_family(2, 1, [rng], 0.6)[:, 0]
+    b = random_subidentity_family(2, 1, [rng], 0.6)[:, 0]
     inst = InstanceFamily(hypothesis_tag="subidentity_pair_family", A=a, B=b)
     out = check("bellman_chain_split", inst, {"f": "geom:0.5", "p": 0.5, "k": 1}, TOL)
     ref = reference_slack("bellman_chain_split", inst, {"f": "geom:0.5", "p": 0.5, "k": 1})
@@ -464,8 +464,8 @@ def test_affine_scaling_consistency_on_shared_instance():
     from opbellman.instances import complement_sandwich_family
     from opbellman.means import arithmetic_w
 
-    rng = Streams(stream_states(5150, [("shared", 0)]))[0]
-    fam = complement_sandwich_family(3, 2, (0.5, 2.0), arithmetic_w(0.4), 1.0, rng)
+    rngs = Streams(stream_states(5150, [("shared", 0)]))
+    fam = take(complement_sandwich_family(3, 2, (0.5, 2.0), arithmetic_w(0.4), 1.0, rngs), 0)
     assert fam is not None
     reverse = check(
         "bellman_ratio_reverse", fam, {"f": "arith:0.4", "m": 0.5, "M": 2.0, "p": 0.5}, TOL
@@ -647,7 +647,7 @@ def test_window_guard_equals_the_comparison_on_broadcast_operands():
     edges = {1: m - 1e-12, 2: M + 1e-12, 5: m - 1e-6, 8: M + 1e-6}
     for t, value in edges.items():
         lam[t % n, t, t % dim] = value[t]
-    mats = hermitize(from_spectrum(instances.haar_unitary(dim, rng, n * trials).reshape(n, trials, dim, dim), lam))
+    mats = hermitize(from_spectrum(instances.haar_unitary(dim, [rng], n * trials).reshape(n, trials, dim, dim), lam))
     tol = Tolerance()
     got = _raised(checks._guard_window, mats, m, M, tol)
     assert got == _raised(_window_on_broadcast_operands, mats, m, M, tol)
@@ -1065,9 +1065,9 @@ def _mixed_guard_cells():
     """(check, instances, params, guards): one cell per case, trials failing
     different guards at different points of the checker between trials that hold."""
     rng = np.random.default_rng(31)
-    pd = lambda: random_pd(2, rng, 0.5, 1.5)  # noqa: E731
+    pd = lambda: random_pd(2, [rng], 0.5, 1.5)[0, 0]  # noqa: E731
     window = {"m": 0.5, "M": 2.0}
-    x, y = random_sandwich_pair(pd(), 0.5, 2.0, rng)
+    x, y = (z[0, 0] for z in random_sandwich_family(2, 1, (0.5, 1.5), 0.5, 2.0, [rng]))
     yield (
         "jensen_map",  # window guard, below then above
         [

@@ -16,8 +16,7 @@ from opbellman.instances import (
     complement_sandwich_family,
     haar_unitary,
     random_contraction,
-    random_pd,
-    random_sandwich_pair,
+    random_sandwich_family,
     random_spectrum_matrix,
     random_subidentity_family,
     random_weights,
@@ -37,23 +36,23 @@ def is_contraction(a) -> bool:
 def test_haar_unitary_properties():
     rng = np.random.default_rng(0)
     for dim in (1, 2, 5):
-        u = haar_unitary(dim, rng)
+        u = haar_unitary(dim, [rng], 1)[0, 0]
         assert np.linalg.norm(u.conj().T @ u - identity(dim), 2) <= 1e-12
         assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-12
-    scalar = haar_unitary(1, rng)
+    scalar = haar_unitary(1, [rng], 1)[0, 0]
     assert abs(abs(scalar[0, 0]) - 1.0) <= 1e-14
 
 
 def test_random_spectrum_matrix_bounds():
     rng = np.random.default_rng(1)
-    h = random_spectrum_matrix(6, (0.2, 1.7), rng)
+    h = random_spectrum_matrix(6, (0.2, 1.7), [rng])[0, 0]
     lam = np.linalg.eigvalsh(h)
     assert lam.min() >= 0.2 - 1e-12 and lam.max() <= 1.7 + 1e-12
 
 
 def test_random_spectrum_degenerate_interval_gives_scaled_identity():
     rng = np.random.default_rng(2)
-    h = random_spectrum_matrix(3, (0.7, 0.7), rng)
+    h = random_spectrum_matrix(3, (0.7, 0.7), [rng])[0, 0]
     assert np.allclose(h, 0.7 * identity(3), atol=1e-12)
 
 
@@ -61,39 +60,37 @@ def test_random_contraction_kinds():
     rng = np.random.default_rng(3)
     for kind in ("ginibre", "unitary"):
         for _ in range(5):
-            c = random_contraction(4, rng, kind)
+            c = random_contraction(4, [rng], kind)[0]
             assert is_contraction(c)
 
 
 def test_sandwich_pair_verified():
     rng = np.random.default_rng(4)
     for dim in (1, 4):
-        a = random_pd(dim, rng)
-        a, b = random_sandwich_pair(a, 0.5, 2.0, rng)
+        a, b = (x[0, 0] for x in random_sandwich_family(dim, 1, (0.5, 1.5), 0.5, 2.0, [rng]))
         assert loewner_leq(0.5 * a, b).slack >= 0
         assert loewner_leq(b, 2.0 * a).slack >= 0
 
 
 def test_sandwich_pair_rejects_a_failed_construction(monkeypatch):
     # an inner spectrum outside [m, M] must not be released
-    monkeypatch.setattr(instances, "random_spectrum_matrix", lambda dim, interval, rng: 2.5 * identity(dim))
+    monkeypatch.setattr(instances, "_sandwich_window", lambda m, M: (2.5, 2.5))
     with pytest.raises(HypothesisError):
-        random_sandwich_pair(identity(2), 0.5, 2.0, np.random.default_rng(0))
+        random_sandwich_family(2, 1, (1.0, 1.0), 0.5, 2.0, [np.random.default_rng(0)])
 
 
 def test_sandwich_scalar_case():
     rng = np.random.default_rng(5)
-    a = np.array([[1.7]], dtype=complex)
-    _, b = random_sandwich_pair(a, 0.5, 2.0, rng)
+    a, b = (x[0, 0] for x in random_sandwich_family(1, 1, (1.7, 1.7), 0.5, 2.0, [rng]))
     t = (b[0, 0] / a[0, 0]).real
     assert 0.5 <= t <= 2.0
 
 
 def test_subidentity_family():
     rng = np.random.default_rng(6)
-    fam = random_subidentity_family(1, 3, rng, 0.5)
+    fam = random_subidentity_family(1, 3, [rng], 0.5)[:, 0]
     assert np.linalg.norm(fam[0], 2) <= 0.5 + 1e-12
-    fam = random_subidentity_family(4, 3, rng, 0.8)
+    fam = random_subidentity_family(4, 3, [rng], 0.8)[:, 0]
     total = sum(fam)
     assert np.linalg.eigvalsh(total).max() <= 0.8 + 1e-12
     for a in fam:
@@ -102,21 +99,21 @@ def test_subidentity_family():
 
 def test_random_weights():
     rng = np.random.default_rng(7)
-    assert random_weights(1, rng)[0] == pytest.approx(1.0, abs=1e-14)
-    w = random_weights(5, rng)
+    assert random_weights(1, [rng])[0, 0] == pytest.approx(1.0, abs=1e-14)
+    w = random_weights(5, [rng])[0]
     assert abs(w.sum() - 1.0) <= 1e-14
     assert w.min() > 0
 
 
 def test_complement_family_scalar_affine_accepted():
-    rng = Streams(stream_states(11, [("gen", 0)]))[0]
-    fam = complement_sandwich_family(1, 1, (0.5, 2.0), arithmetic_w(0.5), 1.0, rng)
+    rngs = Streams(stream_states(11, [("gen", 0)]))
+    fam = take(complement_sandwich_family(1, 1, (0.5, 2.0), arithmetic_w(0.5), 1.0, rngs), 0)
     assert 0.0 < fam.meta["scale"] <= 1.0
 
 
 def test_complement_family_hypotheses_reverified():
-    rng = Streams(stream_states(12, [("gen", 1)]))[0]
-    fam = complement_sandwich_family(3, 2, (0.5, 2.0), geometric_w(0.5), 1.1, rng)
+    rngs = Streams(stream_states(12, [("gen", 1)]))
+    fam = take(complement_sandwich_family(3, 2, (0.5, 2.0), geometric_w(0.5), 1.1, rngs), 0)
     eye = identity(3)
     for a, b in zip(fam.A, fam.B):
         assert loewner_leq(0.5 * a, b).slack >= DEFAULT_MARGIN
@@ -129,13 +126,13 @@ def test_complement_family_hypotheses_reverified():
 
 def test_complement_family_requires_straddling_interval():
     with pytest.raises(ParameterError):
-        complement_sandwich_family(2, 1, (0.2, 0.8), arithmetic_w(0.5), 1.0, np.random.default_rng(0))
+        complement_sandwich_family(2, 1, (0.2, 0.8), arithmetic_w(0.5), 1.0, [np.random.default_rng(0)])
 
 
 @pytest.mark.parametrize("dim,n,interval", [(0, 1, (0.5, 2.0)), (2, 0, (0.5, 2.0)), (2, 1, (2.0, 0.5))])
 def test_complement_family_input_checks(dim, n, interval):
     with pytest.raises(ParameterError):
-        complement_sandwich_family(dim, n, interval, arithmetic_w(0.5), 1.0, np.random.default_rng(0))
+        complement_sandwich_family(dim, n, interval, arithmetic_w(0.5), 1.0, [np.random.default_rng(0)])
 
 
 # -- complement-sandwich scale: closed form against the former bisection ----
@@ -156,10 +153,10 @@ def _feasible(s, g, sum_a, sum_b, sum_means, m, M, margin):
 
 
 def _draw_sums(shape, f, rng):
-    """The draws of one complement_sandwich_family call, in its order;
-    ``shape`` is its (dim, n, interval)."""
+    """The draws of one complement_sandwich_family call on the one stream
+    rng, member by member in its order; ``shape`` is its (dim, n, interval)."""
     dim, n, (m, M) = shape
-    pairs = [random_sandwich_pair(random_pd(dim, rng, 0.5, 1.5), m, M, rng) for _ in range(n)]
+    pairs = [[x[0, 0] for x in random_sandwich_family(dim, 1, (0.5, 1.5), m, M, [rng])] for _ in range(n)]
     return pairs, sum(p[0] for p in pairs), sum(p[1] for p in pairs), sum(mean(a, b, f) for a, b in pairs)
 
 
@@ -207,7 +204,7 @@ def _scale_draws():
 def test_closed_form_scale_matches_bisection():
     rescaled = 0
     for shape, f, g, key in _scale_draws():
-        fam = complement_sandwich_family(*shape, f, g, Streams(stream_states(31, [("scale", *key)]))[0])
+        fam = take(complement_sandwich_family(*shape, f, g, Streams(stream_states(31, [("scale", *key)]))), 0)
         ref = _bisected_family_scale(shape, f, g, Streams(stream_states(31, [("scale", *key)]))[0])
         assert ref is not None
         assert fam.meta["scale"] == pytest.approx(ref, rel=1e-12, abs=0.0)
@@ -231,7 +228,7 @@ def test_complement_family_scale_branches():
     for k in range(40):
         _, sum_a, sum_b, sum_means = _draw_sums(shape, f, Streams(stream_states(33, [("branch", k)]))[0])
         s_max = _scale_limit(1.0, sum_a, sum_b, sum_means, 0.5, 2.0, DEFAULT_MARGIN)
-        fam = complement_sandwich_family(*shape, f, 1.0, Streams(stream_states(33, [("branch", k)]))[0])
+        fam = take(complement_sandwich_family(*shape, f, 1.0, Streams(stream_states(33, [("branch", k)]))), 0)
         if s_max >= 1.0:
             assert fam.meta["scale"] == 1.0
         else:
@@ -252,8 +249,8 @@ def _assert_drawn_once_and_rejected(calls, gamma):
     # each of the n = 2 members is drawn once, and the family is rejected
     calls.clear()
     with pytest.raises(HypothesisError) as exc:
-        complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, Streams(stream_states(34, [("gen", 0)]))[0])
-    assert exc.value.where
+        complement_sandwich_family(2, 2, (0.5, 2.0), geometric_w(0.5), gamma, Streams(stream_states(34, [("gen", 0)])))
+    assert list(exc.value.where) == [True]
     assert sum(calls) == 2
     rngs = Streams(stream_states(34, [("gen", t) for t in range(2)]))
     with pytest.raises(HypothesisError) as exc:
@@ -291,17 +288,18 @@ def test_complement_family_linalg_call_budget(monkeypatch):
 
     for kind in counts:
         monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
-    fam = complement_sandwich_family(6, 3, (0.5, 2.0), geometric_w(0.5), 1.0, Streams(stream_states(35, [("budget", 0)]))[0])
+    rngs = Streams(stream_states(35, [("budget", 0)]))
+    fam = complement_sandwich_family(6, 3, (0.5, 2.0), geometric_w(0.5), 1.0, rngs)
     monkeypatch.undo()
-    assert fam.meta["scale"] > 0.0
+    assert fam.meta["scale"][0] > 0.0
     over = {k: (counts[k], FAMILY_CALL_BUDGET[k]) for k in counts if counts[k] > FAMILY_CALL_BUDGET[k]}
     assert not over, f"numpy.linalg calls over budget (count, budget): {over}"
 
 
 def test_generator_determinism():
-    a1 = random_spectrum_matrix(4, (0.5, 2.0), Streams(stream_states(42, [("x", 3)]))[0])
-    a2 = random_spectrum_matrix(4, (0.5, 2.0), Streams(stream_states(42, [("x", 3)]))[0])
-    a3 = random_spectrum_matrix(4, (0.5, 2.0), Streams(stream_states(42, [("x", 4)]))[0])
+    a1 = random_spectrum_matrix(4, (0.5, 2.0), Streams(stream_states(42, [("x", 3)])))
+    a2 = random_spectrum_matrix(4, (0.5, 2.0), Streams(stream_states(42, [("x", 3)])))
+    a3 = random_spectrum_matrix(4, (0.5, 2.0), Streams(stream_states(42, [("x", 4)])))
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, a3)
 
@@ -472,7 +470,7 @@ class _CountingStream:
 @pytest.mark.parametrize(
     "draw",
     [
-        lambda rngs: haar_unitary(3, rngs),
+        lambda rngs: haar_unitary(3, rngs, 1),
         lambda rngs: random_spectrum_matrix(3, (0.5, 2.0), rngs),
         lambda rngs: random_contraction(3, rngs, ["unitary", "ginibre", "ginibre"]),
     ],

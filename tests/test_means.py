@@ -34,7 +34,7 @@ MEANS = [arithmetic_w(0.3), geometric_w(0.5), power_fn(0.7)]
 
 @pytest.mark.parametrize("f", MEANS, ids=lambda f: f.label)
 def test_mean_idempotent(f):
-    a = random_pd(3, RNG)
+    a = random_pd(3, [RNG])[0, 0]
     assert np.allclose(mean(a, a, f), a, atol=1e-11)
 
 
@@ -53,7 +53,7 @@ def test_mean_commuting_diagonal():
 
 
 def test_weighted_arithmetic_endpoints():
-    a, b = random_pd(3, RNG), random_pd(3, RNG)
+    a, b = random_pd(3, [RNG])[0, 0], random_pd(3, [RNG])[0, 0]
     assert np.allclose(weighted_arithmetic(a, b, 0.0), a)
     assert np.allclose(weighted_arithmetic(a, b, 1.0), b)
 
@@ -66,7 +66,7 @@ def test_weighted_geometric_commuting():
 def test_weighted_geometric_two_routes():
     for _ in range(10):
         lam = RNG.uniform(0.05, 0.95)
-        a, b = random_pd(4, RNG, 0.3, 2.0), random_pd(4, RNG, 0.3, 2.0)
+        a, b = random_pd(4, [RNG], 0.3, 2.0)[0, 0], random_pd(4, [RNG], 0.3, 2.0)[0, 0]
         direct = weighted_geometric(a, b, lam)
         via_mean = mean(a, b, geometric_w(lam))
         assert np.linalg.norm(direct - via_mean, 2) <= 1e-10
@@ -83,18 +83,18 @@ def test_scalar_consistency():
 @pytest.mark.parametrize("f", MEANS, ids=lambda f: f.label)
 def test_mean_monotone_in_both_arguments(f):
     for _ in range(10):
-        a = random_pd(3, RNG, 0.3, 1.5)
-        b = random_pd(3, RNG, 0.3, 1.5)
-        c = a + random_pd(3, RNG, 0.05, 0.8)
-        d = b + random_pd(3, RNG, 0.05, 0.8)
+        a = random_pd(3, [RNG], 0.3, 1.5)[0, 0]
+        b = random_pd(3, [RNG], 0.3, 1.5)[0, 0]
+        c = a + random_pd(3, [RNG], 0.05, 0.8)[0, 0]
+        d = b + random_pd(3, [RNG], 0.05, 0.8)[0, 0]
         assert loewner_leq(mean(a, b, f), mean(c, d, f)).holds
 
 
 @pytest.mark.parametrize("f", MEANS, ids=lambda f: f.label)
 def test_mean_transformer_equality_invertible(f):
     for _ in range(5):
-        a = random_pd(3, RNG, 0.3, 1.5)
-        b = random_pd(3, RNG, 0.3, 1.5)
+        a = random_pd(3, [RNG], 0.3, 1.5)[0, 0]
+        b = random_pd(3, [RNG], 0.3, 1.5)[0, 0]
         t = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3)) + 3 * np.eye(3)
         lhs = t.conj().T @ mean(a, b, f) @ t
         rhs = mean(t.conj().T @ a @ t, t.conj().T @ b @ t, f)
@@ -104,13 +104,13 @@ def test_mean_transformer_equality_invertible(f):
 @pytest.mark.parametrize("f", MEANS, ids=lambda f: f.label)
 def test_mean_superadditive(f):
     for _ in range(10):
-        a1, b1 = random_pd(3, RNG, 0.2, 1.0), random_pd(3, RNG, 0.2, 1.0)
-        a2, b2 = random_pd(3, RNG, 0.2, 1.0), random_pd(3, RNG, 0.2, 1.0)
+        a1, b1 = random_pd(3, [RNG], 0.2, 1.0)[0, 0], random_pd(3, [RNG], 0.2, 1.0)[0, 0]
+        a2, b2 = random_pd(3, [RNG], 0.2, 1.0)[0, 0], random_pd(3, [RNG], 0.2, 1.0)[0, 0]
         assert loewner_leq(mean(a1, b1, f) + mean(a2, b2, f), mean(a1 + a2, b1 + b2, f)).holds
 
 
 def test_log_is_not_a_mean():
-    a = random_pd(2, RNG)
+    a = random_pd(2, [RNG])[0, 0]
     with pytest.raises(ParameterError, match="not normalized"):
         mean(a, a, log_fn)
 
@@ -179,13 +179,13 @@ def test_per_trial_function_gives_each_trial_its_own_bits():
     with pytest.raises(ShapeError):
         f.fn(lam[:, :3])
     with pytest.raises(ParameterError, match="not normalized"):
-        mean(random_pd(2, RNG), random_pd(2, RNG), f)
+        mean(random_pd(2, [RNG])[0, 0], random_pd(2, [RNG])[0, 0], f)
 
 
 def test_per_trial_mean_equals_each_pair_alone():
     ids = np.array(["geom:0.5", "arith:0.5", "power:0.3", "powered:geom:0.5:0.5", "geom:0.5"])
-    a = np.stack([random_pd(3, RNG, 0.3, 2.0) for _ in ids])
-    b = np.stack([random_pd(3, RNG, 0.3, 2.0) for _ in ids])
+    a = np.stack([random_pd(3, [RNG], 0.3, 2.0)[0, 0] for _ in ids])
+    b = np.stack([random_pd(3, [RNG], 0.3, 2.0)[0, 0] for _ in ids])
     stacked = mean(a, b, function_from_id(ids))
     powered_stack = mean(a, b, powered(function_from_id(ids), 0.7))
     for t, fid in enumerate(ids):

@@ -48,25 +48,25 @@ def check_positive(spec, samples, rng, tol=DEFAULT_TOL) -> bool:
 
 
 def _sample_maps(dim=4):
-    v = haar_unitary(dim, RNG)[:, :2]
+    v = haar_unitary(dim, [RNG], 1)[0, 0, :, :2]
     return [
         IdentityMap(dim),
         Compression(v),
-        UnitaryMixture(np.array([0.3, 0.7]), (haar_unitary(dim, RNG), haar_unitary(dim, RNG))),
+        UnitaryMixture(np.array([0.3, 0.7]), (haar_unitary(dim, [RNG], 1)[0, 0], haar_unitary(dim, [RNG], 1)[0, 0])),
         Pinching(((0, 1), (2, 3))),
-        Compression(haar_unitary(dim, RNG)[:, :1]),
-        UnitaryMixture(random_weights(3, RNG), tuple(haar_unitary(dim, RNG) for _ in range(3))),
+        Compression(haar_unitary(dim, [RNG], 1)[0, 0, :, :1]),
+        UnitaryMixture(random_weights(3, [RNG])[0], tuple(haar_unitary(dim, [RNG], 1)[0, 0] for _ in range(3))),
     ]
 
 
 def test_identity_apply():
-    x = random_pd(3, RNG)
+    x = random_pd(3, [RNG])[0, 0]
     assert np.array_equal(IdentityMap(3).apply(x), x)
 
 
 def test_compression_leading_principal_submatrix():
     v = np.eye(4, dtype=complex)[:, :2]
-    x = random_pd(4, RNG)
+    x = random_pd(4, [RNG])[0, 0]
     assert np.allclose(Compression(v).apply(x), x[:2, :2])
 
 
@@ -89,7 +89,7 @@ def test_every_variant_is_linear(spec_idx):
 
 
 def test_compression_positive_on_samples():
-    v = haar_unitary(5, RNG)[:, :3]
+    v = haar_unitary(5, [RNG], 1)[0, 0, :, :3]
     assert check_positive(Compression(v), 100, np.random.default_rng(7))
 
 
@@ -99,7 +99,7 @@ def test_non_isometric_v_rejected_at_construction():
 
 
 def test_unitary_mixture_validation():
-    u = haar_unitary(3, RNG)
+    u = haar_unitary(3, [RNG], 1)[0, 0]
     with pytest.raises(ParameterError):
         UnitaryMixture(np.array([0.5, 0.6]), (u, u))  # weights exceed 1
     with pytest.raises(ParameterError):
@@ -117,8 +117,8 @@ def test_isometry_tolerance_is_the_rejection_boundary(monkeypatch, dim, cols):
     for factor, rejected in ((0.9, False), (1.1, True)):
         stretch = np.ones(cols)
         stretch[0] = np.sqrt(1.0 + factor * _ISOMETRY_TOL)
-        v = haar_unitary(dim, RNG)[:, :cols] * stretch
-        u = haar_unitary(dim, RNG) * np.r_[stretch, np.ones(dim - cols)]
+        v = haar_unitary(dim, [RNG], 1)[0, 0, :, :cols] * stretch
+        u = haar_unitary(dim, [RNG], 1)[0, 0] * np.r_[stretch, np.ones(dim - cols)]
         for build in (lambda: Compression(v), lambda: UnitaryMixture(np.array([1.0]), (u,))):
             if rejected:
                 with pytest.raises(ParameterError, match="deviates from identity"):
@@ -126,7 +126,7 @@ def test_isometry_tolerance_is_the_rejection_boundary(monkeypatch, dim, cols):
             else:
                 build()
     # a stack is checked in one eigvalsh call and names the trial just outside
-    exact = np.stack([haar_unitary(dim, RNG) for _ in range(4)])
+    exact = np.stack([haar_unitary(dim, [RNG], 1)[0, 0] for _ in range(4)])
     inside, outside = (np.sqrt(1.0 + factor * _ISOMETRY_TOL) for factor in (0.9, 1.1))
     stretch = np.ones((4, 1, dim))
     stretch[:, 0, 0] = [inside, 1.0, outside, inside]
@@ -165,10 +165,10 @@ def test_jensen_inequality_sanity(f):
         dim = int(rng.integers(2, 5))
         specs = [
             IdentityMap(dim),
-            Compression(haar_unitary(dim, rng)[:, : max(1, dim - 1)]),
-            UnitaryMixture(random_weights(2, rng), (haar_unitary(dim, rng), haar_unitary(dim, rng))),
+            Compression(haar_unitary(dim, [rng], 1)[0, 0, :, : max(1, dim - 1)]),
+            UnitaryMixture(random_weights(2, [rng])[0], tuple(haar_unitary(dim, [rng], 1)[0, 0] for _ in range(2))),
         ]
-        a = random_pd(dim, rng, 0.4, 2.5)
+        a = random_pd(dim, [rng], 0.4, 2.5)[0, 0]
         for spec in specs:
             lhs = spec.apply(apply_function(a, f.fn, f.domain))
             rhs = apply_function(hermitize(spec.apply(a)), f.fn, f.domain)
@@ -189,9 +189,9 @@ def test_stacked_maps_apply_each_trial_map_to_its_operand():
     # int) or a smaller stack (an index array) back out
     rng = np.random.default_rng(210)
     dim = 3
-    vs = [haar_unitary(dim, rng)[:, :2] for _ in range(4)]
-    ws = [random_weights(2, rng) for _ in range(4)]
-    us = [(haar_unitary(dim, rng), haar_unitary(dim, rng)) for _ in range(4)]
+    vs = [haar_unitary(dim, [rng], 1)[0, 0, :, :2] for _ in range(4)]
+    ws = [random_weights(2, [rng])[0] for _ in range(4)]
+    us = [(haar_unitary(dim, [rng], 1)[0, 0], haar_unitary(dim, [rng], 1)[0, 0]) for _ in range(4)]
     cases = [
         (IdentityMap(dim), [IdentityMap(dim)] * 4),
         (Compression(np.stack(vs)), [Compression(v) for v in vs]),
@@ -201,7 +201,7 @@ def test_stacked_maps_apply_each_trial_map_to_its_operand():
         ),
         (Pinching(((0, 1), (2,))), [Pinching(((0, 1), (2,)))] * 4),
     ]
-    xs = np.stack([random_pd(dim, rng) for _ in range(4)])
+    xs = np.stack([random_pd(dim, [rng])[0, 0] for _ in range(4)])
     for stacked, maps in cases:
         assert (stacked.input_dim, stacked.output_dim) == (maps[0].input_dim, maps[0].output_dim)
         out = stacked.apply(xs)
@@ -222,8 +222,8 @@ def test_per_trial_map_applies_each_part_to_its_own_trials():
     dim = 3
     rows = [np.array([0, 4]), np.array([1, 5, 6]), np.array([2]), np.array([3, 7])]
     alone = [IdentityMap(dim)] * 2
-    alone += [Compression(haar_unitary(dim, rng)) for _ in range(3)]
-    alone += [UnitaryMixture(random_weights(2, rng), (haar_unitary(dim, rng), haar_unitary(dim, rng)))]
+    alone += [Compression(haar_unitary(dim, [rng], 1)[0, 0]) for _ in range(3)]
+    alone += [UnitaryMixture(random_weights(2, [rng])[0], tuple(haar_unitary(dim, [rng], 1)[0, 0] for _ in range(2)))]
     alone += [Pinching(((0, 1), (2,)))] * 2
     parts = [
         IdentityMap(dim),
@@ -234,7 +234,7 @@ def test_per_trial_map_applies_each_part_to_its_own_trials():
     mixed = per_trial_map(parts, rows)
     assert isinstance(mixed, PerTrialMap) and (mixed.input_dim, mixed.output_dim) == (dim, dim)
     own = [alone[k] for k in np.argsort(np.concatenate(rows), kind="stable")]
-    xs = np.stack([random_pd(dim, rng) for _ in range(8)])
+    xs = np.stack([random_pd(dim, [rng])[0, 0] for _ in range(8)])
     for x in (xs, np.stack([xs, 2.0 * xs])):
         out = mixed.apply(x)
         for t, phi in enumerate(own):

@@ -36,8 +36,8 @@ _STREAM_CALLS = {"default_rng", "SeedSequence", "PCG64", "Generator"}
 
 
 def test_every_stream_comes_from_the_one_seeding_function():
-    # only instances.py makes streams (``streams`` from ``stream_states``),
-    # so every trial's draws are seeded one way; a module that seeds its own
+    # only instances.py makes streams (the class ``Streams``, from the states
+    # of ``stream_states``), so every trial's draws are seeded one way; a module that seeds its own
     # stream would draw bits that no test of the seeding function sees
     found, seen = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -53,6 +53,28 @@ def test_every_stream_comes_from_the_one_seeding_function():
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, f"streams made outside instances.py: {found}"
     assert seen == {"PCG64", "Generator"}
+
+
+def _names_generator(node) -> bool:
+    return any(
+        (isinstance(n, ast.Attribute) and n.attr == "Generator") or (isinstance(n, ast.Name) and n.id == "Generator")
+        for n in ast.walk(node)
+    )
+
+
+def test_no_module_branches_on_a_single_generator():
+    # every operator generator takes a stream stack, one stream per trial; a
+    # type test for one numpy Generator brings back a second calling
+    # convention, with result shapes of its own, that no campaign calls
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            type_test = isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass")
+            if (type_test and any(map(_names_generator, node.args[1:]))) or (
+                isinstance(node, ast.Compare) and _names_generator(node)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"type tests for a numpy Generator in the package: {found}"
 
 
 #: Top-level names that are entry points rather than helpers: the dim-1
