@@ -235,12 +235,12 @@ def build_map(map_id, dim: int, rngs, n: int = 1) -> list:
 
     An array of ids, one per stream (a stack of cells that differ in their
     map, of one output dimension), builds each distinct id on its own
-    streams, each drawing what it draws alone, and gives each member the
-    ``per_trial_map`` of its parts."""
+    streams (``Streams.take``), each drawing what it draws alone, and gives
+    each member the ``per_trial_map`` of its parts."""
     if isinstance(map_id, np.ndarray):
         ids = map_id.tolist()
         rows = [[t for t, j in enumerate(ids) if j == i] for i in dict.fromkeys(ids)]
-        parts = [build_map(ids[r[0]], dim, [rngs[t] for t in r], n) for r in rows]
+        parts = [build_map(ids[r[0]], dim, rngs.take(r), n) for r in rows]
         return [per_trial_map([p[j] for p in parts], rows) for j in range(n)]
     kind, arg = _parse_map_id(map_id)
     if kind == "id":
@@ -262,11 +262,11 @@ def build_map(map_id, dim: int, rngs, n: int = 1) -> list:
 # A builder maps (cell, rngs), an ``instances.Streams`` stack of one stream
 # per trial, to (instances, draws): its instances are one family stacked on
 # a trial axis, a scalar builder's the arrays ``instances.scalar_instance``
-# stacks in ``aux``.  An operator builder draws from the stack's
-# Generators, and its generators return the operands with the member axis
-# in front of the trial axis and ``build_map`` a list of maps, one per
-# member, which the family takes as they are; a scalar builder draws on
-# the stack's arrays.  The
+# stacks in ``aux``.  An operator builder draws through ``rngs.uniform``,
+# ``rngs.normal`` and ``rngs.take`` and never touches a Generator; its
+# generators return the operands with the member axis in front of the
+# trial axis and ``build_map`` a list of maps, one per member, which the
+# family takes as they are; a scalar builder draws on the stack's arrays.  The
 # trials may come from several cells that differ only in their
 # ``_PER_TRIAL_KEYS``, their interval, their mean and their map: then
 # ``cell["m"]``, ``cell["M"]``, ``cell["f"]`` and ``cell["map"]`` may be
@@ -304,7 +304,7 @@ def _window_family(per_member_maps: bool):
 
 def _build_bellman_mean(cell, rngs):
     # each stream draws its cap of A, its cap of B, then the A and the B members
-    caps = [np.array([rng.uniform(0.4, 0.85) for rng in rngs]) for _ in range(2)]
+    caps = [rngs.uniform(0.4, 0.85) for _ in range(2)]
     a, b = random_subidentity_family(cell["n"], cell["dim"], rngs, caps)
     fam = InstanceFamily(hypothesis_tag="subidentity_pair_family", A=a, B=b)
     return fam, [{}] * len(rngs)
@@ -389,7 +389,7 @@ def _complement_family(mean_id: str | None = None, gamma_scaled: bool = False, l
 def _build_contraction_window(cell, rngs):
     d = cell["dim"]
     lo, hi = _shrunk(cell["m"], cell["M"])
-    kinds = ["unitary" if rng.uniform() < 0.5 else "ginibre" for rng in rngs]
+    kinds = np.where(rngs.uniform(0.0, 1.0) < 0.5, "unitary", "ginibre")
     fam = InstanceFamily(
         hypothesis_tag="contraction_window",
         A=random_spectrum_matrix(d, (lo, hi), rngs),
@@ -406,7 +406,7 @@ def _build_pd_contraction_sandwich(cell, rngs):
 
 def _build_chain_interp(cell, rngs):
     fam, _ = _build_bellman_mean(cell, rngs)
-    return fam, [{"t": [float(v) for v in rng.uniform(0.0, 1.0, size=cell["n"])]} for rng in rngs]
+    return fam, [{"t": t} for t in rngs.uniform(0.0, 1.0, cell["n"]).tolist()]
 
 
 def _build_scalar(kind):
@@ -729,11 +729,11 @@ def _build_trials(check_id: str, pairs, cfg: CampaignConfig, states: np.ndarray)
     Each trial keeps its own stream, from ``states``, the PCG64 states
     (pairs, 4) that ``_stream_states`` seeds: the builder gets them as one
     ``instances.Streams`` stack, which makes Generators only for a builder
-    that iterates or indexes it (the operator builders) and draws a scalar
-    builder's steps on arrays.  A trial named in the ``where`` of a
-    builder's ``HypothesisError`` gets the guard ``generator_rejected``, and
-    the other trials are built again from a fresh stack of the same states,
-    so the stack holds exactly the built trials, in order."""
+    that draws through ``uniform`` or ``normal`` (the operator builders) and
+    draws a scalar builder's steps on arrays.  A trial named in the ``where``
+    of a builder's ``HypothesisError`` gets the guard ``generator_rejected``,
+    and the other trials are built again from a fresh stack of the same
+    states, so the stack holds exactly the built trials, in order."""
     build = _Build(check_id, cfg, pairs)
     live = np.arange(len(pairs))
     while live.size:

@@ -4,10 +4,12 @@ Subcommands:
   run        execute an inequality campaign and write a report
   constants  closed-form vs oracle table for every correction constant
   replay     re-run a recorded witness and compare slack
+  diff       list the cells in which two reports differ
   list       export the inequality registry
 
 Exit codes: 0 success / all holds, 1 usage or config error, 2 violations
-(or closed-form/oracle disagreement, or witness mismatch).
+(or closed-form/oracle disagreement, witness mismatch, or reports that
+differ).
 """
 
 from __future__ import annotations
@@ -151,6 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("path", help="witness JSON file")
     rep.set_defaults(func=cmd_replay)
 
+    diff = sub.add_parser("diff", help="list the cells in which two reports differ")
+    diff.add_argument("a", help="first report JSON file")
+    diff.add_argument("b", help="second report JSON file")
+    diff.add_argument("--slack-tol", type=float, default=0.0, help="largest slack change that is no change")
+    diff.set_defaults(func=cmd_diff)
+
     sub.add_parser("list", help="export the inequality registry as JSON").set_defaults(func=cmd_list)
     return parser
 
@@ -239,6 +247,59 @@ def cmd_replay(args) -> int:
         )
     )
     return 0 if match else 2
+
+
+#: The fields of a report cell compared exactly.
+_COUNTS = ("trials", "holds", "violations", "not_applicable", "na_guards")
+
+#: The slack fields of a report cell, compared within ``--slack-tol``.
+_SLACKS = ("min_slack", "median_normalized_slack")
+
+
+def _report_cells(path: str) -> dict:
+    """The cells of the ``opbellman-report/1`` report in ``path``, keyed by
+    (check, the cell's sorted JSON)."""
+    doc = _read_json(path, "report")
+    try:
+        if doc["schema"] != "opbellman-report/1":
+            raise ValueError(f"schema {doc['schema']!r}")
+        keep = (*_COUNTS, *_SLACKS, "argmin")
+        return {(r["check"], json.dumps(r["cell"], sort_keys=True)): {k: r[k] for k in keep} for r in doc["cells"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise OpBellmanError(f"{path}: not an opbellman-report/1 report ({exc!r})") from None
+
+
+def _slack_change(x, y) -> float:
+    """|x - y| of two slacks, 0 when they are equal and inf when only one is None."""
+    return 0.0 if x == y else math.inf if x is None or y is None else abs(x - y)
+
+
+def cmd_diff(args) -> int:
+    a, b = _report_cells(args.a), _report_cells(args.b)
+    largest = dict.fromkeys(_SLACKS, 0.0)
+    changed = flips = 0
+    for key in a.keys() & b.keys():
+        x, y = a[key], b[key]
+        what = [f"{k} {x[k]} -> {y[k]}" for k in _COUNTS if x[k] != y[k]]
+        for k in _SLACKS:
+            delta = _slack_change(x[k], y[k])
+            largest[k] = max(largest[k], delta)
+            if delta > args.slack_tol:
+                what.append(f"{k} {x[k]!r} -> {y[k]!r}")
+        flips += x["argmin"] != y["argmin"]
+        if what:
+            changed += 1
+            print(f"changed {key[0]} {key[1]}: {', '.join(what)}")
+    only = [sorted(p.keys() - q.keys()) for p, q in ((a, b), (b, a))]
+    for side, keys in zip("AB", only):
+        for check_id, cell in keys:
+            print(f"only in {side} {check_id} {cell}")
+    print(
+        f"{len(a.keys() & b.keys())} cells compared, {changed} changed, {len(only[0])} only in A, "
+        f"{len(only[1])} only in B; largest change: min_slack {largest['min_slack']:.3g}, "
+        f"median_normalized_slack {largest['median_normalized_slack']:.3g}; {flips} argmin flips"
+    )
+    return 2 if changed or any(only) else 0
 
 
 def cmd_list(args) -> int:

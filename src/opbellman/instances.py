@@ -6,13 +6,13 @@ a positive margin, so the construction itself is never trusted.  Trial k
 of a campaign draws from a counter-derived stream (``stream_states``),
 which makes campaigns order-independent.
 
-Every operator generator takes a stream stack, one stream per trial: a
-``Streams`` stack, whose Generators it draws from, or a list of
-Generators.  It returns n members per stream on a member axis in front of
-the trial axis, (n, trials, d, d), n = 1 by default; ``random_contraction``
-and ``random_weights`` return one matrix or weight vector per stream,
-(trials, d, d) and (trials, n).  The scalar generator draws on the arrays
-of a ``Streams`` stack.
+Every generator takes a ``Streams`` stack, one stream per trial.  An
+operator generator draws through ``Streams.uniform``, ``Streams.normal``
+and ``Streams.take``, one draw step of every stream per call, and returns
+n members per stream on a member axis in front of the trial axis, (n,
+trials, d, d), n = 1 by default; ``random_contraction`` and
+``random_weights`` return one matrix or weight vector per stream, (trials,
+d, d) and (trials, n).  The scalar generator draws on the stack's arrays.
 Each stream gets the draws, in the order, that it gets alone, member by
 member; the linear algebra runs once on the stack of every member and
 trial and gives each matrix the bits it gets alone.  A hypothesis that
@@ -232,13 +232,15 @@ class Streams:
     """The streams of the PCG64 states (trials, 4) of ``stream_states``, one
     per trial, drawn either through numpy Generators or on arrays.
 
-    Iterated or indexed, the stack makes one ``Generator`` per state, each
-    handed its state as it is (``_state_type``); an operator builder draws
-    from those, which interleave uniform and Gaussian draws.  ``random`` and
-    ``integers`` draw instead on arrays, a step of every stream, or of the
-    streams ``idx``, at once: a numpy PCG64 kernel whose draws are, bit for
-    bit, the draws of the same calls on each stream's Generator, stream by
-    stream in call order.  It seeds each state as numpy's
+    ``uniform`` and ``normal`` draw one step of every stream through one
+    ``Generator`` per state, handed its state as it is (``_state_type``),
+    and ``take`` gives a sub-stack on the same Generators; an operator
+    builder draws through those, which interleave uniform and Gaussian
+    draws.  Iterated or indexed, the stack hands out each Generator.
+    ``random`` and ``integers`` draw instead on arrays, a step of every
+    stream, or of the streams ``idx``, at once: a numpy PCG64 kernel whose
+    draws are, bit for bit, the draws of the same calls on each stream's
+    Generator, stream by stream in call order.  It seeds each state as numpy's
     ``pcg64_set_seed`` does (state from words 0-1, increment (words 2-3 <<
     1) | 1, two steps), takes k steps at once through ``_jumps``, and keeps
     numpy's buffer of a 64-bit output's unused high half for ``integers``.
@@ -269,6 +271,29 @@ class Streams:
             state = _state_type()
             self._generators = [np.random.Generator(np.random.PCG64(state(s))) for s in self.states]
         return self._generators
+
+    def uniform(self, lo, hi, size: int | None = None) -> np.ndarray:
+        """``Generator.uniform(lo, hi, size)`` of each stream, ``lo`` and ``hi``
+        numbers or one per stream: its ``random`` fills its row, mapped by ``_scaled``."""
+        u = np.empty((len(self), 1 if size is None else size))
+        for g, row in zip(self._made(), u):
+            g.random(out=row)
+        u = _scaled(u, *(x[:, None] if isinstance(x, np.ndarray) else x for x in (lo, hi)))
+        return u[:, 0] if size is None else u
+
+    def normal(self, shape: tuple) -> np.ndarray:
+        """``Generator.standard_normal(shape)`` of each stream, filling its row."""
+        z = np.empty((len(self), *shape))
+        for g, row in zip(self._made(), z):
+            g.standard_normal(out=row)
+        return z
+
+    def take(self, idx) -> Streams:
+        """The streams ``idx`` as a stack that draws on this stack's Generators."""
+        made = self._made()
+        sub = Streams(self.states[idx])
+        sub._generators = [made[i] for i in idx]
+        return sub
 
     def _kernel(self) -> np.ndarray:
         """The kernel's rows (6, streams), uint64: state high and low words,
@@ -387,12 +412,6 @@ def _trial_factor(x):
     return x.reshape(-1, 1, 1) if isinstance(x, np.ndarray) else x
 
 
-def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """The real and the imaginary part (2, d, d) of a complex Gaussian d x d
-    matrix, in one call: the values of two (d, d) calls, in their order."""
-    return rng.standard_normal((2, dim, dim))
-
-
 def _complex(g: np.ndarray) -> np.ndarray:
     """The complex matrices re + 1j im of a stack (..., 2, d, d) of Gaussian
     draws, formed once for the stack."""
@@ -416,15 +435,12 @@ def haar_unitary(dim: int, rngs, n: int) -> np.ndarray:
     complex Gaussian matrix with phase normalization of the triangular
     factor's diagonal (the standard construction).
 
-    Each stream makes one ``standard_normal`` call for all its members; the
+    Each stream draws its n members' Gaussians in one ``normal`` step; the
     complex matrices, their QR and the phases are formed once on the stack.
     """
     if dim < 1:
         raise ParameterError("dim must be at least 1")
-    g = np.empty((n, len(rngs), 2, dim, dim))
-    for t, r in enumerate(rngs):
-        g[:, t] = r.standard_normal(g[:, t].shape)  # the n Gaussians of n calls
-    return _haar(g)
+    return _haar(np.moveaxis(rngs.normal((n, 2, dim, dim)), 1, 0))
 
 
 def random_unitary_mixture(dim: int, k: int, rngs, n: int) -> tuple[np.ndarray, list]:
@@ -432,21 +448,19 @@ def random_unitary_mixture(dim: int, k: int, rngs, n: int) -> tuple[np.ndarray, 
     member axis first: positive weights summing to one, on a last axis of
     k, and a list of the k unitaries.
 
-    Each stream draws member by member a mixture's weights in one
-    ``random`` call, as ``random_weights`` does, then its k Gaussians in one
-    ``standard_normal`` call, as k ``haar_unitary`` calls do; one QR call
-    forms every unitary.
+    Each stream draws member by member a mixture's weights in one step, as
+    ``random_weights`` does, then its k Gaussians in one step, as k
+    ``haar_unitary`` calls do; one QR call forms every unitary.
     """
     u = np.empty((n, len(rngs), k))
     g = np.empty((n, len(rngs), k, 2, dim, dim))
-    for t, r in enumerate(rngs):
-        for j in range(n):
-            u[j, t] = r.random(k)
-            g[j, t] = r.standard_normal((k, 2, dim, dim))
+    for j in range(n):
+        u[j] = rngs.uniform(0.0, 1.0, k)
+        g[j] = rngs.normal((k, 2, dim, dim))
     return _weights(u), list(np.moveaxis(_haar(g), 2, 0))
 
 
-def _spectral(dim: int, intervals, rngs: list, n: int) -> np.ndarray:
+def _spectral(dim: int, intervals, rngs: Streams, n: int) -> np.ndarray:
     """Hermitian matrices (len(intervals), n, trials, d, d), each with
     eigenvalues drawn uniformly from its interval [a, b], whose ends are
     numbers or one per stream.
@@ -455,17 +469,15 @@ def _spectral(dim: int, intervals, rngs: list, n: int) -> np.ndarray:
     spectrum and then its Gaussian: the draws of ``random_spectrum_matrix``
     called once per interval for each member in turn.  One QR call forms
     every matrix."""
-    bounds = [[x.tolist() if isinstance(x, np.ndarray) else [x] * len(rngs) for x in iv] for iv in intervals]
-    for (a, b), iv in zip(bounds, intervals):
-        if any(lo > hi for lo, hi in zip(a, b)):
-            raise ParameterError(f"need a <= b, got [{iv[0]}, {iv[1]}]")
+    for a, b in intervals:
+        if np.any(np.greater(a, b)):
+            raise ParameterError(f"need a <= b, got [{a}, {b}]")
     lam = np.empty((len(intervals), n, len(rngs), dim))
     g = np.empty((len(intervals), n, len(rngs), 2, dim, dim))
-    for t, r in enumerate(rngs):
-        for j in range(n):
-            for i, (a, b) in enumerate(bounds):
-                lam[i, j, t] = r.uniform(a[t], b[t], size=dim)
-                g[i, j, t] = _gaussian(dim, r)
+    for j in range(n):
+        for i, (a, b) in enumerate(intervals):
+            lam[i, j] = rngs.uniform(a, b, dim)
+            g[i, j] = rngs.normal((2, dim, dim))
     return hermitize(from_spectrum(_haar(g), np.sort(lam, axis=-1)))
 
 
@@ -488,26 +500,20 @@ def random_contraction(dim: int, rngs, kind="ginibre") -> np.ndarray:
     (possibly non-normal, possibly nearly singular) or a scaled Haar
     unitary (well-conditioned).
 
-    ``kind`` is one kind, or one per stream.  Each stream draws in its own
-    kind's order; one QR and one SVD call serve every trial, whatever the
-    mix of kinds.
+    ``kind`` is one kind, or one per stream.  Each kind's streams draw in
+    its own order, as one sub-stack (``Streams.take``); one QR and one SVD
+    call serve every trial, whatever the mix of kinds.
     """
     unitary = np.broadcast_to(np.asarray(kind) == "unitary", (len(rngs),))
-    s = np.empty((len(rngs), 1, 1))
-    g = []
-    for t, (r, u) in enumerate(zip(rngs, unitary)):
-        if u:
-            s[t] = r.uniform(0.3, 0.98)
-        g.append(_gaussian(dim, r))
-        if not u:
-            s[t] = r.uniform(0.2, 0.95)
-    g = _complex(np.stack(g))
-    c = np.where(
-        unitary[:, None, None],
-        s * _unitary_factor(g / np.sqrt(2.0)),
-        s * g / spectral_norm(g)[:, None, None],
-    )
-    return c
+    s = np.empty(len(rngs))
+    g = np.empty((len(rngs), 2, dim, dim))
+    # a unitary's scale is drawn before its Gaussian, a Ginibre matrix's after
+    us, gs = rngs.take(np.flatnonzero(unitary)), rngs.take(np.flatnonzero(~unitary))
+    s[unitary], g[unitary] = us.uniform(0.3, 0.98), us.normal((2, dim, dim))
+    g[~unitary], s[~unitary] = gs.normal((2, dim, dim)), gs.uniform(0.2, 0.95)
+    g, s = _complex(g), s[:, None, None]
+    haar, ginibre = s * _unitary_factor(g / np.sqrt(2.0)), s * g / spectral_norm(g)[:, None, None]
+    return np.where(unitary[:, None, None], haar, ginibre)
 
 
 def _sandwiched(a: np.ndarray, t: np.ndarray, m, M) -> tuple[np.ndarray, np.ndarray]:
@@ -581,11 +587,11 @@ def _scaled(u, lo: float, hi: float):
 
 
 def random_weights(n: int, rngs) -> np.ndarray:
-    """n positive weights summing to one per stream (trials, n): one
-    ``random`` call per stream."""
+    """n positive weights summing to one per stream (trials, n), from one
+    draw step of the stack."""
     if n < 1:
         raise ParameterError("need n >= 1")
-    return _weights(np.stack([r.random(n) for r in rngs]))
+    return _weights(rngs.uniform(0.0, 1.0, n))
 
 
 def _weights(u: np.ndarray) -> np.ndarray:

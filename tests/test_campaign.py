@@ -1000,8 +1000,8 @@ def test_head_kind_builds_run_each_side_once_whatever_the_exponents(monkeypatch)
 
 
 def test_stream_stack_draws_through_generators_or_arrays_not_both():
-    # an operator builder iterates the stack for Generators, a scalar builder
-    # draws on its arrays; a stack asked for both would draw its streams twice
+    # an operator builder draws through the stack's Generators, a scalar
+    # builder on its arrays; a stack asked for both would draw its streams twice
     states = stream_states(7, [("both", t) for t in range(3)])
     drawn = Streams(states)
     drawn.random(2)
@@ -1009,6 +1009,8 @@ def test_stream_stack_draws_through_generators_or_arrays_not_both():
         list(drawn)
     with pytest.raises(RuntimeError):
         drawn[0]
+    with pytest.raises(RuntimeError):
+        drawn.normal((2,))
     iterated = Streams(states)
     assert [g.random() for g in iterated] == [g.random() for g in Streams(states)]
     with pytest.raises(RuntimeError):
@@ -1809,12 +1811,13 @@ def test_mixed_map_stack_gives_each_trial_what_it_gets_alone(monkeypatch, check_
         built = _assert_stack_builds_each_trial_as_alone(check_id, group, cfg)
         assert len(built) == len(pairs)
         assert all(isinstance(phi, PerTrialMap) for phi in built[0].stack.maps)
-        rngs = [rng for cell in group for rng in _streams(check_id, cell, cfg)]
+        states = np.concatenate([_states(check_id, cell, cfg) for cell in group])
+        rngs = Streams(states)
         campaign.BUILDERS[check_id](checks._stack_params([c for c, _ in pairs]), rngs)
-        for (cell, trial), rng in zip(pairs, rngs):
-            alone = _streams(check_id, cell, cfg)[trial]
-            campaign.BUILDERS[check_id](cell, [alone])
-            assert rng.bit_generator.state == alone.bit_generator.state
+        for i, (cell, _) in enumerate(pairs):
+            alone = Streams(states[i : i + 1])
+            campaign.BUILDERS[check_id](cell, alone)
+            assert rngs[i].bit_generator.state == alone[0].bit_generator.state
         # every other trial claims a narrower window than it was built on
         params = [dict(t.params) for t in built]
         for p in params[1::2]:
@@ -1860,16 +1863,17 @@ def test_stacked_complement_build_rejects_per_trial(monkeypatch):
     assert 0 < len(built) < cfg.trials
     f = function_from_id(cell["f"])
     shape = (cell["dim"], cell["n"], (cell["m"], cell["M"]), f, 7e4)
+    states = _states("bellman_ratio_reverse", cell, cfg)
     alone = []
-    for rng in _streams("bellman_ratio_reverse", cell, cfg):
+    for t in range(cfg.trials):
         try:
-            alone.append(instances.take(instances.complement_sandwich_family(*shape, [rng]), 0))
+            alone.append(instances.take(instances.complement_sandwich_family(*shape, Streams(states[t : t + 1])), 0))
         except HypothesisError:
             alone.append(None)
     with pytest.raises(HypothesisError) as exc:
-        instances.complement_sandwich_family(*shape, _streams("bellman_ratio_reverse", cell, cfg))
+        instances.complement_sandwich_family(*shape, Streams(states))
     assert list(exc.value.where) == [fam is None for fam in alone]
-    kept = [rng for rng, fam in zip(_streams("bellman_ratio_reverse", cell, cfg), alone) if fam is not None]
+    kept = Streams(states[[fam is not None for fam in alone]])
     stack = instances.complement_sandwich_family(*shape, kept)
     alone = [fam for fam in alone if fam is not None]
     assert len(alone) == len(built)

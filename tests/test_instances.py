@@ -34,40 +34,40 @@ def is_contraction(a) -> bool:
 
 
 def test_haar_unitary_properties():
-    rng = np.random.default_rng(0)
+    rng = Streams(stream_states(0, [()]))
     for dim in (1, 2, 5):
-        u = haar_unitary(dim, [rng], 1)[0, 0]
+        u = haar_unitary(dim, rng, 1)[0, 0]
         assert np.linalg.norm(u.conj().T @ u - identity(dim), 2) <= 1e-12
         assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-12
-    scalar = haar_unitary(1, [rng], 1)[0, 0]
+    scalar = haar_unitary(1, rng, 1)[0, 0]
     assert abs(abs(scalar[0, 0]) - 1.0) <= 1e-14
 
 
 def test_random_spectrum_matrix_bounds():
-    rng = np.random.default_rng(1)
-    h = random_spectrum_matrix(6, (0.2, 1.7), [rng])[0, 0]
+    rng = Streams(stream_states(1, [()]))
+    h = random_spectrum_matrix(6, (0.2, 1.7), rng)[0, 0]
     lam = np.linalg.eigvalsh(h)
     assert lam.min() >= 0.2 - 1e-12 and lam.max() <= 1.7 + 1e-12
 
 
 def test_random_spectrum_degenerate_interval_gives_scaled_identity():
-    rng = np.random.default_rng(2)
-    h = random_spectrum_matrix(3, (0.7, 0.7), [rng])[0, 0]
+    rng = Streams(stream_states(2, [()]))
+    h = random_spectrum_matrix(3, (0.7, 0.7), rng)[0, 0]
     assert np.allclose(h, 0.7 * identity(3), atol=1e-12)
 
 
 def test_random_contraction_kinds():
-    rng = np.random.default_rng(3)
+    rng = Streams(stream_states(3, [()]))
     for kind in ("ginibre", "unitary"):
         for _ in range(5):
-            c = random_contraction(4, [rng], kind)[0]
+            c = random_contraction(4, rng, kind)[0]
             assert is_contraction(c)
 
 
 def test_sandwich_pair_verified():
-    rng = np.random.default_rng(4)
+    rng = Streams(stream_states(4, [()]))
     for dim in (1, 4):
-        a, b = (x[0, 0] for x in random_sandwich_family(dim, 1, (0.5, 1.5), 0.5, 2.0, [rng]))
+        a, b = (x[0, 0] for x in random_sandwich_family(dim, 1, (0.5, 1.5), 0.5, 2.0, rng))
         assert loewner_leq(0.5 * a, b).slack >= 0
         assert loewner_leq(b, 2.0 * a).slack >= 0
 
@@ -76,21 +76,21 @@ def test_sandwich_pair_rejects_a_failed_construction(monkeypatch):
     # an inner spectrum outside [m, M] must not be released
     monkeypatch.setattr(instances, "_sandwich_window", lambda m, M: (2.5, 2.5))
     with pytest.raises(HypothesisError):
-        random_sandwich_family(2, 1, (1.0, 1.0), 0.5, 2.0, [np.random.default_rng(0)])
+        random_sandwich_family(2, 1, (1.0, 1.0), 0.5, 2.0, Streams(stream_states(0, [()])))
 
 
 def test_sandwich_scalar_case():
-    rng = np.random.default_rng(5)
-    a, b = (x[0, 0] for x in random_sandwich_family(1, 1, (1.7, 1.7), 0.5, 2.0, [rng]))
+    rng = Streams(stream_states(5, [()]))
+    a, b = (x[0, 0] for x in random_sandwich_family(1, 1, (1.7, 1.7), 0.5, 2.0, rng))
     t = (b[0, 0] / a[0, 0]).real
     assert 0.5 <= t <= 2.0
 
 
 def test_subidentity_family():
-    rng = np.random.default_rng(6)
-    fam = random_subidentity_family(1, 3, [rng], 0.5)[:, 0]
+    rng = Streams(stream_states(6, [()]))
+    fam = random_subidentity_family(1, 3, rng, 0.5)[:, 0]
     assert np.linalg.norm(fam[0], 2) <= 0.5 + 1e-12
-    fam = random_subidentity_family(4, 3, [rng], 0.8)[:, 0]
+    fam = random_subidentity_family(4, 3, rng, 0.8)[:, 0]
     total = sum(fam)
     assert np.linalg.eigvalsh(total).max() <= 0.8 + 1e-12
     for a in fam:
@@ -98,9 +98,9 @@ def test_subidentity_family():
 
 
 def test_random_weights():
-    rng = np.random.default_rng(7)
-    assert random_weights(1, [rng])[0, 0] == pytest.approx(1.0, abs=1e-14)
-    w = random_weights(5, [rng])[0]
+    rng = Streams(stream_states(7, [()]))
+    assert random_weights(1, rng)[0, 0] == pytest.approx(1.0, abs=1e-14)
+    w = random_weights(5, rng)[0]
     assert abs(w.sum() - 1.0) <= 1e-14
     assert w.min() > 0
 
@@ -126,13 +126,13 @@ def test_complement_family_hypotheses_reverified():
 
 def test_complement_family_requires_straddling_interval():
     with pytest.raises(ParameterError):
-        complement_sandwich_family(2, 1, (0.2, 0.8), arithmetic_w(0.5), 1.0, [np.random.default_rng(0)])
+        complement_sandwich_family(2, 1, (0.2, 0.8), arithmetic_w(0.5), 1.0, Streams(stream_states(0, [()])))
 
 
 @pytest.mark.parametrize("dim,n,interval", [(0, 1, (0.5, 2.0)), (2, 0, (0.5, 2.0)), (2, 1, (2.0, 0.5))])
 def test_complement_family_input_checks(dim, n, interval):
     with pytest.raises(ParameterError):
-        complement_sandwich_family(dim, n, interval, arithmetic_w(0.5), 1.0, [np.random.default_rng(0)])
+        complement_sandwich_family(dim, n, interval, arithmetic_w(0.5), 1.0, Streams(stream_states(0, [()])))
 
 
 # -- complement-sandwich scale: closed form against the former bisection ----
@@ -153,10 +153,11 @@ def _feasible(s, g, sum_a, sum_b, sum_means, m, M, margin):
 
 
 def _draw_sums(shape, f, rng):
-    """The draws of one complement_sandwich_family call on the one stream
-    rng, member by member in its order; ``shape`` is its (dim, n, interval)."""
+    """The draws of one complement_sandwich_family call on the one-stream
+    stack rng, member by member in its order; ``shape`` is its (dim, n,
+    interval)."""
     dim, n, (m, M) = shape
-    pairs = [[x[0, 0] for x in random_sandwich_family(dim, 1, (0.5, 1.5), m, M, [rng])] for _ in range(n)]
+    pairs = [[x[0, 0] for x in random_sandwich_family(dim, 1, (0.5, 1.5), m, M, rng)] for _ in range(n)]
     return pairs, sum(p[0] for p in pairs), sum(p[1] for p in pairs), sum(mean(a, b, f) for a, b in pairs)
 
 
@@ -205,7 +206,7 @@ def test_closed_form_scale_matches_bisection():
     rescaled = 0
     for shape, f, g, key in _scale_draws():
         fam = take(complement_sandwich_family(*shape, f, g, Streams(stream_states(31, [("scale", *key)]))), 0)
-        ref = _bisected_family_scale(shape, f, g, Streams(stream_states(31, [("scale", *key)]))[0])
+        ref = _bisected_family_scale(shape, f, g, Streams(stream_states(31, [("scale", *key)])))
         assert ref is not None
         assert fam.meta["scale"] == pytest.approx(ref, rel=1e-12, abs=0.0)
         rescaled += fam.meta["scale"] < 1.0
@@ -215,7 +216,7 @@ def test_closed_form_scale_matches_bisection():
 def test_closed_form_scale_is_pinned_from_above():
     for shape, f, g, key in _scale_draws():
         m, M = shape[2]
-        _, sum_a, sum_b, sum_means = _draw_sums(shape, f, Streams(stream_states(32, [("pin", *key)]))[0])
+        _, sum_a, sum_b, sum_means = _draw_sums(shape, f, Streams(stream_states(32, [("pin", *key)])))
         s_max = _scale_limit(g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN)
         assert all(_feasible(s_max * (1.0 - 1e-9), g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN))
         assert not all(_feasible(s_max * (1.0 + 1e-9), g, sum_a, sum_b, sum_means, m, M, DEFAULT_MARGIN))
@@ -226,7 +227,7 @@ def test_complement_family_scale_branches():
     f = arithmetic_w(0.5)
     seen = set()
     for k in range(40):
-        _, sum_a, sum_b, sum_means = _draw_sums(shape, f, Streams(stream_states(33, [("branch", k)]))[0])
+        _, sum_a, sum_b, sum_means = _draw_sums(shape, f, Streams(stream_states(33, [("branch", k)])))
         s_max = _scale_limit(1.0, sum_a, sum_b, sum_means, 0.5, 2.0, DEFAULT_MARGIN)
         fam = take(complement_sandwich_family(*shape, f, 1.0, Streams(stream_states(33, [("branch", k)]))), 0)
         if s_max >= 1.0:
@@ -447,24 +448,54 @@ def test_stream_kernel_follows_lemires_rejection():
     assert _pcg_states(got) == [g.bit_generator.state for g in gens]
 
 
-def test_gaussian_draw_is_two_matrix_draws_in_one_call():
-    one, two = Streams(stream_states(3, [("gaussian",), ("gaussian",)]))
-    g = instances._gaussian(4, one)
-    assert g.tobytes() == np.stack([two.standard_normal((4, 4)), two.standard_normal((4, 4))]).tobytes()
+def test_stack_draws_are_each_streams_own_draws_bit_for_bit():
+    # Streams.uniform and Streams.normal make one draw step of every stream
+    # per call, each stream's Generator filling its own row, and take gives
+    # a sub-stack on the same Generators: each stream must draw, bit for bit
+    # and to its end state, what the same calls on its own Generator draw,
+    # steps interleaved in member order and sub-stacks continuing the parent
+    states = stream_states(62, [("stack", t) for t in range(7)])
+    stack, refs = Streams(states), list(Streams(states))
+    lo, hi = np.linspace(0.1, 0.7, 7), np.linspace(0.9, 3.0, 7)
+    # (the stack's step on the streams ts, the step on stream t's own Generator)
+    steps = [
+        (lambda s, ts: s.uniform(0.3, 0.98), lambda g, t: g.uniform(0.3, 0.98)),
+        (lambda s, ts: s.uniform(0.2, 1.0, 5), lambda g, t: g.uniform(0.2, 1.0, size=5)),
+        (lambda s, ts: s.uniform(lo[ts], hi[ts]), lambda g, t: g.uniform(lo[t], hi[t])),
+        (lambda s, ts: s.uniform(lo[ts], hi[ts], 4), lambda g, t: g.uniform(lo[t], hi[t], size=4)),
+        (lambda s, ts: s.uniform(0.0, 1.0, 1), lambda g, t: g.random(1)),
+        (lambda s, ts: s.normal((2, 3, 3)), lambda g, t: g.standard_normal((2, 3, 3))),
+        (lambda s, ts: s.normal((4,)), lambda g, t: g.standard_normal(4)),
+    ]
+    steps += [steps[3], steps[5]] * 2  # each member draws a spectrum, then its Gaussian
+
+    def assert_steps(got_stack, ts):
+        for draw, ref in steps:
+            got = draw(got_stack, ts)
+            want = np.stack([np.asarray(ref(refs[t], t), dtype=float) for t in ts])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    every = np.arange(7)
+    assert_steps(stack, every)
+    # the streams 5, 0 and 3 go on drawing in a sub-stack, then every stream
+    assert_steps(stack.take(np.array([5, 0, 3])), np.array([5, 0, 3]))
+    assert_steps(stack, every)
+    assert [g.bit_generator.state for g in stack] == [g.bit_generator.state for g in refs]
+    assert stack.take(np.array([], dtype=int)).uniform(0.2, 0.9).shape == (0,)
 
 
 class _CountingStream:
-    """A stream that counts its ``standard_normal`` calls and passes every draw on."""
+    """A stream's Generator that counts its ``standard_normal`` calls and passes every draw on."""
 
     def __init__(self, rng):
         self.rng, self.normal_calls = rng, 0
 
-    def standard_normal(self, size):
+    def standard_normal(self, *args, **kwargs):
         self.normal_calls += 1
-        return self.rng.standard_normal(size)
+        return self.rng.standard_normal(*args, **kwargs)
 
-    def uniform(self, *args, **kwargs):
-        return self.rng.uniform(*args, **kwargs)
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -480,7 +511,8 @@ def test_each_stream_draws_a_gaussian_matrix_in_one_call(draw):
     # the fixed cost of a draw is per call: a Haar or Ginibre matrix takes
     # one standard_normal call per stream, real and imaginary parts together
     states = stream_states(5, [("count", t) for t in range(3)])
-    counted = [_CountingStream(r) for r in Streams(states)]
+    counted = Streams(states)
+    counted._generators = [_CountingStream(r) for r in counted]
     assert draw(counted).tobytes() == draw(Streams(states)).tobytes()
     assert [s.normal_calls for s in counted] == [1, 1, 1]
 

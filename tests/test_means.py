@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opbellman.errors import ConditioningError, ParameterError, ShapeError
-from opbellman.instances import random_pd
+from opbellman.instances import Streams, random_pd, stream_states
 from opbellman.means import (
     arithmetic_w,
     composed,
@@ -18,7 +18,7 @@ from opbellman.means import (
 )
 from opbellman.spectral import eig, hermitize, identity, loewner_leq, pd_root_pair
 
-RNG = np.random.default_rng(100)
+RNG = Streams(stream_states(100, [()]))
 
 
 def weighted_geometric(a, b, lam):
@@ -34,7 +34,7 @@ MEANS = [arithmetic_w(0.3), geometric_w(0.5), power_fn(0.7)]
 
 @pytest.mark.parametrize("f", MEANS, ids=lambda f: f.label)
 def test_mean_idempotent(f):
-    a = random_pd(3, [RNG])[0, 0]
+    a = random_pd(3, RNG)[0, 0]
     assert np.allclose(mean(a, a, f), a, atol=1e-11)
 
 
@@ -53,7 +53,7 @@ def test_mean_commuting_diagonal():
 
 
 def test_weighted_arithmetic_endpoints():
-    a, b = random_pd(3, [RNG])[0, 0], random_pd(3, [RNG])[0, 0]
+    a, b = random_pd(3, RNG)[0, 0], random_pd(3, RNG)[0, 0]
     assert np.allclose(weighted_arithmetic(a, b, 0.0), a)
     assert np.allclose(weighted_arithmetic(a, b, 1.0), b)
 
@@ -65,8 +65,8 @@ def test_weighted_geometric_commuting():
 
 def test_weighted_geometric_two_routes():
     for _ in range(10):
-        lam = RNG.uniform(0.05, 0.95)
-        a, b = random_pd(4, [RNG], 0.3, 2.0)[0, 0], random_pd(4, [RNG], 0.3, 2.0)[0, 0]
+        lam = RNG[0].uniform(0.05, 0.95)
+        a, b = random_pd(4, RNG, 0.3, 2.0)[0, 0], random_pd(4, RNG, 0.3, 2.0)[0, 0]
         direct = weighted_geometric(a, b, lam)
         via_mean = mean(a, b, geometric_w(lam))
         assert np.linalg.norm(direct - via_mean, 2) <= 1e-10
@@ -74,7 +74,7 @@ def test_weighted_geometric_two_routes():
 
 def test_scalar_consistency():
     for _ in range(10):
-        a, b = RNG.uniform(0.2, 3.0), RNG.uniform(0.2, 3.0)
+        a, b = RNG[0].uniform(0.2, 3.0), RNG[0].uniform(0.2, 3.0)
         for f in MEANS:
             out = mean(np.array([[a]], dtype=complex), np.array([[b]], dtype=complex), f)
             assert out[0, 0].real == pytest.approx(a * float(f(b / a)), rel=1e-13)
@@ -83,19 +83,19 @@ def test_scalar_consistency():
 @pytest.mark.parametrize("f", MEANS, ids=lambda f: f.label)
 def test_mean_monotone_in_both_arguments(f):
     for _ in range(10):
-        a = random_pd(3, [RNG], 0.3, 1.5)[0, 0]
-        b = random_pd(3, [RNG], 0.3, 1.5)[0, 0]
-        c = a + random_pd(3, [RNG], 0.05, 0.8)[0, 0]
-        d = b + random_pd(3, [RNG], 0.05, 0.8)[0, 0]
+        a = random_pd(3, RNG, 0.3, 1.5)[0, 0]
+        b = random_pd(3, RNG, 0.3, 1.5)[0, 0]
+        c = a + random_pd(3, RNG, 0.05, 0.8)[0, 0]
+        d = b + random_pd(3, RNG, 0.05, 0.8)[0, 0]
         assert loewner_leq(mean(a, b, f), mean(c, d, f)).holds
 
 
 @pytest.mark.parametrize("f", MEANS, ids=lambda f: f.label)
 def test_mean_transformer_equality_invertible(f):
     for _ in range(5):
-        a = random_pd(3, [RNG], 0.3, 1.5)[0, 0]
-        b = random_pd(3, [RNG], 0.3, 1.5)[0, 0]
-        t = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3)) + 3 * np.eye(3)
+        a = random_pd(3, RNG, 0.3, 1.5)[0, 0]
+        b = random_pd(3, RNG, 0.3, 1.5)[0, 0]
+        t = RNG[0].standard_normal((3, 3)) + 1j * RNG[0].standard_normal((3, 3)) + 3 * np.eye(3)
         lhs = t.conj().T @ mean(a, b, f) @ t
         rhs = mean(t.conj().T @ a @ t, t.conj().T @ b @ t, f)
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-9 * max(1.0, np.linalg.norm(rhs, 2))
@@ -104,13 +104,13 @@ def test_mean_transformer_equality_invertible(f):
 @pytest.mark.parametrize("f", MEANS, ids=lambda f: f.label)
 def test_mean_superadditive(f):
     for _ in range(10):
-        a1, b1 = random_pd(3, [RNG], 0.2, 1.0)[0, 0], random_pd(3, [RNG], 0.2, 1.0)[0, 0]
-        a2, b2 = random_pd(3, [RNG], 0.2, 1.0)[0, 0], random_pd(3, [RNG], 0.2, 1.0)[0, 0]
+        a1, b1 = random_pd(3, RNG, 0.2, 1.0)[0, 0], random_pd(3, RNG, 0.2, 1.0)[0, 0]
+        a2, b2 = random_pd(3, RNG, 0.2, 1.0)[0, 0], random_pd(3, RNG, 0.2, 1.0)[0, 0]
         assert loewner_leq(mean(a1, b1, f) + mean(a2, b2, f), mean(a1 + a2, b1 + b2, f)).holds
 
 
 def test_log_is_not_a_mean():
-    a = random_pd(2, [RNG])[0, 0]
+    a = random_pd(2, RNG)[0, 0]
     with pytest.raises(ParameterError, match="not normalized"):
         mean(a, a, log_fn)
 
@@ -164,7 +164,7 @@ def test_per_trial_function_gives_each_trial_its_own_bits():
     # each id's function runs with its own scalar exponent on its own rows:
     # numpy's x ** 0.5 takes a fast path that an exponent array does not
     ids = np.array(["geom:0.5", "arith:0.5", "power:0.3", "log", "geom:0.5", "log", "power:0.3"])
-    lam = RNG.uniform(0.05, 4.0, size=(2, len(ids), 5))
+    lam = RNG[0].uniform(0.05, 4.0, size=(2, len(ids), 5))
     f = function_from_id(ids)
     out = f.fn(lam)
     for t, fid in enumerate(ids):
@@ -179,13 +179,13 @@ def test_per_trial_function_gives_each_trial_its_own_bits():
     with pytest.raises(ShapeError):
         f.fn(lam[:, :3])
     with pytest.raises(ParameterError, match="not normalized"):
-        mean(random_pd(2, [RNG])[0, 0], random_pd(2, [RNG])[0, 0], f)
+        mean(random_pd(2, RNG)[0, 0], random_pd(2, RNG)[0, 0], f)
 
 
 def test_per_trial_mean_equals_each_pair_alone():
     ids = np.array(["geom:0.5", "arith:0.5", "power:0.3", "powered:geom:0.5:0.5", "geom:0.5"])
-    a = np.stack([random_pd(3, [RNG], 0.3, 2.0)[0, 0] for _ in ids])
-    b = np.stack([random_pd(3, [RNG], 0.3, 2.0)[0, 0] for _ in ids])
+    a = np.stack([random_pd(3, RNG, 0.3, 2.0)[0, 0] for _ in ids])
+    b = np.stack([random_pd(3, RNG, 0.3, 2.0)[0, 0] for _ in ids])
     stacked = mean(a, b, function_from_id(ids))
     powered_stack = mean(a, b, powered(function_from_id(ids), 0.7))
     for t, fid in enumerate(ids):

@@ -184,3 +184,41 @@ def test_arrays_are_serialized_only_by_spectral():
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, f"array encodings outside spectral.py: {found}"
     assert seen >= 1
+
+
+#: The parameter names a function takes a stream stack by.
+_STACK_PARAMS = {"rngs", "rng", "streams"}
+
+
+def _stack_loops(tree) -> list[str]:
+    """The functions outside ``class Streams`` that iterate over a stream-stack
+    parameter (a ``for`` loop, a comprehension, ``enumerate`` or ``zip``) or
+    subscript one, each as ``name:line`` of the site."""
+    skip = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "Streams" for n in ast.walk(c)}
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or id(fn) in skip:
+            continue
+        params = {a.arg for a in fn.args.args + fn.args.kwonlyargs} & _STACK_PARAMS
+        is_stack = {n for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id in params}.__contains__
+        for node in ast.walk(fn):
+            iterated = isinstance(node, (ast.For, ast.comprehension)) and is_stack(node.iter)
+            paired = (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("enumerate", "zip")
+                and any(map(is_stack, node.args))
+            )
+            if iterated or paired or (isinstance(node, ast.Subscript) and is_stack(node.value)):
+                found.add(f"{fn.name}:{getattr(node, 'iter', node).lineno}")
+    return sorted(found)
+
+
+def test_operator_draws_go_through_the_stream_stack():
+    # an operator builder draws one step of every stream per call
+    # (``Streams.uniform``, ``normal``, ``take``); a loop over the stack's
+    # Generators outside ``Streams`` is a second draw path, and a slower one
+    found = []
+    for name in ("instances.py", "campaign.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
+        found += [f"{name}:{site}" for site in _stack_loops(tree)]
+    assert not found, f"loops over a stream stack outside Streams: {found}"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opbellman.errors import ConditioningError, DomainError, ShapeError
-from opbellman.instances import haar_unitary, random_pd, random_spectrum_matrix
+from opbellman.instances import Streams, haar_unitary, random_pd, random_spectrum_matrix, stream_states
 from opbellman.spectral import (
     OrderVerdict,
     Tolerance,
@@ -90,7 +90,7 @@ def test_apply_function_clips_rounding_drift():
 
 def test_loewner_examples():
     assert loewner_leq(np.diag([1.0, 2.0]), np.diag([2.0, 3.0])).slack == pytest.approx(1.0)
-    h = random_pd(3, [np.random.default_rng(4)])[0, 0]
+    h = random_pd(3, Streams(stream_states(4, [()])))[0, 0]
     v = loewner_leq(h, h)
     assert v.holds and abs(v.slack) <= 1e-14
     v = loewner_leq(np.diag([0.0, 2.0]), np.diag([1.0, 1.0]))
@@ -107,16 +107,16 @@ def test_loewner_dimension_mismatch():
 def test_loewner_holds_equals_loewner_leq_verdict():
     # slacks on every side of the margin: positive, exactly zero, negative
     # within the margin (holds only through the tolerance) and beyond it
-    rng = np.random.default_rng(21)
+    rng = Streams(stream_states(21, [()]))
     within_margin_holds = 0
     for tol in (Tolerance(), Tolerance(atol=1e-6, rtol=1e-8), Tolerance(0.0, 0.0)):
         for dim in range(1, 7):
             for _ in range(12):
-                x = hermitize(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-                x = x * 10.0 ** rng.uniform(-3, 3)
+                x = hermitize(rng[0].standard_normal((dim, dim)) + 1j * rng[0].standard_normal((dim, dim)))
+                x = x * 10.0 ** rng[0].uniform(-3, 3)
                 margin = tol.margin(spectral_norm(x))
                 shifts = (
-                    rng.uniform(0.1, 2.0) * random_pd(dim, [rng])[0, 0],
+                    rng[0].uniform(0.1, 2.0) * random_pd(dim, rng)[0, 0],
                     np.zeros((dim, dim), dtype=complex),
                     -0.5 * margin * identity(dim),
                     -max(10.0 * margin, 1e-3) * identity(dim),
@@ -141,8 +141,8 @@ def test_loewner_holds_non_finite_operands_take_the_full_path():
 
 
 def test_power_identities():
-    rng = np.random.default_rng(5)
-    h = random_pd(4, [rng])[0, 0]
+    rng = Streams(stream_states(5, [()]))
+    h = random_pd(4, rng)[0, 0]
     assert np.allclose(apply_function(h, lambda t: t**0.0, (0.0, np.inf)), identity(4))
     assert np.allclose(apply_function(h, lambda t: t**1.0, (0.0, np.inf)), h)
     s = apply_function(h, np.sqrt, (0.0, np.inf))
@@ -151,9 +151,9 @@ def test_power_identities():
 
 
 def test_inv_sqrt_identity_oracle():
-    rng = np.random.default_rng(6)
+    rng = Streams(stream_states(6, [()]))
     for _ in range(10):
-        h = random_pd(4, [rng], 0.3, 3.0)[0, 0]
+        h = random_pd(4, rng, 0.3, 3.0)[0, 0]
         r = pd_root_pair(h)[1]
         assert np.allclose(r @ h @ r, identity(4), atol=1e-10)
 
@@ -165,21 +165,21 @@ def test_inv_sqrt_near_singular_reports_conditioning():
 
 
 def test_unitary_covariance():
-    rng = np.random.default_rng(7)
+    rng = Streams(stream_states(7, [()]))
     fn = lambda t: t**0.3
     for _ in range(10):
-        h = random_pd(4, [rng], 0.2, 2.0)[0, 0]
-        u = haar_unitary(4, [rng], 1)[0, 0]
+        h = random_pd(4, rng, 0.2, 2.0)[0, 0]
+        u = haar_unitary(4, rng, 1)[0, 0]
         lhs = apply_function(u @ h @ u.conj().T, fn, (0.0, np.inf))
         rhs = u @ apply_function(h, fn, (0.0, np.inf)) @ u.conj().T
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-10
 
 
 def test_loewner_antisymmetry_at_tolerance():
-    rng = np.random.default_rng(8)
+    rng = Streams(stream_states(8, [()]))
     tol = Tolerance()
     for _ in range(10):
-        h = random_pd(3, [rng])[0, 0]
+        h = random_pd(3, rng)[0, 0]
         g = h + 1e-13 * identity(3)
         fwd = loewner_leq(h, g, tol)
         bwd = loewner_leq(g, h, tol)
@@ -188,12 +188,12 @@ def test_loewner_antisymmetry_at_tolerance():
 
 
 def test_loewner_heinz_statistical():
-    rng = np.random.default_rng(9)
+    rng = Streams(stream_states(9, [()]))
     for _ in range(25):
-        dim = int(rng.integers(1, 5))
-        a = random_pd(dim, [rng], 0.1, 1.5)[0, 0]
-        b = a + random_pd(dim, [rng], 0.05, 1.0)[0, 0]
-        p = rng.uniform(0.05, 0.95)
+        dim = int(rng[0].integers(1, 5))
+        a = random_pd(dim, rng, 0.1, 1.5)[0, 0]
+        b = a + random_pd(dim, rng, 0.05, 1.0)[0, 0]
+        p = rng[0].uniform(0.05, 0.95)
         power = lambda t: t**p
         assert loewner_leq(apply_function(a, power, (0.0, np.inf)), apply_function(b, power, (0.0, np.inf))).holds
 
@@ -234,15 +234,15 @@ def test_matrix_json_rejects_bad_payload():
 
 
 def test_spectrum_matrix_ranges():
-    rng = np.random.default_rng(11)
-    h = random_spectrum_matrix(5, (0.25, 0.75), [rng])[0, 0]
+    rng = Streams(stream_states(11, [()]))
+    h = random_spectrum_matrix(5, (0.25, 0.75), rng)[0, 0]
     lam = np.linalg.eigvalsh(h)
     assert lam.min() >= 0.25 - 1e-12 and lam.max() <= 0.75 + 1e-12
 
 
 def _stack_with_bad(rng, dim, bad):
     """Five PD matrices, with ``bad`` at index 2."""
-    mats = [random_pd(dim, [rng], 0.3, 2.0)[0, 0] for _ in range(5)]
+    mats = [random_pd(dim, rng, 0.3, 2.0)[0, 0] for _ in range(5)]
     mats[2] = bad
     return np.stack(mats)
 
@@ -252,9 +252,9 @@ def test_stacked_primitives_match_per_matrix_calls(dim):
     # each matrix of a stack gets, to the bit, what it gets alone
     from opbellman.means import geometric_w, mean
 
-    rng = np.random.default_rng(40 + dim)
-    xs = np.stack([random_pd(dim, [rng], 0.3, 2.0)[0, 0] for _ in range(5)])
-    ys = np.stack([random_spectrum_matrix(dim, (-0.5, 2.0), [rng])[0, 0] for _ in range(5)])
+    rng = Streams(stream_states(40 + dim, [()]))
+    xs = np.stack([random_pd(dim, rng, 0.3, 2.0)[0, 0] for _ in range(5)])
+    ys = np.stack([random_spectrum_matrix(dim, (-0.5, 2.0), rng)[0, 0] for _ in range(5)])
     f = geometric_w(0.3)
     lam, u = eig(xs)
     roots = pd_root_pair(xs)
@@ -275,7 +275,7 @@ def test_stacked_primitives_match_per_matrix_calls(dim):
 
 
 def test_stacked_primitive_errors_name_the_failing_matrices():
-    rng = np.random.default_rng(41)
+    rng = Streams(stream_states(41, [()]))
     singular = _stack_with_bad(rng, 2, np.diag([1e-12, 1.0]).astype(complex))
     with pytest.raises(ConditioningError, match="lambda_min = 1.0") as exc:
         pd_root_pair(singular)
