@@ -31,11 +31,12 @@ from .checks import (
 from .constants import MIN_INTERVAL, P_MIN
 from .errors import HypothesisError, ParameterError, WitnessFormatError
 from .instances import (
-    EDGE_SHRINK,
     HEAD_KINDS,
     InstanceFamily,
     Streams,
     _scaled,
+    _shrunk,
+    _size,
     complement_sandwich_family,
     random_contraction,
     random_pd,
@@ -274,14 +275,11 @@ def build_map(map_id, dim: int, rngs, n: int = 1) -> list:
 # hands on to the generators as they are, a mean as ``function_from_id``
 # resolves it and a map as ``build_map`` builds it.  Either raises
 # HypothesisError naming in ``where`` the trials whose hypotheses failed.
-# ``draws`` holds one dict per trial: a trial's params are the cell without
-# its instance-shape keys plus its draws, which never repeat a cell key (see
-# run_check_trial).
-
-
-def _shrunk(m: float, M: float) -> tuple[float, float]:
-    d = EDGE_SHRINK * (M - m)
-    return m + d, M - d
+# ``draws`` is one dict of what the builder chose itself, never a cell key:
+# an array of one row per trial, or a number every trial shares.  A stack's
+# params are its cells' ``_stack_cells`` without ``_SHAPE_KEYS`` plus its
+# rows of the draws (``_check_pending``); a trial's are its own
+# (``_Build.params``).
 
 
 def _window_family(per_member_maps: bool):
@@ -297,7 +295,7 @@ def _window_family(per_member_maps: bool):
             weights=random_weights(n, rngs),
             maps=build_map(cell["map"], d, rngs, n if per_member_maps else 1),
         )
-        return fam, [{}] * len(rngs)
+        return fam, {}
 
     return build
 
@@ -307,7 +305,7 @@ def _build_bellman_mean(cell, rngs):
     caps = [rngs.uniform(0.4, 0.85) for _ in range(2)]
     a, b = random_subidentity_family(cell["n"], cell["dim"], rngs, caps)
     fam = InstanceFamily(hypothesis_tag="subidentity_pair_family", A=a, B=b)
-    return fam, [{}] * len(rngs)
+    return fam, {}
 
 
 def _build_window_single(cell, rngs):
@@ -317,7 +315,7 @@ def _build_window_single(cell, rngs):
         A=random_spectrum_matrix(cell["dim"], (lo, hi), rngs),
         maps=build_map(cell["map"], cell["dim"], rngs),
     )
-    return fam, [{}] * len(rngs)
+    return fam, {}
 
 
 def _build_pd_family(cell, rngs):
@@ -325,7 +323,7 @@ def _build_pd_family(cell, rngs):
     # the A members, then the B members, drawn as one family
     x = random_pd(d, rngs, 0.3, 1.5, 2 * n)
     fam = InstanceFamily(hypothesis_tag="pd_family", A=x[:n], B=x[n:])
-    return fam, [{}] * len(rngs)
+    return fam, {}
 
 
 def _build_dominated_family(cell, rngs):
@@ -339,7 +337,7 @@ def _build_dominated_family(cell, rngs):
         B=b,
         aux={"A_total": sum(a) + x[2 * n], "B_total": sum(b) + x[2 * n + 1]},
     )
-    return fam, [{}] * len(rngs)
+    return fam, {}
 
 
 def _build_pd_contraction_pair(cell, rngs):
@@ -349,21 +347,21 @@ def _build_pd_contraction_pair(cell, rngs):
         A=random_spectrum_matrix(d, (0.1, 0.95), rngs),
         B=random_pd(d, rngs, 0.3, 2.0),
     )
-    return fam, [{}] * len(rngs)
+    return fam, {}
 
 
 def _build_sandwich_pair(cell, rngs):
     d = cell["dim"]
     a, b = random_sandwich_family(d, 1, (0.5, 1.5), cell["m"], cell["M"], rngs)
     fam = InstanceFamily(hypothesis_tag="sandwich_pair", A=a, B=b, maps=build_map(cell["map"], d, rngs))
-    return fam, [{}] * len(rngs)
+    return fam, {}
 
 
 def _build_sandwich_family(cell, rngs):
     d, n = cell["dim"], cell["n"]
     a, b = random_sandwich_family(d, n, (0.5, 1.5), cell["m"], cell["M"], rngs)
     fam = InstanceFamily(hypothesis_tag="sandwich_family", A=a, B=b)
-    return fam, [{}] * len(rngs)
+    return fam, {}
 
 
 def _complement_family(mean_id: str | None = None, gamma_scaled: bool = False, lam_is_p: bool = False):
@@ -381,7 +379,7 @@ def _complement_family(mean_id: str | None = None, gamma_scaled: bool = False, l
         f_id = cell["f"] if mean_id is None else mean_id.format(**cell)
         g = _per_trial(_gamma_cached, f_id, m, M) if gamma_scaled else 1.0
         fam = complement_sandwich_family(cell["dim"], cell["n"], (m, M), function_from_id(f_id), g, rngs)
-        return fam, [{"lam": cell["p"]} if lam_is_p else {}] * len(rngs)
+        return fam, {"lam": cell["p"]} if lam_is_p else {}
 
     return build
 
@@ -395,18 +393,18 @@ def _build_contraction_window(cell, rngs):
         A=random_spectrum_matrix(d, (lo, hi), rngs),
         aux={"C": random_contraction(d, rngs, kinds)},
     )
-    return fam, [{}] * len(rngs)
+    return fam, {}
 
 
 def _build_pd_contraction_sandwich(cell, rngs):
     a, b = random_sandwich_family(cell["dim"], 1, (0.15, 0.9), cell["m"], cell["M"], rngs)
     fam = InstanceFamily(hypothesis_tag="pd_contraction_sandwich", A=a, B=b)
-    return fam, [{}] * len(rngs)
+    return fam, {}
 
 
 def _build_chain_interp(cell, rngs):
     fam, _ = _build_bellman_mean(cell, rngs)
-    return fam, [{"t": t} for t in rngs.uniform(0.0, 1.0, cell["n"]).tolist()]
+    return fam, {"t": rngs.uniform(0.0, 1.0, cell["n"])}
 
 
 def _build_scalar(kind):
@@ -418,7 +416,7 @@ def _build_scalar(kind):
     def build(cell, streams):
         rows = streams.integers(1, 4)
         if kind not in HEAD_KINDS:
-            return scalar_instance(kind, (rows, cell["n"]), cell["p"], streams), [{}] * len(streams)
+            return scalar_instance(kind, (rows, cell["n"]), cell["p"], streams), {}
         if kind == "bellman":
             p = streams.integers(1, 5).astype(float)
         elif kind == "popoviciu":
@@ -427,7 +425,7 @@ def _build_scalar(kind):
             p = _scaled(streams.random(1)[:, 0], 1.0, 2.0)
         else:
             p = np.full(len(streams), 2.0)
-        return scalar_instance(kind, (rows, cell["n"]), p, streams), [{"p": x} for x in p.tolist()]
+        return scalar_instance(kind, (rows, cell["n"]), p, streams), {"p": p}
 
     return build
 
@@ -630,20 +628,20 @@ _PER_TRIAL_KEYS = ("m", "M", "f", "map")
 
 class _Build:
     """The seeded (cell, trial) ``pairs`` of one builder call, on arrays of
-    one entry per trial: ``row``, its entry in ``stack`` (-1 if the builder
-    rejected it; ``draws`` per entry); ``guard``, the guard that makes it
-    not applicable, or None; ``exact``, the index of its exact outcome in
-    ``outcomes``, or -1; and [lo, hi] enclosures of its ``slack``, ``scale``
-    and slack/scale (``normalized``), NaN where unknown, points for an exact
-    outcome; and, in ``violated``, the trials whose exact outcome violates
-    the inequality.  A trial has a normalized slack where its scale's lower
+    one entry per trial: ``row``, its entry in ``stack`` and its row of
+    ``draws`` (-1 if the builder rejected it); ``guard``, the guard that
+    makes it not applicable, or None; ``exact``, the index of its exact
+    outcome in ``outcomes``, or -1; and [lo, hi] enclosures of its
+    ``slack``, ``scale`` and slack/scale (``normalized``), NaN where
+    unknown, points for an exact outcome; and, in ``violated``, the trials
+    whose exact outcome violates the inequality.  A trial has a normalized slack where its scale's lower
     end is positive.  A trial's outcome, instance, params and provenance are
     formed only when asked for.
     """
 
     def __init__(self, check_id: str, cfg: CampaignConfig, pairs: list):
         self.check_id, self.cfg, self.pairs = check_id, cfg, pairs
-        self.stack, self.draws, self.outcomes, self.violated, self.cell_params = None, [], [], [], {}
+        self.stack, self.draws, self.outcomes, self.violated = None, {}, [], []
         self.row, self.exact = np.full((2, len(pairs)), -1)
         self.guard = np.empty(len(pairs), dtype=object)  # an object array starts as None
         # slack, scale and normalized are views of one array, set together
@@ -684,15 +682,13 @@ class _Build:
         return None if self.row[i] < 0 else take(self.stack, int(self.row[i]))
 
     def params(self, i: int) -> dict | None:
-        """Trial i's params: its cell without ``_SHAPE_KEYS``, formed once per
-        cell, plus its draws."""
+        """Trial i's params, as a witness stores them: its cell without
+        ``_SHAPE_KEYS`` plus its row of the draws, as Python values."""
         row = self.row.item(i)
         if row < 0:
             return None
-        cell = self.pairs[i][0]
-        if id(cell) not in self.cell_params:
-            self.cell_params[id(cell)] = {k: v for k, v in cell.items() if k not in _SHAPE_KEYS}
-        return self.cell_params[id(cell)] | self.draws[row]
+        draws = {k: v[row].tolist() if isinstance(v, np.ndarray) else v for k, v in self.draws.items()}
+        return {k: v for k, v in self.pairs[i][0].items() if k not in _SHAPE_KEYS} | draws
 
     def provenance(self, i: int) -> dict:
         cell, trial = self.pairs[i]
@@ -714,8 +710,9 @@ def _stream_states(keys: list[tuple[str, dict]], trials, cfg: CampaignConfig) ->
 
 
 def _stack_cells(cells: list[dict]) -> dict:
-    """``checks._stack_params`` of the cells of a build's trials, which differ
-    at most in their ``_PER_TRIAL_KEYS``, so only those are compared."""
+    """The cells of a build's trials as one dict, which differ at most in
+    their ``_PER_TRIAL_KEYS``, so only those are compared: a key whose
+    value differs becomes an array of one value per trial."""
     first = cells[0]
     per_trial = [k for k in _PER_TRIAL_KEYS if k in first and any(c[k] != first[k] for c in cells)]
     return first | {k: np.asarray([c[k] for c in cells]) for k in per_trial}
@@ -751,32 +748,19 @@ def _build_trials(check_id: str, pairs, cfg: CampaignConfig, states: np.ndarray)
     return build
 
 
-def _size(stack: InstanceFamily) -> int:
-    """The number of trials of a builder's stack: the length of the trial
-    axis of its operands, or of a scalar stack's first ``aux`` array."""
-    return len(next(iter(stack.aux.values()))) if stack.A is None else stack.A.shape[1]
-
-
 def _check_pending(build: _Build, idx: np.ndarray) -> None:
     """Settle the trials ``idx`` of ``build``, built trials with neither a
     guard nor an exact outcome yet, in one ``checks.check_cell`` call on the
     build's stack, or on ``take`` of their entries where they are not all
-    of it."""
+    of it, with their params stacked once: their cells' ``_stack_cells``
+    without ``_SHAPE_KEYS`` and their rows of the draws."""
     if not idx.size:
         return
-    stack = build.stack if idx.size == _size(build.stack) else take(build.stack, build.row[idx])
-    params = [build.params(i) for i in idx.tolist()]
+    rows = build.row[idx]
+    stack = build.stack if idx.size == _size(build.stack) else take(build.stack, rows)
+    cells = _stack_cells([build.pairs[i][0] for i in idx.tolist()])
+    params = {k: v for k, v in cells.items() if k not in _SHAPE_KEYS} | checks._rows(build.draws, rows)
     build.settle(idx, checks.check_cell(build.check_id, stack, params, build.cfg.tolerance))
-
-
-def _checked_trials(check_id: str, cell: dict, cfg: CampaignConfig, trials) -> _Build:
-    """The seeded trials ``trials`` of one cell, seeded and built in one
-    builder call and the built ones checked in one ``checks.check_cell``
-    call on its stack."""
-    states = _stream_states([(check_id, cell)], trials, cfg)[0]
-    build = _build_trials(check_id, [(cell, trial) for trial in trials], cfg, states)
-    _check_pending(build, np.flatnonzero(build.row >= 0))
-    return build
 
 
 def run_check_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int):
@@ -785,7 +769,9 @@ def run_check_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int):
 
     The params are the cell without its instance-shape keys ``_SHAPE_KEYS``,
     plus whatever the builder drew itself."""
-    build = _checked_trials(check_id, cell, cfg, [trial])
+    states = _stream_states([(check_id, cell)], [trial], cfg)[0]
+    build = _build_trials(check_id, [(cell, trial)], cfg, states)
+    _check_pending(build, np.flatnonzero(build.row >= 0))
     return build.outcome(0), build.inst(0), build.params(0), build.provenance(0)
 
 

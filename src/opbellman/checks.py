@@ -24,8 +24,10 @@ dimension, which a checker applies as it applies any map.  A
 checker resolves ``f`` with ``function_from_id``, which gives one
 function or a per-trial one, and takes every constant, and f(m), through
 ``_per_trial`` on the id, never by calling f on one float.
-``p``, ``lam`` and ``k`` stay one number per stack.  ``check`` runs one
-trial; ``check_cell`` runs a stack of trials in one pass.
+``p``, ``lam`` and ``k`` stay one number per stack; a stack's params are
+one dict, with an array on a leading trial axis where its trials differ
+(``m``, ``M``, ``f``, a draw such as ``t``).  ``check`` runs one trial;
+``check_cell`` runs a stack of trials in one pass.
 
 A scalar check is one expression over the arrays of its cell's stack, the
 family ``instances.scalar_instance`` builds.  On float64 intervals it is the
@@ -52,7 +54,7 @@ from .errors import (
     ParameterError,
     UnboundedRatioError,
 )
-from .instances import InstanceFamily, _trial_factor, take
+from .instances import InstanceFamily, _size, _trial_factor, take
 from .means import (
     RepresentingFunction,
     arithmetic_w,
@@ -77,7 +79,6 @@ from .spectral import (
     hermitize,
     identity,
     loewner_holds,
-    loewner_leq,
     spectral_norm,
 )
 
@@ -139,38 +140,31 @@ def _na(check_id: str, guard: str) -> CheckOutcome:
     return CheckOutcome(check_id, NOT_APPLICABLE, math.nan, math.nan, witness={"guard": guard})
 
 
-def _compare(check_id, dominant, dominated, tol) -> list[CheckOutcome]:
-    v = loewner_leq(dominated, dominant, tol)
-    return [
-        CheckOutcome(check_id, HOLDS if holds else VIOLATED, float(slack), float(scale))
-        for holds, slack, scale in zip(*np.atleast_1d(v.holds, v.slack, v.scale))
-    ]
-
-
-def _chain_outcome(check_id, t1, t2, t3, tol) -> list[CheckOutcome]:
-    """Each trial's outcome of t1 <= t2 <= t3, each link as ``loewner_leq``
-    decides it, with ||t2|| taken once: one SVD and one eigvalsh call."""
-    terms = np.asarray(np.broadcast_arrays(t1, t2, t3), dtype=complex)
+def _links(check_id, terms, tol) -> list[CheckOutcome]:
+    """Each trial's outcome of terms[0] <= terms[1] <= ..., each adjacent
+    pair (a link) decided as ``spectral.loewner_leq`` decides it: its slack
+    is lambda_min of the Hermitized gap, its scale the larger spectral norm
+    of its two terms, from one ``spectral_norm`` call on every term and one
+    ``_eigvalsh`` call on every gap.  A trial holds when each link does; it
+    reports its least link slack and its largest link scale, and, for more
+    than one link, each link's slack."""
+    terms = np.asarray(np.broadcast_arrays(*terms), dtype=complex)
     norms = spectral_norm(terms)
-    slack = _eigvalsh(hermitize(terms[1:] - terms[:-1]))[..., 0].reshape(2, -1)
-    scale = _larger(norms[:-1], norms[1:]).reshape(2, -1)
-    holds = slack >= -tol.margin(scale)
+    links = len(terms) - 1
+    slack = _eigvalsh(hermitize(terms[1:] - terms[:-1]))[..., 0].reshape(links, -1)
+    scale = _larger(norms[:-1], norms[1:]).reshape(links, -1)
+    holds = (slack >= -tol.margin(scale)).all(axis=0).tolist()
     return [
-        CheckOutcome(check_id, HOLDS if h1 and h2 else VIOLATED, min(s1, s2), max(c1, c2), chain_slacks=(s1, s2))
-        for h1, h2, s1, s2, c1, c2 in zip(*holds, *slack.tolist(), *scale.tolist())
+        CheckOutcome(check_id, HOLDS if h else VIOLATED, min(s), max(c), chain_slacks=s if links > 1 else None)
+        for h, s, c in zip(holds, zip(*slack.tolist()), zip(*scale.tolist()))
     ]
 
 
-def _stack_params(params: list[dict]) -> dict:
-    """The params (or cells) of a stack of trials: a value all trials share
-    stays as it is, and one that differs (a per-trial draw, or the interval
-    of cells built together) becomes an array on a leading axis."""
-    if len(params) == 1:
-        return params[0]
-    return {
-        key: value if all(p[key] == value for p in params[1:]) else np.asarray([p[key] for p in params])
-        for key, value in params[0].items()
-    }
+def _rows(params: dict, idx) -> dict:
+    """The params of the trials ``idx`` of a stack: the rows ``idx`` of each
+    array, whose leading axis is the trial axis, and every other value as it
+    is, since all trials share it."""
+    return {k: v[idx] if isinstance(v, np.ndarray) else v for k, v in params.items()}
 
 
 def _scalar_outcomes(check_id, guards, dominant, dominated, tol) -> list[CheckOutcome]:
@@ -215,16 +209,17 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
     """Declare one inequality: register it in ``REGISTRY`` and wrap its checker.
 
     An operator checker returns the sides to compare, (dominant, dominated),
-    or (t1, t2, t3) for a chain t1 <= t2 <= t3.  The entry's ``runner``
-    takes a cell's stack, as its builder returns it, with a list of params,
-    and returns one outcome per trial.
+    or (t1, t2, t3) for a chain t1 <= t2 <= t3, which ``_links`` decides as
+    the chain (dominated, dominant) or (t1, t2, t3).  The entry's ``runner``
+    takes a cell's stack, as its builder returns it, with the params of its
+    trials stacked in one dict, and returns one outcome per trial.
 
     An operator checker runs once on the stack of all trials.  A guard that
     fails on some trials (on any member of a trial, for a guard on the
     member stack) settles them, and the checker runs again on
-    ``take(stack, keep)`` of the rest, so no step after a trial's first
-    failing guard sees its operands; a stacked call gives each trial the
-    bits it gives it alone.
+    ``take(stack, keep)`` and the ``_rows`` of the params of the rest, so
+    no step after a trial's first failing guard sees its operands; a
+    stacked call gives each trial the bits it gives it alone.
 
     A scalar check is one function ``fn(s, num)`` of the arrays of the
     cell's stack (``_scalar_arrays``: its ``aux``, a matrix zero-padded to
@@ -251,15 +246,15 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
 
     def deco(fn):
         @functools.wraps(fn)
-        def runner(insts, params: list, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
+        def runner(insts, params: dict, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
             if group == "scalar":
                 with mpmath.workdps(SCALAR_DPS):
                     return _scalar_outcomes(check_id, *fn(_scalar_arrays(insts), _Digits), tol)
-            out = [None] * len(params)
-            live = np.arange(len(params))
+            out = [None] * _size(insts)
+            live = np.arange(len(out))
             while live.size:
                 try:
-                    sides = fn(insts, _stack_params([params[t] for t in live]), tol)
+                    sides = fn(insts, params, tol)
                 except _GuardFail as g:
                     failed = np.asarray(g.where)
                     if failed.ndim > insts.A.ndim - 3:  # a verdict per member and trial
@@ -269,10 +264,11 @@ def inequality(check_id, *, group, direction, interval_kind, axes, statement, hy
                         out[t] = _na(check_id, g.guard)
                     live = live[~failed]
                     if live.size:
-                        insts = take(insts, np.flatnonzero(~failed))
+                        keep = np.flatnonzero(~failed)
+                        insts, params = take(insts, keep), _rows(params, keep)
                     continue
-                compare = _chain_outcome if group == "chain" else _compare
-                for t, outcome in zip(live, compare(check_id, *sides, tol)):
+                terms = sides if group == "chain" else sides[::-1]  # (dominated, dominant)
+                for t, outcome in zip(live, _links(check_id, terms, tol)):
                     out[t] = outcome
                 break
             return out
@@ -1379,17 +1375,18 @@ def _entry(check_id: str) -> RegistryEntry:
 def check(check_id: str, inst, params, tol: Tolerance = DEFAULT_TOL) -> CheckOutcome:
     """Dispatch one inequality check on one trial by registry id: the entry's
     runner on a stack of one (d x d matrices, or a trial axis of length one)."""
-    return _entry(check_id).runner(inst, [params], tol)[0]
+    return _entry(check_id).runner(inst, params, tol)[0]
 
 
-def check_cell(check_id: str, stack, params: list, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
+def check_cell(check_id: str, stack, params: dict, tol: Tolerance = DEFAULT_TOL) -> list[CheckOutcome]:
     """One outcome per trial of a stack, from one run of the entry's runner
     on it: a builder's family, of one cell or of cells that differ only in
-    their interval, their mean and their map.  A single trial goes through
+    their interval, their mean and their map, with the params of its trials
+    stacked once (``_rows`` reads them).  A single trial goes through
     ``check``, so what wraps the per-trial entry sees every trial of a
     one-trial cell."""
-    if len(params) == 1:
-        return [check(check_id, stack, params[0], tol)]
+    if _size(stack) == 1:
+        return [check(check_id, stack, params, tol)]
     return _entry(check_id).runner(stack, params, tol)
 
 

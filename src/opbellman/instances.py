@@ -406,6 +406,15 @@ def take(stack: InstanceFamily, idx) -> InstanceFamily:
     )
 
 
+def _size(stack: InstanceFamily) -> int:
+    """The number of trials of a family: the length of its operands' trial
+    axis, or of a scalar stack's ``p``; 1 for one trial's family, whose
+    operands are (n, d, d) or whose ``p`` is one number."""
+    if stack.A is None:
+        return np.size(stack.aux["p"])
+    return stack.A.shape[1] if stack.A.ndim == 4 else 1
+
+
 def _trial_factor(x):
     """A number as it is, or an array of one value per trial shaped
     (trials, 1, 1), to scale a stack of matrices trial by trial."""
@@ -527,13 +536,18 @@ def _sandwiched(a: np.ndarray, t: np.ndarray, m, M) -> tuple[np.ndarray, np.ndar
     return b, (low < 0.0).any(axis=0)
 
 
-def _sandwich_window(m, M) -> tuple:
+def _shrunk(m, M) -> tuple:
     """The window [m + delta, M - delta] of an inner spectrum, delta =
-    EDGE_SHRINK (M - m); refuses unless 0 < m < M."""
-    if not np.all((0.0 < m) & (m < M)):
-        raise ParameterError(f"need 0 < m < M, got m={m}, M={M}")
+    EDGE_SHRINK (M - m), of numbers or of arrays of one per trial."""
     delta = EDGE_SHRINK * (M - m)
     return m + delta, M - delta
+
+
+def _sandwich_window(m, M) -> tuple:
+    """``_shrunk(m, M)``; refuses unless 0 < m < M."""
+    if not np.all((0.0 < m) & (m < M)):
+        raise ParameterError(f"need 0 < m < M, got m={m}, M={M}")
+    return _shrunk(m, M)
 
 
 def random_sandwich_family(dim: int, n: int, interval: tuple[float, float], m, M, rngs) -> tuple[np.ndarray, np.ndarray]:

@@ -68,11 +68,15 @@ def _attempts(check_id: str, count: int, max_attempts: int, cfg=ACCEPT_CFG):
     is cell a mod C, trial a div C), up to where it stops, each as its
     build and its index in it.
 
-    Each cell's trials are built and checked in rounds through
-    ``campaign._checked_trials``; a round holds the trials one cell is
-    expected to need for the applicable outcomes still missing, and trials
-    built past the stopping point are dropped unread."""
+    The trials are built and checked in rounds, one ``campaign._build_trials``
+    and one ``campaign._check_pending`` call for the cell's whole
+    ``campaign._stack_groups`` group, each trial on its own stream; a round
+    holds the trials one cell is expected to need for the applicable
+    outcomes still missing, for every cell of its group, which the group's
+    first cell in the cycle starts, and trials built past the stopping
+    point are dropped unread."""
     cells = campaign.expand_cells(check_id, cfg)
+    group_of = {i: group for group in campaign._stack_groups(cells) for i in group}
     done = [[] for _ in cells]
     applicable = 0
     for attempt in range(max_attempts):
@@ -81,8 +85,13 @@ def _attempts(check_id: str, count: int, max_attempts: int, cfg=ACCEPT_CFG):
         cell, trial = attempt % len(cells), attempt // len(cells)
         if trial == len(done[cell]):
             size = min(-(-(count - applicable) // len(cells)), -(-max_attempts // len(cells)) - trial)
-            build = campaign._checked_trials(check_id, cells[cell], cfg, range(trial, trial + size))
-            done[cell] += [(build, i) for i in range(size)]
+            group, trials = group_of[cell], range(trial, trial + size)
+            states = campaign._stream_states([(check_id, cells[j]) for j in group], trials, cfg)
+            pairs = [(cells[j], t) for j in group for t in trials]
+            build = campaign._build_trials(check_id, pairs, cfg, states.reshape(len(pairs), 4))
+            campaign._check_pending(build, np.flatnonzero(build.row >= 0))
+            for k, j in enumerate(group):
+                done[j] += [(build, k * size + i) for i in range(size)]
         build, i = done[cell][trial]
         applicable += build.outcome(i).status != NOT_APPLICABLE
         yield build, i
@@ -279,17 +288,24 @@ def test_stacked_loop_matches_the_per_trial_loop(monkeypatch, max_attempts):
     # further rounds, and at the attempt cap (20)
     count = 20
     rounds = []
-    checked = campaign._checked_trials
-    monkeypatch.setattr(campaign, "_checked_trials", lambda *args: rounds.append(args) or checked(*args))
+    build_trials = campaign._build_trials
+    monkeypatch.setattr(campaign, "_build_trials", lambda *args: rounds.append(args) or build_trials(*args))
     for cid in checks.REGISTRY:
         monkeypatch.setitem(campaign.BUILDERS, cid, _rejecting(campaign.BUILDERS[cid]))
         rounds.clear()
         stacked = _tally(_attempts(cid, count, max_attempts, LOOP_CFG))
+        cells = campaign.expand_cells(cid, LOOP_CFG)
+        groups = campaign._stack_groups(cells)
+        # each round is one build of every cell of one group, over one trial range
+        for _, pairs, _, _ in rounds:
+            members = [cells.index(cell) for cell, _ in pairs]
+            assert sorted(set(members)) in groups and len(pairs) % len(set(members)) == 0, cid
+        built_rounds = len(rounds)
         assert stacked == _run_many(cid, count, max_attempts, LOOP_CFG), cid
         applicable, _, na, _ = stacked
         assert na > 0, cid
         if max_attempts > count:
-            assert applicable == count and len(rounds) > len(campaign.expand_cells(cid, LOOP_CFG)), cid
+            assert applicable == count and built_rounds > len(groups), cid
         else:
             assert applicable + na == max_attempts, cid
 

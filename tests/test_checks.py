@@ -13,7 +13,7 @@ from opbellman.instances import InstanceFamily, Streams, random_pd, random_sandw
 from opbellman.means import function_from_id, geometric_w
 from opbellman.positive_maps import Compression, IdentityMap, take_map
 from opbellman.scalar_refs import reference_slack
-from opbellman.spectral import Tolerance, from_spectrum, hermitize, identity
+from opbellman.spectral import Tolerance, from_spectrum, hermitize, identity, loewner_leq
 
 TOL = Tolerance()
 
@@ -655,7 +655,7 @@ def test_window_guard_equals_the_comparison_on_broadcast_operands():
     verdicts = [_raised(checks._guard_window, mats[:, t], m[t], M[t], tol) for t in range(trials)]
     assert verdicts == [_raised(_window_on_broadcast_operands, mats[:, t], m[t], M[t], tol) for t in range(trials)]
     assert [t for t, v in enumerate(verdicts) if v] == [5, 8]
-    assert checks.loewner_leq(m[1] * identity(dim), mats[1, 1]).slack < 0.0
+    assert loewner_leq(m[1] * identity(dim), mats[1, 1]).slack < 0.0
 
 
 def test_eig_budgets_cover_every_operator_check():
@@ -864,7 +864,7 @@ def _reference_outcome(check_id, inst, tol):
 def _assert_runner_matches_reference(check_id, stack, insts, tol):
     """The runner on ``stack`` gives each of its trials ``insts`` (each one
     trial's instance) the outcome of the per-trial reference."""
-    got = checks.REGISTRY[check_id].runner(stack, [{}] * len(insts), tol)
+    got = checks.REGISTRY[check_id].runner(stack, {}, tol)
     want = [_reference_outcome(check_id, inst.aux, tol) for inst in insts]
     assert list(map(repr, got)) == list(map(repr, want))
     return got
@@ -1138,10 +1138,20 @@ def _mixed_guard_cells():
     )
 
 
+def _stacked_params(params):
+    """The params of hand-built trials as one dict, as ``check_cell`` takes
+    them: a value every trial shares as it is, one that differs an array of
+    one row per trial."""
+    return {
+        key: value if all(p[key] == value for p in params) else np.asarray([p[key] for p in params])
+        for key, value in params[0].items()
+    }
+
+
 @pytest.mark.parametrize("case", list(_mixed_guard_cells()), ids=lambda case: case[0])
 def test_stacked_cell_settles_each_trial_as_alone(case):
     check_id, insts, params, guards = case
-    stacked = checks.check_cell(check_id, _stacked(insts), params, TOL)
+    stacked = checks.check_cell(check_id, _stacked(insts), _stacked_params(params), TOL)
     alone = [check(check_id, inst, p, TOL) for inst, p in zip(insts, params)]
     assert [o.witness and o.witness["guard"] for o in alone] == guards
     # repr compares NaN slacks of not-applicable trials, and every float bit for bit
@@ -1187,7 +1197,7 @@ def test_member_stack_settles_each_trial_at_its_first_failing_guard(case):
     # trial reports the first guard a loop over its members fails; one
     # trial's family of (n, d, d) operands, as a witness replays it, agrees
     check_id, stack, params, guards = case
-    stacked = checks.check_cell(check_id, stack, [params] * 2, TOL)
+    stacked = checks.check_cell(check_id, stack, params, TOL)
     assert [o.witness["guard"] for o in stacked] == guards
     for t, outcome in enumerate(stacked):
         alone = take(stack, t)
@@ -1201,4 +1211,33 @@ def test_stack_of_nan_operands_raises_as_alone():
     with pytest.raises(np.linalg.LinAlgError):
         check("mean_superadditive", insts[1], {"f": "geom:0.5"}, TOL)
     with pytest.raises(np.linalg.LinAlgError):
-        checks.check_cell("mean_superadditive", _stacked(insts), [{"f": "geom:0.5"}] * 2, TOL)
+        checks.check_cell("mean_superadditive", _stacked(insts), {"f": "geom:0.5"}, TOL)
+
+
+@pytest.mark.parametrize("tol", [TOL, Tolerance(0.0, 0.0)], ids=["default", "zero"])
+@pytest.mark.parametrize("check_id", checks.OPERATOR_IDS)
+def test_links_decide_each_pair_as_loewner_leq(check_id, tol):
+    # the first default cell of each operator check, built as a 3-trial
+    # stack: its sides (dominated, dominant), or a chain's terms, through
+    # _links give each link the slack, scale and verdict spectral.loewner_leq
+    # gives that pair, bit for bit, and the whole chain the least slack, the
+    # largest scale and every link's verdict; a zero tolerance makes the
+    # identity noise of some cells violate
+    cfg = CampaignConfig(trials=3)
+    cell = campaign.expand_cells(check_id, cfg)[0]
+    states = campaign._stream_states([(check_id, cell)], range(cfg.trials), cfg)[0]
+    build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg, states)
+    assert (build.row >= 0).all()
+    params = {k: v for k, v in cell.items() if k not in campaign._SHAPE_KEYS} | build.draws
+    sides = checks.REGISTRY[check_id].runner.__wrapped__(build.stack, params, tol)
+    terms = sides if checks.REGISTRY[check_id].group == "chain" else sides[::-1]
+    pairs = [loewner_leq(x, y, tol) for x, y in zip(terms[:-1], terms[1:])]
+    for j, v in enumerate(pairs):
+        want = [(repr(float(s)), repr(float(c)), "holds" if h else "violated") for h, s, c in zip(v.holds, v.slack, v.scale)]
+        got = [(repr(o.slack), repr(o.scale), o.status) for o in checks._links(check_id, terms[j : j + 2], tol)]
+        assert got == want, (check_id, j)
+    for t, outcome in enumerate(checks._links(check_id, terms, tol)):
+        slacks = tuple(float(v.slack[t]) for v in pairs)
+        assert outcome.chain_slacks == (slacks if len(pairs) > 1 else None)
+        assert (outcome.slack, outcome.scale) == (min(slacks), max(float(v.scale[t]) for v in pairs))
+        assert outcome.status == ("holds" if all(v.holds[t] for v in pairs) else "violated")

@@ -78,11 +78,13 @@ def test_no_module_branches_on_a_single_generator():
 
 
 #: Top-level names that are entry points rather than helpers: the dim-1
-#: oracle of the tier-1 suite, the console-script entry, and the per-trial
+#: oracle of the tier-1 suite, the console-script entry, the per-trial
 #: campaign entry that the benchmark's tracer wraps and the tests call (a
 #: campaign checks whole cells, and the acceptance gate checks its trials
-#: in rounds through ``_checked_trials``).
-ENTRY_POINTS = {"reference_slack", "entrypoint", "run_check_trial"}
+#: in rounds of one ``_stack_groups`` group through ``_build_trials`` and
+#: ``_check_pending``), and the public Loewner comparison, which the
+#: package's verdicts (``checks._links``) are tested against.
+ENTRY_POINTS = {"reference_slack", "entrypoint", "run_check_trial", "loewner_leq"}
 
 
 def _decorator_names(node):
@@ -222,3 +224,19 @@ def test_operator_draws_go_through_the_stream_stack():
         tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
         found += [f"{name}:{site}" for site in _stack_loops(tree)]
     assert not found, f"loops over a stream stack outside Streams: {found}"
+
+
+def test_verdicts_are_decided_only_by_links():
+    # checks._links decides every side and chain link from one stacked
+    # spectral_norm and one _eigvalsh call; a call of spectral.loewner_leq
+    # in the checkers or the campaign is a second comparison path, with two
+    # SVD calls per pair
+    found = []
+    for name in ("checks.py", "campaign.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                if getattr(fn, "id", None) == "loewner_leq" or getattr(fn, "attr", None) == "loewner_leq":
+                    found.append(f"{name}:{node.lineno}")
+    assert not found, f"loewner_leq called outside checks._links: {found}"
