@@ -280,3 +280,69 @@ def test_golden_step_cap_never_binds_on_the_sweep_or_acceptance_grid(monkeypatch
     checks._beta_cached.cache_clear()
     assert len(steps_left) > 100
     assert min(steps_left) > 0, sorted(set(steps_left))
+
+
+#: The closed forms on [m, M] = [anchor, anchor + width]: anchors near 0,
+#: near 1 and above 1 (the Bellman constant needs M <= 1), widths 1e-1 to 1e-11.
+_ANCHORS = (0.01, 0.875, 2.5)
+_WIDTHS = tuple(10.0**-k for k in range(1, 12))
+
+
+def _reference(name, m, M, p, lam):
+    """(value, maximizer) of constant ``name`` on [m, M] at 60 digits, from
+    its definition: f over its chord (gamma) or f minus its chord (beta) at
+    the stationary point of that objective."""
+    with mpmath.workdps(60):
+        m, M, p, lam = (mpmath.mpf(x) for x in (m, M, p, lam))
+        if name in ("gamma_power", "delta_affine_power"):
+            if name == "delta_affine_power":
+                m, M = (1 - lam) + lam * m, (1 - lam) + lam * M
+            mu = (M**p - m**p) / (M - m)
+            nu = m**p - mu * m
+            t = p * nu / ((1 - p) * mu)
+            return t**p / (mu * t + nu), t
+        f, t_of_slope = {
+            "zeta_aczel": (lambda t: t**p, lambda s: (s / p) ** (1 / (p - 1))),
+            "delta_bellman": (lambda t: (1 - t) ** p, lambda s: 1 - (-s / p) ** (1 / (p - 1))),
+            "beta_log": (mpmath.log, lambda s: 1 / s),
+        }[name]
+        mu = (f(M) - f(m)) / (M - m)
+        t = t_of_slope(mu)
+        return f(t) - f(m) - mu * (t - m), t
+
+
+@pytest.mark.parametrize("name", ["gamma_power", "delta_affine_power", "zeta_aczel", "delta_bellman", "beta_log"])
+def test_closed_forms_keep_their_digits_on_narrow_intervals(name):
+    # each closed form subtracts nearly equal quantities on a narrow
+    # interval; evaluated at 30 digits and rounded once, its value agrees
+    # with a 60-digit evaluation of the definition to 1e-9 relative plus a
+    # few ulps of the scale of the objective (1 for a ratio, max |f| on the
+    # interval for a difference), and its maximizer to 1e-12 relative
+    lam = 0.3
+    compared = 0
+    for anchor in _ANCHORS:
+        if name == "delta_bellman" and anchor > 1.0:
+            continue
+        for width in _WIDTHS:
+            m, M = anchor, anchor + width
+            for p in (0.25, 0.5, 0.75) if name != "beta_log" else (None,):
+                args = {
+                    "gamma_power": (m, M, p),
+                    "delta_affine_power": (lam, m, M, p),
+                    "zeta_aczel": (m, M, p),
+                    "delta_bellman": (m, M, p),
+                    "beta_log": (m, M),
+                }[name]
+                got = getattr(constants, name)(*args)
+                value, argmax = _reference(name, m, M, p or 0.5, lam)
+                if name in ("zeta_aczel", "delta_bellman", "beta_log"):
+                    f = {"zeta_aczel": lambda t: t**p, "delta_bellman": lambda t: (1 - t) ** p, "beta_log": math.log}[name]
+                    scale = max(abs(f(m)), abs(f(M)))
+                else:
+                    scale = 1.0
+                bound = 1e-9 * abs(float(value)) + 4 * 2.0**-52 * scale
+                where = (name, m, M, p)
+                assert abs(got.value - float(value)) <= bound, (where, got.value, float(value))
+                assert abs(got.argmax - float(argmax)) <= 1e-12 * abs(float(argmax)), where
+                compared += 1
+    assert compared == {"beta_log": 33, "delta_bellman": 66}.get(name, 99)
