@@ -139,11 +139,6 @@ def beta(f: RepresentingFunction, m: float, M: float) -> ConstantResult:
     return _oracle_max(f, m, M, "difference")
 
 
-def _digits(*xs) -> list:
-    """Floats as mpmath numbers, exactly; call under ``workdps(ORACLE_DPS)``."""
-    return [mpmath.mpf(x) for x in xs]
-
-
 #: A closed form at 30 digits takes about 0.1 ms, and a campaign asks for
 #: few distinct argument tuples many times (7 in the default grid's 96
 #: calls), so each public closed form keeps its results by arguments.
@@ -186,7 +181,7 @@ def gamma_power(a: float, b: float, p: float) -> ConstantResult:
     """
     _check_power(a, b, p)
     with mpmath.workdps(ORACLE_DPS):
-        return _gamma_power(*_digits(a, b, p))
+        return _gamma_power(*map(mpmath.mpf, (a, b, p)))
 
 
 def complement_power_fn(p: float) -> RepresentingFunction:
@@ -208,7 +203,7 @@ def t_star(m: float, M: float, p: float) -> float:
     _check_interval(m, M)
     _check_p(p)
     with mpmath.workdps(ORACLE_DPS):
-        m, M, p = _digits(m, M, p)
+        m, M, p = map(mpmath.mpf, (m, M, p))
         k = ((1 - m) ** p - (1 - M) ** p) / (p * (M - m))
         return float(1 - k ** (1 / (p - 1)))
 
@@ -224,7 +219,7 @@ def delta_bellman(m: float, M: float, p: float) -> ConstantResult:
     """
     argmax = t_star(m, M, p)
     with mpmath.workdps(ORACLE_DPS):
-        m, M, p = _digits(m, M, p)
+        m, M, p = map(mpmath.mpf, (m, M, p))
         return _at_maximizer(lambda x: (1 - x) ** p, m, M, argmax)
 
 
@@ -237,7 +232,7 @@ def zeta_aczel(m: float, M: float, p: float) -> ConstantResult:
     _check_interval(m, M)
     _check_p(p)
     with mpmath.workdps(ORACLE_DPS):
-        m, M, p = _digits(m, M, p)
+        m, M, p = map(mpmath.mpf, (m, M, p))
         mu = (M**p - m**p) / (M - m)
         return _at_maximizer(lambda x: x**p, m, M, float((mu / p) ** (1 / (p - 1))))
 
@@ -249,7 +244,7 @@ def log_mean(a: float, b: float) -> float:
     if a == b:
         return float(a)
     with mpmath.workdps(ORACLE_DPS):
-        a, b = _digits(a, b)
+        a, b = map(mpmath.mpf, (a, b))
         return float((b - a) / (mpmath.log(b) - mpmath.log(a)))
 
 
@@ -264,7 +259,7 @@ def beta_log(m: float, M: float) -> ConstantResult:
     _check_interval(m, M)
     argmax = log_mean(m, M)
     with mpmath.workdps(ORACLE_DPS):
-        return _at_maximizer(mpmath.log, *_digits(m, M), argmax)
+        return _at_maximizer(mpmath.log, *map(mpmath.mpf, (m, M)), argmax)
 
 
 @_cached
@@ -280,7 +275,7 @@ def delta_affine_power(lam: float, m: float, M: float, p: float) -> ConstantResu
     f = arithmetic_w(lam)
     _check_power(float(f(m)), float(f(M)), p)
     with mpmath.workdps(ORACLE_DPS):
-        lam, m, M, p = _digits(lam, m, M, p)
+        lam, m, M, p = map(mpmath.mpf, (lam, m, M, p))
         return _gamma_power((1 - lam) + lam * m, (1 - lam) + lam * M, p)
 
 

@@ -284,8 +284,9 @@ LOOP_CFG = dataclasses.replace(
 @pytest.mark.parametrize("max_attempts", [80, 20])
 def test_stacked_loop_matches_the_per_trial_loop(monkeypatch, max_attempts):
     # criteria 3-7's loop on every check at count 20, stopping at the count
-    # (80 attempts), where the rejections make every check's cells need
-    # further rounds, and at the attempt cap (20)
+    # (80 attempts), where the rejections make some group of every check
+    # need a further round, and at the attempt cap (20); each round builds
+    # every cell of one _stack_groups group over one range of trials
     count = 20
     rounds = []
     build_trials = campaign._build_trials
@@ -296,10 +297,9 @@ def test_stacked_loop_matches_the_per_trial_loop(monkeypatch, max_attempts):
         stacked = _tally(_attempts(cid, count, max_attempts, LOOP_CFG))
         cells = campaign.expand_cells(cid, LOOP_CFG)
         groups = campaign._stack_groups(cells)
-        # each round is one build of every cell of one group, over one trial range
         for _, pairs, _, _ in rounds:
-            members = [cells.index(cell) for cell, _ in pairs]
-            assert sorted(set(members)) in groups and len(pairs) % len(set(members)) == 0, cid
+            group, trials = sorted({cells.index(cell) for cell, _ in pairs}), sorted({t for _, t in pairs})
+            assert group in groups and pairs == [(cells[j], t) for j in group for t in trials], cid
         built_rounds = len(rounds)
         assert stacked == _run_many(cid, count, max_attempts, LOOP_CFG), cid
         applicable, _, na, _ = stacked

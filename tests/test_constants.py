@@ -289,9 +289,10 @@ _WIDTHS = tuple(10.0**-k for k in range(1, 12))
 
 
 def _reference(name, m, M, p, lam):
-    """(value, maximizer) of constant ``name`` on [m, M] at 60 digits, from
-    its definition: f over its chord (gamma) or f minus its chord (beta) at
-    the stationary point of that objective."""
+    """(value, maximizer, scale) of constant ``name`` on [m, M] at 60
+    digits, from its definition: f over its chord (gamma, scale 1) or f
+    minus its chord (beta, scale max |f| at the ends) at the stationary
+    point of that objective."""
     with mpmath.workdps(60):
         m, M, p, lam = (mpmath.mpf(x) for x in (m, M, p, lam))
         if name in ("gamma_power", "delta_affine_power"):
@@ -300,7 +301,7 @@ def _reference(name, m, M, p, lam):
             mu = (M**p - m**p) / (M - m)
             nu = m**p - mu * m
             t = p * nu / ((1 - p) * mu)
-            return t**p / (mu * t + nu), t
+            return float(t**p / (mu * t + nu)), float(t), 1.0
         f, t_of_slope = {
             "zeta_aczel": (lambda t: t**p, lambda s: (s / p) ** (1 / (p - 1))),
             "delta_bellman": (lambda t: (1 - t) ** p, lambda s: 1 - (-s / p) ** (1 / (p - 1))),
@@ -308,7 +309,7 @@ def _reference(name, m, M, p, lam):
         }[name]
         mu = (f(M) - f(m)) / (M - m)
         t = t_of_slope(mu)
-        return f(t) - f(m) - mu * (t - m), t
+        return float(f(t) - f(m) - mu * (t - m)), float(t), float(max(abs(f(m)), abs(f(M))))
 
 
 @pytest.mark.parametrize("name", ["gamma_power", "delta_affine_power", "zeta_aczel", "delta_bellman", "beta_log"])
@@ -316,8 +317,7 @@ def test_closed_forms_keep_their_digits_on_narrow_intervals(name):
     # each closed form subtracts nearly equal quantities on a narrow
     # interval; evaluated at 30 digits and rounded once, its value agrees
     # with a 60-digit evaluation of the definition to 1e-9 relative plus a
-    # few ulps of the scale of the objective (1 for a ratio, max |f| on the
-    # interval for a difference), and its maximizer to 1e-12 relative
+    # few ulps of the objective's scale, and its maximizer to 1e-12 relative
     lam = 0.3
     compared = 0
     for anchor in _ANCHORS:
@@ -325,24 +325,12 @@ def test_closed_forms_keep_their_digits_on_narrow_intervals(name):
             continue
         for width in _WIDTHS:
             m, M = anchor, anchor + width
-            for p in (0.25, 0.5, 0.75) if name != "beta_log" else (None,):
-                args = {
-                    "gamma_power": (m, M, p),
-                    "delta_affine_power": (lam, m, M, p),
-                    "zeta_aczel": (m, M, p),
-                    "delta_bellman": (m, M, p),
-                    "beta_log": (m, M),
-                }[name]
+            for p in (0.25, 0.5, 0.75) if name != "beta_log" else (0.5,):
+                args = {"delta_affine_power": (lam, m, M, p), "beta_log": (m, M)}.get(name, (m, M, p))
                 got = getattr(constants, name)(*args)
-                value, argmax = _reference(name, m, M, p or 0.5, lam)
-                if name in ("zeta_aczel", "delta_bellman", "beta_log"):
-                    f = {"zeta_aczel": lambda t: t**p, "delta_bellman": lambda t: (1 - t) ** p, "beta_log": math.log}[name]
-                    scale = max(abs(f(m)), abs(f(M)))
-                else:
-                    scale = 1.0
-                bound = 1e-9 * abs(float(value)) + 4 * 2.0**-52 * scale
+                value, argmax, scale = _reference(name, m, M, p, lam)
                 where = (name, m, M, p)
-                assert abs(got.value - float(value)) <= bound, (where, got.value, float(value))
-                assert abs(got.argmax - float(argmax)) <= 1e-12 * abs(float(argmax)), where
+                assert abs(got.value - value) <= 1e-9 * abs(value) + 4 * 2.0**-52 * scale, (where, got.value, value)
+                assert abs(got.argmax - argmax) <= 1e-12 * abs(argmax), where
                 compared += 1
     assert compared == {"beta_log": 33, "delta_bellman": 66}.get(name, 99)
