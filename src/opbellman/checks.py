@@ -69,6 +69,7 @@ from .spectral import (
     DEFAULT_TOL,
     Tolerance,
     _any,
+    _certified_at_least,
     _eigvalsh,
     _gap_holds,
     _larger,
@@ -347,8 +348,9 @@ def _require_each_member(lower, upper, tol, names):
 
 def _guard_window(mats, m, M, tol, name="spectrum_window"):
     """m I <= A_j <= M I for each member of the stack ``mats``, from the gaps
-    A_j - m I and M I - A_j formed once; m I and M I are broadcast against
-    the members only where a gap has a negative slack."""
+    A_j - m I and M I - A_j formed once (``_gap_holds``: no eigenvalue when
+    one Cholesky factorization certifies every gap); m I and M I are
+    broadcast against the members only where a gap has a negative slack."""
     eye = identity(mats.shape[-1])
     low, high = (_trial_factor(x) * eye for x in (m, M))
 
@@ -373,8 +375,15 @@ def _guard_psd(x, tol, guard):
 
 
 def _pd_floor(x):
-    """Whether lambda_min of each matrix clears PD_REL_FLOOR lambda_max."""
-    lam = _eigvalsh(hermitize(x))
+    """Whether lambda_min of each matrix clears PD_REL_FLOOR lambda_max.
+
+    lambda_max <= d max|h_ij|, so a stack that ``_certified_at_least`` that
+    bound's floor clears its own; any other stack is decided from one
+    ``_eigvalsh`` call."""
+    h = hermitize(x)
+    if _certified_at_least(h, PD_REL_FLOOR * np.maximum(h.shape[-1] * np.abs(h).max(axis=(-2, -1)), 1e-300)):
+        return np.ones(h.shape[:-2], dtype=bool)
+    lam = _eigvalsh(h)
     return lam[..., 0] >= PD_REL_FLOOR * np.maximum(lam[..., -1], 1e-300)
 
 

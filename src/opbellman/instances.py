@@ -33,7 +33,7 @@ import numpy as np
 from .errors import HypothesisError, ParameterError
 from .means import POSITIVE_HALFLINE, RepresentingFunction, mean
 from .positive_maps import take_map
-from .spectral import _eigvalsh, apply_function, from_spectrum, hermitize, identity, spectral_norm
+from .spectral import _certified_at_least, _eigvalsh, apply_function, from_spectrum, hermitize, identity, spectral_norm
 
 #: Hypothesis margin every released instance must clear.
 DEFAULT_MARGIN = 1e-6
@@ -528,12 +528,16 @@ def random_contraction(dim: int, rngs, kind="ginibre") -> np.ndarray:
 def _sandwiched(a: np.ndarray, t: np.ndarray, m, M) -> tuple[np.ndarray, np.ndarray]:
     """(B, failed): B = A^{1/2} T A^{1/2} of each pair of stacks (..., trials,
     d, d), m and M numbers or one per trial, and whether m A <= B <= M A
-    fails, from lambda_min(B - m A) and lambda_min(M A - B) in one
-    ``_eigvalsh`` call, per matrix of the stack."""
+    fails, per matrix of the stack: no pair fails when one Cholesky
+    factorization certifies both gaps B - m A and M A - B of every pair
+    (``_certified_at_least``), else from their lambda_min in one
+    ``_eigvalsh`` call."""
     root = apply_function(a, np.sqrt, POSITIVE_HALFLINE)
     b = hermitize(root @ t @ root)
-    low = _eigvalsh(hermitize(np.stack([b - _trial_factor(m) * a, _trial_factor(M) * a - b])))[..., 0]
-    return b, (low < 0.0).any(axis=0)
+    gaps = hermitize(np.stack([b - _trial_factor(m) * a, _trial_factor(M) * a - b]))
+    if _certified_at_least(gaps):
+        return b, np.zeros(gaps.shape[1:-2], dtype=bool)
+    return b, (_eigvalsh(gaps)[..., 0] < 0.0).any(axis=0)
 
 
 def _shrunk(m, M) -> tuple:
@@ -699,8 +703,10 @@ def _verify_complement_family(
     per trial.
 
     The slack of X <= Y is lambda_min(hermitize(Y - X)), as in
-    ``loewner_leq``, without the spectral norms behind its tolerance; one
-    ``_eigvalsh`` call takes every gap.
+    ``loewner_leq``, without the spectral norms behind its tolerance.  Every
+    trial holds when one Cholesky factorization certifies every gap
+    (``_certified_at_least`` the margin); otherwise one ``_eigvalsh`` call
+    takes every gap.
     """
     eye = identity(fam.A.shape[-1])
     g, m, M = _trial_factor(gamma_value), _trial_factor(m), _trial_factor(M)
@@ -709,7 +715,10 @@ def _verify_complement_family(
     gaps = np.concatenate(
         [fam.B - m * fam.A, M * fam.A - fam.B, np.stack([comp_a, comp_b, comp_b - m * comp_a, M * comp_a - comp_b])]
     )
-    return (_eigvalsh(hermitize(gaps))[..., 0] >= margin).all(axis=0)
+    gaps = hermitize(gaps)
+    if _certified_at_least(gaps, margin):
+        return np.ones(gaps.shape[1:-2], dtype=bool)
+    return (_eigvalsh(gaps)[..., 0] >= margin).all(axis=0)
 
 
 #: The scalar kinds whose hypothesis bounds a head power by its column's.

@@ -109,10 +109,49 @@ def spectral_norm(x: np.ndarray):
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each Hermitian matrix of a stack.
 
-    Every ``eigvalsh`` of the package goes through here: the one point at
-    which to count or time them.
+    Every ``eigvalsh`` of the package goes through here, and every test that
+    needs only the sign of lambda_min - t tries ``_certified_at_least``
+    first: between them, the points at which to count or time both.
     """
     return np.linalg.eigvalsh(h)
+
+
+#: The rounding band of ``_certified_at_least``, in units of d^3 u (max|h_ij| + |t|).
+_CERTIFICATE_BAND = 1024.0
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_TINY = np.finfo(float).tiny
+
+
+def _certified_at_least(h: np.ndarray, t=0.0) -> bool:
+    """Whether ``_eigvalsh(h)[..., 0] >= t`` is certain for every Hermitian
+    matrix H of a stack, from one Cholesky factorization of H - (t + delta) I
+    and no eigenvalue.
+
+    A factorization that runs to completion proves H - (t + delta) I + E
+    positive definite with ||E|| <= c d^2 u ||H - (t + delta) I|| (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, Thm
+    10.3), so lambda_min(H) >= t + delta - ||E||, and ``eigvalsh`` errs by
+    at most c' d u ||H||, where ||H|| <= d max|h_ij|.  The band delta =
+    ``_CERTIFICATE_BAND`` d^3 u (max|h_ij| + |t|), per matrix, lies far above
+    both, so a certified stack is one that ``eigvalsh`` passes too.  t is a
+    number or one per matrix.
+
+    False, with no warning, when the factorization fails on some matrix,
+    and without factoring when an entry or t is not finite or the band is
+    not a normal float (underflow would void the error bound); a caller
+    then decides the whole stack from ``_eigvalsh``, as without this test.
+    The factorization reads the lower triangle, as ``eigvalsh`` does.
+    """
+    h = np.asarray(h)
+    band = _CERTIFICATE_BAND * h.shape[-1] ** 3 * _UNIT_ROUNDOFF * (np.abs(h).max(axis=(-2, -1)) + np.abs(t))
+    if not (band.min() >= _TINY and band.max() < math.inf):
+        return False
+    shift = np.asarray(t + band)[..., None, None]
+    try:
+        np.linalg.cholesky(h - shift * np.eye(h.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _any(mask) -> bool:
@@ -247,10 +286,11 @@ def loewner_holds(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     The margin atol + rtol * scale is never negative, so a slack >= 0 holds
     whatever the scale; the two spectral norms are taken only for the
     matrices with a negative slack, and only those are broadcast against
-    the other operand (a guard compares a stack with one m I).  A NaN slack
-    does not hold.  A non-finite difference also takes the full path:
-    ``eigvalsh`` can return finite eigenvalues for it.  A bool for one
-    matrix, a bool array for a stack.
+    the other operand (a guard compares a stack with one m I).  A stack
+    whose every difference ``_certified_at_least`` 0 takes no eigenvalue at
+    all.  A NaN slack does not hold.  A non-finite difference also takes
+    the full path: ``eigvalsh`` can return finite eigenvalues for it.  A
+    bool for one matrix, a bool array for a stack.
     """
     x, y = _operands(x, y)
     diff = hermitize(y - x)
@@ -261,7 +301,12 @@ def _gap_holds(diff: np.ndarray, operands: Callable, tol: Tolerance = DEFAULT_TO
     """``loewner_holds`` of X <= Y from its gap ``diff`` = hermitize(Y - X),
     formed by the caller; ``operands(rest)`` gives (X[rest], Y[rest]), the
     operands of the matrices a mask ``rest`` marks, which only the matrices
-    with a negative (or NaN) slack or a non-finite gap need."""
+    with a negative (or NaN) slack or a non-finite gap need.  A stack whose
+    every gap ``_certified_at_least`` 0 holds without an eigenvalue; any
+    other stack takes its slacks from one ``_eigvalsh`` call."""
+    if _certified_at_least(diff):
+        holds = np.ones(diff.shape[:-2], dtype=bool)
+        return bool(holds) if holds.ndim == 0 else holds
     slack = _eigvalsh(diff)[..., 0]
     holds = np.asarray((slack >= 0.0) & np.isfinite(diff).all(axis=(-2, -1)))
     rest = ~holds

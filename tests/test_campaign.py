@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from test_acceptance import ACCEPT_CFG
 
-from opbellman import campaign, checks, cli, instances
+from opbellman import campaign, checks, cli, instances, spectral
 from opbellman.campaign import (
     CampaignConfig,
     config_from_json,
@@ -1257,7 +1257,7 @@ def _campaign_calls(monkeypatch, configs) -> list[tuple[dict, int]]:
 
         return call
 
-    for kind in ("eigvalsh", "eigh", "svd", "qr", "norm"):
+    for kind in ("eigvalsh", "eigh", "svd", "qr", "norm", "cholesky"):
         monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
     for check_id, builder in list(campaign.BUILDERS.items()):
         monkeypatch.setitem(campaign.BUILDERS, check_id, counted("builder", builder))
@@ -1334,7 +1334,9 @@ def test_campaign_calls_do_not_grow_with_maps(monkeypatch):
 
 #: numpy.linalg calls of the default campaign at seed 301, by kind: the
 #: machine-independent cost of the benchmark's campaign_default workload.
-DEFAULT_LINALG_BUDGET = {"qr": 442, "eigvalsh": 1166, "eigh": 1244, "svd": 280, "norm": 1244}
+#: Every sign-only Loewner test is one cholesky call; a certificate that
+#: fails adds an eigvalsh call, so the eigvalsh count also says that none did.
+DEFAULT_LINALG_BUDGET = {"qr": 442, "eigvalsh": 352, "eigh": 1244, "svd": 280, "norm": 1244, "cholesky": 658}
 
 
 def test_default_campaign_linalg_calls_stay_within_budget(monkeypatch):
@@ -1344,7 +1346,7 @@ def test_default_campaign_linalg_calls_stay_within_budget(monkeypatch):
     assert cells == 1008
     over = {k: (counts.get(k, 0), budget) for k, budget in DEFAULT_LINALG_BUDGET.items() if counts.get(k, 0) > budget}
     assert not over, f"numpy.linalg calls over budget (count, budget): {over}"
-    assert sum(counts[k] for k in ("qr", "eigvalsh", "eigh", "svd")) <= 3132
+    assert sum(counts[k] for k in ("qr", "eigvalsh", "eigh", "svd", "cholesky")) <= 2976
 
 
 def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
@@ -1352,7 +1354,7 @@ def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
     # makes the numpy.linalg calls of one, in its check and in its build; the
     # 72 cells build and check as 48 groups of cells differing in their
     # interval or their mean (jensen_family_diff_reverse's geom:0.5 and log)
-    kinds = ("eigvalsh", "eigh", "svd", "qr", "norm")
+    kinds = ("eigvalsh", "eigh", "svd", "qr", "norm", "cholesky")
     phases = {"check": (checks, "check_cell"), "build": (campaign, "_build_trials")}
     state = {"phase": None}
     per_cell = {phase: [] for phase in phases}
@@ -1392,6 +1394,19 @@ def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
         assert counts[30][phase] == counts[1][phase], phase
     assert all(c["eigvalsh"] and c["svd"] for c in counts[1]["check"])
     assert all(c["qr"] for c in counts[1]["build"])
+
+
+@pytest.mark.parametrize("config", [CampaignConfig(seed=11), _workload("operator_deep")], ids=["seed_11", "operator_deep"])
+def test_reports_are_the_same_when_every_certificate_fails(monkeypatch, config):
+    # a Cholesky certificate only skips an eigvalsh whose verdict it already
+    # knows: with every certificate failing, each sign-only test decides
+    # from eigvalsh, and the report keeps every byte
+    expected = campaign.report_to_json(run_campaign(config))
+    failed = []
+    for module in (spectral, checks, instances):
+        monkeypatch.setattr(module, "_certified_at_least", lambda h, t=0.0: failed.append(h.shape) or False)
+    assert campaign.report_to_json(run_campaign(config)) == expected
+    assert failed
 
 
 def test_campaign_forms_a_trial_family_only_for_a_witness(monkeypatch):

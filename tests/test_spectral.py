@@ -1,15 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from opbellman.checks import PD_REL_FLOOR, _pd_floor
 from opbellman.errors import ConditioningError, DomainError, ShapeError
-from opbellman.instances import Streams, haar_unitary, random_pd, random_spectrum_matrix, stream_states
+from opbellman.instances import DEFAULT_MARGIN, Streams, haar_unitary, random_pd, random_spectrum_matrix, stream_states
 from opbellman.spectral import (
     OrderVerdict,
     Tolerance,
+    _certified_at_least,
+    _eigvalsh,
     apply_function,
     array_from_json,
     array_to_json,
     eig,
+    from_spectrum,
     hermitize,
     identity,
     loewner_holds,
@@ -287,3 +293,61 @@ def test_stacked_primitive_errors_name_the_failing_matrices():
     with pytest.raises(DomainError, match="non-finite") as exc:
         apply_function(_stack_with_bad(rng, 2, np.zeros((2, 2), complex)), np.log, (0.0, np.inf))
     assert exc.value.where.tolist() == [False, False, True, False, False]
+
+
+#: lambda_min - t of the certificate's inputs, in units of u (|t| + norm):
+#: from far below to far above its band, which is 1024 d^2 to 1024 d^3 of them.
+_OFFSETS = sorted({sign * 4.0**j for sign in (-1.0, 1.0) for j in range(13)} | {0.0})
+
+
+@pytest.mark.parametrize("form", ["zero", "margin", "pd_floor"])
+def test_certificate_passes_only_what_eigvalsh_passes(form):
+    # Haar-rotated spectra whose lambda_min sits k u ||H|| above or below the
+    # threshold t, k across the band, at norms 1e-8 to 1e8: a certified matrix
+    # is one whose eigvalsh lambda_min is at least t, and _pd_floor, which
+    # takes t from lambda_max <= d max|h_ij|, decides as eigvalsh does
+    u = np.finfo(float).eps / 2
+    rng = Streams(stream_states(301, [()]))
+    certified = cases = 0
+    for dim in range(1, 7):
+        for norm in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            for vecs in haar_unitary(dim, rng, 4)[:, 0]:
+                rest = norm * rng.uniform(0.1, 1.0, dim - 1)[0]
+                t = {"zero": 0.0, "margin": DEFAULT_MARGIN, "pd_floor": PD_REL_FLOOR * dim * norm}[form]
+                for k in _OFFSETS:
+                    low = t + k * u * (abs(t) + norm)
+                    h = hermitize(from_spectrum(vecs, np.r_[low, low + rest]))
+                    if form == "pd_floor":
+                        t = PD_REL_FLOOR * dim * np.abs(h).max()
+                        lam = _eigvalsh(h)
+                        assert _pd_floor(h) == (lam[0] >= PD_REL_FLOOR * max(lam[-1], 1e-300))
+                    ok = _certified_at_least(h, t)
+                    assert not ok or _eigvalsh(h)[0] >= t, (dim, norm, k)
+                    certified += ok
+                    cases += 1
+    assert 0 < certified < cases
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_certificate_refuses_non_finite_stacks_without_a_warning(bad):
+    # LAPACK can "factor" a matrix with a NaN entry, so a stack with a
+    # non-finite entry, or a non-finite threshold, is never certified
+    good = np.stack([2.0 * identity(3)] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _certified_at_least(good) and _certified_at_least(good, 1.0)
+        assert not _certified_at_least(good, bad)
+        for i, j in ((1, 0), (0, 0), (2, 2)):
+            stack = good.copy()
+            stack[1, i, j] = stack[1, j, i] = bad
+            for t in (0.0, DEFAULT_MARGIN):
+                assert not _certified_at_least(stack, t)
+
+
+def test_certificate_refuses_a_band_below_the_normal_range():
+    # 1e-300 I is positive definite, but its band would be subnormal, where
+    # the factorization's error bound does not hold: eigvalsh decides it
+    tiny = 1e-300 * identity(2)
+    assert not _certified_at_least(tiny)
+    assert _certified_at_least(1e-100 * identity(2))
+    assert loewner_holds(np.zeros((2, 2)), tiny)
