@@ -32,7 +32,8 @@ from .means import RepresentingFunction, arithmetic_w, log_fn, power_fn
 
 ORACLE_DPS = 30  # significant digits inside the oracle
 GRID_POINTS = 10_000
-GOLDEN_WIDTH = 1e-12  # final bracket width
+GOLDEN_WIDTH = 1e-12  # final bracket width, relative to the interval's width
+BRACKET_ULPS = 64  # grid points this close to the grid maximum bracket the maximizer
 P_MIN = 1e-3  # exponents p/(p-1) blow up at the endpoints of (0, 1)
 MIN_INTERVAL = 1e-12
 
@@ -56,26 +57,27 @@ def _check_p(p: float) -> None:
         raise ParameterError(f"exponent p must lie in [{P_MIN}, {1 - P_MIN}], got {p}")
 
 
-def _golden_steps(lo: float, hi: float) -> int:
-    """Steps that shrink [lo, hi] below GOLDEN_WIDTH in exact arithmetic, plus
+def _golden_steps(lo: float, hi: float, width: float) -> int:
+    """Steps that shrink [lo, hi] below ``width`` in exact arithmetic, plus
     two for rounding."""
-    shrink = math.log(max(hi - lo, GOLDEN_WIDTH) / GOLDEN_WIDTH)
+    shrink = math.log(max(hi - lo, width) / width)
     return math.ceil(shrink / math.log((1.0 + math.sqrt(5.0)) / 2.0)) + 2
 
 
-def _golden_max(g, lo, hi):
-    """Golden-section maximization of a unimodal g on [lo, hi] (mp arithmetic).
+def _golden_max(g, lo, hi, width):
+    """Golden-section maximization of a unimodal g on [lo, hi] (mp arithmetic)
+    down to a bracket ``width`` wide.
 
-    ORACLE_DPS digits cannot resolve a bracket around a maximizer near 1e19
-    to GOLDEN_WIDTH, so the loop also stops after ``_golden_steps`` steps.
+    ORACLE_DPS digits cannot resolve every bracket, so the loop also stops
+    after ``_golden_steps`` steps.
     """
     invphi = (mpmath.sqrt(5) - 1) / 2
     a, b = mpmath.mpf(lo), mpmath.mpf(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     gc, gd = g(c), g(d)
-    for _ in range(_golden_steps(lo, hi)):
-        if b - a <= GOLDEN_WIDTH:
+    for _ in range(_golden_steps(lo, hi, width)):
+        if b - a <= width:
             break
         if gc > gd:
             b, d, gd = d, c, gc
@@ -92,10 +94,13 @@ def _golden_max(g, lo, hi):
 def _oracle_max(f: RepresentingFunction, m: float, M: float, objective: str) -> ConstantResult:
     """Maximize f/chord ("ratio") or f - chord ("difference") over [m, M].
 
-    A 10^4-point float grid brackets the maximizer; golden-section then
-    refines it in mp arithmetic down to a 1e-12 bracket.  Concavity of f
-    makes both objectives unimodal; the refined value is still guarded
-    against the raw grid maximum.
+    A 10^4-point float grid brackets the maximizer: every grid point whose
+    value is within ``BRACKET_ULPS`` ulps of the grid maximum, at the size
+    of the terms each value is formed from, since on a narrow interval
+    float rounding blurs an objective far smaller than f.  Golden-section
+    then refines it in mp arithmetic down to a bracket GOLDEN_WIDTH (M - m)
+    wide, and its value is returned.  Concavity of f makes both objectives
+    unimodal; a refined value below the raw grid maximum is refused.
     """
     _check_interval(m, M)
     grid = np.linspace(m, M, GRID_POINTS)
@@ -105,28 +110,31 @@ def _oracle_max(f: RepresentingFunction, m: float, M: float, objective: str) -> 
         width = mpmath.mpf(M) - mpmath.mpf(m)
         mu = (fM - fm) / width
         nu = (M * fm - m * fM) / width
+        chord = float(mu) * grid + float(nu)
+        terms = np.abs(fvals) + np.abs(float(mu) * grid) + abs(float(nu))
         if objective == "ratio":
             if f.mp(m) <= 0 or f.mp(M) <= 0:
                 raise UnboundedRatioError("ratio objective needs f > 0 on [m, M]")
             if mu * m + nu <= 0 or mu * M + nu <= 0:
                 raise UnboundedRatioError("chord vanishes on [m, M]; ratio unbounded")
             g = lambda t: f.mp(t) / (mu * t + nu)
-            gvals = fvals / (float(mu) * grid + float(nu))
+            gvals, terms = fvals / chord, terms / chord
         else:
             g = lambda t: f.mp(t) - (mu * t + nu)
-            gvals = fvals - (float(mu) * grid + float(nu))
-        i = int(np.argmax(gvals))
-        lo = grid[max(i - 2, 0)]
-        hi = grid[min(i + 2, GRID_POINTS - 1)]
-        x, val = _golden_max(g, lo, hi)
+            gvals = fvals - chord
+        grid_max = float(gvals.max())
+        # the grid's argmax, and with finite terms every point within rounding of it
+        near = np.append(np.flatnonzero(gvals >= grid_max - BRACKET_ULPS * np.spacing(terms.max())), np.argmax(gvals))
+        lo = grid[max(near.min() - 2, 0)]
+        hi = grid[min(near.max() + 2, GRID_POINTS - 1)]
+        x, val = _golden_max(g, lo, hi, GOLDEN_WIDTH * (M - m))
         value = float(val)
         argmax = float(x)
-    grid_max = float(gvals.max())
     if grid_max > value + 1e-9 * (1.0 + abs(value)):
         raise UnimodalityError(
             f"refined maximum {value!r} fell below grid maximum {grid_max!r}"
         )
-    return ConstantResult(value=max(value, grid_max), argmax=argmax, method="oracle")
+    return ConstantResult(value=value, argmax=argmax, method="oracle")
 
 
 def gamma(f: RepresentingFunction, m: float, M: float) -> ConstantResult:

@@ -715,6 +715,27 @@ def test_cli_constants_cell_outside_hypotheses_exit_zero(capsys):
     assert rows["delta_affine_power"]["note"].startswith("need 0 < m < M")
 
 
+def test_cli_constants_narrow_interval_near_zero_agrees(capsys):
+    # on [1e-5, 2e-5] the float grid cannot resolve an objective of 3e-12
+    # beside f = 1: the oracle brackets every grid point within rounding of
+    # the grid maximum and refines to a bracket relative to the interval
+    assert cli.main(["constants", "--m", "1e-5", "--M", "2e-5", "--format", "json"]) == 0
+    rows = {r["constant"]: r for r in json.loads(capsys.readouterr().out)}
+    for name in ("delta_bellman", "t_star", "zeta_aczel", "beta_log", "log_mean"):
+        assert rows[name]["rel_disagreement"] <= cli.AGREEMENT_RTOL, rows[name]
+
+
+def test_cli_constants_log_from_zero_keeps_its_rows(capsys):
+    # log on [0, 1] gives the oracle's grid an infinite end: the bracket
+    # falls back to the grid's argmax instead of an empty set of near points
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli.main(["constants", "--f", "log", "--m", "0", "--M", "1", "--format", "json"]) == 0
+    rows = {r["constant"]: r for r in json.loads(capsys.readouterr().out)}
+    assert rows["gamma_f"]["note"].startswith("ratio objective needs f > 0")
+    assert rows["beta_f"]["oracle"] is not None
+
+
 def test_cli_constants_exponent_outside_range_gives_notes(capsys):
     assert cli.main(["constants", "--p", "0.0005", "--format", "json"]) == 0
     rows = {r["constant"]: r for r in json.loads(capsys.readouterr().out)}

@@ -244,27 +244,28 @@ def test_beta_returns_for_a_maximizer_near_1e19():
 
 
 def test_golden_step_cap_never_binds_on_the_sweep_or_acceptance_grid(monkeypatch):
-    """Every oracle call of the constants sweep and of a campaign over the
-    acceptance grid's intervals, exponents and means ends on the bracket
-    width, before the step cap."""
+    """Every oracle call of the constants sweep, of the narrow cell [1e-5,
+    2e-5] and of a campaign over the acceptance grid's intervals, exponents
+    and means ends on the bracket width, before the step cap."""
     real = constants._golden_max
     steps_left = []
 
-    def recording(g, lo, hi):
+    def recording(g, lo, hi, width):
         calls = []
 
         def counted(t):
             calls.append(t)
             return g(t)
 
-        out = real(counted, lo, hi)
-        steps_left.append(constants._golden_steps(lo, hi) - (len(calls) - 3))
+        out = real(counted, lo, hi, width)
+        steps_left.append(constants._golden_steps(lo, hi, width) - (len(calls) - 3))
         return out
 
     monkeypatch.setattr(constants, "_golden_max", recording)
     checks._gamma_cached.cache_clear()
     checks._beta_cached.cache_clear()
     cli.constants_sweep()
+    cli.constant_rows("geom:0.5", 1e-5, 2e-5, 0.5, 0.5)
     cfg = campaign.CampaignConfig(
         trials=1,
         dims=(1,),
