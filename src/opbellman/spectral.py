@@ -144,7 +144,7 @@ def _certified_at_least(h: np.ndarray, t=0.0) -> bool:
     """
     h = np.asarray(h)
     band = _CERTIFICATE_BAND * h.shape[-1] ** 3 * _UNIT_ROUNDOFF * (np.abs(h).max(axis=(-2, -1)) + np.abs(t))
-    if not (band.min() >= _TINY and band.max() < math.inf):
+    if not np.all((band >= _TINY) & (band < math.inf)):
         return False
     shift = np.asarray(t + band)[..., None, None]
     try:
