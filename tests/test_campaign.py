@@ -733,7 +733,8 @@ def test_cli_constants_log_from_zero_keeps_its_rows(capsys):
         assert cli.main(["constants", "--f", "log", "--m", "0", "--M", "1", "--format", "json"]) == 0
     rows = {r["constant"]: r for r in json.loads(capsys.readouterr().out)}
     assert rows["gamma_f"]["note"].startswith("ratio objective needs f > 0")
-    assert rows["beta_f"]["oracle"] is not None
+    assert rows["delta_bellman"]["rel_disagreement"] <= cli.AGREEMENT_RTOL
+    assert len(rows) == 9
 
 
 def test_cli_constants_exponent_outside_range_gives_notes(capsys):
