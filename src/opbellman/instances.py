@@ -562,10 +562,11 @@ def random_sandwich_family(dim: int, n: int, interval: tuple[float, float], m, M
     The inner spectrum is shrunk away from m and M so the sandwich holds
     with margin at least EDGE_SHRINK (M - m) lambda_min(A_j).  Each stream
     draws member by member A_j's spectrum and Gaussian, then T_j's.  One QR
-    call forms every A_j and T_j, one ``eigh`` call takes the roots and one
-    ``_eigvalsh`` call re-verifies both sides of every sandwich, from
-    lambda_min(B_j - m A_j) and lambda_min(M A_j - B_j); a
-    ``HypothesisError`` names the trials with a failing pair in ``where``.
+    call forms every A_j and T_j, one ``eigh`` call takes the roots and
+    ``_sandwiched`` re-verifies both sides of every sandwich, the gaps B_j
+    - m A_j and M A_j - B_j, in one Cholesky certificate or, where that
+    fails, one ``_eigvalsh`` call; a ``HypothesisError`` names the trials
+    with a failing pair in ``where``.
     """
     a, t = _spectral(dim, [interval, _sandwich_window(m, M)], rngs, n)
     b, failed = _sandwiched(a, t, m, M)
@@ -712,10 +713,9 @@ def _verify_complement_family(
     g, m, M = _trial_factor(gamma_value), _trial_factor(m), _trial_factor(M)
     comp_a = eye - g * sum(fam.A)
     comp_b = eye - g * sum(fam.B)
-    gaps = np.concatenate(
+    gaps = hermitize(np.concatenate(
         [fam.B - m * fam.A, M * fam.A - fam.B, np.stack([comp_a, comp_b, comp_b - m * comp_a, M * comp_a - comp_b])]
-    )
-    gaps = hermitize(gaps)
+    ))
     if _certified_at_least(gaps, margin):
         return np.ones(gaps.shape[1:-2], dtype=bool)
     return (_eigvalsh(gaps)[..., 0] >= margin).all(axis=0)
