@@ -267,19 +267,49 @@ def build_map(map_id, dim: int, rngs, n: int = 1) -> list:
 # ``rngs.normal`` and ``rngs.take`` and never touches a Generator; its
 # generators return the operands with the member axis in front of the
 # trial axis and ``build_map`` a list of maps, one per member, which the
-# family takes as they are; a scalar builder draws on the stack's arrays.  The
-# trials may come from several cells that differ only in their
-# ``_PER_TRIAL_KEYS``, their interval, their mean and their map: then
-# ``cell["m"]``, ``cell["M"]``, ``cell["f"]`` and ``cell["map"]`` may be
-# arrays of one value per trial (``_stack_cells``), which a builder
-# hands on to the generators as they are, a mean as ``function_from_id``
-# resolves it and a map as ``build_map`` builds it.  Either raises
-# HypothesisError naming in ``where`` the trials whose hypotheses failed.
-# ``draws`` is one dict of what the builder chose itself, never a cell key:
-# an array of one row per trial, or a number every trial shares.  A stack's
-# params are its cells' ``_stack_cells`` without ``_SHAPE_KEYS`` plus its
-# rows of the draws (``_check_pending``); a trial's are its own
-# (``_Build.params``).
+# family takes as they are; a scalar builder draws on the stack's arrays.
+# A builder is a ``_Builder``, whose generator may serve several checks.
+# The trials of one generator call may come from cells, of several checks,
+# that differ only in their generator cells' ``_PER_TRIAL_KEYS``: then
+# ``cell["m"]``, ``cell["M"]``, ``cell["f"]``, ``cell["map"]`` and
+# ``cell["gamma"]`` may be arrays of one value per trial (``_stack_cells``),
+# which a generator hands on to the generators as they are, a mean as
+# ``function_from_id`` resolves it and a map as ``build_map`` builds it.
+# Either raises HypothesisError naming in ``where`` the trials whose
+# hypotheses failed.  ``draws`` is one dict of what the builder chose
+# itself, never a cell key: an array of one row per trial, or a number
+# every trial shares.  A stack's params are its cells' ``_stack_cells``
+# without ``_SHAPE_KEYS`` plus its rows of the draws (``_check_pending``); a
+# trial's are its own (``_Build.params``).
+
+
+class _GeneratorCell(dict):
+    """Stacked generator cells, of several checks' trials, which a
+    ``_Builder`` hands to its generator as they are (``_shared_records``)."""
+
+
+class _Builder:
+    """A check's builder: the generator ``draw`` on the cell's generator
+    cell, its keys ``reads`` (all of them when None) and ``args(cell)``,
+    what the check sets for the generator; ``own(cell)`` adds the draws the
+    check records of the keys its cells' group shares."""
+
+    def __init__(self, draw, reads=None, args=None, own=None):
+        self.draw, self.reads = draw, reads
+        self.args, self.own = args or _nothing, own or _nothing
+
+    def generator_cell(self, cell: dict) -> dict:
+        return (cell if self.reads is None else {k: cell[k] for k in self.reads}) | self.args(cell)
+
+    def __call__(self, cell, rngs):
+        if isinstance(cell, _GeneratorCell):
+            return self.draw(cell, rngs)
+        fam, draws = self.draw(self.generator_cell(cell), rngs)
+        return fam, draws | self.own(cell)
+
+
+def _nothing(cell) -> dict:
+    return {}
 
 
 def _window_family(per_member_maps: bool):
@@ -297,10 +327,10 @@ def _window_family(per_member_maps: bool):
         )
         return fam, {}
 
-    return build
+    return _Builder(build, ("dim", "n", "m", "M", "map"))
 
 
-def _build_bellman_mean(cell, rngs):
+def _draw_bellman_mean(cell, rngs):
     # each stream draws its cap of A, its cap of B, then the A and the B members
     caps = [rngs.uniform(0.4, 0.85) for _ in range(2)]
     a, b = random_subidentity_family(cell["n"], cell["dim"], rngs, caps)
@@ -308,7 +338,7 @@ def _build_bellman_mean(cell, rngs):
     return fam, {}
 
 
-def _build_window_single(cell, rngs):
+def _draw_window_single(cell, rngs):
     lo, hi = _shrunk(cell["m"], cell["M"])
     fam = InstanceFamily(
         hypothesis_tag="spectrum_window",
@@ -318,7 +348,7 @@ def _build_window_single(cell, rngs):
     return fam, {}
 
 
-def _build_pd_family(cell, rngs):
+def _draw_pd_family(cell, rngs):
     n, d = cell["n"], cell["dim"]
     # the A members, then the B members, drawn as one family
     x = random_pd(d, rngs, 0.3, 1.5, 2 * n)
@@ -326,7 +356,7 @@ def _build_pd_family(cell, rngs):
     return fam, {}
 
 
-def _build_dominated_family(cell, rngs):
+def _draw_dominated_family(cell, rngs):
     n, d = cell["n"], cell["dim"]
     # the A members, the B members, then the excess of each total, drawn as one family
     x = random_pd(d, rngs, 0.2, 1.0, 2 * n + 2)
@@ -340,7 +370,7 @@ def _build_dominated_family(cell, rngs):
     return fam, {}
 
 
-def _build_pd_contraction_pair(cell, rngs):
+def _draw_pd_contraction_pair(cell, rngs):
     d = cell["dim"]
     fam = InstanceFamily(
         hypothesis_tag="pd_contraction_pair",
@@ -350,41 +380,44 @@ def _build_pd_contraction_pair(cell, rngs):
     return fam, {}
 
 
-def _build_sandwich_pair(cell, rngs):
+def _draw_sandwich_pair(cell, rngs):
     d = cell["dim"]
     a, b = random_sandwich_family(d, 1, (0.5, 1.5), cell["m"], cell["M"], rngs)
     fam = InstanceFamily(hypothesis_tag="sandwich_pair", A=a, B=b, maps=build_map(cell["map"], d, rngs))
     return fam, {}
 
 
-def _build_sandwich_family(cell, rngs):
+def _draw_sandwich_family(cell, rngs):
     d, n = cell["dim"], cell["n"]
     a, b = random_sandwich_family(d, n, (0.5, 1.5), cell["m"], cell["M"], rngs)
     fam = InstanceFamily(hypothesis_tag="sandwich_family", A=a, B=b)
     return fam, {}
 
 
+def _draw_complement(cell, rngs):
+    f = function_from_id(cell["f"])
+    return complement_sandwich_family(cell["dim"], cell["n"], (cell["m"], cell["M"]), f, cell["gamma"], rngs), {}
+
+
 def _complement_family(mean_id: str | None = None, gamma_scaled: bool = False, lam_is_p: bool = False):
-    """Complement-sandwich family for the pairwise mean ``mean_id.format(**cell)``,
-    or the cell's own mean ``f`` (one per trial of a stack) when ``mean_id``
-    is None, scaled by gamma_f when ``gamma_scaled``.
+    """The builder of a complement-sandwich family for the pairwise mean
+    ``mean_id.format(**cell)``, or the cell's own mean ``f`` when
+    ``mean_id`` is None, scaled by gamma_f when ``gamma_scaled``.
 
     The Aczel-type reverse ties its geometric weight to the exponent: its
     additive constant is the chord gap of t^p, so the matching mean is the
     p-weighted geometric one, and ``lam_is_p`` records lam = p as a draw.
     """
 
-    def build(cell, rngs):
-        m, M = cell["m"], cell["M"]
+    def args(cell):
         f_id = cell["f"] if mean_id is None else mean_id.format(**cell)
-        g = _per_trial(_gamma_cached, f_id, m, M) if gamma_scaled else 1.0
-        fam = complement_sandwich_family(cell["dim"], cell["n"], (m, M), function_from_id(f_id), g, rngs)
-        return fam, {"lam": cell["p"]} if lam_is_p else {}
+        return {"f": f_id, "gamma": _per_trial(_gamma_cached, f_id, cell["m"], cell["M"]) if gamma_scaled else 1.0}
 
-    return build
+    own = (lambda cell: {"lam": cell["p"]}) if lam_is_p else None
+    return _Builder(_draw_complement, ("dim", "n", "m", "M"), args, own)
 
 
-def _build_contraction_window(cell, rngs):
+def _draw_contraction_window(cell, rngs):
     d = cell["dim"]
     lo, hi = _shrunk(cell["m"], cell["M"])
     kinds = np.where(rngs.uniform(0.0, 1.0) < 0.5, "unitary", "ginibre")
@@ -396,14 +429,14 @@ def _build_contraction_window(cell, rngs):
     return fam, {}
 
 
-def _build_pd_contraction_sandwich(cell, rngs):
+def _draw_pd_contraction_sandwich(cell, rngs):
     a, b = random_sandwich_family(cell["dim"], 1, (0.15, 0.9), cell["m"], cell["M"], rngs)
     fam = InstanceFamily(hypothesis_tag="pd_contraction_sandwich", A=a, B=b)
     return fam, {}
 
 
-def _build_chain_interp(cell, rngs):
-    fam, _ = _build_bellman_mean(cell, rngs)
+def _draw_chain_interp(cell, rngs):
+    fam, _ = _draw_bellman_mean(cell, rngs)
     return fam, {"t": rngs.uniform(0.0, 1.0, cell["n"])}
 
 
@@ -411,7 +444,8 @@ def _build_scalar(kind):
     """The builder of a scalar kind: each stream draws its row count and a
     head kind's exponent, then ``instances.scalar_instance`` draws the rest
     and returns their stack; every draw step is one array draw of the
-    stream stack (``instances.Streams``), which makes no Generator."""
+    stream stack (``instances.Streams``), which makes no Generator.  It
+    reads the whole cell, so each scalar cell builds on its own."""
 
     def build(cell, streams):
         rows = streams.integers(1, 4)
@@ -427,33 +461,40 @@ def _build_scalar(kind):
             p = np.full(len(streams), 2.0)
         return scalar_instance(kind, (rows, cell["n"]), p, streams), {"p": p}
 
-    return build
+    return _Builder(build)
 
+
+_WINDOW_FAMILY = _window_family(per_member_maps=False)
+_WINDOW_FAMILY_MEMBER_MAPS = _window_family(per_member_maps=True)
+_WINDOW_SINGLE = _Builder(_draw_window_single, ("dim", "m", "M", "map"))
+_SANDWICH_PAIR = _Builder(_draw_sandwich_pair, ("dim", "m", "M", "map"))
+_SANDWICH_FAMILY = _Builder(_draw_sandwich_family, ("dim", "n", "m", "M"))
+_SUBIDENTITY_PAIR = _Builder(_draw_bellman_mean, ("dim", "n"))
 
 BUILDERS = {
-    "bellman_map": _window_family(per_member_maps=False),
-    "bellman_mean": _build_bellman_mean,
-    "jensen_map": _build_window_single,
-    "mean_superadditive": _build_pd_family,
-    "mean_remainder": _build_dominated_family,
-    "mean_power_compose": _build_pd_contraction_pair,
-    "jensen_ratio_reverse": _build_window_single,
-    "mean_map_ratio_reverse": _build_sandwich_pair,
-    "mean_sum_ratio_reverse": _build_sandwich_family,
+    "bellman_map": _WINDOW_FAMILY,
+    "bellman_mean": _SUBIDENTITY_PAIR,
+    "jensen_map": _WINDOW_SINGLE,
+    "mean_superadditive": _Builder(_draw_pd_family, ("dim", "n")),
+    "mean_remainder": _Builder(_draw_dominated_family, ("dim", "n")),
+    "mean_power_compose": _Builder(_draw_pd_contraction_pair, ("dim",)),
+    "jensen_ratio_reverse": _WINDOW_SINGLE,
+    "mean_map_ratio_reverse": _SANDWICH_PAIR,
+    "mean_sum_ratio_reverse": _SANDWICH_FAMILY,
     "bellman_ratio_reverse": _complement_family(gamma_scaled=True),
-    "compression_ratio_reverse": _build_contraction_window,
-    "mean_power_ratio_reverse": _build_pd_contraction_sandwich,
+    "compression_ratio_reverse": _Builder(_draw_contraction_window, ("dim", "m", "M")),
+    "mean_power_ratio_reverse": _Builder(_draw_pd_contraction_sandwich, ("dim", "m", "M")),
     "bellman_arith_reverse": _complement_family("arith:{lam!r}"),
-    "jensen_diff_reverse": _build_window_single,
-    "mean_map_diff_reverse": _build_sandwich_pair,
-    "mean_sum_diff_reverse": _build_sandwich_family,
+    "jensen_diff_reverse": _WINDOW_SINGLE,
+    "mean_map_diff_reverse": _SANDWICH_PAIR,
+    "mean_sum_diff_reverse": _SANDWICH_FAMILY,
     "bellman_diff_reverse": _complement_family(),
     "aczel_reverse": _complement_family("geom:{p!r}", lam_is_p=True),
-    "jensen_family_diff_reverse": _window_family(per_member_maps=True),
-    "bellman_family_reverse": _window_family(per_member_maps=True),
-    "log_family_reverse": _window_family(per_member_maps=False),
-    "bellman_chain_split": _build_bellman_mean,
-    "bellman_chain_interp": _build_chain_interp,
+    "jensen_family_diff_reverse": _WINDOW_FAMILY_MEMBER_MAPS,
+    "bellman_family_reverse": _WINDOW_FAMILY_MEMBER_MAPS,
+    "log_family_reverse": _WINDOW_FAMILY,
+    "bellman_chain_split": _SUBIDENTITY_PAIR,
+    "bellman_chain_interp": _Builder(_draw_chain_interp, ("dim", "n")),
     "scalar_bellman": _build_scalar("bellman"),
     "scalar_aczel": _build_scalar("aczel"),
     "scalar_popoviciu": _build_scalar("popoviciu"),
@@ -461,6 +502,12 @@ BUILDERS = {
     "scalar_bellman_columns": _build_scalar("mp1"),
     "scalar_bellman_reverse": _build_scalar("eq3"),
 }
+
+#: Each check's builder as defined: a profiler or a test may wrap the
+#: entries of ``BUILDERS``, and each shared call goes through the entry of
+#: its first check (``_shared_records``).
+_OWN_BUILDERS = dict(BUILDERS)
+
 
 def _interval_matches(kind: str, m: float, M: float) -> bool:
     if kind == "sandwich":
@@ -617,18 +664,21 @@ _SHAPE_KEYS = ("dim", "n", "map")
 
 #: Cell keys that the builders and checkers take per trial: the interval,
 #: used only as numbers, the mean, whose function a stack resolves per
-#: trial (``means.per_trial_function``), and the map, which a stack builds
-#: per trial (``build_map``, ``positive_maps.per_trial_map``).  A group's key
-#: keeps the map's output dimension, so every trial of a stack has operands
-#: of one shape.  ``p``, ``lam`` and ``k`` stay in a group's key: numpy's
-#: power takes fast paths for some scalar exponents that an exponent array
-#: does not, so per-trial exponents would move last bits.
-_PER_TRIAL_KEYS = ("m", "M", "f", "map")
+#: trial (``means.per_trial_function``), the map, which a stack builds per
+#: trial (``build_map``, ``positive_maps.per_trial_map``), and a generator
+#: cell's ``gamma``, a number.  A group's key keeps the map's output
+#: dimension, so every trial of a stack has operands of one shape.  ``p``,
+#: ``lam`` and ``k`` stay in a check group's key: numpy's power takes fast
+#: paths for some scalar exponents that an exponent array does not, so
+#: per-trial exponents would move last bits.  No generator that reads the
+#: cell's keys (``_Builder.reads``) reads them.
+_PER_TRIAL_KEYS = ("m", "M", "f", "map", "gamma")
 
 
 class _Build:
-    """The seeded (cell, trial) ``pairs`` of one builder call, on arrays of
-    one entry per trial: ``row``, its entry in ``stack`` and its row of
+    """The seeded (cell, trial) ``pairs`` of one check group, all of one
+    builder call or a share of one (``_shared_records``), on arrays of one
+    entry per trial: ``row``, its entry in ``stack`` and its row of
     ``draws`` (-1 if the builder rejected it); ``guard``, the guard that
     makes it not applicable, or None; ``exact``, the index of its exact
     outcome in ``outcomes``, or -1; and [lo, hi] enclosures of its
@@ -718,33 +768,40 @@ def _stack_cells(cells: list[dict]) -> dict:
     return first | {k: np.asarray([c[k] for c in cells]) for k in per_trial}
 
 
-def _build_trials(check_id: str, pairs, cfg: CampaignConfig, states: np.ndarray) -> _Build:
-    """Draw the instances of the seeded (cell, trial) ``pairs``, of cells that
-    differ at most in their ``_PER_TRIAL_KEYS``, in one builder call on their
-    streams, with each of those keys per trial where the cells' differ.
+def _draw(builder, cells: list[dict], states: np.ndarray) -> tuple:
+    """(stack, draws, row) of one ``builder`` call on the trials of
+    ``cells``, one cell per trial, that differ at most in their
+    ``_PER_TRIAL_KEYS``, with each of those keys per trial where they differ
+    (``_stack_cells``): ``row`` is each trial's entry in the stack, -1 where
+    the builder rejected it.
 
     Each trial keeps its own stream, from ``states``, the PCG64 states
-    (pairs, 4) that ``_stream_states`` seeds: the builder gets them as one
+    (trials, 4) that ``_stream_states`` seeds: the builder gets them as one
     ``instances.Streams`` stack, which makes Generators only for a builder
     that draws through ``uniform`` or ``normal`` (the operator builders) and
-    draws a scalar builder's steps on arrays.  A trial named in the ``where``
-    of a builder's ``HypothesisError`` gets the guard ``generator_rejected``,
-    and the other trials are built again from a fresh stack of the same
-    states, so the stack holds exactly the built trials, in order."""
-    build = _Build(check_id, cfg, pairs)
-    live = np.arange(len(pairs))
+    draws a scalar builder's steps on arrays.  The trials named in the
+    ``where`` of a builder's ``HypothesisError`` are rejected and the others
+    built again from a fresh stack of the same states, so the stack holds
+    exactly the built trials, in order."""
+    row = np.full(len(cells), -1)
+    live = np.arange(len(cells))
     while live.size:
         try:
-            build.stack, build.draws = BUILDERS[check_id](
-                _stack_cells([pairs[i][0] for i in live.tolist()]), Streams(states[live])
-            )
+            stack, draws = builder(_stack_cells([cells[i] for i in live.tolist()]), Streams(states[live]))
         except HypothesisError as exc:
-            failed = np.broadcast_to(exc.where, live.shape)
-            build.guard[live[failed]] = "generator_rejected"
-            live = live[~failed]
+            live = live[~np.broadcast_to(exc.where, live.shape)]
             continue
-        build.row[live] = np.arange(live.size)
-        break
+        row[live] = np.arange(live.size)
+        return stack, draws, row
+    return None, {}, row
+
+
+def _build_trials(check_id: str, pairs, cfg: CampaignConfig, states: np.ndarray) -> _Build:
+    """The build of the seeded (cell, trial) ``pairs`` of one check, from one
+    ``_draw`` call of its builder; a rejected trial is ``generator_rejected``."""
+    build = _Build(check_id, cfg, pairs)
+    build.stack, build.draws, build.row = _draw(BUILDERS[check_id], [cell for cell, _ in pairs], states)
+    build.guard[build.row < 0] = "generator_rejected"
     return build
 
 
@@ -866,54 +923,93 @@ def _cell_summaries(build: _Build, cells: list[dict]) -> list[dict]:
     return out
 
 
+def _group_key(cell: dict) -> tuple:
+    """A cell without its ``_PER_TRIAL_KEYS``, with the output dimension of
+    its map (``_map_output_dim``) where it has one."""
+    key = tuple((k, v) for k, v in cell.items() if k not in _PER_TRIAL_KEYS)
+    return key + (_map_output_dim(cell["map"], cell["dim"]),) if "map" in cell else key
+
+
 def _stack_groups(cells: list[dict]) -> list[list[int]]:
-    """The indices of ``cells`` grouped by the cell without its
-    ``_PER_TRIAL_KEYS``, and by the output dimension of its map
-    (``_map_output_dim``) where it has one, in order of first appearance; a
-    group builds and checks as one stack.  A scalar cell, which has none of
-    those keys, is a group of its own."""
+    """The indices of one check's ``cells`` grouped by ``_group_key``, in
+    order of first appearance; a group checks as one stack.  A scalar cell,
+    which has no ``_PER_TRIAL_KEYS``, is a group of its own."""
     groups: dict[tuple, list[int]] = {}
     for i, cell in enumerate(cells):
-        key = tuple((k, v) for k, v in cell.items() if k not in _PER_TRIAL_KEYS)
-        if "map" in cell:
-            key += (_map_output_dim(cell["map"], cell["dim"]),)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(_group_key(cell), []).append(i)
     return list(groups.values())
 
 
-def _checked_cells(check_id: str, cells: list[dict], states: np.ndarray, cfg: CampaignConfig):
-    """The report record of each of the cells ``cells`` of one check, in
-    order, from the states (cells, trials, 4) of their trials' streams.
+def _shared_builds(cells: dict[str, list[dict]]) -> list[list[tuple[str, list[int]]]]:
+    """The check groups (check, ``_stack_groups`` group) of a campaign's
+    ``cells`` grouped, in order of first appearance, by the generator of
+    the check's builder and the ``_group_key`` of the group's generator
+    cells: each builds in one generator call."""
+    builds: dict[tuple, list] = {}
+    for check_id, check_cells in cells.items():
+        builder = _OWN_BUILDERS[check_id]
+        for group in _stack_groups(check_cells):
+            key = (builder.draw,) + _group_key(builder.generator_cell(check_cells[group[0]]))
+            builds.setdefault(key, []).append((check_id, group))
+    return list(builds.values())
 
-    The cells that differ only in their ``_PER_TRIAL_KEYS`` are built in one
-    ``_build_trials`` call when the first of them comes up, filtered by the
-    check's float64 bounds where it has them, the trials the filter leaves
-    are checked in one ``_check_pending`` call, and ``_cell_summaries``
-    gives every cell of the group its record at once.  The build is let go
-    then, and each record once yielded.
-    """
-    groups = {group[0]: group for group in _stack_groups(cells)}
-    records = {}
-    for i in range(len(cells)):
-        if i in groups:
-            group = groups[i]
-            pairs = [(cells[j], t) for j in group for t in range(cfg.trials)]
-            build = _build_trials(check_id, pairs, cfg, states[group].reshape(len(pairs), 4))
-            _check_pending(build, _filter_trials(build))
-            records.update(zip(group, _cell_summaries(build, [cells[j] for j in group])))
-        yield records.pop(i)
+
+def _shared_records(members, cells: dict, states: dict, cfg: CampaignConfig) -> dict:
+    """The record of every cell of the check groups ``members``, one
+    ``_shared_builds`` entry, keyed (check, cell index).
+
+    Their trials, group after group, are drawn in one ``_draw`` call of the
+    ``BUILDERS`` entry of the first group's check, on their generator cells
+    (``_GeneratorCell``).  A group's built trials are adjacent in the
+    stack: it gets them as a view, its rows of the draws plus its own, and
+    its rejected trials the guard ``generator_rejected``; then it is
+    filtered by its check's float64 bounds where it has them, the trials
+    left are checked in one ``_check_pending`` call, and ``_cell_summaries``
+    gives its cells their records."""
+    pairs = [[(cells[c][j], t) for j in group for t in range(cfg.trials)] for c, group in members]
+    generator_cells = []
+    for c, group in members:
+        gen = {j: _OWN_BUILDERS[c].generator_cell(cells[c][j]) for j in group}
+        generator_cells += [gen[j] for j in group for _ in range(cfg.trials)]
+    entry = BUILDERS[members[0][0]]
+    stack, draws, row = _draw(
+        lambda cell, rngs: entry(_GeneratorCell(cell), rngs),
+        generator_cells,
+        np.concatenate([states[c][group].reshape(-1, 4) for c, group in members]),
+    )
+    built_total = int(np.count_nonzero(row >= 0))
+    records, start = {}, 0
+    for (c, group), group_pairs in zip(members, pairs):
+        build = _Build(c, cfg, group_pairs)
+        build.row = rows = row[start : start + len(group_pairs)]
+        start += len(group_pairs)
+        built = rows[rows >= 0]
+        if built.size < rows.size:
+            build.guard[rows < 0] = "generator_rejected"
+        if built.size:
+            build.stack, build.draws = stack, draws | _OWN_BUILDERS[c].own(cells[c][group[0]])
+            lo, hi = int(built[0]), int(built[-1]) + 1
+            if (lo, hi) != (0, built_total):
+                build.stack, build.draws = take(stack, slice(lo, hi)), checks._rows(build.draws, slice(lo, hi))
+                build.row = np.where(rows >= 0, rows - lo, -1)
+        _check_pending(build, _filter_trials(build))
+        records.update(zip([(c, j) for j in group], _cell_summaries(build, [cells[c][j] for j in group])))
+    return records
 
 
 def run_campaign(cfg: CampaignConfig) -> dict:
     """Execute the full campaign and return the report document.
 
     The streams of every trial of the campaign are seeded in one
-    ``_stream_states`` pass, and each cell's record comes from
-    ``_checked_cells``, which builds and checks the cells of a check that
-    differ only in their interval, their mean and their map (of one output
-    dimension) as one stack, and summarizes them together in
-    ``_cell_summaries``, which checks any further trials the summary needs
-    exactly.
+    ``_stream_states`` pass.  The cells of a check that differ only in their
+    interval, their mean and their map (of one output dimension) check as
+    one stack, a group (``_stack_groups``), and the groups of every check
+    whose builder has one generator, of one generator cell shape, build in
+    one call (``_shared_builds``).  ``_shared_records`` makes such a build
+    when the first cell of its first group comes up and gives each of its
+    groups' cells its record, from ``_cell_summaries``, which checks any
+    further trials the summary needs exactly; the records come out in check
+    order and cell order.
     """
     cfg.validate()
     cells_out = []
@@ -925,8 +1021,14 @@ def run_campaign(cfg: CampaignConfig) -> dict:
     cells = {check_id: expand_cells(check_id, cfg) for check_id in cfg.checks}
     states = _stream_states([(c, cell) for c in cells for cell in cells[c]], range(cfg.trials), cfg)
     ends = np.cumsum([len(c) for c in cells.values()])[:-1]
-    for (check_id, check_cells), check_states in zip(cells.items(), np.split(states, ends)):
-        for row in _checked_cells(check_id, check_cells, check_states, cfg):
+    states = dict(zip(cells, np.split(states, ends)))
+    first = {(c, group[0]): members for members in _shared_builds(cells) for c, group in members[:1]}
+    records = {}
+    for check_id, check_cells in cells.items():
+        for i in range(len(check_cells)):
+            if (check_id, i) in first:
+                records.update(_shared_records(first.pop((check_id, i)), cells, states, cfg))
+            row = records.pop((check_id, i))
             cells_out.append(row)
             total["trials"] += cfg.trials
             total["holds"] += row["holds"]

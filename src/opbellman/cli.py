@@ -21,6 +21,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import campaign, checks, constants
 from .campaign import CampaignConfig, config_from_json, config_to_json, replay_witness
 from .errors import OpBellmanError, ParameterError, WitnessFormatError
@@ -71,14 +73,17 @@ def constant_rows(fid: str, m: float, M: float, p: float, lam: float) -> list[di
     """
     f = function_from_id(fid)
     cell = {"f": fid, "m": m, "M": M, "p": p, "lam": lam}
-    try:
-        g = constants.gamma(f, m, M)
-        rows = [_row("gamma_f", cell, oracle=g.value, argmax=g.argmax)]
-    except OpBellmanError as exc:
-        rows = [_row("gamma_f", cell, note=str(exc))]
-    b = constants.beta(f, m, M)
-    rows.append(_row("beta_f", cell, oracle=b.value, argmax=b.argmax))
-    rows += _closed_form_rows("gamma_h", {"a": float(f(m)), "b": float(f(M)), "p": p}, cell)
+    rows = []
+    for name, oracle in (("gamma_f", constants.gamma), ("beta_f", constants.beta)):
+        try:
+            c = oracle(f, m, M)
+            rows.append(_row(name, cell, oracle=c.value, argmax=c.argmax))
+        except OpBellmanError as exc:
+            rows.append(_row(name, cell, note=str(exc)))
+    # f may be infinite at an end (log at 0); gamma_h then refuses its interval
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = {"a": float(f(m)), "b": float(f(M))}
+    rows += _closed_form_rows("gamma_h", ends | {"p": p}, cell)
     rows += _closed_form_rows("delta_affine_power", {"lam": lam, "m": m, "M": M, "p": p}, cell)
     rows += _closed_form_rows("delta_bellman", {"m": m, "M": M, "p": p}, cell, "t_star")
     rows += _closed_form_rows("zeta_aczel", {"m": m, "M": M, "p": p}, cell)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DegenerateIntervalError,
+    DomainError,
     HypothesisError,
     ParameterError,
     UnboundedRatioError,
@@ -100,21 +101,24 @@ def _oracle_max(f: RepresentingFunction, m: float, M: float, objective: str) -> 
     float rounding blurs an objective far smaller than f.  Golden-section
     then refines it in mp arithmetic down to a bracket GOLDEN_WIDTH (M - m)
     wide, and its value is returned.  Concavity of f makes both objectives
-    unimodal; a refined value below the raw grid maximum is refused.
+    unimodal; a refined value below the raw grid maximum is refused, and so
+    is an f that is not finite at m or M, whose chord is undefined.
     """
     _check_interval(m, M)
-    grid = np.linspace(m, M, GRID_POINTS)
-    fvals = np.asarray(f.fn(grid), dtype=float)
     with mpmath.workdps(ORACLE_DPS):
         fm, fM = f.mp(mpmath.mpf(m)), f.mp(mpmath.mpf(M))
+        if objective == "ratio" and (fm <= 0 or fM <= 0):
+            raise UnboundedRatioError("ratio objective needs f > 0 on [m, M]")
+        if not (mpmath.isfinite(fm) and mpmath.isfinite(fM)):
+            raise DomainError(f"chord needs f finite at m and M; f({m!r}) = {fm}, f({M!r}) = {fM}")
+        grid = np.linspace(m, M, GRID_POINTS)
+        fvals = np.asarray(f.fn(grid), dtype=float)
         width = mpmath.mpf(M) - mpmath.mpf(m)
         mu = (fM - fm) / width
         nu = (M * fm - m * fM) / width
         chord = float(mu) * grid + float(nu)
         terms = np.abs(fvals) + np.abs(float(mu) * grid) + abs(float(nu))
         if objective == "ratio":
-            if f.mp(m) <= 0 or f.mp(M) <= 0:
-                raise UnboundedRatioError("ratio objective needs f > 0 on [m, M]")
             if mu * m + nu <= 0 or mu * M + nu <= 0:
                 raise UnboundedRatioError("chord vanishes on [m, M]; ratio unbounded")
             g = lambda t: f.mp(t) / (mu * t + nu)

@@ -33,7 +33,8 @@ import numpy as np
 from .errors import HypothesisError, ParameterError
 from .means import POSITIVE_HALFLINE, RepresentingFunction, mean
 from .positive_maps import take_map
-from .spectral import _certified_at_least, _eigvalsh, apply_function, from_spectrum, hermitize, identity, spectral_norm
+from .spectral import _certified_at_least, _eigvalsh, _hermitize_in_place, apply_function, from_spectrum
+from .spectral import hermitize, identity, spectral_norm
 
 #: Hypothesis margin every released instance must clear.
 DEFAULT_MARGIN = 1e-6
@@ -387,13 +388,14 @@ class InstanceFamily:
 def take(stack: InstanceFamily, idx) -> InstanceFamily:
     """The trials ``idx`` of a family stacked on a trial axis, the axis after
     the operands' member axis: an int gives that trial's family (views of
-    its members' d x d matrices), an index array a smaller stack.  A
-    ``meta`` array holds one value per trial.  A scalar stack
-    (``scalar_instance``) pads its matrix to its largest row count, so one
-    trial's is cut to that trial's ``meta["rows"]``."""
+    its members' d x d matrices), an index array a smaller stack, and a
+    slice a smaller stack of views.  A ``meta`` array holds one value per
+    trial.  A scalar stack (``scalar_instance``) pads its matrix to its
+    largest row count, so one trial's is cut to that trial's
+    ``meta["rows"]``."""
     aux = {k: v[idx] for k, v in stack.aux.items()}
     meta = {k: v[idx] if isinstance(v, np.ndarray) else v for k, v in stack.meta.items()}
-    if "rows" in meta and np.ndim(idx) == 0:
+    if "rows" in meta and np.ndim(idx) == 0 and not isinstance(idx, slice):
         aux["a"] = aux["a"][: meta["rows"]]
     return InstanceFamily(
         hypothesis_tag=stack.hypothesis_tag,
@@ -423,20 +425,25 @@ def _trial_factor(x):
 
 def _complex(g: np.ndarray) -> np.ndarray:
     """The complex matrices re + 1j im of a stack (..., 2, d, d) of Gaussian
-    draws, formed once for the stack."""
-    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    draws, formed once for the stack in one array."""
+    z = 1j * g[..., 1, :, :]
+    z += g[..., 0, :, :]
+    return z
 
 
 def _unitary_factor(z: np.ndarray) -> np.ndarray:
     """Q of each matrix's QR with the phases of R's diagonal folded in."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    q *= (d / np.abs(d))[..., None, :]
+    return q
 
 
-def _haar(g: np.ndarray) -> np.ndarray:
-    """The Haar unitaries of a stack (..., 2, d, d) of Gaussian draws, in one QR call."""
-    return _unitary_factor(_complex(g) / np.sqrt(2.0))
+def _haar(z: np.ndarray) -> np.ndarray:
+    """The Haar unitaries of a stack of complex Gaussian matrices
+    (``_complex``), in one QR call; the stack is scaled in place."""
+    z /= np.sqrt(2.0)
+    return _unitary_factor(z)
 
 
 def haar_unitary(dim: int, rngs, n: int) -> np.ndarray:
@@ -449,7 +456,7 @@ def haar_unitary(dim: int, rngs, n: int) -> np.ndarray:
     """
     if dim < 1:
         raise ParameterError("dim must be at least 1")
-    return _haar(np.moveaxis(rngs.normal((n, 2, dim, dim)), 1, 0))
+    return _haar(_complex(np.moveaxis(rngs.normal((n, 2, dim, dim)), 1, 0)))
 
 
 def random_unitary_mixture(dim: int, k: int, rngs, n: int) -> tuple[np.ndarray, list]:
@@ -462,11 +469,11 @@ def random_unitary_mixture(dim: int, k: int, rngs, n: int) -> tuple[np.ndarray, 
     ``haar_unitary`` calls do; one QR call forms every unitary.
     """
     u = np.empty((n, len(rngs), k))
-    g = np.empty((n, len(rngs), k, 2, dim, dim))
+    z = np.empty((n, len(rngs), k, dim, dim), dtype=complex)
     for j in range(n):
         u[j] = rngs.uniform(0.0, 1.0, k)
-        g[j] = rngs.normal((k, 2, dim, dim))
-    return _weights(u), list(np.moveaxis(_haar(g), 2, 0))
+        z[j] = _complex(rngs.normal((k, 2, dim, dim)))
+    return _weights(u), list(np.moveaxis(_haar(z), 2, 0))
 
 
 def _spectral(dim: int, intervals, rngs: Streams, n: int) -> np.ndarray:
@@ -487,7 +494,7 @@ def _spectral(dim: int, intervals, rngs: Streams, n: int) -> np.ndarray:
         for i, (a, b) in enumerate(intervals):
             lam[i, j] = rngs.uniform(a, b, dim)
             g[i, j] = rngs.normal((2, dim, dim))
-    return hermitize(from_spectrum(_haar(g), np.sort(lam, axis=-1)))
+    return hermitize(from_spectrum(_haar(_complex(g)), np.sort(lam, axis=-1)))
 
 
 def random_spectrum_matrix(dim: int, interval: tuple[float, float], rngs, n: int = 1) -> np.ndarray:
@@ -680,10 +687,13 @@ def complement_sandwich_family(
     a, b = random_sandwich_family(dim, n, (0.5, 1.5), m, M, rngs)
     s_max = _scale_limit(gamma, sum(a), sum(b), sum(mean(a, b, f)), m, M, DEFAULT_MARGIN)
     s = np.where(s_max >= 1.0, 1.0, s_max * (1.0 - 1e-6))
+    # the drawn pairs are scaled in place: only the scaled family is kept
+    a *= _trial_factor(s)
+    b *= _trial_factor(s)
     family = InstanceFamily(
         hypothesis_tag="complement_sandwich_family",
-        A=hermitize(_trial_factor(s) * a),
-        B=hermitize(_trial_factor(s) * b),
+        A=_hermitize_in_place(a),
+        B=_hermitize_in_place(b),
         meta={"scale": s, "gamma": np.array(gamma)},
     )
     failed = (s_max < MIN_SCALE) | ~_verify_complement_family(family, gamma, m, M, DEFAULT_MARGIN)
@@ -711,11 +721,17 @@ def _verify_complement_family(
     """
     eye = identity(fam.A.shape[-1])
     g, m, M = _trial_factor(gamma_value), _trial_factor(m), _trial_factor(M)
-    comp_a = eye - g * sum(fam.A)
-    comp_b = eye - g * sum(fam.B)
-    gaps = hermitize(np.concatenate(
-        [fam.B - m * fam.A, M * fam.A - fam.B, np.stack([comp_a, comp_b, comp_b - m * comp_a, M * comp_a - comp_b])]
-    ))
+    n = len(fam.A)
+    # the gaps formed in one array and hermitized over it, to keep a large stack's peak memory down
+    gaps = np.empty((2 * n + 4,) + fam.A.shape[1:], dtype=complex)
+    np.subtract(fam.B, m * fam.A, out=gaps[:n])
+    np.subtract(M * fam.A, fam.B, out=gaps[n : 2 * n])
+    comp_a, comp_b = gaps[2 * n : 2 * n + 2]
+    np.subtract(eye, g * sum(fam.A), out=comp_a)
+    np.subtract(eye, g * sum(fam.B), out=comp_b)
+    np.subtract(comp_b, m * comp_a, out=gaps[2 * n + 2])
+    np.subtract(M * comp_a, comp_b, out=gaps[2 * n + 3])
+    _hermitize_in_place(gaps)
     if _certified_at_least(gaps, margin):
         return np.ones(gaps.shape[1:-2], dtype=bool)
     return (_eigvalsh(gaps)[..., 0] >= margin).all(axis=0)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .spectral import _any, _eigvalsh, adjoint, array_from_json, array_to_json, hermitize, identity
+from .spectral import _any, _eigvalsh, _hermitize_in_place, adjoint, array_from_json, array_to_json, identity
 
 _ISOMETRY_TOL = 1e-10
 
@@ -43,7 +43,9 @@ def _isometry_error(v: np.ndarray) -> np.ndarray:
     otherwise the norm, as the largest |eigenvalue| of the Hermitian
     difference, from one ``_eigvalsh`` call on the stack.  NaN where V has
     a NaN entry."""
-    gap = hermitize(adjoint(v) @ v - identity(v.shape[-1]))
+    gap = adjoint(v) @ v
+    gap -= identity(v.shape[-1])
+    _hermitize_in_place(gap)
     frobenius = np.sqrt(np.square(gap.view(float)).sum(axis=(-2, -1)))
     if (frobenius <= _ISOMETRY_TOL / 2).all():
         return frobenius
@@ -230,17 +232,17 @@ PositiveLinearMap = IdentityMap | Compression | UnitaryMixture | Pinching | PerT
 
 def take_map(stacked: PositiveLinearMap, idx) -> PositiveLinearMap:
     """The entries ``idx`` of a map's leading axis, trials or members: an int
-    gives that trial's (or member's) map, an index array a smaller stack.
-    Of a ``PerTrialMap``, an int gives the trial's own map from its part, and
-    an index array the per-trial map of what each part keeps, or the one
-    part left.  The stack was validated when it was built, so the result is
-    not."""
+    gives that trial's (or member's) map, an index array or a slice a
+    smaller stack.  Of a ``PerTrialMap``, an int gives the trial's own map
+    from its part, and an index array or a slice the per-trial map of what
+    each part keeps, or the one part left.  The stack was validated when it
+    was built, so the result is not."""
     if isinstance(stacked, PerTrialMap):
         part = np.empty(sum(len(r) for r in stacked.rows), dtype=int)
         local = np.empty_like(part)
         for i, r in enumerate(stacked.rows):
             part[r], local[r] = i, np.arange(len(r))
-        if np.ndim(idx) == 0:
+        if np.ndim(idx) == 0 and not isinstance(idx, slice):
             return take_map(stacked.parts[part[idx]], local[idx])
         part, local = part[idx], local[idx]
         kept = [i for i in range(len(stacked.parts)) if (part == i).any()]

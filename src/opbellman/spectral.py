@@ -84,11 +84,24 @@ def adjoint(x: np.ndarray) -> np.ndarray:
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian manifold: (X + X*)/2, the sum divided in place."""
+    """Project onto the Hermitian manifold: (X + X*)/2."""
     x = np.asarray(x, dtype=complex)
-    out = x + x.conj().swapaxes(-1, -2)
-    out /= 2.0
-    return out
+    return _halve(x + x.conj().swapaxes(-1, -2))
+
+
+def _hermitize_in_place(x: np.ndarray) -> np.ndarray:
+    """``hermitize`` of a complex array the caller owns, written over it."""
+    x += x.conj().swapaxes(-1, -2)
+    return _halve(x)
+
+
+def _halve(x: np.ndarray) -> np.ndarray:
+    """A complex array halved in place, each real and imaginary part on its
+    own: dividing by 2 would divide by 2 + 0j, which makes an infinite
+    part's partner NaN (inf * 0)."""
+    parts = x.view(float)
+    parts /= 2.0
+    return x
 
 
 def from_spectrum(u: np.ndarray, vals: np.ndarray) -> np.ndarray:

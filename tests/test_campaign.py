@@ -677,7 +677,8 @@ def test_edge_window_complement_families_draw_each_member_once(monkeypatch, inte
     # no family scale reaches MIN_SCALE on these windows: on [0.5, 1e20] every
     # draw has sum B_j >= 1e18 I, and on [0.999999, 1.000001] the room
     # 1 - m - DEFAULT_MARGIN is below 1e-16; each trial is rejected after one
-    # draw of each family member, so the effort does not depend on the window
+    # draw of each family member, so the effort does not depend on the window.
+    # The four checks' cells of one dim and n draw in one shared build.
     calls = []
     draw = instances.random_sandwich_family
     monkeypatch.setattr(instances, "random_sandwich_family", lambda *args: calls.append(args[1]) or draw(*args))
@@ -685,11 +686,10 @@ def test_edge_window_complement_families_draw_each_member_once(monkeypatch, inte
     report = run_campaign(cfg)
     assert report["summary"]["not_applicable"] == report["summary"]["trials"] == 12
     assert {g for row in report["cells"] for g in row["na_guards"]} == {"generator_rejected"}
-    members = 0
-    for check_id in COMPLEMENT_IDS:
-        cells = campaign.expand_cells(check_id, cfg)
-        members += sum(cells[group[0]]["n"] for group in campaign._stack_groups(cells))
-    assert sum(calls) == members
+    cells = {check_id: campaign.expand_cells(check_id, cfg) for check_id in COMPLEMENT_IDS}
+    builds = campaign._shared_builds(cells)
+    assert all({c for c, _ in members} == set(COMPLEMENT_IDS) for members in builds)
+    assert sum(calls) == sum(cells[c][group[0]]["n"] for (c, group), *_ in builds)
 
 
 @pytest.mark.parametrize("interval", [[0.5, 1e200], [-1e300, 0.5]])
@@ -1222,6 +1222,46 @@ def test_interval_group_leaves_out_rejected_builds(monkeypatch):
     assert campaign.report_to_json(report) == expected
 
 
+#: The checks whose builders share one generator, in check order: each set
+#: builds its cells of one generator cell shape in one call.
+SHARING_SETS = [
+    ids for ids in (
+        [c for c in checks.REGISTRY if campaign.BUILDERS[c].draw is draw]
+        for draw in dict.fromkeys(b.draw for b in campaign.BUILDERS.values())
+    )
+    if len(ids) > 1
+]
+
+
+def test_sharing_sets_are_the_generators_of_several_checks():
+    assert [len(ids) for ids in SHARING_SETS] == [2, 2, 3, 2, 2, 4, 2]
+    assert list(COMPLEMENT_IDS) in SHARING_SETS
+
+
+@pytest.mark.parametrize("reject", [False, True], ids=["built", "rejecting"])
+@pytest.mark.parametrize("config", [{}, {"intervals": [[0.5, 1e20]], "dims": [2]}], ids=["default", "wide"])
+@pytest.mark.parametrize("check_ids", SHARING_SETS, ids=lambda ids: "+".join(ids))
+def test_shared_builds_give_each_check_its_records_alone(monkeypatch, check_ids, config, reject):
+    # a campaign over a set of checks that share their builds gives each cell
+    # the record the check's campaign alone gives it.  On [0.5, 1e20] no
+    # complement-sandwich family exists, so every trial of those builds is
+    # rejected; the rejecting builder of test_stacked_cell_leaves_out_rejected_builds
+    # rejects part of every build, leaving each group rows that are not the
+    # whole stack
+    if reject:
+        for check_id in check_ids:
+            monkeypatch.setitem(campaign.BUILDERS, check_id, _rejecting(campaign.BUILDERS[check_id]))
+    cfg = config_from_json(dict({"trials": 3, "dims": [1, 2, 3], "seed": 19}, **config, checks=check_ids))
+    shared = run_campaign(cfg)["cells"]
+    alone = [row for c in check_ids for row in run_campaign(dataclasses.replace(cfg, checks=(c,)))["cells"]]
+    assert json.dumps(shared, sort_keys=True) == json.dumps(alone, sort_keys=True)
+    rejected = sum(row["na_guards"].get("generator_rejected", 0) for row in shared)
+    if reject or (config and "aczel_reverse" in check_ids):
+        assert rejected > 0
+    if config and "aczel_reverse" in check_ids:
+        assert rejected == sum(row["trials"] for row in shared)
+
+
 #: Four means of the four kinds of function a stack evaluates per trial.
 MIXED_MEANS = ("arith:0.3", "geom:0.7", "power:0.3", "powered:geom:0.5:0.5")
 
@@ -1323,7 +1363,8 @@ def test_campaign_calls_do_not_grow_with_n(monkeypatch):
     # a family's members sit on one axis from builder to checker, so a
     # campaign on n = 3 makes the builder, check_cell and numpy.linalg calls
     # of n = 2; bellman_chain_split has one cell per split index k in 1..n-1,
-    # so its calls are compared per check_cell call
+    # all of one dim built in one call, so n = 3 makes the builder calls of
+    # n = 2 and each check_cell call of n = 2 once per k
     def configs(check_ids):
         return [
             CampaignConfig(trials=2, dims=(1, 3), n_values=n_values, checks=check_ids, seed=5)
@@ -1334,11 +1375,9 @@ def test_campaign_calls_do_not_grow_with_n(monkeypatch):
     two, three = _campaign_calls(monkeypatch, configs(others))
     assert three[0] == two[0]
     assert two[0]["eigvalsh"] > 0 and two[0]["qr"] > 0
-    two, three = _campaign_calls(monkeypatch, configs(("bellman_chain_split",)))
-    assert three[1] == 2 * two[1]
-    assert {k: v / two[0]["check_cell"] for k, v in two[0].items()} == {
-        k: v / three[0]["check_cell"] for k, v in three[0].items()
-    }
+    two, three = _phase_calls(monkeypatch, configs(("bellman_chain_split",)))
+    assert three["build"] == two["build"] and two["build"]
+    assert three["check"] == [calls for calls in two["check"] for _ in (1, 2)]
 
 
 def test_campaign_calls_do_not_grow_with_maps(monkeypatch):
@@ -1354,44 +1393,48 @@ def test_campaign_calls_do_not_grow_with_maps(monkeypatch):
     assert three[0]["builder"] < three[1]
 
 
-#: numpy.linalg calls of the default campaign at seed 301, by kind: the
-#: machine-independent cost of the benchmark's campaign_default workload.
-#: Every sign-only Loewner test is one cholesky call; a certificate that
-#: fails adds an eigvalsh call, so the eigvalsh count also says that none did.
-DEFAULT_LINALG_BUDGET = {"qr": 442, "eigvalsh": 352, "eigh": 1244, "svd": 280, "norm": 1244, "cholesky": 658}
+#: numpy.linalg calls of the default campaign at seed 301, by kind, and its
+#: builder calls: the machine-independent cost of the benchmark's
+#: campaign_default workload.  Every sign-only Loewner test is one cholesky
+#: call; a certificate that fails adds an eigvalsh call, so the eigvalsh
+#: count also says that none did.  144 of the builder calls are operator
+#: builds shared by the checks of one generator; the other 12 are the
+#: scalar cells, each built on its own.
+DEFAULT_LINALG_BUDGET = {"qr": 228, "eigvalsh": 304, "eigh": 1114, "svd": 280, "norm": 1114, "cholesky": 564}
+DEFAULT_BUILDER_CALLS = 156
 
 
 def test_default_campaign_linalg_calls_stay_within_budget(monkeypatch):
-    # pinned at today's counts, so that a change adding linear-algebra calls
-    # to the default campaign shows here, by kind
+    # pinned at today's counts, so that a change adding linear-algebra or
+    # builder calls to the default campaign shows here, by kind
     ((counts, cells),) = _campaign_calls(monkeypatch, [CampaignConfig(seed=301)])
     assert cells == 1008
     over = {k: (counts.get(k, 0), budget) for k, budget in DEFAULT_LINALG_BUDGET.items() if counts.get(k, 0) > budget}
     assert not over, f"numpy.linalg calls over budget (count, budget): {over}"
-    assert sum(counts[k] for k in ("qr", "eigvalsh", "eigh", "svd", "cholesky")) <= 2976
+    assert sum(counts[k] for k in ("qr", "eigvalsh", "eigh", "svd", "cholesky")) <= 2490
+    assert counts["builder"] <= DEFAULT_BUILDER_CALLS
 
 
-def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
-    # with no guard failing and no family drawing twice, a cell of 30 trials
-    # makes the numpy.linalg calls of one, in its check and in its build; the
-    # 72 cells build and check as 48 groups of cells differing in their
-    # interval or their mean (jensen_family_diff_reverse's geom:0.5 and log)
+def _phase_calls(monkeypatch, configs) -> list[dict[str, list[dict]]]:
+    """The numpy.linalg calls, by kind, of each builder call
+    (``campaign._draw``, "build") and each ``checks.check_cell`` call
+    ("check") of a campaign on each config, in call order; every trial
+    must be applicable."""
     kinds = ("eigvalsh", "eigh", "svd", "qr", "norm", "cholesky")
-    phases = {"check": (checks, "check_cell"), "build": (campaign, "_build_trials")}
     state = {"phase": None}
-    per_cell = {phase: [] for phase in phases}
+    per_call = {"build": [], "check": []}
 
     def counted(kind, fn):
         def call(*args, **kwargs):
             if state["phase"]:
-                per_cell[state["phase"]][-1][kind] += 1
+                per_call[state["phase"]][-1][kind] += 1
             return fn(*args, **kwargs)
 
         return call
 
     def counted_phase(phase, run):
         def call(*args, **kwargs):
-            per_cell[phase].append(dict.fromkeys(kinds, 0))
+            per_call[phase].append(dict.fromkeys(kinds, 0))
             state["phase"] = phase
             try:
                 return run(*args, **kwargs)
@@ -1402,20 +1445,32 @@ def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
 
     for kind in kinds:
         monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
-    for phase, (owner, name) in phases.items():
-        monkeypatch.setattr(owner, name, counted_phase(phase, getattr(owner, name)))
-    counts = {}
-    for trials in (1, 30):
-        for calls in per_cell.values():
+    monkeypatch.setattr(campaign, "_draw", counted_phase("build", campaign._draw))
+    monkeypatch.setattr(checks, "check_cell", counted_phase("check", checks.check_cell))
+    seen = []
+    for cfg in configs:
+        for calls in per_call.values():
             calls.clear()
-        report = run_campaign(_workload("operator_deep", trials=trials))
-        assert report["summary"]["not_applicable"] == 0
-        counts[trials] = {phase: list(calls) for phase, calls in per_cell.items()}
-    for phase in phases:
-        assert len(counts[1][phase]) == 48 and len(report["cells"]) == 72
-        assert counts[30][phase] == counts[1][phase], phase
-    assert all(c["eigvalsh"] and c["svd"] for c in counts[1]["check"])
-    assert all(c["qr"] for c in counts[1]["build"])
+        assert run_campaign(cfg)["summary"]["not_applicable"] == 0
+        seen.append({phase: list(calls) for phase, calls in per_call.items()})
+    return seen
+
+
+def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
+    # with no guard failing and no family drawing twice, a cell of 30 trials
+    # makes the numpy.linalg calls of one, in its check and in its build; the
+    # 72 cells check as 48 groups of cells differing in their interval or
+    # their mean (jensen_family_diff_reverse's geom:0.5 and log), and build
+    # in 26 calls, one per generator and dim (and split of the windows)
+    cfg = _workload("operator_deep")
+    cells = {check_id: campaign.expand_cells(check_id, cfg) for check_id in cfg.checks}
+    groups = sum(len(campaign._stack_groups(c)) for c in cells.values())
+    assert (sum(map(len, cells.values())), groups, len(campaign._shared_builds(cells))) == (72, 48, 26)
+    one, thirty = _phase_calls(monkeypatch, [dataclasses.replace(cfg, trials=t) for t in (1, 30)])
+    assert (len(one["check"]), len(one["build"])) == (48, 26)
+    assert thirty == one
+    assert all(c["eigvalsh"] and c["svd"] for c in one["check"])
+    assert all(c["qr"] for c in one["build"])
 
 
 @pytest.mark.parametrize("config", [CampaignConfig(seed=11), _workload("operator_deep")], ids=["seed_11", "operator_deep"])
@@ -1438,7 +1493,7 @@ def test_campaign_forms_a_trial_family_only_for_a_witness(monkeypatch):
     ints = []
 
     def counted(stack, idx):
-        ints.append(np.ndim(idx) == 0)
+        ints.append(isinstance(idx, (int, np.integer)))
         return take(stack, idx)
 
     for module in [m for name, m in sys.modules.items() if name.startswith("opbellman")]:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -19,6 +20,7 @@ from opbellman.constants import (
 )
 from opbellman.errors import (
     DegenerateIntervalError,
+    DomainError,
     HypothesisError,
     ParameterError,
     UnboundedRatioError,
@@ -241,6 +243,23 @@ def test_beta_returns_for_a_maximizer_near_1e19():
     closed = zeta_aczel(0.5, 1e20, 0.5)
     assert b.value == pytest.approx(closed.value, rel=1e-9)
     assert b.argmax == pytest.approx(closed.argmax, rel=1e-6)
+
+
+def test_oracle_refuses_an_f_infinite_at_an_end():
+    # log(0) = -inf leaves the chord undefined; beta used to return NaN
+    with pytest.raises(DomainError, match="f finite at m and M"):
+        beta(log_fn, 0.0, 1.0)
+    with pytest.raises(UnboundedRatioError, match="needs f > 0"):
+        gamma(log_fn, 0.0, 1.0)
+
+
+def test_cli_constants_log_from_zero_notes_both_oracles(capsys):
+    # run under the suite's error::RuntimeWarning filter: no warning is raised
+    assert cli.main(["constants", "--f", "log", "--m", "0", "--M", "1", "--format", "json"]) == 0
+    rows = {r["constant"]: r for r in json.loads(capsys.readouterr().out)}
+    assert rows["beta_f"]["oracle"] is None and rows["beta_f"]["note"].startswith("chord needs f finite")
+    assert rows["gamma_f"]["oracle"] is None and rows["gamma_f"]["note"].startswith("ratio objective needs f > 0")
+    assert rows["gamma_h"]["closed_form"] is None and rows["gamma_h"]["note"].startswith("need 0 < a < b")
 
 
 def test_golden_step_cap_never_binds_on_the_sweep_or_acceptance_grid(monkeypatch):

@@ -32,6 +32,19 @@ def test_hermitize_symmetrizes_exactly():
     assert np.array_equal(h, h.conj().T)
 
 
+def test_hermitize_keeps_an_infinite_entry_real():
+    # halving the complex sum divided by 2 + 0j, which made inf + nan j and
+    # warned; each part is halved on its own now
+    x = np.array([np.diag([np.inf, 1.0]), np.diag([-np.inf, 1.0]), np.eye(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = hermitize(x)
+        decided = _pd_floor(x)
+    assert not h.imag.any()
+    assert h.real[:2, 0, 0].tolist() == [np.inf, -np.inf]
+    assert decided.tolist() == [False, False, True]
+
+
 def test_spectral_norm_is_bit_identical_to_numpy_norm():
     rng = np.random.default_rng(20)
     for dim in range(1, 7):
