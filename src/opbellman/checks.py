@@ -69,18 +69,16 @@ from .spectral import (
     DEFAULT_TOL,
     Tolerance,
     _any,
-    _certified_at_least,
-    _eigvalsh,
+    _finite_eigvalsh,
     _gap_holds,
-    _larger,
     adjoint,
     apply_function,
     eig,
+    floor_holds,
     from_spectrum,
     hermitize,
     identity,
     loewner_holds,
-    spectral_norm,
 )
 
 HOLDS = "holds"
@@ -145,15 +143,20 @@ def _links(check_id, terms, tol) -> list[CheckOutcome]:
     """Each trial's outcome of terms[0] <= terms[1] <= ..., each adjacent
     pair (a link) decided as ``spectral.loewner_leq`` decides it: its slack
     is lambda_min of the Hermitized gap, its scale the larger spectral norm
-    of its two terms, from one ``spectral_norm`` call on every term and one
-    ``_eigvalsh`` call on every gap.  A trial holds when each link does; it
-    reports its least link slack and its largest link scale, and, for more
-    than one link, each link's slack."""
+    of its two terms.  One ``_finite_eigvalsh`` call on every term and
+    every gap gives both: a term is Hermitian, so its spectral norm is its
+    spectral radius, max(-lambda_min, lambda_max).  A link whose terms or
+    gap have a non-finite entry gets a NaN slack and scale, and does not
+    hold.  A trial holds when each link does; it reports its least link
+    slack and its largest link scale, and, for more than one link, each
+    link's slack."""
     terms = np.asarray(np.broadcast_arrays(*terms), dtype=complex)
-    norms = spectral_norm(terms)
     links = len(terms) - 1
-    slack = _eigvalsh(hermitize(terms[1:] - terms[:-1]))[..., 0].reshape(links, -1)
-    scale = _larger(norms[:-1], norms[1:]).reshape(links, -1)
+    lam, finite = _finite_eigvalsh(np.concatenate([terms, hermitize(terms[1:] - terms[:-1])]))
+    radius = np.maximum(-lam[: links + 1, ..., 0], lam[: links + 1, ..., -1])
+    finite_link = finite[:links] & finite[1 : links + 1] & finite[links + 1 :]
+    slack = np.where(finite_link, lam[links + 1 :, ..., 0], math.nan).reshape(links, -1)
+    scale = np.where(finite_link, np.maximum(radius[:-1], radius[1:]), math.nan).reshape(links, -1)
     holds = (slack >= -tol.margin(scale)).all(axis=0).tolist()
     return [
         CheckOutcome(check_id, HOLDS if h else VIOLATED, min(s), max(c), chain_slacks=s if links > 1 else None)
@@ -375,16 +378,8 @@ def _guard_psd(x, tol, guard):
 
 
 def _pd_floor(x):
-    """Whether lambda_min of each matrix clears PD_REL_FLOOR lambda_max.
-
-    lambda_max <= d max|h_ij|, so a stack that ``_certified_at_least`` that
-    bound's floor clears its own; any other stack is decided from one
-    ``_eigvalsh`` call."""
-    h = hermitize(x)
-    if _certified_at_least(h, PD_REL_FLOOR * np.maximum(h.shape[-1] * np.abs(h).max(axis=(-2, -1)), 1e-300)):
-        return np.ones(h.shape[:-2], dtype=bool)
-    lam = _eigvalsh(h)
-    return lam[..., 0] >= PD_REL_FLOOR * np.maximum(lam[..., -1], 1e-300)
+    """Whether lambda_min of each matrix clears PD_REL_FLOOR lambda_max."""
+    return floor_holds(hermitize(x), PD_REL_FLOOR)
 
 
 def _guard_pd_floor(x, guard):

@@ -2,6 +2,9 @@
 
 A connection with representing function f acts on positive matrices as
 ``A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}``; it is a mean when f(1) = 1.
+By Kubo and Ando's transformer equality T*(A sigma_f B)T = (T*AT) sigma_f
+(T*BT) (*Math. Ann.* 246, 1980), any factor A = L L* gives the same mean
+as ``L f(L^{-1} B L^{-*}) L*``; ``mean`` takes the Cholesky factor.
 The built-in functions cover weighted arithmetic and geometric means,
 plain powers, the logarithm (usable in Jensen-type checks but not as a
 mean), and pointwise compositions/powers of the above.
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ParameterError, ShapeError
-from .spectral import hermitize, pd_root_pair
+from .spectral import adjoint, congruence_factor, hermitize
 
 #: Domain shared by every built-in function: the positive half-line.
 POSITIVE_HALFLINE = (0.0, math.inf)
@@ -202,8 +205,8 @@ def require_mean(f: RepresentingFunction) -> RepresentingFunction:
 
 
 def mean(a: np.ndarray, b: np.ndarray, f: RepresentingFunction) -> np.ndarray:
-    """A sigma_f B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}, pair by pair
-    for stacks (..., d, d) of A and B.
+    """A sigma_f B = L f(L^{-1} B L^{-*}) L* for the Cholesky factor
+    A = L L*, pair by pair for stacks (..., d, d) of A and B.
 
     A must be positive definite with margin (no silent regularization);
     B may be positive semidefinite.  A ``ConditioningError`` or
@@ -214,10 +217,10 @@ def mean(a: np.ndarray, b: np.ndarray, f: RepresentingFunction) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    root, inv_root = pd_root_pair(a)
-    w = hermitize(inv_root @ b @ inv_root)
+    factor, inv_factor = congruence_factor(a)
+    w = hermitize(inv_factor @ b @ adjoint(inv_factor))
     fw = spectral.apply_function(w, f.fn, f.domain)
-    return hermitize(root @ fw @ root)
+    return hermitize(factor @ fw @ adjoint(factor))
 
 
 def weighted_arithmetic(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:

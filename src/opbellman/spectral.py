@@ -2,7 +2,8 @@
 
 Everything downstream (means, positive maps, inequality checks) reduces to
 the primitives in this module: eigendecomposition, matrix functional
-calculus, spectral powers and comparisons in the Loewner order.  Matrices
+calculus, spectral powers, Cholesky congruence factors and comparisons in
+the Loewner order.  Matrices
 are plain complex ``numpy`` arrays; Hermitian operands are symmetrized at
 every construction site so that ``entries[i, j] == conj(entries[j, i])``
 holds exactly.
@@ -135,29 +136,38 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _TINY = np.finfo(float).tiny
 
 
+def _certificate_band(h: np.ndarray, t=0.0):
+    """The band delta = ``_CERTIFICATE_BAND`` d^3 u (max|h_ij| + |t|) of
+    each Hermitian matrix H of a stack and its threshold t (a number or
+    one per matrix), or None when some delta is not a normal float: an
+    entry or t is not finite, or underflow would void the error bound.
+
+    A Cholesky factorization of H - (t + delta) I that runs to completion
+    proves H - (t + delta) I + E positive definite with ||E|| <= c d^2 u
+    ||H - (t + delta) I|| (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, Thm 10.3), so lambda_min(H) >= t + delta -
+    ||E||, and ``eigvalsh`` errs by at most c' d u ||H||, where ||H|| <= d
+    max|h_ij|.  delta lies far above both, so a factored stack is one whose
+    ``eigvalsh`` lambda_min is at least t for every matrix.
+    """
+    band = _CERTIFICATE_BAND * h.shape[-1] ** 3 * _UNIT_ROUNDOFF * (np.abs(h).max(axis=(-2, -1)) + np.abs(t))
+    return band if np.all((band >= _TINY) & (band < math.inf)) else None
+
+
 def _certified_at_least(h: np.ndarray, t=0.0) -> bool:
     """Whether ``_eigvalsh(h)[..., 0] >= t`` is certain for every Hermitian
     matrix H of a stack, from one Cholesky factorization of H - (t + delta) I
-    and no eigenvalue.
-
-    A factorization that runs to completion proves H - (t + delta) I + E
-    positive definite with ||E|| <= c d^2 u ||H - (t + delta) I|| (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, Thm
-    10.3), so lambda_min(H) >= t + delta - ||E||, and ``eigvalsh`` errs by
-    at most c' d u ||H||, where ||H|| <= d max|h_ij|.  The band delta =
-    ``_CERTIFICATE_BAND`` d^3 u (max|h_ij| + |t|), per matrix, lies far above
-    both, so a certified stack is one that ``eigvalsh`` passes too.  t is a
-    number or one per matrix.
+    (``_certificate_band``) and no eigenvalue.  t is a number or one per
+    matrix.
 
     False, with no warning, when the factorization fails on some matrix,
-    and without factoring when an entry or t is not finite or the band is
-    not a normal float (underflow would void the error bound); a caller
-    then decides the whole stack from ``_eigvalsh``, as without this test.
-    The factorization reads the lower triangle, as ``eigvalsh`` does.
+    and without factoring when there is no band; a caller then decides the
+    whole stack from ``_eigvalsh``, as without this test.  The
+    factorization reads the lower triangle, as ``eigvalsh`` does.
     """
     h = np.asarray(h)
-    band = _CERTIFICATE_BAND * h.shape[-1] ** 3 * _UNIT_ROUNDOFF * (np.abs(h).max(axis=(-2, -1)) + np.abs(t))
-    if not np.all((band >= _TINY) & (band < math.inf)):
+    band = _certificate_band(h, t)
+    if band is None:
         return False
     shift = np.asarray(t + band)[..., None, None]
     try:
@@ -165,6 +175,43 @@ def _certified_at_least(h: np.ndarray, t=0.0) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _floor_bound(h: np.ndarray, floor: float):
+    """floor d max|h_ij| per matrix, at least floor lambda_max(H): a stack
+    certified at least this bound clears floor lambda_max."""
+    return floor * np.maximum(h.shape[-1] * np.abs(h).max(axis=(-2, -1)), 1e-300)
+
+
+def floor_holds(h: np.ndarray, floor: float):
+    """Whether lambda_min of each Hermitian matrix of a stack is at least
+    floor lambda_max, as ``_eigvalsh`` gives them; False for a matrix with
+    a non-finite entry.
+
+    A stack certified at its ``_floor_bound`` (``_certified_at_least``)
+    takes no eigenvalue; any other stack is decided by ``_eigvalsh_floor``.
+    A bool array of the stack's leading shape (0-d for one matrix)."""
+    h = np.asarray(h)
+    if _certified_at_least(h, _floor_bound(h, floor)):
+        return np.ones(h.shape[:-2], dtype=bool)
+    return _eigvalsh_floor(h, floor)
+
+
+def _eigvalsh_floor(h: np.ndarray, floor: float) -> np.ndarray:
+    """``floor_holds`` from one ``_finite_eigvalsh`` call: a matrix with a
+    non-finite entry fails."""
+    lam, finite = _finite_eigvalsh(h)
+    return finite & (lam[..., 0] >= floor * np.maximum(lam[..., -1], 1e-300))
+
+
+def _finite_eigvalsh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``_eigvalsh`` of each matrix of a stack, whether its entries are all
+    finite), in one call that takes no eigenvalue of a non-finite matrix:
+    LAPACK either does not converge on it (``diag(2, nan, 3)``) or returns
+    finite eigenvalues (``[0, -0]`` for ``diag(nan, 5)``), so it gets those
+    of the zero matrix, which its caller must not read."""
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    return _eigvalsh(h if finite.all() else np.where(finite[..., None, None], h, 0.0)), finite
 
 
 def _any(mask) -> bool:
@@ -329,20 +376,38 @@ def _gap_holds(diff: np.ndarray, operands: Callable, tol: Tolerance = DEFAULT_TO
     return bool(holds) if holds.ndim == 0 else holds
 
 
-def pd_root_pair(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H^{1/2}, H^{-1/2}) from a single decomposition of each PD matrix."""
-    lam, u = eig(h)
-    lam_min = lam.min(axis=-1, initial=math.inf)
-    lam_max = np.abs(lam).max(axis=-1, initial=0.0)
-    bad = lam_min < POSITIVITY_FLOOR * np.maximum(lam_max, 1e-300)
-    if _any(bad):
-        i = _first(bad)
-        raise ConditioningError(
-            f"congruence root needs lambda_min above the positivity floor; "
-            f"lambda_min = {lam_min[i]:.6e}, norm = {lam_max[i]:.6e}",
-            where=bad,
-        )
-    return hermitize(from_spectrum(u, lam**0.5)), hermitize(from_spectrum(u, lam**-0.5))
+def congruence_factor(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, L^{-1}) with H = L L*, L lower triangular, for each Hermitian
+    matrix H of a stack whose lambda_min clears ``POSITIVITY_FLOOR``
+    lambda_max.
+
+    One ``np.linalg.cholesky`` call on the stack [H - (t + delta) I; H],
+    with t = ``_floor_bound`` and delta its ``_certificate_band``, both
+    certifies the floor and gives L.  When that call fails, or there is no
+    band, ``_eigvalsh_floor`` decides: a ``ConditioningError`` names the
+    matrices below the floor in ``where``, and a stack that clears it is
+    factored alone.  Each matrix gets the bits it gets alone.  L^{-1} is
+    ``np.linalg.inv(L)``, an LU inverse: numpy has no triangular solve.
+    """
+    h = np.asarray(h, dtype=complex)
+    t = _floor_bound(h, POSITIVITY_FLOOR)
+    band = _certificate_band(h, t)
+    factor = None
+    if band is not None:
+        try:
+            factor = np.linalg.cholesky(np.stack([h - (t + band)[..., None, None] * np.eye(h.shape[-1]), h]))[1]
+        except np.linalg.LinAlgError:
+            pass
+    if factor is None:
+        bad = ~_eigvalsh_floor(h, POSITIVITY_FLOOR)
+        if _any(bad):
+            raise ConditioningError(
+                f"congruence factor needs lambda_min above the positivity floor "
+                f"{POSITIVITY_FLOOR:g} lambda_max on matrix {matrix_hash(h[_first(bad)])}",
+                where=bad,
+            )
+        factor = np.linalg.cholesky(h)
+    return factor, np.linalg.inv(factor)
 
 
 def array_to_json(x) -> dict:

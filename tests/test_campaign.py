@@ -1093,7 +1093,7 @@ def test_complement_report_digest_is_pinned():
     # pinned digest sees a change in the families it draws
     text = campaign.report_to_json(run_campaign(CampaignConfig(seed=11, checks=COMPLEMENT_IDS)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "7df5e3dad7140d848555fbf5c031fa87ed0a8737eb53b451ba114b102714bbdf"
+        "ca2b3e0e8b1d6a4e5b8eb1fb4a08e3ce2982e0765c0b6542b10762c1eb3c0eaf"
     )
 
 
@@ -1103,7 +1103,7 @@ def test_default_report_digest_is_pinned():
     # generator on both sides, so only a pinned digest sees a moved bit
     text = campaign.report_to_json(run_campaign(CampaignConfig(seed=11)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "35c592127e86e0ed936236d2fed737822b7e4fe384db086cd4dd44f9031b9b2c"
+        "8b245309534f731f96125973acc8f92828d6ac9e526c098b8ece08e3510af0ae"
     )
 
 
@@ -1319,7 +1319,7 @@ def _campaign_calls(monkeypatch, configs) -> list[tuple[dict, int]]:
 
         return call
 
-    for kind in ("eigvalsh", "eigh", "svd", "qr", "norm", "cholesky"):
+    for kind in ("eigvalsh", "eigh", "svd", "qr", "norm", "cholesky", "inv"):
         monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
     for check_id, builder in list(campaign.BUILDERS.items()):
         monkeypatch.setitem(campaign.BUILDERS, check_id, counted("builder", builder))
@@ -1397,10 +1397,14 @@ def test_campaign_calls_do_not_grow_with_maps(monkeypatch):
 #: builder calls: the machine-independent cost of the benchmark's
 #: campaign_default workload.  Every sign-only Loewner test is one cholesky
 #: call; a certificate that fails adds an eigvalsh call, so the eigvalsh
-#: count also says that none did.  144 of the builder calls are operator
-#: builds shared by the checks of one generator; the other 12 are the
-#: scalar cells, each built on its own.
-DEFAULT_LINALG_BUDGET = {"qr": 228, "eigvalsh": 304, "eigh": 1114, "svd": 280, "norm": 1114, "cholesky": 564}
+#: count also says that none did.  Each Kubo-Ando mean is one cholesky call,
+#: which certifies the floor and factors A, and one inv; no check makes an
+#: SVD (the 6 are isometry checks of the map builds).  144 of the builder
+#: calls are operator builds shared by the checks of one generator; the
+#: other 12 are the scalar cells, each built on its own.
+DEFAULT_LINALG_BUDGET = {
+    "qr": 228, "eigvalsh": 304, "eigh": 768, "svd": 6, "norm": 768, "cholesky": 910, "inv": 346,
+}
 DEFAULT_BUILDER_CALLS = 156
 
 
@@ -1411,7 +1415,7 @@ def test_default_campaign_linalg_calls_stay_within_budget(monkeypatch):
     assert cells == 1008
     over = {k: (counts.get(k, 0), budget) for k, budget in DEFAULT_LINALG_BUDGET.items() if counts.get(k, 0) > budget}
     assert not over, f"numpy.linalg calls over budget (count, budget): {over}"
-    assert sum(counts[k] for k in ("qr", "eigvalsh", "eigh", "svd", "cholesky")) <= 2490
+    assert sum(counts[k] for k in ("qr", "eigvalsh", "eigh", "svd", "cholesky")) <= 2216
     assert counts["builder"] <= DEFAULT_BUILDER_CALLS
 
 
@@ -1420,7 +1424,7 @@ def _phase_calls(monkeypatch, configs) -> list[dict[str, list[dict]]]:
     (``campaign._draw``, "build") and each ``checks.check_cell`` call
     ("check") of a campaign on each config, in call order; every trial
     must be applicable."""
-    kinds = ("eigvalsh", "eigh", "svd", "qr", "norm", "cholesky")
+    kinds = ("eigvalsh", "eigh", "svd", "qr", "norm", "cholesky", "inv")
     state = {"phase": None}
     per_call = {"build": [], "check": []}
 
@@ -1469,7 +1473,7 @@ def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
     one, thirty = _phase_calls(monkeypatch, [dataclasses.replace(cfg, trials=t) for t in (1, 30)])
     assert (len(one["check"]), len(one["build"])) == (48, 26)
     assert thirty == one
-    assert all(c["eigvalsh"] and c["svd"] for c in one["check"])
+    assert all(c["eigvalsh"] and not c["svd"] for c in one["check"])
     assert all(c["qr"] for c in one["build"])
 
 
@@ -1477,13 +1481,15 @@ def test_operator_cell_linalg_calls_do_not_grow_with_trials(monkeypatch):
 def test_reports_are_the_same_when_every_certificate_fails(monkeypatch, config):
     # a Cholesky certificate only skips an eigvalsh whose verdict it already
     # knows: with every certificate failing, each sign-only test decides
-    # from eigvalsh, and the report keeps every byte
+    # from eigvalsh, each congruence decides its floor from eigvalsh and
+    # factors A alone, and the report keeps every byte
     expected = campaign.report_to_json(run_campaign(config))
-    failed = []
-    for module in (spectral, checks, instances):
+    failed, refused = [], []
+    for module in (spectral, instances):
         monkeypatch.setattr(module, "_certified_at_least", lambda h, t=0.0: failed.append(h.shape) or False)
+    monkeypatch.setattr(spectral, "_certificate_band", lambda h, t=0.0: refused.append(h.shape) or None)
     assert campaign.report_to_json(run_campaign(config)) == expected
-    assert failed
+    assert failed and refused
 
 
 def test_campaign_forms_a_trial_family_only_for_a_witness(monkeypatch):

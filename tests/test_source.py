@@ -228,7 +228,7 @@ def test_operator_draws_go_through_the_stream_stack():
 
 def test_verdicts_are_decided_only_by_links():
     # checks._links decides every side and chain link from one stacked
-    # spectral_norm and one _eigvalsh call; a call of spectral.loewner_leq
+    # _eigvalsh call on the terms and gaps; a call of spectral.loewner_leq
     # in the checkers or the campaign is a second comparison path, with two
     # SVD calls per pair
     found = []

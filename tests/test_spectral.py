@@ -7,20 +7,23 @@ from opbellman.checks import PD_REL_FLOOR, _pd_floor
 from opbellman.errors import ConditioningError, DomainError, ShapeError
 from opbellman.instances import DEFAULT_MARGIN, Streams, haar_unitary, random_pd, random_spectrum_matrix, stream_states
 from opbellman.spectral import (
+    POSITIVITY_FLOOR,
     OrderVerdict,
     Tolerance,
     _certified_at_least,
     _eigvalsh,
+    adjoint,
     apply_function,
     array_from_json,
     array_to_json,
+    congruence_factor,
     eig,
+    floor_holds,
     from_spectrum,
     hermitize,
     identity,
     loewner_holds,
     loewner_leq,
-    pd_root_pair,
     spectral_norm,
 )
 
@@ -165,22 +168,40 @@ def test_power_identities():
     assert np.allclose(apply_function(h, lambda t: t**0.0, (0.0, np.inf)), identity(4))
     assert np.allclose(apply_function(h, lambda t: t**1.0, (0.0, np.inf)), h)
     s = apply_function(h, np.sqrt, (0.0, np.inf))
-    assert np.array_equal(s, pd_root_pair(h)[0])
     assert np.allclose(s @ s, h, atol=1e-11)
 
 
-def test_inv_sqrt_identity_oracle():
+def test_congruence_factor_is_a_lower_triangular_cholesky_factor():
+    # H = L L* to 1e-13 relative, L lower triangular with a positive real
+    # diagonal, and L^{-1} its inverse (an LU inverse: lower triangular up
+    # to rounding), at norms far from 1
     rng = Streams(stream_states(6, [()]))
-    for _ in range(10):
-        h = random_pd(4, rng, 0.3, 3.0)[0, 0]
-        r = pd_root_pair(h)[1]
-        assert np.allclose(r @ h @ r, identity(4), atol=1e-10)
+    for dim in range(1, 7):
+        for scale in (1e-6, 1.0, 1e6):
+            h = scale * random_pd(dim, rng, 0.1, 3.0)[0, 0]
+            low, inv = congruence_factor(h)
+            assert np.array_equal(low, np.tril(low))
+            assert np.abs(np.triu(inv, 1)).max(initial=0.0) <= 1e-15 * np.abs(inv).max()
+            assert (np.diag(low).real > 0).all() and not np.diag(low).imag.any()
+            assert np.linalg.norm(low @ adjoint(low) - h, 2) <= 1e-13 * np.linalg.norm(h, 2)
+            assert np.linalg.norm(inv @ low - identity(dim), 2) <= 1e-13
+            assert np.linalg.norm(inv @ h @ adjoint(inv) - identity(dim), 2) <= 1e-12
 
 
-def test_inv_sqrt_near_singular_reports_conditioning():
-    h = np.diag([1e-14, 1.0]).astype(complex)
-    with pytest.raises(ConditioningError, match="lambda_min"):
-        pd_root_pair(h)
+@pytest.mark.parametrize("bad", [np.diag([2.0, np.nan, 3.0]), np.diag([np.nan, 5.0]), np.diag([np.inf, 1.0])],
+                         ids=["nan_3", "nan_2", "inf_2"])
+def test_floor_fails_a_non_finite_matrix_without_an_eigenvalue(bad):
+    # eigvalsh does not converge on diag(2, nan, 3) and gives [0, -0] for
+    # diag(nan, 5): a non-finite matrix fails the floor before either, so a
+    # guard settles its trial and a congruence names it in ``where``
+    good = 2.0 * identity(len(bad))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not _pd_floor(bad) and not floor_holds(bad, POSITIVITY_FLOOR)
+        assert _pd_floor(np.stack([good, bad, good])).tolist() == [True, False, True]
+        with pytest.raises(ConditioningError) as exc:
+            congruence_factor(np.stack([good, bad, good]))
+    assert exc.value.where.tolist() == [False, True, False]
 
 
 def test_unitary_covariance():
@@ -276,7 +297,7 @@ def test_stacked_primitives_match_per_matrix_calls(dim):
     ys = np.stack([random_spectrum_matrix(dim, (-0.5, 2.0), rng)[0, 0] for _ in range(5)])
     f = geometric_w(0.3)
     lam, u = eig(xs)
-    roots = pd_root_pair(xs)
+    factors = congruence_factor(xs)
     leq = loewner_leq(xs, ys)
     for t in range(5):
         assert np.array_equal(hermitize(ys)[t], hermitize(ys[t]))
@@ -284,7 +305,7 @@ def test_stacked_primitives_match_per_matrix_calls(dim):
         assert np.array_equal(u[t], eig(xs[t]).vectors)
         sqrt = (np.sqrt, (0.0, np.inf))
         assert np.array_equal(apply_function(xs, *sqrt)[t], apply_function(xs[t], *sqrt))
-        assert all(np.array_equal(r[t], r1) for r, r1 in zip(roots, pd_root_pair(xs[t])))
+        assert all(np.array_equal(r[t], r1) for r, r1 in zip(factors, congruence_factor(xs[t])))
         assert np.array_equal(mean(xs, xs + 1.0, f)[t], mean(xs[t], xs[t] + 1.0, f))
         assert spectral_norm(ys)[t] == spectral_norm(ys[t])
         alone = loewner_leq(xs[t], ys[t])
@@ -296,8 +317,8 @@ def test_stacked_primitives_match_per_matrix_calls(dim):
 def test_stacked_primitive_errors_name_the_failing_matrices():
     rng = Streams(stream_states(41, [()]))
     singular = _stack_with_bad(rng, 2, np.diag([1e-12, 1.0]).astype(complex))
-    with pytest.raises(ConditioningError, match="lambda_min = 1.0") as exc:
-        pd_root_pair(singular)
+    with pytest.raises(ConditioningError, match="positivity floor") as exc:
+        congruence_factor(singular)
     assert exc.value.where.tolist() == [False, False, True, False, False]
     negative = _stack_with_bad(rng, 2, np.diag([-0.5, 1.0]).astype(complex))
     with pytest.raises(DomainError, match="below domain bound") as exc:
@@ -364,3 +385,37 @@ def test_certificate_refuses_a_band_below_the_normal_range():
     assert not _certified_at_least(tiny)
     assert _certified_at_least(1e-100 * identity(2))
     assert loewner_holds(np.zeros((2, 2)), tiny)
+
+
+@pytest.mark.parametrize("floor", [POSITIVITY_FLOOR, PD_REL_FLOOR])
+def test_floor_decision_is_the_one_eigvalsh_gives(floor):
+    # Haar-rotated spectra whose lambda_min sits k u lambda_max above or
+    # below floor lambda_max, k across the certificate's band, at norms
+    # 1e-8 to 1e8: floor_holds, and the refusal of congruence_factor at its
+    # floor, decide each matrix as eigvalsh does, alone and in a stack
+    u = np.finfo(float).eps / 2
+    rng = Streams(stream_states(302, [()]))
+    passed = cases = 0
+    for dim in range(1, 7):
+        mats, want = [], []
+        for norm in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            for vecs in haar_unitary(dim, rng, 2)[:, 0]:
+                rest = norm * rng.uniform(0.5, 1.0, dim - 1)[0]
+                top = rest.max(initial=norm)
+                for k in _OFFSETS:
+                    h = hermitize(from_spectrum(vecs, np.r_[(floor + k * u) * top, rest]))
+                    lam = _eigvalsh(h)
+                    mats.append(h)
+                    want.append(bool(lam[0] >= floor * max(lam[-1], 1e-300)))
+                    assert floor_holds(h, floor) == want[-1], (dim, norm, k)
+        assert floor_holds(np.stack(mats), floor).tolist() == want
+        if floor == POSITIVITY_FLOOR:
+            try:
+                congruence_factor(np.stack(mats))
+                refused = np.zeros(len(mats), dtype=bool)
+            except ConditioningError as exc:
+                refused = exc.where
+            assert refused.tolist() == [not ok for ok in want]
+        passed += sum(want)
+        cases += len(want)
+    assert 0 < passed < cases
