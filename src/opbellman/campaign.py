@@ -837,10 +837,12 @@ def _filter_trials(build: _Build) -> np.ndarray:
     guard, and enclose the slack and scale of those whose bounds show that
     they hold: a positive scale and a slack at or above the margin's
     negative at the scale's lower end.  Returns the built trials it leaves
-    to the exact check: every one, for a check without bounds."""
+    to the exact check: every one, for a check without bounds, and for a
+    cell of at most two trials, whose median needs every applicable
+    trial's exact value."""
     built = np.flatnonzero(build.row >= 0)
     bounds = REGISTRY[build.check_id].bounds
-    if bounds is None or not built.size:
+    if bounds is None or not built.size or build.cfg.trials <= 2:
         return built
     b = bounds(build.stack)
     build.guard[built] = b.guard
@@ -851,17 +853,26 @@ def _filter_trials(build: _Build) -> np.ndarray:
 
 
 def _narrow(build: _Build, cell: dict) -> None:
-    """Check exactly the trials of a scalar build, one cell's, whose
-    enclosures leave its reported values open, each step's trials a mask
-    over the build checked in one ``_check_pending`` call.  Where the check
-    declares a ``tie`` for the cell, the first applicable trial is checked,
+    """Check the trials of a scalar build, one cell's, whose enclosures
+    leave its reported values open.  Where the check declares a ``tie`` for
+    the cell, the first applicable trial is checked in a call of its own,
     and each trial the filter left to hold gets its exact slack as a point
-    enclosure, where its own contains it.  Then a trial without an exact
-    outcome is checked unless its slack interval is a point or lies above
-    the smallest slack upper end, and its slack/scale interval is a point
-    or misses [k-th smallest lower end, k-th smallest upper end] for each
-    middle rank k, the lower first; the minimum and the k-th ends are
-    Python's ``min`` and ``sorted`` on the cell's values in trial order."""
+    enclosure, where its own contains it.  Then every open trial is checked
+    in one ``_check_pending`` call, repeated while the open set that the
+    narrowed enclosures give is not empty: a trial without an exact outcome
+    is open if its slack interval is not a point and does not lie above the
+    smallest slack upper end, or its slack/scale interval is not a point
+    and meets [k-th smallest lower end, k-th smallest upper end] for a
+    middle rank k; the minimum and the k-th ends are Python's ``min`` and
+    ``sorted`` on the cell's values in trial order.
+
+    Narrowing only lowers the minimum's upper end and shrinks each rank's
+    window, so a trial left closed stays closed until a checked trial gains
+    a normalized slack (its scale's lower end was 0), which moves the
+    middle ranks; then the set is formed again.  So the trials checked hold
+    every trial that narrowing one step at a time (the minimum, then each
+    rank, the lower first) would check, and each record, which reads exact
+    values alone, is the one those steps give."""
     applicable = np.equal(build.guard, None)
     lo, hi, n_lo, n_hi = build.slack[:, 0], build.slack[:, 1], build.normalized[:, 0], build.normalized[:, 1]
     if applicable.any() and REGISTRY[build.check_id].ties(cell):
@@ -871,23 +882,28 @@ def _narrow(build: _Build, cell: dict) -> None:
         c = lo[head]
         idx = np.flatnonzero(applicable & (build.exact < 0) & (lo <= c) & (c <= hi))
         build.enclose(idx, np.full((idx.size, 2), c), build.scale[idx])
-    top = min(hi[applicable].tolist(), default=math.inf)
-    _check_pending(build, np.flatnonzero(applicable & (lo < hi) & (lo <= top)))
-    normed = applicable & (build.scale[:, 0] > 0)
-    count = int(normed.sum())
-    for k in sorted({(count - 1) // 2, count // 2}) if count else ():
-        lo_k, hi_k = sorted(n_lo[normed].tolist())[k], sorted(n_hi[normed].tolist())[k]
-        window = normed & (n_lo <= hi_k) & (n_hi >= lo_k)
-        _check_pending(build, np.flatnonzero(window & (n_lo < n_hi)))
+    while True:
+        top = min(hi[applicable].tolist(), default=math.inf)
+        pending = applicable & (lo < hi) & (lo <= top)
+        normed = applicable & (build.scale[:, 0] > 0)
+        count = int(normed.sum())
+        if count:
+            lows, highs = sorted(n_lo[normed].tolist()), sorted(n_hi[normed].tolist())
+            for k in {(count - 1) // 2, count // 2}:
+                pending |= normed & (n_lo <= highs[k]) & (n_hi >= lows[k]) & (n_lo < n_hi)
+        if not pending.any():
+            return
+        _check_pending(build, np.flatnonzero(pending))
 
 
 def _cell_summaries(build: _Build, cells: list[dict]) -> list[dict]:
     """The report records of the cells of one build, each cell's trials a
-    row of it, every trial settled.  ``_narrow`` first checks exactly the
-    scalar trials whose enclosures a record depends on; the others are read
-    at their lower ends.  The build's arrays become lists once, and a cell's
-    minimum and median are Python's ``min`` and ``statistics.median`` on its
-    values in trial order, so a NaN falls where it fell trial by trial."""
+    row of it, every trial settled.  ``_narrow`` first checks the scalar
+    trials whose enclosures a record depends on, in one call per pass over
+    the open set; the others are read at their lower ends.  The build's
+    arrays become lists once, and a cell's minimum and median are Python's
+    ``min`` and ``statistics.median`` on its values in trial order, so a
+    NaN falls where it fell trial by trial."""
     check_id, cfg = build.check_id, build.cfg
     if REGISTRY[check_id].bounds is not None:
         (cell,) = cells  # a scalar cell is a group of its own

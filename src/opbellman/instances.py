@@ -486,7 +486,7 @@ def _spectral(dim: int, intervals, rngs: Streams, n: int) -> np.ndarray:
     called once per interval for each member in turn.  One QR call forms
     every matrix."""
     for a, b in intervals:
-        if np.any(np.greater(a, b)):
+        if (np.asarray(a) > b).any():
             raise ParameterError(f"need a <= b, got [{a}, {b}]")
     lam = np.empty((len(intervals), n, len(rngs), dim))
     g = np.empty((len(intervals), n, len(rngs), 2, dim, dim))
