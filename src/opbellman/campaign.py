@@ -166,6 +166,13 @@ def _strict_int(value) -> int:
     return int(value)
 
 
+def _strict_float(value) -> float:
+    """A real config value; refuses strings and booleans instead of converting them."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def config_from_json(obj: dict) -> CampaignConfig:
     """Config from its JSON object; a malformed value raises ParameterError
     naming its key."""
@@ -182,13 +189,13 @@ def config_from_json(obj: dict) -> CampaignConfig:
             if key not in ("trials", "seed", "tolerance") and not isinstance(value, (list, tuple)):
                 raise TypeError("expected a list")
             if key == "tolerance":
-                kwargs[key] = Tolerance(float(value["atol"]), float(value["rtol"]))
+                kwargs[key] = Tolerance(_strict_float(value["atol"]), _strict_float(value["rtol"]))
             elif key == "intervals":
-                kwargs[key] = tuple((float(a), float(b)) for a, b in value)
+                kwargs[key] = tuple((_strict_float(a), _strict_float(b)) for a, b in value)
             elif key in ("dims", "n_values"):
                 kwargs[key] = tuple(_strict_int(v) for v in value)
             elif key in ("p_grid", "lambda_grid"):
-                kwargs[key] = tuple(float(v) for v in value)
+                kwargs[key] = tuple(_strict_float(v) for v in value)
             elif key in ("means", "maps", "checks"):
                 kwargs[key] = tuple(str(v) for v in value)
             else:
@@ -260,8 +267,9 @@ def build_map(map_id, dim: int, rngs, n: int = 1) -> list:
 
 # -- instance builders --------------------------------------------------------
 #
-# A builder maps (cell, rngs), an ``instances.Streams`` stack of one stream
-# per trial, to (instances, draws): its instances are one family stacked on
+# A builder maps (cell, rngs), a stack of generator cells
+# (``_Builder.generator_cell``) and an ``instances.Streams`` stack of one
+# stream per trial, to (instances, draws): its instances are one family stacked on
 # a trial axis, a scalar builder's the arrays ``instances.scalar_instance``
 # stacks in ``aux``.  An operator builder draws through ``rngs.uniform``,
 # ``rngs.normal`` and ``rngs.take`` and never touches a Generator; its
@@ -283,16 +291,11 @@ def build_map(map_id, dim: int, rngs, n: int = 1) -> list:
 # trial's are its own (``_Build.params``).
 
 
-class _GeneratorCell(dict):
-    """Stacked generator cells, of several checks' trials, which a
-    ``_Builder`` hands to its generator as they are (``_shared_records``)."""
-
-
 class _Builder:
-    """A check's builder: the generator ``draw`` on the cell's generator
-    cell, its keys ``reads`` (all of them when None) and ``args(cell)``,
-    what the check sets for the generator; ``own(cell)`` adds the draws the
-    check records of the keys its cells' group shares."""
+    """A check's builder: the generator ``draw``, called on a stack of
+    generator cells, a cell's keys ``reads`` (all of them when None) and
+    ``args(cell)``, what the check sets for the generator; ``own(cell)``
+    adds the draws the check records of the keys its cells' group shares."""
 
     def __init__(self, draw, reads=None, args=None, own=None):
         self.draw, self.reads = draw, reads
@@ -302,10 +305,7 @@ class _Builder:
         return (cell if self.reads is None else {k: cell[k] for k in self.reads}) | self.args(cell)
 
     def __call__(self, cell, rngs):
-        if isinstance(cell, _GeneratorCell):
-            return self.draw(cell, rngs)
-        fam, draws = self.draw(self.generator_cell(cell), rngs)
-        return fam, draws | self.own(cell)
+        return self.draw(cell, rngs)
 
 
 def _nothing(cell) -> dict:
@@ -504,8 +504,8 @@ BUILDERS = {
 }
 
 #: Each check's builder as defined: a profiler or a test may wrap the
-#: entries of ``BUILDERS``, and each shared call goes through the entry of
-#: its first check (``_shared_records``).
+#: entries of ``BUILDERS``, and each build goes through the entry of its
+#: first group's check (``_build_trials``).
 _OWN_BUILDERS = dict(BUILDERS)
 
 
@@ -633,6 +633,12 @@ def replay_witness(obj: dict, tol: Tolerance = Tolerance()) -> tuple[CheckOutcom
     for key in ("params", "outcome"):
         if not isinstance(obj[key], dict):
             raise WitnessFormatError(f"witness field {key!r} is not an object")
+    for key, value in obj["params"].items():
+        # a checker reads ``f`` as a mean id and every other param as finite numbers
+        values = value if isinstance(value, list) else [value]
+        numeric = all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in values)
+        if not (isinstance(value, str) if key == "f" else numeric):
+            raise WitnessFormatError(f"witness param {key!r} has a malformed value {value!r}")
     try:
         inst = _family_from_json(obj["instance"]["family"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -677,7 +683,7 @@ _PER_TRIAL_KEYS = ("m", "M", "f", "map", "gamma")
 
 class _Build:
     """The seeded (cell, trial) ``pairs`` of one check group, all of one
-    builder call or a share of one (``_shared_records``), on arrays of one
+    builder call or a share of one (``_build_trials``), on arrays of one
     entry per trial: ``row``, its entry in ``stack`` and its row of
     ``draws`` (-1 if the builder rejected it); ``guard``, the guard that
     makes it not applicable, or None; ``exact``, the index of its exact
@@ -768,41 +774,54 @@ def _stack_cells(cells: list[dict]) -> dict:
     return first | {k: np.asarray([c[k] for c in cells]) for k in per_trial}
 
 
-def _draw(builder, cells: list[dict], states: np.ndarray) -> tuple:
-    """(stack, draws, row) of one ``builder`` call on the trials of
-    ``cells``, one cell per trial, that differ at most in their
-    ``_PER_TRIAL_KEYS``, with each of those keys per trial where they differ
-    (``_stack_cells``): ``row`` is each trial's entry in the stack, -1 where
-    the builder rejected it.
+def _build_trials(groups, cfg: CampaignConfig, states: np.ndarray) -> list[_Build]:
+    """The builds of the check groups ``groups``, each (check, its seeded
+    (cell, trial) pairs), of one generator and one generator cell shape,
+    from one call of the ``BUILDERS`` entry of the first group's check on
+    the stack (``_stack_cells``) of their trials' generator cells.
 
     Each trial keeps its own stream, from ``states``, the PCG64 states
-    (trials, 4) that ``_stream_states`` seeds: the builder gets them as one
-    ``instances.Streams`` stack, which makes Generators only for a builder
-    that draws through ``uniform`` or ``normal`` (the operator builders) and
-    draws a scalar builder's steps on arrays.  The trials named in the
-    ``where`` of a builder's ``HypothesisError`` are rejected and the others
-    built again from a fresh stack of the same states, so the stack holds
-    exactly the built trials, in order."""
-    row = np.full(len(cells), -1)
-    live = np.arange(len(cells))
+    (trials, 4) that ``_stream_states`` seeds, in the order of the groups'
+    pairs: the builder gets them as one ``instances.Streams`` stack, which
+    makes Generators only for a builder that draws through ``uniform`` or
+    ``normal`` (the operator builders) and draws a scalar builder's steps
+    on arrays.  The trials named in the ``where`` of a builder's
+    ``HypothesisError`` are rejected and the others built again from a
+    fresh stack of the same states, so the stack holds exactly the built
+    trials, in order.  A group's built trials are adjacent in it: the group
+    gets them as a view, its rows of the draws plus its check's ``own``,
+    and its rejected trials the guard ``generator_rejected``."""
+    cells = []
+    for check_id, pairs in groups:
+        last = None  # a cell's generator cell is formed once for its run of trials
+        for cell, _ in pairs:
+            if cell is not last:
+                last, generator_cell = cell, _OWN_BUILDERS[check_id].generator_cell(cell)
+            cells.append(generator_cell)
+    row, live = np.full(len(cells), -1), np.arange(len(cells))
     while live.size:
         try:
-            stack, draws = builder(_stack_cells([cells[i] for i in live.tolist()]), Streams(states[live]))
+            stack, draws = BUILDERS[groups[0][0]](_stack_cells([cells[i] for i in live.tolist()]), Streams(states[live]))
         except HypothesisError as exc:
             live = live[~np.broadcast_to(exc.where, live.shape)]
             continue
         row[live] = np.arange(live.size)
-        return stack, draws, row
-    return None, {}, row
-
-
-def _build_trials(check_id: str, pairs, cfg: CampaignConfig, states: np.ndarray) -> _Build:
-    """The build of the seeded (cell, trial) ``pairs`` of one check, from one
-    ``_draw`` call of its builder; a rejected trial is ``generator_rejected``."""
-    build = _Build(check_id, cfg, pairs)
-    build.stack, build.draws, build.row = _draw(BUILDERS[check_id], [cell for cell, _ in pairs], states)
-    build.guard[build.row < 0] = "generator_rejected"
-    return build
+        break
+    builds, start = [], 0
+    for check_id, pairs in groups:
+        build = _Build(check_id, cfg, pairs)
+        build.row = rows = row[start : start + len(pairs)]
+        start += len(pairs)
+        build.guard[rows < 0] = "generator_rejected"
+        built = rows[rows >= 0]
+        if built.size:
+            build.stack, build.draws = stack, draws | _OWN_BUILDERS[check_id].own(pairs[0][0])
+            lo, hi = int(built[0]), int(built[-1]) + 1
+            if (lo, hi) != (0, live.size):
+                build.stack, build.draws = take(stack, slice(lo, hi)), checks._rows(build.draws, slice(lo, hi))
+                build.row = np.where(rows >= 0, rows - lo, -1)
+        builds.append(build)
+    return builds
 
 
 def _check_pending(build: _Build, idx: np.ndarray) -> None:
@@ -827,7 +846,7 @@ def run_check_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int):
     The params are the cell without its instance-shape keys ``_SHAPE_KEYS``,
     plus whatever the builder drew itself."""
     states = _stream_states([(check_id, cell)], [trial], cfg)[0]
-    build = _build_trials(check_id, [(cell, trial)], cfg, states)
+    (build,) = _build_trials([(check_id, [(cell, trial)])], cfg, states)
     _check_pending(build, np.flatnonzero(build.row >= 0))
     return build.outcome(0), build.inst(0), build.params(0), build.provenance(0)
 
@@ -970,49 +989,6 @@ def _shared_builds(cells: dict[str, list[dict]]) -> list[list[tuple[str, list[in
     return list(builds.values())
 
 
-def _shared_records(members, cells: dict, states: dict, cfg: CampaignConfig) -> dict:
-    """The record of every cell of the check groups ``members``, one
-    ``_shared_builds`` entry, keyed (check, cell index).
-
-    Their trials, group after group, are drawn in one ``_draw`` call of the
-    ``BUILDERS`` entry of the first group's check, on their generator cells
-    (``_GeneratorCell``).  A group's built trials are adjacent in the
-    stack: it gets them as a view, its rows of the draws plus its own, and
-    its rejected trials the guard ``generator_rejected``; then it is
-    filtered by its check's float64 bounds where it has them, the trials
-    left are checked in one ``_check_pending`` call, and ``_cell_summaries``
-    gives its cells their records."""
-    pairs = [[(cells[c][j], t) for j in group for t in range(cfg.trials)] for c, group in members]
-    generator_cells = []
-    for c, group in members:
-        gen = {j: _OWN_BUILDERS[c].generator_cell(cells[c][j]) for j in group}
-        generator_cells += [gen[j] for j in group for _ in range(cfg.trials)]
-    entry = BUILDERS[members[0][0]]
-    stack, draws, row = _draw(
-        lambda cell, rngs: entry(_GeneratorCell(cell), rngs),
-        generator_cells,
-        np.concatenate([states[c][group].reshape(-1, 4) for c, group in members]),
-    )
-    built_total = int(np.count_nonzero(row >= 0))
-    records, start = {}, 0
-    for (c, group), group_pairs in zip(members, pairs):
-        build = _Build(c, cfg, group_pairs)
-        build.row = rows = row[start : start + len(group_pairs)]
-        start += len(group_pairs)
-        built = rows[rows >= 0]
-        if built.size < rows.size:
-            build.guard[rows < 0] = "generator_rejected"
-        if built.size:
-            build.stack, build.draws = stack, draws | _OWN_BUILDERS[c].own(cells[c][group[0]])
-            lo, hi = int(built[0]), int(built[-1]) + 1
-            if (lo, hi) != (0, built_total):
-                build.stack, build.draws = take(stack, slice(lo, hi)), checks._rows(build.draws, slice(lo, hi))
-                build.row = np.where(rows >= 0, rows - lo, -1)
-        _check_pending(build, _filter_trials(build))
-        records.update(zip([(c, j) for j in group], _cell_summaries(build, [cells[c][j] for j in group])))
-    return records
-
-
 def run_campaign(cfg: CampaignConfig) -> dict:
     """Execute the full campaign and return the report document.
 
@@ -1021,40 +997,31 @@ def run_campaign(cfg: CampaignConfig) -> dict:
     interval, their mean and their map (of one output dimension) check as
     one stack, a group (``_stack_groups``), and the groups of every check
     whose builder has one generator, of one generator cell shape, build in
-    one call (``_shared_builds``).  ``_shared_records`` makes such a build
-    when the first cell of its first group comes up and gives each of its
-    groups' cells its record, from ``_cell_summaries``, which checks any
-    further trials the summary needs exactly; the records come out in check
-    order and cell order.
+    one ``_build_trials`` call (``_shared_builds``).  Each group is then
+    filtered by its check's float64 bounds where it has them, the trials
+    left are checked in one ``_check_pending`` call, and ``_cell_summaries``
+    gives its cells their records, which come out in check order and cell
+    order.
     """
     cfg.validate()
-    cells_out = []
-    total = {"trials": 0, "holds": 0, "violations": 0, "not_applicable": 0}
-    warnings = []
-    na_by_check: dict[str, int] = {}
-    trials_by_check: dict[str, int] = {}
-
     cells = {check_id: expand_cells(check_id, cfg) for check_id in cfg.checks}
     states = _stream_states([(c, cell) for c in cells for cell in cells[c]], range(cfg.trials), cfg)
     ends = np.cumsum([len(c) for c in cells.values()])[:-1]
     states = dict(zip(cells, np.split(states, ends)))
-    first = {(c, group[0]): members for members in _shared_builds(cells) for c, group in members[:1]}
     records = {}
-    for check_id, check_cells in cells.items():
-        for i in range(len(check_cells)):
-            if (check_id, i) in first:
-                records.update(_shared_records(first.pop((check_id, i)), cells, states, cfg))
-            row = records.pop((check_id, i))
-            cells_out.append(row)
-            total["trials"] += cfg.trials
-            total["holds"] += row["holds"]
-            total["violations"] += row["violations"]
-            total["not_applicable"] += row["not_applicable"]
-            na_by_check[check_id] = na_by_check.get(check_id, 0) + row["not_applicable"]
-            trials_by_check[check_id] = trials_by_check.get(check_id, 0) + cfg.trials
-
-    for check_id, n_na in sorted(na_by_check.items()):
-        n_tr = trials_by_check[check_id]
+    for members in _shared_builds(cells):
+        groups = [(c, [(cells[c][j], t) for j in group for t in range(cfg.trials)]) for c, group in members]
+        member_states = np.concatenate([states[c][group].reshape(-1, 4) for c, group in members])
+        for (c, group), build in zip(members, _build_trials(groups, cfg, member_states)):
+            _check_pending(build, _filter_trials(build))
+            records.update(zip([(c, j) for j in group], _cell_summaries(build, [cells[c][j] for j in group])))
+    cells_out = [records[c, i] for c in cells for i in range(len(cells[c]))]
+    total = {"trials": cfg.trials * len(cells_out)}
+    total |= {k: sum(row[k] for row in cells_out) for k in ("holds", "violations", "not_applicable")}
+    warnings = []
+    for check_id in sorted(cells):
+        n_na = sum(records[check_id, i]["not_applicable"] for i in range(len(cells[check_id])))
+        n_tr = cfg.trials * len(cells[check_id])
         if n_tr and n_na / n_tr > 0.5:
             warnings.append(
                 f"{check_id}: {n_na}/{n_tr} trials not applicable; tune the generator"
@@ -1070,7 +1037,7 @@ def run_campaign(cfg: CampaignConfig) -> dict:
             "numpy": np.__version__,
             "mpmath": mpmath.__version__,
         },
-        "summary": dict(total),
+        "summary": total,
         "warnings": warnings,
         "cells": cells_out,
     }

@@ -88,7 +88,7 @@ def _attempts(check_id: str, count: int, max_attempts: int, cfg=ACCEPT_CFG):
             group, trials = group_of[cell], range(trial, trial + size)
             states = campaign._stream_states([(check_id, cells[j]) for j in group], trials, cfg)
             pairs = [(cells[j], t) for j in group for t in trials]
-            build = campaign._build_trials(check_id, pairs, cfg, states.reshape(len(pairs), 4))
+            (build,) = campaign._build_trials([(check_id, pairs)], cfg, states.reshape(len(pairs), 4))
             campaign._check_pending(build, np.flatnonzero(build.row >= 0))
             for k, j in enumerate(group):
                 done[j] += [(build, k * size + i) for i in range(size)]
@@ -297,7 +297,7 @@ def test_stacked_loop_matches_the_per_trial_loop(monkeypatch, max_attempts):
         stacked = _tally(_attempts(cid, count, max_attempts, LOOP_CFG))
         cells = campaign.expand_cells(cid, LOOP_CFG)
         groups = campaign._stack_groups(cells)
-        for _, pairs, _, _ in rounds:
+        for ((_, pairs),), _, _ in rounds:
             group, trials = sorted({cells.index(cell) for cell, _ in pairs}), sorted({t for _, t in pairs})
             assert group in groups and pairs == [(cells[j], t) for j in group for t in trials], cid
         built_rounds = len(rounds)

@@ -144,7 +144,9 @@ def test_builder_draws_are_one_dict_of_rows(check_id):
     # an array of one row per stream, or a number every trial shares, under
     # the declared draw names and no others
     cell = campaign.expand_cells(check_id, CampaignConfig())[0]
-    _, draws = campaign.BUILDERS[check_id](cell, Streams(stream_states(17, [(check_id, t) for t in range(3)])))
+    builder = campaign._OWN_BUILDERS[check_id]
+    _, draws = campaign.BUILDERS[check_id](builder.generator_cell(cell), Streams(stream_states(17, [(check_id, t) for t in range(3)])))
+    draws |= builder.own(cell)
     assert isinstance(draws, dict) and set(draws) == DRAWN_PARAMS.get(check_id, set())
     for key, value in draws.items():
         assert (value.shape[0] == 3) if isinstance(value, np.ndarray) else isinstance(value, float), (check_id, key)
@@ -333,6 +335,13 @@ def _replayable_witness():
         (("instance", "family", "A"), [], "witness family of operator check 'bellman_map' has no operands"),
         (("check",), [], "witness names unknown check []"),
         (("schema",), "opbellman-witness/1", "not an opbellman-witness/2 document"),
+        # each printed a TypeError, a UFuncNoLoopError or an AttributeError
+        # traceback from the checker, or replayed a param no checker reads
+        (("params", "p"), None, "witness param 'p' has a malformed value None"),
+        (("params", "p"), "0.5", "witness param 'p' has a malformed value '0.5'"),
+        (("params", "m"), True, "witness param 'm' has a malformed value True"),
+        (("params", "M"), [2.0, None], "witness param 'M' has a malformed value [2.0, None]"),
+        (("params", "f"), 3, "witness param 'f' has a malformed value 3"),
     ],
 )
 def test_cli_replay_malformed_witness_is_a_schema_error(tmp_path, capsys, path, value, message):
@@ -470,6 +479,12 @@ def test_cli_run_takes_the_largest_seed(tmp_path):
         ({"intervals": {"m": 0.5}}, None, [], "intervals: malformed value {'m': 0.5} (expected a list)"),
         ({"p_grid": 0.5}, None, [], "p_grid: malformed value 0.5 (expected a list)"),
         ({"lambda_grid": "0.5"}, None, [], "lambda_grid: malformed value '0.5' (expected a list)"),
+        # a boolean or a string ran as the float it converts to
+        ({"intervals": [[False, True]]}, None, [], "intervals: malformed value [[False, True]] (expected a number"),
+        ({"p_grid": ["0.5"]}, None, [], "p_grid: malformed value ['0.5'] (expected a number"),
+        ({"lambda_grid": [0.3, True]}, None, [], "lambda_grid: malformed value [0.3, True] (expected a number"),
+        ({"tolerance": {"atol": True, "rtol": "1e-10"}}, None, [], "tolerance: malformed value {'atol': True"),
+        ({"tolerance": {"atol": 0.0, "rtol": "1e-10"}}, None, [], "tolerance: malformed value {'atol': 0.0"),
     ],
 )
 def test_cli_run_malformed_config_value_exit_one(tmp_path, capsys, monkeypatch, config, env_seed, flags, message):
@@ -849,7 +864,7 @@ def test_declared_tie_gives_every_trial_one_slack(check_id):
     assert cells
     for cell in cells:
         states = campaign._stream_states([(check_id, cell)], range(cfg.trials), cfg)[0]
-        build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg, states)
+        (build,) = campaign._build_trials([(check_id, [(cell, t) for t in range(cfg.trials)])], cfg, states)
         campaign._check_pending(build, np.flatnonzero(build.row >= 0))
         outcomes = [build.outcome(i) for i in range(len(build.pairs))]
         slacks = {o.slack for o in outcomes if o.status != "not_applicable"}
@@ -973,14 +988,14 @@ def test_narrow_checks_again_when_a_checked_trial_gains_a_normalized_slack(monke
     (cell,) = campaign.expand_cells(cid, cfg)
     states = campaign._stream_states([(cid, cell)], range(cfg.trials), cfg)[0]
     pairs = [(cell, t) for t in range(cfg.trials)]
-    exact = campaign._build_trials(cid, pairs, cfg, states)
+    (exact,) = campaign._build_trials([(cid, pairs)], cfg, states)
     campaign._check_pending(exact, np.arange(cfg.trials))
     slack, scale, normalized = exact.ends[:, :, 0].T
     assert np.equal(exact.guard, None).all() and (scale > 0).all()
     low, mid, high, top = np.argsort(normalized)
     eps = np.diff(np.sort(normalized)).min() / 4
 
-    build = campaign._build_trials(cid, pairs, cfg, states)
+    (build,) = campaign._build_trials([(cid, pairs)], cfg, states)
     build.ends[:] = np.stack([slack, scale, normalized], axis=1)[:, :, None]
     build.normalized[:] += [-eps, eps]
     build.slack[top] = slack.min() - 1.0, slack[top] + 1.0
@@ -1067,7 +1082,10 @@ def test_scalar_trials_draw_on_arrays_with_no_generator(monkeypatch):
         counts = []
         for trials in (1, 40):
             steps.clear()
-            campaign.BUILDERS[check_id](cell, Streams(stream_states(7, [("count", t) for t in range(trials)])))
+            campaign.BUILDERS[check_id](
+                campaign._OWN_BUILDERS[check_id].generator_cell(cell),
+                Streams(stream_states(7, [("count", t) for t in range(trials)])),
+            )
             counts.append(len(steps))
         assert counts == [most, most], check_id
 
@@ -1082,7 +1100,10 @@ def test_head_kind_builds_run_each_side_once_whatever_the_exponents(monkeypatch)
     cell = campaign.expand_cells("scalar_popoviciu", _tiny_cfg(checks=("scalar_popoviciu",), n_values=(3,)))[0]
     for trials in (1, 40):
         sides.clear()
-        campaign.BUILDERS["scalar_popoviciu"](cell, Streams(stream_states(7, [("sides", t) for t in range(trials)])))
+        campaign.BUILDERS["scalar_popoviciu"](
+            campaign._OWN_BUILDERS["scalar_popoviciu"].generator_cell(cell),
+            Streams(stream_states(7, [("sides", t) for t in range(trials)])),
+        )
         assert 1 <= len(sides) <= 2 and len(set(sides[0].tolist())) == trials
     sides.clear()
     assert run_campaign(_workload("scalar_suite"))["summary"]["trials"] == 7200
@@ -1465,7 +1486,7 @@ def test_default_campaign_linalg_calls_stay_within_budget(monkeypatch):
 
 def _phase_calls(monkeypatch, configs) -> list[dict[str, list[dict]]]:
     """The numpy.linalg calls, by kind, of each builder call
-    (``campaign._draw``, "build") and each ``checks.check_cell`` call
+    (``campaign._build_trials``, "build") and each ``checks.check_cell`` call
     ("check") of a campaign on each config, in call order; every trial
     must be applicable."""
     kinds = ("eigvalsh", "eigh", "svd", "qr", "norm", "cholesky", "inv")
@@ -1493,7 +1514,7 @@ def _phase_calls(monkeypatch, configs) -> list[dict[str, list[dict]]]:
 
     for kind in kinds:
         monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
-    monkeypatch.setattr(campaign, "_draw", counted_phase("build", campaign._draw))
+    monkeypatch.setattr(campaign, "_build_trials", counted_phase("build", campaign._build_trials))
     monkeypatch.setattr(checks, "check_cell", counted_phase("check", checks.check_cell))
     seen = []
     for cfg in configs:
@@ -1590,7 +1611,10 @@ def test_column_kind_build_runs_its_arithmetic_once(monkeypatch, check_id):
     counts = []
     for trials in (1, 40):
         calls.clear()
-        campaign.BUILDERS[check_id](cell, Streams(stream_states(7, [("count", t) for t in range(trials)])))
+        campaign.BUILDERS[check_id](
+            campaign._OWN_BUILDERS[check_id].generator_cell(cell),
+            Streams(stream_states(7, [("count", t) for t in range(trials)])),
+        )
         counts.append(len(calls))
     assert counts == [2, 2]
 
@@ -1655,9 +1679,9 @@ def _assert_stack_builds_each_trial_as_alone(check_id, cells, cfg):
     cells = [cells] if isinstance(cells, dict) else cells
     pairs = [(cell, t) for cell in cells for t in range(cfg.trials)]
     states = campaign._stream_states([(check_id, cell) for cell in cells], range(cfg.trials), cfg).reshape(-1, 4)
-    stacked = campaign._build_trials(check_id, pairs, cfg, states)
+    (stacked,) = campaign._build_trials([(check_id, pairs)], cfg, states)
     for i, (cell, trial) in enumerate(pairs):
-        alone = campaign._build_trials(check_id, [(cell, trial)], cfg, states[i : i + 1])
+        (alone,) = campaign._build_trials([(check_id, [(cell, trial)])], cfg, states[i : i + 1])
         where = f"{check_id} {cell} trial {trial}"
         assert repr(stacked.outcome(i)) == repr(alone.outcome(0)), where
         _assert_same_bits(stacked.params(i), alone.params(0), f"{where} params")
@@ -1709,12 +1733,13 @@ def test_stacked_build_equals_each_trial_built_alone(check_id):
         rejected += len(group) * cfg.trials - len(built)
         states = np.concatenate([_states(check_id, cell, cfg) for cell in group])
         rngs = Streams(states)
+        generator_cell = campaign._OWN_BUILDERS[check_id].generator_cell
         with contextlib.suppress(HypothesisError):
-            campaign.BUILDERS[check_id](campaign._stack_cells([c for c in group for _ in range(cfg.trials)]), rngs)
+            campaign.BUILDERS[check_id](campaign._stack_cells([generator_cell(c) for c in group for _ in range(cfg.trials)]), rngs)
         for i, cell in enumerate(c for c in group for _ in range(cfg.trials)):
             alone = Streams(states[i : i + 1])
             with contextlib.suppress(HypothesisError):
-                campaign.BUILDERS[check_id](cell, alone)
+                campaign.BUILDERS[check_id](generator_cell(cell), alone)
             assert _stream_end(rngs, i) == _stream_end(alone, 0)
     assert (rejected > 0) == (check_id in ("scalar_bellman_weighted", "scalar_bellman_columns", "scalar_bellman_reverse"))
 
@@ -1885,7 +1910,9 @@ def test_member_stacked_build_equals_the_per_member_loops(check_id):
             continue
         seen.add(key)
         built, loops = _streams(check_id, cell, cfg), _streams(check_id, cell, cfg)
-        fam, draws = campaign.BUILDERS[check_id](cell, built)
+        builder = campaign._OWN_BUILDERS[check_id]
+        fam, draws = campaign.BUILDERS[check_id](builder.generator_cell(cell), built)
+        draws |= builder.own(cell)
         want, want_draws = _loop_build(check_id, cell, loops)
         _assert_same_bits(fam, want, f"{check_id} {cell}")
         _assert_same_bits(draws, want_draws, f"{check_id} {cell} draws")
@@ -1917,7 +1944,7 @@ def test_subidentity_pair_build_makes_one_qr_and_one_eigvalsh(monkeypatch, check
         monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
     cfg = CampaignConfig(trials=4, dims=(3,), n_values=(3,), means=("geom:0.5",), seed=44)
     cell = campaign.expand_cells(check_id, cfg)[0]
-    campaign.BUILDERS[check_id](cell, _streams(check_id, cell, cfg))
+    campaign.BUILDERS[check_id](campaign._OWN_BUILDERS[check_id].generator_cell(cell), _streams(check_id, cell, cfg))
     assert counts == {"qr": 1, "eigvalsh": 1}
 
 
@@ -1938,7 +1965,7 @@ def test_stacked_check_with_windows_per_trial_equals_each_trial_alone(check_id):
     group = [cell for cell in group if cell.get("f") == group[0].get("f")][:2]
     assert group[0]["m"] != group[1]["m"]
     states = campaign._stream_states([(check_id, cell) for cell in group], range(cfg.trials), cfg).reshape(-1, 4)
-    build = campaign._build_trials(check_id, [(cell, t) for cell in group for t in range(cfg.trials)], cfg, states)
+    (build,) = campaign._build_trials([(check_id, [(cell, t) for cell in group for t in range(cfg.trials)])], cfg, states)
     params = [build.params(i) for i in range(cfg.trials)]
     for i in range(cfg.trials, len(build.pairs)):
         m, M = build.params(i)["m"], build.params(i)["M"]
@@ -1979,10 +2006,11 @@ def test_mixed_map_stack_gives_each_trial_what_it_gets_alone(monkeypatch, check_
         assert all(isinstance(phi, PerTrialMap) for phi in built[0].stack.maps)
         states = np.concatenate([_states(check_id, cell, cfg) for cell in group])
         rngs = Streams(states)
-        campaign.BUILDERS[check_id](campaign._stack_cells([c for c, _ in pairs]), rngs)
+        generator_cell = campaign._OWN_BUILDERS[check_id].generator_cell
+        campaign.BUILDERS[check_id](campaign._stack_cells([generator_cell(c) for c, _ in pairs]), rngs)
         for i, (cell, _) in enumerate(pairs):
             alone = Streams(states[i : i + 1])
-            campaign.BUILDERS[check_id](cell, alone)
+            campaign.BUILDERS[check_id](generator_cell(cell), alone)
             assert rngs[i].bit_generator.state == alone[0].bit_generator.state
         # every other trial claims a narrower window than it was built on
         params = [dict(t.params) for t in built]

@@ -884,7 +884,7 @@ def test_scalar_runner_on_stacked_cells_matches_the_per_trial_reference(check_id
     )
     compared = 0
     for cell in campaign.expand_cells(check_id, cfg):
-        build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg, _cell_states(check_id, cell, cfg))
+        (build,) = campaign._build_trials([(check_id, [(cell, t) for t in range(cfg.trials)])], cfg, _cell_states(check_id, cell, cfg))
         built = [build.inst(i) for i in range(len(build.pairs)) if build.outcome(i) is None]
         if built:
             _assert_runner_matches_reference(check_id, build.stack, built, cfg.tolerance)
@@ -898,7 +898,7 @@ def test_scalar_runner_settles_guard_cases_next_to_passing_trials(check_id):
     # in the stack must still come out real and exact
     cfg = CampaignConfig(trials=4, n_values=(1,), seed=7)
     cell = campaign.expand_cells(check_id, cfg)[0]
-    build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg, _cell_states(check_id, cell, cfg))
+    (build,) = campaign._build_trials([(check_id, [(cell, t) for t in range(cfg.trials)])], cfg, _cell_states(check_id, cell, cfg))
     built = [build.inst(i) for i in range(len(build.pairs)) if build.outcome(i) is None]
     cases = [_scalar_case(inst) for cid, inst, _ in GUARD_CASES if cid == check_id]
     insts = built[:2] + cases + built[2:]
@@ -920,7 +920,7 @@ def test_scalar_bounds_agree_with_the_mpmath_checker(check_id):
     )
     decided = 0
     for cell in campaign.expand_cells(check_id, cfg):
-        build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg, _cell_states(check_id, cell, cfg))
+        (build,) = campaign._build_trials([(check_id, [(cell, t) for t in range(cfg.trials)])], cfg, _cell_states(check_id, cell, cfg))
         campaign._filter_trials(build)
         for trial in range(cfg.trials):
             exact, *_ = run_check_trial(check_id, cell, cfg, trial)
@@ -1010,12 +1010,12 @@ def test_array_filter_equals_the_per_trial_filter_to_the_last_bit(check_id):
     )
     enclosed = 0
     for cell in campaign.expand_cells(check_id, cfg):
-        build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg, _cell_states(check_id, cell, cfg))
+        (build,) = campaign._build_trials([(check_id, [(cell, t) for t in range(cfg.trials)])], cfg, _cell_states(check_id, cell, cfg))
         if build.stack is not None:
             enclosed += _assert_filter_matches_per_trial(check_id, build)
     assert enclosed >= cfg.trials
     cell = campaign.expand_cells(check_id, dataclasses.replace(cfg, n_values=(1,)))[0]
-    build = campaign._build_trials(check_id, [(cell, t) for t in range(4)], cfg, _cell_states(check_id, cell, cfg))
+    (build,) = campaign._build_trials([(check_id, [(cell, t) for t in range(4)])], cfg, _cell_states(check_id, cell, cfg))
     insts = [build.inst(i) for i in range(4)]
     verdicts = [v for cid, _, v in GUARD_CASES if cid == check_id]
     insts[2:2] = [_scalar_case(inst) for cid, inst, _ in GUARD_CASES if cid == check_id]
@@ -1230,7 +1230,7 @@ def test_links_decide_each_pair_as_loewner_leq(check_id, dim, tol):
     cfg = CampaignConfig(trials=3)
     cell = next(c for c in campaign.expand_cells(check_id, cfg) if c["dim"] == dim)
     states = campaign._stream_states([(check_id, cell)], range(cfg.trials), cfg)[0]
-    build = campaign._build_trials(check_id, [(cell, t) for t in range(cfg.trials)], cfg, states)
+    (build,) = campaign._build_trials([(check_id, [(cell, t) for t in range(cfg.trials)])], cfg, states)
     assert (build.row >= 0).all()
     params = {k: v for k, v in cell.items() if k not in campaign._SHAPE_KEYS} | build.draws
     sides = checks.REGISTRY[check_id].runner.__wrapped__(build.stack, params, tol)

@@ -71,7 +71,7 @@ def test_pinched_trials_equal_their_least_coordinate_reference():
         for cell in campaign.expand_cells(cid, PINCH_CFG):
             pairs = [(cell, t) for t in range(PINCH_CFG.trials)]
             states = campaign._stream_states([(cid, cell)], range(PINCH_CFG.trials), PINCH_CFG).reshape(-1, 4)
-            build = campaign._build_trials(cid, pairs, PINCH_CFG, states)
+            (build,) = campaign._build_trials([(cid, pairs)], PINCH_CFG, states)
             for i in range(PINCH_CFG.trials):
                 inst, params = build.inst(i), build.params(i)
                 if inst is None:

@@ -79,11 +79,10 @@ def test_no_module_branches_on_a_single_generator():
 
 #: Top-level names that are entry points rather than helpers: the dim-1
 #: oracle of the tier-1 suite, the console-script entry, the per-trial
-#: campaign entry that the benchmark's tracer wraps and the tests call (a
-#: campaign checks whole cells, and the acceptance gate checks its trials
-#: in rounds of one ``_stack_groups`` group through ``_build_trials`` and
-#: ``_check_pending``), and the public Loewner comparison, which the
-#: package's verdicts (``checks._links``) are tested against.
+#: campaign entry that the benchmark's tracer wraps and the tests call (it
+#: builds through ``_build_trials`` as the campaign and the acceptance
+#: gate's rounds do, on one trial), and the public Loewner comparison,
+#: which the package's verdicts (``checks._links``) are tested against.
 ENTRY_POINTS = {"reference_slack", "entrypoint", "run_check_trial", "loewner_leq"}
 
 
@@ -240,3 +239,16 @@ def test_verdicts_are_decided_only_by_links():
                 if getattr(fn, "id", None) == "loewner_leq" or getattr(fn, "attr", None) == "loewner_leq":
                     found.append(f"{name}:{node.lineno}")
     assert not found, f"loewner_leq called outside checks._links: {found}"
+
+
+def test_campaign_subscripts_builders_at_one_site():
+    # every stack, of a campaign, of one replayed trial or of an acceptance
+    # round, is built by ``campaign._build_trials``; a second ``BUILDERS[...]``
+    # call site is a second build path, kept equal to the first only by tests
+    tree = ast.parse((PACKAGE / "campaign.py").read_text(encoding="utf-8"), filename="campaign.py")
+    sites = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "BUILDERS"
+    ]
+    assert len(sites) == 1, f"BUILDERS subscripted in campaign.py at lines {sites}"
