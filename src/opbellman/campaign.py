@@ -29,7 +29,7 @@ from .checks import (
     _per_trial,
 )
 from .constants import MIN_INTERVAL, P_MIN
-from .errors import HypothesisError, ParameterError, WitnessFormatError
+from .errors import ParameterError, WitnessFormatError
 from .instances import (
     HEAD_KINDS,
     InstanceFamily,
@@ -283,11 +283,12 @@ def build_map(map_id, dim: int, rngs, n: int = 1) -> list:
 # ``cell["gamma"]`` may be arrays of one value per trial (``_stack_cells``),
 # which a generator hands on to the generators as they are, a mean as
 # ``function_from_id`` resolves it and a map as ``build_map`` builds it.
-# Either raises HypothesisError naming in ``where`` the trials whose
-# hypotheses failed.  ``draws`` is one dict of what the builder chose
-# itself, never a cell key: an array of one row per trial, or a number
-# every trial shares.  A stack's params are its cells' ``_stack_cells``
-# without ``_SHAPE_KEYS`` plus its rows of the draws (``_check_pending``); a
+# Either returns every trial, in order, and marks those whose hypotheses
+# failed in its family's ``meta["rejected"]``, one bool per trial (none
+# when absent).  ``draws`` is one dict of what the builder chose itself,
+# never a cell key: an array of one row per trial, or a number every
+# trial shares.  A stack's params are its cells' ``_stack_cells`` without
+# ``_SHAPE_KEYS`` plus its rows of the draws (``_check_pending``); a
 # trial's are its own (``_Build.params``).
 
 
@@ -382,15 +383,16 @@ def _draw_pd_contraction_pair(cell, rngs):
 
 def _draw_sandwich_pair(cell, rngs):
     d = cell["dim"]
-    a, b = random_sandwich_family(d, 1, (0.5, 1.5), cell["m"], cell["M"], rngs)
-    fam = InstanceFamily(hypothesis_tag="sandwich_pair", A=a, B=b, maps=build_map(cell["map"], d, rngs))
+    a, b, rejected = random_sandwich_family(d, 1, (0.5, 1.5), cell["m"], cell["M"], rngs)
+    maps = build_map(cell["map"], d, rngs)
+    fam = InstanceFamily(hypothesis_tag="sandwich_pair", A=a, B=b, maps=maps, meta={"rejected": rejected})
     return fam, {}
 
 
 def _draw_sandwich_family(cell, rngs):
     d, n = cell["dim"], cell["n"]
-    a, b = random_sandwich_family(d, n, (0.5, 1.5), cell["m"], cell["M"], rngs)
-    fam = InstanceFamily(hypothesis_tag="sandwich_family", A=a, B=b)
+    a, b, rejected = random_sandwich_family(d, n, (0.5, 1.5), cell["m"], cell["M"], rngs)
+    fam = InstanceFamily(hypothesis_tag="sandwich_family", A=a, B=b, meta={"rejected": rejected})
     return fam, {}
 
 
@@ -430,8 +432,8 @@ def _draw_contraction_window(cell, rngs):
 
 
 def _draw_pd_contraction_sandwich(cell, rngs):
-    a, b = random_sandwich_family(cell["dim"], 1, (0.15, 0.9), cell["m"], cell["M"], rngs)
-    fam = InstanceFamily(hypothesis_tag="pd_contraction_sandwich", A=a, B=b)
+    a, b, rejected = random_sandwich_family(cell["dim"], 1, (0.15, 0.9), cell["m"], cell["M"], rngs)
+    fam = InstanceFamily(hypothesis_tag="pd_contraction_sandwich", A=a, B=b, meta={"rejected": rejected})
     return fam, {}
 
 
@@ -639,6 +641,13 @@ def replay_witness(obj: dict, tol: Tolerance = Tolerance()) -> tuple[CheckOutcom
         numeric = all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in values)
         if not (isinstance(value, str) if key == "f" else numeric):
             raise WitnessFormatError(f"witness param {key!r} has a malformed value {value!r}")
+    recorded = obj["outcome"]
+    rec_status, rec_slack = recorded.get("status"), recorded.get("slack")
+    if not isinstance(rec_status, str):
+        raise WitnessFormatError(f"witness outcome 'status' has a malformed value {rec_status!r}")
+    # null or a number, NaN for a not-applicable outcome
+    if rec_slack is not None and (isinstance(rec_slack, bool) or not isinstance(rec_slack, numbers.Real)):
+        raise WitnessFormatError(f"witness outcome 'slack' has a malformed value {rec_slack!r}")
     try:
         inst = _family_from_json(obj["instance"]["family"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -649,16 +658,11 @@ def replay_witness(obj: dict, tol: Tolerance = Tolerance()) -> tuple[CheckOutcom
         raise WitnessFormatError(f"witness family operands differ in shape: A {inst.A.shape}, B {inst.B.shape}")
     inst.aux = _WitnessArrays(inst.aux)
     outcome = checks.check(check_id, inst, _WitnessParams(obj["params"]), tol)
-    recorded = obj["outcome"]
-    rec_slack = recorded.get("slack")
     if outcome.status == NOT_APPLICABLE or rec_slack is None:
-        match = outcome.status == recorded.get("status")
+        match = outcome.status == rec_status
     else:
-        match = (
-            outcome.status == recorded.get("status")
-            and math.isfinite(outcome.slack)
-            and abs(outcome.slack - float(rec_slack)) <= 1e-12
-        )
+        close = math.isfinite(outcome.slack) and abs(outcome.slack - rec_slack) <= 1e-12
+        match = outcome.status == rec_status and close
     return outcome, recorded, match
 
 
@@ -684,21 +688,21 @@ _PER_TRIAL_KEYS = ("m", "M", "f", "map", "gamma")
 class _Build:
     """The seeded (cell, trial) ``pairs`` of one check group, all of one
     builder call or a share of one (``_build_trials``), on arrays of one
-    entry per trial: ``row``, its entry in ``stack`` and its row of
-    ``draws`` (-1 if the builder rejected it); ``guard``, the guard that
-    makes it not applicable, or None; ``exact``, the index of its exact
-    outcome in ``outcomes``, or -1; and [lo, hi] enclosures of its
-    ``slack``, ``scale`` and slack/scale (``normalized``), NaN where
+    entry per trial, trial i being entry i of ``stack`` and row i of
+    ``draws``: ``built``, False if the builder rejected it; ``guard``, the
+    guard that makes it not applicable, or None; ``exact``, the index of
+    its exact outcome in ``outcomes``, or -1; and [lo, hi] enclosures of
+    its ``slack``, ``scale`` and slack/scale (``normalized``), NaN where
     unknown, points for an exact outcome; and, in ``violated``, the trials
-    whose exact outcome violates the inequality.  A trial has a normalized slack where its scale's lower
-    end is positive.  A trial's outcome, instance, params and provenance are
-    formed only when asked for.
+    whose exact outcome violates the inequality.  A trial has a normalized
+    slack where its scale's lower end is positive.  A trial's outcome,
+    instance, params and provenance are formed only when asked for.
     """
 
     def __init__(self, check_id: str, cfg: CampaignConfig, pairs: list):
         self.check_id, self.cfg, self.pairs = check_id, cfg, pairs
         self.stack, self.draws, self.outcomes, self.violated = None, {}, [], []
-        self.row, self.exact = np.full((2, len(pairs)), -1)
+        self.built, self.exact = np.ones(len(pairs), dtype=bool), np.full(len(pairs), -1)
         self.guard = np.empty(len(pairs), dtype=object)  # an object array starts as None
         # slack, scale and normalized are views of one array, set together
         self.ends = np.full((len(pairs), 3, 2), np.nan)
@@ -735,15 +739,14 @@ class _Build:
 
     def inst(self, i: int) -> InstanceFamily | None:
         """Trial i's own instance (``instances.take``); None if rejected."""
-        return None if self.row[i] < 0 else take(self.stack, int(self.row[i]))
+        return take(self.stack, i) if self.built[i] else None
 
     def params(self, i: int) -> dict | None:
         """Trial i's params, as a witness stores them: its cell without
         ``_SHAPE_KEYS`` plus its row of the draws, as Python values."""
-        row = self.row.item(i)
-        if row < 0:
+        if not self.built[i]:
             return None
-        draws = {k: v[row].tolist() if isinstance(v, np.ndarray) else v for k, v in self.draws.items()}
+        draws = {k: v[i].tolist() if isinstance(v, np.ndarray) else v for k, v in self.draws.items()}
         return {k: v for k, v in self.pairs[i][0].items() if k not in _SHAPE_KEYS} | draws
 
     def provenance(self, i: int) -> dict:
@@ -785,12 +788,11 @@ def _build_trials(groups, cfg: CampaignConfig, states: np.ndarray) -> list[_Buil
     pairs: the builder gets them as one ``instances.Streams`` stack, which
     makes Generators only for a builder that draws through ``uniform`` or
     ``normal`` (the operator builders) and draws a scalar builder's steps
-    on arrays.  The trials named in the ``where`` of a builder's
-    ``HypothesisError`` are rejected and the others built again from a
-    fresh stack of the same states, so the stack holds exactly the built
-    trials, in order.  A group's built trials are adjacent in it: the group
-    gets them as a view, its rows of the draws plus its check's ``own``,
-    and its rejected trials the guard ``generator_rejected``."""
+    on arrays.  The stack holds every trial, in order, and its
+    ``meta["rejected"]`` marks the trials the builder rejected.  Each group
+    gets its own rows of it as a view, its rows of the draws plus its
+    check's ``own``, and its rejected trials the guard
+    ``generator_rejected``."""
     cells = []
     for check_id, pairs in groups:
         last = None  # a cell's generator cell is formed once for its run of trials
@@ -798,28 +800,18 @@ def _build_trials(groups, cfg: CampaignConfig, states: np.ndarray) -> list[_Buil
             if cell is not last:
                 last, generator_cell = cell, _OWN_BUILDERS[check_id].generator_cell(cell)
             cells.append(generator_cell)
-    row, live = np.full(len(cells), -1), np.arange(len(cells))
-    while live.size:
-        try:
-            stack, draws = BUILDERS[groups[0][0]](_stack_cells([cells[i] for i in live.tolist()]), Streams(states[live]))
-        except HypothesisError as exc:
-            live = live[~np.broadcast_to(exc.where, live.shape)]
-            continue
-        row[live] = np.arange(live.size)
-        break
+    stack, draws = BUILDERS[groups[0][0]](_stack_cells(cells), Streams(states))
+    rejected = stack.meta.get("rejected", np.zeros(len(cells), dtype=bool))
     builds, start = [], 0
     for check_id, pairs in groups:
         build = _Build(check_id, cfg, pairs)
-        build.row = rows = row[start : start + len(pairs)]
+        rows = slice(start, start + len(pairs))
         start += len(pairs)
-        build.guard[rows < 0] = "generator_rejected"
-        built = rows[rows >= 0]
-        if built.size:
-            build.stack, build.draws = stack, draws | _OWN_BUILDERS[check_id].own(pairs[0][0])
-            lo, hi = int(built[0]), int(built[-1]) + 1
-            if (lo, hi) != (0, live.size):
-                build.stack, build.draws = take(stack, slice(lo, hi)), checks._rows(build.draws, slice(lo, hi))
-                build.row = np.where(rows >= 0, rows - lo, -1)
+        build.built = ~rejected[rows]
+        build.guard[rejected[rows]] = "generator_rejected"
+        build.stack, build.draws = stack, draws | _OWN_BUILDERS[check_id].own(pairs[0][0])
+        if len(groups) > 1:
+            build.stack, build.draws = take(stack, rows), checks._rows(build.draws, rows)
         builds.append(build)
     return builds
 
@@ -832,10 +824,9 @@ def _check_pending(build: _Build, idx: np.ndarray) -> None:
     without ``_SHAPE_KEYS`` and their rows of the draws."""
     if not idx.size:
         return
-    rows = build.row[idx]
-    stack = build.stack if idx.size == _size(build.stack) else take(build.stack, rows)
+    stack = build.stack if idx.size == _size(build.stack) else take(build.stack, idx)
     cells = _stack_cells([build.pairs[i][0] for i in idx.tolist()])
-    params = {k: v for k, v in cells.items() if k not in _SHAPE_KEYS} | checks._rows(build.draws, rows)
+    params = {k: v for k, v in cells.items() if k not in _SHAPE_KEYS} | checks._rows(build.draws, idx)
     build.settle(idx, checks.check_cell(build.check_id, stack, params, build.cfg.tolerance))
 
 
@@ -847,7 +838,7 @@ def run_check_trial(check_id: str, cell: dict, cfg: CampaignConfig, trial: int):
     plus whatever the builder drew itself."""
     states = _stream_states([(check_id, cell)], [trial], cfg)[0]
     (build,) = _build_trials([(check_id, [(cell, trial)])], cfg, states)
-    _check_pending(build, np.flatnonzero(build.row >= 0))
+    _check_pending(build, np.flatnonzero(build.built))
     return build.outcome(0), build.inst(0), build.params(0), build.provenance(0)
 
 
@@ -859,11 +850,11 @@ def _filter_trials(build: _Build) -> np.ndarray:
     to the exact check: every one, for a check without bounds, and for a
     cell of at most two trials, whose median needs every applicable
     trial's exact value."""
-    built = np.flatnonzero(build.row >= 0)
+    built = np.flatnonzero(build.built)
     bounds = REGISTRY[build.check_id].bounds
     if bounds is None or not built.size or build.cfg.trials <= 2:
         return built
-    b = bounds(build.stack)
+    b = bounds(build.stack if built.size == len(build.pairs) else take(build.stack, built))
     build.guard[built] = b.guard
     scale_lo = b.scale[:, 0]
     holds = (scale_lo > 0) & (b.slack[:, 0] >= -build.cfg.tolerance.margin(scale_lo))

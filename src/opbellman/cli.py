@@ -80,9 +80,10 @@ def constant_rows(fid: str, m: float, M: float, p: float, lam: float) -> list[di
             rows.append(_row(name, cell, oracle=c.value, argmax=c.argmax))
         except OpBellmanError as exc:
             rows.append(_row(name, cell, note=str(exc)))
-    # f may be infinite at an end (log at 0); gamma_h then refuses its interval
+    # f may be infinite at an end (log at 0) or NaN outside its domain, where a
+    # Python float would make it complex; gamma_h then refuses its interval
     with np.errstate(divide="ignore", invalid="ignore"):
-        ends = {"a": float(f(m)), "b": float(f(M))}
+        ends = {"a": float(f(np.float64(m))), "b": float(f(np.float64(M)))}
     rows += _closed_form_rows("gamma_h", ends | {"p": p}, cell)
     rows += _closed_form_rows("delta_affine_power", {"lam": lam, "m": m, "M": M, "p": p}, cell)
     rows += _closed_form_rows("delta_bellman", {"m": m, "M": M, "p": p}, cell, "t_star")

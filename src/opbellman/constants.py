@@ -102,9 +102,12 @@ def _oracle_max(f: RepresentingFunction, m: float, M: float, objective: str) -> 
     then refines it in mp arithmetic down to a bracket GOLDEN_WIDTH (M - m)
     wide, and its value is returned.  Concavity of f makes both objectives
     unimodal; a refined value below the raw grid maximum is refused, and so
-    is an f that is not finite at m or M, whose chord is undefined.
+    are an [m, M] outside f's domain and an f that is not finite at m or M,
+    whose chord is undefined.
     """
     _check_interval(m, M)
+    if not f.domain[0] <= m < M <= f.domain[1]:
+        raise DomainError(f"need [m, M] inside the domain {list(f.domain)} of f, got m={m}, M={M}")
     with mpmath.workdps(ORACLE_DPS):
         fm, fM = f.mp(mpmath.mpf(m)), f.mp(mpmath.mpf(M))
         if objective == "ratio" and (fm <= 0 or fM <= 0):

@@ -42,8 +42,9 @@ class ParameterError(OpBellmanError, ValueError):
 
 
 class HypothesisError(OpBellmanError, ValueError):
-    """Inputs violate the hypothesis required by a closed-form constant or
-    a generated instance."""
+    """Inputs violate the hypothesis of a closed-form constant
+    (``constants.t_star``).  A generator never raises it for a trial whose
+    hypothesis fails: it marks the trial rejected in what it returns."""
 
 
 class UnimodalityError(OpBellmanError, RuntimeError):

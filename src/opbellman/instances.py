@@ -16,8 +16,8 @@ d, d) and (trials, n).  The scalar generator draws on the stack's arrays.
 Each stream gets the draws, in the order, that it gets alone, member by
 member; the linear algebra runs once on the stack of every member and
 trial and gives each matrix the bits it gets alone.  A hypothesis that
-fails on some trials of a stack raises ``HypothesisError`` naming them in
-``where``.
+fails on some trials of a stack rejects them, not the stack: a generator
+returns every trial, with a bool per trial that marks the rejected ones.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisError, ParameterError
+from .errors import ParameterError
 from .means import POSITIVE_HALFLINE, RepresentingFunction, mean
 from .positive_maps import take_map
 from .spectral import _certified_at_least, _eigvalsh, _hermitize_in_place, apply_function, from_spectrum
@@ -561,10 +561,11 @@ def _sandwich_window(m, M) -> tuple:
     return _shrunk(m, M)
 
 
-def random_sandwich_family(dim: int, n: int, interval: tuple[float, float], m, M, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """n pairs (A_j, B_j) per stream (n, trials, d, d), the spectrum of A_j
-    drawn from ``interval``, with m A_j <= B_j <= M A_j via B_j = A_j^{1/2}
-    T_j A_j^{1/2}, m I <= T_j <= M I; m and M are numbers or one per stream.
+def random_sandwich_family(dim: int, n: int, interval: tuple[float, float], m, M, rngs) -> tuple:
+    """(A, B, rejected): n pairs (A_j, B_j) per stream (n, trials, d, d),
+    the spectrum of A_j drawn from ``interval``, with m A_j <= B_j <= M A_j
+    via B_j = A_j^{1/2} T_j A_j^{1/2}, m I <= T_j <= M I; m and M are
+    numbers or one per stream.
 
     The inner spectrum is shrunk away from m and M so the sandwich holds
     with margin at least EDGE_SHRINK (M - m) lambda_min(A_j).  Each stream
@@ -572,15 +573,12 @@ def random_sandwich_family(dim: int, n: int, interval: tuple[float, float], m, M
     call forms every A_j and T_j, one ``eigh`` call takes the roots and
     ``_sandwiched`` re-verifies both sides of every sandwich, the gaps B_j
     - m A_j and M A_j - B_j, in one Cholesky certificate or, where that
-    fails, one ``_eigvalsh`` call; a ``HypothesisError`` names the trials
-    with a failing pair in ``where``.
+    fails, one ``_eigvalsh`` call; ``rejected`` marks the trials with a
+    failing pair.
     """
     a, t = _spectral(dim, [interval, _sandwich_window(m, M)], rngs, n)
     b, failed = _sandwiched(a, t, m, M)
-    failed = failed.any(axis=0)
-    if failed.any():
-        raise HypothesisError("sandwich construction failed verification", where=failed)
-    return a, b
+    return a, b, failed.any(axis=0)
 
 
 def random_subidentity_family(n: int, dim: int, rngs, cap) -> np.ndarray:
@@ -671,20 +669,20 @@ def complement_sandwich_family(
     is affine in s, so the largest feasible scale s_max has a closed form
     (``_scale_limit``): s = 1 when s_max >= 1, otherwise s = s_max (1 -
     1e-6).  The scaled family is re-verified with ``DEFAULT_MARGIN``, and a
-    trial whose s_max is below ``MIN_SCALE`` or whose verification fails is
-    rejected: a ``HypothesisError`` names the rejected trials in ``where``,
-    as a failed sandwich pair does.
+    trial whose sandwich pairs fail, whose s_max is below ``MIN_SCALE`` or
+    whose verification fails is rejected.
 
     m, M and gamma are numbers or one per stream, and f is one function or
     a per-trial one (``means.per_trial_function``); the family is stacked
-    (n, trials, d, d), and ``meta`` holds each trial's scale and gamma.
+    (n, trials, d, d), and ``meta`` holds each trial's scale, gamma and
+    whether it is ``rejected``.
     """
     if dim < 1 or n < 1:
         raise ParameterError("dim and n must be at least 1")
     m, M, gamma = (np.broadcast_to(np.ravel(x), len(rngs)) for x in (*interval, gamma_value))
     if not np.all((0.0 < m) & (m < 1.0) & (1.0 < M)):
         raise ParameterError(f"complement sandwich needs 0 < m < 1 < M, got [{interval[0]}, {interval[1]}]")
-    a, b = random_sandwich_family(dim, n, (0.5, 1.5), m, M, rngs)
+    a, b, rejected = random_sandwich_family(dim, n, (0.5, 1.5), m, M, rngs)
     s_max = _scale_limit(gamma, sum(a), sum(b), sum(mean(a, b, f)), m, M, DEFAULT_MARGIN)
     s = np.where(s_max >= 1.0, 1.0, s_max * (1.0 - 1e-6))
     # the drawn pairs are scaled in place: only the scaled family is kept
@@ -697,8 +695,7 @@ def complement_sandwich_family(
         meta={"scale": s, "gamma": np.array(gamma)},
     )
     failed = (s_max < MIN_SCALE) | ~_verify_complement_family(family, gamma, m, M, DEFAULT_MARGIN)
-    if failed.any():
-        raise HypothesisError("no complement-sandwiched scale of the drawn family", where=failed)
+    family.meta["rejected"] = rejected | failed
     return family
 
 
@@ -771,7 +768,7 @@ def scalar_instance(kind: str, sizes: tuple, p, streams: Streams) -> InstanceFam
     side on the whole stack, each row with its own exponent (``_row_power``
     keeps a scalar exponent's bits); each head and column-sum pow is a
     scalar pow on Python floats, which an array power does not reproduce.
-    A ``HypothesisError`` names the rejected trials in ``where``.
+    ``meta["rejected"]`` marks the trials that failed their hypothesis.
     """
     rows, cols = sizes
     if np.min(rows) < 1 or cols < 1:
@@ -787,10 +784,8 @@ def scalar_instance(kind: str, sizes: tuple, p, streams: Streams) -> InstanceFam
         aux, failed = _head_arrays(kind, cols, np.broadcast_to(np.asarray(p, dtype=float), rows.shape), streams)
     else:
         aux, failed = _column_arrays(kind, rows, cols, p, streams)
-    if failed.any():
-        raise HypothesisError(f"{kind} instances failed their hypothesis", where=failed)
     meta = {"rows": rows} if kind in COLUMN_KINDS else {}
-    return InstanceFamily(hypothesis_tag=f"scalar_{kind}", aux=aux, meta=meta)
+    return InstanceFamily(hypothesis_tag=f"scalar_{kind}", aux=aux, meta=meta | {"rejected": failed})
 
 
 def _head_arrays(kind: str, cols: int, p: np.ndarray, streams: Streams) -> tuple[dict, np.ndarray]:
@@ -798,10 +793,11 @@ def _head_arrays(kind: str, cols: int, p: np.ndarray, streams: Streams) -> tuple
     ``b_j`` and the exponent (2 for aczel).  Each stream draws a side in one
     step, Bellman's head, raw tail and theta or the others' tail and theta;
     a side is one array draw and one ``_head_side`` call on the live trials,
-    whatever their exponents, and a trial draws its ``b`` once its ``a`` holds."""
+    whatever their exponents, and a trial draws its ``b`` once its ``a`` holds;
+    a side a rejected trial does not draw is NaN."""
     p = np.full(len(streams), 2.0) if kind == "aczel" else p
-    aux = {"a": np.empty(len(streams)), "b": np.empty(len(streams)), "p": p}
-    aux |= {"a_j": np.empty((len(streams), cols)), "b_j": np.empty((len(streams), cols))}
+    aux = {"a": np.full(len(streams), np.nan), "b": np.full(len(streams), np.nan), "p": p}
+    aux |= {"a_j": np.full((len(streams), cols), np.nan), "b_j": np.full((len(streams), cols), np.nan)}
     failed = np.zeros(len(streams), dtype=bool)
     live = np.arange(len(streams))
     size = cols + 2 if kind == "bellman" else cols + 1
@@ -853,7 +849,7 @@ def _column_arrays(kind: str, rows: np.ndarray, cols: int, p: float, streams: St
     count, cols) is then scaled so that each column sum of a_ij^(1/p) is
     theta (theta caps^(1/p) for mp1) and re-verified in one pass.  Then each
     stream of a trial that holds draws mp3's and eq3's weights, in one more
-    array draw, also where another trial fails."""
+    array draw, also where another trial fails; a failed trial's are NaN."""
     q = 1.0 / p
     lead = int(kind == "mp1")
     # row 0 holds mp1's caps, the next rows[t] rows the matrix, the last drawn row theta
@@ -870,6 +866,7 @@ def _column_arrays(kind: str, rows: np.ndarray, cols: int, p: float, streams: St
     aux = {"a": a, "p": np.full(len(streams), p)}
     if lead:
         aux["caps"] = caps
-    elif not failed.all():
-        aux["weights"] = _weights(streams.random(cols, np.flatnonzero(~failed)))
+    else:
+        aux["weights"] = np.full((len(streams), cols), np.nan)
+        aux["weights"][~failed] = _weights(streams.random(cols, np.flatnonzero(~failed)))
     return aux, failed

@@ -14,7 +14,6 @@ import pytest
 from opbellman import campaign, checks, cli, constants
 from opbellman.campaign import CampaignConfig, run_check_trial
 from opbellman.checks import HOLDS, NOT_APPLICABLE, VIOLATED
-from opbellman.errors import HypothesisError
 from opbellman.instances import Streams, random_subidentity_family, stream_states
 from opbellman.means import arithmetic_w
 from opbellman.scalar_refs import reference_slack
@@ -89,7 +88,7 @@ def _attempts(check_id: str, count: int, max_attempts: int, cfg=ACCEPT_CFG):
             states = campaign._stream_states([(check_id, cells[j]) for j in group], trials, cfg)
             pairs = [(cells[j], t) for j in group for t in trials]
             (build,) = campaign._build_trials([(check_id, pairs)], cfg, states.reshape(len(pairs), 4))
-            campaign._check_pending(build, np.flatnonzero(build.row >= 0))
+            campaign._check_pending(build, np.flatnonzero(build.built))
             for k, j in enumerate(group):
                 done[j] += [(build, k * size + i) for i in range(size)]
         build, i = done[cell][trial]
@@ -241,13 +240,11 @@ def _rejecting(builder):
     draw taken from its own stream."""
 
     def build(cell, rngs):
-        out = builder(cell, rngs)
+        fam, draws = builder(cell, rngs)
         # a scalar builder drew on the stack's arrays, an operator builder through its Generators
         u = rngs.random(1)[:, 0] if rngs._pcg is not None else np.array([rng.uniform() for rng in rngs])
-        rejected = u < 0.25
-        if rejected.any():
-            raise HypothesisError("rejected for the test", where=rejected)
-        return out
+        fam.meta["rejected"] = fam.meta.get("rejected", False) | (u < 0.25)
+        return fam, draws
 
     return build
 

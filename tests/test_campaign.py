@@ -342,6 +342,12 @@ def _replayable_witness():
         (("params", "m"), True, "witness param 'm' has a malformed value True"),
         (("params", "M"), [2.0, None], "witness param 'M' has a malformed value [2.0, None]"),
         (("params", "f"), 3, "witness param 'f' has a malformed value 3"),
+        # a ValueError or a TypeError traceback, a slack of true compared as
+        # 1.0, or a status no outcome has compared as unequal
+        (("outcome", "slack"), "x", "witness outcome 'slack' has a malformed value 'x'"),
+        (("outcome", "slack"), [1.0], "witness outcome 'slack' has a malformed value [1.0]"),
+        (("outcome", "slack"), True, "witness outcome 'slack' has a malformed value True"),
+        (("outcome", "status"), 1, "witness outcome 'status' has a malformed value 1"),
     ],
 )
 def test_cli_replay_malformed_witness_is_a_schema_error(tmp_path, capsys, path, value, message):
@@ -730,6 +736,26 @@ def test_cli_constants_cell_outside_hypotheses_exit_zero(capsys):
     assert rows["delta_affine_power"]["note"].startswith("need 0 < m < M")
 
 
+@pytest.mark.parametrize("args,outside", [
+    (["--m", "-1"], True),
+    (["--m", "-1", "--f", "power:0.3"], True),
+    (["--m", "-2", "--M", "-1", "--f", "log"], True),
+    (["--m", "0", "--M", "0.5"], False),
+    (["--f", "log", "--m", "0", "--M", "1"], False),
+])
+def test_cli_constants_interval_outside_the_domain_gives_notes(capsys, args, outside):
+    # an m below 0 used to end in a TypeError traceback, from the oracle's
+    # complex f(m) and then from gamma_h's ends f(m), f(M) on Python floats;
+    # such a cell now gets notes, and one from the domain's closed end 0
+    # keeps its rows; a RuntimeWarning fails the test (pyproject.toml)
+    assert cli.main(["constants", *args, "--format", "json"]) == 0
+    rows = {r["constant"]: r for r in json.loads(capsys.readouterr().out)}
+    assert len(rows) == 9
+    domain = [name for name in ("gamma_f", "beta_f") if rows[name]["note"].startswith("need [m, M] inside")]
+    assert domain == (["gamma_f", "beta_f"] if outside else [])
+    assert rows["gamma_h"]["note"].startswith("need 0 < a < b")
+
+
 def test_cli_constants_narrow_interval_near_zero_agrees(capsys):
     # on [1e-5, 2e-5] the float grid cannot resolve an objective of 3e-12
     # beside f = 1: the oracle brackets every grid point within rounding of
@@ -850,6 +876,33 @@ def test_filtered_scalar_campaign_matches_per_trial_summary(cfg):
     assert campaign.report_to_json(report) == expected
 
 
+def test_a_rejecting_build_is_one_builder_call(monkeypatch):
+    # at p = 0.001 the three column checks' builders reject part of their
+    # stacks; each build is still one builder call on every trial of its
+    # cell, where the survivors were once built a second time from fresh
+    # copies of their streams (18 calls and 2786 trial builds here)
+    built = []
+
+    def counted(builder):
+        def build(cell, rngs):
+            built.append(len(rngs))
+            return builder(cell, rngs)
+
+        return build
+
+    for check_id, builder in list(campaign.BUILDERS.items()):
+        monkeypatch.setitem(campaign.BUILDERS, check_id, counted(builder))
+    cfg = config_from_json({
+        "p_grid": [0.001], "n_values": [1, 2, 3], "trials": 200, "seed": 301,
+        "checks": ["scalar_bellman_weighted", "scalar_bellman_columns", "scalar_bellman_reverse"],
+    })
+    report = run_campaign(cfg)
+    assert (len(built), sum(built)) == (9, 1800)
+    assert report["summary"]["not_applicable"] > 0
+    cells, summary = _per_trial_summary(cfg)
+    assert campaign.report_to_json(report) == campaign.report_to_json(dict(report, cells=cells, summary=summary))
+
+
 @pytest.mark.parametrize("check_id", TIE_IDS)
 def test_declared_tie_gives_every_trial_one_slack(check_id):
     # every trial of each tied cell, checked at 30 digits (every built trial
@@ -865,7 +918,7 @@ def test_declared_tie_gives_every_trial_one_slack(check_id):
     for cell in cells:
         states = campaign._stream_states([(check_id, cell)], range(cfg.trials), cfg)[0]
         (build,) = campaign._build_trials([(check_id, [(cell, t) for t in range(cfg.trials)])], cfg, states)
-        campaign._check_pending(build, np.flatnonzero(build.row >= 0))
+        campaign._check_pending(build, np.flatnonzero(build.built))
         outcomes = [build.outcome(i) for i in range(len(build.pairs))]
         slacks = {o.slack for o in outcomes if o.status != "not_applicable"}
         assert len(slacks) == 1, (cell, sorted(slacks)[:3])
@@ -1201,17 +1254,15 @@ def _rejecting(builder):
 
     def build(cell, rngs):
         fam, draws = builder(cell, rngs)
-        rejected = np.array([rng.uniform() < 0.4 for rng in rngs])
-        if rejected.any():
-            raise HypothesisError("rejected for the test", where=rejected)
+        fam.meta["rejected"] = fam.meta.get("rejected", False) | np.array([rng.uniform() < 0.4 for rng in rngs])
         return fam, draws
 
     return build
 
 
 def test_stacked_cell_leaves_out_rejected_builds(monkeypatch):
-    # the stack holds only the trials the builder did not reject, in trial
-    # order; a rejection names its trials in ``where`` and the rest are rebuilt
+    # the stack holds every trial, in trial order; the builder marks the
+    # trials it rejects in ``meta["rejected"]``, and only the rest are checked
     monkeypatch.setitem(campaign.BUILDERS, "mean_sum_ratio_reverse", _rejecting(campaign.BUILDERS["mean_sum_ratio_reverse"]))
     cfg = CampaignConfig(trials=8, dims=(2, 3), checks=("mean_sum_ratio_reverse",), seed=3)
     report = run_campaign(cfg)
@@ -1686,7 +1737,7 @@ def _assert_stack_builds_each_trial_as_alone(check_id, cells, cfg):
         assert repr(stacked.outcome(i)) == repr(alone.outcome(0)), where
         _assert_same_bits(stacked.params(i), alone.params(0), f"{where} params")
         _assert_same_bits(stacked.inst(i), alone.inst(0), where)
-    return [_Built(stacked.stack, stacked.inst(i), stacked.params(i)) for i in range(len(pairs)) if stacked.row[i] >= 0]
+    return [_Built(stacked.stack, stacked.inst(i), stacked.params(i)) for i in range(len(pairs)) if stacked.built[i]]
 
 
 def _states(check_id, cell, cfg):
@@ -1708,7 +1759,7 @@ def _stream_end(stack, i):
 def test_stacked_build_equals_each_trial_built_alone(check_id):
     # every operator builder, on dims 1 and 3 and every map kind, and every
     # scalar builder at p = 0.001, where the mp1/mp3/eq3 builders reject: a
-    # stack holds exactly the built trials; each stream also ends where it
+    # stack holds every trial of its group; each stream also ends where it
     # ends alone, so it got exactly its own draws.  The cells that differ only
     # in their interval, their mean and their map are built as one stack, of
     # two windows of each kind, each mean and each map of one output shape
@@ -1729,7 +1780,7 @@ def test_stacked_build_equals_each_trial_built_alone(check_id):
         if check_id in checks.OPERATOR_IDS:
             assert len(built) == len(group) * cfg.trials
         elif built:
-            assert campaign._size(built[0].stack) == len(built)
+            assert campaign._size(built[0].stack) == len(group) * cfg.trials
         rejected += len(group) * cfg.trials - len(built)
         states = np.concatenate([_states(check_id, cell, cfg) for cell in group])
         rngs = Streams(states)
@@ -1787,10 +1838,7 @@ def _loop_sandwich_pair(a, m, M, rngs):
     b = hermitize(root @ t @ root)
     mf, Mf = instances._trial_factor(m), instances._trial_factor(M)
     low = np.linalg.eigvalsh(hermitize(np.stack([b - mf * a, Mf * a - b])))[..., 0]
-    failed = (low < 0.0).any(axis=0)
-    if failed.any():
-        raise HypothesisError("sandwich construction failed verification", where=failed)
-    return a, b
+    return a, b, (low < 0.0).any(axis=0)
 
 
 def _loop_subidentity(n, dim, rngs, cap):
@@ -1802,7 +1850,7 @@ def _loop_subidentity(n, dim, rngs, cap):
 def _loop_complement(dim, n, m, M, f_id, gamma, rngs):
     m, M, gamma = (np.broadcast_to(np.ravel(x), len(rngs)) for x in (m, M, gamma))
     pairs = [_loop_sandwich_pair(_loop_spectrum(dim, (0.5, 1.5), rngs), m, M, rngs) for _ in range(n)]
-    a, b = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+    a, b, rejected = (np.stack([p[k] for p in pairs]) for k in range(3))
     f = function_from_id(f_id)
     s_max = instances._scale_limit(gamma, sum(a), sum(b), sum(mean(a, b, f)), m, M, instances.DEFAULT_MARGIN)
     s = np.where(s_max >= 1.0, 1.0, s_max * (1.0 - 1e-6))
@@ -1813,9 +1861,7 @@ def _loop_complement(dim, n, m, M, f_id, gamma, rngs):
         meta={"scale": s, "gamma": np.array(gamma)},
     )
     verified = instances._verify_complement_family(family, gamma, m, M, instances.DEFAULT_MARGIN)
-    failed = (s_max < instances.MIN_SCALE) | ~verified
-    if failed.any():
-        raise HypothesisError("no complement-sandwiched scale of the drawn family", where=failed)
+    family.meta["rejected"] = rejected.any(axis=0) | (s_max < instances.MIN_SCALE) | ~verified
     return family
 
 
@@ -1877,11 +1923,13 @@ def _loop_family(check_id, cell, rngs):
         a = _loop_spectrum(d, (0.1, 0.95), rngs)
         return InstanceFamily(hypothesis_tag="pd_contraction_pair", A=[a], B=[_loop_spectrum(d, (0.3, 2.0), rngs)])
     if check_id in ("mean_map_ratio_reverse", "mean_map_diff_reverse"):
-        x, y = _loop_sandwich_pair(_loop_spectrum(d, (0.5, 1.5), rngs), cell["m"], cell["M"], rngs)
-        return InstanceFamily(hypothesis_tag="sandwich_pair", A=[x], B=[y], maps=[_loop_map(cell["map"], d, rngs)])
+        x, y, rejected = _loop_sandwich_pair(_loop_spectrum(d, (0.5, 1.5), rngs), cell["m"], cell["M"], rngs)
+        maps = [_loop_map(cell["map"], d, rngs)]
+        return InstanceFamily(hypothesis_tag="sandwich_pair", A=[x], B=[y], maps=maps, meta={"rejected": rejected})
     if check_id in ("mean_sum_ratio_reverse", "mean_sum_diff_reverse"):
         pairs = [_loop_sandwich_pair(_loop_spectrum(d, (0.5, 1.5), rngs), cell["m"], cell["M"], rngs) for _ in range(n)]
-        return InstanceFamily(hypothesis_tag="sandwich_family", A=[p[0] for p in pairs], B=[p[1] for p in pairs])
+        a, b, rejected = ([p[k] for p in pairs] for k in range(3))
+        return InstanceFamily(hypothesis_tag="sandwich_family", A=a, B=b, meta={"rejected": np.any(rejected, axis=0)})
     if check_id == "compression_ratio_reverse":
         kinds = ["unitary" if r.uniform() < 0.5 else "ginibre" for r in rngs]
         x = _loop_spectrum(d, instances._shrunk(cell["m"], cell["M"]), rngs)
@@ -1889,8 +1937,8 @@ def _loop_family(check_id, cell, rngs):
             hypothesis_tag="contraction_window", A=[x], aux={"C": instances.random_contraction(d, rngs, kinds)}
         )
     assert check_id == "mean_power_ratio_reverse", check_id
-    a, b = _loop_sandwich_pair(_loop_spectrum(d, (0.15, 0.9), rngs), cell["m"], cell["M"], rngs)
-    return InstanceFamily(hypothesis_tag="pd_contraction_sandwich", A=[a], B=[b])
+    a, b, rejected = _loop_sandwich_pair(_loop_spectrum(d, (0.15, 0.9), rngs), cell["m"], cell["M"], rngs)
+    return InstanceFamily(hypothesis_tag="pd_contraction_sandwich", A=[a], B=[b], meta={"rejected": rejected})
 
 
 @pytest.mark.parametrize("check_id", checks.OPERATOR_IDS)
@@ -2058,22 +2106,14 @@ def test_stacked_complement_build_rejects_per_trial(monkeypatch):
     f = function_from_id(cell["f"])
     shape = (cell["dim"], cell["n"], (cell["m"], cell["M"]), f, 7e4)
     states = _states("bellman_ratio_reverse", cell, cfg)
-    alone = []
-    for t in range(cfg.trials):
-        try:
-            alone.append(instances.take(instances.complement_sandwich_family(*shape, Streams(states[t : t + 1])), 0))
-        except HypothesisError:
-            alone.append(None)
-    with pytest.raises(HypothesisError) as exc:
-        instances.complement_sandwich_family(*shape, Streams(states))
-    assert list(exc.value.where) == [fam is None for fam in alone]
-    kept = Streams(states[[fam is not None for fam in alone]])
-    stack = instances.complement_sandwich_family(*shape, kept)
-    alone = [fam for fam in alone if fam is not None]
-    assert len(alone) == len(built)
-    for t, fam in enumerate(alone):
-        _assert_same_bits(instances.take(stack, t), fam)
-        assert stack.meta["scale"][t] == fam.meta["scale"]
+    alone = [instances.take(instances.complement_sandwich_family(*shape, Streams(states[t : t + 1])), 0) for t in range(cfg.trials)]
+    stack = instances.complement_sandwich_family(*shape, Streams(states))
+    assert stack.meta["rejected"].tolist() == [fam.meta["rejected"] for fam in alone]
+    kept = [t for t, fam in enumerate(alone) if not fam.meta["rejected"]]
+    assert len(kept) == len(built)
+    for t in kept:
+        _assert_same_bits(instances.take(stack, t), alone[t])
+        assert stack.meta["scale"][t] == alone[t].meta["scale"]
 
 
 @pytest.mark.parametrize(

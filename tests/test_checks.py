@@ -887,7 +887,7 @@ def test_scalar_runner_on_stacked_cells_matches_the_per_trial_reference(check_id
         (build,) = campaign._build_trials([(check_id, [(cell, t) for t in range(cfg.trials)])], cfg, _cell_states(check_id, cell, cfg))
         built = [build.inst(i) for i in range(len(build.pairs)) if build.outcome(i) is None]
         if built:
-            _assert_runner_matches_reference(check_id, build.stack, built, cfg.tolerance)
+            _assert_runner_matches_reference(check_id, take(build.stack, np.flatnonzero(build.built)), built, cfg.tolerance)
         compared += len(built)
     assert compared >= 4 * cfg.trials
 
@@ -988,9 +988,9 @@ def _assert_filter_matches_per_trial(check_id, build):
     """The array filter on a build gives each built trial the per-trial
     filter's guard and, to the last bit, its enclosures; returns how many
     it encloses."""
-    want = _per_trial_filter(check_id, build.stack, build.cfg.tolerance)
+    built = np.flatnonzero(build.built)
+    want = _per_trial_filter(check_id, take(build.stack, built), build.cfg.tolerance)
     campaign._filter_trials(build)
-    built = np.flatnonzero(build.row >= 0)
     assert build.guard[built].tolist() == [w[0] for w in want]
     got = np.stack([build.slack, build.scale, build.normalized], axis=1)[built]
     assert got.tobytes() == np.array([w[1:] for w in want], dtype=float).tobytes()
@@ -1020,7 +1020,7 @@ def test_array_filter_equals_the_per_trial_filter_to_the_last_bit(check_id):
     verdicts = [v for cid, _, v in GUARD_CASES if cid == check_id]
     insts[2:2] = [_scalar_case(inst) for cid, inst, _ in GUARD_CASES if cid == check_id]
     stacked = campaign._Build(check_id, cfg, [(cell, t) for t in range(len(insts))])
-    stacked.stack, stacked.row = _scalar_stack(insts), np.arange(len(insts))
+    stacked.stack = _scalar_stack(insts)
     _assert_filter_matches_per_trial(check_id, stacked)
     assert stacked.guard[2 : 2 + len(verdicts)].tolist() == verdicts
 
@@ -1068,7 +1068,7 @@ def _mixed_guard_cells():
     rng = Streams(stream_states(31, [()]))
     pd = lambda: random_pd(2, rng, 0.5, 1.5)[0, 0]  # noqa: E731
     window = {"m": 0.5, "M": 2.0}
-    x, y = (z[0, 0] for z in random_sandwich_family(2, 1, (0.5, 1.5), 0.5, 2.0, rng))
+    x, y = (z[0, 0] for z in random_sandwich_family(2, 1, (0.5, 1.5), 0.5, 2.0, rng)[:2])
     yield (
         "jensen_map",  # window guard, below then above
         [
@@ -1231,7 +1231,7 @@ def test_links_decide_each_pair_as_loewner_leq(check_id, dim, tol):
     cell = next(c for c in campaign.expand_cells(check_id, cfg) if c["dim"] == dim)
     states = campaign._stream_states([(check_id, cell)], range(cfg.trials), cfg)[0]
     (build,) = campaign._build_trials([(check_id, [(cell, t) for t in range(cfg.trials)])], cfg, states)
-    assert (build.row >= 0).all()
+    assert build.built.all()
     params = {k: v for k, v in cell.items() if k not in campaign._SHAPE_KEYS} | build.draws
     sides = checks.REGISTRY[check_id].runner.__wrapped__(build.stack, params, tol)
     terms = sides if checks.REGISTRY[check_id].group == "chain" else sides[::-1]

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "opbellman"
 
 
@@ -252,3 +254,20 @@ def test_campaign_subscripts_builders_at_one_site():
         if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "BUILDERS"
     ]
     assert len(sites) == 1, f"BUILDERS subscripted in campaign.py at lines {sites}"
+
+
+@pytest.mark.parametrize("name,kind,part", [("instances.py", ast.Raise, "exc"), ("campaign.py", ast.ExceptHandler, "type")])
+def test_rejected_trials_are_marked_not_raised(name, kind, part):
+    # a generator returns every trial of its stack and marks the rejected
+    # ones, so ``campaign._build_trials`` builds each stack in one builder
+    # call; a HypothesisError for some trials of a stack, raised by a
+    # generator or caught by the campaign, means a second build of the others
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, kind)
+        and getattr(node, part) is not None
+        and any(isinstance(n, ast.Name) and n.id == "HypothesisError" for n in ast.walk(getattr(node, part)))
+    ]
+    assert not found, f"HypothesisError at {name} lines {found}"
